@@ -157,10 +157,10 @@ fn main() {
                 let mut last_stats = None;
                 let m = measure_gcups(cells, repeats, || {
                     let (scores, stats) = if align {
-                        let run = scheduler.align_batch(&dispatch, &spec, &view);
+                        let run = scheduler.try_align_batch(&dispatch, &spec, &view).unwrap();
                         (run.results.iter().map(|a| a.score).collect(), run.stats)
                     } else {
-                        let run = scheduler.score_batch(&dispatch, &spec, &view);
+                        let run = scheduler.try_score_batch(&dispatch, &spec, &view).unwrap();
                         (run.results.clone(), run.stats)
                     };
                     // Scores must agree across every backend and mode;
@@ -254,11 +254,15 @@ fn main() {
         let scheduler = BatchScheduler::new(BatchCfg::threads(threads));
         let spec = SchemeSpec::global_affine(2, -1, -2, -1);
 
-        let score_run = scheduler.score_batch(&dispatch, &spec, &long_view);
+        let score_run = scheduler
+            .try_score_batch(&dispatch, &spec, &long_view)
+            .unwrap();
         println!("score: {}", score_run.stats.summary());
         json.insert("long.score_gcups".into(), score_run.stats.gcups());
 
-        let align_run = scheduler.align_batch(&dispatch, &spec, &long_view);
+        let align_run = scheduler
+            .try_align_batch(&dispatch, &spec, &long_view)
+            .unwrap();
         println!("align: {}", align_run.stats.summary());
         json.insert("long.align_gcups".into(), align_run.stats.gcups());
         assert_eq!(
@@ -303,7 +307,9 @@ fn main() {
         let mut base_scores: Vec<i32> = Vec::new();
         let mut base_stats = None;
         let um = measure_gcups(cells, repeats, || {
-            let run = scheduler.score_batch(&plain, &spec, &huge_view);
+            let run = scheduler
+                .try_score_batch(&plain, &spec, &huge_view)
+                .unwrap();
             base_scores = run.results.clone();
             base_stats = Some(run.stats);
         });
@@ -315,7 +321,9 @@ fn main() {
 
         let mut last_stats = None;
         let sm = measure_gcups(cells, repeats, || {
-            let run = scheduler.score_batch(&sharded, &spec, &huge_view);
+            let run = scheduler
+                .try_score_batch(&sharded, &spec, &huge_view)
+                .unwrap();
             assert_eq!(
                 run.results, base_scores,
                 "huge: sharded scores diverged from unsharded"
@@ -339,7 +347,9 @@ fn main() {
 
         let mut aligned_score = 0i32;
         let am = measure_gcups(cells * TRACEBACK_CELL_FACTOR, repeats, || {
-            let run = scheduler.align_batch(&sharded, &spec, &huge_view);
+            let run = scheduler
+                .try_align_batch(&sharded, &spec, &huge_view)
+                .unwrap();
             aligned_score = run.results[0].score;
             assert_eq!(
                 aligned_score, base_scores[0],
@@ -415,7 +425,12 @@ fn main() {
         let scheduler = BatchScheduler::new(BatchCfg::threads(threads));
         let mut last_stats = None;
         let xm = measure_gcups(decoy_view.total_cells(), repeats, || {
-            last_stats = Some(scheduler.score_batch(&xdispatch, &spec, &decoy_view).stats);
+            last_stats = Some(
+                scheduler
+                    .try_score_batch(&xdispatch, &spec, &decoy_view)
+                    .unwrap()
+                    .stats,
+            );
         });
         let stats = last_stats.expect("at least one repeat ran");
         let retired = stats
@@ -492,11 +507,11 @@ fn main() {
             let mut base_ops_len: Vec<usize> = Vec::new();
             let off = measure_gcups(cells, repeats, || {
                 if align {
-                    let run = scheduler.align_batch(&plain, &spec, &dup_view);
+                    let run = scheduler.try_align_batch(&plain, &spec, &dup_view).unwrap();
                     base_scores = run.results.iter().map(|a| a.score).collect();
                     base_ops_len = run.results.iter().map(|a| a.ops.len()).collect();
                 } else {
-                    let run = scheduler.score_batch(&plain, &spec, &dup_view);
+                    let run = scheduler.try_score_batch(&plain, &spec, &dup_view).unwrap();
                     base_scores = run.results.clone();
                 }
             });
@@ -506,14 +521,18 @@ fn main() {
                 // dedup only), not an already-warm cache.
                 cache.clear();
                 if align {
-                    let run = scheduler.align_batch(&cached, &spec, &dup_view);
+                    let run = scheduler
+                        .try_align_batch(&cached, &spec, &dup_view)
+                        .unwrap();
                     let scores: Vec<i32> = run.results.iter().map(|a| a.score).collect();
                     assert_eq!(scores, base_scores, "cached {mode} scores diverged");
                     let ops_len: Vec<usize> = run.results.iter().map(|a| a.ops.len()).collect();
                     assert_eq!(ops_len, base_ops_len, "cached {mode} CIGARs diverged");
                     last_stats = Some(run.stats);
                 } else {
-                    let run = scheduler.score_batch(&cached, &spec, &dup_view);
+                    let run = scheduler
+                        .try_score_batch(&cached, &spec, &dup_view)
+                        .unwrap();
                     assert_eq!(run.results, base_scores, "cached {mode} scores diverged");
                     last_stats = Some(run.stats);
                 }
@@ -570,11 +589,16 @@ fn main() {
         let cells = view.total_cells();
 
         let off = measure_gcups(cells, repeats, || {
-            scheduler.score_batch(&plain, &spec, &view);
+            scheduler.try_score_batch(&plain, &spec, &view).unwrap();
         });
         let mut last_stats = None;
         let on = measure_gcups(cells, repeats, || {
-            last_stats = Some(scheduler.score_batch(&observed, &spec, &view).stats);
+            last_stats = Some(
+                scheduler
+                    .try_score_batch(&observed, &spec, &view)
+                    .unwrap()
+                    .stats,
+            );
         });
         let stats = last_stats.expect("at least one repeat ran");
         let overhead = if off.gcups > 0.0 {
@@ -669,11 +693,14 @@ fn run_kind_bin(
 
     let mut expected: Vec<i32> = Vec::new();
     let base = measure_gcups(cells, repeats, || {
-        expected = scheduler.score_batch(&scalar, spec, view).results.clone();
+        expected = scheduler
+            .try_score_batch(&scalar, spec, view)
+            .unwrap()
+            .results;
     });
     let mut last_stats = None;
     let fast = measure_gcups(cells, repeats, || {
-        let run = scheduler.score_batch(&auto, spec, view);
+        let run = scheduler.try_score_batch(&auto, spec, view).unwrap();
         assert_eq!(
             run.results, expected,
             "{label}: auto scores diverged from scalar"
@@ -697,7 +724,7 @@ fn run_kind_bin(
 
     let align_cells = cells * TRACEBACK_CELL_FACTOR;
     let aln = measure_gcups(align_cells, repeats, || {
-        let run = scheduler.align_batch(&auto, spec, view);
+        let run = scheduler.try_align_batch(&auto, spec, view).unwrap();
         let scores: Vec<i32> = run.results.iter().map(|a| a.score).collect();
         assert_eq!(
             scores, expected,

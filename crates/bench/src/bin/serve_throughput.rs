@@ -163,7 +163,8 @@ fn main() {
         .iter()
         .map(|pairs| {
             scheduler
-                .score_batch(&dispatch, &spec, &BatchView::from_pairs(pairs))
+                .try_score_batch(&dispatch, &spec, &BatchView::from_pairs(pairs))
+                .unwrap()
                 .results
         })
         .collect();
@@ -208,10 +209,10 @@ fn main() {
 
     // A small verified align burst so the verb="align" latency gauges
     // exist too (quantiles refresh on the scrape that follows it).
-    let align_pairs = read_pairs(32, 0xa116);
+    let aligned_reads = read_pairs(32, 0xa116);
     let stats = {
         let mut client = ServeClient::connect(&sock).expect("align connect failed");
-        for chunk in align_pairs.chunks(8) {
+        for chunk in aligned_reads.chunks(8) {
             let results = client
                 .roundtrip(
                     ReqKind::Align,

@@ -297,7 +297,7 @@ fn cmd_batch(args: &[String]) {
     };
     let mut policy_cfg = DispatchPolicy::new(policy);
     if flags.contains_key("auto-crossover") {
-        let crossover: u64 = numeric_flag(&flags, "auto-crossover", policy_cfg.auto_crossover);
+        let crossover: u64 = numeric_flag(&flags, "auto-crossover", 0);
         // 0 would classify every pair as wavefront-sized and serialize
         // the batch through the exclusive path; refuse it up front
         // instead of silently clamping a user-supplied value.
@@ -462,7 +462,7 @@ fn cmd_serve(args: &[String]) {
     // protocol, so the engine registry must exist.
     let mut policy_cfg = DispatchPolicy::new(policy).observe(true);
     if flags.contains_key("auto-crossover") {
-        let crossover: u64 = numeric_flag(&flags, "auto-crossover", policy_cfg.auto_crossover);
+        let crossover: u64 = numeric_flag(&flags, "auto-crossover", 0);
         if crossover == 0 {
             eprintln!("--auto-crossover: must be >= 1 DP cells (0 would route every pair to the exclusive wavefront)");
             usage()

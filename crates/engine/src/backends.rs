@@ -17,11 +17,11 @@ use crate::engine::{
 };
 use crate::spec::{GapSpec, SchemeSpec};
 use crate::util::parallel_map;
-use crate::{with_global_scheme, with_scheme, with_simd_scheme};
+use crate::with_scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
 use anyseq_core::Alignment;
-use anyseq_gpu_sim::{Device, GpuAligner, KernelShape};
+use anyseq_gpu_sim::{Device, GpuAligner};
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
 use anyseq_simd::{align_batch_simd, score_batch_simd_xdrop, BandCfg, TraceStats};
@@ -49,8 +49,6 @@ impl Engine for ScalarEngine {
             name: "scalar",
             score_kinds: ALL_KINDS,
             align_kinds: ALL_KINDS,
-            alphabet: "dna4+n",
-            max_native_extent: None,
             batch_native: false,
             max_unit_cells: None,
         }
@@ -181,12 +179,6 @@ impl SimdEngine {
         }
     }
 
-    /// Same engine with a custom traceback band configuration.
-    pub fn with_band(mut self, band: BandCfg) -> SimdEngine {
-        self.band = band;
-        self
-    }
-
     /// Same engine with an X-drop threshold for the score path
     /// (clamped to ≥ 1; use the default engine for the exact path).
     pub fn with_xdrop(mut self, xdrop: i32) -> SimdEngine {
@@ -201,11 +193,6 @@ impl Engine for SimdEngine {
             name: "simd",
             score_kinds: SIMD_KINDS,
             align_kinds: SIMD_KINDS,
-            alphabet: "dna4+n",
-            // The 16-bit differential budget under the default ±2
-            // scoring; per-spec the exact bound is
-            // `anyseq_simd::max_block_extent`.
-            max_native_extent: Some(6000),
             batch_native: true,
             max_unit_cells: None,
         }
@@ -217,8 +204,9 @@ impl Engine for SimdEngine {
         pairs: &[PairRef<'_>],
         threads: usize,
     ) -> Result<Vec<Score>, EngineError> {
-        with_simd_scheme!(
+        with_scheme!(
             spec,
+            [Global, SemiGlobal, Local],
             |scheme, _K| {
                 let (scores, trace) = match self.lanes {
                     SimdLanes::L8 => {
@@ -237,7 +225,7 @@ impl Engine for SimdEngine {
                 self.counters.add(&trace);
                 Ok(scores)
             },
-            {
+            else {
                 Err(EngineError::unsupported(
                     "simd",
                     format!(
@@ -256,8 +244,9 @@ impl Engine for SimdEngine {
         pairs: &[PairRef<'_>],
         threads: usize,
     ) -> Result<Vec<Alignment>, EngineError> {
-        with_simd_scheme!(
+        with_scheme!(
             spec,
+            [Global, SemiGlobal, Local],
             |scheme, _K| {
                 // X-drop never applies here: tracebacks stay exact.
                 let (alns, trace) = match self.lanes {
@@ -274,7 +263,7 @@ impl Engine for SimdEngine {
                 self.counters.add(&trace);
                 Ok(alns)
             },
-            {
+            else {
                 Err(EngineError::unsupported(
                     "simd",
                     format!(
@@ -434,8 +423,6 @@ impl Engine for WavefrontEngine {
             name: "wavefront",
             score_kinds: ALL_KINDS,
             align_kinds: ALL_KINDS,
-            alphabet: "dna4+n",
-            max_native_extent: None,
             batch_native: false,
             max_unit_cells: self.max_unit_cells,
         }
@@ -595,13 +582,6 @@ impl GpuSimEngine {
         }
     }
 
-    /// Custom device/kernel shape.
-    pub fn new(device: Device, shape: KernelShape, tile: usize) -> GpuSimEngine {
-        GpuSimEngine {
-            aligner: GpuAligner::new(device).with_shape(shape).with_tile(tile),
-        }
-    }
-
     /// The modeled device's accumulated statistics.
     pub fn aligner(&self) -> &GpuAligner {
         &self.aligner
@@ -614,8 +594,6 @@ impl Engine for GpuSimEngine {
             name: "gpu-sim",
             score_kinds: GLOBAL_ONLY,
             align_kinds: GLOBAL_ONLY,
-            alphabet: "dna4+n",
-            max_native_extent: None,
             batch_native: true,
             max_unit_cells: None,
         }
@@ -627,14 +605,15 @@ impl Engine for GpuSimEngine {
         pairs: &[PairRef<'_>],
         _threads: usize,
     ) -> Result<Vec<Score>, EngineError> {
-        with_global_scheme!(
+        with_scheme!(
             spec,
-            |scheme| {
+            [Global],
+            |scheme, _K| {
                 Ok(anyseq_obs::span(Stage::Kernel, || {
                     self.aligner.score_batch(&scheme, pairs).0
                 }))
             },
-            {
+            else {
                 Err(EngineError::unsupported(
                     "gpu-sim",
                     format!(
@@ -652,9 +631,10 @@ impl Engine for GpuSimEngine {
         pairs: &[PairRef<'_>],
         _threads: usize,
     ) -> Result<Vec<Alignment>, EngineError> {
-        with_global_scheme!(
+        with_scheme!(
             spec,
-            |scheme| {
+            [Global],
+            |scheme, _K| {
                 Ok(anyseq_obs::span(Stage::Traceback, || {
                     pairs
                         .iter()
@@ -662,7 +642,7 @@ impl Engine for GpuSimEngine {
                         .collect()
                 }))
             },
-            {
+            else {
                 Err(EngineError::unsupported(
                     "gpu-sim",
                     format!(

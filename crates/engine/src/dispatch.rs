@@ -101,32 +101,18 @@ pub const MIN_SHARD_CELLS: u64 = 1 << 18;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchPolicy {
-    /// Backend selection policy.
-    pub policy: Policy,
-    /// Per-pair DP size (cells) at which `Auto` crosses over from the
-    /// SIMD lanes to the exclusive wavefront. Always ≥ 1: a crossover
-    /// of 0 would classify *every* pair — even empty ones — as
-    /// wavefront-sized and serialize the whole batch through the
-    /// exclusive path ([`DispatchPolicy::auto_crossover`] documents
-    /// the clamp).
-    pub auto_crossover: u64,
-    /// Result-cache budget in MiB; 0 disables caching (the default).
-    /// See [`DispatchPolicy::cache_mb`].
-    pub cache_mb: usize,
-    /// X-drop threshold the built SIMD backend applies on the score
-    /// path for semi-global/local bins; 0 (the default) keeps every
-    /// path bit-exact. See [`DispatchPolicy::xdrop`].
-    pub xdrop: i32,
-    /// Whether the built dispatch carries an observability substrate
-    /// (span tracer + metrics registry); off by default so the
-    /// recorder stays a no-op. See [`DispatchPolicy::observe`].
-    pub observe: bool,
-    /// Shard budget in DP cells for the exclusive path: pairs larger
-    /// than this are decomposed into subject slabs with seam hand-off,
-    /// bounding peak border memory per pair. 0 (the default) disables
-    /// sharding; nonzero values are clamped to ≥ [`MIN_SHARD_CELLS`].
-    /// See [`DispatchPolicy::shard_cells`].
-    pub shard_cells: u64,
+    policy: Policy,
+    /// Always ≥ 1 — the builder method is the only writer, so its
+    /// clamp holds wherever the value is read.
+    auto_crossover: u64,
+    /// MiB; 0 disables caching (the default).
+    cache_mb: usize,
+    /// 0 (the default) keeps every path bit-exact.
+    xdrop: i32,
+    observe: bool,
+    /// DP cells; 0 (the default) disables sharding, anything else is
+    /// ≥ [`MIN_SHARD_CELLS`].
+    shard_cells: u64,
 }
 
 impl Default for DispatchPolicy {
@@ -249,27 +235,19 @@ impl DispatchPolicy {
         } else {
             SimdEngine::avx2()
         };
-        // Defensive re-clamp (the field is public, like auto_crossover).
-        let shard_cells = if self.shard_cells == 0 {
-            0
-        } else {
-            self.shard_cells.max(MIN_SHARD_CELLS)
-        };
         Dispatch {
             engines: vec![
                 (BackendId::Scalar, Box::new(ScalarEngine) as Box<dyn Engine>),
                 (BackendId::Simd, Box::new(simd)),
                 (
                     BackendId::Wavefront,
-                    Box::new(WavefrontEngine::default().with_shard_cells(shard_cells)),
+                    Box::new(WavefrontEngine::default().with_shard_cells(self.shard_cells)),
                 ),
                 (BackendId::GpuSim, Box::new(GpuSimEngine::titan_v())),
             ],
             policy: self.policy,
-            // Defensive re-clamp: the field is public, so a literal
-            // construction can still smuggle a 0 in.
-            auto_crossover: self.auto_crossover.max(1),
-            shard_cells,
+            auto_crossover: self.auto_crossover,
+            shard_cells: self.shard_cells,
             // Saturate rather than shift: `mb << 20` could wrap to 0
             // on 32-bit targets and silently disable caching.
             cache: (self.cache_mb > 0)
@@ -316,18 +294,6 @@ impl Dispatch {
         DispatchPolicy::new(policy).standard()
     }
 
-    /// A registry with only the scalar reference backend.
-    pub fn scalar_only() -> Dispatch {
-        Dispatch {
-            engines: vec![(BackendId::Scalar, Box::new(ScalarEngine) as Box<dyn Engine>)],
-            policy: Policy::Fixed(BackendId::Scalar),
-            auto_crossover: AUTO_WAVEFRONT_MIN_CELLS,
-            shard_cells: 0,
-            cache: None,
-            metrics: None,
-        }
-    }
-
     /// The configured shard budget in DP cells (0 = sharding off).
     pub fn shard_cells(&self) -> u64 {
         self.shard_cells
@@ -339,16 +305,9 @@ impl Dispatch {
     }
 
     /// The result cache the scheduler should consult, if caching is
-    /// enabled ([`DispatchPolicy::cache_mb`] /
-    /// [`Dispatch::with_result_cache`]).
+    /// enabled ([`DispatchPolicy::cache_mb`]).
     pub fn cache(&self) -> Option<&ResultCache> {
         self.cache.as_ref()
-    }
-
-    /// Attaches (or replaces) a result cache on an existing dispatch.
-    pub fn with_result_cache(mut self, cache: ResultCache) -> Dispatch {
-        self.cache = Some(cache);
-        self
     }
 
     /// The metrics registry, when observability is on
@@ -383,11 +342,6 @@ impl Dispatch {
             .iter()
             .find(|(eid, _)| *eid == id)
             .map(|(_, e)| e.as_ref())
-    }
-
-    /// Registered backends in registration order.
-    pub fn backends(&self) -> impl Iterator<Item = (BackendId, &dyn Engine)> {
-        self.engines.iter().map(|(id, e)| (*id, e.as_ref()))
     }
 
     /// Whether `id` must run exclusively (gets the whole thread budget
@@ -434,10 +388,7 @@ impl Dispatch {
                 })
                 .unwrap_or(false)
         };
-        // `max(1)` guards literal `DispatchPolicy` constructions that
-        // bypass the builder's clamp: an effective crossover of 0
-        // would route even empty pairs to the exclusive wavefront.
-        if max_cells >= self.auto_crossover.max(1) && caps_allow(BackendId::Wavefront) {
+        if max_cells >= self.auto_crossover && caps_allow(BackendId::Wavefront) {
             return BackendId::Wavefront;
         }
         // Score *and* alignment requests ride the lanes: the banded
@@ -551,19 +502,6 @@ mod tests {
         // wavefront path, while every non-empty pair does.
         assert_eq!(d.candidates(&spec, 0, false)[0], BackendId::Simd);
         assert_eq!(d.candidates(&spec, 1, false)[0], BackendId::Wavefront);
-        // A literal construction bypassing the builder is re-clamped
-        // when the dispatch is built, and auto_choice guards besides.
-        let raw = DispatchPolicy {
-            policy: Policy::Auto,
-            auto_crossover: 0,
-            cache_mb: 0,
-            xdrop: 0,
-            observe: false,
-            shard_cells: 0,
-        }
-        .standard();
-        assert_eq!(raw.auto_crossover(), 1);
-        assert_eq!(raw.candidates(&spec, 0, false)[0], BackendId::Simd);
         // At the minimum crossover the fallback chain still engages:
         // every non-scalar pick keeps the scalar reference behind it…
         let chain = d.candidates(&spec, 1, true);
@@ -612,14 +550,6 @@ mod tests {
             DispatchPolicy::auto().shard_cells(1 << 24).shard_cells,
             1 << 24
         );
-        // A literal construction smuggling a sub-tile budget in is
-        // re-clamped when the dispatch is built.
-        let raw = DispatchPolicy {
-            shard_cells: 7,
-            ..DispatchPolicy::auto()
-        }
-        .standard();
-        assert_eq!(raw.shard_cells(), MIN_SHARD_CELLS);
         // The built dispatch wires the budget into its wavefront
         // backend so alignment units shard internally too.
         let d = DispatchPolicy::auto().shard_cells(1 << 20).standard();
@@ -635,7 +565,6 @@ mod tests {
         assert_eq!(cache.budget(), 2 << 20);
         let zero = DispatchPolicy::auto().cache_mb(0).standard();
         assert!(zero.cache().is_none(), "0 MiB means disabled");
-        assert!(Dispatch::scalar_only().cache().is_none());
     }
 
     #[test]
@@ -646,7 +575,10 @@ mod tests {
             .standard()
             .metrics()
             .is_some());
-        assert!(Dispatch::scalar_only().with_metrics().metrics().is_some());
+        assert!(Dispatch::standard(Policy::Auto)
+            .with_metrics()
+            .metrics()
+            .is_some());
     }
 
     #[test]

@@ -37,24 +37,14 @@ pub struct Caps {
     pub score_kinds: &'static [KindSpec],
     /// Alignment kinds `align_batch` accepts (empty ⇒ score-only).
     pub align_kinds: &'static [KindSpec],
-    /// Alphabet the backend understands (all current backends share
-    /// the 4-letter DNA code + N).
-    pub alphabet: &'static str,
-    /// Advisory upper bound on `|q| + |s|` the backend handles
-    /// natively; longer pairs are still legal — backends fall back to
-    /// a scalar path internally — so dispatch does **not** consult
-    /// this for routing (`None` ⇒ unbounded). For the SIMD backend
-    /// the per-spec exact bound is `anyseq_simd::max_block_extent`.
-    pub max_native_extent: Option<usize>,
     /// Whether one call amortizes setup across many pairs (true for
     /// lane-packed SIMD and the GPU device queue). Batch-native
     /// engines are sharded across the pool; the rest run exclusively
     /// with the full thread budget.
     pub batch_native: bool,
     /// Hard upper bound on DP cells per executed unit (`None` ⇒
-    /// unbounded). Unlike [`Caps::max_native_extent`] this is a
-    /// *refusal* bound, not an advisory one: a backend configured with
-    /// it returns [`EngineError::UnitTooLarge`] for any pair whose
+    /// unbounded). A *refusal* bound: a backend configured with it
+    /// returns [`EngineError::UnitTooLarge`] for any pair whose
     /// resident unit — the whole matrix, or one slab when a shard plan
     /// applies — would exceed it, instead of risking an OOM kill.
     pub max_unit_cells: Option<u64>,

@@ -8,10 +8,13 @@
 //!   capability flags) with adapters for the scalar core, the
 //!   inter-sequence SIMD batcher, the tiled wavefront and the GPU
 //!   execution-model simulator ([`backends`]),
-//! * [`BatchScheduler`] — length-bins a batch to minimize SIMD lane
-//!   divergence and tile padding waste, shards bins across a worker
-//!   pool (std threads + a shared counter, no external deps) and
-//!   reassembles results in input order ([`scheduler`]),
+//! * [`BatchScheduler`] — one request path, probe → plan → execute →
+//!   settle → report, behind two fallible entry points
+//!   ([`BatchScheduler::try_score_batch`] /
+//!   [`BatchScheduler::try_align_batch`]): length-bins a batch to
+//!   minimize SIMD lane divergence and tile padding waste, shards bins
+//!   across a worker pool (std threads + a shared counter, no external
+//!   deps) and returns results in input order ([`scheduler`]),
 //! * [`Dispatch`] — the policy layer: auto or explicit backend
 //!   selection with graceful per-unit fallback, plus per-batch
 //!   statistics (cells, GCUPS, backend utilization — [`stats`]),
@@ -40,7 +43,9 @@
 //! let view = BatchView::from_pairs(&pairs);
 //! let spec = SchemeSpec::global_linear(2, -1, -1);
 //! let dispatch = Dispatch::standard(Policy::Auto);
-//! let run = BatchScheduler::new(BatchCfg::threads(2)).score_batch(&dispatch, &spec, &view);
+//! let run = BatchScheduler::new(BatchCfg::threads(2))
+//!     .try_score_batch(&dispatch, &spec, &view)
+//!     .expect("the standard registry refuses nothing without a unit bound");
 //! assert_eq!(run.results, vec![15, 5]);
 //! assert_eq!(run.stats.counters["sched.bytes_copied"], 0);
 //! println!("{}", run.stats.summary());
@@ -48,14 +53,14 @@
 //!
 //! ## Adding a backend
 //!
-//! 1. Implement [`Engine`] for your substrate. Use
-//!    [`with_scheme!`]/[`with_simd_scheme!`]/[`with_global_scheme!`]
-//!    to lower the runtime
-//!    [`SchemeSpec`] onto monomorphized kernels; return
-//!    [`EngineError::Unsupported`] for anything you cannot run
-//!    bit-exactly — never approximate.
+//! 1. Implement [`Engine`] for your substrate. Use [`with_scheme!`]
+//!    to lower the runtime [`SchemeSpec`] onto monomorphized kernels
+//!    (name the kinds you implement and give the rest an `else` arm
+//!    that returns [`EngineError::Unsupported`]) — never approximate,
+//!    and return exactly one value per pair: the scheduler turns a
+//!    miscount into a batch error.
 //! 2. Describe yourself honestly in [`Caps`]: supported kinds for
-//!    score/align, native extent, and whether one call amortizes
+//!    score/align, and whether one call amortizes
 //!    across pairs (`batch_native`; `false` means the scheduler runs
 //!    you exclusively with the whole thread budget).
 //! 3. Register it: `Dispatch::standard(policy).with_engine(id, Box::new(you))`.
@@ -71,6 +76,9 @@
 //! traceback design) lives in `docs/ARCHITECTURE.md`.
 
 #![deny(missing_docs)]
+// `unsafe` is confined to the indexed output buffer behind
+// `util::parallel_map`; everything else is checked by the compiler.
+#![deny(unsafe_code)]
 
 pub mod backends;
 pub mod cache;
@@ -82,6 +90,7 @@ pub mod scheduler;
 pub mod shared;
 pub mod spec;
 pub mod stats;
+#[allow(unsafe_code)]
 pub mod util;
 
 pub use backends::{GpuSimEngine, ScalarEngine, SimdEngine, SimdLanes, WavefrontEngine};

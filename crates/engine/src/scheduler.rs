@@ -1,20 +1,51 @@
 //! Length-binned batch scheduling over borrowed [`BatchView`]s.
 //!
+//! ## Request path
+//!
+//! Both entry points — [`BatchScheduler::try_score_batch`] and
+//! [`BatchScheduler::try_align_batch`] — walk one path of five steps,
+//! each owning one decision:
+//!
+//! 1. **probe** — with a [`ResultCache`](crate::cache::ResultCache) on
+//!    the dispatch ([`DispatchPolicy::cache_mb`](crate::DispatchPolicy::cache_mb)),
+//!    hash every pair and look it up; yields verified hits and misses.
+//!    Fans out across the worker budget in contiguous chunks (hashing
+//!    and the hit memcmp are the only O(sequence-bytes) work here).
+//! 2. **plan** — a pure function of the view, the miss keys and the
+//!    [`Dispatch`] policy: in-batch duplicates of a miss ride one
+//!    leader computation, the leaders are binned and cut into units,
+//!    every unit gets its candidate chain, units split into the worker
+//!    pool (longest first) and the exclusive phase, and oversized
+//!    score-mode pairs get their slab plans. No engine runs.
+//! 3. **execute** — one chain walker serves pooled units, exclusive
+//!    units and slab chains alike: try each candidate in order, fall
+//!    through on [`EngineError::Unsupported`], stop on anything else.
+//! 4. **settle** — the one place a finished piece of work is booked:
+//!    cache insert, follower fan-out, values handed back by view
+//!    position, unit histograms, fallback counters, the engine's
+//!    drained counters and the per-backend record.
+//! 5. **report** — the tracer's spans fold into `stage.*_ns` counters
+//!    and the metrics registry's per-batch totals.
+//!
+//! Workers never write result slots: each lane hands its values back
+//! and the coordinator scatters them after the join, so a slot written
+//! twice or never is a returned error, not undefined behaviour.
+//!
 //! ## Request model
 //!
 //! The scheduler consumes a [`BatchView`]: an ordered list of
 //! [`PairRef`]s into storage the caller keeps alive (a
-//! [`SeqStore`](anyseq_seq::SeqStore), a `Vec<(Seq, Seq)>` through the
-//! [`BatchScheduler::score_pairs`]/[`BatchScheduler::align_pairs`]
-//! shims, …). Work units carry *indices into the view*; the
-//! just-in-time gather that hands a unit to a backend materializes a
-//! `Vec<PairRef>` — 32 bytes of pointers per pair, never sequence
-//! bytes. The only sequence copy anywhere below the view is the SIMD
-//! backend's lane transpose, which it reports as `simd.bytes_copied`;
-//! the scheduler's own `sched.bytes_copied` counter (always present in
-//! [`BatchStats::counters`]) records gather-time sequence copies and
-//! is structurally zero — it exists as a regression tripwire and so
-//! benchmark reports can prove the zero-copy property.
+//! [`SeqStore`](anyseq_seq::SeqStore), a `Vec<(Seq, Seq)>` through
+//! [`BatchView::from_pairs`], …). Work units carry *indices into the
+//! view*; the just-in-time gather that hands a unit to a backend
+//! materializes a `Vec<PairRef>` — 32 bytes of pointers per pair,
+//! never sequence bytes. The only sequence copy anywhere below the
+//! view is the SIMD backend's lane transpose, which it reports as
+//! `simd.bytes_copied`; the scheduler's own `sched.bytes_copied`
+//! counter (always present in [`BatchStats::counters`]) records
+//! gather-time sequence copies and is structurally zero — it exists
+//! as a regression tripwire and so benchmark reports can prove the
+//! zero-copy property.
 //!
 //! ## Binning strategy
 //!
@@ -30,42 +61,37 @@
 //! and pulled by a pool of `threads` workers over a shared counter.
 //! Each worker runs the dispatch-selected backend with a thread budget
 //! of 1; backends that parallelize *inside* a pair (wavefront) are
-//! instead run exclusively with the whole budget. Results are written
-//! straight into their input positions, so reassembly is free and the
-//! output order is always the input order.
+//! instead run exclusively with the whole budget. The output order is
+//! always the input order.
 //!
 //! ## Result caching
 //!
-//! When the dispatch carries a [`ResultCache`](crate::cache::ResultCache)
-//! ([`DispatchPolicy::cache_mb`](crate::DispatchPolicy::cache_mb)),
-//! every pair is probed *before* units are formed: verified hits are
-//! written straight into their output slots, in-batch duplicates of a
-//! missing pair are deduplicated onto one leader computation, and only
-//! the remaining unique misses are binned and dispatched. Fresh unit
-//! results are inserted back into the cache as they complete (workers
-//! insert concurrently; shards lock independently). `cache.hits` +
-//! `cache.misses` always equals the batch's pair count; duplicates
-//! served from their leader's fresh result count as hits. With hits in
-//! play, [`BatchStats::cells`] keeps counting the batch's *logical*
-//! cells — the whole-batch GCUPS becomes effective throughput (the
-//! paid-for speedup), while `per_backend` only accounts cells that
-//! actually ran.
+//! Verified hits never reach a backend, and only the unique misses are
+//! binned. Fresh unit results are inserted back into the cache as they
+//! complete (workers insert concurrently; shards lock independently).
+//! `cache.hits` + `cache.misses` always equals the batch's pair count;
+//! duplicates served from their leader's fresh result count as hits.
+//! With hits in play, [`BatchStats::cells`] keeps counting the batch's
+//! *logical* cells — the whole-batch GCUPS becomes effective
+//! throughput (the paid-for speedup), while `per_backend` only
+//! accounts cells that actually ran.
+
+#![forbid(unsafe_code)]
 
 use crate::cache::{
-    CacheKey, CacheableResult, CACHE_BYTES, CACHE_COLLISIONS, CACHE_EVICTIONS, CACHE_HITS,
+    CacheKey, CacheableResult, ReqKind, CACHE_BYTES, CACHE_COLLISIONS, CACHE_EVICTIONS, CACHE_HITS,
     CACHE_INGEST_BYTES, CACHE_MISSES,
 };
-use crate::dispatch::Dispatch;
+use crate::dispatch::{BackendId, Dispatch};
 use crate::engine::{Engine, EngineError, ShardTask};
 use crate::spec::SchemeSpec;
 use crate::stats::{self, BatchStats};
-use crate::util::IndexedOut;
 use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 use anyseq_core::Alignment;
 use anyseq_obs as obs;
 use anyseq_obs::Stage;
-use anyseq_seq::{BatchView, PairRef, Seq};
+use anyseq_seq::{BatchView, PairRef};
 use anyseq_wavefront::{plan_columns, ShardSeam};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,11 +113,11 @@ pub const SCHED_BYTES_COPIED: &str = "sched.bytes_copied";
 /// mismatched backend.
 pub const FALLBACK_KIND_UNSUPPORTED: &str = "dispatch.fallback_kind_unsupported";
 
-/// Name of the counter recording how many subject slabs the exclusive
-/// phase's shard planner cut oversized pairs into (the planned count in
-/// align mode, where the engine shards internally under Hirschberg;
-/// the executed chain length in score mode). Absent when no pair
-/// exceeded [`DispatchPolicy::shard_cells`](crate::DispatchPolicy::shard_cells).
+/// Name of the counter recording how many subject slabs the plan cut
+/// the exclusive phase's oversized pairs into (score mode executes
+/// them as a chain; align mode records the count while the engine
+/// shards internally under Hirschberg). Absent when no pair exceeded
+/// [`DispatchPolicy::shard_cells`](crate::DispatchPolicy::shard_cells).
 pub const SCHED_SHARDS: &str = "sched.shards";
 
 /// Name of the counter recording serialized [`ShardSeam`] bytes handed
@@ -134,7 +160,7 @@ impl BatchCfg {
     }
 }
 
-/// The batch scheduler: bins, shards, dispatches, reassembles.
+/// The batch scheduler: probes, plans, executes, settles, reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchScheduler {
     /// Tuning knobs.
@@ -150,18 +176,176 @@ pub struct BatchRun<T> {
     pub stats: BatchStats,
 }
 
-/// One schedulable chunk of a bin.
+/// What the request path needs from a result type beyond caching it:
+/// the one backend call that produces it.
+trait Request: CacheableResult {
+    /// Runs `pairs` on `engine`. With `slabs`, each pair runs as a
+    /// chain of those subject slabs instead of whole.
+    fn run(
+        engine: &dyn Engine,
+        spec: &SchemeSpec,
+        pairs: &[PairRef<'_>],
+        slabs: Option<&[(usize, usize)]>,
+        threads: usize,
+        stats: &mut BatchStats,
+    ) -> Result<Vec<Self>, EngineError>;
+}
+
+impl Request for Score {
+    fn run(
+        engine: &dyn Engine,
+        spec: &SchemeSpec,
+        pairs: &[PairRef<'_>],
+        slabs: Option<&[(usize, usize)]>,
+        threads: usize,
+        stats: &mut BatchStats,
+    ) -> Result<Vec<Score>, EngineError> {
+        match slabs {
+            None => engine.score_batch(spec, pairs, threads),
+            Some(slabs) => pairs
+                .iter()
+                .map(|p| score_shard_chain(engine, spec, p, slabs, threads, stats))
+                .collect(),
+        }
+    }
+}
+
+impl Request for Alignment {
+    /// Oversized pairs stay whole here (`plan` cuts slabs for score
+    /// requests only): stitching per-shard CIGARs is the Hirschberg
+    /// recursion's job, and the wavefront engine's internal shard
+    /// dispatch already bounds every half-pass to one slab.
+    fn run(
+        engine: &dyn Engine,
+        spec: &SchemeSpec,
+        pairs: &[PairRef<'_>],
+        _slabs: Option<&[(usize, usize)]>,
+        threads: usize,
+        _stats: &mut BatchStats,
+    ) -> Result<Vec<Alignment>, EngineError> {
+        engine.align_batch(spec, pairs, threads)
+    }
+}
+
+/// One schedulable chunk of a bin, with its routing.
+#[derive(Debug)]
 struct Unit {
     /// View positions of the unit's pairs.
     indices: Vec<usize>,
     /// Total DP cells in the unit.
     cells: u64,
-    /// Largest single-pair DP size (drives backend choice).
-    max_cells: u64,
-    /// Index into the batch's bin-label table (span/metric tag).
+    /// Index into the plan's bin-label table (span/metric tag).
     bin: u32,
     /// Batch-unique unit id (span tag).
     id: u32,
+    /// Candidate backends, first pick first, scalar last.
+    chain: Vec<BackendId>,
+    /// Slab plans `(view position, column ranges)` for the unit's
+    /// oversized pairs; only exclusive units of score requests have
+    /// any.
+    slabs: Vec<(usize, Vec<(usize, usize)>)>,
+}
+
+/// Everything decided between the cache probe and the first engine
+/// call.
+#[derive(Debug)]
+struct Plan {
+    /// Leader position → the in-batch duplicates riding its result.
+    followers: HashMap<usize, Vec<usize>>,
+    /// Units over the leaders, in bin order.
+    units: Vec<Unit>,
+    /// One `"<q>x<s>"` label per bin (quantized dimensions in bases) —
+    /// the `bin` tag vocabulary for spans and metrics.
+    bin_labels: Vec<String>,
+    /// Indices into `units` that share the worker pool, longest first.
+    pooled: Vec<usize>,
+    /// Indices into `units` whose first candidate owns the machine.
+    exclusive: Vec<usize>,
+    /// Slabs planned over all oversized pairs, either mode.
+    shards: u64,
+}
+
+/// What `probe` found.
+struct Probed<T> {
+    /// One key per view position; empty without a cache.
+    keys: Vec<CacheKey>,
+    /// Verified cache hits by view position.
+    hits: Vec<(usize, T)>,
+    /// Positions still to compute, in input order.
+    misses: Vec<usize>,
+}
+
+/// One executable piece of a unit: all of it, one oversized pair as a
+/// slab chain, or what the chains left over.
+struct Work<'p> {
+    unit: &'p Unit,
+    /// The view positions this piece covers (a subset of the unit's).
+    indices: &'p [usize],
+    slabs: Option<&'p [(usize, usize)]>,
+    /// Thread budget granted to the backend call.
+    threads: usize,
+}
+
+/// What one worker lane accumulates: its share of the batch stats and
+/// the values it produced by view position.
+struct Lane<T> {
+    stats: BatchStats,
+    out: Vec<(usize, T)>,
+}
+
+impl<T> Default for Lane<T> {
+    fn default() -> Lane<T> {
+        Lane {
+            stats: BatchStats::default(),
+            out: Vec::new(),
+        }
+    }
+}
+
+/// The batch's result slots. Filled only by the coordinator, each
+/// exactly once — checked, so a planning or backend bug surfaces as an
+/// error.
+struct Slots<T>(Vec<Option<T>>);
+
+impl<T> Slots<T> {
+    fn new(len: usize) -> Slots<T> {
+        Slots((0..len).map(|_| None).collect())
+    }
+
+    fn fill(&mut self, values: Vec<(usize, T)>) -> Result<(), EngineError> {
+        for (k, value) in values {
+            match self.0.get_mut(k) {
+                Some(slot @ None) => *slot = Some(value),
+                Some(Some(_)) => return Err(slot_error(k, "was written twice")),
+                None => return Err(slot_error(k, "is outside the batch")),
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Vec<T>, EngineError> {
+        let filled = self.0.into_iter().enumerate();
+        filled
+            .map(|(k, v)| v.ok_or_else(|| slot_error(k, "was never written")))
+            .collect()
+    }
+}
+
+fn slot_error(slot: usize, what: &str) -> EngineError {
+    EngineError::unsupported("scheduler", format!("result slot {slot} {what}"))
+}
+
+/// The read-only state `execute` and `settle` share across lanes.
+struct Batch<'a, 'v> {
+    dispatch: &'a Dispatch,
+    spec: &'a SchemeSpec,
+    view: &'a BatchView<'v>,
+    keys: &'a [CacheKey],
+    plan: &'a Plan,
+    align: bool,
+    /// Traceback recomputes ≈2× the cells of a score-only pass; the
+    /// shared convention so GCUPS here matches the bench's.
+    cell_factor: u64,
 }
 
 impl BatchScheduler {
@@ -170,39 +354,9 @@ impl BatchScheduler {
         BatchScheduler { cfg }
     }
 
-    /// Scores every pair of the view through the dispatch policy.
-    ///
-    /// Legacy shim over [`BatchScheduler::try_score_batch`]: panics on
-    /// a terminal refusal ([`EngineError::UnitTooLarge`], or a foreign
-    /// candidate chain that declined everything). The standard
-    /// registry without `max_unit_cells` never refuses, so existing
-    /// callers keep their infallible signature.
-    pub fn score_batch(
-        &self,
-        dispatch: &Dispatch,
-        spec: &SchemeSpec,
-        view: &BatchView<'_>,
-    ) -> BatchRun<Score> {
-        self.try_score_batch(dispatch, spec, view)
-            .unwrap_or_else(|e| panic!("batch scoring failed: {e}"))
-    }
-
-    /// Aligns (with traceback) every pair of the view through the
-    /// dispatch policy.
-    ///
-    /// Legacy shim over [`BatchScheduler::try_align_batch`]; see
-    /// [`BatchScheduler::score_batch`] for the panic contract.
-    pub fn align_batch(
-        &self,
-        dispatch: &Dispatch,
-        spec: &SchemeSpec,
-        view: &BatchView<'_>,
-    ) -> BatchRun<Alignment> {
-        self.try_align_batch(dispatch, spec, view)
-            .unwrap_or_else(|e| panic!("batch alignment failed: {e}"))
-    }
-
-    /// Scores every pair of the view, surfacing terminal refusals.
+    /// Scores every pair of the view through the dispatch policy,
+    /// surfacing terminal refusals ([`EngineError::UnitTooLarge`], or
+    /// a foreign candidate chain that declined everything).
     ///
     /// With [`DispatchPolicy::shard_cells`](crate::DispatchPolicy::shard_cells)
     /// set, pairs whose DP matrix exceeds the budget run as a pipelined
@@ -211,699 +365,284 @@ impl BatchScheduler {
     /// [`ShardSeam`], serialized across the hand-off) and exports the
     /// next, so only one slab's tile borders are ever resident.
     /// Results are bit-identical to the unsharded pass.
-    pub fn try_score_batch<'v>(
+    pub fn try_score_batch(
         &self,
         dispatch: &Dispatch,
         spec: &SchemeSpec,
-        view: &BatchView<'v>,
+        view: &BatchView<'_>,
     ) -> Result<BatchRun<Score>, EngineError> {
-        self.run(
-            dispatch,
-            spec,
-            view,
-            false,
-            |engine, unit, threads| engine.score_batch(spec, unit, threads),
-            Some(
-                |engine: &dyn Engine,
-                 p: &PairRef<'_>,
-                 plan: &[(usize, usize)],
-                 threads: usize,
-                 stats: &mut BatchStats| {
-                    score_shard_chain(engine, spec, p, plan, threads, stats)
-                },
-            ),
-        )
+        self.run(dispatch, spec, view)
     }
 
-    /// Aligns every pair of the view, surfacing terminal refusals.
+    /// Aligns (with traceback) every pair of the view through the
+    /// dispatch policy, surfacing terminal refusals.
     ///
-    /// Oversized pairs stay whole here — stitching per-shard CIGARs is
-    /// the Hirschberg recursion's job, and the wavefront engine's
-    /// internal shard dispatch already bounds every half-pass to one
-    /// slab — but the shard planner still records the planned
-    /// [`SCHED_SHARDS`] count so align-mode telemetry matches.
-    pub fn try_align_batch<'v>(
+    /// Oversized pairs stay whole — the engine shards them internally
+    /// under Hirschberg — but the planned [`SCHED_SHARDS`] count is
+    /// still recorded so align-mode telemetry matches.
+    pub fn try_align_batch(
         &self,
         dispatch: &Dispatch,
         spec: &SchemeSpec,
-        view: &BatchView<'v>,
+        view: &BatchView<'_>,
     ) -> Result<BatchRun<Alignment>, EngineError> {
-        self.run(
-            dispatch,
-            spec,
-            view,
-            true,
-            |engine, unit, threads| engine.align_batch(spec, unit, threads),
-            None::<
-                fn(
-                    &dyn Engine,
-                    &PairRef<'v>,
-                    &[(usize, usize)],
-                    usize,
-                    &mut BatchStats,
-                ) -> Result<Alignment, EngineError>,
-            >,
-        )
+        self.run(dispatch, spec, view)
     }
 
-    /// Convenience shim over [`BatchScheduler::score_batch`] for owned
-    /// pair batches (borrows them; copies no sequence bytes).
-    pub fn score_pairs(
+    fn run<T: Request>(
         &self,
         dispatch: &Dispatch,
         spec: &SchemeSpec,
-        pairs: &[(Seq, Seq)],
-    ) -> BatchRun<Score> {
-        self.score_batch(dispatch, spec, &BatchView::from_pairs(pairs))
-    }
-
-    /// Convenience shim over [`BatchScheduler::align_batch`] for owned
-    /// pair batches (borrows them; copies no sequence bytes).
-    pub fn align_pairs(
-        &self,
-        dispatch: &Dispatch,
-        spec: &SchemeSpec,
-        pairs: &[(Seq, Seq)],
-    ) -> BatchRun<Alignment> {
-        self.align_batch(dispatch, spec, &BatchView::from_pairs(pairs))
-    }
-
-    fn run<'v, T, F, SX>(
-        &self,
-        dispatch: &Dispatch,
-        spec: &SchemeSpec,
-        view: &BatchView<'v>,
-        align: bool,
-        exec: F,
-        shard_exec: Option<SX>,
-    ) -> Result<BatchRun<T>, EngineError>
-    where
-        T: CacheableResult,
-        F: Fn(&dyn Engine, &[PairRef<'v>], usize) -> Result<Vec<T>, EngineError> + Sync,
-        SX: Fn(
-            &dyn Engine,
-            &PairRef<'v>,
-            &[(usize, usize)],
-            usize,
-            &mut BatchStats,
-        ) -> Result<T, EngineError>,
-    {
+        view: &BatchView<'_>,
+    ) -> Result<BatchRun<T>, EngineError> {
         let started = Instant::now();
-        // Traceback recomputes ≈2× the cells of a score-only pass; use
-        // the shared convention so GCUPS here matches the bench's.
+        let align = T::KIND == ReqKind::Align;
         let cell_factor = if align {
             stats::TRACEBACK_CELL_FACTOR
         } else {
             1
         };
-        let mut batch_stats = BatchStats {
+        let mut stats = BatchStats {
             pairs: view.len() as u64,
             cells: view.total_cells() * cell_factor,
             ..BatchStats::default()
         };
-        // The gather below moves PairRefs, never sequence bytes; the
-        // counter is recorded unconditionally so every report carries
-        // the proof (and any future cloning path would show up here).
-        batch_stats.record_counter(SCHED_BYTES_COPIED, 0);
+        // The gather moves PairRefs, never sequence bytes; the counter
+        // is recorded unconditionally so every report carries the
+        // proof (and any future cloning path would show up here).
+        stats.record_counter(SCHED_BYTES_COPIED, 0);
 
         // Observability rides on the dispatch: with a metrics registry
         // present, a per-batch tracer collects stage spans (per-worker
-        // thread-local buffers, drained at batch end) and the registry
-        // accumulates histograms/gauges across batches. Without one,
+        // thread-local buffers, drained at batch end). Without one,
         // every obs:: call below is a no-op behind one TLS read.
-        let registry = dispatch.metrics();
-        let tracer = registry.map(|_| obs::BatchTracer::new());
+        let tracer = dispatch.metrics().map(|_| obs::BatchTracer::new());
         let main_guard = tracer.as_ref().map(|t| t.worker(0));
         if tracer.is_some() {
             // Pre-seed all stage counters so observed runs always
             // report the full `stage.*_ns` key set, active or not.
             for stage in Stage::ALL {
-                batch_stats.record_counter(stage.counter_key(), 0);
+                stats.record_counter(stage.counter_key(), 0);
             }
         }
-
-        let mut out = IndexedOut::new(view.len());
-        let writer = out.writer();
-
-        // Cache probe phase (before any unit forms): verified hits are
-        // written straight into their slots; in-batch duplicates of a
-        // miss are deduplicated onto one leader computation. Only
-        // unique misses proceed to binning, so cached and duplicated
-        // pairs never reach a backend.
-        //
-        // Key derivation hashes every pair's bytes and a verified hit
-        // memcmps them — the only O(sequence-bytes) work on the probe
-        // path — so the probe fans out across the worker budget in
-        // contiguous chunks (the cache's shards lock independently);
-        // only the O(misses) duplicate dedup below stays serial.
         let cache = dispatch.cache();
         let cache_baseline = cache.map(|c| (c.evictions(), c.collisions()));
-        let mut keys: Vec<CacheKey> = Vec::new();
-        let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
-        let compute: Vec<usize> = if let Some(cache) = cache {
-            let fingerprint = spec.fingerprint();
-            let n = view.len();
-            keys = vec![
-                CacheKey {
-                    scheme: 0,
-                    q_hash: 0,
-                    s_hash: 0,
-                    q_len: 0,
-                    s_len: 0,
-                    kind: T::KIND,
-                };
-                n
-            ];
-            // Two passes per chunk, not one interleaved loop, so the
-            // span boundary is honest: key derivation (the `hash`
-            // stage) is pure CPU over sequence bytes, probing (the
-            // `cache_probe` stage) is shard-locked map traffic.
-            let probe = |start: usize, key_slots: &mut [CacheKey]| -> Vec<usize> {
-                let t_hash = obs::timer();
-                for (i, slot) in key_slots.iter_mut().enumerate() {
-                    *slot = CacheKey::new(fingerprint, &view.get(start + i), T::KIND);
-                }
-                obs::commit(Stage::Hash, t_hash);
-                let t_probe = obs::timer();
-                let mut misses = Vec::new();
-                for (i, slot) in key_slots.iter().enumerate() {
-                    let k = start + i;
-                    if let Some(value) = cache.get::<T>(slot, &view.get(k)) {
-                        // SAFETY: hit slots belong to no unit and no
-                        // leader; each is written exactly once, here.
-                        unsafe { writer.write(k, value) };
-                    } else {
-                        misses.push(k);
-                    }
-                }
-                obs::commit(Stage::CacheProbe, t_probe);
-                misses
-            };
-            let chunk = n.div_ceil(self.cfg.threads.max(1)).max(64);
-            let misses: Vec<usize> = if n <= chunk {
-                probe(0, &mut keys)
-            } else {
-                let probe = &probe;
-                let tracer = &tracer;
-                let t_wait = obs::timer();
-                let misses = std::thread::scope(|sc| {
-                    let handles: Vec<_> = keys
-                        .chunks_mut(chunk)
-                        .enumerate()
-                        .map(|(c, key_slots)| {
-                            sc.spawn(move || {
-                                // Probe chunks reuse the pool's worker
-                                // lanes (1-based; the phases never
-                                // overlap in time).
-                                let _g = tracer.as_ref().map(|t| t.worker(c as u32 + 1));
-                                probe(c * chunk, key_slots)
-                            })
-                        })
-                        .collect();
-                    // Chunks are contiguous input ranges, so joining in
-                    // spawn order preserves input order in the misses.
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("cache probe worker panicked"))
-                        .collect()
-                });
-                obs::commit(Stage::QueueWait, t_wait);
-                misses
-            };
-            // In-batch duplicate dedup over the misses: the first miss
-            // of each distinct key leads; later ones ride its
-            // computation (served through the cache path, so they
-            // count as hits). Same collision policy as a cache hit: a
-            // key match alone never merges two pairs — the bytes must
-            // match too, or the "duplicate" computes independently.
-            let mut leaders: HashMap<CacheKey, usize> = HashMap::new();
-            let mut compute = Vec::new();
-            for k in misses {
-                match leaders.get(&keys[k]) {
-                    Some(&leader)
-                        if view.get(leader).q == view.get(k).q
-                            && view.get(leader).s == view.get(k).s =>
-                    {
-                        followers.entry(leader).or_default().push(k);
-                    }
-                    _ => {
-                        leaders.insert(keys[k], k);
-                        compute.push(k);
-                    }
-                }
-            }
-            batch_stats.record_counter(CACHE_HITS, (n - compute.len()) as u64);
-            batch_stats.record_counter(CACHE_MISSES, compute.len() as u64);
-            compute
-        } else {
-            (0..view.len()).collect()
+
+        let Probed { keys, hits, misses } = self.probe::<T>(dispatch, spec, view, tracer.as_ref());
+        let plan = self.plan(dispatch, spec, view, &keys, &misses, align);
+        let computed: usize = plan.units.iter().map(|u| u.indices.len()).sum();
+        if cache.is_some() {
+            stats.record_counter(CACHE_HITS, (view.len() - computed) as u64);
+            stats.record_counter(CACHE_MISSES, computed as u64);
+        }
+        stats.bins = plan.bin_labels.len() as u64;
+        stats.units = plan.units.len() as u64;
+        if plan.shards > 0 {
+            stats.record_counter(SCHED_SHARDS, plan.shards);
+        }
+
+        let mut slots = Slots::new(view.len());
+        obs::span(Stage::Merge, || slots.fill(hits))?;
+        let batch = Batch {
+            dispatch,
+            spec,
+            view,
+            keys: &keys,
+            plan: &plan,
+            align,
+            cell_factor,
         };
-
-        let (units, bin_labels) = self.build_units(view, &compute);
-        batch_stats.bins = bin_labels.len() as u64;
-        batch_stats.units = units.len() as u64;
-
-        // Resolve each unit's candidate chain once; it drives both the
-        // pooled/exclusive classification and execution.
-        let chains: Vec<Vec<crate::dispatch::BackendId>> = units
-            .iter()
-            .map(|unit| dispatch.candidates(spec, unit.max_cells, align))
-            .collect();
-
-        // Split by execution mode: exclusive backends own the machine
-        // for their units; pooled units share the worker pool.
-        let mut pooled: Vec<(&Unit, &[crate::dispatch::BackendId])> = Vec::new();
-        let mut exclusive: Vec<(&Unit, &[crate::dispatch::BackendId])> = Vec::new();
-        for (unit, chain) in units.iter().zip(&chains) {
-            if dispatch.is_exclusive(chain[0]) {
-                exclusive.push((unit, chain));
-            } else {
-                pooled.push((unit, chain));
-            }
-        }
-        // Longest-processing-time-first keeps the pool tail short.
-        pooled.sort_by_key(|(unit, _)| std::cmp::Reverse(unit.cells));
-
-        let keys = &keys;
-        let followers = &followers;
-        let bin_labels = &bin_labels;
-        let run_unit = |unit: &Unit,
-                        chain: &[crate::dispatch::BackendId],
-                        threads: usize,
-                        local: &mut BatchStats|
-         -> Result<(), EngineError> {
-            obs::set_context("sched", unit.bin, unit.id);
-            // Gather the unit's pair *references* contiguously
-            // just-in-time: 32 bytes of pointers per pair. The sequence
-            // bytes stay where the caller put them — for an exclusive
-            // unit holding a multi-Mbp genome this is the difference
-            // between a dispatch and a deep copy.
-            let unit_pairs: Vec<PairRef<'v>> = obs::span(Stage::Gather, || {
-                unit.indices.iter().map(|&k| view.get(k)).collect()
-            });
-            let mut last_refusal = None;
-            for (k, id) in chain.iter().enumerate() {
-                let engine = dispatch
-                    .engine(*id)
-                    .expect("candidates only returns registered backends");
-                // Spans the engine emits (kernel, transpose, traceback)
-                // must attribute to the engine that actually executes,
-                // not the chain's first pick.
-                obs::set_context(engine.caps().name, unit.bin, unit.id);
-                let t0 = Instant::now();
-                match exec(engine, &unit_pairs, threads) {
-                    Ok(values) => {
-                        // Hard check: the unsafe indexed writes below rely
-                        // on one value per pair even from foreign Engine
-                        // impls.
-                        assert_eq!(
-                            values.len(),
-                            unit.indices.len(),
-                            "{} returned {} results for {} pairs",
-                            engine.caps().name,
-                            values.len(),
-                            unit.indices.len()
-                        );
-                        let t_insert = obs::timer();
-                        let mut unit_ingest = 0u64;
-                        for (slot, value) in unit.indices.iter().zip(values) {
-                            if let Some(cache) = cache {
-                                // Fresh result: retain it (and its
-                                // verification bytes) for future
-                                // batches, and fan it out to this
-                                // batch's deduplicated followers.
-                                unit_ingest +=
-                                    cache.insert(&keys[*slot], &view.get(*slot), &value) as u64;
-                                if let Some(dups) = followers.get(slot) {
-                                    for &dup in dups {
-                                        // SAFETY: follower slots belong
-                                        // to no unit and exactly one
-                                        // leader; written once, here.
-                                        unsafe { writer.write(dup, value.clone()) };
-                                    }
-                                }
-                            }
-                            // SAFETY: units partition the computed
-                            // indices; each slot is written exactly once.
-                            unsafe { writer.write(*slot, value) };
-                        }
-                        if cache.is_some() {
-                            // Without a cache the write-out above is a
-                            // plain move loop — only insert traffic is
-                            // worth a span.
-                            obs::commit(Stage::CacheInsert, t_insert);
-                            local.record_counter(CACHE_INGEST_BYTES, unit_ingest);
-                        }
-                        if let Some(reg) = registry {
-                            let labels = obs::labels(&[
-                                ("backend", engine.caps().name),
-                                ("kind", spec.kind.name()),
-                                ("bin", &bin_labels[unit.bin as usize]),
-                            ]);
-                            reg.observe(
-                                "anyseq_unit_pairs",
-                                labels.clone(),
-                                unit.indices.len() as u64,
-                            );
-                            reg.observe("anyseq_unit_cells", labels, unit.cells * cell_factor);
-                        }
-                        local.fallbacks += k as u64;
-                        // Backend-internal telemetry (e.g. the SIMD
-                        // traceback's band counters and its transpose
-                        // byte count) rides along with the unit that
-                        // produced it.
-                        for (name, value) in engine.drain_counters() {
-                            local.record_counter(name, value);
-                        }
-                        // Busy time records granted capacity: an
-                        // exclusive backend holds `threads` workers'
-                        // worth of the machine for its wall time.
-                        local.record(
-                            engine.caps().name,
-                            unit.indices.len() as u64,
-                            unit.cells * cell_factor,
-                            t0.elapsed().as_secs_f64() * threads.max(1) as f64,
-                        );
-                        return Ok(());
-                    }
-                    Err(err @ EngineError::Unsupported { .. }) => {
-                        // A declining engine may still have accumulated
-                        // internal counters (capability probes, partial
-                        // setup). Drain them *now* so they attribute to
-                        // this unit instead of silently leaking into
-                        // whichever unit this engine executes next.
-                        for (name, value) in engine.drain_counters() {
-                            local.record_counter(name, value);
-                        }
-                        local.record_counter(id.declined_counter(), 1);
-                        // Distinguish kind-capability refusals from the
-                        // rest: the capability table already knew this
-                        // backend cannot run the kind, so the chain paid
-                        // a probe it could have skipped.
-                        let caps = engine.caps();
-                        let kind_refused = if align {
-                            !caps.supports_align(spec)
-                        } else {
-                            !caps.supports_score(spec)
-                        };
-                        if kind_refused {
-                            local.record_counter(FALLBACK_KIND_UNSUPPORTED, 1);
-                        }
-                        last_refusal = Some(err);
-                        continue;
-                    }
-                    // UnitTooLarge is terminal: falling back would
-                    // execute the very allocation the bound prevents.
-                    Err(err) => return Err(err),
-                }
-            }
-            // The standard registry's scalar backend accepts
-            // everything; only a foreign chain can exhaust itself.
-            Err(last_refusal.expect("empty candidate chain"))
-        };
-
-        // Pooled phase: shared-counter pull, thread budget 1 per call.
-        let pool_threads = self.cfg.threads.clamp(1, pooled.len().max(1));
-        if !pooled.is_empty() {
-            let next = AtomicUsize::new(0);
-            let pooled = &pooled;
-            let run_unit = &run_unit;
-            let tracer = &tracer;
-            let t_wait = obs::timer();
-            let worker_stats: Vec<(BatchStats, Option<EngineError>)> = {
-                let next = &next;
-                std::thread::scope(|sc| {
-                    let handles: Vec<_> = (0..pool_threads)
-                        .map(|w| {
-                            sc.spawn(move || {
-                                let _g = tracer.as_ref().map(|t| t.worker(w as u32 + 1));
-                                let mut local = BatchStats::default();
-                                let mut failed = None;
-                                loop {
-                                    // The wait span opens at the top of
-                                    // every pull so worker lanes stay
-                                    // contiguous; it closes only when a
-                                    // unit was actually drawn (the final
-                                    // empty pull just drops the timer).
-                                    let t_idle = obs::timer();
-                                    let k = next.fetch_add(1, Ordering::Relaxed);
-                                    if k >= pooled.len() {
-                                        break;
-                                    }
-                                    let (unit, chain) = pooled[k];
-                                    obs::set_context("sched", unit.bin, unit.id);
-                                    obs::commit(Stage::QueueWait, t_idle);
-                                    if let Err(e) = run_unit(unit, chain, 1, &mut local) {
-                                        // Terminal refusal: stop this
-                                        // worker; the batch errors out
-                                        // after the joins.
-                                        failed = Some(e);
-                                        break;
-                                    }
-                                }
-                                (local, failed)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("batch worker panicked"))
-                        .collect()
-                })
-            };
-            // The coordinator lane spent the pooled phase blocked on
-            // the join — account it as queue wait so its lane has no
-            // unexplained hole in the trace.
-            obs::commit(Stage::QueueWait, t_wait);
-            let t_merge = obs::timer();
-            for (local, _) in &worker_stats {
-                batch_stats.merge(local);
-            }
-            obs::commit(Stage::Merge, t_merge);
-            if let Some(err) = worker_stats.into_iter().find_map(|(_, e)| e) {
-                return Err(err);
-            }
-        }
-
-        // Exclusive phase: serial over units, full budget inside each.
-        // A shard planner peels chromosome-scale pairs off every unit
-        // first: a pair whose DP matrix exceeds the dispatch's
-        // `shard_cells` budget is cut into subject slabs
-        // (`plan_columns`) and — in score mode — executed as a
-        // pipelined chain through `Engine::score_shard`, each shard
-        // importing the previous shard's serialized seam frontier.
-        // Align-mode pairs stay whole (the engine shards internally
-        // under Hirschberg, which stitches the per-shard CIGARs); only
-        // the planned shard count is recorded for them.
-        let mut exclusive_stats = BatchStats::default();
-        let shard_cells = dispatch.shard_cells();
-        for (unit, chain) in &exclusive {
-            let mut rest: Vec<usize> = Vec::with_capacity(unit.indices.len());
-            for &pos in &unit.indices {
-                let p = view.get(pos);
-                let oversized =
-                    shard_cells > 0 && p.cells() > shard_cells && !p.q.is_empty() && p.s.len() > 1;
-                if !oversized {
-                    rest.push(pos);
-                    continue;
-                }
-                let plan = plan_columns(p.q.len(), p.s.len(), shard_cells);
-                exclusive_stats.record_counter(SCHED_SHARDS, plan.len() as u64);
-                let Some(sx) = &shard_exec else {
-                    rest.push(pos);
-                    continue;
-                };
-                let mut ran = false;
-                for (ci, id) in chain.iter().enumerate() {
-                    let engine = dispatch
-                        .engine(*id)
-                        .expect("candidates only returns registered backends");
-                    obs::set_context(engine.caps().name, unit.bin, unit.id);
-                    let t0 = Instant::now();
-                    match sx(engine, &p, &plan, self.cfg.threads, &mut exclusive_stats) {
-                        Ok(value) => {
-                            let cells = p.cells() * cell_factor;
-                            if let Some(cache) = cache {
-                                let ingest = cache.insert(&keys[pos], &p, &value) as u64;
-                                exclusive_stats.record_counter(CACHE_INGEST_BYTES, ingest);
-                                if let Some(dups) = followers.get(&pos) {
-                                    for &dup in dups {
-                                        // SAFETY: follower slots belong
-                                        // to no unit and exactly one
-                                        // leader; written once, here.
-                                        unsafe { writer.write(dup, value.clone()) };
-                                    }
-                                }
-                            }
-                            // SAFETY: `pos` was peeled out of its
-                            // unit's residual index set, so this slot
-                            // is written exactly once, here.
-                            unsafe { writer.write(pos, value) };
-                            if let Some(reg) = registry {
-                                let labels = obs::labels(&[
-                                    ("backend", engine.caps().name),
-                                    ("kind", spec.kind.name()),
-                                    ("bin", &bin_labels[unit.bin as usize]),
-                                ]);
-                                reg.observe("anyseq_unit_pairs", labels.clone(), 1);
-                                reg.observe("anyseq_unit_cells", labels, cells);
-                            }
-                            exclusive_stats.fallbacks += ci as u64;
-                            for (name, value) in engine.drain_counters() {
-                                exclusive_stats.record_counter(name, value);
-                            }
-                            exclusive_stats.record(
-                                engine.caps().name,
-                                1,
-                                cells,
-                                t0.elapsed().as_secs_f64() * self.cfg.threads.max(1) as f64,
-                            );
-                            ran = true;
-                            break;
-                        }
-                        Err(EngineError::Unsupported { .. }) => {
-                            // No sharded path on this backend; counters
-                            // drain now so they attribute here.
-                            for (name, value) in engine.drain_counters() {
-                                exclusive_stats.record_counter(name, value);
-                            }
-                            exclusive_stats.record_counter(id.declined_counter(), 1);
-                            continue;
-                        }
-                        // UnitTooLarge: even one slab busts the
-                        // backend's bound — terminal, like run_unit.
-                        Err(err) => return Err(err),
-                    }
-                }
-                if !ran {
-                    // No shard-capable backend in the chain: the pair
-                    // runs unsharded with its unit (an engine with
-                    // internal shard dispatch still bounds its own
-                    // memory through its pass config).
-                    rest.push(pos);
-                }
-            }
-            if rest.len() == unit.indices.len() {
-                run_unit(unit, chain, self.cfg.threads, &mut exclusive_stats)?;
-            } else if !rest.is_empty() {
-                let per_pair = rest.iter().map(|&k| view.get(k).cells());
-                let cells = per_pair.clone().sum();
-                let max_cells = per_pair.max().unwrap_or(0);
-                let residual = Unit {
-                    indices: rest,
-                    cells,
-                    max_cells,
-                    bin: unit.bin,
-                    id: unit.id,
-                };
-                run_unit(&residual, chain, self.cfg.threads, &mut exclusive_stats)?;
-            }
-        }
-        let t_merge = obs::timer();
-        batch_stats.merge(&exclusive_stats);
-        obs::commit(Stage::Merge, t_merge);
+        self.execute(&batch, tracer.as_ref(), &mut stats, &mut slots)?;
 
         if let (Some(cache), Some((evictions0, collisions0))) = (cache, cache_baseline) {
             // `cache.bytes` is a resident-size gauge snapshot; the
             // eviction/collision counters are per-run deltas.
-            batch_stats.record_counter(CACHE_BYTES, cache.bytes());
-            batch_stats.record_counter(
+            stats.record_counter(CACHE_BYTES, cache.bytes());
+            stats.record_counter(
                 CACHE_EVICTIONS,
                 cache.evictions().saturating_sub(evictions0),
             );
             let collisions = cache.collisions().saturating_sub(collisions0);
             if collisions > 0 {
-                batch_stats.record_counter(CACHE_COLLISIONS, collisions);
+                stats.record_counter(CACHE_COLLISIONS, collisions);
+            }
+        }
+        let results = slots.finish()?;
+        // Which worker recorded first is a race; sort so the breakdown
+        // is deterministic across runs.
+        stats.per_backend.sort_by_key(|b| b.backend);
+        stats.wall_seconds = started.elapsed().as_secs_f64();
+        drop(main_guard);
+        if let Some(tracer) = tracer {
+            report(&mut stats, tracer.finish(), dispatch, &plan.bin_labels);
+        }
+        Ok(BatchRun { results, stats })
+    }
+
+    /// Step 1: derives every pair's cache key and looks it up. Without
+    /// a cache, everything is a miss and no key is derived.
+    fn probe<T: Request>(
+        &self,
+        dispatch: &Dispatch,
+        spec: &SchemeSpec,
+        view: &BatchView<'_>,
+        tracer: Option<&obs::BatchTracer>,
+    ) -> Probed<T> {
+        let n = view.len();
+        let Some(cache) = dispatch.cache() else {
+            return Probed {
+                keys: Vec::new(),
+                hits: Vec::new(),
+                misses: (0..n).collect(),
+            };
+        };
+        let fingerprint = spec.fingerprint();
+        // Two passes per chunk, not one interleaved loop, so the span
+        // boundary is honest: key derivation (the `hash` stage) is
+        // pure CPU over sequence bytes, probing (the `cache_probe`
+        // stage) is shard-locked map traffic.
+        let probe = |chunk: std::ops::Range<usize>| {
+            let t_hash = obs::timer();
+            let pairs = chunk.clone().map(|k| view.get(k));
+            let keys: Vec<_> = pairs
+                .map(|p| CacheKey::new(fingerprint, &p, T::KIND))
+                .collect();
+            obs::commit(Stage::Hash, t_hash);
+            let t_probe = obs::timer();
+            let (mut hits, mut misses) = (Vec::new(), Vec::new());
+            for (k, key) in chunk.zip(&keys) {
+                match cache.get::<T>(key, &view.get(k)) {
+                    Some(value) => hits.push((k, value)),
+                    None => misses.push(k),
+                }
+            }
+            obs::commit(Stage::CacheProbe, t_probe);
+            Probed { keys, hits, misses }
+        };
+        let chunk = n.div_ceil(self.cfg.threads.max(1)).max(64);
+        if n <= chunk {
+            return probe(0..n);
+        }
+        let probe = &probe;
+        let t_wait = obs::timer();
+        let mut all = Probed {
+            keys: Vec::with_capacity(n),
+            hits: Vec::new(),
+            misses: Vec::new(),
+        };
+        std::thread::scope(|sc| {
+            let handles: Vec<_> = (0..n)
+                .step_by(chunk)
+                .enumerate()
+                .map(|(c, start)| {
+                    sc.spawn(move || {
+                        // Probe chunks reuse the pool's worker lanes
+                        // (1-based; the phases never overlap in time).
+                        let _g = tracer.map(|t| t.worker(c as u32 + 1));
+                        probe(start..(start + chunk).min(n))
+                    })
+                })
+                .collect();
+            // Chunks are contiguous input ranges, so joining in spawn
+            // order keeps keys and misses in input order.
+            for handle in handles {
+                let found = handle.join().expect("cache probe worker panicked");
+                all.keys.extend(found.keys);
+                all.hits.extend(found.hits);
+                all.misses.extend(found.misses);
+            }
+        });
+        obs::commit(Stage::QueueWait, t_wait);
+        all
+    }
+
+    /// Step 2: decides everything that happens to the misses, without
+    /// running an engine. `keys` is empty when there is no cache (then
+    /// nothing is deduplicated); `misses` are view positions in input
+    /// order.
+    fn plan(
+        &self,
+        dispatch: &Dispatch,
+        spec: &SchemeSpec,
+        view: &BatchView<'_>,
+        keys: &[CacheKey],
+        misses: &[usize],
+        align: bool,
+    ) -> Plan {
+        // In-batch duplicate dedup: the first miss of each distinct
+        // key leads; later ones ride its computation (served through
+        // the cache path, so they count as hits). Same collision
+        // policy as a cache hit: a key match alone never merges two
+        // pairs — the bytes must match too, or the "duplicate"
+        // computes independently.
+        let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut leaders: HashMap<CacheKey, usize> = HashMap::new();
+        let mut compute = Vec::with_capacity(misses.len());
+        for &k in misses {
+            match keys.get(k).and_then(|key| leaders.get(key)) {
+                Some(&leader)
+                    if view.get(leader).q == view.get(k).q
+                        && view.get(leader).s == view.get(k).s =>
+                {
+                    followers.entry(leader).or_default().push(k);
+                }
+                _ => {
+                    if let Some(key) = keys.get(k) {
+                        leaders.insert(*key, k);
+                    }
+                    compute.push(k);
+                }
             }
         }
 
-        // SAFETY: cache hits and followers were written during probe /
-        // unit completion, pooled ∪ exclusive covers every computed
-        // unit, units partition the remaining indices, and all workers
-        // have been joined.
-        let results = unsafe { out.finish() };
-        // Which worker recorded first is a race; sort so the breakdown
-        // is deterministic across runs.
-        batch_stats.per_backend.sort_by_key(|b| b.backend);
-        batch_stats.wall_seconds = started.elapsed().as_secs_f64();
-
-        // Drain the tracer: fold every span into the additive
-        // `stage.*_ns` counters, feed the registry's per-(stage,
-        // backend, bin) latency histograms, and keep the raw spans on
-        // the stats for the Chrome-trace exporter.
-        drop(main_guard);
-        if let Some(tracer) = tracer {
-            let spans = tracer.finish();
-            for span in &spans {
-                batch_stats.record_counter(span.stage.counter_key(), span.dur_ns);
+        let (mut units, bin_labels) = self.cut_units(view, &compute);
+        let shard_cells = dispatch.shard_cells();
+        let (mut pooled, mut exclusive, mut shards) = (Vec::new(), Vec::new(), 0u64);
+        for (u, unit) in units.iter_mut().enumerate() {
+            let max_cells = unit.indices.iter().map(|&k| view.get(k).cells()).max();
+            unit.chain = dispatch.candidates(spec, max_cells.unwrap_or(0), align);
+            // Exclusive backends own the machine for their units;
+            // pooled units share the worker pool.
+            if !dispatch.is_exclusive(unit.chain[0]) {
+                pooled.push(u);
+                continue;
             }
-            if let Some(reg) = registry {
-                for span in &spans {
-                    let bin = if span.bin == obs::NO_ID {
-                        "-"
-                    } else {
-                        &bin_labels[span.bin as usize]
-                    };
-                    let labels = obs::labels(&[
-                        ("stage", span.stage.name()),
-                        ("backend", span.backend),
-                        ("bin", bin),
-                    ]);
-                    reg.observe("anyseq_stage_duration_ns", labels, span.dur_ns);
-                }
-                reg.inc("anyseq_batches_total", String::new(), 1);
-                reg.inc("anyseq_batch_pairs_total", String::new(), batch_stats.pairs);
-                reg.inc("anyseq_batch_cells_total", String::new(), batch_stats.cells);
-                reg.inc(
-                    "anyseq_batch_fallbacks_total",
-                    String::new(),
-                    batch_stats.fallbacks,
-                );
-                let counter = |name: &str| batch_stats.counters.get(name).copied().unwrap_or(0);
-                reg.inc(
-                    "anyseq_batch_shards_total",
-                    String::new(),
-                    counter(SCHED_SHARDS),
-                );
-                reg.inc(
-                    "anyseq_batch_seam_bytes_total",
-                    String::new(),
-                    counter(SCHED_SEAM_BYTES),
-                );
-                if let Some(cache) = cache {
-                    for (i, shard) in cache.shard_stats().iter().enumerate() {
-                        let l = obs::labels(&[("shard", &i.to_string())]);
-                        reg.set_gauge("anyseq_cache_shard_bytes", l.clone(), shard.bytes as f64);
-                        reg.set_gauge(
-                            "anyseq_cache_shard_entries",
-                            l.clone(),
-                            shard.entries as f64,
-                        );
-                        reg.set_gauge("anyseq_cache_shard_hits", l.clone(), shard.hits as f64);
-                        reg.set_gauge("anyseq_cache_shard_evictions", l, shard.evictions as f64);
+            exclusive.push(u);
+            // Chromosome-scale pairs are cut into subject slabs. Score
+            // requests execute them as a chain through
+            // `Engine::score_shard`; align requests only count them.
+            for &k in &unit.indices {
+                let p = view.get(k);
+                if shard_cells > 0 && p.cells() > shard_cells && !p.q.is_empty() && p.s.len() > 1 {
+                    let columns = plan_columns(p.q.len(), p.s.len(), shard_cells);
+                    shards += columns.len() as u64;
+                    if !align {
+                        unit.slabs.push((k, columns));
                     }
                 }
             }
-            batch_stats.spans = spans;
         }
-        Ok(BatchRun {
-            results,
-            stats: batch_stats,
-        })
+        // Longest-processing-time-first keeps the pool tail short.
+        pooled.sort_by_key(|&u| std::cmp::Reverse(units[u].cells));
+        Plan {
+            followers,
+            units,
+            bin_labels,
+            pooled,
+            exclusive,
+            shards,
+        }
     }
 
-    /// Bins the given view positions (the whole view without a cache;
-    /// only the unique cache misses with one) by quantized dimensions,
-    /// sorts bins for lane density, and cuts them into bounded units.
+    /// Bins the given view positions by quantized dimensions, sorts
+    /// bins for lane density, and cuts them into bounded units (routing
+    /// left for `plan` to fill in).
     ///
     /// The chunk size shrinks below `chunk_pairs` when the batch is
     /// small relative to the pool, so a batch never collapses into
     /// fewer units than there are workers (idle-core guard); a floor
     /// of 32 pairs keeps SIMD lane groups dense.
-    /// Returns the units plus one label per bin (`"<q>x<s>"`, the
-    /// quantized dimensions in bases) — the `bin` tag vocabulary for
-    /// spans and metrics.
-    fn build_units(&self, view: &BatchView<'_>, indices: &[usize]) -> (Vec<Unit>, Vec<String>) {
+    fn cut_units(&self, view: &BatchView<'_>, indices: &[usize]) -> (Vec<Unit>, Vec<String>) {
         let quantum = self.cfg.bin_quantum.max(1);
         let fill_chunk = indices.len().div_ceil(self.cfg.threads.max(1)).max(32);
         let chunk = self.cfg.chunk_pairs.max(1).min(fill_chunk);
@@ -935,20 +674,355 @@ impl BatchScheduler {
             // Exact-dimension order maximizes full SIMD lane groups.
             indices.sort_by_key(|&k| (view.get(k).q.len(), view.get(k).s.len(), k));
             for piece in indices.chunks(chunk) {
-                let per_pair = piece.iter().map(|&k| view.get(k).cells());
-                let cells = per_pair.clone().sum();
-                let max_cells = per_pair.max().unwrap_or(0);
                 units.push(Unit {
                     indices: piece.to_vec(),
-                    cells,
-                    max_cells,
+                    cells: piece.iter().map(|&k| view.get(k).cells()).sum(),
                     bin,
                     id: units.len() as u32,
+                    chain: Vec::new(),
+                    slabs: Vec::new(),
                 });
             }
         }
         (units, bin_labels)
     }
+
+    /// Step 3: runs the plan — the pooled units over a shared-counter
+    /// worker pool (thread budget 1 per call), then the exclusive
+    /// units serially with the whole budget — and scatters what the
+    /// lanes hand back.
+    fn execute<T: Request>(
+        &self,
+        batch: &Batch<'_, '_>,
+        tracer: Option<&obs::BatchTracer>,
+        stats: &mut BatchStats,
+        slots: &mut Slots<T>,
+    ) -> Result<(), EngineError> {
+        let plan = batch.plan;
+        if !plan.pooled.is_empty() {
+            let pool_threads = self.cfg.threads.clamp(1, plan.pooled.len());
+            let next = &AtomicUsize::new(0);
+            let t_wait = obs::timer();
+            let lanes: Vec<(Lane<T>, Result<(), EngineError>)> = std::thread::scope(|sc| {
+                let handles: Vec<_> = (0..pool_threads)
+                    .map(|w| {
+                        sc.spawn(move || {
+                            let _g = tracer.map(|t| t.worker(w as u32 + 1));
+                            let mut lane = Lane::default();
+                            let outcome = pull_units(batch, next, &mut lane);
+                            (lane, outcome)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("batch worker panicked"))
+                    .collect()
+            });
+            // The coordinator lane spent the pooled phase blocked on
+            // the join — account it as queue wait so its lane has no
+            // unexplained hole in the trace.
+            obs::commit(Stage::QueueWait, t_wait);
+            absorb(stats, slots, lanes)?;
+        }
+
+        let mut lane = Lane::default();
+        let threads = self.cfg.threads;
+        let outcome = plan
+            .exclusive
+            .iter()
+            .try_for_each(|&u| run_exclusive(batch, &plan.units[u], threads, &mut lane));
+        absorb(stats, slots, vec![(lane, outcome)])
+    }
+}
+
+/// One pool worker: pulls pooled units off the shared counter until
+/// none is left or one is refused terminally (the batch then errors
+/// out after the joins).
+fn pull_units<T: Request>(
+    batch: &Batch<'_, '_>,
+    next: &AtomicUsize,
+    lane: &mut Lane<T>,
+) -> Result<(), EngineError> {
+    let plan = batch.plan;
+    loop {
+        // The wait span opens at the top of every pull so worker lanes
+        // stay contiguous; it closes only when a unit was actually
+        // drawn (the final empty pull just drops the timer).
+        let t_idle = obs::timer();
+        let Some(&u) = plan.pooled.get(next.fetch_add(1, Ordering::Relaxed)) else {
+            return Ok(());
+        };
+        let unit = &plan.units[u];
+        obs::set_context("sched", unit.bin, unit.id);
+        obs::commit(Stage::QueueWait, t_idle);
+        let whole = Work {
+            unit,
+            indices: &unit.indices,
+            slabs: None,
+            threads: 1,
+        };
+        walk(batch, &whole, lane)?;
+    }
+}
+
+/// Runs one exclusive unit with the whole thread budget: each planned
+/// slab chain first, then — as one piece — every pair that has no
+/// chain or whose chain found no shard-capable backend (an engine with
+/// internal shard dispatch still bounds its own memory through its
+/// pass config).
+fn run_exclusive<T: Request>(
+    batch: &Batch<'_, '_>,
+    unit: &Unit,
+    threads: usize,
+    lane: &mut Lane<T>,
+) -> Result<(), EngineError> {
+    let mut whole = unit.indices.clone();
+    for (pos, columns) in &unit.slabs {
+        let chain = Work {
+            unit,
+            indices: std::slice::from_ref(pos),
+            slabs: Some(columns),
+            threads,
+        };
+        match walk(batch, &chain, lane) {
+            Ok(()) => whole.retain(|k| k != pos),
+            Err(EngineError::Unsupported { .. }) => {}
+            // UnitTooLarge: even one slab busts the backend's bound.
+            Err(err) => return Err(err),
+        }
+    }
+    if whole.is_empty() {
+        return Ok(());
+    }
+    let rest = Work {
+        unit,
+        indices: &whole,
+        slabs: None,
+        threads,
+    };
+    walk(batch, &rest, lane)
+}
+
+/// The chain walker every piece of work goes through: gathers the
+/// pairs, then tries the unit's candidates in order until one accepts
+/// and its values settle.
+fn walk<T: Request>(
+    batch: &Batch<'_, '_>,
+    work: &Work<'_>,
+    lane: &mut Lane<T>,
+) -> Result<(), EngineError> {
+    let unit = work.unit;
+    obs::set_context("sched", unit.bin, unit.id);
+    // Gather the pair *references* contiguously just-in-time: 32 bytes
+    // of pointers per pair. The sequence bytes stay where the caller
+    // put them — for an exclusive unit holding a multi-Mbp genome this
+    // is the difference between a dispatch and a deep copy.
+    let pairs: Vec<PairRef<'_>> = obs::span(Stage::Gather, || {
+        work.indices.iter().map(|&k| batch.view.get(k)).collect()
+    });
+    let mut last_refusal = None;
+    for (tried, id) in unit.chain.iter().enumerate() {
+        let engine = batch
+            .dispatch
+            .engine(*id)
+            .expect("candidates only returns registered backends");
+        // Spans the engine emits (kernel, transpose, traceback) must
+        // attribute to the engine that actually executes, not the
+        // chain's first pick.
+        obs::set_context(engine.caps().name, unit.bin, unit.id);
+        let t0 = Instant::now();
+        let ran = T::run(
+            engine,
+            batch.spec,
+            &pairs,
+            work.slabs,
+            work.threads,
+            &mut lane.stats,
+        );
+        match ran {
+            Ok(values) => return settle(batch, work, engine, values, tried as u64, t0, lane),
+            Err(err @ EngineError::Unsupported { .. }) => {
+                // A declining engine may still have accumulated
+                // internal counters (capability probes, partial
+                // setup). Drain them *now* so they attribute to this
+                // unit instead of silently leaking into whichever unit
+                // this engine executes next.
+                for (name, value) in engine.drain_counters() {
+                    lane.stats.record_counter(name, value);
+                }
+                lane.stats.record_counter(id.declined_counter(), 1);
+                // Distinguish kind-capability refusals from the rest:
+                // the capability table already knew this backend
+                // cannot run the kind, so the chain paid a probe it
+                // could have skipped.
+                let caps = engine.caps();
+                let kind_supported = if batch.align {
+                    caps.supports_align(batch.spec)
+                } else {
+                    caps.supports_score(batch.spec)
+                };
+                if !kind_supported {
+                    lane.stats.record_counter(FALLBACK_KIND_UNSUPPORTED, 1);
+                }
+                last_refusal = Some(err);
+            }
+            // UnitTooLarge is terminal: falling back would execute the
+            // very allocation the bound prevents.
+            Err(err) => return Err(err),
+        }
+    }
+    // The standard registry's scalar backend accepts everything; only
+    // a foreign chain can exhaust itself.
+    Err(last_refusal.expect("empty candidate chain"))
+}
+
+/// Step 4: books one finished piece of work on its lane — the only
+/// place results enter the cache, fan out to deduplicated followers,
+/// and are handed back by view position.
+fn settle<T: Request>(
+    batch: &Batch<'_, '_>,
+    work: &Work<'_>,
+    engine: &dyn Engine,
+    values: Vec<T>,
+    fallbacks: u64,
+    started: Instant,
+    lane: &mut Lane<T>,
+) -> Result<(), EngineError> {
+    let backend = engine.caps().name;
+    let pairs = work.indices.len();
+    // One value per pair, even from foreign `Engine` impls.
+    if values.len() != pairs {
+        return Err(EngineError::unsupported(
+            backend,
+            format!("returned {} results for {pairs} pairs", values.len()),
+        ));
+    }
+    let cache = batch.dispatch.cache();
+    let t_insert = obs::timer();
+    let mut ingest = 0u64;
+    lane.out.reserve(pairs);
+    for (&slot, value) in work.indices.iter().zip(values) {
+        if let Some(cache) = cache {
+            // Fresh result: retain it (and its verification bytes) for
+            // future batches, and fan it out to this batch's
+            // deduplicated followers.
+            ingest += cache.insert(&batch.keys[slot], &batch.view.get(slot), &value) as u64;
+            if let Some(dups) = batch.plan.followers.get(&slot) {
+                lane.out
+                    .extend(dups.iter().map(|&dup| (dup, value.clone())));
+            }
+        }
+        lane.out.push((slot, value));
+    }
+    if cache.is_some() {
+        // Without a cache the hand-back above is a plain move loop —
+        // only insert traffic is worth a span.
+        obs::commit(Stage::CacheInsert, t_insert);
+        lane.stats.record_counter(CACHE_INGEST_BYTES, ingest);
+    }
+    let cells = if pairs == work.unit.indices.len() {
+        work.unit.cells
+    } else {
+        let per_pair = work.indices.iter().map(|&k| batch.view.get(k).cells());
+        per_pair.sum()
+    } * batch.cell_factor;
+    if let Some(reg) = batch.dispatch.metrics() {
+        let labels = obs::labels(&[
+            ("backend", backend),
+            ("kind", batch.spec.kind.name()),
+            ("bin", &batch.plan.bin_labels[work.unit.bin as usize]),
+        ]);
+        reg.observe("anyseq_unit_pairs", labels.clone(), pairs as u64);
+        reg.observe("anyseq_unit_cells", labels, cells);
+    }
+    lane.stats.fallbacks += fallbacks;
+    // Backend-internal telemetry (e.g. the SIMD traceback's band
+    // counters and its transpose byte count) rides along with the unit
+    // that produced it.
+    for (name, value) in engine.drain_counters() {
+        lane.stats.record_counter(name, value);
+    }
+    // Busy time records granted capacity: an exclusive backend holds
+    // `threads` workers' worth of the machine for its wall time.
+    let busy = started.elapsed().as_secs_f64() * work.threads.max(1) as f64;
+    lane.stats.record(backend, pairs as u64, cells, busy);
+    Ok(())
+}
+
+/// Folds joined lanes into the batch: stats merge, values scatter into
+/// their slots. A lane that ended in a terminal refusal fails the
+/// batch.
+fn absorb<T>(
+    stats: &mut BatchStats,
+    slots: &mut Slots<T>,
+    lanes: Vec<(Lane<T>, Result<(), EngineError>)>,
+) -> Result<(), EngineError> {
+    obs::span(Stage::Merge, || {
+        lanes.into_iter().try_for_each(|(lane, outcome)| {
+            outcome?;
+            stats.merge(&lane.stats);
+            slots.fill(lane.out)
+        })
+    })
+}
+
+/// Step 5: folds every span into the additive `stage.*_ns` counters,
+/// feeds the registry's per-(stage, backend, bin) latency histograms
+/// and per-batch totals, and keeps the raw spans on the stats for the
+/// Chrome-trace exporter.
+fn report(
+    stats: &mut BatchStats,
+    spans: Vec<obs::Span>,
+    dispatch: &Dispatch,
+    bin_labels: &[String],
+) {
+    for span in &spans {
+        stats.record_counter(span.stage.counter_key(), span.dur_ns);
+    }
+    if let Some(reg) = dispatch.metrics() {
+        for span in &spans {
+            let bin = if span.bin == obs::NO_ID {
+                "-"
+            } else {
+                &bin_labels[span.bin as usize]
+            };
+            let labels = obs::labels(&[
+                ("stage", span.stage.name()),
+                ("backend", span.backend),
+                ("bin", bin),
+            ]);
+            reg.observe("anyseq_stage_duration_ns", labels, span.dur_ns);
+        }
+        let counter = |name: &str| stats.counters.get(name).copied().unwrap_or(0);
+        for (name, value) in [
+            ("anyseq_batches_total", 1),
+            ("anyseq_batch_pairs_total", stats.pairs),
+            ("anyseq_batch_cells_total", stats.cells),
+            ("anyseq_batch_fallbacks_total", stats.fallbacks),
+            ("anyseq_batch_shards_total", counter(SCHED_SHARDS)),
+            ("anyseq_batch_seam_bytes_total", counter(SCHED_SEAM_BYTES)),
+        ] {
+            reg.inc(name, String::new(), value);
+        }
+        for (i, shard) in dispatch
+            .cache()
+            .iter()
+            .flat_map(|c| c.shard_stats())
+            .enumerate()
+        {
+            let l = obs::labels(&[("shard", &i.to_string())]);
+            reg.set_gauge("anyseq_cache_shard_bytes", l.clone(), shard.bytes as f64);
+            reg.set_gauge(
+                "anyseq_cache_shard_entries",
+                l.clone(),
+                shard.entries as f64,
+            );
+            reg.set_gauge("anyseq_cache_shard_hits", l.clone(), shard.hits as f64);
+            reg.set_gauge("anyseq_cache_shard_evictions", l, shard.evictions as f64);
+        }
+    }
+    stats.spans = spans;
 }
 
 /// Runs one oversized pair as a pipelined chain of subject slabs over
@@ -1001,6 +1075,7 @@ mod tests {
     use crate::spec::KindSpec;
     use anyseq_seq::genome::GenomeSim;
     use anyseq_seq::testsupport::read_pairs;
+    use anyseq_seq::Seq;
 
     fn scheduler(threads: usize) -> BatchScheduler {
         BatchScheduler::new(BatchCfg {
@@ -1016,7 +1091,9 @@ mod tests {
         let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_linear(2, -1, -1);
         let dispatch = Dispatch::standard(Policy::Auto);
-        let run = scheduler(4).score_batch(&dispatch, &spec, &view);
+        let run = scheduler(4)
+            .try_score_batch(&dispatch, &spec, &view)
+            .unwrap();
         assert_eq!(run.results.len(), pairs.len());
         for (k, (q, s)) in pairs.iter().enumerate() {
             assert_eq!(run.results[k], spec.score_scalar(q, s), "pair {k}");
@@ -1036,7 +1113,9 @@ mod tests {
         let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_affine(2, -1, -2, -1);
         let dispatch = Dispatch::standard(Policy::Auto);
-        let run = scheduler(4).align_batch(&dispatch, &spec, &view);
+        let run = scheduler(4)
+            .try_align_batch(&dispatch, &spec, &view)
+            .unwrap();
         for (k, (q, s)) in pairs.iter().enumerate() {
             assert_eq!(
                 run.results[k].score,
@@ -1074,31 +1153,16 @@ mod tests {
     }
 
     #[test]
-    fn owned_pair_shims_match_view_runs() {
-        let pairs = read_pairs(80, 6);
-        let view = BatchView::from_pairs(&pairs);
-        let spec = SchemeSpec::global_linear(2, -1, -1);
-        let dispatch = Dispatch::standard(Policy::Auto);
-        let sched = scheduler(3);
-        let via_view = sched.score_batch(&dispatch, &spec, &view);
-        let via_shim = sched.score_pairs(&dispatch, &spec, &pairs);
-        assert_eq!(via_view.results, via_shim.results);
-        let aln_view = sched.align_batch(&dispatch, &spec, &view);
-        let aln_shim = sched.align_pairs(&dispatch, &spec, &pairs);
-        assert_eq!(
-            aln_view.results.iter().map(|a| a.score).collect::<Vec<_>>(),
-            aln_shim.results.iter().map(|a| a.score).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn fixed_unsupported_backend_falls_back() {
         let pairs = read_pairs(40, 3);
+        let view = BatchView::from_pairs(&pairs);
         // Free-end kind on the SIMD backend (the one kind its lanes
         // still refuse): every unit must fall back.
         let spec = SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::FreeEnd);
         let dispatch = Dispatch::standard(Policy::Fixed(BackendId::Simd));
-        let run = scheduler(2).score_pairs(&dispatch, &spec, &pairs);
+        let run = scheduler(2)
+            .try_score_batch(&dispatch, &spec, &view)
+            .unwrap();
         assert!(run.stats.fallbacks > 0);
         assert!(run.stats.per_backend.iter().all(|b| b.backend == "scalar"));
         // Every fallback here is a kind-capability refusal, and the
@@ -1119,11 +1183,12 @@ mod tests {
         // them to SIMD directly and the kind-refusal counter stays
         // absent (additive counters are only recorded when bumped).
         let pairs = read_pairs(60, 17);
+        let view = BatchView::from_pairs(&pairs);
         let sched = scheduler(2);
         for kind in [KindSpec::SemiGlobal, KindSpec::Local] {
             let spec = SchemeSpec::global_linear(2, -1, -1).with_kind(kind);
             let auto = Dispatch::standard(Policy::Auto);
-            let run = sched.score_pairs(&auto, &spec, &pairs);
+            let run = sched.try_score_batch(&auto, &spec, &view).unwrap();
             assert_eq!(run.stats.fallbacks, 0, "{kind:?}");
             assert!(
                 !run.stats.counters.contains_key(FALLBACK_KIND_UNSUPPORTED),
@@ -1139,7 +1204,7 @@ mod tests {
             // still fires it — the counter tracks capability mismatch,
             // not kind support in general.
             let forced = Dispatch::standard(Policy::Fixed(BackendId::GpuSim));
-            let run = sched.score_pairs(&forced, &spec, &pairs);
+            let run = sched.try_score_batch(&forced, &spec, &view).unwrap();
             assert!(
                 run.stats.counters[FALLBACK_KIND_UNSUPPORTED] > 0,
                 "{kind:?}"
@@ -1158,7 +1223,9 @@ mod tests {
         let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_affine(2, -1, -2, -1);
         let dispatch = Dispatch::standard(Policy::Auto);
-        let run = scheduler(4).score_batch(&dispatch, &spec, &view);
+        let run = scheduler(4)
+            .try_score_batch(&dispatch, &spec, &view)
+            .unwrap();
         assert!(run
             .stats
             .per_backend
@@ -1188,7 +1255,9 @@ mod tests {
         let sharded = DispatchPolicy::fixed(BackendId::Wavefront)
             .shard_cells(1 << 18)
             .standard();
-        let run = scheduler(4).score_batch(&sharded, &spec, &view);
+        let run = scheduler(4)
+            .try_score_batch(&sharded, &spec, &view)
+            .unwrap();
         for (k, (q, s)) in pairs.iter().enumerate() {
             assert_eq!(run.results[k], spec.score_scalar(q, s), "pair {k}");
         }
@@ -1223,8 +1292,8 @@ mod tests {
             .shard_cells(1 << 18)
             .standard();
         let sched = scheduler(4);
-        let base = sched.align_batch(&plain, &spec, &view);
-        let run = sched.align_batch(&sharded, &spec, &view);
+        let base = sched.try_align_batch(&plain, &spec, &view).unwrap();
+        let run = sched.try_align_batch(&sharded, &spec, &view).unwrap();
         // Hirschberg stitches the per-shard half-passes: score AND ops
         // bit-identical to the unsharded run.
         assert_eq!(run.results[0].score, base.results[0].score);
@@ -1287,23 +1356,29 @@ mod tests {
         let spec = SchemeSpec::global_linear(2, -1, -1);
         let dispatch = Dispatch::standard(Policy::Auto);
         let sched = scheduler(4);
-        let run = sched.score_batch(&dispatch, &spec, &BatchView::default());
+        let run = sched
+            .try_score_batch(&dispatch, &spec, &BatchView::default())
+            .unwrap();
         assert!(run.results.is_empty());
         assert_eq!(run.stats.pairs, 0);
         assert_eq!(run.stats.counters[SCHED_BYTES_COPIED], 0);
 
         let q = Seq::from_ascii(b"ACGT").unwrap();
         let pairs = vec![(q.clone(), Seq::new()), (q.clone(), q)];
-        let run = sched.score_pairs(&dispatch, &spec, &pairs);
+        let view = BatchView::from_pairs(&pairs);
+        let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(run.results, vec![-4, 8]);
     }
 
     #[test]
     fn gpu_policy_scores_whole_batch_on_device() {
         let pairs = read_pairs(30, 4);
+        let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_linear(2, -1, -1);
         let dispatch = Dispatch::standard(Policy::Fixed(BackendId::GpuSim));
-        let run = scheduler(2).score_pairs(&dispatch, &spec, &pairs);
+        let run = scheduler(2)
+            .try_score_batch(&dispatch, &spec, &view)
+            .unwrap();
         assert!(run
             .stats
             .per_backend
@@ -1320,7 +1395,7 @@ mod tests {
         let view = BatchView::from_pairs(&pairs);
         let sched = scheduler(3);
         let all: Vec<usize> = (0..view.len()).collect();
-        let (units, bin_labels) = sched.build_units(&view, &all);
+        let (units, bin_labels) = sched.cut_units(&view, &all);
         assert!(!bin_labels.is_empty());
         for unit in &units {
             assert!((unit.bin as usize) < bin_labels.len());
@@ -1350,11 +1425,12 @@ mod tests {
         let unique = read_pairs(120, 21);
         let mut pairs = unique.clone();
         pairs.extend(unique.iter().cloned());
+        let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_linear(2, -1, -1);
         let dispatch = DispatchPolicy::auto().cache_mb(8).standard();
         let sched = scheduler(4);
 
-        let cold = sched.score_pairs(&dispatch, &spec, &pairs);
+        let cold = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(cold.stats.counters[CACHE_HITS], 120, "in-batch duplicates");
         assert_eq!(cold.stats.counters[CACHE_MISSES], 120);
         assert_eq!(
@@ -1369,7 +1445,7 @@ mod tests {
             assert_eq!(cold.results[k], spec.score_scalar(q, s), "pair {k}");
         }
 
-        let warm = sched.score_pairs(&dispatch, &spec, &pairs);
+        let warm = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(warm.stats.counters[CACHE_HITS], warm.stats.pairs);
         assert_eq!(warm.stats.counters[CACHE_MISSES], 0);
         assert!(
@@ -1380,9 +1456,9 @@ mod tests {
         assert_eq!(warm.results, cold.results, "warm run is bit-identical");
 
         // Alignment requests key separately from score requests…
-        let aln_cold = sched.align_pairs(&dispatch, &spec, &pairs);
+        let aln_cold = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(aln_cold.stats.counters[CACHE_MISSES], 120);
-        let aln_warm = sched.align_pairs(&dispatch, &spec, &pairs);
+        let aln_warm = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(aln_warm.stats.counters[CACHE_HITS], aln_warm.stats.pairs);
         // …and served alignments are bit-identical, CIGARs included.
         for (k, (a, b)) in aln_cold.results.iter().zip(&aln_warm.results).enumerate() {
@@ -1402,7 +1478,9 @@ mod tests {
         let spec = SchemeSpec::global_linear(2, -1, -1);
         let dispatch = DispatchPolicy::auto().cache_mb(1).standard();
         let sched = scheduler(2);
-        let run = sched.score_batch(&dispatch, &spec, &BatchView::default());
+        let run = sched
+            .try_score_batch(&dispatch, &spec, &BatchView::default())
+            .unwrap();
         assert!(run.results.is_empty());
         assert_eq!(run.stats.counters[CACHE_HITS], 0);
         assert_eq!(run.stats.counters[CACHE_MISSES], 0);
@@ -1414,9 +1492,10 @@ mod tests {
             (q.clone(), q),
             (Seq::new(), Seq::new()),
         ];
-        let cold = sched.score_pairs(&dispatch, &spec, &pairs);
+        let view = BatchView::from_pairs(&pairs);
+        let cold = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(cold.results, vec![-4, 8, 0]);
-        let warm = sched.score_pairs(&dispatch, &spec, &pairs);
+        let warm = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(warm.results, cold.results);
         assert_eq!(warm.stats.counters[CACHE_HITS], 3);
     }
@@ -1435,7 +1514,9 @@ mod tests {
         let view = store.view(&ids);
         let spec = SchemeSpec::global_linear(2, -1, -1);
         let dispatch = Dispatch::standard(Policy::Auto);
-        let run = scheduler(2).score_batch(&dispatch, &spec, &view);
+        let run = scheduler(2)
+            .try_score_batch(&dispatch, &spec, &view)
+            .unwrap();
         assert_eq!(run.results.len(), 50);
         for (k, &(q, s)) in ids.iter().enumerate() {
             crate::with_scheme!(&spec, |scheme, _K| {
@@ -1445,6 +1526,216 @@ mod tests {
                     "pair {k}"
                 );
             });
+        }
+    }
+
+    /// A foreign engine that breaks the one-value-per-pair contract.
+    struct ShortChanger;
+
+    impl Engine for ShortChanger {
+        fn caps(&self) -> crate::engine::Caps {
+            crate::engine::Caps {
+                name: "short-changer",
+                ..crate::backends::ScalarEngine.caps()
+            }
+        }
+
+        fn score_batch(
+            &self,
+            spec: &SchemeSpec,
+            pairs: &[PairRef<'_>],
+            threads: usize,
+        ) -> Result<Vec<Score>, EngineError> {
+            let short = &pairs[..pairs.len() - 1];
+            crate::backends::ScalarEngine.score_batch(spec, short, threads)
+        }
+
+        fn align_batch(
+            &self,
+            spec: &SchemeSpec,
+            pairs: &[PairRef<'_>],
+            threads: usize,
+        ) -> Result<Vec<Alignment>, EngineError> {
+            crate::backends::ScalarEngine.align_batch(spec, pairs, threads)
+        }
+    }
+
+    #[test]
+    fn miscounted_or_unfilled_results_are_errors_not_panics() {
+        let pairs = read_pairs(40, 8);
+        let view = BatchView::from_pairs(&pairs);
+        let spec = SchemeSpec::global_linear(2, -1, -1);
+        let dispatch = Dispatch::standard(Policy::Fixed(BackendId::Simd))
+            .with_engine(BackendId::Simd, Box::new(ShortChanger));
+        let err = scheduler(2)
+            .try_score_batch(&dispatch, &spec, &view)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("short-changer") && err.to_string().contains("results for"),
+            "{err}"
+        );
+        // The same engine keeps its contract on the align path.
+        assert!(scheduler(2)
+            .try_align_batch(&dispatch, &spec, &view)
+            .is_ok());
+
+        let mut slots = Slots::new(3);
+        slots.fill(vec![(2, 'c'), (0, 'a')]).unwrap();
+        assert!(slots.fill(vec![(0, 'x')]).is_err(), "written twice");
+        assert!(slots.fill(vec![(3, 'x')]).is_err(), "outside the batch");
+        let err = slots.finish().unwrap_err();
+        assert!(
+            err.to_string().contains("slot 1 was never written"),
+            "{err}"
+        );
+        let mut slots = Slots::new(2);
+        slots.fill(vec![(1, 'b'), (0, 'a')]).unwrap();
+        assert_eq!(slots.finish().unwrap(), vec!['a', 'b']);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `plan` alone, no engine executed: whatever the lengths,
+        /// duplicate rate, hit pattern, pool size and policy, the plan
+        /// is a partition with consistent routing.
+        #[test]
+        fn plan_partitions_the_batch_and_routes_consistently(
+            shapes in prop::collection::vec(
+                (
+                    prop_oneof![
+                        (0usize..6, 0usize..6),
+                        (20usize..70, 20usize..70),
+                        (500usize..700, 500usize..700),
+                    ],
+                    0usize..3,
+                ),
+                0..140,
+            ),
+            (threads, chunk_pairs) in (
+                1usize..9,
+                prop_oneof![Just(1usize), Just(8), Just(64), Just(512)],
+            ),
+            (policy, crossover) in (
+                prop_oneof![
+                    Just(Policy::Auto),
+                    Just(Policy::Fixed(BackendId::Simd)),
+                    Just(Policy::Fixed(BackendId::Wavefront)),
+                    Just(Policy::Fixed(BackendId::Scalar)),
+                ],
+                prop_oneof![Just(1u64 << 10), Just(1u64 << 22)],
+            ),
+            (shard, align, cached, hit_every) in (0u64..2, 0u8..2, 0u8..2, 2usize..6),
+        ) {
+            use crate::dispatch::{DispatchPolicy, MIN_SHARD_CELLS};
+            let (align, cached) = (align == 1, cached == 1);
+            // Content is a function of (length, variant): equal shapes
+            // are byte-identical duplicates.
+            let codes = |len: usize, variant: usize| -> Vec<u8> {
+                (0..len).map(|i| ((i * 7 + variant) % 4) as u8).collect()
+            };
+            let store: Vec<(Vec<u8>, Vec<u8>)> = shapes
+                .iter()
+                .map(|&((q, s), v)| (codes(q, v), codes(s, v + 1)))
+                .collect();
+            let refs = store.iter().map(|(q, s)| PairRef::new(q, s));
+            let view = BatchView::from_refs(refs.collect());
+            let n = view.len();
+            let spec = SchemeSpec::global_affine(2, -1, -2, -1);
+            let dispatch = DispatchPolicy::new(policy)
+                .auto_crossover(crossover)
+                .shard_cells(shard)
+                .standard();
+            let budget = shard * MIN_SHARD_CELLS;
+            let cfg = BatchCfg { chunk_pairs, ..BatchCfg::threads(threads) };
+            let sched = BatchScheduler::new(cfg);
+            let kind = if align { ReqKind::Align } else { ReqKind::Score };
+            let keys: Vec<CacheKey> = if cached {
+                (0..n).map(|k| CacheKey::for_pair(&spec, &view.get(k), kind)).collect()
+            } else {
+                Vec::new()
+            };
+            let is_hit = |k: usize| cached && k % hit_every == 1;
+            let misses: Vec<usize> = (0..n).filter(|&k| !is_hit(k)).collect();
+
+            let plan = sched.plan(&dispatch, &spec, &view, &keys, &misses, align);
+
+            // hits ∪ followers ∪ unit indices partition 0..n.
+            let mut seen: Vec<usize> = (0..n).filter(|&k| is_hit(k)).collect();
+            seen.extend(plan.followers.values().flatten());
+            seen.extend(plan.units.iter().flat_map(|u| &u.indices));
+            seen.sort_unstable();
+            prop_assert_eq!(seen, (0..n).collect::<Vec<_>>());
+            // Every follower rides a byte-identical leader that computes.
+            prop_assert!(cached || plan.followers.is_empty());
+            for (leader, dups) in &plan.followers {
+                prop_assert!(plan.units.iter().any(|u| u.indices.contains(leader)));
+                for &dup in dups {
+                    prop_assert!(dup > *leader);
+                    prop_assert_eq!(view.get(dup).q, view.get(*leader).q);
+                    prop_assert_eq!(view.get(dup).s, view.get(*leader).s);
+                }
+            }
+            // Units: sequential ids, one bin each, bounded by
+            // chunk_pairs, cut at lane-group multiples.
+            for (i, unit) in plan.units.iter().enumerate() {
+                prop_assert_eq!(unit.id as usize, i);
+                prop_assert!(!unit.indices.is_empty() && unit.indices.len() <= chunk_pairs);
+                let label = &plan.bin_labels[unit.bin as usize];
+                let mut cells = 0;
+                for &k in &unit.indices {
+                    let p = view.get(k);
+                    cells += p.cells();
+                    let (q16, s16) = (p.q.len().div_ceil(16) * 16, p.s.len().div_ceil(16) * 16);
+                    prop_assert_eq!(&format!("{q16}x{s16}"), label);
+                }
+                prop_assert_eq!(unit.cells, cells);
+                let full = plan.units.get(i + 1).is_some_and(|next| next.bin == unit.bin);
+                if full && unit.indices.len() > 32 {
+                    prop_assert_eq!(unit.indices.len() % 32, 0, "lane-group cut");
+                }
+                let max_cells = unit.indices.iter().map(|&k| view.get(k).cells()).max();
+                let chain = dispatch.candidates(&spec, max_cells.unwrap(), align);
+                prop_assert_eq!(&unit.chain, &chain);
+            }
+            // pooled ∪ exclusive covers the units once; exclusive ⇔
+            // the first candidate owns the machine; pooled is LPT.
+            let mut routed = [plan.pooled.clone(), plan.exclusive.clone()].concat();
+            routed.sort_unstable();
+            prop_assert_eq!(routed, (0..plan.units.len()).collect::<Vec<_>>());
+            for &u in &plan.pooled {
+                prop_assert!(!dispatch.is_exclusive(plan.units[u].chain[0]));
+                prop_assert!(plan.units[u].slabs.is_empty());
+            }
+            for w in plan.pooled.windows(2) {
+                prop_assert!(plan.units[w[0]].cells >= plan.units[w[1]].cells, "LPT");
+            }
+            // Slab plans: exactly the oversized pairs of exclusive
+            // units, executed only for score requests, counted for both.
+            let mut shards = 0;
+            for &u in &plan.exclusive {
+                let unit = &plan.units[u];
+                prop_assert!(dispatch.is_exclusive(unit.chain[0]));
+                let oversized: Vec<usize> = unit
+                    .indices
+                    .iter()
+                    .copied()
+                    .filter(|&k| budget > 0 && view.get(k).cells() > budget)
+                    .collect();
+                for &k in &oversized {
+                    let p = view.get(k);
+                    shards += plan_columns(p.q.len(), p.s.len(), budget).len() as u64;
+                }
+                let planned: Vec<usize> = unit.slabs.iter().map(|(k, _)| *k).collect();
+                prop_assert_eq!(planned, if align { Vec::new() } else { oversized });
+                for (k, columns) in &unit.slabs {
+                    prop_assert_eq!(columns.first().unwrap().0, 0);
+                    prop_assert_eq!(columns.last().unwrap().1, view.get(*k).s.len());
+                }
+            }
+            prop_assert_eq!(plan.shards, shards);
         }
     }
 }

@@ -17,6 +17,7 @@
 //! scheduler folds in, so cross-batch stage accounting stays exact.
 
 use crate::dispatch::Dispatch;
+use crate::engine::EngineError;
 use crate::scheduler::{BatchCfg, BatchRun, BatchScheduler};
 use crate::spec::SchemeSpec;
 use crate::stats::BatchStats;
@@ -40,7 +41,7 @@ use std::sync::Mutex;
 /// ));
 /// let pairs = vec![(Seq::from_ascii(b"ACGT").unwrap(), Seq::from_ascii(b"ACGA").unwrap())];
 /// let spec = anyseq_engine::SchemeSpec::global_linear(2, -1, -1);
-/// let run = shared.score_batch(&spec, &BatchView::from_pairs(&pairs));
+/// let run = shared.try_score_batch(&spec, &BatchView::from_pairs(&pairs)).unwrap();
 /// assert_eq!(run.results, vec![5]);
 /// // The handle kept the books: no manual `BatchStats::merge` needed.
 /// assert_eq!(shared.batches(), 1);
@@ -74,18 +75,28 @@ impl SharedDispatcher {
         self.scheduler.cfg
     }
 
-    /// Scores a batch and folds its stats into the cumulative snapshot.
-    pub fn score_batch(&self, spec: &SchemeSpec, view: &BatchView<'_>) -> BatchRun<Score> {
-        let run = self.scheduler.score_batch(&self.dispatch, spec, view);
+    /// Scores a batch and folds its stats into the cumulative snapshot
+    /// (a refused batch leaves the books untouched).
+    pub fn try_score_batch(
+        &self,
+        spec: &SchemeSpec,
+        view: &BatchView<'_>,
+    ) -> Result<BatchRun<Score>, EngineError> {
+        let run = self.scheduler.try_score_batch(&self.dispatch, spec, view)?;
         self.absorb(&run.stats);
-        run
+        Ok(run)
     }
 
-    /// Aligns a batch and folds its stats into the cumulative snapshot.
-    pub fn align_batch(&self, spec: &SchemeSpec, view: &BatchView<'_>) -> BatchRun<Alignment> {
-        let run = self.scheduler.align_batch(&self.dispatch, spec, view);
+    /// Aligns a batch and folds its stats into the cumulative snapshot
+    /// (a refused batch leaves the books untouched).
+    pub fn try_align_batch(
+        &self,
+        spec: &SchemeSpec,
+        view: &BatchView<'_>,
+    ) -> Result<BatchRun<Alignment>, EngineError> {
+        let run = self.scheduler.try_align_batch(&self.dispatch, spec, view)?;
         self.absorb(&run.stats);
-        run
+        Ok(run)
     }
 
     /// Number of batches dispatched through this handle.
@@ -148,10 +159,12 @@ mod tests {
         // the `cache.hits` counter has cross-batch content to check.
         let mut expected = BatchStats::default();
         for pairs in [&batch_a, &batch_b, &batch_a] {
-            let run = shared.align_batch(
-                &SchemeSpec::global_linear(2, -1, -1),
-                &BatchView::from_pairs(pairs),
-            );
+            let run = shared
+                .try_align_batch(
+                    &SchemeSpec::global_linear(2, -1, -1),
+                    &BatchView::from_pairs(pairs),
+                )
+                .unwrap();
             expected.merge(&run.stats);
         }
         assert_eq!(shared.batches(), 3);
@@ -178,7 +191,8 @@ mod tests {
         let pairs = read_pairs(6, 3);
         let spec = SchemeSpec::global_linear(2, -1, -1);
         let baseline = shared
-            .score_batch(&spec, &BatchView::from_pairs(&pairs))
+            .try_score_batch(&spec, &BatchView::from_pairs(&pairs))
+            .unwrap()
             .results;
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -186,8 +200,8 @@ mod tests {
                 let pairs = &pairs;
                 let baseline = &baseline;
                 scope.spawn(move || {
-                    let run = shared.score_batch(&spec, &BatchView::from_pairs(pairs));
-                    assert_eq!(&run.results, baseline);
+                    let run = shared.try_score_batch(&spec, &BatchView::from_pairs(pairs));
+                    assert_eq!(&run.unwrap().results, baseline);
                 });
             }
         });

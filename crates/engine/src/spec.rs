@@ -5,11 +5,8 @@
 //! into a dedicated kernel. A batch engine, however, must be chosen at
 //! *runtime* (CLI flags, service requests), so this module provides the
 //! value-level mirror [`SchemeSpec`] plus the
-//! [`with_scheme!`](crate::with_scheme) /
-//! [`with_simd_scheme!`](crate::with_simd_scheme) /
-//! [`with_global_scheme!`](crate::with_global_scheme) macros that
-//! lower a spec onto the
-//! monomorphized kernels — the runtime↔compile-time bridge every
+//! [`with_scheme!`](crate::with_scheme) macro that lowers a spec onto
+//! the monomorphized kernels — the runtime↔compile-time bridge every
 //! backend adapter uses.
 
 use anyseq_core::score::Score;
@@ -164,166 +161,60 @@ impl SchemeSpec {
 /// bound to the monomorphized scheme value and `$kind` aliased to the
 /// kind type, so the body gets fully specialized kernels exactly like
 /// statically typed callers do.
+///
+/// A backend that implements only some kinds names them and says what
+/// happens for the rest:
+/// `with_scheme!(spec, [Global, Local], |scheme, K| { .. }, else { .. })`.
+/// Without a list all four kinds are lowered and no `else` is needed.
 #[macro_export]
 macro_rules! with_scheme {
-    ($spec:expr, |$scheme:ident, $kind:ident| $body:block) => {{
-        let __spec: &$crate::spec::SchemeSpec = &$spec;
-        let __subst = ::anyseq_core::scoring::simple(__spec.match_score, __spec.mismatch);
-        match (__spec.kind, __spec.gap) {
-            ($crate::spec::KindSpec::Global, $crate::spec::GapSpec::Linear { gap }) => {
+    (@Global $($rest:tt)*) => {
+        $crate::with_scheme!(@gap Global, global, $($rest)*)
+    };
+    (@Local $($rest:tt)*) => {
+        $crate::with_scheme!(@gap Local, local, $($rest)*)
+    };
+    (@SemiGlobal $($rest:tt)*) => {
+        $crate::with_scheme!(@gap SemiGlobal, semiglobal, $($rest)*)
+    };
+    (@FreeEnd $($rest:tt)*) => {
+        $crate::with_scheme!(@gap FreeEnd, free_end, $($rest)*)
+    };
+    (@gap $K:ident, $ctor:ident, $s:ident, $subst:ident, $scheme:ident, $kind:ident, $body:block) => {
+        match $s.gap {
+            $crate::spec::GapSpec::Linear { gap } => {
                 #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::Global;
+                type $kind = ::anyseq_core::kind::$K;
                 let $scheme =
-                    ::anyseq_core::scheme::global(::anyseq_core::scoring::linear(__subst, gap));
+                    ::anyseq_core::scheme::$ctor(::anyseq_core::scoring::linear($subst, gap));
                 $body
             }
-            ($crate::spec::KindSpec::Global, $crate::spec::GapSpec::Affine { open, extend }) => {
+            $crate::spec::GapSpec::Affine { open, extend } => {
                 #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::Global;
-                let $scheme = ::anyseq_core::scheme::global(::anyseq_core::scoring::affine(
-                    __subst, open, extend,
-                ));
-                $body
-            }
-            ($crate::spec::KindSpec::Local, $crate::spec::GapSpec::Linear { gap }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::Local;
-                let $scheme =
-                    ::anyseq_core::scheme::local(::anyseq_core::scoring::linear(__subst, gap));
-                $body
-            }
-            ($crate::spec::KindSpec::Local, $crate::spec::GapSpec::Affine { open, extend }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::Local;
-                let $scheme = ::anyseq_core::scheme::local(::anyseq_core::scoring::affine(
-                    __subst, open, extend,
-                ));
-                $body
-            }
-            ($crate::spec::KindSpec::SemiGlobal, $crate::spec::GapSpec::Linear { gap }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::SemiGlobal;
-                let $scheme =
-                    ::anyseq_core::scheme::semiglobal(::anyseq_core::scoring::linear(__subst, gap));
-                $body
-            }
-            (
-                $crate::spec::KindSpec::SemiGlobal,
-                $crate::spec::GapSpec::Affine { open, extend },
-            ) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::SemiGlobal;
-                let $scheme = ::anyseq_core::scheme::semiglobal(::anyseq_core::scoring::affine(
-                    __subst, open, extend,
-                ));
-                $body
-            }
-            ($crate::spec::KindSpec::FreeEnd, $crate::spec::GapSpec::Linear { gap }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::FreeEnd;
-                let $scheme =
-                    ::anyseq_core::scheme::free_end(::anyseq_core::scoring::linear(__subst, gap));
-                $body
-            }
-            ($crate::spec::KindSpec::FreeEnd, $crate::spec::GapSpec::Affine { open, extend }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::FreeEnd;
-                let $scheme = ::anyseq_core::scheme::free_end(::anyseq_core::scoring::affine(
-                    __subst, open, extend,
+                type $kind = ::anyseq_core::kind::$K;
+                let $scheme = ::anyseq_core::scheme::$ctor(::anyseq_core::scoring::affine(
+                    $subst, open, extend,
                 ));
                 $body
             }
         }
-    }};
-}
-
-/// Like [`with_scheme!`](crate::with_scheme) but only for
-/// [`KindSpec::Global`] specs; the
-/// fallback arm `$other` runs for every other kind (the GPU simulator's
-/// device queue only implements the corner-optimum kind).
-#[macro_export]
-macro_rules! with_global_scheme {
-    ($spec:expr, |$scheme:ident| $body:block, $other:block) => {{
+    };
+    ($spec:expr, |$scheme:ident, $kind:ident| $body:block) => {
+        $crate::with_scheme!(
+            $spec,
+            [Global, Local, SemiGlobal, FreeEnd],
+            |$scheme, $kind| $body
+        )
+    };
+    ($spec:expr, [$($k:ident),+], |$scheme:ident, $kind:ident| $body:block
+     $(, else $other:block)?) => {{
         let __spec: &$crate::spec::SchemeSpec = &$spec;
         let __subst = ::anyseq_core::scoring::simple(__spec.match_score, __spec.mismatch);
-        match (__spec.kind, __spec.gap) {
-            ($crate::spec::KindSpec::Global, $crate::spec::GapSpec::Linear { gap }) => {
-                let $scheme =
-                    ::anyseq_core::scheme::global(::anyseq_core::scoring::linear(__subst, gap));
-                $body
-            }
-            ($crate::spec::KindSpec::Global, $crate::spec::GapSpec::Affine { open, extend }) => {
-                let $scheme = ::anyseq_core::scheme::global(::anyseq_core::scoring::affine(
-                    __subst, open, extend,
-                ));
-                $body
-            }
-            _ => $other,
-        }
-    }};
-}
-
-/// Like [`with_scheme!`](crate::with_scheme) but only for the kinds the
-/// inter-sequence SIMD batcher implements natively — [`KindSpec::Global`],
-/// [`KindSpec::SemiGlobal`] and [`KindSpec::Local`]. Binds both `$scheme`
-/// (the monomorphized scheme value) and `$kind` (the kind type alias);
-/// the fallback arm `$other` runs for every other kind (`FreeEnd` has no
-/// striped kernel yet).
-#[macro_export]
-macro_rules! with_simd_scheme {
-    ($spec:expr, |$scheme:ident, $kind:ident| $body:block, $other:block) => {{
-        let __spec: &$crate::spec::SchemeSpec = &$spec;
-        let __subst = ::anyseq_core::scoring::simple(__spec.match_score, __spec.mismatch);
-        match (__spec.kind, __spec.gap) {
-            ($crate::spec::KindSpec::Global, $crate::spec::GapSpec::Linear { gap }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::Global;
-                let $scheme =
-                    ::anyseq_core::scheme::global(::anyseq_core::scoring::linear(__subst, gap));
-                $body
-            }
-            ($crate::spec::KindSpec::Global, $crate::spec::GapSpec::Affine { open, extend }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::Global;
-                let $scheme = ::anyseq_core::scheme::global(::anyseq_core::scoring::affine(
-                    __subst, open, extend,
-                ));
-                $body
-            }
-            ($crate::spec::KindSpec::SemiGlobal, $crate::spec::GapSpec::Linear { gap }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::SemiGlobal;
-                let $scheme =
-                    ::anyseq_core::scheme::semiglobal(::anyseq_core::scoring::linear(__subst, gap));
-                $body
-            }
-            (
-                $crate::spec::KindSpec::SemiGlobal,
-                $crate::spec::GapSpec::Affine { open, extend },
-            ) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::SemiGlobal;
-                let $scheme = ::anyseq_core::scheme::semiglobal(::anyseq_core::scoring::affine(
-                    __subst, open, extend,
-                ));
-                $body
-            }
-            ($crate::spec::KindSpec::Local, $crate::spec::GapSpec::Linear { gap }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::Local;
-                let $scheme =
-                    ::anyseq_core::scheme::local(::anyseq_core::scoring::linear(__subst, gap));
-                $body
-            }
-            ($crate::spec::KindSpec::Local, $crate::spec::GapSpec::Affine { open, extend }) => {
-                #[allow(non_camel_case_types, dead_code)]
-                type $kind = ::anyseq_core::kind::Local;
-                let $scheme = ::anyseq_core::scheme::local(::anyseq_core::scoring::affine(
-                    __subst, open, extend,
-                ));
-                $body
-            }
-            _ => $other,
+        match __spec.kind {
+            $($crate::spec::KindSpec::$k => {
+                $crate::with_scheme!(@$k __spec, __subst, $scheme, $kind, $body)
+            })+
+            $(_ => $other,)?
         }
     }};
 }

@@ -1,16 +1,17 @@
-//! Small concurrency helpers shared by the backends and the scheduler.
+//! The order-preserving parallel map the backends share — and the only
+//! `unsafe` in the crate (`lib.rs` denies it everywhere else).
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An output buffer that workers fill by index, each slot written
 /// exactly once, then assembled into a `Vec<T>` in input order.
-pub struct IndexedOut<T> {
+struct IndexedOut<T> {
     slots: Vec<MaybeUninit<T>>,
 }
 
 /// Raw writer handle workers share (`&IndexedWriter` is `Sync`).
-pub struct IndexedWriter<T> {
+struct IndexedWriter<T> {
     ptr: *mut MaybeUninit<T>,
 }
 
@@ -21,7 +22,7 @@ unsafe impl<T: Send> Sync for IndexedWriter<T> {}
 
 impl<T> IndexedOut<T> {
     /// Allocates `len` uninitialized slots.
-    pub fn new(len: usize) -> IndexedOut<T> {
+    fn new(len: usize) -> IndexedOut<T> {
         let mut slots = Vec::with_capacity(len);
         // SAFETY: MaybeUninit contents may be left uninitialized.
         unsafe { slots.set_len(len) };
@@ -29,7 +30,7 @@ impl<T> IndexedOut<T> {
     }
 
     /// The shared writer for worker threads.
-    pub fn writer(&mut self) -> IndexedWriter<T> {
+    fn writer(&mut self) -> IndexedWriter<T> {
         IndexedWriter {
             ptr: self.slots.as_mut_ptr(),
         }
@@ -41,7 +42,7 @@ impl<T> IndexedOut<T> {
     /// Every index in `0..len` must have been written exactly once via
     /// [`IndexedWriter::write`], and all writers must be dead (threads
     /// joined).
-    pub unsafe fn finish(self) -> Vec<T> {
+    unsafe fn finish(self) -> Vec<T> {
         let mut slots = self.slots;
         let ptr = slots.as_mut_ptr() as *mut T;
         let len = slots.len();
@@ -57,7 +58,7 @@ impl<T> IndexedWriter<T> {
     ///
     /// # Safety
     /// `index` must be in bounds and written by exactly one worker.
-    pub unsafe fn write(&self, index: usize, value: T) {
+    unsafe fn write(&self, index: usize, value: T) {
         // SAFETY: caller guarantees bounds and exclusivity.
         unsafe { (*self.ptr.add(index)).write(value) };
     }

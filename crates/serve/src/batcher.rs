@@ -39,11 +39,13 @@ use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// What the dispatcher sends back per request: the results slice plus
-/// the request's observability record (None when request tracing is
+/// What the dispatcher sends back per request: the results slice — or
+/// the engine's refusal text when the whole batch was refused, which
+/// the session answers as an `Unsupported` error frame — plus the
+/// request's observability record (None when request tracing is
 /// disabled), carrying the dispatch stamps and kernel share for the
 /// writer to finalize.
-pub type RequestReply = (Results, Option<Box<RequestRecord>>);
+pub type RequestReply = (Result<Results, String>, Option<Box<RequestRecord>>);
 
 /// Gauge name for queued sequence bytes awaiting a batch.
 pub const QUEUE_BYTES_GAUGE: &str = "anyseq_serve_queue_bytes";

@@ -20,7 +20,9 @@ use crate::batcher::{Batch, MicroBatcher, WindowCfg};
 use crate::clock::Clock;
 use crate::proto::{Results, MAX_FRAME_BYTES};
 use crate::session::run_session;
-use anyseq_engine::{cell_share_ns, BatchCfg, DispatchPolicy, ReqKind, SharedDispatcher};
+use anyseq_engine::{
+    cell_share_ns, BatchCfg, Dispatch, DispatchPolicy, EngineError, ReqKind, SharedDispatcher,
+};
 use anyseq_obs::{
     flight_trace, labels, prometheus_text, FlightRecorder, MetricsRegistry, MetricsSnapshot,
     RequestRecord, SlowLog, Stage,
@@ -277,6 +279,18 @@ impl Server {
         cfg: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> std::io::Result<ServerHandle> {
+        let dispatch = cfg.policy.standard();
+        Server::start_with(path, cfg, clock, dispatch)
+    }
+
+    /// [`Server::start`] over a ready [`Dispatch`] (`cfg.policy` is
+    /// not consulted) — how the tests serve from a custom registry.
+    pub(crate) fn start_with(
+        path: impl AsRef<Path>,
+        cfg: ServeConfig,
+        clock: Arc<dyn Clock>,
+        dispatch: Dispatch,
+    ) -> std::io::Result<ServerHandle> {
         let path = path.as_ref().to_path_buf();
         // A leftover socket file from a dead daemon would fail the
         // bind with AddrInUse; a *live* daemon also holds no lock on
@@ -328,7 +342,7 @@ impl Server {
         let shared = Arc::new(Shared {
             batcher: MicroBatcher::new(cfg.window, Arc::clone(&clock))
                 .with_metrics(Arc::clone(&metrics)),
-            engine: SharedDispatcher::new(cfg.policy.standard(), threads),
+            engine: SharedDispatcher::new(dispatch, threads),
             metrics,
             max_frame: cfg.max_frame_bytes,
             clock,
@@ -387,7 +401,13 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     while let Some(batch) = shared.batcher.next_batch() {
         let pair_count = batch.pair_count() as u64;
         let t_start = shared.clock.now_ns();
-        let (results, kernel_ns, spans) = run_batch(shared, &batch);
+        // A refused batch (e.g. a pair over a backend's unit bound)
+        // answers its own requests with the refusal; the loop and
+        // every other window carry on.
+        let (results, kernel_ns, spans) = match run_batch(shared, &batch) {
+            Ok((results, kernel_ns, spans)) => (Ok(results), kernel_ns, spans),
+            Err(refusal) => (Err(refusal.to_string()), 0, Vec::new()),
+        };
         let t_end = shared.clock.now_ns();
         let batch_seq = shared.reqobs.as_ref().map_or(0, |obs| {
             let cells: u64 = batch
@@ -419,7 +439,10 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn run_batch(shared: &Arc<Shared>, batch: &Batch) -> (Results, u64, Vec<anyseq_obs::Span>) {
+fn run_batch(
+    shared: &Arc<Shared>,
+    batch: &Batch,
+) -> Result<(Results, u64, Vec<anyseq_obs::Span>), EngineError> {
     // One borrowed view over every request's codes — the engine sees a
     // single coalesced batch; no sequence bytes are copied here.
     let refs: Vec<PairRef<'_>> = batch
@@ -428,25 +451,25 @@ fn run_batch(shared: &Arc<Shared>, batch: &Batch) -> (Results, u64, Vec<anyseq_o
         .flat_map(|r| r.pairs.iter().map(|(q, s)| PairRef::new(q, s)))
         .collect();
     let view = BatchView::from_refs(refs);
-    match batch.mode {
+    Ok(match batch.mode {
         ReqKind::Score => {
-            let mut run = shared.engine.score_batch(&batch.spec, &view);
+            let mut run = shared.engine.try_score_batch(&batch.spec, &view)?;
             let kernel_ns = run.stats.stage_ns(Stage::Kernel);
             let spans = std::mem::take(&mut run.stats.spans);
             (Results::Scores(run.results), kernel_ns, spans)
         }
         ReqKind::Align => {
-            let mut run = shared.engine.align_batch(&batch.spec, &view);
+            let mut run = shared.engine.try_align_batch(&batch.spec, &view)?;
             let kernel_ns = run.stats.stage_ns(Stage::Kernel);
             let spans = std::mem::take(&mut run.stats.spans);
             (Results::Alignments(run.results), kernel_ns, spans)
         }
-    }
+    })
 }
 
 fn distribute(
     batch: Batch,
-    results: Results,
+    results: Result<Results, String>,
     t_start: u64,
     t_end: u64,
     kernel_ns: u64,
@@ -461,8 +484,9 @@ fn distribute(
     for req in batch.requests {
         let n = req.pairs.len();
         let chunk = match &results {
-            Results::Scores(v) => Results::Scores(v[offset..offset + n].to_vec()),
-            Results::Alignments(v) => Results::Alignments(v[offset..offset + n].to_vec()),
+            Ok(Results::Scores(v)) => Ok(Results::Scores(v[offset..offset + n].to_vec())),
+            Ok(Results::Alignments(v)) => Ok(Results::Alignments(v[offset..offset + n].to_vec())),
+            Err(refusal) => Err(refusal.clone()),
         };
         offset += n;
         let mut rec = req.rec;
@@ -585,5 +609,44 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{ServeClient, ServerReply};
+    use crate::clock::SystemClock;
+    use crate::proto::ErrCode;
+    use anyseq_engine::{BackendId, Policy, SchemeSpec, WavefrontEngine};
+
+    /// A pair over the wavefront's unit bound used to panic the only
+    /// dispatcher thread and hang every client; now the window's
+    /// requests get a typed refusal and the daemon keeps serving.
+    #[test]
+    fn a_refused_batch_answers_an_error_and_the_daemon_lives() {
+        let dispatch = Dispatch::standard(Policy::Fixed(BackendId::Wavefront)).with_engine(
+            BackendId::Wavefront,
+            Box::new(WavefrontEngine::default().with_max_unit_cells(10_000)),
+        );
+        let sock = std::env::temp_dir().join(format!("anyseq-refusal-{}.sock", std::process::id()));
+        let clock = Arc::new(SystemClock::new());
+        let server = Server::start_with(&sock, ServeConfig::default(), clock, dispatch).unwrap();
+        let spec = SchemeSpec::global_affine(2, -1, -2, -1);
+        let square = |n: usize| vec![(vec![0u8; n], vec![1u8; n])];
+
+        let mut client = ServeClient::connect(&sock).unwrap();
+        let id = client.submit(ReqKind::Score, spec, square(300)).unwrap();
+        match client.recv().unwrap() {
+            ServerReply::Error(frame) => {
+                assert_eq!((frame.id, frame.code), (id, ErrCode::Unsupported));
+                assert!(frame.message.contains("max_unit_cells"), "{frame:?}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // Same connection, next window: a pair under the bound scores.
+        let ok = client.roundtrip(ReqKind::Score, spec, square(50)).unwrap();
+        assert_eq!(ok, Ok(Results::Scores(vec![-50])));
+        server.shutdown();
     }
 }

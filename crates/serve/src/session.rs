@@ -165,7 +165,15 @@ fn writer_loop(mut stream: UnixStream, rx: Receiver<Reply>, shared: &Arc<Shared>
                     if let Some(rec) = &mut rec {
                         rec.reply_start_ns = shared.clock.now_ns();
                     }
-                    (encode_response(&Response { id, results }), rec)
+                    let frame = match results {
+                        Ok(results) => encode_response(&Response { id, results }),
+                        Err(message) => encode_error(&ErrorFrame {
+                            id,
+                            code: ErrCode::Unsupported,
+                            message,
+                        }),
+                    };
+                    (frame, rec)
                 }
                 // The dispatcher only drops a result channel if it
                 // died before answering — surface that instead of

@@ -75,7 +75,9 @@ fn main() {
     let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_affine(2, -1, -2, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
-    let run = BatchScheduler::new(BatchCfg::threads(threads)).score_batch(&dispatch, &spec, &view);
+    let run = BatchScheduler::new(BatchCfg::threads(threads))
+        .try_score_batch(&dispatch, &spec, &view)
+        .expect("no unit bound is configured, so nothing is refused");
     assert_eq!(run.results[0], score);
     assert_eq!(
         run.stats.counters["sched.bytes_copied"], 0,

@@ -57,7 +57,9 @@ fn main() {
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
     let scheduler = BatchScheduler::new(BatchCfg::threads(threads));
-    let run = scheduler.score_batch(&dispatch, &spec, &view);
+    let run = scheduler
+        .try_score_batch(&dispatch, &spec, &view)
+        .expect("no unit bound is configured, so nothing is refused");
     println!("engine batch  (auto):       {:.2} GCUPS", run.stats.gcups());
     println!("  {}", run.stats.summary());
     assert_eq!(scalar, run.results, "the engine must agree bit-exactly");

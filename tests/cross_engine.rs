@@ -222,6 +222,7 @@ proptest! {
         affine_gaps in prop_oneof![Just(false), Just(true)],
     ) {
         let pairs = random_batch(&lens, seed);
+        let view = BatchView::from_pairs(&pairs);
         let spec = if affine_gaps {
             SchemeSpec::global_affine(2, -1, -2, -1)
         } else {
@@ -237,7 +238,7 @@ proptest! {
             Policy::Fixed(BackendId::GpuSim),
         ] {
             let dispatch = Dispatch::standard(policy);
-            let run = sched.score_pairs(&dispatch, &spec, &pairs);
+            let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
             prop_assert_eq!(&run.results, &expected, "policy {:?}", policy);
             prop_assert_eq!(run.stats.pairs as usize, pairs.len());
         }
@@ -256,6 +257,7 @@ proptest! {
         ],
     ) {
         let pairs = random_batch(&lens, seed ^ 0xa11a);
+        let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec {
             kind,
             match_score: 2,
@@ -269,7 +271,7 @@ proptest! {
             Policy::Fixed(BackendId::GpuSim),
         ] {
             let dispatch = Dispatch::standard(policy);
-            let run = sched.align_pairs(&dispatch, &spec, &pairs);
+            let run = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
             for (k, (q, s)) in pairs.iter().enumerate() {
                 assert_replays(
                     &spec,
@@ -331,6 +333,7 @@ proptest! {
         // Auto and every Fixed backend must reproduce the scalar
         // optimum bit-for-bit (GpuSim via its scalar fallback).
         let pairs = random_batch(&lens, seed ^ 0x5e71);
+        let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec {
             kind,
             match_score: 2,
@@ -351,7 +354,7 @@ proptest! {
             Policy::Fixed(BackendId::GpuSim),
         ] {
             let dispatch = Dispatch::standard(policy);
-            let run = sched.score_pairs(&dispatch, &spec, &pairs);
+            let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
             prop_assert_eq!(&run.results, &expected, "{:?} policy {:?}", kind, policy);
             if policy == Policy::Fixed(BackendId::Simd) {
                 prop_assert_eq!(
@@ -376,6 +379,7 @@ proptest! {
         // corner-optimum kind: every non-global unit must fall back to
         // scalar, results unchanged.
         let pairs = random_batch(&lens, seed ^ 0xfa11);
+        let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec {
             kind,
             match_score: 2,
@@ -385,7 +389,7 @@ proptest! {
         let expected: Vec<i32> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
         let sched = scheduler_for(2, 16);
         let dispatch = Dispatch::standard(Policy::Fixed(BackendId::GpuSim));
-        let run = sched.score_pairs(&dispatch, &spec, &pairs);
+        let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         prop_assert_eq!(&run.results, &expected);
         prop_assert!(run.stats.fallbacks > 0, "expected fallbacks for gpu-sim");
         prop_assert!(
@@ -404,6 +408,7 @@ proptest! {
         // kernels landed): every unit must fall back to scalar,
         // results unchanged.
         let pairs = random_batch(&lens, seed ^ 0xfa12);
+        let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec {
             kind: KindSpec::FreeEnd,
             match_score: 2,
@@ -413,7 +418,7 @@ proptest! {
         let expected: Vec<i32> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
         let sched = scheduler_for(2, 16);
         let dispatch = Dispatch::standard(Policy::Fixed(BackendId::Simd));
-        let run = sched.score_pairs(&dispatch, &spec, &pairs);
+        let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         prop_assert_eq!(&run.results, &expected);
         prop_assert!(run.stats.fallbacks > 0, "expected fallbacks for simd");
         prop_assert!(
@@ -427,16 +432,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn batch_view_runs_are_bit_identical_to_owned_pair_shims(
+    fn batch_view_runs_are_bit_identical_across_storage(
         lens in prop::collection::vec((1usize..200, 1usize..200), 1..24),
         seed in 0u64..1000,
         threads in 1usize..4,
         affine_gaps in prop_oneof![Just(false), Just(true)],
     ) {
-        // The zero-copy request model must be a pure refactor: a
-        // BatchView over owned pairs, a SeqStore-arena view, and the
-        // owned-pair shim must produce identical scores and alignments
-        // on every backend.
+        // The zero-copy request model must not care where the bytes
+        // live: a BatchView over owned pairs and a SeqStore-arena view
+        // must produce identical scores and alignments on every
+        // backend.
         let pairs = random_batch(&lens, seed ^ 0x71e0);
         let spec = if affine_gaps {
             SchemeSpec::global_affine(2, -1, -2, -1)
@@ -459,16 +464,14 @@ proptest! {
             Policy::Fixed(BackendId::GpuSim),
         ] {
             let dispatch = Dispatch::standard(policy);
-            let via_view = sched.score_batch(&dispatch, &spec, &view);
-            let via_store = sched.score_batch(&dispatch, &spec, &store_view);
-            let via_shim = sched.score_pairs(&dispatch, &spec, &pairs);
-            prop_assert_eq!(&via_view.results, &via_shim.results, "score policy {:?}", policy);
+            let via_view = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
+            let via_store = sched.try_score_batch(&dispatch, &spec, &store_view).unwrap();
             prop_assert_eq!(&via_view.results, &via_store.results, "store policy {:?}", policy);
 
-            let aln_view = sched.align_batch(&dispatch, &spec, &view);
-            let aln_shim = sched.align_pairs(&dispatch, &spec, &pairs);
-            prop_assert_eq!(aln_view.results.len(), aln_shim.results.len());
-            for (k, (a, b)) in aln_view.results.iter().zip(&aln_shim.results).enumerate() {
+            let aln_view = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
+            let aln_store = sched.try_align_batch(&dispatch, &spec, &store_view).unwrap();
+            prop_assert_eq!(aln_view.results.len(), aln_store.results.len());
+            for (k, (a, b)) in aln_view.results.iter().zip(&aln_store.results).enumerate() {
                 prop_assert_eq!(a.score, b.score, "align policy {:?} pair {}", policy, k);
                 prop_assert_eq!(&a.ops, &b.ops, "align policy {:?} pair {}", policy, k);
             }
@@ -493,6 +496,7 @@ proptest! {
         // (cold) and the cross-batch reuse (warm) paths are exercised.
         let dups: Vec<_> = pairs.iter().step_by(2).cloned().collect();
         pairs.extend(dups);
+        let view = BatchView::from_pairs(&pairs);
         let spec = if affine_gaps {
             SchemeSpec::global_affine(2, -1, -2, -1)
         } else {
@@ -511,9 +515,9 @@ proptest! {
                 .cache_mb(8)
                 .standard();
 
-            let base = sched.score_pairs(&plain, &spec, &pairs);
-            let cold = sched.score_pairs(&cached, &spec, &pairs);
-            let warm = sched.score_pairs(&cached, &spec, &pairs);
+            let base = sched.try_score_batch(&plain, &spec, &view).unwrap();
+            let cold = sched.try_score_batch(&cached, &spec, &view).unwrap();
+            let warm = sched.try_score_batch(&cached, &spec, &view).unwrap();
             prop_assert_eq!(&cold.results, &base.results, "cold scores {:?}", policy);
             prop_assert_eq!(&warm.results, &base.results, "warm scores {:?}", policy);
             for run in [&cold, &warm] {
@@ -528,9 +532,9 @@ proptest! {
                 "second identical batch is fully warm ({:?})", policy
             );
 
-            let aln_base = sched.align_pairs(&plain, &spec, &pairs);
-            let aln_cold = sched.align_pairs(&cached, &spec, &pairs);
-            let aln_warm = sched.align_pairs(&cached, &spec, &pairs);
+            let aln_base = sched.try_align_batch(&plain, &spec, &view).unwrap();
+            let aln_cold = sched.try_align_batch(&cached, &spec, &view).unwrap();
+            let aln_warm = sched.try_align_batch(&cached, &spec, &view).unwrap();
             for (k, base) in aln_base.results.iter().enumerate() {
                 prop_assert_eq!(
                     base.score, aln_cold.results[k].score,
@@ -566,9 +570,9 @@ proptest! {
         for backend in [BackendId::Scalar, BackendId::Wavefront] {
             let dispatch = Dispatch::standard(Policy::Fixed(backend));
             let stats = if align {
-                sched.align_batch(&dispatch, &spec, &view).stats
+                sched.try_align_batch(&dispatch, &spec, &view).unwrap().stats
             } else {
-                sched.score_batch(&dispatch, &spec, &view).stats
+                sched.try_score_batch(&dispatch, &spec, &view).unwrap().stats
             };
             prop_assert_eq!(
                 stats.bytes_copied(),
@@ -609,14 +613,15 @@ proptest! {
             SchemeSpec::global_linear(2, -1, -1).with_kind(kind)
         };
         let pairs = vec![(q, s)];
+        let view = BatchView::from_pairs(&pairs);
         let sched = scheduler_for(4, 16);
         let plain = Dispatch::standard(Policy::Fixed(BackendId::Wavefront));
         let sharded = anyseq_engine::DispatchPolicy::fixed(BackendId::Wavefront)
             .shard_cells(shard_cells)
             .standard();
 
-        let base = sched.score_pairs(&plain, &spec, &pairs);
-        let cut = sched.score_pairs(&sharded, &spec, &pairs);
+        let base = sched.try_score_batch(&plain, &spec, &view).unwrap();
+        let cut = sched.try_score_batch(&sharded, &spec, &view).unwrap();
         prop_assert_eq!(&cut.results, &base.results, "scores shards={}", shards);
         if shards >= 2 {
             // The budget genuinely bites (even after the one-tile
@@ -631,8 +636,8 @@ proptest! {
             );
         }
 
-        let aln_base = sched.align_pairs(&plain, &spec, &pairs);
-        let aln_cut = sched.align_pairs(&sharded, &spec, &pairs);
+        let aln_base = sched.try_align_batch(&plain, &spec, &view).unwrap();
+        let aln_cut = sched.try_align_batch(&sharded, &spec, &view).unwrap();
         prop_assert_eq!(
             aln_cut.results[0].score, aln_base.results[0].score,
             "align score shards={}", shards
@@ -674,10 +679,13 @@ fn batch_scheduler_mixes_pooled_and_exclusive_phases() {
     let big_b = sim.mutate(&big_a, 0.06);
     pairs.insert(7, (big_a.clone(), big_b.clone()));
     pairs.push((big_b, big_a));
+    let view = BatchView::from_pairs(&pairs);
 
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
-    let run = scheduler_for(3, 32).score_pairs(&dispatch, &spec, &pairs);
+    let run = scheduler_for(3, 32)
+        .try_score_batch(&dispatch, &spec, &view)
+        .unwrap();
     for (k, (q, s)) in pairs.iter().enumerate() {
         assert_eq!(run.results[k], spec.score_scalar(q, s), "pair {k}");
     }
@@ -703,9 +711,12 @@ fn auto_alignment_batches_stay_on_the_simd_path() {
         .into_iter()
         .map(|p| (p.a, p.b))
         .collect();
+    let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_affine(2, -1, -2, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
-    let run = scheduler_for(4, 64).align_pairs(&dispatch, &spec, &pairs);
+    let run = scheduler_for(4, 64)
+        .try_align_batch(&dispatch, &spec, &view)
+        .unwrap();
 
     for (k, (q, s)) in pairs.iter().enumerate() {
         assert_replays(
@@ -759,6 +770,7 @@ fn auto_nonglobal_batches_stay_on_the_simd_path() {
         .into_iter()
         .map(|p| (p.a, p.b))
         .collect();
+    let view = BatchView::from_pairs(&pairs);
     let dispatch = Dispatch::standard(Policy::Auto);
     let sched = scheduler_for(4, 64);
     for kind in [KindSpec::SemiGlobal, KindSpec::Local] {
@@ -773,7 +785,7 @@ fn auto_nonglobal_batches_stay_on_the_simd_path() {
         };
         let expected: Vec<i32> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
 
-        let scored = sched.score_pairs(&dispatch, &spec, &pairs);
+        let scored = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(scored.results, expected, "{kind:?} scores");
         assert_eq!(scored.stats.fallbacks, 0, "{kind:?} score fallbacks");
         assert!(
@@ -784,7 +796,7 @@ fn auto_nonglobal_batches_stay_on_the_simd_path() {
             "{kind:?}: no kind-capability refusal under Auto"
         );
 
-        let run = sched.align_pairs(&dispatch, &spec, &pairs);
+        let run = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
         for (k, (q, s)) in pairs.iter().enumerate() {
             assert_replays(
                 &spec,
@@ -819,9 +831,12 @@ fn auto_nonglobal_batches_stay_on_the_simd_path() {
 #[test]
 fn batch_scheduler_stats_account_all_cells() {
     let pairs = random_batch(&[(100, 120), (64, 64), (150, 150), (1, 1)], 9);
+    let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
-    let run = scheduler_for(2, 2).score_pairs(&dispatch, &spec, &pairs);
+    let run = scheduler_for(2, 2)
+        .try_score_batch(&dispatch, &spec, &view)
+        .unwrap();
     let expected_cells: u64 = pairs.iter().map(|(q, s)| (q.len() * s.len()) as u64).sum();
     assert_eq!(run.stats.cells, expected_cells);
     let backend_cells: u64 = run.stats.per_backend.iter().map(|b| b.cells).sum();

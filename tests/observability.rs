@@ -14,7 +14,7 @@ use anyseq_engine::{
 use anyseq_obs::{chrome_trace, prometheus_text, Stage};
 use anyseq_seq::genome::GenomeSim;
 use anyseq_seq::readsim::{ReadSim, ReadSimProfile};
-use anyseq_seq::{PairRef, Seq};
+use anyseq_seq::{BatchView, PairRef, Seq};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An engine that claims full support, does some accountable probe
@@ -31,8 +31,6 @@ impl Engine for ProbingDecliner {
             name: "decliner",
             score_kinds: ALL_KINDS,
             align_kinds: ALL_KINDS,
-            alphabet: "dna4+n",
-            max_native_extent: None,
             batch_native: true,
             max_unit_cells: None,
         }
@@ -80,11 +78,12 @@ fn read_pairs(n: usize, seed: u64) -> Vec<(Seq, Seq)> {
 #[test]
 fn declining_engine_counters_survive_the_fallback() {
     let pairs = read_pairs(60, 1);
+    let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = Dispatch::standard(Policy::Fixed(BackendId::Simd))
         .with_engine(BackendId::Simd, Box::new(ProbingDecliner::default()));
     let sched = BatchScheduler::new(BatchCfg::threads(2));
-    let run = sched.score_pairs(&dispatch, &spec, &pairs);
+    let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
 
     let expected: Vec<i32> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
     assert_eq!(run.results, expected, "fallback must stay bit-exact");
@@ -110,13 +109,14 @@ fn declining_engine_counters_survive_the_fallback() {
 #[test]
 fn spans_attribute_to_the_engine_that_executed() {
     let pairs = read_pairs(40, 2);
+    let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = DispatchPolicy::new(Policy::Fixed(BackendId::Simd))
         .observe(true)
         .standard()
         .with_engine(BackendId::Simd, Box::new(ProbingDecliner::default()));
     let sched = BatchScheduler::new(BatchCfg::threads(2));
-    let run = sched.score_pairs(&dispatch, &spec, &pairs);
+    let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
 
     let kernels: Vec<_> = run
         .stats
@@ -141,11 +141,12 @@ fn spans_attribute_to_the_engine_that_executed() {
 #[test]
 fn traced_batch_produces_consistent_spans_and_exports() {
     let pairs = read_pairs(120, 3);
+    let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_affine(2, -1, -2, -1);
     let dispatch = DispatchPolicy::auto().observe(true).cache_mb(8).standard();
     let threads = 3;
     let sched = BatchScheduler::new(BatchCfg::threads(threads));
-    let run = sched.align_pairs(&dispatch, &spec, &pairs);
+    let run = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
     let stats = &run.stats;
 
     // Every stage key exists (pre-seeded), and the hot ones are warm.
@@ -197,14 +198,15 @@ fn traced_batch_produces_consistent_spans_and_exports() {
 #[test]
 fn registry_accumulates_across_batches() {
     let pairs = read_pairs(30, 4);
+    let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = DispatchPolicy::auto().observe(true).standard();
     let sched = BatchScheduler::new(BatchCfg::threads(2));
     let registry = dispatch.metrics().unwrap();
 
-    sched.score_pairs(&dispatch, &spec, &pairs);
+    sched.try_score_batch(&dispatch, &spec, &view).unwrap();
     let one = registry.snapshot();
-    sched.score_pairs(&dispatch, &spec, &pairs);
+    sched.try_score_batch(&dispatch, &spec, &view).unwrap();
     let two = registry.snapshot();
 
     let key = ("anyseq_batches_total", String::new());
@@ -220,10 +222,13 @@ fn registry_accumulates_across_batches() {
 #[test]
 fn observability_off_is_invisible() {
     let pairs = read_pairs(30, 5);
+    let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
     assert!(dispatch.metrics().is_none(), "off by default");
-    let run = BatchScheduler::new(BatchCfg::threads(2)).score_pairs(&dispatch, &spec, &pairs);
+    let run = BatchScheduler::new(BatchCfg::threads(2))
+        .try_score_batch(&dispatch, &spec, &view)
+        .unwrap();
     assert!(run.stats.spans.is_empty());
     assert!(
         !run.stats.counters.keys().any(|k| k.starts_with("stage.")),

@@ -142,9 +142,19 @@ fn run_sequentially(scripts: &[ClientScript], policy: DispatchPolicy) -> Vec<Vec
                         pairs.iter().map(|(q, s)| PairRef::new(q, s)).collect();
                     let view = BatchView::from_refs(refs);
                     if *align {
-                        Results::Alignments(scheduler.align_batch(&dispatch, spec, &view).results)
+                        Results::Alignments(
+                            scheduler
+                                .try_align_batch(&dispatch, spec, &view)
+                                .unwrap()
+                                .results,
+                        )
                     } else {
-                        Results::Scores(scheduler.score_batch(&dispatch, spec, &view).results)
+                        Results::Scores(
+                            scheduler
+                                .try_score_batch(&dispatch, spec, &view)
+                                .unwrap()
+                                .results,
+                        )
                     }
                 })
                 .collect()
@@ -239,7 +249,8 @@ fn auto_dispatch_scores_survive_coalescing() {
         for ((_, spec, wire), results) in script.iter().zip(client_results) {
             let refs: Vec<PairRef<'_>> = wire.iter().map(|(q, s)| PairRef::new(q, s)).collect();
             let plain = scheduler
-                .score_batch(&dispatch, spec, &BatchView::from_refs(refs))
+                .try_score_batch(&dispatch, spec, &BatchView::from_refs(refs))
+                .unwrap()
                 .results;
             assert_eq!(results, &Results::Scores(plain));
         }
