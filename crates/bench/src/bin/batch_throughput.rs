@@ -56,6 +56,15 @@
 //! is written to `target/bench-results/batch_trace.json` for
 //! `scripts/check_trace.py`.
 //!
+//! An ISA-tier section follows: the bare L = 16 lane kernel on one
+//! 150 × 150 block, once pinned to the build's baseline features and
+//! once on the tier `anyseq-simd` picked at run time. JSON keys:
+//! `simd.isa` (`"avx2"` / `"baseline"`), `simd.kernel_gcups_baseline`,
+//! `simd.kernel_gcups_tier`; `scripts/check_bench_report.py` fails the
+//! run when the ISA is `avx2` and tier ÷ baseline < 1.4 — the loud
+//! failure for a relaxation that stopped inlining into its
+//! `#[target_feature]` trampoline.
+//!
 //! Report format (documented in `docs/ARCHITECTURE.md`): one section
 //! per mode, opened by an unambiguous `== mode: … ==` header so saved
 //! reports can never mix the two up. Alignment-mode cells are counted
@@ -73,12 +82,12 @@
 //!   lane-transpose buffers (`threads × lanes × (max |q| + max |s|)`).
 
 use anyseq_bench::gcups::measure_gcups;
-use anyseq_bench::report::{dump_json, Table};
+use anyseq_bench::report::{dump_json_labelled, Table};
 use anyseq_bench::workloads::{amplicon_batch, contained_read_batch, read_batch};
 use anyseq_engine::stats::TRACEBACK_CELL_FACTOR;
 use anyseq_engine::{
     BackendId, BatchCfg, BatchScheduler, Dispatch, DispatchPolicy, GapSpec, KindSpec, Policy,
-    SchemeSpec, SimdLanes, SCHED_BYTES_COPIED,
+    SchemeSpec, SCHED_BYTES_COPIED, SIMD_LANES,
 };
 use anyseq_seq::genome::GenomeSim;
 use anyseq_seq::{BatchView, Seq};
@@ -120,8 +129,7 @@ fn main() {
         .unwrap_or(0);
     // Lane count of the standard dispatch's SIMD backend, for the
     // transpose-buffer term of the memory estimate.
-    let simd_lanes = SimdLanes::default().count() as u64;
-    let transpose_mb = (threads as u64 * simd_lanes * max_extent) as f64 / 1e6;
+    let transpose_mb = (threads as u64 * SIMD_LANES as u64 * max_extent) as f64 / 1e6;
     // Align mode additionally keeps one DirStore per in-flight lane
     // group: 4 u32 bit-planes (16 bytes) per band cell at the default
     // initial band width (adaptive widening can grow this).
@@ -669,7 +677,74 @@ fn main() {
         json.insert("obs.trace_spans".into(), stats.spans.len() as f64);
     }
 
-    dump_json("batch_throughput", &json);
+    // ISA-tier codegen guard: the same relaxation on the same block,
+    // compiled for the build's baseline features and for the tier the
+    // crate picked at run time.
+    {
+        use anyseq_core::{AffineGap, Global};
+        use anyseq_simd::kernel::{block_kernel_kind, block_kernel_kind_baseline};
+        use anyseq_simd::BlockBorders;
+        const LEN: usize = 150;
+        println!(
+            "\n== mode: ISA tier (bare {SIMD_LANES}-lane kernel, {LEN} x {LEN} block, isa {}) ==",
+            anyseq_simd::isa()
+        );
+        let gap = AffineGap {
+            open: -2,
+            extend: -1,
+        };
+        let subst = anyseq_core::scoring::simple(2, -1);
+        let mut sim = GenomeSim::new(0x15a);
+        let codes = sim.generate(2 * LEN * SIMD_LANES).codes().to_vec();
+        let transposed = |offset: usize| -> Vec<[u8; SIMD_LANES]> {
+            (0..LEN)
+                .map(|r| std::array::from_fn(|l| codes[offset + l * LEN + r]))
+                .collect()
+        };
+        let (q_rows, s_cols) = (transposed(0), transposed(LEN * SIMD_LANES));
+        let fresh = BlockBorders::<SIMD_LANES>::init::<Global, _>(&gap, LEN, LEN);
+        let mut block = BlockBorders::<SIMD_LANES>::init::<Global, _>(&gap, LEN, LEN);
+        let blocks = 400;
+        let cells = (blocks * LEN * LEN * SIMD_LANES) as u64;
+        let mut time = |tiered: bool| {
+            let mut best = [0i16; SIMD_LANES];
+            let m = measure_gcups(cells, repeats.max(5), || {
+                for _ in 0..blocks {
+                    block.top_h.clone_from(&fresh.top_h);
+                    block.top_e.clone_from(&fresh.top_e);
+                    block.left_h.clone_from(&fresh.left_h);
+                    block.left_f.clone_from(&fresh.left_f);
+                    let opt = if tiered {
+                        block_kernel_kind::<Global, _, _, false, SIMD_LANES>(
+                            &gap, &subst, &q_rows, &s_cols, &mut block, 0,
+                        )
+                    } else {
+                        block_kernel_kind_baseline::<Global, _, _, false, SIMD_LANES>(
+                            &gap, &subst, &q_rows, &s_cols, &mut block, 0,
+                        )
+                    };
+                    best = std::hint::black_box(opt.best.0);
+                }
+            });
+            (m.gcups, best)
+        };
+        let (baseline, expected) = time(false);
+        let (tier, got) = time(true);
+        assert_eq!(got, expected, "tiers must agree bit for bit");
+        println!(
+            "kernel: baseline {baseline:.3} GCUPS, {} {tier:.3} GCUPS ({:.2}x)",
+            anyseq_simd::isa(),
+            tier / baseline
+        );
+        json.insert("simd.kernel_gcups_baseline".into(), baseline);
+        json.insert("simd.kernel_gcups_tier".into(), tier);
+    }
+
+    dump_json_labelled(
+        "batch_throughput",
+        &json,
+        &[("simd.isa", anyseq_simd::isa())],
+    );
 }
 
 /// Shared harness for the non-global short-read bins: score via

@@ -59,23 +59,32 @@ impl Table {
 /// Dumps a result map as JSON into `target/bench-results/<name>.json`
 /// (ignored on failure — reporting must not break benchmarking).
 pub fn dump_json(name: &str, values: &BTreeMap<String, f64>) {
+    dump_json_labelled(name, values, &[]);
+}
+
+/// [`dump_json`] plus string-valued entries (`labels`, written first),
+/// for facts that are not numbers — which ISA tier ran.
+pub fn dump_json_labelled(name: &str, values: &BTreeMap<String, f64>, labels: &[(&str, &str)]) {
     let dir = std::path::Path::new("target/bench-results");
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let mut text = String::from("{\n");
-    for (k, (key, value)) in values.iter().enumerate() {
-        let sep = if k + 1 == values.len() { "" } else { "," };
-        // Keys are plain ASCII benchmark ids; escape the JSON specials.
-        let escaped = key.replace('\\', "\\\\").replace('"', "\\\"");
+    // Keys and labels are plain ASCII benchmark ids; escape the JSON
+    // specials.
+    let escape = |text: &str| text.replace('\\', "\\\\").replace('"', "\\\"");
+    let mut entries: Vec<String> = labels
+        .iter()
+        .map(|(key, label)| format!("  \"{}\": \"{}\"", escape(key), escape(label)))
+        .collect();
+    entries.extend(values.iter().map(|(key, value)| {
         if value.is_finite() {
-            text.push_str(&format!("  \"{escaped}\": {value}{sep}\n"));
+            format!("  \"{}\": {value}", escape(key))
         } else {
             // JSON has no NaN/inf literals; match serde_json's `null`.
-            text.push_str(&format!("  \"{escaped}\": null{sep}\n"));
+            format!("  \"{}\": null", escape(key))
         }
-    }
-    text.push('}');
+    }));
+    let text = format!("{{\n{}\n}}", entries.join(",\n"));
     let _ = std::fs::write(dir.join(format!("{name}.json")), text);
 }
 

@@ -83,29 +83,10 @@ impl Engine for ScalarEngine {
 
 // ------------------------------------------------------------------ simd
 
-/// Lane widths the SIMD batcher supports (16-bit score lanes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimdLanes {
-    /// 128-bit registers.
-    L8,
-    /// 256-bit registers (AVX2).
-    #[default]
-    L16,
-    /// 512-bit registers (AVX512).
-    L32,
-}
-
-impl SimdLanes {
-    /// Number of 16-bit lanes per vector (transpose buffers copy
-    /// `(|q| + |s|) × count` bytes per lane group).
-    pub fn count(self) -> usize {
-        match self {
-            SimdLanes::L8 => 8,
-            SimdLanes::L16 => 16,
-            SimdLanes::L32 => 32,
-        }
-    }
-}
+/// Lanes per vector block (16-bit scores): one 256-bit register on the
+/// AVX2 tier, two 128-bit ones on baseline — `anyseq_simd` picks the
+/// tier at run time, the lane count is the same on both.
+pub const SIMD_LANES: usize = 16;
 
 /// Inter-sequence SIMD batching: one whole alignment per vector lane,
 /// pairs bucketed by matrix dimensions (`anyseq_simd::batch`). Scores
@@ -119,8 +100,6 @@ impl SimdLanes {
 /// `BatchStats::counters` after every unit.
 #[derive(Debug, Default)]
 pub struct SimdEngine {
-    /// Vector width to run with.
-    pub lanes: SimdLanes,
     /// Adaptive-band tuning for the traceback path.
     pub band: BandCfg,
     /// X-drop threshold for the score path: lanes whose row maximum
@@ -163,22 +142,6 @@ impl SimdCounters {
 }
 
 impl SimdEngine {
-    /// AVX2-shaped default (16 × 16-bit lanes).
-    pub fn avx2() -> SimdEngine {
-        SimdEngine {
-            lanes: SimdLanes::L16,
-            ..SimdEngine::default()
-        }
-    }
-
-    /// AVX512-shaped variant (32 lanes).
-    pub fn avx512() -> SimdEngine {
-        SimdEngine {
-            lanes: SimdLanes::L32,
-            ..SimdEngine::default()
-        }
-    }
-
     /// Same engine with an X-drop threshold for the score path
     /// (clamped to ≥ 1; use the default engine for the exact path).
     pub fn with_xdrop(mut self, xdrop: i32) -> SimdEngine {
@@ -208,17 +171,9 @@ impl Engine for SimdEngine {
             spec,
             [Global, SemiGlobal, Local],
             |scheme, _K| {
-                let (scores, trace) = match self.lanes {
-                    SimdLanes::L8 => {
-                        score_batch_simd_xdrop::<_, _, _, 8>(&scheme, pairs, threads, self.xdrop)
-                    }
-                    SimdLanes::L16 => {
-                        score_batch_simd_xdrop::<_, _, _, 16>(&scheme, pairs, threads, self.xdrop)
-                    }
-                    SimdLanes::L32 => {
-                        score_batch_simd_xdrop::<_, _, _, 32>(&scheme, pairs, threads, self.xdrop)
-                    }
-                };
+                let (scores, trace) = score_batch_simd_xdrop::<_, _, _, SIMD_LANES>(
+                    &scheme, pairs, threads, self.xdrop,
+                );
                 // Full telemetry: lane/scalar split, transpose bytes and
                 // X-drop retirements (band fields are zero on the score
                 // path and filtered out by drain_counters).
@@ -249,17 +204,8 @@ impl Engine for SimdEngine {
             [Global, SemiGlobal, Local],
             |scheme, _K| {
                 // X-drop never applies here: tracebacks stay exact.
-                let (alns, trace) = match self.lanes {
-                    SimdLanes::L8 => {
-                        align_batch_simd::<_, _, _, 8>(&scheme, pairs, threads, self.band)
-                    }
-                    SimdLanes::L16 => {
-                        align_batch_simd::<_, _, _, 16>(&scheme, pairs, threads, self.band)
-                    }
-                    SimdLanes::L32 => {
-                        align_batch_simd::<_, _, _, 32>(&scheme, pairs, threads, self.band)
-                    }
-                };
+                let (alns, trace) =
+                    align_batch_simd::<_, _, _, SIMD_LANES>(&scheme, pairs, threads, self.band);
                 self.counters.add(&trace);
                 Ok(alns)
             },
@@ -670,7 +616,7 @@ mod tests {
         let expected: Vec<Score> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
         let backends: Vec<Box<dyn Engine>> = vec![
             Box::new(ScalarEngine),
-            Box::new(SimdEngine::avx2()),
+            Box::new(SimdEngine::default()),
             Box::new(WavefrontEngine::default()),
             Box::new(GpuSimEngine::titan_v()),
         ];
@@ -704,7 +650,7 @@ mod tests {
         let pairs = read_pairs(40, 13);
         let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_affine(2, -1, -2, -1);
-        let engine = SimdEngine::avx2();
+        let engine = SimdEngine::default();
         let got = engine.align_batch(&spec, view.refs(), 4).unwrap();
         for (k, (q, s)) in pairs.iter().enumerate() {
             let reference = spec.align_scalar(q, s);
@@ -755,16 +701,20 @@ mod tests {
         let refs = view.refs();
         let local = SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::Local);
         // The kind-generic striped kernel covers local lanes now…
-        assert!(SimdEngine::avx2().score_batch(&local, refs, 1).is_ok());
-        assert!(SimdEngine::avx2().align_batch(&local, refs, 1).is_ok());
+        assert!(SimdEngine::default().score_batch(&local, refs, 1).is_ok());
+        assert!(SimdEngine::default().align_batch(&local, refs, 1).is_ok());
         // …the GPU simulator's device queue does not.
         assert!(GpuSimEngine::titan_v()
             .score_batch(&local, refs, 1)
             .is_err());
         // FreeEnd is the one kind the SIMD lanes still refuse.
         let free_end = SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::FreeEnd);
-        assert!(SimdEngine::avx2().score_batch(&free_end, refs, 1).is_err());
-        assert!(SimdEngine::avx2().align_batch(&free_end, refs, 1).is_err());
+        assert!(SimdEngine::default()
+            .score_batch(&free_end, refs, 1)
+            .is_err());
+        assert!(SimdEngine::default()
+            .align_batch(&free_end, refs, 1)
+            .is_err());
         // The generic engines accept all kinds.
         assert!(ScalarEngine.score_batch(&free_end, refs, 1).is_ok());
         assert!(WavefrontEngine::default()
@@ -778,19 +728,19 @@ mod tests {
             &ScalarEngine.caps(),
             &SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::Local)
         ));
-        assert!(SimdEngine::avx2()
+        assert!(SimdEngine::default()
             .caps()
             .supports_align(&SchemeSpec::global_linear(2, -1, -1)));
-        assert!(SimdEngine::avx2()
+        assert!(SimdEngine::default()
             .caps()
             .supports_align(&SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::Local)));
-        assert!(SimdEngine::avx2()
+        assert!(SimdEngine::default()
             .caps()
             .supports_score(&SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::SemiGlobal)));
-        assert!(!SimdEngine::avx2()
+        assert!(!SimdEngine::default()
             .caps()
             .supports_align(&SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::FreeEnd)));
-        assert!(SimdEngine::avx2().caps().batch_native);
+        assert!(SimdEngine::default().caps().batch_native);
         assert!(!WavefrontEngine::default().caps().batch_native);
     }
 
@@ -801,7 +751,7 @@ mod tests {
         for kind in [KindSpec::SemiGlobal, KindSpec::Local] {
             let spec = SchemeSpec::global_affine(2, -3, -3, -1).with_kind(kind);
             let expected: Vec<Score> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
-            let engine = SimdEngine::avx2();
+            let engine = SimdEngine::default();
             let got = engine.score_batch(&spec, view.refs(), 4).unwrap();
             assert_eq!(got, expected, "{kind:?}");
             let counters = engine.drain_counters();
@@ -828,7 +778,7 @@ mod tests {
         let pairs: Vec<(Seq, Seq)> = (0..32).map(|_| (q.clone(), s.clone())).collect();
         let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_linear(2, -3, -2).with_kind(KindSpec::SemiGlobal);
-        let engine = SimdEngine::avx2().with_xdrop(20);
+        let engine = SimdEngine::default().with_xdrop(20);
         engine.score_batch(&spec, view.refs(), 1).unwrap();
         let counters = engine.drain_counters();
         assert!(
@@ -838,7 +788,7 @@ mod tests {
             "every lane should retire: {counters:?}"
         );
         // Global requests ignore the threshold entirely.
-        let engine = SimdEngine::avx2().with_xdrop(20);
+        let engine = SimdEngine::default().with_xdrop(20);
         let got = engine
             .score_batch(&SchemeSpec::global_linear(2, -3, -2), view.refs(), 1)
             .unwrap();

@@ -231,9 +231,9 @@ impl DispatchPolicy {
     /// Builds the standard four-backend registry under this policy.
     pub fn standard(self) -> Dispatch {
         let simd = if self.xdrop > 0 {
-            SimdEngine::avx2().with_xdrop(self.xdrop)
+            SimdEngine::default().with_xdrop(self.xdrop)
         } else {
-            SimdEngine::avx2()
+            SimdEngine::default()
         };
         Dispatch {
             engines: vec![

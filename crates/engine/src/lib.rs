@@ -93,7 +93,7 @@ pub mod stats;
 #[allow(unsafe_code)]
 pub mod util;
 
-pub use backends::{GpuSimEngine, ScalarEngine, SimdEngine, SimdLanes, WavefrontEngine};
+pub use backends::{GpuSimEngine, ScalarEngine, SimdEngine, WavefrontEngine, SIMD_LANES};
 pub use cache::{CacheKey, ReqKind, ResultCache, ShardStats};
 pub use dispatch::{BackendId, Dispatch, DispatchPolicy, Policy, MIN_SHARD_CELLS};
 pub use engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask};
@@ -106,11 +106,14 @@ pub use shared::SharedDispatcher;
 pub use spec::{GapSpec, KindSpec, SchemeSpec};
 pub use stats::{cell_share_ns, BackendUse, BatchStats};
 
+/// The ISA tier the SIMD lane kernels run on in this process
+/// (`"avx2"` / `"baseline"`).
+pub use anyseq_simd::isa as simd_isa;
 pub use anyseq_wavefront::ShardSeam;
 
 /// Convenience re-exports for applications.
 pub mod prelude {
-    pub use crate::backends::{GpuSimEngine, ScalarEngine, SimdEngine, SimdLanes, WavefrontEngine};
+    pub use crate::backends::{GpuSimEngine, ScalarEngine, SimdEngine, WavefrontEngine};
     pub use crate::cache::{CacheKey, ReqKind, ResultCache};
     pub use crate::dispatch::{BackendId, Dispatch, DispatchPolicy, Policy, MIN_SHARD_CELLS};
     pub use crate::engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask};

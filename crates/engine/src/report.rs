@@ -5,8 +5,9 @@
 //!
 //! Two surfaces:
 //!
-//! * [`summary_with_utilization`] — the human two-liner (the
-//!   [`BatchStats::summary`] line plus pool utilization),
+//! * [`summary_with_utilization`] — the human summary (the
+//!   [`BatchStats::summary`] line, the ISA tier the SIMD lane kernels
+//!   run on, pool utilization),
 //! * [`stats_json`] — a stable-keyed JSON object. Key order is fixed
 //!   (scalars first, then `per_backend` and `counters`, each sorted by
 //!   name via the underlying `BTreeMap`s), so saved reports diff
@@ -16,12 +17,14 @@ use crate::stats::BatchStats;
 use std::fmt::Write;
 
 /// Human summary: the [`BatchStats::summary`] line, then
-/// `utilization: NN% of T threads`. Both `anyseq batch` and the bench
-/// binaries print exactly this.
+/// `simd.isa: <tier>` ([`anyseq_simd::isa()`]: `avx2` or `baseline`),
+/// then `utilization: NN% of T threads`. Both `anyseq batch` and the
+/// bench binaries print exactly this.
 pub fn summary_with_utilization(stats: &BatchStats, threads: usize) -> String {
     format!(
-        "{}\nutilization: {:.0}% of {} threads",
+        "{}\nsimd.isa: {}\nutilization: {:.0}% of {} threads",
         stats.summary(),
+        anyseq_simd::isa(),
         100.0 * stats.utilization(threads),
         threads
     )
@@ -29,7 +32,8 @@ pub fn summary_with_utilization(stats: &BatchStats, threads: usize) -> String {
 
 /// Serializes one batch run as a stable-keyed JSON object:
 /// `pairs`, `cells`, `bins`, `units`, `fallbacks`, `wall_seconds`,
-/// `gcups`, `utilization` and `threads` scalars, then `per_backend`
+/// `gcups`, `utilization` and `threads` scalars and the `simd.isa`
+/// string (`"avx2"` / `"baseline"`), then `per_backend`
 /// (name → `{pairs, cells, busy_seconds, gcups}`) and `counters`
 /// (name → value), both name-sorted. Spans are *not* embedded — the
 /// Chrome-trace exporter ([`anyseq_obs::chrome_trace`]) owns that
@@ -49,6 +53,7 @@ pub fn stats_json(stats: &BatchStats, threads: usize) -> String {
         "  \"utilization\": {},",
         json_f64(stats.utilization(threads))
     );
+    let _ = writeln!(out, "  \"simd.isa\": {},", json_str(anyseq_simd::isa()));
     out.push_str("  \"per_backend\": {");
     // `BatchStats::per_backend` arrives name-sorted from the
     // scheduler, but a hand-built stats value may not be — sort here
@@ -140,6 +145,7 @@ mod tests {
     fn summary_carries_utilization() {
         let text = summary_with_utilization(&sample(), 2);
         assert!(text.contains("4 pairs"));
+        assert!(text.contains(&format!("\nsimd.isa: {}\n", anyseq_simd::isa())));
         assert!(text.ends_with("utilization: 50% of 2 threads"));
     }
 
@@ -155,6 +161,7 @@ mod tests {
         assert!(lane < kernel);
         assert!(text.contains("\"pairs\": 4"));
         assert!(text.contains("\"utilization\": 0.5"));
+        assert!(text.contains(&format!("\"simd.isa\": \"{}\"", anyseq_simd::isa())));
         // Same stats, same bytes — the stability contract.
         assert_eq!(text, stats_json(&sample(), 2));
     }

@@ -12,7 +12,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// A worker lane waiting for a unit to become available (also used
-    /// for the coordinator thread blocking on a worker pool join).
+    /// for the coordinator thread, once it has no unit left to pull,
+    /// blocking on the worker pool join).
     QueueWait,
     /// Deriving content-hash cache keys for a chunk of pairs.
     Hash,

@@ -193,7 +193,8 @@ impl Shared {
     }
 
     /// Renders the `HEALTH` JSON document: queue levels, window
-    /// occupancy, and the slow-request log ("SLOWLOG"), newest last.
+    /// occupancy, the ISA tier the SIMD lane kernels run on, and the
+    /// slow-request log ("SLOWLOG"), newest last.
     pub(crate) fn render_health(&self) -> String {
         use std::fmt::Write as _;
         let occupancy = self
@@ -207,11 +208,12 @@ impl Shared {
         let _ = write!(
             out,
             "\"request_obs\":{},\"queued_bytes\":{},\"queued_requests\":{},\
-             \"peak_queued_bytes\":{},\"window_occupancy\":{occupancy}",
+             \"peak_queued_bytes\":{},\"window_occupancy\":{occupancy},\"simd.isa\":\"{}\"",
             self.reqobs.is_some(),
             self.batcher.queued_bytes(),
             self.batcher.queued_requests(),
             self.batcher.peak_queued_bytes(),
+            anyseq_engine::simd_isa(),
         );
         if let Some(obs) = &self.reqobs {
             let _ = write!(

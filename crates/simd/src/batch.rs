@@ -4,7 +4,9 @@
 //!
 //! Lanes must share matrix dimensions, so pairs are bucketed by
 //! `(|q|, |s|)` — for Illumina-style reads the dominant bucket is
-//! `(150, 150)` and lane occupancy is near-perfect. Leftovers and
+//! `(150, 150)` and lane occupancy is near-perfect. A bucket's remainder
+//! of two or more pairs rides one *partial* lane group (unused lanes
+//! padded with a repeat and never written back); lone pairs and
 //! oversized problems fall back to the scalar engine.
 //!
 //! Input is borrowed: a slice of [`PairRef`]s (`&[u8]` query/subject
@@ -14,55 +16,114 @@
 //! [`TraceStats::bytes_copied`] so callers can verify the pipeline
 //! above stayed zero-copy.
 
-use crate::kernel::{block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst};
-use crate::lanes::I16s;
+use crate::kernel::{block_kernel_kind, from16, max_block_extent, BlockBorders, SimdSubst};
 use crate::traceback::TraceStats;
 use anyseq_core::kind::{AlignKind, OptRegion};
-use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// A batch split into full `L`-lane groups of equal-dimension pairs
-/// plus the indices that must take the in-backend scalar path
-/// (leftovers, empty sequences, pairs past the 16-bit extent budget).
-/// Shared by the score and traceback paths so both fill lanes the
-/// same way.
+/// Smallest bucket remainder the score path runs as a partial lane
+/// group: one `L`-lane block costs less than two scalar pairs on either
+/// ISA tier, so only a lone leftover stays scalar.
+const SCORE_MIN_PARTIAL: usize = 2;
+
+/// One vector block's worth of equal-dimension pairs.
+pub struct LaneGroup<const L: usize> {
+    /// Input index carried by each lane. Lanes `fill..` of a partial
+    /// group repeat the last live index so the block stays well-formed.
+    pub lanes: [usize; L],
+    /// Live lanes: only `lanes[..fill]` are written back, decoded or
+    /// counted.
+    pub fill: usize,
+}
+
+impl<const L: usize> LaneGroup<L> {
+    /// `chunk` (1 ..= `L` indices) padded to a whole block.
+    fn of(chunk: &[usize]) -> LaneGroup<L> {
+        let fill = chunk.len();
+        LaneGroup {
+            lanes: std::array::from_fn(|l| chunk[l.min(fill - 1)]),
+            fill,
+        }
+    }
+
+    /// The live input indices.
+    pub fn live(&self) -> &[usize] {
+        &self.lanes[..self.fill]
+    }
+
+    /// Bit mask of the live lanes (`1 ≤ fill ≤ L ≤ 32`).
+    pub fn live_mask(&self) -> u32 {
+        u32::MAX >> (32 - self.fill)
+    }
+}
+
+/// A batch split into `L`-lane groups of equal-dimension pairs plus the
+/// indices that must take the in-backend scalar path (lone leftovers,
+/// empty sequences, pairs past the 16-bit extent budget). Shared by the
+/// score and traceback paths so both fill lanes the same way.
 pub struct LaneGroups<const L: usize> {
-    /// Input indices of each full lane group (equal `(|q|, |s|)`).
-    pub groups: Vec<[usize; L]>,
+    /// Lane groups, in `(|q|, |s|)` then input order.
+    pub groups: Vec<LaneGroup<L>>,
     /// Input indices handled by per-pair scalar kernels.
     pub scalar_idx: Vec<usize>,
 }
 
 impl<const L: usize> LaneGroups<L> {
     /// Buckets `pairs` by matrix dimensions and cuts each bucket into
-    /// full lane groups; everything else goes scalar.
-    pub fn build(pairs: &[PairRef<'_>], extent_budget: usize) -> LaneGroups<L> {
-        let mut buckets: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-        let mut scalar_idx: Vec<usize> = Vec::new();
-        for (k, p) in pairs.iter().enumerate() {
-            let (n, m) = (p.q.len(), p.s.len());
-            if n == 0 || m == 0 || n + m > extent_budget {
-                scalar_idx.push(k);
+    /// full lane groups; a remainder of at least `min_partial` pairs
+    /// becomes one partial group, everything else goes scalar. Buckets
+    /// come from a stable sort, so the same batch yields the same
+    /// groups on every run.
+    pub fn build(pairs: &[PairRef<'_>], extent_budget: usize, min_partial: usize) -> LaneGroups<L> {
+        let dims = |k: usize| (pairs[k].q.len(), pairs[k].s.len());
+        let (mut lane_idx, mut scalar_idx): (Vec<usize>, Vec<usize>) =
+            (0..pairs.len()).partition(|&k| {
+                let (n, m) = dims(k);
+                n > 0 && m > 0 && n + m <= extent_budget
+            });
+        lane_idx.sort_by_key(|&k| dims(k));
+        let mut groups = Vec::with_capacity(lane_idx.len() / L + 1);
+        for bucket in lane_idx.chunk_by(|&a, &b| dims(a) == dims(b)) {
+            let mut chunks = bucket.chunks_exact(L);
+            groups.extend(chunks.by_ref().map(LaneGroup::of));
+            let rest = chunks.remainder();
+            if rest.len() >= min_partial.max(1) {
+                groups.push(LaneGroup::of(rest));
             } else {
-                buckets.entry((n, m)).or_default().push(k);
+                scalar_idx.extend_from_slice(rest);
             }
-        }
-        let mut groups: Vec<[usize; L]> = Vec::new();
-        for idx in buckets.into_values() {
-            let full = idx.len() / L * L;
-            for chunk in idx[..full].chunks_exact(L) {
-                groups.push(std::array::from_fn(|l| chunk[l]));
-            }
-            scalar_idx.extend_from_slice(&idx[full..]);
         }
         LaneGroups { groups, scalar_idx }
     }
+}
+
+/// The lane transpose — the one copy of sequence bytes on the batch
+/// paths: row `r` of the result holds base `r` of every lane's query,
+/// column `c` base `c` of every lane's subject. Filled lane-major so
+/// each source sequence is read once, front to back.
+pub(crate) fn transpose_lanes<const L: usize>(
+    pairs: &[PairRef<'_>],
+    lanes: &[usize; L],
+) -> (Vec<[u8; L]>, Vec<[u8; L]>) {
+    let first = pairs[lanes[0]];
+    let mut q_rows = vec![[0u8; L]; first.q.len()];
+    let mut s_cols = vec![[0u8; L]; first.s.len()];
+    for (lane, &k) in lanes.iter().enumerate() {
+        let p = pairs[k];
+        debug_assert!(p.q.len() == q_rows.len() && p.s.len() == s_cols.len());
+        for (row, &c) in q_rows.iter_mut().zip(p.q) {
+            row[lane] = c;
+        }
+        for (col, &c) in s_cols.iter_mut().zip(p.s) {
+            col[lane] = c;
+        }
+    }
+    (q_rows, s_cols)
 }
 
 /// Scores a batch of independent pairs with `L`-lane SIMD and
@@ -120,7 +181,8 @@ where
     let gap = *scheme.gap();
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
-    let LaneGroups { groups, scalar_idx } = LaneGroups::<L>::build(pairs, extent_budget);
+    let LaneGroups { groups, scalar_idx } =
+        LaneGroups::<L>::build(pairs, extent_budget, SCORE_MIN_PARTIAL);
     // X-drop only applies where an optimum can be frozen early; corner
     // kinds always relax the full matrix. Clamp to the i16 block budget.
     let xdrop16 = if matches!(K::OPT, OptRegion::Corner) {
@@ -158,14 +220,15 @@ where
                 if g >= groups.len() {
                     break;
                 }
-                let lanes = &groups[g];
-                let p0 = pairs[lanes[0]];
+                let group = &groups[g];
+                let p0 = pairs[group.lanes[0]];
                 local_bytes += ((p0.q.len() + p0.s.len()) * L) as u64;
                 let (results, retired) =
-                    score_lane_group::<K, G, SS, L>(gap, subst, pairs, lanes, xdrop16);
-                local_retired += retired.count_ones() as u64;
-                for (l, &idx) in lanes.iter().enumerate() {
-                    // SAFETY: each pair index is written exactly once.
+                    score_lane_group::<K, G, SS, L>(gap, subst, pairs, &group.lanes, xdrop16);
+                local_retired += (retired & group.live_mask()).count_ones() as u64;
+                for (l, &idx) in group.live().iter().enumerate() {
+                    // SAFETY: each pair index is live in exactly one
+                    // lane of one group, so it is written exactly once.
                     unsafe { *out.0.add(idx) = results[l] };
                 }
             }
@@ -197,7 +260,7 @@ where
         }
     }
     let stats = TraceStats {
-        lane_pairs: (groups.len() * L) as u64,
+        lane_pairs: groups.iter().map(|g| g.fill as u64).sum(),
         scalar_pairs: scalar_idx.len() as u64,
         bytes_copied: bytes_copied.load(Ordering::Relaxed),
         xdrop_retired: lanes_retired.load(Ordering::Relaxed),
@@ -220,33 +283,10 @@ where
     G: GapModel,
     SS: SimdSubst,
 {
-    let n = pairs[lanes[0]].q.len();
-    let m = pairs[lanes[0]].s.len();
-    debug_assert!(lanes
-        .iter()
-        .all(|&k| pairs[k].q.len() == n && pairs[k].s.len() == m));
-
+    let (n, m) = (pairs[lanes[0]].q.len(), pairs[lanes[0]].s.len());
     // Kind `K`'s init stripes are lane-uniform (base 0).
-    let top_h = init_top_h::<K, G>(gap, m);
-    let top_e = init_top_e::<K, G>(gap, m);
-    let left_h = init_left_h::<K, G>(gap, n, gap.open());
-    let left_f = init_left_f::<G>(n);
-    let mut block = BlockBorders::<L> {
-        top_h: top_h.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        top_e: top_e.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        left_h: left_h.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        left_f: left_f.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-    };
-    // The lane transpose: the only copy of sequence bytes on this path.
-    let (q_rows, s_cols) = anyseq_obs::span(Stage::Transpose, || {
-        let q_rows: Vec<[u8; L]> = (0..n)
-            .map(|r| std::array::from_fn(|l| pairs[lanes[l]].q[r]))
-            .collect();
-        let s_cols: Vec<[u8; L]> = (0..m)
-            .map(|c| std::array::from_fn(|l| pairs[lanes[l]].s[c]))
-            .collect();
-        (q_rows, s_cols)
-    });
+    let mut block = BlockBorders::<L>::init::<K, G>(gap, n, m);
+    let (q_rows, s_cols) = anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, lanes));
 
     let opt = anyseq_obs::span(Stage::Kernel, || {
         if xdrop > 0 {
@@ -329,11 +369,12 @@ mod tests {
 
     #[test]
     fn xdrop_huge_threshold_exact_tiny_threshold_retires() {
-        // 32 identical prefix-then-divergence pairs fill two 16-lane
-        // groups exactly.
+        // 35 identical prefix-then-divergence pairs: two full 16-lane
+        // groups and a partial one whose 13 padding lanes diverge just
+        // as hard but must not be counted.
         let q = Seq::from_ascii(&[b"A".repeat(10), b"C".repeat(60)].concat()).unwrap();
         let s = Seq::from_ascii(&[b"A".repeat(10), b"G".repeat(60)].concat()).unwrap();
-        let pairs: Vec<(Seq, Seq)> = (0..32).map(|_| (q.clone(), s.clone())).collect();
+        let pairs: Vec<(Seq, Seq)> = (0..35).map(|_| (q.clone(), s.clone())).collect();
         let view = BatchView::from_pairs(&pairs);
         let semi = semiglobal(linear(simple(2, -3), -2));
         let exact = score_batch_simd::<_, _, _, 16>(&semi, view.refs(), 2);
@@ -341,7 +382,7 @@ mod tests {
         assert_eq!(huge, exact, "huge X must not change results");
         assert_eq!(st_huge.xdrop_retired, 0);
         let (_tiny, st_tiny) = score_batch_simd_xdrop::<_, _, _, 16>(&semi, view.refs(), 2, 20);
-        assert_eq!(st_tiny.xdrop_retired, 32, "every lane diverges hard");
+        assert_eq!(st_tiny.xdrop_retired, 35, "every live lane diverges hard");
         // Corner kinds ignore the knob entirely.
         let glob = global(linear(simple(2, -3), -2));
         let (g_scores, g_stats) = score_batch_simd_xdrop::<_, _, _, 16>(&semi, view.refs(), 2, 0);
@@ -351,6 +392,129 @@ mod tests {
         assert_eq!(gs.xdrop_retired, 0, "corner kinds never retire");
         for (k, (q, s)) in pairs.iter().enumerate() {
             assert_eq!(gx[k], glob.score(q, s), "global pair {k}");
+        }
+    }
+
+    #[test]
+    fn lane_groups_sort_buckets_and_pad_partial_groups_with_a_repeat() {
+        // Three (3, 4) pairs interleaved with one (5, 5) pair, one empty
+        // query and one pair past the extent budget.
+        let seq = |len: usize| Seq::from_codes(vec![1u8; len]).unwrap();
+        let dims = [(3, 4), (5, 5), (3, 4), (0, 4), (3, 4), (40, 40)];
+        let pairs: Vec<(Seq, Seq)> = dims.iter().map(|&(n, m)| (seq(n), seq(m))).collect();
+        let view = BatchView::from_pairs(&pairs);
+        let built = LaneGroups::<4>::build(view.refs(), 50, 2);
+        assert_eq!(built.groups.len(), 1);
+        assert_eq!(built.groups[0].lanes, [0, 2, 4, 4], "input order, padded");
+        assert_eq!(built.groups[0].live(), &[0, 2, 4]);
+        assert_eq!(built.groups[0].live_mask(), 0b0111);
+        assert_eq!(
+            built.scalar_idx,
+            [3, 5, 1],
+            "rejects first, then lone leftovers"
+        );
+        // A higher threshold sends the same remainder to the scalar path.
+        let built = LaneGroups::<4>::build(view.refs(), 50, 4);
+        assert!(built.groups.is_empty());
+        assert_eq!(built.scalar_idx, [3, 5, 0, 2, 4, 1]);
+        // A full group plus a remainder of exactly `min_partial`.
+        let pairs: Vec<(Seq, Seq)> = (0..6).map(|_| (seq(3), seq(4))).collect();
+        let view = BatchView::from_pairs(&pairs);
+        let built = LaneGroups::<4>::build(view.refs(), 50, 2);
+        let lanes: Vec<_> = built.groups.iter().map(|g| (g.lanes, g.fill)).collect();
+        assert_eq!(lanes, [([0, 1, 2, 3], 4), ([4, 5, 5, 5], 2)]);
+    }
+
+    /// What a bucket of `count` equal-dimension pairs must turn into:
+    /// (pairs in live lanes, lane groups run).
+    fn expected_split(count: usize, lanes: usize, min_partial: usize) -> (u64, u64) {
+        let rest = count % lanes;
+        let partial = rest >= min_partial;
+        (
+            (count - rest + if partial { rest } else { 0 }) as u64,
+            (count / lanes + partial as usize) as u64,
+        )
+    }
+
+    /// Buckets of 1 … L+3 members each, interleaved in input order:
+    /// scores and CIGAR replays identical to scalar, padded lanes in
+    /// neither pair counter, one whole transpose per group run.
+    fn check_partial_groups<K: AlignKind, const L: usize>(
+        scheme: &Scheme<K, anyseq_core::scoring::AffineGap, anyseq_core::scoring::SimpleSubst>,
+        sizes: &[usize],
+        seed: u64,
+    ) {
+        use crate::traceback::{align_batch_simd, BandCfg, ALIGN_MIN_PARTIAL};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut random = |len: usize| {
+            Seq::from_codes((0..len).map(|_| rng.gen_range(0..4u8)).collect()).unwrap()
+        };
+        // Bucket `b` has its own dimensions; round-robin over the
+        // buckets so no bucket is contiguous in the input.
+        let dims = |b: usize| (24 + 3 * b, 30 + 2 * b);
+        let mut left = sizes.to_vec();
+        let mut pairs = Vec::new();
+        while left.iter().any(|&c| c > 0) {
+            for (b, c) in left.iter_mut().enumerate().filter(|(_, c)| **c > 0) {
+                *c -= 1;
+                let q = random(dims(b).0);
+                // Related sequences, so banded paths are non-trivial.
+                let mut s = q.codes().to_vec();
+                s.resize(dims(b).1, 2);
+                s[7] = (s[7] + 1) % 4;
+                pairs.push((q, Seq::from_codes(s).unwrap()));
+            }
+        }
+        let view = BatchView::from_pairs(&pairs);
+        let total = pairs.len() as u64;
+        let expect = |min_partial: usize| {
+            sizes.iter().enumerate().fold((0, 0), |acc, (b, &count)| {
+                let (lane, groups) = expected_split(count, L, min_partial);
+                let bytes = groups * ((dims(b).0 + dims(b).1) * L) as u64;
+                (acc.0 + lane, acc.1 + bytes)
+            })
+        };
+
+        let (scores, stats) = score_batch_simd_stats::<_, _, _, L>(scheme, view.refs(), 2);
+        for (k, (q, s)) in pairs.iter().enumerate() {
+            assert_eq!(scores[k], scheme.score(q, s), "score of pair {k}");
+        }
+        let (lane_pairs, bytes) = expect(SCORE_MIN_PARTIAL);
+        assert_eq!(stats.lane_pairs, lane_pairs);
+        assert_eq!(stats.lane_pairs + stats.scalar_pairs, total);
+        assert_eq!(stats.bytes_copied, bytes);
+
+        let (alns, stats) =
+            align_batch_simd::<_, _, _, L>(scheme, view.refs(), 2, BandCfg::default());
+        for (k, (q, s)) in pairs.iter().enumerate() {
+            assert_eq!(alns[k].score, scores[k], "aligned score of pair {k}");
+            alns[k]
+                .validate::<K, _, _>(q, s, scheme.gap(), scheme.subst())
+                .unwrap_or_else(|e| panic!("pair {k}: {e}"));
+        }
+        let (lane_pairs, bytes) = expect(ALIGN_MIN_PARTIAL);
+        assert_eq!(stats.lane_pairs + stats.band_overflows, lane_pairs);
+        assert_eq!(
+            stats.lane_pairs + stats.band_overflows + stats.scalar_pairs,
+            total
+        );
+        assert_eq!(stats.bytes_copied, bytes);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn partial_groups_match_scalar_and_count_only_live_lanes(
+            sizes in proptest::collection::vec(1usize..=11, 1..5),
+            wide in proptest::collection::vec(1usize..=19, 1..4),
+            seed in 0u64..1_000_000,
+        ) {
+            let scoring = affine(simple(2, -3), -3, -1);
+            check_partial_groups::<_, 8>(&global(scoring), &sizes, seed);
+            check_partial_groups::<_, 8>(&semiglobal(scoring), &sizes, seed);
+            check_partial_groups::<_, 16>(&local(scoring), &wide, seed);
         }
     }
 

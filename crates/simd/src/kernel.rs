@@ -11,8 +11,10 @@
 //! only on the `O(h + w)` boundary stripes. Saturating arithmetic keeps
 //! the −∞ sentinel pinned instead of wrapping.
 
+use crate::isa::Tier;
 use crate::lanes::I16s;
 use anyseq_core::kind::{AlignKind, OptRegion};
+use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
 use anyseq_core::score::{Score, NEG_INF};
 use anyseq_core::scoring::{GapModel, MatrixSubst, SimpleSubst, SubstScore};
 
@@ -108,69 +110,17 @@ pub struct BlockBorders<const L: usize> {
     pub left_f: Vec<I16s<L>>,
 }
 
-/// Relaxes a block of `L` independent `h × w` tiles (global/corner kinds:
-/// no per-cell optimum tracking — the score lives on the borders).
-///
-/// * `q_rows[r]` — the `L` query codes of tile-local row `r` (one per lane),
-/// * `s_cols[c]` — the `L` subject codes of tile-local column `c`.
-#[allow(clippy::needless_range_loop)]
-pub fn block_kernel<G, SS, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    q_rows: &[[u8; L]],
-    s_cols: &[[u8; L]],
-    borders: &mut BlockBorders<L>,
-) where
-    G: GapModel,
-    SS: SimdSubst,
-{
-    let h = q_rows.len();
-    let w = s_cols.len();
-    assert!(h > 0 && w > 0);
-    assert_eq!(borders.top_h.len(), w + 1);
-    assert_eq!(borders.left_h.len(), h);
-    if G::AFFINE {
-        assert_eq!(borders.top_e.len(), w);
-        assert_eq!(borders.left_f.len(), h);
-    }
-
-    let ext = gap.extend() as i16;
-    let openext = (gap.open() + gap.extend()) as i16;
-
-    for r in 0..h {
-        let qc = &q_rows[r];
-        let mut diag = borders.top_h[0];
-        borders.top_h[0] = borders.left_h[r];
-        let mut left = borders.top_h[0];
-        let mut f = if G::AFFINE {
-            borders.left_f[r]
-        } else {
-            I16s::splat(SENT16)
-        };
-        for c in 0..w {
-            let up = borders.top_h[c + 1];
-            let e = if G::AFFINE {
-                borders.top_e[c].sat_adds(ext).max(up.sat_adds(openext))
-            } else {
-                up.sat_adds(ext)
-            };
-            f = if G::AFFINE {
-                f.sat_adds(ext).max(left.sat_adds(openext))
-            } else {
-                left.sat_adds(ext)
-            };
-            let sub = subst.lanes_score(qc, &s_cols[c]);
-            let hval = diag.sat_add(sub).max(e).max(f);
-            diag = up;
-            borders.top_h[c + 1] = hval;
-            if G::AFFINE {
-                borders.top_e[c] = e;
-            }
-            left = hval;
-        }
-        borders.left_h[r] = borders.top_h[w];
-        if G::AFFINE {
-            borders.left_f[r] = f;
+impl<const L: usize> BlockBorders<L> {
+    /// Kind-`K` initialization stripes of a whole `h × w` matrix,
+    /// lane-uniform with differential base 0 — the block a batch lane
+    /// group starts from.
+    pub fn init<K: AlignKind, G: GapModel>(gap: &G, h: usize, w: usize) -> BlockBorders<L> {
+        let lift = |stripe: Vec<Score>| stripe.iter().map(|&v| I16s::splat(to16(v, 0))).collect();
+        BlockBorders {
+            top_h: lift(init_top_h::<K, G>(gap, w)),
+            top_e: lift(init_top_e::<K, G>(gap, w)),
+            left_h: lift(init_left_h::<K, G>(gap, h, gap.open())),
+            left_f: lift(init_left_f::<G>(h)),
         }
     }
 }
@@ -185,14 +135,18 @@ pub struct KernelOpt<const L: usize> {
     pub retired: u32,
 }
 
-/// Kind-generic variant of [`block_kernel`]: relaxes the same block of
-/// `L` independent `h × w` tiles but derives the per-cell dataflow from
-/// `K`'s contract. `NU_ZERO` clamps every cell at 0 (local alignment),
-/// and the per-lane optimum is tracked over `K::OPT`'s region — `Corner`:
-/// the bottom-right cell; `Border`: last row + last column + the
+/// Relaxes a block of `L` independent `h × w` tiles, one per lane,
+/// deriving the per-cell dataflow from `K`'s contract.
+///
+/// * `q_rows[r]` — the `L` query codes of tile-local row `r` (one per lane),
+/// * `s_cols[c]` — the `L` subject codes of tile-local column `c`.
+///
+/// `NU_ZERO` clamps every cell at 0 (local alignment), and the per-lane
+/// optimum is tracked over `K::OPT`'s region — `Corner`: the
+/// bottom-right cell; `Border`: last row + last column + the
 /// initialization seeds `H(0,w)`/`H(h,0)`; `Anywhere`: every cell plus
 /// the empty-alignment score 0. For `Corner` kinds every extra
-/// accumulator folds out and the codegen matches [`block_kernel`].
+/// accumulator folds out and only the border relaxation remains.
 ///
 /// With `XDROP = true` (non-`Corner` kinds only) a lane is *retired* once
 /// the maximum of its current row drops more than `xdrop` below the
@@ -200,8 +154,54 @@ pub struct KernelOpt<const L: usize> {
 /// seen and, when every lane has retired, the remaining rows are skipped
 /// entirely. Retired lanes may under-report the true optimum — X-drop is
 /// a heuristic; the default `XDROP = false` path is bit-exact.
-#[allow(clippy::needless_range_loop)]
+///
+/// Runs on the host's best ISA tier (see [`mod@crate::isa`]).
 pub fn block_kernel_kind<K, G, SS, const XDROP: bool, const L: usize>(
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    borders: &mut BlockBorders<L>,
+    xdrop: i16,
+) -> KernelOpt<L>
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+{
+    let tier = Tier::detect();
+    block_kernel_kind_on::<K, G, SS, XDROP, L>(tier, gap, subst, q_rows, s_cols, borders, xdrop)
+}
+
+/// [`block_kernel_kind`] pinned to the baseline tier. Not an execution
+/// option — nothing in the engine calls it; it is the denominator of the
+/// bench-smoke codegen guard (`simd.kernel_gcups_tier` ÷
+/// `simd.kernel_gcups_baseline`), which fails loudly if the relaxation
+/// ever stops inlining into the AVX2 trampoline.
+#[doc(hidden)]
+pub fn block_kernel_kind_baseline<K, G, SS, const XDROP: bool, const L: usize>(
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    borders: &mut BlockBorders<L>,
+    xdrop: i16,
+) -> KernelOpt<L>
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+{
+    let tier = Tier::BASELINE;
+    block_kernel_kind_on::<K, G, SS, XDROP, L>(tier, gap, subst, q_rows, s_cols, borders, xdrop)
+}
+
+/// [`block_kernel_kind`] on an explicit tier — the crate-private seam
+/// the tier-identity tests drive; results are bit-identical on every
+/// tier.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn block_kernel_kind_on<K, G, SS, const XDROP: bool, const L: usize>(
+    tier: Tier,
     gap: &G,
     subst: &SS,
     q_rows: &[[u8; L]],
@@ -227,7 +227,43 @@ where
         !XDROP || !matches!(K::OPT, OptRegion::Corner),
         "X-drop is meaningless for corner-optimum kinds"
     );
+    tier.run(
+        #[inline(always)]
+        || kind_body::<K, G, SS, XDROP, L>(gap, subst, q_rows, s_cols, borders, xdrop),
+    )
+}
 
+/// The relaxation proper; `#[inline(always)]` so it takes the target
+/// features of the tier trampoline it is inlined into.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn kind_body<K, G, SS, const XDROP: bool, const L: usize>(
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    borders: &mut BlockBorders<L>,
+    xdrop: i16,
+) -> KernelOpt<L>
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+{
+    let h = q_rows.len();
+    let w = s_cols.len();
+    // Stripes as slices of known length and the scoring function by
+    // value: the stores below then provably alias neither a `Vec`
+    // header nor `subst`, so lengths, pointers and the match/mismatch
+    // splats stay in registers across the inner loop.
+    let top_h = &mut borders.top_h[..w + 1];
+    let left_h = &mut borders.left_h[..h];
+    let (top_e, left_f): (&mut [I16s<L>], &mut [I16s<L>]) = if G::AFFINE {
+        (&mut borders.top_e[..w], &mut borders.left_f[..h])
+    } else {
+        (&mut [], &mut [])
+    };
+    let subst = *subst;
     let ext = gap.extend() as i16;
     let openext = (gap.open() + gap.extend()) as i16;
     let all: u32 = if L >= 32 { u32::MAX } else { (1u32 << L) - 1 };
@@ -237,7 +273,7 @@ where
     // stripe); Anywhere kinds always have the empty alignment (score 0).
     let mut best = match K::OPT {
         OptRegion::Corner => I16s::splat(SENT16),
-        OptRegion::Border => borders.top_h[w],
+        OptRegion::Border => top_h[w],
         OptRegion::Anywhere => I16s::splat(0),
     };
     let mut active = all;
@@ -246,19 +282,19 @@ where
 
     for r in 0..h {
         let qc = &q_rows[r];
-        let mut diag = borders.top_h[0];
-        borders.top_h[0] = borders.left_h[r];
-        let mut left = borders.top_h[0];
+        let mut diag = top_h[0];
+        top_h[0] = left_h[r];
+        let mut left = top_h[0];
         let mut f = if G::AFFINE {
-            borders.left_f[r]
+            left_f[r]
         } else {
             I16s::splat(SENT16)
         };
         let mut row_max = I16s::<L>::splat(SENT16);
         for c in 0..w {
-            let up = borders.top_h[c + 1];
+            let up = top_h[c + 1];
             let e = if G::AFFINE {
-                borders.top_e[c].sat_adds(ext).max(up.sat_adds(openext))
+                top_e[c].sat_adds(ext).max(up.sat_adds(openext))
             } else {
                 up.sat_adds(ext)
             };
@@ -276,20 +312,20 @@ where
                 row_max = row_max.max(hval);
             }
             diag = up;
-            borders.top_h[c + 1] = hval;
+            top_h[c + 1] = hval;
             if G::AFFINE {
-                borders.top_e[c] = e;
+                top_e[c] = e;
             }
             left = hval;
         }
-        borders.left_h[r] = borders.top_h[w];
+        left_h[r] = top_h[w];
         if G::AFFINE {
-            borders.left_f[r] = f;
+            left_f[r] = f;
         }
         match K::OPT {
             OptRegion::Corner => {}
             // Right-column candidate H(r+1, w).
-            OptRegion::Border => best = borders.top_h[w].max(best).blend(active, best),
+            OptRegion::Border => best = top_h[w].max(best).blend(active, best),
             OptRegion::Anywhere => best = row_max.max(best).blend(active, best),
         }
         if XDROP {
@@ -307,13 +343,13 @@ where
     }
 
     match K::OPT {
-        OptRegion::Corner => best = borders.top_h[w],
+        OptRegion::Corner => best = top_h[w],
         // Bottom-row candidates H(h, 0..=w) — including the H(h, 0) seed,
         // which the rolling buffers leave in `top_h[0]` after the last row.
         OptRegion::Border => {
-            let mut bottom = borders.top_h[0];
+            let mut bottom = top_h[0];
             for c in 1..=w {
-                bottom = bottom.max(borders.top_h[c]);
+                bottom = bottom.max(top_h[c]);
             }
             best = bottom.max(best).blend(active, best);
         }
@@ -322,15 +358,16 @@ where
     KernelOpt { best, retired }
 }
 
-/// Masked-dataflow variant of [`block_kernel`] used by the SeqAn-like
-/// baseline: intrinsics-level SIMD code "requires to emulate control flow
-/// constructs such as if, while, or break with masked data flow — a
-/// time-consuming and error-prone process" (paper §V). This kernel
-/// therefore unconditionally maintains the affine E/F lanes (even for
-/// linear schemes), a running block maximum, and a ν floor mask — the
-/// redundant lane work a masked translation of the general variant
-/// carries. Results are identical; only the instruction count differs.
-#[allow(clippy::needless_range_loop)]
+/// Masked-dataflow variant of [`block_kernel_kind`]`::<Global>` used by
+/// the SeqAn-like baseline: intrinsics-level SIMD code "requires to
+/// emulate control flow constructs such as if, while, or break with
+/// masked data flow — a time-consuming and error-prone process" (paper
+/// §V). This kernel therefore unconditionally maintains the affine E/F
+/// lanes (even for linear schemes), a running block maximum, and a ν
+/// floor mask — the redundant lane work a masked translation of the
+/// general variant carries. Results are identical; only the instruction
+/// count differs. Runs on the same ISA tier as [`block_kernel_kind`], so
+/// the two stay comparable like for like.
 pub fn block_kernel_masked<G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
@@ -347,13 +384,6 @@ pub fn block_kernel_masked<G, SS, const L: usize>(
     assert_eq!(borders.top_h.len(), w + 1);
     assert_eq!(borders.left_h.len(), h);
 
-    let ext = gap.extend() as i16;
-    let openext = (gap.open() + gap.extend()) as i16;
-    // Masked-flow ballast: these accumulators exist in the "general"
-    // masked translation whether or not the variant needs them.
-    let mut running_max = I16s::<L>::splat(SENT16);
-    let nu_floor = I16s::<L>::splat(SENT16);
-
     // E/F stripes are materialized even for linear gap models.
     if borders.top_e.len() != w {
         borders.top_e = (0..w)
@@ -363,16 +393,49 @@ pub fn block_kernel_masked<G, SS, const L: usize>(
     if borders.left_f.len() != h {
         borders.left_f = vec![I16s::splat(SENT16); h];
     }
+    Tier::detect().run(
+        #[inline(always)]
+        || masked_body(gap, subst, q_rows, s_cols, borders),
+    )
+}
+
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn masked_body<G, SS, const L: usize>(
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    borders: &mut BlockBorders<L>,
+) where
+    G: GapModel,
+    SS: SimdSubst,
+{
+    let h = q_rows.len();
+    let w = s_cols.len();
+    // Same slice-and-copy prologue as `kind_body`, so the two kernels
+    // differ by the masked ballast only.
+    let top_h = &mut borders.top_h[..w + 1];
+    let top_e = &mut borders.top_e[..w];
+    let left_h = &mut borders.left_h[..h];
+    let left_f = &mut borders.left_f[..h];
+    let subst = *subst;
+    let ext = gap.extend() as i16;
+    let openext = (gap.open() + gap.extend()) as i16;
+    // Masked-flow ballast: these accumulators exist in the "general"
+    // masked translation whether or not the variant needs them.
+    let mut running_max = I16s::<L>::splat(SENT16);
+    let nu_floor = I16s::<L>::splat(SENT16);
 
     for r in 0..h {
         let qc = &q_rows[r];
-        let mut diag = borders.top_h[0];
-        borders.top_h[0] = borders.left_h[r];
-        let mut left = borders.top_h[0];
-        let mut f = borders.left_f[r];
+        let mut diag = top_h[0];
+        top_h[0] = left_h[r];
+        let mut left = top_h[0];
+        let mut f = left_f[r];
         for c in 0..w {
-            let up = borders.top_h[c + 1];
-            let e = borders.top_e[c].sat_adds(ext).max(up.sat_adds(openext));
+            let up = top_h[c + 1];
+            let e = top_e[c].sat_adds(ext).max(up.sat_adds(openext));
             f = f.sat_adds(ext).max(left.sat_adds(openext));
             let sub = subst.lanes_score(qc, &s_cols[c]);
             let mut hval = diag.sat_add(sub).max(e).max(f);
@@ -380,12 +443,12 @@ pub fn block_kernel_masked<G, SS, const L: usize>(
             hval = hval.max(nu_floor);
             running_max = running_max.max(hval);
             diag = up;
-            borders.top_h[c + 1] = hval;
-            borders.top_e[c] = e;
+            top_h[c + 1] = hval;
+            top_e[c] = e;
             left = hval;
         }
-        borders.left_h[r] = borders.top_h[w];
-        borders.left_f[r] = f;
+        left_h[r] = top_h[w];
+        left_f[r] = f;
     }
     // Keep the running maximum live so the optimizer cannot drop the
     // masked ballast.
@@ -395,233 +458,255 @@ pub fn block_kernel_masked<G, SS, const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anyseq_core::kind::Global;
-    use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
+    use anyseq_core::kind::{Extension, FreeEnd, Global, Local, SemiGlobal};
+    use anyseq_core::pass::score_pass;
     use anyseq_core::scoring::{simple, AffineGap, GapModel, LinearGap};
     use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Run the block kernel with L whole small problems and compare every
-    /// lane against the scalar tile kernel.
-    fn check_against_scalar<G: GapModel + Copy>(gap: G, seed: u64) {
-        const L: usize = 8;
-        let subst = simple(2, -1);
+    /// `L` random problems of one `h × w` shape, one per lane.
+    struct Lanes<const L: usize> {
+        qs: Vec<Vec<u8>>,
+        ss: Vec<Vec<u8>>,
+        q_rows: Vec<[u8; L]>,
+        s_cols: Vec<[u8; L]>,
+    }
+
+    fn random_lanes<const L: usize>(h: usize, w: usize, seed: u64) -> Lanes<L> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let h = 17;
-        let w = 23;
-        let qs: Vec<Vec<u8>> = (0..L)
-            .map(|_| (0..h).map(|_| rng.gen_range(0..4u8)).collect())
-            .collect();
-        let ss: Vec<Vec<u8>> = (0..L)
-            .map(|_| (0..w).map(|_| rng.gen_range(0..4u8)).collect())
-            .collect();
-
-        // Block setup (global init stripes, base = corner H(0,0) = 0).
-        let top_h_i32 = init_top_h::<Global, G>(&gap, w);
-        let top_e_i32 = init_top_e::<Global, G>(&gap, w);
-        let left_h_i32 = init_left_h::<Global, G>(&gap, h, gap.open());
-        let left_f_i32 = init_left_f::<G>(h);
-        let mut borders = BlockBorders::<L> {
-            top_h: (0..=w)
-                .map(|c| I16s::splat(to16(top_h_i32[c], 0)))
-                .collect(),
-            top_e: (0..top_e_i32.len())
-                .map(|c| I16s::splat(to16(top_e_i32[c], 0)))
-                .collect(),
-            left_h: (0..h)
-                .map(|r| I16s::splat(to16(left_h_i32[r], 0)))
-                .collect(),
-            left_f: (0..left_f_i32.len())
-                .map(|r| I16s::splat(to16(left_f_i32[r], 0)))
-                .collect(),
+        let mut draw = |len: usize| -> Vec<Vec<u8>> {
+            (0..L)
+                .map(|_| (0..len).map(|_| rng.gen_range(0..4u8)).collect())
+                .collect()
         };
-        let q_rows: Vec<[u8; L]> = (0..h).map(|r| std::array::from_fn(|l| qs[l][r])).collect();
-        let s_cols: Vec<[u8; L]> = (0..w).map(|c| std::array::from_fn(|l| ss[l][c])).collect();
-        block_kernel(&gap, &subst, &q_rows, &s_cols, &mut borders);
+        let qs = draw(h);
+        let ss = draw(w);
+        Lanes {
+            q_rows: (0..h).map(|r| std::array::from_fn(|l| qs[l][r])).collect(),
+            s_cols: (0..w).map(|c| std::array::from_fn(|l| ss[l][c])).collect(),
+            qs,
+            ss,
+        }
+    }
 
+    /// Runs the kernel on `tier` with `L` whole small problems and
+    /// compares every lane's out-borders against the scalar tile kernel
+    /// and its optimum against the scalar score pass. `XDROP` runs with a
+    /// threshold no lane can reach, which must not change a bit.
+    fn check_against_scalar<K, G, const XDROP: bool, const L: usize>(tier: Tier, gap: G, seed: u64)
+    where
+        K: AlignKind,
+        G: GapModel + Copy,
+    {
+        let subst = simple(2, -3);
+        let (h, w) = (21, 15);
+        let lanes = random_lanes::<L>(h, w, seed);
+        let top_h = init_top_h::<K, G>(&gap, w);
+        let top_e = init_top_e::<K, G>(&gap, w);
+        let left_h = init_left_h::<K, G>(&gap, h, gap.open());
+        let left_f = init_left_f::<G>(h);
+        let mut borders = BlockBorders::<L>::init::<K, G>(&gap, h, w);
+        let opt = block_kernel_kind_on::<K, G, _, XDROP, L>(
+            tier,
+            &gap,
+            &subst,
+            &lanes.q_rows,
+            &lanes.s_cols,
+            &mut borders,
+            if XDROP { 12_000 } else { 0 },
+        );
+        assert_eq!(opt.retired, 0);
+        let what = format!(
+            "{} {} affine={} xdrop={XDROP} L={L} seed={seed}",
+            tier.name(),
+            K::NAME,
+            G::AFFINE
+        );
         for l in 0..L {
+            let (q, s) = (&lanes.qs[l], &lanes.ss[l]);
             let mut out = TileOut::new();
-            relax_tile::<Global, G, _, _>(
+            relax_tile::<K, G, _, _>(
                 &gap,
                 &subst,
-                &qs[l],
-                &ss[l],
+                q,
+                s,
                 (1, 1),
                 (h, w),
                 TileIn {
-                    top_h: &top_h_i32,
-                    top_e: &top_e_i32,
-                    left_h: &left_h_i32,
-                    left_f: &left_f_i32,
+                    top_h: &top_h,
+                    top_e: &top_e,
+                    left_h: &left_h,
+                    left_f: &left_f,
                 },
                 &mut out,
                 &mut NoSink,
             );
-            for c in 0..=w {
-                assert_eq!(
-                    from16(borders.top_h[c].0[l], 0),
-                    out.bot_h[c],
-                    "lane {l} bottom H at {c}"
-                );
-            }
-            for r in 0..h {
-                assert_eq!(
-                    from16(borders.left_h[r].0[l], 0),
-                    out.right_h[r],
-                    "lane {l} right H at {r}"
-                );
-            }
+            let lane = |v: &[I16s<L>]| v.iter().map(|x| from16(x.0[l], 0)).collect::<Vec<_>>();
+            assert_eq!(lane(&borders.top_h), out.bot_h, "{what} lane {l} bottom H");
+            assert_eq!(
+                lane(&borders.left_h),
+                out.right_h,
+                "{what} lane {l} right H"
+            );
             if G::AFFINE {
-                for c in 0..w {
-                    assert_eq!(from16(borders.top_e[c].0[l], 0), out.bot_e[c]);
-                }
-                for r in 0..h {
-                    assert_eq!(from16(borders.left_f[r].0[l], 0), out.right_f[r]);
-                }
+                assert_eq!(lane(&borders.top_e), out.bot_e, "{what} lane {l} bottom E");
+                assert_eq!(
+                    lane(&borders.left_f),
+                    out.right_f,
+                    "{what} lane {l} right F"
+                );
             }
+            let pass = score_pass::<K, G, _>(&gap, &subst, q, s, gap.open());
+            assert_eq!(
+                from16(opt.best.0[l], 0),
+                pass.score,
+                "{what} lane {l} optimum"
+            );
         }
     }
+
+    const LIN: LinearGap = LinearGap { gap: -2 };
+    const AFF: AffineGap = AffineGap {
+        open: -3,
+        extend: -1,
+    };
 
     #[test]
     fn block_matches_scalar_linear() {
         for seed in 0..4 {
-            check_against_scalar(LinearGap { gap: -1 }, seed);
+            check_against_scalar::<Global, _, false, 8>(
+                Tier::detect(),
+                LinearGap { gap: -1 },
+                seed,
+            );
         }
     }
 
     #[test]
     fn block_matches_scalar_affine() {
         for seed in 0..4 {
-            check_against_scalar(
-                AffineGap {
-                    open: -2,
-                    extend: -1,
-                },
-                seed,
-            );
-        }
-    }
-
-    /// Full-width kind-generic kernel vs the scalar score pass, every
-    /// lane carrying a different random problem of the same shape.
-    fn check_kind_against_pass<K: anyseq_core::kind::AlignKind, G: GapModel + Copy>(
-        gap: G,
-        seed: u64,
-    ) {
-        const L: usize = 8;
-        let subst = simple(2, -3);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let h = 21;
-        let w = 15;
-        let qs: Vec<Vec<u8>> = (0..L)
-            .map(|_| (0..h).map(|_| rng.gen_range(0..4u8)).collect())
-            .collect();
-        let ss: Vec<Vec<u8>> = (0..L)
-            .map(|_| (0..w).map(|_| rng.gen_range(0..4u8)).collect())
-            .collect();
-
-        let top_h_i32 = init_top_h::<K, G>(&gap, w);
-        let top_e_i32 = init_top_e::<K, G>(&gap, w);
-        let left_h_i32 = init_left_h::<K, G>(&gap, h, gap.open());
-        let left_f_i32 = init_left_f::<G>(h);
-        let mut borders = BlockBorders::<L> {
-            top_h: (0..=w)
-                .map(|c| I16s::splat(to16(top_h_i32[c], 0)))
-                .collect(),
-            top_e: (0..top_e_i32.len())
-                .map(|c| I16s::splat(to16(top_e_i32[c], 0)))
-                .collect(),
-            left_h: (0..h)
-                .map(|r| I16s::splat(to16(left_h_i32[r], 0)))
-                .collect(),
-            left_f: (0..left_f_i32.len())
-                .map(|r| I16s::splat(to16(left_f_i32[r], 0)))
-                .collect(),
-        };
-        let q_rows: Vec<[u8; L]> = (0..h).map(|r| std::array::from_fn(|l| qs[l][r])).collect();
-        let s_cols: Vec<[u8; L]> = (0..w).map(|c| std::array::from_fn(|l| ss[l][c])).collect();
-        let opt =
-            block_kernel_kind::<K, G, _, false, L>(&gap, &subst, &q_rows, &s_cols, &mut borders, 0);
-        assert_eq!(opt.retired, 0);
-        for l in 0..L {
-            let pass =
-                anyseq_core::pass::score_pass::<K, G, _>(&gap, &subst, &qs[l], &ss[l], gap.open());
-            assert_eq!(
-                from16(opt.best.0[l], 0),
-                pass.score,
-                "{} lane {l} seed {seed}",
-                K::NAME
-            );
+            check_against_scalar::<Global, _, false, 8>(Tier::detect(), AFF, seed);
         }
     }
 
     #[test]
     fn kind_kernel_matches_scalar_pass_all_kinds() {
-        use anyseq_core::kind::{Extension, FreeEnd, Local, SemiGlobal};
         for seed in 0..4 {
-            let lin = LinearGap { gap: -2 };
-            let aff = AffineGap {
-                open: -3,
-                extend: -1,
-            };
-            check_kind_against_pass::<Global, _>(lin, seed);
-            check_kind_against_pass::<Global, _>(aff, seed);
-            check_kind_against_pass::<SemiGlobal, _>(lin, seed);
-            check_kind_against_pass::<SemiGlobal, _>(aff, seed);
-            check_kind_against_pass::<Local, _>(lin, seed);
-            check_kind_against_pass::<Local, _>(aff, seed);
-            check_kind_against_pass::<FreeEnd, _>(lin, seed);
-            check_kind_against_pass::<FreeEnd, _>(aff, seed);
-            check_kind_against_pass::<Extension, _>(lin, seed);
-            check_kind_against_pass::<Extension, _>(aff, seed);
+            let tier = Tier::detect();
+            check_against_scalar::<Global, _, false, 8>(tier, LIN, seed);
+            check_against_scalar::<Global, _, false, 8>(tier, AFF, seed);
+            check_against_scalar::<SemiGlobal, _, false, 8>(tier, LIN, seed);
+            check_against_scalar::<SemiGlobal, _, false, 8>(tier, AFF, seed);
+            check_against_scalar::<Local, _, false, 8>(tier, LIN, seed);
+            check_against_scalar::<Local, _, false, 8>(tier, AFF, seed);
+            check_against_scalar::<FreeEnd, _, false, 8>(tier, LIN, seed);
+            check_against_scalar::<FreeEnd, _, false, 8>(tier, AFF, seed);
+            check_against_scalar::<Extension, _, false, 8>(tier, LIN, seed);
+            check_against_scalar::<Extension, _, false, 8>(tier, AFF, seed);
+        }
+    }
+
+    /// Every tier the host has × kind × gap model × X-drop × lane width:
+    /// borders and optimum bit-identical to the scalar oracle. (Run it
+    /// with `--release` too: only optimised builds execute vector code.)
+    #[test]
+    fn every_tier_kind_gap_xdrop_and_width_matches_scalar() {
+        fn widths<K: AlignKind, G: GapModel + Copy, const XDROP: bool>(tier: Tier, gap: G) {
+            for seed in 0..2 {
+                check_against_scalar::<K, G, XDROP, 8>(tier, gap, seed);
+                check_against_scalar::<K, G, XDROP, 16>(tier, gap, seed);
+                check_against_scalar::<K, G, XDROP, 32>(tier, gap, seed);
+            }
+        }
+        fn gaps<K: AlignKind, const XDROP: bool>(tier: Tier) {
+            widths::<K, _, XDROP>(tier, LIN);
+            widths::<K, _, XDROP>(tier, AFF);
+        }
+        for tier in Tier::available() {
+            // X-drop does not exist for corner-optimum kinds.
+            gaps::<Global, false>(tier);
+            gaps::<SemiGlobal, false>(tier);
+            gaps::<SemiGlobal, true>(tier);
+            gaps::<Local, false>(tier);
+            gaps::<Local, true>(tier);
+        }
+    }
+
+    /// A threshold that does retire lanes: which lanes retire, and the
+    /// optimum they freeze at, must not depend on the tier either.
+    #[test]
+    fn xdrop_retirement_is_tier_independent() {
+        fn run<K: AlignKind, const L: usize>(tier: Tier, seed: u64) -> ([i16; L], u32) {
+            let (h, w) = (40, 40);
+            let lanes = random_lanes::<L>(h, w, seed);
+            let mut borders = BlockBorders::<L>::init::<K, _>(&AFF, h, w);
+            let opt = block_kernel_kind_on::<K, _, _, true, L>(
+                tier,
+                &AFF,
+                &simple(2, -3),
+                &lanes.q_rows,
+                &lanes.s_cols,
+                &mut borders,
+                6,
+            );
+            (opt.best.0, opt.retired)
+        }
+        for seed in 0..4 {
+            let semi = run::<SemiGlobal, 16>(Tier::BASELINE, seed);
+            let loc = run::<Local, 32>(Tier::BASELINE, seed);
+            for tier in Tier::available() {
+                assert_eq!(run::<SemiGlobal, 16>(tier, seed), semi, "{}", tier.name());
+                assert_eq!(run::<Local, 32>(tier, seed), loc, "{}", tier.name());
+            }
         }
     }
 
     #[test]
+    fn masked_kernel_matches_general_kernel() {
+        const L: usize = 16;
+        let (h, w) = (19, 27);
+        let lanes = random_lanes::<L>(h, w, 3);
+        let subst = simple(2, -1);
+        let mut general = BlockBorders::<L>::init::<Global, _>(&AFF, h, w);
+        let mut masked = BlockBorders::<L>::init::<Global, _>(&AFF, h, w);
+        block_kernel_kind::<Global, _, _, false, L>(
+            &AFF,
+            &subst,
+            &lanes.q_rows,
+            &lanes.s_cols,
+            &mut general,
+            0,
+        );
+        block_kernel_masked(&AFF, &subst, &lanes.q_rows, &lanes.s_cols, &mut masked);
+        assert_eq!(masked.top_h, general.top_h);
+        assert_eq!(masked.left_h, general.left_h);
+    }
+
+    #[test]
     fn huge_xdrop_threshold_is_bit_exact() {
-        use anyseq_core::kind::SemiGlobal;
         const L: usize = 4;
         let gap = LinearGap { gap: -2 };
         let subst = simple(2, -3);
-        let mut rng = StdRng::seed_from_u64(7);
-        let h = 12;
-        let w = 9;
-        let qs: Vec<Vec<u8>> = (0..L)
-            .map(|_| (0..h).map(|_| rng.gen_range(0..4u8)).collect())
-            .collect();
-        let ss: Vec<Vec<u8>> = (0..L)
-            .map(|_| (0..w).map(|_| rng.gen_range(0..4u8)).collect())
-            .collect();
-        let build = || BlockBorders::<L> {
-            top_h: (0..=w)
-                .map(|c| I16s::splat(to16(init_top_h::<SemiGlobal, _>(&gap, w)[c], 0)))
-                .collect(),
-            top_e: Vec::new(),
-            left_h: (0..h)
-                .map(|r| {
-                    I16s::splat(to16(
-                        init_left_h::<SemiGlobal, _>(&gap, h, gap.open())[r],
-                        0,
-                    ))
-                })
-                .collect(),
-            left_f: Vec::new(),
-        };
-        let q_rows: Vec<[u8; L]> = (0..h).map(|r| std::array::from_fn(|l| qs[l][r])).collect();
-        let s_cols: Vec<[u8; L]> = (0..w).map(|c| std::array::from_fn(|l| ss[l][c])).collect();
-        let mut exact_b = build();
+        let (h, w) = (12, 9);
+        let lanes = random_lanes::<L>(h, w, 7);
+        let mut exact_b = BlockBorders::<L>::init::<SemiGlobal, _>(&gap, h, w);
         let exact = block_kernel_kind::<SemiGlobal, _, _, false, L>(
             &gap,
             &subst,
-            &q_rows,
-            &s_cols,
+            &lanes.q_rows,
+            &lanes.s_cols,
             &mut exact_b,
             0,
         );
-        let mut xd_b = build();
+        let mut xd_b = BlockBorders::<L>::init::<SemiGlobal, _>(&gap, h, w);
         let xd = block_kernel_kind::<SemiGlobal, _, _, true, L>(
-            &gap, &subst, &q_rows, &s_cols, &mut xd_b, 10_000,
+            &gap,
+            &subst,
+            &lanes.q_rows,
+            &lanes.s_cols,
+            &mut xd_b,
+            10_000,
         );
         assert_eq!(xd.retired, 0);
         assert_eq!(xd.best.0, exact.best.0);
@@ -629,7 +714,6 @@ mod tests {
 
     #[test]
     fn xdrop_retires_diverged_lanes() {
-        use anyseq_core::kind::SemiGlobal;
         const L: usize = 4;
         let gap = LinearGap { gap: -2 };
         let subst = simple(2, -3);
@@ -637,23 +721,7 @@ mod tests {
         // reached early and every later row only sinks.
         let q: Vec<u8> = [vec![0u8; 10], vec![1u8; 60]].concat();
         let s: Vec<u8> = [vec![0u8; 10], vec![2u8; 60]].concat();
-        let h = q.len();
-        let w = s.len();
-        let mut borders = BlockBorders::<L> {
-            top_h: (0..=w)
-                .map(|c| I16s::splat(to16(init_top_h::<SemiGlobal, _>(&gap, w)[c], 0)))
-                .collect(),
-            top_e: Vec::new(),
-            left_h: (0..h)
-                .map(|r| {
-                    I16s::splat(to16(
-                        init_left_h::<SemiGlobal, _>(&gap, h, gap.open())[r],
-                        0,
-                    ))
-                })
-                .collect(),
-            left_f: Vec::new(),
-        };
+        let mut borders = BlockBorders::<L>::init::<SemiGlobal, _>(&gap, q.len(), s.len());
         let q_rows: Vec<[u8; L]> = q.iter().map(|&b| [b; L]).collect();
         let s_cols: Vec<[u8; L]> = s.iter().map(|&b| [b; L]).collect();
         let opt = block_kernel_kind::<SemiGlobal, _, _, true, L>(
@@ -667,8 +735,7 @@ mod tests {
         assert_eq!(opt.retired, (1u32 << L) - 1, "all lanes should retire");
         // Here retirement is lossless: the exact semi-global optimum is
         // the free-begin seed (score 0), seen before any lane retires.
-        let exact =
-            anyseq_core::pass::score_pass::<SemiGlobal, _, _>(&gap, &subst, &q, &s, gap.open());
+        let exact = score_pass::<SemiGlobal, _, _>(&gap, &subst, &q, &s, gap.open());
         for l in 0..L {
             assert_eq!(from16(opt.best.0[l], 0), exact.score, "lane {l}");
         }

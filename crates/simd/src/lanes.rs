@@ -4,16 +4,26 @@
 //! not resort to architecture-specific intrinsics" and supports several
 //! SIMD instruction sets. The Rust analog: a fixed-size lane array whose
 //! operations are written as plain per-lane loops marked
-//! `#[inline(always)]` — under `-C target-cpu=native` LLVM reliably
-//! compiles `I16s<16>` arithmetic to one AVX2 instruction and `I16s<32>`
-//! to one AVX512BW instruction (`vpaddsw`, `vpmaxsw`, ...), matching the
-//! paper's AVX2/AVX512 variants with 16-bit scores per lane.
+//! `#[inline(always)]`. The loops carry no ISA of their own: they take
+//! the target features of the function they end up inlined into, so the
+//! same `I16s<16>` addition is two SSE2 `paddsw` in a baseline x86-64
+//! build and one AVX2 `vpaddsw` inside the run-time tier trampoline
+//! ([`mod@crate::isa`]) — one portable relaxation, specialised per
+//! instruction set by the compiler, with 16-bit scores per lane.
 
 #![allow(clippy::needless_range_loop)] // lane loops mirror the vector ISA
 
 /// A SIMD block of `L` signed 16-bit scores.
+///
+/// Aligned to the widest tier's register (32 bytes, AVX2), which at the
+/// engine's `L = 16` is also the block's size: border stripes are dense
+/// arrays of whole registers. (A 64-byte alignment pads every
+/// `I16s<16>` to a cache line: the stripes a 150 × 150 lane group
+/// sweeps per row grow from 9.6 KB to 19 KB and its four borders from
+/// 19 KB to 38 KB of a 32–48 KB L1 — the bare kernel measures 3 %
+/// slower that way, before anything else competes for the cache.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(align(64))]
+#[repr(align(32))]
 pub struct I16s<const L: usize>(pub [i16; L]);
 
 impl<const L: usize> I16s<L> {

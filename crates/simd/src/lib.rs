@@ -1,15 +1,20 @@
 //! # anyseq-simd — portable SIMD kernels with 16-bit differential scores
 //!
 //! Reproduces the paper's CPU vectorization (§IV-A) without
-//! architecture-specific intrinsics: lane-array arithmetic autovectorizes
-//! under `-C target-cpu=native` (L = 16 ⇒ AVX2, L = 32 ⇒ AVX512, 16-bit
-//! lanes). Two execution shapes:
+//! architecture-specific intrinsics: one portable relaxation over
+//! lane arrays ([`lanes`], 16-bit lanes) that the compiler turns into
+//! vector code. Which vector code is picked at run time, inside this
+//! crate: the three lane kernels run through a
+//! `#[target_feature(enable = "avx2")]` trampoline when the CPU reports
+//! AVX2 and un-tiered otherwise ([`mod@isa`]); [`isa()`] says which.
+//! No build flag is involved. Three execution shapes:
 //!
 //! * [`simd_tiled_score_pass`] — long-genome intra-sequence: vector lanes
 //!   are filled with independent tiles popped from the dynamic wavefront
 //!   queue (paper Fig. 3), scalar fallback when fewer than `L` are ready,
 //! * [`score_batch_simd`] — short-read inter-sequence: one whole
-//!   alignment per lane, bucketed by matrix dimensions,
+//!   alignment per lane, bucketed by matrix dimensions (a bucket's
+//!   remainder rides a *partial* lane group),
 //! * [`align_batch_simd`] — inter-sequence with full tracebacks: a
 //!   banded DP records 2 packed direction bits per lane per cell
 //!   (plus affine extend bits), the band widens adaptively until each
@@ -21,12 +26,14 @@
 //! with the block extent bounded by [`kernel::max_block_extent`].
 
 pub mod batch;
+pub mod isa;
 pub mod kernel;
 pub mod lanes;
 pub mod tiled;
 pub mod traceback;
 
 pub use batch::{score_batch_simd, score_batch_simd_stats, score_batch_simd_xdrop, LaneGroups};
+pub use isa::isa;
 pub use kernel::{block_kernel_kind, max_block_extent, BlockBorders, KernelOpt, SimdSubst, SENT16};
 pub use lanes::I16s;
 pub use tiled::{simd_tiled_score_pass, SimdPass};
@@ -36,8 +43,3 @@ pub use traceback::{align_batch_simd, BandCfg, TraceStats};
 // border store.
 pub(crate) use anyseq_wavefront::borders::HStripe as HStripeBuf;
 pub(crate) use anyseq_wavefront::borders::VStripe as VStripeBuf;
-
-/// Lane count matching AVX2 (256-bit registers of 16-bit scores).
-pub const LANES_AVX2: usize = 16;
-/// Lane count matching AVX512 (512-bit registers of 16-bit scores).
-pub const LANES_AVX512: usize = 32;

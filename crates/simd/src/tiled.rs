@@ -4,7 +4,7 @@
 //! l work items are enqueued ... In these cases threads will compute
 //! single submatrices using the scalar method").
 
-use crate::kernel::{block_kernel, from16, max_block_extent, to16, BlockBorders, SimdSubst};
+use crate::kernel::{block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst};
 use crate::lanes::I16s;
 use anyseq_core::kind::{AlignKind, Global, OptRegion};
 use anyseq_core::pass::{score_pass, PassOutput};
@@ -33,8 +33,8 @@ struct Scratch<const L: usize> {
 
 /// Vectorized multithreaded score-only pass for **global** alignments.
 ///
-/// `L` is the lane count: 16 reproduces the paper's AVX2 variant
-/// (16 × 16-bit = 256 bit), 32 the AVX512 variant.
+/// `L` is the lane count: 16 × 16-bit fills one 256-bit register on
+/// the AVX2 tier (see [`mod@crate::isa`]) and two 128-bit ones on baseline.
 pub fn simd_tiled_score_pass<G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
@@ -246,7 +246,14 @@ fn compute_block<G: GapModel, SS: SimdSubst, const L: usize>(
     }));
 
     // 3. Vector relaxation.
-    block_kernel(gap, subst, &scr.q_rows, &scr.s_cols, &mut scr.block);
+    block_kernel_kind::<Global, G, SS, false, L>(
+        gap,
+        subst,
+        &scr.q_rows,
+        &scr.s_cols,
+        &mut scr.block,
+        0,
+    );
 
     // 4. Convert the output stripes back and publish them.
     for (l, t) in tiles.iter().enumerate() {

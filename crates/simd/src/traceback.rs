@@ -31,7 +31,8 @@
 //! `open ≤ 0`) implies the cell above/left is not itself gap-preferring,
 //! so two DP gap runs can never silently merge into one CIGAR run.
 
-use crate::batch::LaneGroups;
+use crate::batch::{transpose_lanes, LaneGroup, LaneGroups};
+use crate::isa::Tier;
 use crate::kernel::{
     block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst, SENT16,
 };
@@ -46,6 +47,16 @@ use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Smallest bucket remainder the traceback path runs as a partial lane
+/// group instead of `k` scalar `align_codes` calls. A padded group pays
+/// a whole `L`-lane score pass plus banded pass whatever its fill, so
+/// the break-even sits higher than the score path's 2. Measured on
+/// `reads_align`-shaped pairs (150 × 150, global affine, L = 16): one
+/// group costs 177 µs on the AVX2 tier and 240 µs on baseline against
+/// 66–70 µs per scalar pair, so `k = 3` is a wash on AVX2 (0.94×) and a
+/// loss on baseline (1.13×) while `k = 4` wins on both (0.67× / 0.86×).
+pub(crate) const ALIGN_MIN_PARTIAL: usize = 4;
 
 /// Adaptive-band tuning for the SIMD traceback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +84,8 @@ impl Default for BandCfg {
 /// `BatchStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Pairs aligned inside full SIMD lane groups.
+    /// Pairs aligned in live SIMD lanes (padding lanes of a partial
+    /// group are not pairs and are not counted).
     pub lane_pairs: u64,
     /// Leftover/oversized pairs aligned by the in-backend scalar path.
     pub scalar_pairs: u64,
@@ -176,9 +188,10 @@ impl<const L: usize> BandedOpt<L> {
     }
 }
 
-/// Relaxes one lane group over the band, recording packed directions.
-/// Returns the per-lane kind-`K` optimum (differential base 0) and the
-/// cell where it is attained.
+/// Relaxes one lane group over the band on `tier`, recording packed
+/// directions. Returns the per-lane kind-`K` optimum (differential
+/// base 0) and the cell where it is attained; bit-identical on every
+/// tier.
 ///
 /// Cells outside the band (or the matrix) read as the saturating
 /// sentinel, exactly like the full-width kernel's −∞ stripes, so a
@@ -186,6 +199,30 @@ impl<const L: usize> BandedOpt<L> {
 /// than the exact optimum — which the caller detects by comparison.
 #[allow(clippy::too_many_arguments)]
 fn banded_group_kernel<K, G, SS, const L: usize>(
+    tier: Tier,
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    dlo: isize,
+    dhi: isize,
+    store: &mut DirStore,
+) -> BandedOpt<L>
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+{
+    tier.run(
+        #[inline(always)]
+        || banded_body::<K, G, SS, L>(gap, subst, q_rows, s_cols, dlo, dhi, store),
+    )
+}
+
+/// `#[inline(always)]` so the relaxation takes the target features of
+/// the tier trampoline it is inlined into.
+#[inline(always)]
+fn banded_body<K, G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
     q_rows: &[[u8; L]],
@@ -440,105 +477,92 @@ fn decode_lane(
     (ops, i, j)
 }
 
-/// Aligns `L` equal-dimension pairs in one banded vector pass,
-/// widening the band until every lane's corner matches its exact
-/// score. Returns `None` for lanes that still overflow at
-/// [`BandCfg::max`] (the caller rescues those with scalar traceback).
+/// Aligns one lane group's pairs in one banded vector pass, widening
+/// the band until every live lane's corner matches its exact score.
+/// Returns one entry per live lane: `None` for lanes that still
+/// overflow at [`BandCfg::max`] (the caller rescues those with scalar
+/// traceback).
 fn align_lane_group<K, G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
     pairs: &[PairRef<'_>],
-    lanes: &[usize; L],
+    group: &LaneGroup<L>,
     band: BandCfg,
     stats: &mut TraceStats,
-) -> [Option<Alignment>; L]
+) -> Vec<Option<Alignment>>
 where
     K: AlignKind,
     G: GapModel,
     SS: SimdSubst,
 {
-    let n = pairs[lanes[0]].q.len();
-    let m = pairs[lanes[0]].s.len();
-    debug_assert!(lanes
-        .iter()
-        .all(|&k| pairs[k].q.len() == n && pairs[k].s.len() == m));
+    let (n, m) = (pairs[group.lanes[0]].q.len(), pairs[group.lanes[0]].s.len());
 
     // The lane transpose: the only sequence-byte copy on this path
     // (built once per group; band retries reuse it).
     stats.bytes_copied += ((n + m) * L) as u64;
-    let (q_rows, s_cols) = anyseq_obs::span(Stage::Transpose, || {
-        let q_rows: Vec<[u8; L]> = (0..n)
-            .map(|r| std::array::from_fn(|l| pairs[lanes[l]].q[r]))
-            .collect();
-        let s_cols: Vec<[u8; L]> = (0..m)
-            .map(|c| std::array::from_fn(|l| pairs[lanes[l]].s[c]))
-            .collect();
-        (q_rows, s_cols)
-    });
+    let (q_rows, s_cols) =
+        anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
 
     // Exact kind-`K` optima from the full-width score kernel: the
     // oracle every banded lane must reproduce before it is decoded.
-    let top_h = init_top_h::<K, G>(gap, m);
-    let top_e = init_top_e::<K, G>(gap, m);
-    let left_h = init_left_h::<K, G>(gap, n, gap.open());
-    let left_f = init_left_f::<G>(n);
-    let mut borders = BlockBorders::<L> {
-        top_h: top_h.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        top_e: top_e.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        left_h: left_h.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-        left_f: left_f.iter().map(|&v| I16s::splat(to16(v, 0))).collect(),
-    };
+    let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
     let exact = anyseq_obs::span(Stage::Kernel, || {
         block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut borders, 0)
     })
     .best;
 
+    let tier = Tier::detect();
+    let live = group.live_mask();
     let mut w = band.initial.max(1);
     loop {
         let (dlo, dhi) = band_range(n, m, w);
         let bw = (dhi - dlo + 1) as usize;
         let mut store = DirStore::new(n * bw, G::AFFINE, K::NU_ZERO);
         let banded = anyseq_obs::span(Stage::Kernel, || {
-            banded_group_kernel::<K, G, SS, L>(gap, subst, &q_rows, &s_cols, dlo, dhi, &mut store)
+            banded_group_kernel::<K, G, SS, L>(
+                tier, gap, subst, &q_rows, &s_cols, dlo, dhi, &mut store,
+            )
         });
         stats.band_cells += (n * bw * L) as u64;
         stats.max_band = stats.max_band.max(bw as u64);
 
         let in_band = banded.best.eq_mask(exact);
         let full_matrix = dlo <= -(n as isize) && dhi >= m as isize;
-        let all = if L == 32 { u32::MAX } else { (1u32 << L) - 1 };
-        if in_band & all == all || full_matrix || w >= band.max {
-            debug_assert!(!full_matrix || in_band & all == all);
+        if in_band & live == live || full_matrix || w >= band.max {
+            debug_assert!(!full_matrix || in_band & live == live);
             return anyseq_obs::span(Stage::Traceback, || {
-                std::array::from_fn(|l| {
-                    if in_band & (1 << l) == 0 {
-                        stats.band_overflows += 1;
-                        return None;
-                    }
-                    stats.lane_pairs += 1;
-                    let p = pairs[lanes[l]];
-                    let end = (banded.bi.0[l] as usize, banded.bj.0[l] as usize);
-                    let (ops, q_start, s_start) = decode_lane(
-                        &store,
-                        end,
-                        dlo,
-                        bw,
-                        l,
-                        p.q,
-                        p.s,
-                        G::AFFINE,
-                        K::FREE_BEGIN,
-                        K::NU_ZERO,
-                    );
-                    Some(Alignment {
-                        score: from16(exact.0[l], 0),
-                        ops,
-                        q_start,
-                        q_end: end.0,
-                        s_start,
-                        s_end: end.1,
+                let lanes = group.live().iter().enumerate();
+                lanes
+                    .map(|(l, &idx)| {
+                        if in_band & (1 << l) == 0 {
+                            stats.band_overflows += 1;
+                            return None;
+                        }
+                        stats.lane_pairs += 1;
+                        let p = pairs[idx];
+                        let end = (banded.bi.0[l] as usize, banded.bj.0[l] as usize);
+                        let (ops, q_start, s_start) = decode_lane(
+                            &store,
+                            end,
+                            dlo,
+                            bw,
+                            l,
+                            p.q,
+                            p.s,
+                            G::AFFINE,
+                            K::FREE_BEGIN,
+                            K::NU_ZERO,
+                        );
+                        Some(Alignment {
+                            score: from16(exact.0[l], 0),
+                            ops,
+                            q_start,
+                            q_end: end.0,
+                            s_start,
+                            s_end: end.1,
+                        })
                     })
-                })
+                    .collect()
             });
         }
         stats.band_widenings += 1;
@@ -554,10 +578,10 @@ where
 /// than the scalar Hirschberg traceback). X-drop never applies here —
 /// tracebacks are always exact.
 ///
-/// Pairs that cannot ride a full lane group (leftovers, empty or
-/// oversized sequences) and lanes whose optimal path escapes the
-/// maximum band are aligned by the scalar `Scheme::align` inside this
-/// call — the result is complete either way.
+/// Pairs that cannot ride a lane group (bucket remainders below
+/// `ALIGN_MIN_PARTIAL`, empty or oversized sequences) and lanes whose
+/// optimal path escapes the maximum band are aligned by the scalar
+/// `Scheme::align` inside this call — the result is complete either way.
 pub fn align_batch_simd<K, G, SS, const L: usize>(
     scheme: &Scheme<K, G, SS>,
     pairs: &[PairRef<'_>],
@@ -572,7 +596,8 @@ where
     let gap = *scheme.gap();
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
-    let LaneGroups { groups, scalar_idx } = LaneGroups::<L>::build(pairs, extent_budget);
+    let LaneGroups { groups, scalar_idx } =
+        LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL);
 
     let mut results: Vec<Alignment> = vec![Alignment::empty(0); pairs.len()];
     struct Out(*mut Alignment);
@@ -600,18 +625,18 @@ where
                 if g >= groups.len() {
                     break;
                 }
-                let lanes = &groups[g];
+                let group = &groups[g];
                 let alns =
-                    align_lane_group::<K, G, SS, L>(gap, subst, pairs, lanes, band, &mut local);
-                for (l, aln) in alns.into_iter().enumerate() {
-                    let idx = lanes[l];
+                    align_lane_group::<K, G, SS, L>(gap, subst, pairs, group, band, &mut local);
+                for (&idx, aln) in group.live().iter().zip(alns) {
                     let aln = aln.unwrap_or_else(|| {
                         // Band overflow: scalar rescue for this
                         // lane only (already counted).
                         let p = pairs[idx];
                         anyseq_obs::span(Stage::Traceback, || scheme.align_codes(p.q, p.s))
                     });
-                    // SAFETY: each pair index is written exactly once.
+                    // SAFETY: each pair index is live in exactly one
+                    // lane of one group, so it is written exactly once.
                     unsafe { *out.0.add(idx) = aln };
                 }
             }
@@ -652,7 +677,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anyseq_core::kind::{Global, Local, SemiGlobal};
     use anyseq_core::prelude::{affine, global, linear, local, semiglobal, simple};
+    use anyseq_core::scoring::{AffineGap, LinearGap};
     use anyseq_seq::genome::GenomeSim;
     use anyseq_seq::testsupport::read_pairs;
     use anyseq_seq::{BatchView, Seq};
@@ -866,6 +893,74 @@ mod tests {
             "a 50-diagonal excursion forces widening: {}",
             stats.max_band
         );
+    }
+
+    /// Every tier the host has × kind × gap model × lane width: a band
+    /// covering the whole matrix reproduces the exact score kernel's
+    /// optimum in every lane, and a narrow band yields the same optimum,
+    /// end cell and direction planes on every tier.
+    #[test]
+    fn banded_kernel_matches_exact_score_on_every_tier() {
+        fn check<K: AlignKind, G: GapModel, const L: usize>(gap: G, seed: u64) {
+            let subst = simple(2, -3);
+            let pairs: Vec<(Seq, Seq)> = read_pairs(4 * L, seed)
+                .into_iter()
+                .map(|(q, s)| (q.subseq(0..40), s.subseq(0..52)))
+                .take(L)
+                .collect();
+            let view = BatchView::from_pairs(&pairs);
+            let lanes: [usize; L] = std::array::from_fn(|l| l);
+            let (q_rows, s_cols) = transpose_lanes(view.refs(), &lanes);
+            let (n, m) = (q_rows.len(), s_cols.len());
+            let mut borders = BlockBorders::<L>::init::<K, G>(&gap, n, m);
+            let exact = block_kernel_kind::<K, G, _, false, L>(
+                &gap,
+                &subst,
+                &q_rows,
+                &s_cols,
+                &mut borders,
+                0,
+            )
+            .best;
+            let run = |tier: Tier, w: usize| {
+                let (dlo, dhi) = band_range(n, m, w);
+                let bw = (dhi - dlo + 1) as usize;
+                let mut store = DirStore::new(n * bw, G::AFFINE, K::NU_ZERO);
+                let opt = banded_group_kernel::<K, G, _, L>(
+                    tier, &gap, &subst, &q_rows, &s_cols, dlo, dhi, &mut store,
+                );
+                (
+                    (opt.best, opt.bi, opt.bj),
+                    [store.up, store.left, store.e_ext, store.f_ext, store.stop],
+                )
+            };
+            let narrow = run(Tier::BASELINE, 3);
+            for tier in Tier::available() {
+                let what = format!("{} {} affine={} L={L}", tier.name(), K::NAME, G::AFFINE);
+                assert_eq!(run(tier, n + m).0 .0, exact, "{what}: full band vs exact");
+                assert!(
+                    run(tier, 3) == narrow,
+                    "{what}: narrow band vs baseline tier"
+                );
+            }
+        }
+        fn widths<K: AlignKind, G: GapModel>(gap: G) {
+            for seed in 0..2 {
+                check::<K, G, 8>(gap, seed);
+                check::<K, G, 16>(gap, seed);
+                check::<K, G, 32>(gap, seed);
+            }
+        }
+        fn gaps<K: AlignKind>() {
+            widths::<K, _>(LinearGap { gap: -2 });
+            widths::<K, _>(AffineGap {
+                open: -3,
+                extend: -1,
+            });
+        }
+        gaps::<Global>();
+        gaps::<SemiGlobal>();
+        gaps::<Local>();
     }
 
     #[test]

@@ -39,6 +39,12 @@ Fails (exit 1) if the report is missing any required key:
     `huge.peak_shard_mb <= huge.budget_mb` (a sharded run whose
     resident peak exceeds the unsharded border budget defeats the
     point of sharding),
+  * the ISA-tier keys (the section always runs): `simd.isa` one of
+    `"avx2"` / `"baseline"`, `simd.kernel_gcups_baseline` and
+    `simd.kernel_gcups_tier` positive — and, when the ISA is `avx2`,
+    tier / baseline >= 1.4 (measured 1.8-2.0; below 1.4 the lane
+    relaxation no longer inlines into its `#[target_feature]`
+    trampoline and the "AVX2" kernel is baseline code),
   * the duplicated-read / result-cache keys when `dup_frac` > 0:
     `dup.hit_rate`, `dup.{score,align}_gcups` (+ `_nocache` baselines
     and `dup.{score,align}_speedup`) and the cache counters
@@ -52,6 +58,10 @@ cache counters against silent regressions.
 
 import json
 import sys
+
+# Least speed-up of the AVX2-tier lane kernel over the same kernel
+# compiled for baseline x86-64 before the tier counts as broken.
+MIN_AVX2_TIER_SPEEDUP = 1.4
 
 MODES = ("score", "align")
 BACKENDS = ("scalar", "simd", "gpu-sim")
@@ -89,6 +99,26 @@ def check(path: str, required: list) -> int:
     if missing or bad:
         return 1
     print(f"{path}: {len(required)} required keys present and sane")
+    return 0
+
+
+def check_isa_tier(path: str) -> int:
+    """The run-time ISA tier must be named and, where it is AVX2, pay off."""
+    with open(path) as fh:
+        report = json.load(fh)
+    isa = report.get("simd.isa")
+    if isa not in ("avx2", "baseline"):
+        print(f"{path}: simd.isa is {isa!r}, expected 'avx2' or 'baseline'", file=sys.stderr)
+        return 1
+    ratio = report["simd.kernel_gcups_tier"] / report["simd.kernel_gcups_baseline"]
+    if isa == "avx2" and ratio < MIN_AVX2_TIER_SPEEDUP:
+        print(
+            f"{path}: avx2 tier runs the lane kernel at {ratio:.2f}x baseline "
+            f"(< {MIN_AVX2_TIER_SPEEDUP}): the body is not inlining into the trampoline",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"{path}: simd.isa {isa}, lane kernel at {ratio:.2f}x the baseline build")
     return 0
 
 
@@ -148,6 +178,8 @@ def main() -> int:
         required.append((f"obs.kernel_{q}_ns", True))
     for stage in STAGES:
         required.append((f"stage.{stage}_ns", stage == "kernel"))
+    required.append(("simd.kernel_gcups_baseline", True))
+    required.append(("simd.kernel_gcups_tier", True))
     if long_len > 0:
         required.append(("long.score_gcups", True))
         required.append(("long.align_gcups", True))
@@ -199,7 +231,7 @@ def main() -> int:
             required.append((f"dup.{mode}_gcups_nocache", True))
             required.append((f"dup.{mode}_speedup", True))
 
-    rc = check(path, required)
+    rc = check(path, required) or check_isa_tier(path)
     if rc == 0 and huge_len > 0:
         with open(path) as fh:
             report = json.load(fh)

@@ -313,7 +313,7 @@ proptest! {
                 GapSpec::Linear { gap: -1 }
             },
         };
-        let engine = anyseq_engine::SimdEngine::avx2();
+        let engine = anyseq_engine::SimdEngine::default();
         let view = BatchView::from_pairs(&pairs);
         let alns = engine.align_batch(&spec, view.refs(), threads).unwrap();
         for (k, (q, s)) in pairs.iter().enumerate() {
@@ -659,7 +659,7 @@ fn engine_contract_accepts_raw_pair_refs() {
     let expected = spec.score_scalar(&q, &s);
     for engine in [
         Box::new(anyseq_engine::ScalarEngine) as Box<dyn Engine>,
-        Box::new(anyseq_engine::SimdEngine::avx2()),
+        Box::new(anyseq_engine::SimdEngine::default()),
         Box::new(anyseq_engine::WavefrontEngine::default()),
         Box::new(anyseq_engine::GpuSimEngine::titan_v()),
     ] {

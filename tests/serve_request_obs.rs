@@ -211,6 +211,10 @@ fn cold_scrape_has_stable_keys_and_health_dump_verbs_answer() {
         health.starts_with('{') && health.contains("\"slowlog\":[]"),
         "unexpected health document: {health}"
     );
+    assert!(
+        health.contains(&format!("\"simd.isa\":\"{}\"", anyseq::simd::isa())),
+        "health must say which ISA tier the lane kernels run on: {health}"
+    );
     let dump = client.dump_flight().expect("flight dump failed");
     assert!(dump.trim_start().starts_with('['), "not a trace: {dump}");
     server.shutdown();
