@@ -157,7 +157,7 @@ fn main() {
         let mut table = Table::new(vec!["backend", "threads", "GCUPS", "scaling", "util%"]);
         let mut mode_bytes_copied = 0u64;
 
-        for backend in [BackendId::Scalar, BackendId::Simd, BackendId::GpuSim] {
+        for backend in [BackendId::Scalar, BackendId::Simd] {
             let dispatch = Dispatch::standard(Policy::Fixed(backend));
             let mut single = None;
             for t in [1usize, threads] {

@@ -7,15 +7,15 @@
 //! anyseq batch (--pairs reads.fa | --query q.fa --subject s.fa | --simulate N)
 //!              [--type KIND] [--match N] [--mismatch N]
 //!              [--gap N | --open N --extend N]
-//!              [--backend auto|scalar|simd|wavefront|gpu-sim]
-//!              [--auto-crossover CELLS] [--xdrop X] [--shard-cells CELLS]
-//!              [--cache-mb N] [--threads N] [--alignments] [--seed N] [--quiet]
+//!              [--backend auto|scalar|simd|wavefront]
+//!              [--xdrop X] [--shard-cells CELLS] [--cache-mb N]
+//!              [--threads N] [--alignments] [--seed N] [--quiet]
 //!              [--metrics [PATH]] [--trace-out PATH] [--stats-json [PATH]]
 //! anyseq simulate --length N [--gc F] [--seed N]    # emit a FASTA genome
 //! anyseq serve --socket PATH [--window-ms N] [--target-pairs N]
 //!              [--batch-mb N] [--queue-mb N] [--max-frame-mb N]
-//!              [--backend NAME] [--auto-crossover CELLS] [--xdrop X]
-//!              [--shard-cells CELLS] [--cache-mb N] [--threads N] [--slow-ms N]
+//!              [--backend NAME] [--xdrop X] [--shard-cells CELLS]
+//!              [--cache-mb N] [--threads N] [--slow-ms N]
 //! anyseq serve-ctl --socket PATH (--stats | --health | --dump)
 //!                  [--out PATH]
 //! ```
@@ -24,10 +24,8 @@
 //! binned, sharded over a worker pool, dispatched to the selected
 //! backend (with scalar fallback) and printed in input order. Inputs
 //! are ingested once into a `SeqStore` arena and dispatched as a
-//! borrowed zero-copy `BatchView`; `--auto-crossover CELLS` tunes the
-//! per-pair DP size at which `auto` dispatch switches from the SIMD
-//! lanes to the exclusive wavefront (must be ≥ 1 — 0 would serialize
-//! every pair through the exclusive path and is rejected).
+//! borrowed zero-copy `BatchView`. A flag a subcommand does not know
+//! is refused (exit 2), never ignored.
 //! `--xdrop X` enables X-drop early termination on the SIMD score
 //! path for semi-global/local batches: a lane whose row maximum falls
 //! more than X below its running best retires with the best-so-far —
@@ -67,8 +65,10 @@
 //! micro-batching window (`--window-ms`, flushed early at
 //! `--target-pairs` pairs or `--batch-mb` MiB) behind a queued-bytes
 //! admission gate (`--queue-mb`; overflow gets a typed `Overloaded`
-//! refusal). One engine dispatch, result cache and metrics registry
-//! are shared across all connections; the wire protocol's `STATS` verb
+//! refusal). Flags left out keep `ServeConfig::default()`'s values —
+//! the configuration an in-process daemon runs. One engine dispatch,
+//! result cache and metrics registry are shared across all
+//! connections; the wire protocol's `STATS` verb
 //! scrapes the Prometheus exposition. Every admitted request is traced
 //! through `decode → window_wait → queue_wait → dispatch →
 //! kernel_share → reply_write`; requests slower than `--slow-ms`
@@ -101,38 +101,60 @@ fn usage() -> ! {
          \x20 anyseq batch (--pairs FILE | --query FILE --subject FILE | --simulate N)\n\
          \x20              [--type KIND] [--match N] [--mismatch N]\n\
          \x20              [--gap N | --open N --extend N]\n\
-         \x20              [--backend auto|scalar|simd|wavefront|gpu-sim]\n\
-         \x20              [--auto-crossover CELLS] [--xdrop X] [--shard-cells CELLS]\n\
-         \x20              [--cache-mb N] [--threads N] [--alignments] [--seed N] [--quiet]\n\
+         \x20              [--backend auto|scalar|simd|wavefront]\n\
+         \x20              [--xdrop X] [--shard-cells CELLS] [--cache-mb N]\n\
+         \x20              [--threads N] [--alignments] [--seed N] [--quiet]\n\
          \x20              [--metrics [PATH]] [--trace-out PATH] [--stats-json [PATH]]\n\
          \x20 anyseq simulate --length N [--gc F] [--seed N]\n\
          \x20 anyseq serve --socket PATH [--window-ms N] [--target-pairs N]\n\
          \x20              [--batch-mb N] [--queue-mb N] [--max-frame-mb N]\n\
-         \x20              [--backend NAME] [--auto-crossover CELLS] [--xdrop X]\n\
-         \x20              [--shard-cells CELLS] [--cache-mb N] [--threads N] [--slow-ms N]\n\
+         \x20              [--backend NAME] [--xdrop X] [--shard-cells CELLS]\n\
+         \x20              [--cache-mb N] [--threads N] [--slow-ms N]\n\
          \x20 anyseq serve-ctl --socket PATH (--stats | --health | --dump)\n\
          \x20              [--out PATH]"
     );
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Prints `msg` above the usage text and exits 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    usage()
+}
+
+// Each subcommand's flags, space-separated; `batch` and `serve` add
+// `POLICY_FLAGS`, which `dispatch_policy` reads for both.
+const ALIGN_FLAGS: &str = "query subject type match mismatch gap open extend score-only threads";
+const BATCH_FLAGS: &str = "pairs query subject simulate type match mismatch gap open extend \
+                           threads alignments align seed quiet metrics trace-out stats-json";
+const SIMULATE_FLAGS: &str = "length gc seed";
+const SERVE_FLAGS: &str =
+    "socket window-ms target-pairs batch-mb queue-mb max-frame-mb threads slow-ms";
+const SERVE_CTL_FLAGS: &str = "socket stats health dump out";
+const POLICY_FLAGS: &str = "backend xdrop shard-cells cache-mb";
+
+/// Parses `--key [value]` arguments against the subcommand's own flag
+/// lists: a flag outside them is an error naming it, so a typo cannot
+/// silently run with the default.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut k = 0;
     while k < args.len() {
-        let key = args[k].trim_start_matches("--").to_string();
-        if !args[k].starts_with("--") {
-            usage();
+        let Some(key) = args[k].strip_prefix("--") else {
+            return Err(format!("unexpected argument {}", args[k]));
+        };
+        if !known.iter().any(|list| list.split(' ').any(|f| f == key)) {
+            return Err(format!("unknown flag --{key}"));
         }
         if k + 1 < args.len() && !args[k + 1].starts_with("--") {
-            map.insert(key, args[k + 1].clone());
+            map.insert(key.to_string(), args[k + 1].clone());
             k += 2;
         } else {
-            map.insert(key, "true".to_string());
+            map.insert(key.to_string(), "true".to_string());
             k += 1;
         }
     }
-    map
+    Ok(map)
 }
 
 fn load_first_record(path: &str) -> Seq {
@@ -147,14 +169,17 @@ fn load_first_record(path: &str) -> Seq {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("align") => cmd_align(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("serve-ctl") => cmd_serve_ctl(&args[1..]),
+    // Each subcommand with the flag lists it knows.
+    type Cmd = fn(HashMap<String, String>);
+    let (cmd, known): (Cmd, &[&str]) = match args.first().map(String::as_str) {
+        Some("align") => (cmd_align, &[ALIGN_FLAGS]),
+        Some("batch") => (cmd_batch, &[BATCH_FLAGS, POLICY_FLAGS]),
+        Some("simulate") => (cmd_simulate, &[SIMULATE_FLAGS]),
+        Some("serve") => (cmd_serve, &[SERVE_FLAGS, POLICY_FLAGS]),
+        Some("serve-ctl") => (cmd_serve_ctl, &[SERVE_CTL_FLAGS]),
         _ => usage(),
-    }
+    };
+    cmd(parse_flags(&args[1..], known).unwrap_or_else(|e| fail(&e)));
 }
 
 fn load_records(path: &str) -> Vec<fasta::Record> {
@@ -168,16 +193,68 @@ fn load_records(path: &str) -> Vec<fasta::Record> {
     })
 }
 
-/// Numeric flag with a default: absent ⇒ `default`, present but
-/// malformed ⇒ error + usage (never silently substitute the default).
+/// A flag's parsed value: absent ⇒ `None`, present but malformed ⇒ an
+/// error (never silently substitute a default).
+fn flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--{key}: invalid value {v:?}"))
+        })
+        .transpose()
+}
+
+/// [`flag`], with a malformed value answered by error + usage.
+fn given<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
+    flag(flags, key).unwrap_or_else(|e| fail(&e))
+}
+
+/// Numeric flag with a default for when it is absent.
 fn numeric_flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    match flags.get(key) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--{key}: invalid value {v:?}");
-            usage()
-        }),
+    given(flags, key).unwrap_or(default)
+}
+
+/// Applies the `POLICY_FLAGS` that were given on top of `base` — the
+/// subcommand's own defaults — so `batch` and `serve` cannot read the
+/// same flag differently. "Off" is expressed by omitting a flag: an
+/// explicit `--xdrop 0` (would retire every lane at the first row
+/// below its running best and corrupt essentially every score) or
+/// `--shard-cells 0` is refused instead of silently clamped.
+fn dispatch_policy(
+    flags: &HashMap<String, String>,
+    mut base: DispatchPolicy,
+) -> Result<DispatchPolicy, String> {
+    match flags.get("backend").map(String::as_str) {
+        None => {}
+        Some("auto") => base.policy = Policy::Auto,
+        Some(name) => {
+            let id = BackendId::parse(name).ok_or_else(|| format!("unknown backend {name}"))?;
+            base.policy = Policy::Fixed(id);
+        }
     }
+    if let Some(xdrop) = flag::<i32>(flags, "xdrop")? {
+        if xdrop < 1 {
+            return Err("--xdrop: must be >= 1 (omit the flag for the exact path)".into());
+        }
+        base = base.xdrop(xdrop);
+    }
+    if let Some(cells) = flag::<u64>(flags, "shard-cells")? {
+        if cells == 0 {
+            return Err(
+                "--shard-cells: must be >= 1 DP cells (omit the flag for unsharded execution)"
+                    .into(),
+            );
+        }
+        base = base.shard_cells(cells);
+    }
+    if let Some(mb) = flag(flags, "cache-mb")? {
+        base = base.cache_mb(mb);
+    }
+    Ok(base)
 }
 
 /// Pushes one sequence into the arena, turning a full store (`u32` id
@@ -245,8 +322,7 @@ fn batch_store(flags: &HashMap<String, String>) -> (SeqStore, Vec<(SeqId, SeqId)
     (store, ids)
 }
 
-fn cmd_batch(args: &[String]) {
-    let flags = parse_flags(args);
+fn cmd_batch(flags: HashMap<String, String>) {
     let (store, ids) = batch_store(&flags);
     let view = store.view(&ids);
     let ma: i32 = numeric_flag(&flags, "match", 2);
@@ -285,60 +361,14 @@ fn cmd_batch(args: &[String]) {
         .map(|n| n.get())
         .unwrap_or(1);
     let threads: usize = numeric_flag(&flags, "threads", default_threads);
-    let policy = match flags.get("backend").map(String::as_str) {
-        None | Some("auto") => Policy::Auto,
-        Some(name) => match BackendId::parse(name) {
-            Some(id) => Policy::Fixed(id),
-            None => {
-                eprintln!("unknown backend {name}");
-                usage()
-            }
-        },
-    };
-    let mut policy_cfg = DispatchPolicy::new(policy);
-    if flags.contains_key("auto-crossover") {
-        let crossover: u64 = numeric_flag(&flags, "auto-crossover", 0);
-        // 0 would classify every pair as wavefront-sized and serialize
-        // the batch through the exclusive path; refuse it up front
-        // instead of silently clamping a user-supplied value.
-        if crossover == 0 {
-            eprintln!("--auto-crossover: must be >= 1 DP cells (0 would route every pair to the exclusive wavefront)");
-            usage()
-        }
-        policy_cfg = policy_cfg.auto_crossover(crossover);
-    }
-    if flags.contains_key("xdrop") {
-        let xdrop: i32 = numeric_flag(&flags, "xdrop", 0);
-        // 0 would retire every lane at the first row below its running
-        // best and corrupt essentially every score; "off" is expressed
-        // by omitting the flag, so refuse instead of silently clamping.
-        if xdrop < 1 {
-            eprintln!("--xdrop: must be >= 1 (omit the flag for the exact path)");
-            usage()
-        }
-        policy_cfg = policy_cfg.xdrop(xdrop);
-    }
-    if flags.contains_key("shard-cells") {
-        let cells: u64 = numeric_flag(&flags, "shard-cells", 0);
-        // "Off" is expressed by omitting the flag (0 disables sharding
-        // everywhere in the stack); refuse an explicit 0 instead of
-        // silently interpreting it, mirroring --auto-crossover/--xdrop.
-        if cells == 0 {
-            eprintln!(
-                "--shard-cells: must be >= 1 DP cells (omit the flag for unsharded execution)"
-            );
-            usage()
-        }
-        policy_cfg = policy_cfg.shard_cells(cells);
-    }
-    policy_cfg = policy_cfg.cache_mb(numeric_flag(&flags, "cache-mb", 0));
     // Any observability sink switches the span/metrics layer on; with
     // none requested the instrumented pipeline stays a no-op.
     let observe = ["metrics", "trace-out", "stats-json"]
         .iter()
         .any(|k| flags.contains_key(*k));
-    policy_cfg = policy_cfg.observe(observe);
-    let dispatch = policy_cfg.standard();
+    let dispatch = dispatch_policy(&flags, DispatchPolicy::auto().observe(observe))
+        .unwrap_or_else(|e| fail(&e))
+        .standard();
     let scheduler = BatchScheduler::new(BatchCfg::threads(threads));
 
     let stdout = std::io::stdout();
@@ -420,8 +450,7 @@ fn write_file(path: &str, text: &str) {
     }
 }
 
-fn cmd_simulate(args: &[String]) {
-    let flags = parse_flags(args);
+fn cmd_simulate(flags: HashMap<String, String>) {
     let length: usize = flags
         .get("length")
         .and_then(|v| v.parse().ok())
@@ -438,65 +467,30 @@ fn cmd_simulate(args: &[String]) {
     fasta::write_fasta(std::io::stdout().lock(), &[record], 70).expect("stdout write");
 }
 
-fn cmd_serve(args: &[String]) {
-    let flags = parse_flags(args);
+fn cmd_serve(flags: HashMap<String, String>) {
     let socket = flags.get("socket").unwrap_or_else(|| usage());
 
-    let mut window = anyseq_serve::WindowCfg::default();
-    window.max_delay_ns = numeric_flag(&flags, "window-ms", 2u64) * 1_000_000;
+    // The daemon's own defaults — what an in-process `Server::start`
+    // with `ServeConfig::default()` runs — with only the given flags
+    // laid over them, so the two cannot drift apart.
+    let mut cfg = anyseq_serve::ServeConfig::default();
+    let window = &mut cfg.window;
+    if let Some(ms) = given::<u64>(&flags, "window-ms") {
+        window.max_delay_ns = ms * 1_000_000;
+    }
     window.target_pairs = numeric_flag(&flags, "target-pairs", window.target_pairs);
-    window.max_batch_bytes = numeric_flag(&flags, "batch-mb", 8u64) * (1 << 20);
-    window.queue_budget_bytes = numeric_flag(&flags, "queue-mb", 64u64) * (1 << 20);
-
-    let policy = match flags.get("backend").map(String::as_str) {
-        None | Some("auto") => Policy::Auto,
-        Some(name) => match BackendId::parse(name) {
-            Some(id) => Policy::Fixed(id),
-            None => {
-                eprintln!("unknown backend {name}");
-                usage()
-            }
-        },
-    };
-    // The daemon always observes: the STATS verb is part of the wire
-    // protocol, so the engine registry must exist.
-    let mut policy_cfg = DispatchPolicy::new(policy).observe(true);
-    if flags.contains_key("auto-crossover") {
-        let crossover: u64 = numeric_flag(&flags, "auto-crossover", 0);
-        if crossover == 0 {
-            eprintln!("--auto-crossover: must be >= 1 DP cells (0 would route every pair to the exclusive wavefront)");
-            usage()
-        }
-        policy_cfg = policy_cfg.auto_crossover(crossover);
+    if let Some(mb) = given::<u64>(&flags, "batch-mb") {
+        window.max_batch_bytes = mb * (1 << 20);
     }
-    if flags.contains_key("xdrop") {
-        let xdrop: i32 = numeric_flag(&flags, "xdrop", 0);
-        if xdrop < 1 {
-            eprintln!("--xdrop: must be >= 1 (omit the flag for the exact path)");
-            usage()
-        }
-        policy_cfg = policy_cfg.xdrop(xdrop);
+    if let Some(mb) = given::<u64>(&flags, "queue-mb") {
+        window.queue_budget_bytes = mb * (1 << 20);
     }
-    if flags.contains_key("shard-cells") {
-        let cells: u64 = numeric_flag(&flags, "shard-cells", 0);
-        if cells == 0 {
-            eprintln!(
-                "--shard-cells: must be >= 1 DP cells (omit the flag for unsharded execution)"
-            );
-            usage()
-        }
-        policy_cfg = policy_cfg.shard_cells(cells);
+    if let Some(mb) = given::<usize>(&flags, "max-frame-mb") {
+        cfg.max_frame_bytes = mb * (1 << 20);
     }
-    policy_cfg = policy_cfg.cache_mb(numeric_flag(&flags, "cache-mb", 32));
-
-    let cfg = anyseq_serve::ServeConfig {
-        window,
-        threads: numeric_flag(&flags, "threads", 0),
-        policy: policy_cfg,
-        max_frame_bytes: numeric_flag(&flags, "max-frame-mb", 64usize) * (1 << 20),
-        slow_ms: numeric_flag(&flags, "slow-ms", 100u64),
-        ..anyseq_serve::ServeConfig::default()
-    };
+    cfg.threads = numeric_flag(&flags, "threads", cfg.threads);
+    cfg.slow_ms = numeric_flag(&flags, "slow-ms", cfg.slow_ms);
+    cfg.policy = dispatch_policy(&flags, cfg.policy).unwrap_or_else(|e| fail(&e));
     let clock = std::sync::Arc::new(anyseq_serve::SystemClock::new());
     let handle = anyseq_serve::Server::start(socket, cfg, clock).unwrap_or_else(|e| {
         eprintln!("cannot start daemon on {socket}: {e}");
@@ -508,8 +502,7 @@ fn cmd_serve(args: &[String]) {
     handle.wait();
 }
 
-fn cmd_serve_ctl(args: &[String]) {
-    let flags = parse_flags(args);
+fn cmd_serve_ctl(flags: HashMap<String, String>) {
     let socket = flags.get("socket").unwrap_or_else(|| usage());
     let mut client = anyseq_serve::ServeClient::connect(socket).unwrap_or_else(|e| {
         eprintln!("cannot connect to {socket}: {e}");
@@ -546,8 +539,7 @@ fn cmd_serve_ctl(args: &[String]) {
     }
 }
 
-fn cmd_align(args: &[String]) {
-    let flags = parse_flags(args);
+fn cmd_align(flags: HashMap<String, String>) {
     let q = load_first_record(flags.get("query").unwrap_or_else(|| usage()));
     let s = load_first_record(flags.get("subject").unwrap_or_else(|| usage()));
     let kind = flags.get("type").map(String::as_str).unwrap_or("global");
@@ -604,6 +596,81 @@ fn cmd_align(args: &[String]) {
         other => {
             eprintln!("unknown alignment type {other}");
             usage()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str], known: &[&str]) -> Result<HashMap<String, String>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_flags(&args, known)
+    }
+
+    #[test]
+    fn batch_and_serve_read_the_policy_flags_alike() {
+        let serve_default = anyseq_serve::ServeConfig::default().policy;
+        let given = ["--backend", "simd", "--xdrop", "20", "--shard-cells", "1"];
+        let given = flags(&given, &[POLICY_FLAGS]).unwrap();
+        let batch = dispatch_policy(&given, DispatchPolicy::auto()).unwrap();
+        assert_eq!(
+            batch,
+            DispatchPolicy::fixed(BackendId::Simd)
+                .xdrop(20)
+                .shard_cells(1)
+        );
+        // Same flags on the daemon: the same policy, except that it
+        // keeps observing and keeps its own cache default…
+        let serve = dispatch_policy(&given, serve_default).unwrap();
+        assert_eq!(serve, batch.observe(true).cache_mb(32));
+        // …until --cache-mb says otherwise.
+        let cache = flags(&["--cache-mb", "8"], &[POLICY_FLAGS]).unwrap();
+        assert_eq!(
+            dispatch_policy(&cache, serve_default).unwrap(),
+            dispatch_policy(&cache, DispatchPolicy::auto())
+                .unwrap()
+                .observe(true)
+        );
+        // No flags: each subcommand's defaults, untouched.
+        let none = HashMap::new();
+        assert_eq!(dispatch_policy(&none, serve_default), Ok(serve_default));
+        let auto = flags(&["--backend", "auto"], &[POLICY_FLAGS]).unwrap();
+        assert_eq!(
+            dispatch_policy(&auto, DispatchPolicy::fixed(BackendId::Scalar)),
+            Ok(DispatchPolicy::auto())
+        );
+    }
+
+    #[test]
+    fn unknown_flags_backends_and_degenerate_values_are_refused() {
+        let batch = [BATCH_FLAGS, POLICY_FLAGS];
+        assert!(flags(&["--simulate", "8", "--cache-mb", "8", "--quiet"], &batch).is_ok());
+        for typo in ["--cach-mb", "--crossover", "--window-ms"] {
+            let err = flags(&["--simulate", "8", typo, "8"], &batch).unwrap_err();
+            assert_eq!(err, format!("unknown flag {typo}"));
+        }
+        assert!(flags(&["--window-ms", "5"], &[SERVE_FLAGS, POLICY_FLAGS]).is_ok());
+        assert!(flags(&["stray"], &batch).is_err());
+
+        let policy = |args: &[&str]| {
+            dispatch_policy(
+                &flags(args, &[POLICY_FLAGS]).unwrap(),
+                DispatchPolicy::auto(),
+            )
+        };
+        assert_eq!(
+            policy(&["--backend", "gpu-sim"]),
+            Err("unknown backend gpu-sim".to_string())
+        );
+        for bad in [
+            ["--xdrop", "0"],
+            ["--shard-cells", "0"],
+            ["--cache-mb", "lots"],
+        ] {
+            let err = policy(&bad).unwrap_err();
+            assert!(err.starts_with(bad[0]), "{err}");
         }
     }
 }

@@ -137,17 +137,6 @@ where
     }
 }
 
-/// Convenience: relax without predecessor tracking.
-#[inline(always)]
-pub fn relax_score<K, G, S>(gap: &G, subst: &S, prev: Prev, qc: u8, sc: u8) -> Next
-where
-    K: AlignKind,
-    G: GapModel,
-    S: SubstScore,
-{
-    relax::<K, G, S, false>(gap, subst, prev, qc, sc)
-}
-
 /// The best cell seen so far, with deterministic tie-breaking
 /// (higher score, then smaller `i`, then smaller `j`) so that every
 /// engine — whatever its evaluation order — reports the same optimum.

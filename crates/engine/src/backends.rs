@@ -5,23 +5,19 @@
 //! | `scalar`    | ✓      | ✓          | all four          | per-pair scalar kernels       |
 //! | `simd`      | ✓      | ✓          | global/semi/local | one alignment per 16-bit lane |
 //! | `wavefront` | ✓      | ✓          | all four          | tiled intra-pair parallelism  |
-//! | `gpu-sim`   | ✓      | ✓          | global            | device queue, modeled cycles  |
 //!
 //! Every adapter reduces to the same monomorphized kernels the typed
 //! API uses ([`with_scheme!`](crate::with_scheme) bridges the runtime
 //! [`SchemeSpec`] to them), so results stay bit-identical across
 //! backends.
 
-use crate::engine::{
-    Caps, Engine, EngineError, ShardOutcome, ShardTask, ALL_KINDS, GLOBAL_ONLY, SIMD_KINDS,
-};
+use crate::engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask, ALL_KINDS, SIMD_KINDS};
 use crate::spec::{GapSpec, SchemeSpec};
 use crate::util::parallel_map;
 use crate::with_scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
 use anyseq_core::Alignment;
-use anyseq_gpu_sim::{Device, GpuAligner};
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
 use anyseq_simd::{align_batch_simd, score_batch_simd_xdrop, BandCfg, TraceStats};
@@ -508,99 +504,6 @@ impl Engine for WavefrontEngine {
     }
 }
 
-// --------------------------------------------------------------- gpu-sim
-
-/// GPU device-queue backend over the execution-model simulator: one
-/// thread-block per alignment, NVBio-style inter-sequence batching.
-/// Scores are bit-exact; modeled cycles accumulate in the aligner's
-/// stats and can be read for capacity planning. Global-only (the
-/// border-tracked optimum excludes local), and single-device — the
-/// scheduler treats it as batch-native but it ignores the thread hint.
-pub struct GpuSimEngine {
-    aligner: GpuAligner,
-}
-
-impl GpuSimEngine {
-    /// Titan-V-modeled device, AnySeq kernel shape.
-    pub fn titan_v() -> GpuSimEngine {
-        GpuSimEngine {
-            aligner: GpuAligner::new(Device::titan_v()),
-        }
-    }
-
-    /// The modeled device's accumulated statistics.
-    pub fn aligner(&self) -> &GpuAligner {
-        &self.aligner
-    }
-}
-
-impl Engine for GpuSimEngine {
-    fn caps(&self) -> Caps {
-        Caps {
-            name: "gpu-sim",
-            score_kinds: GLOBAL_ONLY,
-            align_kinds: GLOBAL_ONLY,
-            batch_native: true,
-            max_unit_cells: None,
-        }
-    }
-
-    fn score_batch(
-        &self,
-        spec: &SchemeSpec,
-        pairs: &[PairRef<'_>],
-        _threads: usize,
-    ) -> Result<Vec<Score>, EngineError> {
-        with_scheme!(
-            spec,
-            [Global],
-            |scheme, _K| {
-                Ok(anyseq_obs::span(Stage::Kernel, || {
-                    self.aligner.score_batch(&scheme, pairs).0
-                }))
-            },
-            else {
-                Err(EngineError::unsupported(
-                    "gpu-sim",
-                    format!(
-                        "device kernels track border optima; kind {} is CPU-only",
-                        spec.kind.name()
-                    ),
-                ))
-            }
-        )
-    }
-
-    fn align_batch(
-        &self,
-        spec: &SchemeSpec,
-        pairs: &[PairRef<'_>],
-        _threads: usize,
-    ) -> Result<Vec<Alignment>, EngineError> {
-        with_scheme!(
-            spec,
-            [Global],
-            |scheme, _K| {
-                Ok(anyseq_obs::span(Stage::Traceback, || {
-                    pairs
-                        .iter()
-                        .map(|p| self.aligner.align(&scheme, p.q, p.s).0)
-                        .collect()
-                }))
-            },
-            else {
-                Err(EngineError::unsupported(
-                    "gpu-sim",
-                    format!(
-                        "device traceback is global-only; kind {} is CPU-only",
-                        spec.kind.name()
-                    ),
-                ))
-            }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,7 +521,6 @@ mod tests {
             Box::new(ScalarEngine),
             Box::new(SimdEngine::default()),
             Box::new(WavefrontEngine::default()),
-            Box::new(GpuSimEngine::titan_v()),
         ];
         for engine in &backends {
             let got = engine.score_batch(&spec, view.refs(), 4).unwrap();
@@ -632,15 +534,12 @@ mod tests {
         let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_affine(2, -1, -2, -1);
         let reference = ScalarEngine.align_batch(&spec, view.refs(), 1).unwrap();
-        for engine in [
-            Box::new(WavefrontEngine::default()) as Box<dyn Engine>,
-            Box::new(GpuSimEngine::titan_v()),
-        ] {
-            let got = engine.align_batch(&spec, view.refs(), 4).unwrap();
-            for (k, (a, b)) in reference.iter().zip(&got).enumerate() {
-                assert_eq!(a.score, b.score, "{} pair {k}", engine.caps().name);
-                assert_eq!(a.ops, b.ops, "{} pair {k}", engine.caps().name);
-            }
+        let got = WavefrontEngine::default()
+            .align_batch(&spec, view.refs(), 4)
+            .unwrap();
+        for (k, (a, b)) in reference.iter().zip(&got).enumerate() {
+            assert_eq!(a.score, b.score, "wavefront pair {k}");
+            assert_eq!(a.ops, b.ops, "wavefront pair {k}");
         }
     }
 
@@ -703,10 +602,6 @@ mod tests {
         // The kind-generic striped kernel covers local lanes now…
         assert!(SimdEngine::default().score_batch(&local, refs, 1).is_ok());
         assert!(SimdEngine::default().align_batch(&local, refs, 1).is_ok());
-        // …the GPU simulator's device queue does not.
-        assert!(GpuSimEngine::titan_v()
-            .score_batch(&local, refs, 1)
-            .is_err());
         // FreeEnd is the one kind the SIMD lanes still refuse.
         let free_end = SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::FreeEnd);
         assert!(SimdEngine::default()

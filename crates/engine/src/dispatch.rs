@@ -9,7 +9,7 @@
 //! refuses a unit (unsupported kind, score-only, …) degrades
 //! gracefully instead of failing the batch.
 
-use crate::backends::{GpuSimEngine, ScalarEngine, SimdEngine, WavefrontEngine};
+use crate::backends::{ScalarEngine, SimdEngine, WavefrontEngine};
 use crate::cache::ResultCache;
 use crate::engine::Engine;
 use crate::spec::SchemeSpec;
@@ -25,8 +25,6 @@ pub enum BackendId {
     Simd,
     /// Tiled wavefront (intra-pair threading).
     Wavefront,
-    /// GPU execution-model simulator (global).
-    GpuSim,
 }
 
 impl BackendId {
@@ -36,7 +34,6 @@ impl BackendId {
             BackendId::Scalar => "scalar",
             BackendId::Simd => "simd",
             BackendId::Wavefront => "wavefront",
-            BackendId::GpuSim => "gpu-sim",
         }
     }
 
@@ -47,7 +44,6 @@ impl BackendId {
             BackendId::Scalar => "dispatch.declined.scalar",
             BackendId::Simd => "dispatch.declined.simd",
             BackendId::Wavefront => "dispatch.declined.wavefront",
-            BackendId::GpuSim => "dispatch.declined.gpu-sim",
         }
     }
 
@@ -57,7 +53,6 @@ impl BackendId {
             "scalar" => Some(BackendId::Scalar),
             "simd" => Some(BackendId::Simd),
             "wavefront" => Some(BackendId::Wavefront),
-            "gpu-sim" | "gpu" | "gpusim" => Some(BackendId::GpuSim),
             _ => None,
         }
     }
@@ -73,11 +68,10 @@ pub enum Policy {
     Fixed(BackendId),
 }
 
-/// Default per-pair DP size (cells) above which `Auto` prefers
+/// Per-pair DP size (cells) at and above which `Auto` prefers
 /// intra-pair wavefront parallelism over lane batching: ~2048², the
 /// scale where the tile queue saturates a pool while lane packing
-/// stops helping. Tunable per dispatch through
-/// [`DispatchPolicy::auto_crossover`] (CLI: `--auto-crossover`).
+/// stops helping.
 pub const AUTO_WAVEFRONT_MIN_CELLS: u64 = 1 << 22;
 
 /// Smallest meaningful shard budget: one default 512×512 wavefront
@@ -92,19 +86,18 @@ pub const MIN_SHARD_CELLS: u64 = 1 << 18;
 /// ```
 /// use anyseq_engine::{BackendId, DispatchPolicy, SchemeSpec};
 ///
-/// // Route every pair below 1024² cells to the SIMD lanes, larger
-/// // ones to the wavefront.
-/// let dispatch = DispatchPolicy::auto().auto_crossover(1 << 20).standard();
+/// // `Auto` with an 8 MiB result cache: pairs below ~2048² cells ride
+/// // the SIMD lanes, larger ones the wavefront.
+/// let dispatch = DispatchPolicy::auto().cache_mb(8).standard();
 /// let spec = SchemeSpec::global_linear(2, -1, -1);
-/// assert_eq!(dispatch.candidates(&spec, 1 << 21, false)[0], BackendId::Wavefront);
-/// assert_eq!(dispatch.candidates(&spec, 1 << 19, false)[0], BackendId::Simd);
+/// assert_eq!(dispatch.candidates(&spec, 1 << 22, false)[0], BackendId::Wavefront);
+/// assert_eq!(dispatch.candidates(&spec, 1 << 21, false)[0], BackendId::Simd);
+/// assert!(dispatch.cache().is_some());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchPolicy {
-    policy: Policy,
-    /// Always ≥ 1 — the builder method is the only writer, so its
-    /// clamp holds wherever the value is read.
-    auto_crossover: u64,
+    /// Selection policy the built dispatch applies per bin.
+    pub policy: Policy,
     /// MiB; 0 disables caching (the default).
     cache_mb: usize,
     /// 0 (the default) keeps every path bit-exact.
@@ -126,7 +119,6 @@ impl DispatchPolicy {
     pub fn auto() -> DispatchPolicy {
         DispatchPolicy {
             policy: Policy::Auto,
-            auto_crossover: AUTO_WAVEFRONT_MIN_CELLS,
             cache_mb: 0,
             xdrop: 0,
             observe: false,
@@ -150,22 +142,6 @@ impl DispatchPolicy {
         }
     }
 
-    /// Overrides the SIMD→wavefront crossover (per-pair DP cells).
-    ///
-    /// Degenerate values are clamped to 1: the crossover means "a pair
-    /// at least this large prefers the exclusive wavefront", so 0
-    /// would send every pair — including empty ones (0 cells ≥ 0) —
-    /// to the wavefront and serialize the whole batch through the
-    /// exclusive phase. At the clamped minimum, every non-empty global
-    /// pair still routes to the wavefront *when its `Caps` accept the
-    /// request*; for kinds the wavefront cannot run, `Auto` picks the
-    /// next candidate, and the scalar reference terminates every chain
-    /// — the fallback semantics are unchanged by the knob.
-    pub fn auto_crossover(mut self, cells: u64) -> DispatchPolicy {
-        self.auto_crossover = cells.max(1);
-        self
-    }
-
     /// Enables X-drop early termination on the built SIMD backend's
     /// score path: a lane whose row maximum falls more than `x` below
     /// its running best retires with the best-so-far as its score.
@@ -176,9 +152,8 @@ impl DispatchPolicy {
     /// Degenerate values are clamped to 1: a threshold of 0 would
     /// retire every lane at the first row below the running best and
     /// return scores that are wrong on essentially every input —
-    /// "off" is expressed by not calling this knob, mirroring
-    /// [`DispatchPolicy::auto_crossover`]'s clamp semantics. The CLI
-    /// rejects `--xdrop 0` outright for the same reason.
+    /// "off" is expressed by not calling this knob. The CLI rejects
+    /// `--xdrop 0` outright for the same reason.
     pub fn xdrop(mut self, x: i32) -> DispatchPolicy {
         self.xdrop = x.max(1);
         self
@@ -194,9 +169,9 @@ impl DispatchPolicy {
     /// default wavefront tile): a budget below one tile would slice
     /// slabs thinner than the kernel's own granularity — pure
     /// scheduling overhead with no memory benefit — mirroring the
-    /// [`DispatchPolicy::auto_crossover`] / [`DispatchPolicy::xdrop`]
-    /// clamp semantics. "Off" is expressed by not calling the knob
-    /// (or passing 0); the CLI rejects `--shard-cells 0` outright.
+    /// [`DispatchPolicy::xdrop`] clamp. "Off" is expressed by not
+    /// calling the knob (or passing 0); the CLI rejects
+    /// `--shard-cells 0` outright.
     pub fn shard_cells(mut self, cells: u64) -> DispatchPolicy {
         self.shard_cells = if cells == 0 {
             0
@@ -228,7 +203,7 @@ impl DispatchPolicy {
         self
     }
 
-    /// Builds the standard four-backend registry under this policy.
+    /// Builds the standard three-backend registry under this policy.
     pub fn standard(self) -> Dispatch {
         let simd = if self.xdrop > 0 {
             SimdEngine::default().with_xdrop(self.xdrop)
@@ -243,10 +218,8 @@ impl DispatchPolicy {
                     BackendId::Wavefront,
                     Box::new(WavefrontEngine::default().with_shard_cells(self.shard_cells)),
                 ),
-                (BackendId::GpuSim, Box::new(GpuSimEngine::titan_v())),
             ],
             policy: self.policy,
-            auto_crossover: self.auto_crossover,
             shard_cells: self.shard_cells,
             // Saturate rather than shift: `mb << 20` could wrap to 0
             // on 32-bit targets and silently disable caching.
@@ -276,8 +249,6 @@ pub struct Dispatch {
     engines: Vec<(BackendId, Box<dyn Engine>)>,
     /// Selection policy applied per bin.
     pub policy: Policy,
-    /// `Auto`'s SIMD→wavefront crossover, in per-pair DP cells.
-    auto_crossover: u64,
     /// Shard budget for the exclusive path (0 = sharding off).
     shard_cells: u64,
     /// Optional content-hash result cache the scheduler consults.
@@ -287,9 +258,9 @@ pub struct Dispatch {
 }
 
 impl Dispatch {
-    /// The standard four-backend registry (scalar, AVX2-shaped SIMD,
-    /// wavefront, Titan-V-modeled GPU simulator) with default tuning —
-    /// use [`DispatchPolicy`] to customize.
+    /// The standard three-backend registry (scalar, SIMD lanes,
+    /// wavefront) with default tuning — use [`DispatchPolicy`] to
+    /// customize.
     pub fn standard(policy: Policy) -> Dispatch {
         DispatchPolicy::new(policy).standard()
     }
@@ -297,11 +268,6 @@ impl Dispatch {
     /// The configured shard budget in DP cells (0 = sharding off).
     pub fn shard_cells(&self) -> u64 {
         self.shard_cells
-    }
-
-    /// The configured `Auto` SIMD→wavefront crossover (DP cells).
-    pub fn auto_crossover(&self) -> u64 {
-        self.auto_crossover
     }
 
     /// The result cache the scheduler should consult, if caching is
@@ -318,12 +284,6 @@ impl Dispatch {
     /// wants.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_ref()
-    }
-
-    /// Enables observability on an existing dispatch (fresh registry).
-    pub fn with_metrics(mut self) -> Dispatch {
-        self.metrics = Some(MetricsRegistry::new());
-        self
     }
 
     /// Replaces or registers a backend implementation.
@@ -388,7 +348,7 @@ impl Dispatch {
                 })
                 .unwrap_or(false)
         };
-        if max_cells >= self.auto_crossover && caps_allow(BackendId::Wavefront) {
+        if max_cells >= AUTO_WAVEFRONT_MIN_CELLS && caps_allow(BackendId::Wavefront) {
             return BackendId::Wavefront;
         }
         // Score *and* alignment requests ride the lanes: the banded
@@ -439,82 +399,42 @@ mod tests {
             d.candidates(&spec, 5000 * 5000, true)[0],
             BackendId::Wavefront
         );
+        // The crossover is inclusive, the scalar reference closes the
+        // wavefront's chain too, and the wavefront takes the kinds the
+        // lanes refuse.
+        let at = AUTO_WAVEFRONT_MIN_CELLS;
+        assert_eq!(d.candidates(&spec, at - 1, false)[0], BackendId::Simd);
+        for s in [&spec, &free_end] {
+            assert_eq!(
+                d.candidates(s, at, true),
+                vec![BackendId::Wavefront, BackendId::Scalar]
+            );
+        }
     }
 
     #[test]
     fn fixed_policy_keeps_scalar_fallback() {
-        let d = Dispatch::standard(Policy::Fixed(BackendId::GpuSim));
-        let spec = SchemeSpec::global_linear(2, -1, -1);
-        assert_eq!(
-            d.candidates(&spec, 100, false),
-            vec![BackendId::GpuSim, BackendId::Scalar]
-        );
+        // A fixed pick heads the chain even for a kind it refuses
+        // (FreeEnd on the lanes) and whatever the pair size; the
+        // scalar reference behind it is what runs then.
+        let d = Dispatch::standard(Policy::Fixed(BackendId::Simd));
+        let spec = SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::FreeEnd);
+        for cells in [100, 5000 * 5000] {
+            assert_eq!(
+                d.candidates(&spec, cells, false),
+                vec![BackendId::Simd, BackendId::Scalar]
+            );
+        }
         let s = Dispatch::standard(Policy::Fixed(BackendId::Scalar));
         assert_eq!(s.candidates(&spec, 100, false), vec![BackendId::Scalar]);
     }
 
     #[test]
     fn backend_names_round_trip() {
-        for id in [
-            BackendId::Scalar,
-            BackendId::Simd,
-            BackendId::Wavefront,
-            BackendId::GpuSim,
-        ] {
+        for id in [BackendId::Scalar, BackendId::Simd, BackendId::Wavefront] {
             assert_eq!(BackendId::parse(id.name()), Some(id));
         }
-        assert_eq!(BackendId::parse("tpu"), None);
-    }
-
-    #[test]
-    fn auto_crossover_is_configurable() {
-        let spec = SchemeSpec::global_linear(2, -1, -1);
-        // A tiny crossover sends even short reads to the wavefront…
-        let low = DispatchPolicy::auto().auto_crossover(100).standard();
-        assert_eq!(
-            low.candidates(&spec, 150 * 150, false)[0],
-            BackendId::Wavefront
-        );
-        // …a huge one keeps genome-scale pairs on the lanes.
-        let high = DispatchPolicy::auto().auto_crossover(u64::MAX).standard();
-        assert_eq!(
-            high.candidates(&spec, 5000 * 5000, false)[0],
-            BackendId::Simd
-        );
-        assert_eq!(high.auto_crossover(), u64::MAX);
-        // Fixed policies are unaffected by the crossover knob.
-        let fixed = DispatchPolicy::fixed(BackendId::GpuSim)
-            .auto_crossover(1)
-            .standard();
-        assert_eq!(
-            fixed.candidates(&spec, 150 * 150, false)[0],
-            BackendId::GpuSim
-        );
-    }
-
-    #[test]
-    fn degenerate_crossover_is_clamped_and_falls_back() {
-        let spec = SchemeSpec::global_linear(2, -1, -1);
-        // The builder clamps 0 to 1…
-        let d = DispatchPolicy::auto().auto_crossover(0).standard();
-        assert_eq!(d.auto_crossover(), 1);
-        // …so empty pairs (0 cells) never reach the exclusive
-        // wavefront path, while every non-empty pair does.
-        assert_eq!(d.candidates(&spec, 0, false)[0], BackendId::Simd);
-        assert_eq!(d.candidates(&spec, 1, false)[0], BackendId::Wavefront);
-        // At the minimum crossover the fallback chain still engages:
-        // every non-scalar pick keeps the scalar reference behind it…
-        let chain = d.candidates(&spec, 1, true);
-        assert_eq!(chain, vec![BackendId::Wavefront, BackendId::Scalar]);
-        // …and kinds outside a backend's caps are never routed to it —
-        // the wavefront accepts all kinds, so `Auto` still picks it
-        // for free-end pairs, but caps-restricted backends (SIMD) are
-        // skipped by the same check that the crossover feeds into.
-        let free_end = spec.with_kind(KindSpec::FreeEnd);
-        let chain = d.candidates(&free_end, 1, true);
-        assert_eq!(chain, vec![BackendId::Wavefront, BackendId::Scalar]);
-        let high = DispatchPolicy::auto().auto_crossover(u64::MAX).standard();
-        assert_eq!(high.candidates(&free_end, 1, true)[0], BackendId::Scalar);
+        assert_eq!(BackendId::parse("gpu-sim"), None);
     }
 
     #[test]
@@ -540,7 +460,7 @@ mod tests {
             "off propagates into the dispatch"
         );
         // 0 stays off (the CLI rejects it); nonzero clamps up to one
-        // default tile, mirroring the crossover/xdrop clamp semantics.
+        // default tile, mirroring the xdrop clamp semantics.
         assert_eq!(DispatchPolicy::auto().shard_cells(0).shard_cells, 0);
         assert_eq!(
             DispatchPolicy::auto().shard_cells(1).shard_cells,
@@ -575,10 +495,6 @@ mod tests {
             .standard()
             .metrics()
             .is_some());
-        assert!(Dispatch::standard(Policy::Auto)
-            .with_metrics()
-            .metrics()
-            .is_some());
     }
 
     #[test]
@@ -587,6 +503,5 @@ mod tests {
         assert!(d.is_exclusive(BackendId::Wavefront));
         assert!(!d.is_exclusive(BackendId::Scalar));
         assert!(!d.is_exclusive(BackendId::Simd));
-        assert!(!d.is_exclusive(BackendId::GpuSim));
     }
 }

@@ -38,7 +38,7 @@ pub struct Caps {
     /// Alignment kinds `align_batch` accepts (empty ⇒ score-only).
     pub align_kinds: &'static [KindSpec],
     /// Whether one call amortizes setup across many pairs (true for
-    /// lane-packed SIMD and the GPU device queue). Batch-native
+    /// lane-packed SIMD). Batch-native
     /// engines are sharded across the pool; the rest run exclusively
     /// with the full thread budget.
     pub batch_native: bool,
@@ -256,10 +256,6 @@ pub const ALL_KINDS: &[KindSpec] = &[
     KindSpec::SemiGlobal,
     KindSpec::FreeEnd,
 ];
-
-/// Global only (the GPU simulator's device queue, whose border-tracked
-/// optimum excludes `Local`).
-pub const GLOBAL_ONLY: &[KindSpec] = &[KindSpec::Global];
 
 /// Kinds the lane-packed inter-sequence SIMD batcher implements
 /// natively: the corner optimum plus the border/anywhere optima its

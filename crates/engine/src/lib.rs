@@ -6,8 +6,8 @@
 //!
 //! * [`Engine`] — the batch-execution contract (score/align a batch,
 //!   capability flags) with adapters for the scalar core, the
-//!   inter-sequence SIMD batcher, the tiled wavefront and the GPU
-//!   execution-model simulator ([`backends`]),
+//!   inter-sequence SIMD batcher and the tiled wavefront
+//!   ([`backends`]),
 //! * [`BatchScheduler`] — one request path, probe → plan → execute →
 //!   settle → report, behind two fallible entry points
 //!   ([`BatchScheduler::try_score_batch`] /
@@ -63,7 +63,10 @@
 //!    score/align, and whether one call amortizes
 //!    across pairs (`batch_native`; `false` means the scheduler runs
 //!    you exclusively with the whole thread budget).
-//! 3. Register it: `Dispatch::standard(policy).with_engine(id, Box::new(you))`.
+//! 3. Register it: give it a [`BackendId`] variant (name, declined
+//!    counter, parse) and a slot in [`DispatchPolicy::standard`];
+//!    [`Dispatch::with_engine`] swaps the implementation behind an
+//!    existing id (how the tests inject bounded or faulty engines).
 //!    The scalar reference stays last in every candidate chain, so a
 //!    refusal degrades gracefully instead of failing the batch.
 //! 4. Extend `tests/cross_engine.rs` — every backend must reproduce
@@ -71,6 +74,11 @@
 //!    carry that exact score with ops that replay to it
 //!    (`Alignment::validate`); traceback tie-breaks may differ from
 //!    the scalar reference.
+//!
+//! The registry holds the three backends every workload runs. The
+//! GPU and FPGA simulators (`anyseq-gpu-sim`, `anyseq-fpga-sim`) are
+//! paper-figure models driven by the `anyseq-bench` figure binaries,
+//! not serving backends: this crate does not depend on them.
 //!
 //! The full walkthrough (with the dispatch flow and the SIMD banded
 //! traceback design) lives in `docs/ARCHITECTURE.md`.
@@ -87,13 +95,12 @@ pub mod dispatch;
 pub mod engine;
 pub mod report;
 pub mod scheduler;
-pub mod shared;
 pub mod spec;
 pub mod stats;
 #[allow(unsafe_code)]
 pub mod util;
 
-pub use backends::{GpuSimEngine, ScalarEngine, SimdEngine, WavefrontEngine, SIMD_LANES};
+pub use backends::{ScalarEngine, SimdEngine, WavefrontEngine, SIMD_LANES};
 pub use cache::{CacheKey, ReqKind, ResultCache, ShardStats};
 pub use dispatch::{BackendId, Dispatch, DispatchPolicy, Policy, MIN_SHARD_CELLS};
 pub use engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask};
@@ -102,7 +109,6 @@ pub use scheduler::{
     BatchCfg, BatchRun, BatchScheduler, FALLBACK_KIND_UNSUPPORTED, SCHED_BYTES_COPIED,
     SCHED_SEAM_BYTES, SCHED_SHARDS,
 };
-pub use shared::SharedDispatcher;
 pub use spec::{GapSpec, KindSpec, SchemeSpec};
 pub use stats::{cell_share_ns, BackendUse, BatchStats};
 
@@ -113,7 +119,7 @@ pub use anyseq_wavefront::ShardSeam;
 
 /// Convenience re-exports for applications.
 pub mod prelude {
-    pub use crate::backends::{GpuSimEngine, ScalarEngine, SimdEngine, WavefrontEngine};
+    pub use crate::backends::{ScalarEngine, SimdEngine, WavefrontEngine};
     pub use crate::cache::{CacheKey, ReqKind, ResultCache};
     pub use crate::dispatch::{BackendId, Dispatch, DispatchPolicy, Policy, MIN_SHARD_CELLS};
     pub use crate::engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask};
@@ -122,7 +128,6 @@ pub mod prelude {
         BatchCfg, BatchRun, BatchScheduler, FALLBACK_KIND_UNSUPPORTED, SCHED_BYTES_COPIED,
         SCHED_SEAM_BYTES, SCHED_SHARDS,
     };
-    pub use crate::shared::SharedDispatcher;
     pub use crate::spec::{GapSpec, KindSpec, SchemeSpec};
     pub use crate::stats::{BackendUse, BatchStats};
     pub use anyseq_wavefront::ShardSeam;

@@ -1274,15 +1274,6 @@ mod tests {
                 "{kind:?}: {:?}",
                 run.stats.per_backend
             );
-            // A fixed policy forcing the kind onto the device queue
-            // still fires it — the counter tracks capability mismatch,
-            // not kind support in general.
-            let forced = Dispatch::standard(Policy::Fixed(BackendId::GpuSim));
-            let run = sched.try_score_batch(&forced, &spec, &view).unwrap();
-            assert!(
-                run.stats.counters[FALLBACK_KIND_UNSUPPORTED] > 0,
-                "{kind:?}"
-            );
         }
     }
 
@@ -1442,25 +1433,6 @@ mod tests {
         let view = BatchView::from_pairs(&pairs);
         let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         assert_eq!(run.results, vec![-4, 8]);
-    }
-
-    #[test]
-    fn gpu_policy_scores_whole_batch_on_device() {
-        let pairs = read_pairs(30, 4);
-        let view = BatchView::from_pairs(&pairs);
-        let spec = SchemeSpec::global_linear(2, -1, -1);
-        let dispatch = Dispatch::standard(Policy::Fixed(BackendId::GpuSim));
-        let run = scheduler(2)
-            .try_score_batch(&dispatch, &spec, &view)
-            .unwrap();
-        assert!(run
-            .stats
-            .per_backend
-            .iter()
-            .any(|b| b.backend == "gpu-sim" && b.pairs == 30));
-        for (k, (q, s)) in pairs.iter().enumerate() {
-            assert_eq!(run.results[k], spec.score_scalar(q, s), "pair {k}");
-        }
     }
 
     #[test]
@@ -1748,6 +1720,9 @@ mod tests {
                         (0usize..6, 0usize..6),
                         (20usize..70, 20usize..70),
                         (500usize..700, 500usize..700),
+                        // At or past `AUTO_WAVEFRONT_MIN_CELLS`: the
+                        // class `Auto` sends to the wavefront.
+                        (2048usize..2100, 2048usize..2100),
                     ],
                     0usize..3,
                 ),
@@ -1757,15 +1732,12 @@ mod tests {
                 1usize..9,
                 prop_oneof![Just(1usize), Just(8), Just(64), Just(512)],
             ),
-            (policy, crossover) in (
-                prop_oneof![
-                    Just(Policy::Auto),
-                    Just(Policy::Fixed(BackendId::Simd)),
-                    Just(Policy::Fixed(BackendId::Wavefront)),
-                    Just(Policy::Fixed(BackendId::Scalar)),
-                ],
-                prop_oneof![Just(1u64 << 10), Just(1u64 << 22)],
-            ),
+            policy in prop_oneof![
+                Just(Policy::Auto),
+                Just(Policy::Fixed(BackendId::Simd)),
+                Just(Policy::Fixed(BackendId::Wavefront)),
+                Just(Policy::Fixed(BackendId::Scalar)),
+            ],
             (shard, align, cached, hit_every) in (0u64..2, 0u8..2, 0u8..2, 2usize..6),
         ) {
             use crate::dispatch::{DispatchPolicy, MIN_SHARD_CELLS};
@@ -1783,10 +1755,7 @@ mod tests {
             let view = BatchView::from_refs(refs.collect());
             let n = view.len();
             let spec = SchemeSpec::global_affine(2, -1, -2, -1);
-            let dispatch = DispatchPolicy::new(policy)
-                .auto_crossover(crossover)
-                .shard_cells(shard)
-                .standard();
+            let dispatch = DispatchPolicy::new(policy).shard_cells(shard).standard();
             let budget = shard * MIN_SHARD_CELLS;
             let cfg = BatchCfg { chunk_pairs, ..BatchCfg::threads(threads) };
             let sched = BatchScheduler::new(cfg);

@@ -20,9 +20,9 @@
 //! * `session` (private) — per-connection reader/writer pair with a
 //!   FIFO reply queue (ordering + fault containment),
 //! * [`server`] — the accept + dispatcher loops around one shared
-//!   [`SharedDispatcher`](anyseq_engine::SharedDispatcher) (one result
-//!   cache, one engine metrics registry for the whole daemon; the
-//!   `STATS` verb returns the Prometheus exposition),
+//!   [`Dispatch`](anyseq_engine::Dispatch) (one result cache, one
+//!   engine metrics registry for the whole daemon; the `STATS` verb
+//!   returns the Prometheus exposition),
 //! * [`client`] — the pipelining blocking client the tests, bench, and
 //!   `anyseq serve` round-trip example use.
 //!

@@ -5,10 +5,10 @@
 //! the private `session` module) and the *dispatcher loop*, the single consumer
 //! of the [`MicroBatcher`]: it takes each flushed window, builds one
 //! zero-copy [`BatchView`] over every coalesced request's codes, runs
-//! it through the shared [`SharedDispatcher`] (one engine registry,
-//! one [`ResultCache`](anyseq_engine::ResultCache), one metrics
-//! registry for the whole daemon), and splits the results back per
-//! request in admission order.
+//! it through the daemon's one [`Dispatch`] (one engine registry, one
+//! [`ResultCache`](anyseq_engine::ResultCache), one metrics registry
+//! for the whole daemon), and splits the results back per request in
+//! admission order.
 //!
 //! Serving metrics live in their own registry (names below, all
 //! pre-seeded so a scrape never misses a key); the `STATS` verb
@@ -21,11 +21,11 @@ use crate::clock::Clock;
 use crate::proto::{Results, MAX_FRAME_BYTES};
 use crate::session::run_session;
 use anyseq_engine::{
-    cell_share_ns, BatchCfg, Dispatch, DispatchPolicy, EngineError, ReqKind, SharedDispatcher,
+    cell_share_ns, BatchCfg, BatchScheduler, Dispatch, DispatchPolicy, EngineError, ReqKind,
 };
 use anyseq_obs::{
-    flight_trace, labels, prometheus_text, FlightRecorder, MetricsRegistry, MetricsSnapshot,
-    RequestRecord, SlowLog, Stage,
+    flight_trace, labels, prometheus_text, FlightRecorder, MetricsRegistry, RequestRecord, SlowLog,
+    Stage,
 };
 use anyseq_seq::{BatchView, PairRef};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -95,11 +95,6 @@ pub struct ServeConfig {
     /// flight recorder). On by default; the throughput bench turns it
     /// off to measure its overhead.
     pub request_obs: bool,
-    /// Completed requests the flight recorder retains.
-    pub flight_requests: usize,
-    /// Dispatched batches (with engine spans) the flight recorder
-    /// retains.
-    pub flight_batches: usize,
 }
 
 impl Default for ServeConfig {
@@ -111,11 +106,14 @@ impl Default for ServeConfig {
             max_frame_bytes: MAX_FRAME_BYTES,
             slow_ms: 100,
             request_obs: true,
-            flight_requests: 256,
-            flight_batches: 64,
         }
     }
 }
+
+/// Completed requests the flight recorder retains.
+const FLIGHT_REQUESTS: usize = 256;
+/// Dispatched batches (with engine spans) the flight recorder retains.
+const FLIGHT_BATCHES: usize = 64;
 
 /// Request-tracing sinks, present iff `ServeConfig::request_obs`.
 pub(crate) struct RequestObs {
@@ -129,8 +127,11 @@ pub(crate) struct RequestObs {
 pub(crate) struct Shared {
     /// The micro-batching queue sessions submit into.
     pub batcher: MicroBatcher,
-    /// The one engine handle every batch runs through.
-    pub engine: SharedDispatcher,
+    /// The one engine registry (with its cache and metrics registry)
+    /// every batch runs through.
+    pub dispatch: Dispatch,
+    /// The scheduler the dispatcher loop runs each batch with.
+    pub scheduler: BatchScheduler,
     /// The serving-layer metrics registry.
     pub metrics: Arc<MetricsRegistry>,
     /// Per-frame payload cap.
@@ -150,7 +151,7 @@ impl Shared {
     pub(crate) fn render_stats(&self) -> String {
         self.refresh_latency_gauges();
         let mut text = prometheus_text(&self.metrics.snapshot());
-        if let Some(reg) = self.engine.dispatch().metrics() {
+        if let Some(reg) = self.dispatch.metrics() {
             text.push_str(&prometheus_text(&reg.snapshot()));
         }
         text
@@ -338,13 +339,14 @@ impl Server {
             BatchCfg::threads(cfg.threads)
         };
         let reqobs = cfg.request_obs.then(|| RequestObs {
-            flight: FlightRecorder::new(cfg.flight_requests, cfg.flight_batches),
+            flight: FlightRecorder::new(FLIGHT_REQUESTS, FLIGHT_BATCHES),
             slow: SlowLog::new(cfg.slow_ms.saturating_mul(1_000_000), 64),
         });
         let shared = Arc::new(Shared {
             batcher: MicroBatcher::new(cfg.window, Arc::clone(&clock))
                 .with_metrics(Arc::clone(&metrics)),
-            engine: SharedDispatcher::new(dispatch, threads),
+            dispatch,
+            scheduler: BatchScheduler::new(threads),
             metrics,
             max_frame: cfg.max_frame_bytes,
             clock,
@@ -354,7 +356,7 @@ impl Server {
         // the sharded-execution totals: the keys must exist before the
         // first chromosome-scale pair ever arrives, so dashboards and
         // the report checker see a stable key set from scrape one.
-        if let Some(reg) = shared.engine.dispatch().metrics() {
+        if let Some(reg) = shared.dispatch.metrics() {
             reg.inc("anyseq_batch_shards_total", String::new(), 0);
             reg.inc("anyseq_batch_seam_bytes_total", String::new(), 0);
         }
@@ -455,13 +457,17 @@ fn run_batch(
     let view = BatchView::from_refs(refs);
     Ok(match batch.mode {
         ReqKind::Score => {
-            let mut run = shared.engine.try_score_batch(&batch.spec, &view)?;
+            let mut run = shared
+                .scheduler
+                .try_score_batch(&shared.dispatch, &batch.spec, &view)?;
             let kernel_ns = run.stats.stage_ns(Stage::Kernel);
             let spans = std::mem::take(&mut run.stats.spans);
             (Results::Scores(run.results), kernel_ns, spans)
         }
         ReqKind::Align => {
-            let mut run = shared.engine.try_align_batch(&batch.spec, &view)?;
+            let mut run = shared
+                .scheduler
+                .try_align_batch(&shared.dispatch, &batch.spec, &view)?;
             let kernel_ns = run.stats.stage_ns(Stage::Kernel);
             let spans = std::mem::take(&mut run.stats.spans);
             (Results::Alignments(run.results), kernel_ns, spans)
@@ -517,17 +523,6 @@ impl ServerHandle {
     /// The socket path clients connect to.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The shared engine handle (cumulative cross-batch stats, cache,
-    /// engine metrics registry).
-    pub fn engine(&self) -> &SharedDispatcher {
-        &self.shared.engine
-    }
-
-    /// A snapshot of the serving-layer metrics registry.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
     }
 
     /// Sequence bytes currently queued in the batcher.

@@ -60,12 +60,6 @@ impl ParallelCfg {
         self
     }
 
-    /// Switches to the static barrier schedule.
-    pub fn with_static_schedule(mut self, yes: bool) -> ParallelCfg {
-        self.static_schedule = yes;
-        self
-    }
-
     /// Sets the shard budget (0 disables sharding).
     pub fn with_shard_cells(mut self, cells: u64) -> ParallelCfg {
         self.shard_cells = cells;

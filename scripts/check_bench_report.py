@@ -16,7 +16,7 @@ is the healthy value for both).
 
 Fails (exit 1) if the report is missing any required key:
   * `<mode>.<backend>_1t` and `<mode>.<backend>_<threads>t` for every
-    mode in {score, align} and backend in {scalar, simd, gpu-sim},
+    mode in {score, align} and backend in {scalar, simd},
   * `<mode>.bytes_copied` and `<mode>.peak_batch_mb` per mode,
   * the observability keys (the section always runs):
     `obs.score_gcups_{off,on}` and `obs.kernel_spans` /
@@ -64,7 +64,7 @@ import sys
 MIN_AVX2_TIER_SPEEDUP = 1.4
 
 MODES = ("score", "align")
-BACKENDS = ("scalar", "simd", "gpu-sim")
+BACKENDS = ("scalar", "simd")
 STAGES = (
     "queue_wait",
     "cache_probe",

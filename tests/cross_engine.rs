@@ -235,7 +235,6 @@ proptest! {
             Policy::Fixed(BackendId::Scalar),
             Policy::Fixed(BackendId::Simd),
             Policy::Fixed(BackendId::Wavefront),
-            Policy::Fixed(BackendId::GpuSim),
         ] {
             let dispatch = Dispatch::standard(policy);
             let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
@@ -268,7 +267,6 @@ proptest! {
         for policy in [
             Policy::Auto,
             Policy::Fixed(BackendId::Simd),
-            Policy::Fixed(BackendId::GpuSim),
         ] {
             let dispatch = Dispatch::standard(policy);
             let run = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
@@ -331,7 +329,7 @@ proptest! {
     ) {
         // SemiGlobal and Local are first-class on the SIMD path now:
         // Auto and every Fixed backend must reproduce the scalar
-        // optimum bit-for-bit (GpuSim via its scalar fallback).
+        // optimum bit-for-bit.
         let pairs = random_batch(&lens, seed ^ 0x5e71);
         let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec {
@@ -351,7 +349,6 @@ proptest! {
             Policy::Fixed(BackendId::Scalar),
             Policy::Fixed(BackendId::Simd),
             Policy::Fixed(BackendId::Wavefront),
-            Policy::Fixed(BackendId::GpuSim),
         ] {
             let dispatch = Dispatch::standard(policy);
             let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
@@ -363,39 +360,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn gpu_sim_fallback_path_stays_oracle_identical(
-        lens in prop::collection::vec((1usize..180, 1usize..180), 1..20),
-        seed in 0u64..1000,
-        kind in prop_oneof![
-            Just(KindSpec::Local),
-            Just(KindSpec::SemiGlobal),
-            Just(KindSpec::FreeEnd),
-        ],
-    ) {
-        // The GPU simulator's device queue only implements the
-        // corner-optimum kind: every non-global unit must fall back to
-        // scalar, results unchanged.
-        let pairs = random_batch(&lens, seed ^ 0xfa11);
-        let view = BatchView::from_pairs(&pairs);
-        let spec = SchemeSpec {
-            kind,
-            match_score: 2,
-            mismatch: -1,
-            gap: GapSpec::Linear { gap: -1 },
-        };
-        let expected: Vec<i32> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
-        let sched = scheduler_for(2, 16);
-        let dispatch = Dispatch::standard(Policy::Fixed(BackendId::GpuSim));
-        let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
-        prop_assert_eq!(&run.results, &expected);
-        prop_assert!(run.stats.fallbacks > 0, "expected fallbacks for gpu-sim");
-        prop_assert!(
-            run.stats.per_backend.iter().all(|b| b.backend == "scalar"),
-            "only scalar should have run"
-        );
     }
 
     #[test]
@@ -461,7 +425,6 @@ proptest! {
             Policy::Fixed(BackendId::Scalar),
             Policy::Fixed(BackendId::Simd),
             Policy::Fixed(BackendId::Wavefront),
-            Policy::Fixed(BackendId::GpuSim),
         ] {
             let dispatch = Dispatch::standard(policy);
             let via_view = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
@@ -508,7 +471,6 @@ proptest! {
             Policy::Fixed(BackendId::Scalar),
             Policy::Fixed(BackendId::Simd),
             Policy::Fixed(BackendId::Wavefront),
-            Policy::Fixed(BackendId::GpuSim),
         ] {
             let plain = Dispatch::standard(policy);
             let cached = anyseq_engine::DispatchPolicy::new(policy)
@@ -661,7 +623,6 @@ fn engine_contract_accepts_raw_pair_refs() {
         Box::new(anyseq_engine::ScalarEngine) as Box<dyn Engine>,
         Box::new(anyseq_engine::SimdEngine::default()),
         Box::new(anyseq_engine::WavefrontEngine::default()),
-        Box::new(anyseq_engine::GpuSimEngine::titan_v()),
     ] {
         let got = engine.score_batch(&spec, &refs, 2).unwrap();
         assert_eq!(got, vec![expected], "{}", engine.caps().name);
