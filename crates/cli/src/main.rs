@@ -426,10 +426,10 @@ fn cmd_batch(flags: HashMap<String, String>) {
         write_file(path, &anyseq_obs::chrome_trace(&stats.spans));
     }
     if let Some(dest) = flags.get("metrics") {
-        let registry = dispatch
-            .metrics()
+        let snapshot = dispatch
+            .metrics_snapshot()
             .expect("--metrics enables the dispatch registry");
-        emit_report(dest, &anyseq_obs::prometheus_text(&registry.snapshot()));
+        emit_report(dest, &anyseq_obs::prometheus_text(&snapshot));
     }
 }
 

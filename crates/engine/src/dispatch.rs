@@ -13,7 +13,7 @@ use crate::backends::{ScalarEngine, SimdEngine, WavefrontEngine};
 use crate::cache::ResultCache;
 use crate::engine::Engine;
 use crate::spec::SchemeSpec;
-use anyseq_obs::MetricsRegistry;
+use anyseq_obs::{MetricsRegistry, MetricsSnapshot};
 
 /// Stable identifiers for the built-in backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -278,12 +278,43 @@ impl Dispatch {
 
     /// The metrics registry, when observability is on
     /// ([`DispatchPolicy::observe`]). The scheduler folds spans and
-    /// batch counters into it after every run; export it with
+    /// batch counters into it after every run; export
+    /// [`Dispatch::metrics_snapshot`] with
     /// [`anyseq_obs::prometheus_text`]. Registries accumulate across
     /// batches on the same dispatch — exactly what a scrape endpoint
     /// wants.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_ref()
+    }
+
+    /// What an exporter should render: the registry's contents with the
+    /// per-shard `anyseq_cache_shard_*` gauges read off the cache at
+    /// this moment. They are published here, at export time, and not
+    /// by the scheduler: a daemon observes a batch every few dozen
+    /// pairs and is scraped every few seconds.
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        let reg = self.metrics.as_ref()?;
+        let shards = self.cache.iter().flat_map(|c| c.shard_stats());
+        for (i, shard) in shards.enumerate() {
+            let l = anyseq_obs::labels(&[("shard", &i.to_string())]);
+            reg.set_gauge("anyseq_cache_shard_bytes", l.clone(), shard.bytes as f64);
+            reg.set_gauge(
+                "anyseq_cache_shard_entries",
+                l.clone(),
+                shard.entries as f64,
+            );
+            reg.set_gauge("anyseq_cache_shard_hits", l.clone(), shard.hits as f64);
+            reg.set_gauge("anyseq_cache_shard_evictions", l, shard.evictions as f64);
+        }
+        Some(reg.snapshot())
+    }
+
+    /// Swaps in a cache of an exact byte budget: tests wrap rings far
+    /// smaller than the 1 MiB [`DispatchPolicy::cache_mb`] can ask for.
+    #[cfg(test)]
+    pub(crate) fn with_cache_budget(mut self, bytes: usize) -> Dispatch {
+        self.cache = Some(ResultCache::with_budget(bytes));
+        self
     }
 
     /// Replaces or registers a backend implementation.

@@ -8,27 +8,33 @@
 //!
 //! 1. **probe** — with a [`ResultCache`](crate::cache::ResultCache) on
 //!    the dispatch ([`DispatchPolicy::cache_mb`](crate::DispatchPolicy::cache_mb)),
-//!    hash every pair and look it up; yields verified hits and misses.
-//!    Fans out across the worker budget in contiguous chunks (hashing
-//!    and the hit memcmp are the only O(sequence-bytes) work here).
-//! 2. **plan** — a pure function of the view, the miss keys and the
-//!    [`Dispatch`] policy: in-batch duplicates of a miss ride one
-//!    leader computation, the leaders are binned and cut into units,
-//!    every unit gets its candidate chain, units split into the worker
-//!    pool (longest first) and the exclusive phase, and oversized
-//!    score-mode pairs get their slab plans. No engine runs.
+//!    in the order hash → dedup → probe: derive one 64-bit key per pair
+//!    (the only pass over the sequence bytes besides the memcmps), fold
+//!    in-batch duplicates onto their first occurrence in one pass over
+//!    the keys, and look up the leaders only — followers never take a
+//!    shard lock. Hashing and probing run in chunks on the calling
+//!    thread and `threads − 1` helpers, the pool `execute` uses; each
+//!    probe chunk takes a shard's lock once. Yields verified hits and
+//!    the leaders still to compute. Without a cache this step does
+//!    nothing: no hashing, no dedup.
+//! 2. **plan** — a pure function of the view, those leaders and the
+//!    [`Dispatch`] policy: they are binned and cut into units, every
+//!    unit gets its candidate chain, units split into the worker pool
+//!    (longest first) and the exclusive phase, and oversized score-mode
+//!    pairs get their slab plans. No engine runs.
 //! 3. **execute** — one chain walker serves pooled units, exclusive
 //!    units and slab chains alike: try each candidate in order, fall
 //!    through on [`EngineError::Unsupported`], stop on anything else.
 //! 4. **settle** — the one place a finished piece of work is booked:
-//!    cache insert, follower fan-out, values handed back by view
-//!    position, unit histograms, fallback counters, the engine's
-//!    drained counters and the per-backend record.
+//!    cache insert (one lock hold per shard for the whole piece), values
+//!    handed back by view position, unit histograms, fallback counters,
+//!    the engine's drained counters and the per-backend record.
 //! 5. **report** — the tracer's spans fold into `stage.*_ns` counters
 //!    and the metrics registry's per-batch totals.
 //!
 //! Workers never write result slots: each lane hands its values back
-//! and the coordinator scatters them after the join, so a slot written
+//! and the coordinator scatters them after the join — and then hands
+//! every in-batch duplicate its leader's value — so a slot written
 //! twice or never is a returned error, not undefined behaviour.
 //!
 //! ## Request model
@@ -69,10 +75,12 @@
 //! ## Result caching
 //!
 //! Verified hits never reach a backend, and only the unique misses are
-//! binned. Fresh unit results are inserted back into the cache as they
-//! complete (workers insert concurrently; shards lock independently).
+//! binned. Byte equality is the only thing that serves a hit or merges
+//! a duplicate: a key match alone does neither, at either seam. Fresh
+//! unit results are inserted back into the cache as they complete
+//! (workers insert concurrently; shards lock independently).
 //! `cache.hits` + `cache.misses` always equals the batch's pair count;
-//! duplicates served from their leader's fresh result count as hits.
+//! duplicates served from their leader's result count as hits.
 //! With hits in play, [`BatchStats::cells`] keeps counting the batch's
 //! *logical* cells — the whole-batch GCUPS becomes effective
 //! throughput (the paid-for speedup), while `per_backend` only
@@ -95,7 +103,7 @@ use anyseq_obs as obs;
 use anyseq_obs::Stage;
 use anyseq_seq::{BatchView, PairRef};
 use anyseq_wavefront::{plan_columns, ShardSeam};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -252,9 +260,7 @@ struct Unit {
 /// call.
 #[derive(Debug)]
 struct Plan {
-    /// Leader position → the in-batch duplicates riding its result.
-    followers: HashMap<usize, Vec<usize>>,
-    /// Units over the leaders, in bin order.
+    /// Units over the pairs to compute, in bin order.
     units: Vec<Unit>,
     /// One `"<q>x<s>"` label per bin (quantized dimensions in bases) —
     /// the `bin` tag vocabulary for spans and metrics.
@@ -271,9 +277,12 @@ struct Plan {
 struct Probed<T> {
     /// One key per view position; empty without a cache.
     keys: Vec<CacheKey>,
-    /// Verified cache hits by view position.
+    /// Who answers for each view position, from [`dedup`]; empty
+    /// without a cache.
+    leader_of: Vec<u32>,
+    /// Verified cache hits by view position (leaders only).
     hits: Vec<(usize, T)>,
-    /// Positions still to compute, in input order.
+    /// Leaders still to compute, in input order.
     misses: Vec<usize>,
 }
 
@@ -314,12 +323,31 @@ impl<T> Slots<T> {
         Slots((0..len).map(|_| None).collect())
     }
 
+    fn put(&mut self, k: usize, value: T) -> Result<(), EngineError> {
+        match self.0.get_mut(k) {
+            Some(slot @ None) => *slot = Some(value),
+            Some(Some(_)) => return Err(slot_error(k, "was written twice")),
+            None => return Err(slot_error(k, "is outside the batch")),
+        }
+        Ok(())
+    }
+
     fn fill(&mut self, values: Vec<(usize, T)>) -> Result<(), EngineError> {
-        for (k, value) in values {
-            match self.0.get_mut(k) {
-                Some(slot @ None) => *slot = Some(value),
-                Some(Some(_)) => return Err(slot_error(k, "was written twice")),
-                None => return Err(slot_error(k, "is outside the batch")),
+        values.into_iter().try_for_each(|(k, v)| self.put(k, v))
+    }
+
+    /// Hands every in-batch duplicate its leader's value — served from
+    /// the cache or freshly computed, the leader's slot is full by now.
+    fn follow(&mut self, leader_of: &[u32]) -> Result<(), EngineError>
+    where
+        T: Clone,
+    {
+        for (k, &leader) in leader_of.iter().enumerate() {
+            if leader as usize != k {
+                let value = self.0[leader as usize].clone();
+                let value =
+                    value.ok_or_else(|| slot_error(leader as usize, "was never written"))?;
+                self.put(k, value)?;
             }
         }
         Ok(())
@@ -428,10 +456,15 @@ impl BatchScheduler {
             }
         }
         let cache = dispatch.cache();
-        let cache_baseline = cache.map(|c| (c.evictions(), c.collisions()));
+        let cache_baseline = cache.map(|c| c.totals());
 
-        let Probed { keys, hits, misses } = self.probe::<T>(dispatch, spec, view, tracer.as_ref());
-        let plan = self.plan(dispatch, spec, view, &keys, &misses, align);
+        let Probed {
+            keys,
+            leader_of,
+            hits,
+            misses,
+        } = self.probe::<T>(dispatch, spec, view, tracer.as_ref());
+        let plan = self.plan(dispatch, spec, view, &misses, align);
         let computed: usize = plan.units.iter().map(|u| u.indices.len()).sum();
         if cache.is_some() {
             stats.record_counter(CACHE_HITS, (view.len() - computed) as u64);
@@ -455,16 +488,18 @@ impl BatchScheduler {
             cell_factor,
         };
         self.execute(&batch, tracer.as_ref(), &mut stats, &mut slots)?;
+        obs::span(Stage::Merge, || slots.follow(&leader_of))?;
 
-        if let (Some(cache), Some((evictions0, collisions0))) = (cache, cache_baseline) {
+        if let (Some(cache), Some(before)) = (cache, cache_baseline) {
             // `cache.bytes` is a resident-size gauge snapshot; the
             // eviction/collision counters are per-run deltas.
-            stats.record_counter(CACHE_BYTES, cache.bytes());
+            let now = cache.totals();
+            stats.record_counter(CACHE_BYTES, now.bytes);
             stats.record_counter(
                 CACHE_EVICTIONS,
-                cache.evictions().saturating_sub(evictions0),
+                now.evictions.saturating_sub(before.evictions),
             );
-            let collisions = cache.collisions().saturating_sub(collisions0);
+            let collisions = now.collisions.saturating_sub(before.collisions);
             if collisions > 0 {
                 stats.record_counter(CACHE_COLLISIONS, collisions);
             }
@@ -481,8 +516,11 @@ impl BatchScheduler {
         Ok(BatchRun { results, stats })
     }
 
-    /// Step 1: derives every pair's cache key and looks it up. Without
-    /// a cache, everything is a miss and no key is derived.
+    /// Step 1: hash → dedup → probe. Derives every pair's cache key,
+    /// folds in-batch duplicates onto their first occurrence, and looks
+    /// the leaders up. Without a cache, everything is a miss, no key is
+    /// derived and nothing is deduplicated — uncached input never pays
+    /// for hashing.
     fn probe<T: Request>(
         &self,
         dispatch: &Dispatch,
@@ -494,110 +532,82 @@ impl BatchScheduler {
         let Some(cache) = dispatch.cache() else {
             return Probed {
                 keys: Vec::new(),
+                leader_of: Vec::new(),
                 hits: Vec::new(),
                 misses: (0..n).collect(),
             };
         };
         let fingerprint = spec.fingerprint();
-        // Two passes per chunk, not one interleaved loop, so the span
-        // boundary is honest: key derivation (the `hash` stage) is
-        // pure CPU over sequence bytes, probing (the `cache_probe`
-        // stage) is shard-locked map traffic.
-        let probe = |chunk: std::ops::Range<usize>| {
-            let t_hash = obs::timer();
-            let pairs = chunk.clone().map(|k| view.get(k));
-            let keys: Vec<_> = pairs
-                .map(|p| CacheKey::new(fingerprint, &p, T::KIND))
-                .collect();
-            obs::commit(Stage::Hash, t_hash);
-            let t_probe = obs::timer();
-            let (mut hits, mut misses) = (Vec::new(), Vec::new());
-            for (k, key) in chunk.zip(&keys) {
-                match cache.get::<T>(key, &view.get(k)) {
-                    Some(value) => hits.push((k, value)),
-                    None => misses.push(k),
-                }
-            }
-            obs::commit(Stage::CacheProbe, t_probe);
-            Probed { keys, hits, misses }
-        };
-        let chunk = n.div_ceil(self.cfg.threads.max(1)).max(64);
-        if n <= chunk {
-            return probe(0..n);
-        }
-        let probe = &probe;
-        let t_wait = obs::timer();
-        let mut all = Probed {
-            keys: Vec::with_capacity(n),
-            hits: Vec::new(),
-            misses: Vec::new(),
-        };
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .enumerate()
-                .map(|(c, start)| {
-                    sc.spawn(move || {
-                        // Probe chunks reuse the pool's worker lanes
-                        // (1-based; the phases never overlap in time).
-                        let _g = tracer.map(|t| t.worker(c as u32 + 1));
-                        probe(start..(start + chunk).min(n))
-                    })
-                })
-                .collect();
-            // Chunks are contiguous input ranges, so joining in spawn
-            // order keeps keys and misses in input order.
-            for handle in handles {
-                let found = handle.join().expect("cache probe worker panicked");
-                all.keys.extend(found.keys);
-                all.hits.extend(found.hits);
-                all.misses.extend(found.misses);
-            }
+        // Several chunks per worker, so the pool evens itself out; none
+        // so small that a helper costs more to start than it saves.
+        let chunk = n.div_ceil(4 * self.cfg.threads.max(1)).max(PROBE_CHUNK_MIN);
+        let keys = self.fan_out(n, chunk, tracer, |part| {
+            obs::span(Stage::Hash, || {
+                part.map(|k| CacheKey::new(fingerprint, &view.get(k), T::KIND))
+                    .collect::<Vec<_>>()
+            })
         });
-        obs::commit(Stage::QueueWait, t_wait);
-        all
+        let keys = keys.concat();
+        let (leader_of, leaders) = obs::span(Stage::Dedup, || dedup(view, &keys));
+        // Followers never reach the cache: their leader answers for
+        // them, out of the cache or out of a backend.
+        let found = self.fan_out(leaders.len(), chunk, tracer, |part| {
+            obs::span(Stage::CacheProbe, || {
+                let leaders = &leaders[part];
+                let keys: Vec<_> = leaders.iter().map(|&k| keys[k as usize]).collect();
+                let pairs: Vec<_> = leaders.iter().map(|&k| view.get(k as usize)).collect();
+                cache.get_many::<T>(&keys, &pairs)
+            })
+        });
+        let (mut hits, mut misses) = (Vec::new(), Vec::new());
+        for (&k, value) in leaders.iter().zip(found.into_iter().flatten()) {
+            match value {
+                Some(value) => hits.push((k as usize, value)),
+                None => misses.push(k as usize),
+            }
+        }
+        Probed {
+            keys,
+            leader_of,
+            hits,
+            misses,
+        }
     }
 
-    /// Step 2: decides everything that happens to the misses, without
-    /// running an engine. `keys` is empty when there is no cache (then
-    /// nothing is deduplicated); `misses` are view positions in input
-    /// order.
+    /// Cuts `0..len` into parts of `chunk` positions, runs `work` on
+    /// each — [`on_pool`]'s workers draw the parts off one counter —
+    /// and returns the outputs in order.
+    fn fan_out<R: Send>(
+        &self,
+        len: usize,
+        chunk: usize,
+        tracer: Option<&obs::BatchTracer>,
+        work: impl Fn(std::ops::Range<usize>) -> R + Sync,
+    ) -> Vec<R> {
+        let (parts, next) = (len.div_ceil(chunk), &AtomicUsize::new(0));
+        let drawn = on_pool(self.cfg.threads.min(parts), tracer, || {
+            let draw = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&c| c < parts);
+            std::iter::from_fn(draw)
+                .map(|c| (c, work(c * chunk..((c + 1) * chunk).min(len))))
+                .collect::<Vec<_>>()
+        });
+        let mut done: Vec<_> = drawn.into_iter().flatten().collect();
+        done.sort_unstable_by_key(|&(c, _)| c);
+        done.into_iter().map(|(_, out)| out).collect()
+    }
+
+    /// Step 2: decides everything that happens to the pairs still to
+    /// compute (`misses`: view positions in input order, leaders only
+    /// when a cache deduplicated the batch), without running an engine.
     fn plan(
         &self,
         dispatch: &Dispatch,
         spec: &SchemeSpec,
         view: &BatchView<'_>,
-        keys: &[CacheKey],
         misses: &[usize],
         align: bool,
     ) -> Plan {
-        // In-batch duplicate dedup: the first miss of each distinct
-        // key leads; later ones ride its computation (served through
-        // the cache path, so they count as hits). Same collision
-        // policy as a cache hit: a key match alone never merges two
-        // pairs — the bytes must match too, or the "duplicate"
-        // computes independently.
-        let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut leaders: HashMap<CacheKey, usize> = HashMap::new();
-        let mut compute = Vec::with_capacity(misses.len());
-        for &k in misses {
-            match keys.get(k).and_then(|key| leaders.get(key)) {
-                Some(&leader)
-                    if view.get(leader).q == view.get(k).q
-                        && view.get(leader).s == view.get(k).s =>
-                {
-                    followers.entry(leader).or_default().push(k);
-                }
-                _ => {
-                    if let Some(key) = keys.get(k) {
-                        leaders.insert(*key, k);
-                    }
-                    compute.push(k);
-                }
-            }
-        }
-
-        let (mut units, bin_labels) = self.cut_units(view, &compute);
+        let (mut units, bin_labels) = self.cut_units(view, misses);
         let shard_cells = dispatch.shard_cells();
         let (mut pooled, mut exclusive, mut shards) = (Vec::new(), Vec::new(), 0u64);
         for (u, unit) in units.iter_mut().enumerate() {
@@ -627,7 +637,6 @@ impl BatchScheduler {
         // Longest-processing-time-first keeps the pool tail short.
         pooled.sort_by_key(|&u| std::cmp::Reverse(units[u].cells));
         Plan {
-            followers,
             units,
             bin_labels,
             pooled,
@@ -712,11 +721,8 @@ impl BatchScheduler {
     /// units serially with the whole budget — and scatters what the
     /// lanes hand back.
     ///
-    /// The calling thread is one of the pool's workers: it spawns
-    /// `threads − 1` helpers and pulls units itself, so a batch starts
-    /// computing at once on the core that is already running it, a
-    /// helper that is slow to be scheduled costs only the units it did
-    /// not draw, and a one-thread budget spawns nothing.
+    /// The pool is [`on_pool`]'s: the calling thread pulls units itself,
+    /// next to `threads − 1` helpers.
     fn execute<T: Request>(
         &self,
         batch: &Batch<'_, '_>,
@@ -726,34 +732,11 @@ impl BatchScheduler {
     ) -> Result<(), EngineError> {
         let plan = batch.plan;
         if !plan.pooled.is_empty() {
-            let pool_threads = self.cfg.threads.clamp(1, plan.pooled.len());
             let next = &AtomicUsize::new(0);
-            let lanes: Vec<(Lane<T>, Result<(), EngineError>)> = std::thread::scope(|sc| {
-                let helpers: Vec<_> = (1..pool_threads)
-                    .map(|w| {
-                        sc.spawn(move || {
-                            let _g = tracer.map(|t| t.worker(w as u32));
-                            let mut lane = Lane::default();
-                            let outcome = pull_units(batch, next, &mut lane);
-                            (lane, outcome)
-                        })
-                    })
-                    .collect();
+            let lanes = on_pool(self.cfg.threads.min(plan.pooled.len()), tracer, || {
                 let mut lane = Lane::default();
                 let outcome = pull_units(batch, next, &mut lane);
-                // Back to coordinating: what the coordinator lane
-                // records from here on belongs to no unit, and the
-                // time it spends blocked on the join is queue wait.
-                obs::set_context("sched", obs::NO_ID, obs::NO_ID);
-                let t_wait = obs::timer();
-                let mut lanes = vec![(lane, outcome)];
-                lanes.extend(
-                    helpers
-                        .into_iter()
-                        .map(|h| h.join().expect("batch worker panicked")),
-                );
-                obs::commit(Stage::QueueWait, t_wait);
-                lanes
+                (lane, outcome)
             });
             absorb(stats, slots, lanes)?;
         }
@@ -766,6 +749,85 @@ impl BatchScheduler {
             .try_for_each(|&u| run_exclusive(batch, &plan.units[u], threads, &mut lane));
         absorb(stats, slots, vec![(lane, outcome)])
     }
+}
+
+/// The scheduler's one worker pool: runs `work` on the calling thread
+/// and on `workers − 1` scoped helpers (lanes `1..workers` of the
+/// tracer), and returns every worker's output, the caller's first.
+///
+/// Caller-runs: a batch starts working at once on the core that is
+/// already running it, a helper that is slow to be scheduled costs only
+/// what it did not draw from whatever shared counter `work` pulls, and
+/// a one-worker pool spawns nothing. No thread outlives the call.
+fn on_pool<R: Send>(
+    workers: usize,
+    tracer: Option<&obs::BatchTracer>,
+    work: impl Fn() -> R + Sync,
+) -> Vec<R> {
+    let work = &work;
+    std::thread::scope(|sc| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|w| {
+                sc.spawn(move || {
+                    let _g = tracer.map(|t| t.worker(w as u32));
+                    work()
+                })
+            })
+            .collect();
+        let mut out = vec![work()];
+        // Back to coordinating: what the coordinator lane records from
+        // here on belongs to no unit, and the time it spends blocked on
+        // the join is queue wait.
+        obs::set_context("sched", obs::NO_ID, obs::NO_ID);
+        let t_wait = obs::timer();
+        let joined = helpers.into_iter().map(|h| h.join());
+        out.extend(joined.map(|out| out.expect("batch worker panicked")));
+        obs::commit(Stage::QueueWait, t_wait);
+        out
+    })
+}
+
+/// Fewest pairs worth a probe chunk of their own: below this a helper
+/// thread costs more to start than the hashing it takes over.
+const PROBE_CHUNK_MIN: usize = 256;
+
+/// In-batch dedup, ahead of the cache probe: one open-addressing pass
+/// over the batch's keys, in a flat table sized to the batch and
+/// indexed by the key as it is. Returns `leader_of` — for every view
+/// position the first position holding the same bytes (itself, for a
+/// leader) — and the leaders in input order.
+///
+/// Same collision policy as a cache hit: a key match alone never merges
+/// two pairs — the bytes must match too, or the "duplicate" leads a
+/// computation of its own.
+fn dedup(view: &BatchView<'_>, keys: &[CacheKey]) -> (Vec<u32>, Vec<u32>) {
+    const EMPTY: u32 = u32::MAX;
+    assert!(keys.len() < EMPTY as usize, "batch positions fit 32 bits");
+    let mask = (2 * keys.len()).next_power_of_two().max(2) - 1;
+    let mut table = vec![EMPTY; mask + 1];
+    let mut leader_of = Vec::with_capacity(keys.len());
+    let mut leaders = Vec::new();
+    for (k, key) in keys.iter().enumerate() {
+        let mine = view.get(k);
+        // The cache's shards take the key's low bits and their tables
+        // its high half; any of its bits would do here.
+        let mut i = (key.0 >> 8) as usize & mask;
+        let leader = loop {
+            let seen = table[i];
+            if seen == EMPTY {
+                table[i] = k as u32;
+                leaders.push(k as u32);
+                break k as u32;
+            }
+            let theirs = view.get(seen as usize);
+            if keys[seen as usize] == *key && theirs.q == mine.q && theirs.s == mine.s {
+                break seen;
+            }
+            i = (i + 1) & mask;
+        };
+        leader_of.push(leader);
+    }
+    (leader_of, leaders)
 }
 
 /// Orders the members of bin `(qk, sk)` by exact `(|q|, |s|)`, ties in
@@ -915,7 +977,9 @@ fn walk<T: Request>(
             &mut lane.stats,
         );
         match ran {
-            Ok(values) => return settle(batch, work, engine, values, tried as u64, t0, lane),
+            Ok(values) => {
+                return settle(batch, work, &pairs, engine, values, tried as u64, t0, lane)
+            }
             Err(err @ EngineError::Unsupported { .. }) => {
                 // A declining engine may still have accumulated
                 // internal counters (capability probes, partial
@@ -952,11 +1016,12 @@ fn walk<T: Request>(
 }
 
 /// Step 4: books one finished piece of work on its lane — the only
-/// place results enter the cache, fan out to deduplicated followers,
-/// and are handed back by view position.
+/// place results enter the cache and are handed back by view position.
+#[allow(clippy::too_many_arguments)]
 fn settle<T: Request>(
     batch: &Batch<'_, '_>,
     work: &Work<'_>,
+    gathered: &[PairRef<'_>],
     engine: &dyn Engine,
     values: Vec<T>,
     fallbacks: u64,
@@ -972,29 +1037,18 @@ fn settle<T: Request>(
             format!("returned {} results for {pairs} pairs", values.len()),
         ));
     }
-    let cache = batch.dispatch.cache();
-    let t_insert = obs::timer();
-    let mut ingest = 0u64;
-    lane.out.reserve(pairs);
-    for (&slot, value) in work.indices.iter().zip(values) {
-        if let Some(cache) = cache {
-            // Fresh result: retain it (and its verification bytes) for
-            // future batches, and fan it out to this batch's
-            // deduplicated followers.
-            ingest += cache.insert(&batch.keys[slot], &batch.view.get(slot), &value) as u64;
-            if let Some(dups) = batch.plan.followers.get(&slot) {
-                lane.out
-                    .extend(dups.iter().map(|&dup| (dup, value.clone())));
-            }
-        }
-        lane.out.push((slot, value));
-    }
-    if cache.is_some() {
-        // Without a cache the hand-back above is a plain move loop —
-        // only insert traffic is worth a span.
+    if let Some(cache) = batch.dispatch.cache() {
+        // Fresh results: retain them (and their verification bytes)
+        // for future batches, one lock hold per shard for the whole
+        // piece. Without a cache the hand-back below is a plain move
+        // loop — only insert traffic is worth a span.
+        let t_insert = obs::timer();
+        let keys: Vec<_> = work.indices.iter().map(|&k| batch.keys[k]).collect();
+        let ingest = cache.insert_many(&keys, gathered, &values);
         obs::commit(Stage::CacheInsert, t_insert);
-        lane.stats.record_counter(CACHE_INGEST_BYTES, ingest);
+        lane.stats.record_counter(CACHE_INGEST_BYTES, ingest as u64);
     }
+    lane.out.extend(work.indices.iter().copied().zip(values));
     let cells = if pairs == work.unit.indices.len() {
         work.unit.cells
     } else {
@@ -1078,22 +1132,6 @@ fn report(
             ("anyseq_batch_seam_bytes_total", counter(SCHED_SEAM_BYTES)),
         ] {
             reg.inc(name, String::new(), value);
-        }
-        for (i, shard) in dispatch
-            .cache()
-            .iter()
-            .flat_map(|c| c.shard_stats())
-            .enumerate()
-        {
-            let l = obs::labels(&[("shard", &i.to_string())]);
-            reg.set_gauge("anyseq_cache_shard_bytes", l.clone(), shard.bytes as f64);
-            reg.set_gauge(
-                "anyseq_cache_shard_entries",
-                l.clone(),
-                shard.entries as f64,
-            );
-            reg.set_gauge("anyseq_cache_shard_hits", l.clone(), shard.hits as f64);
-            reg.set_gauge("anyseq_cache_shard_evictions", l, shard.evictions as f64);
         }
     }
     stats.spans = spans;
@@ -1612,6 +1650,79 @@ mod tests {
     }
 
     #[test]
+    fn dedup_never_merges_on_a_key_alone() {
+        // Three pairs handed the *same* forged key: two byte-different
+        // ones and a true duplicate of the first. Only the duplicate
+        // follows; both distinct pairs lead, and so both compute.
+        let (a, b) = ([0u8, 1, 2, 3], [3u8, 2, 1, 0]);
+        let s = [1u8, 1, 1];
+        let refs = vec![
+            PairRef::new(&a, &s),
+            PairRef::new(&b, &s),
+            PairRef::new(&a, &s),
+            PairRef::new(&s, &a),
+        ];
+        let view = BatchView::from_refs(refs);
+        let (leader_of, leaders) = dedup(&view, &[CacheKey(42); 4]);
+        assert_eq!(leader_of, [0, 1, 0, 3]);
+        assert_eq!(leaders, [0, 1, 3]);
+        let dispatch = Dispatch::standard(Policy::Auto);
+        let spec = SchemeSpec::global_linear(2, -1, -1);
+        let misses: Vec<usize> = leaders.iter().map(|&k| k as usize).collect();
+        let plan = scheduler(2).plan(&dispatch, &spec, &view, &misses, false);
+        let mut computed: Vec<usize> = plan.units.iter().flat_map(|u| u.indices.clone()).collect();
+        computed.sort_unstable();
+        assert_eq!(computed, [0, 1, 3]);
+        // Honest keys: equal bytes share a key, and the pass is empty
+        // on an empty batch.
+        let keys: Vec<_> = (0..view.len())
+            .map(|k| CacheKey::for_pair(&spec, &view.get(k), ReqKind::Score))
+            .collect();
+        assert_eq!(dedup(&view, &keys).0, [0, 1, 0, 3]);
+        assert_eq!(dedup(&BatchView::default(), &[]), (vec![], vec![]));
+    }
+
+    #[test]
+    fn an_oversize_pair_is_answered_but_never_flushes_its_shard() {
+        use crate::cache::{CACHE_HITS, CACHE_INGEST_BYTES, CACHE_MISSES};
+        use crate::dispatch::DispatchPolicy;
+        // A 1 MiB pair against a 1 MiB cache (64 KiB a shard): caching
+        // it would push out every resident of its shard and then the
+        // pair itself.
+        let dispatch = DispatchPolicy::fixed(BackendId::Scalar)
+            .cache_mb(1)
+            .standard();
+        let cache = dispatch.cache().unwrap();
+        let spec = SchemeSpec::global_linear(2, -1, -1);
+        let sched = scheduler(2);
+        let mut pairs = read_pairs(64, 5);
+        let warm = sched
+            .try_score_batch(&dispatch, &spec, &BatchView::from_pairs(&pairs))
+            .unwrap();
+        assert!(warm.stats.counters[CACHE_INGEST_BYTES] > 0);
+        let residents = cache.totals();
+        assert_eq!(residents.entries, 64);
+
+        let long = Seq::from_ascii(&b"ACGT".repeat(1 << 18)).unwrap();
+        pairs.push((long, Seq::from_ascii(b"GT").unwrap()));
+        let view = BatchView::from_pairs(&pairs);
+        for _ in 0..2 {
+            let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
+            assert_eq!(
+                run.results[64],
+                spec.score_scalar(&pairs[64].0, &pairs[64].1)
+            );
+            assert_eq!(run.results[..64], warm.results[..]);
+            assert_eq!(run.stats.counters[CACHE_HITS], 64, "residents survive");
+            assert_eq!(run.stats.counters[CACHE_MISSES], 1);
+            assert_eq!(run.stats.counters[CACHE_INGEST_BYTES], 0);
+            let now = cache.totals();
+            assert_eq!((now.entries, now.bytes), (64, residents.bytes));
+            assert_eq!(now.evictions, 0);
+        }
+    }
+
+    #[test]
     fn seq_store_view_runs_without_owned_pairs() {
         use anyseq_seq::SeqStore;
         // The arena path: ingest once, dispatch borrowed views forever.
@@ -1739,6 +1850,7 @@ mod tests {
                 Just(Policy::Fixed(BackendId::Scalar)),
             ],
             (shard, align, cached, hit_every) in (0u64..2, 0u8..2, 0u8..2, 2usize..6),
+            forged in 0u8..2,
         ) {
             use crate::dispatch::{DispatchPolicy, MIN_SHARD_CELLS};
             let (align, cached) = (align == 1, cached == 1);
@@ -1760,30 +1872,43 @@ mod tests {
             let cfg = BatchCfg { chunk_pairs, ..BatchCfg::threads(threads) };
             let sched = BatchScheduler::new(cfg);
             let kind = if align { ReqKind::Align } else { ReqKind::Score };
-            let keys: Vec<CacheKey> = if cached {
-                (0..n).map(|k| CacheKey::for_pair(&spec, &view.get(k), kind)).collect()
-            } else {
-                Vec::new()
+            // Forged: byte-different pairs share one of four keys, as
+            // colliding hashes would have them.
+            let key_of = |k: usize| {
+                let key = CacheKey::for_pair(&spec, &view.get(k), kind);
+                if forged == 1 { CacheKey(key.0 % 4) } else { key }
             };
-            let is_hit = |k: usize| cached && k % hit_every == 1;
-            let misses: Vec<usize> = (0..n).filter(|&k| !is_hit(k)).collect();
+            let keys: Vec<CacheKey> = if cached { (0..n).map(key_of).collect() } else { Vec::new() };
+            // The dedup pass folds duplicates onto leaders; an arbitrary
+            // subset of the leaders then "hits".
+            let (leader_of, leaders) = dedup(&view, &keys);
+            let leader_of = |k: usize| leader_of.get(k).map_or(k, |&l| l as usize);
+            prop_assert!(cached || leaders.is_empty());
+            let is_hit = |k: usize| cached && leader_of(k) == k && k % hit_every == 1;
+            let misses: Vec<usize> = (0..n).filter(|&k| leader_of(k) == k && !is_hit(k)).collect();
 
-            let plan = sched.plan(&dispatch, &spec, &view, &keys, &misses, align);
+            let plan = sched.plan(&dispatch, &spec, &view, &misses, align);
 
             // hits ∪ followers ∪ unit indices partition 0..n.
             let mut seen: Vec<usize> = (0..n).filter(|&k| is_hit(k)).collect();
-            seen.extend(plan.followers.values().flatten());
+            seen.extend((0..n).filter(|&k| leader_of(k) != k));
             seen.extend(plan.units.iter().flat_map(|u| &u.indices));
             seen.sort_unstable();
             prop_assert_eq!(seen, (0..n).collect::<Vec<_>>());
-            // Every follower rides a byte-identical leader that computes.
-            prop_assert!(cached || plan.followers.is_empty());
-            for (leader, dups) in &plan.followers {
-                prop_assert!(plan.units.iter().any(|u| u.indices.contains(leader)));
-                for &dup in dups {
-                    prop_assert!(dup > *leader);
-                    prop_assert_eq!(view.get(dup).q, view.get(*leader).q);
-                    prop_assert_eq!(view.get(dup).s, view.get(*leader).s);
+            // Every follower rides a byte-identical leader that computes
+            // (or hit), and no two leaders hold the same bytes.
+            for dup in (0..n).filter(|&k| leader_of(k) != k) {
+                let leader = leader_of(dup);
+                let computes = plan.units.iter().any(|u| u.indices.contains(&leader));
+                prop_assert!(computes || is_hit(leader));
+                prop_assert!(dup > leader);
+                prop_assert_eq!(view.get(dup).q, view.get(leader).q);
+                prop_assert_eq!(view.get(dup).s, view.get(leader).s);
+            }
+            for (i, &a) in leaders.iter().enumerate() {
+                for &b in &leaders[..i] {
+                    let (a, b) = (view.get(a as usize), view.get(b as usize));
+                    prop_assert!(a.q != b.q || a.s != b.s);
                 }
             }
             // Units: sequential ids, one bin each, bounded by
@@ -1844,6 +1969,82 @@ mod tests {
                 }
             }
             prop_assert_eq!(plan.shards, shards);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The cache is invisible in the results — every kind, gap
+        /// model, request type and pool size, in-batch duplicates and
+        /// cross-batch repeats, under a budget small enough that every
+        /// ring wraps several times over the run.
+        #[test]
+        fn cached_batches_match_uncached_while_the_rings_wrap(
+            (kind, affine, align) in (0usize..4, 0u8..2, 0u8..2),
+            threads in prop_oneof![Just(1usize), Just(2), Just(4)],
+            (batch, distinct) in (1usize..700, 1usize..160),
+            budget_kib in prop_oneof![Just(8usize), Just(48)],
+            seed in 0u64..1 << 40,
+        ) {
+            use crate::cache::{CACHE_BYTES, CACHE_EVICTIONS, CACHE_HITS, CACHE_MISSES};
+            let (affine, align) = (affine == 1, align == 1);
+            let kinds = [KindSpec::Global, KindSpec::SemiGlobal, KindSpec::Local, KindSpec::FreeEnd];
+            let spec = if affine {
+                SchemeSpec::global_affine(2, -1, -2, -1)
+            } else {
+                SchemeSpec::global_linear(2, -1, -1)
+            }
+            .with_kind(kinds[kind]);
+            let mut x = seed | 1;
+            let mut next = move |span: usize| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 33) as usize % span
+            };
+            let pool: Vec<(Vec<u8>, Vec<u8>)> = (0..3 * distinct)
+                .map(|_| {
+                    let (q, s) = (4 + next(28), 4 + next(28));
+                    let q: Vec<u8> = (0..q).map(|_| next(4) as u8).collect();
+                    ((0..s).map(|i| if next(5) == 0 { next(4) as u8 } else { q[i % q.len()] }).collect(), q)
+                })
+                .collect();
+            // Scores ride the lanes. Alignments compare CIGAR for CIGAR,
+            // so they stay on one backend: lane and scalar tracebacks
+            // pick differently among co-optimal paths, and dedup changes
+            // which pairs share a lane group.
+            let policy = if align { Policy::Fixed(BackendId::Scalar) } else { Policy::Auto };
+            let plain = Dispatch::standard(policy);
+            let cached = Dispatch::standard(policy).with_cache_budget(budget_kib << 10);
+            let sched = BatchScheduler::new(BatchCfg::threads(threads));
+            let mut evictions = 0;
+            for round in 0..4 {
+                // A window of the pool that slides by half its width:
+                // duplicates inside a batch, repeats across batches.
+                let refs = (0..batch).map(|_| {
+                    let (q, s) = &pool[(round * distinct / 2 + next(distinct)) % pool.len()];
+                    PairRef::new(q, s)
+                });
+                let view = BatchView::from_refs(refs.collect());
+                let stats = if align {
+                    let want = sched.try_align_batch(&plain, &spec, &view).unwrap();
+                    let got = sched.try_align_batch(&cached, &spec, &view).unwrap();
+                    prop_assert_eq!(got.results, want.results, "round {}", round);
+                    got.stats
+                } else {
+                    let want = sched.try_score_batch(&plain, &spec, &view).unwrap();
+                    let got = sched.try_score_batch(&cached, &spec, &view).unwrap();
+                    prop_assert_eq!(got.results, want.results, "round {}", round);
+                    got.stats
+                };
+                let count = |name: &str| stats.counters[name];
+                prop_assert_eq!(count(CACHE_HITS) + count(CACHE_MISSES), stats.pairs);
+                prop_assert!(count(CACHE_MISSES) <= distinct as u64);
+                prop_assert!(count(CACHE_BYTES) <= (budget_kib << 10) as u64);
+                prop_assert_eq!(count(SCHED_BYTES_COPIED), 0);
+                evictions += count(CACHE_EVICTIONS);
+            }
+            let entries = cached.cache().unwrap().totals().entries;
+            prop_assert!(batch.min(distinct) < 100 || budget_kib > 8 || evictions > 2 * entries);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! one of these stages. The taxonomy is closed on purpose: a fixed enum
 //! keeps span records `Copy`, lets exporters pre-allocate, and keeps the
 //! `stage.<name>_ns` counter namespace stable across releases — the
-//! bench report validator requires all nine keys to be present.
+//! bench report validator requires all ten keys to be present.
 
 use std::fmt;
 
@@ -17,7 +17,11 @@ pub enum Stage {
     QueueWait,
     /// Deriving content-hash cache keys for a chunk of pairs.
     Hash,
-    /// Probing the result cache with already-derived keys.
+    /// Folding in-batch duplicates onto their first occurrence: one
+    /// pass over the batch's keys on the coordinator, between hashing
+    /// and the cache probe.
+    Dedup,
+    /// Probing the result cache with the leaders' already-derived keys.
     CacheProbe,
     /// Gathering borrowed `PairRef`s for one unit (index indirection,
     /// never sequence bytes).
@@ -29,19 +33,20 @@ pub enum Stage {
     /// Alignment path reconstruction (banded passes + decode, or the
     /// scalar/wavefront equivalent).
     Traceback,
-    /// Inserting freshly computed results into the cache and fanning
-    /// them out to in-batch duplicates.
+    /// Inserting freshly computed results into the cache.
     CacheInsert,
     /// Folding per-worker stats, spans, and counters into the batch
-    /// totals at the end of a run.
+    /// totals at the end of a run, scattering values into their result
+    /// slots and handing in-batch duplicates their leader's value.
     Merge,
 }
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 9] = [
+    pub const ALL: [Stage; 10] = [
         Stage::QueueWait,
         Stage::Hash,
+        Stage::Dedup,
         Stage::CacheProbe,
         Stage::Gather,
         Stage::Transpose,
@@ -57,6 +62,7 @@ impl Stage {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::Hash => "hash",
+            Stage::Dedup => "dedup",
             Stage::CacheProbe => "cache_probe",
             Stage::Gather => "gather",
             Stage::Transpose => "transpose",
@@ -73,6 +79,7 @@ impl Stage {
         match self {
             Stage::QueueWait => "stage.queue_wait_ns",
             Stage::Hash => "stage.hash_ns",
+            Stage::Dedup => "stage.dedup_ns",
             Stage::CacheProbe => "stage.cache_probe_ns",
             Stage::Gather => "stage.gather_ns",
             Stage::Transpose => "stage.transpose_ns",

@@ -180,13 +180,6 @@ impl Seq {
     pub fn rev_view(&self) -> RevView<'_> {
         RevView { codes: &self.codes }
     }
-
-    /// The sequence's stable content hash (see
-    /// [`content_hash`](crate::store::content_hash)) — the identity a
-    /// result cache keys on.
-    pub fn content_hash(&self) -> u64 {
-        crate::store::content_hash(&self.codes)
-    }
 }
 
 impl fmt::Debug for Seq {

@@ -8,9 +8,7 @@
 //! peak memory. This module is the fix:
 //!
 //! * [`SeqStore`] — an append-only arena keeping all code bytes in one
-//!   contiguous allocation, with per-entry offsets and a cheap content
-//!   hash computed at ingest (the stable, hashable identity a result
-//!   cache needs).
+//!   contiguous allocation, with per-entry offsets.
 //! * [`PairRef`] — a pair of borrowed code slices (`&[u8]` query +
 //!   subject), `Copy`, 32 bytes. Moving a `PairRef` moves pointers,
 //!   never sequence bytes.
@@ -25,18 +23,39 @@
 use crate::seq::{Seq, SeqError};
 use std::fmt;
 
-/// FNV-1a 64-bit content hash over raw code bytes — the cheap, stable
-/// identity used for result caching and store deduplication. Stable
-/// across runs and platforms (unlike `std::hash::DefaultHasher`).
+/// 64-bit content hash over raw code bytes — the cheap, stable identity
+/// result caching keys on. Stable across runs and platforms (unlike
+/// `std::hash::DefaultHasher`); fast, not cryptographic, so whoever
+/// serves a result on it verifies the bytes too.
+///
+/// Reads eight bytes per step on two independent multiply–xorshift
+/// lanes. The length is folded in before the first word: code 0 is a
+/// real base, so the zero-padded tail word of `[0; 9]` must not alias
+/// `[0; 8]`.
 pub fn content_hash(codes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in codes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+    fn mix(h: u64, word: u64) -> u64 {
+        let x = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 32)
     }
-    h
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"));
+    let mut a = mix(0xcbf2_9ce4_8422_2325, codes.len() as u64);
+    let mut b = 0x8422_2325_cbf2_9ce4;
+    let mut blocks = codes.chunks_exact(16);
+    for block in &mut blocks {
+        a = mix(a, word(&block[..8]));
+        b = mix(b, word(&block[8..]));
+    }
+    let mut rest = blocks.remainder();
+    if rest.len() >= 8 {
+        a = mix(a, word(&rest[..8]));
+        rest = &rest[8..];
+    }
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        b = mix(b, u64::from_le_bytes(tail));
+    }
+    mix(a, b.rotate_left(32))
 }
 
 /// Index of one sequence inside a [`SeqStore`].
@@ -61,8 +80,8 @@ impl SeqId {
     }
 }
 
-/// An append-only arena of code sequences: one contiguous byte buffer,
-/// per-entry offsets, and a content hash per entry.
+/// An append-only arena of code sequences: one contiguous byte buffer
+/// and per-entry offsets.
 ///
 /// ```
 /// use anyseq_seq::{Seq, SeqStore};
@@ -80,7 +99,6 @@ pub struct SeqStore {
     codes: Vec<u8>,
     /// `bounds[k]..bounds[k + 1]` delimits entry `k`; `bounds[0] == 0`.
     bounds: Vec<usize>,
-    hashes: Vec<u64>,
 }
 
 impl SeqStore {
@@ -89,7 +107,6 @@ impl SeqStore {
         SeqStore {
             codes: Vec::new(),
             bounds: vec![0],
-            hashes: Vec::new(),
         }
     }
 
@@ -98,7 +115,6 @@ impl SeqStore {
         SeqStore {
             codes: Vec::with_capacity(bytes),
             bounds: vec![0],
-            hashes: Vec::new(),
         }
     }
 
@@ -134,10 +150,9 @@ impl SeqStore {
     }
 
     fn push_valid(&mut self, codes: &[u8]) -> Result<SeqId, SeqError> {
-        let id = next_id(self.hashes.len())?;
+        let id = next_id(self.len())?;
         self.codes.extend_from_slice(codes);
         self.bounds.push(self.codes.len());
-        self.hashes.push(content_hash(codes));
         Ok(id)
     }
 
@@ -147,20 +162,14 @@ impl SeqStore {
         &self.codes[self.bounds[id.index()]..self.bounds[id.index() + 1]]
     }
 
-    /// The content hash of entry `id` (computed once at push).
-    #[inline]
-    pub fn hash(&self, id: SeqId) -> u64 {
-        self.hashes[id.index()]
-    }
-
     /// Number of stored sequences.
     pub fn len(&self) -> usize {
-        self.hashes.len()
+        self.bounds.len() - 1
     }
 
     /// Whether the store holds no sequences.
     pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
+        self.len() == 0
     }
 
     /// Total code bytes resident in the arena.
@@ -332,10 +341,10 @@ mod tests {
         assert_eq!(store.bytes(), 20);
         assert_eq!(store.get(ia), a.codes());
         assert_eq!(store.get(ib), b.codes());
-        // Content hashing: equal content ⇒ equal hash, stable identity.
-        assert_eq!(store.hash(ia), store.hash(ia2));
-        assert_ne!(store.hash(ia), store.hash(ib));
-        assert_eq!(store.hash(ia), content_hash(a.codes()));
+        // Content hashing follows the bytes, not where they live.
+        assert_eq!(content_hash(store.get(ia)), content_hash(store.get(ia2)));
+        assert_ne!(content_hash(store.get(ia)), content_hash(store.get(ib)));
+        assert_eq!(content_hash(store.get(ia)), content_hash(a.codes()));
     }
 
     #[test]
@@ -353,8 +362,7 @@ mod tests {
         let e1 = store.push_codes(&[]).unwrap();
         let e2 = store.push(&Seq::new()).unwrap();
         assert_ne!(e1, e2);
-        assert!(store.get(e1).is_empty());
-        assert_eq!(store.hash(e1), store.hash(e2));
+        assert!(store.get(e1).is_empty() && store.get(e2).is_empty());
     }
 
     #[test]
@@ -411,9 +419,33 @@ mod tests {
     }
 
     #[test]
-    fn fnv_hash_known_vectors() {
-        // FNV-1a 64 reference values.
-        assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(content_hash(&[0]), 0xaf63_bd4c_8601_b7df);
+    fn content_hash_follows_the_bytes_and_the_length() {
+        // Equal bytes ⇒ equal hash, wherever they live.
+        let reads: Vec<Vec<u8>> = (0..40usize)
+            .map(|n| (0..n).map(|i| ((i * 7 + n) % 5) as u8).collect())
+            .collect();
+        for read in &reads {
+            assert_eq!(content_hash(read), content_hash(&read.clone()));
+        }
+        // Code 0 is a real base: runs of it that differ only in length
+        // — across the 8-byte word and 16-byte block edges — must not
+        // alias through the zero-padded tail word; nor may any of the
+        // reads above, one per length and every tail shape.
+        let mut hashes: Vec<u64> = [0usize, 1, 2, 7, 8, 9, 15, 16, 17, 24, 25]
+            .iter()
+            .map(|&n| content_hash(&vec![0u8; n]))
+            .chain(reads[1..].iter().map(|r| content_hash(r)))
+            .collect();
+        let all = hashes.len();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), all);
+        // One flipped base anywhere changes the hash.
+        let base = vec![1u8; 37];
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] = 2;
+            assert_ne!(content_hash(&flipped), content_hash(&base), "base {i}");
+        }
     }
 }

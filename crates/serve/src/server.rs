@@ -151,8 +151,8 @@ impl Shared {
     pub(crate) fn render_stats(&self) -> String {
         self.refresh_latency_gauges();
         let mut text = prometheus_text(&self.metrics.snapshot());
-        if let Some(reg) = self.dispatch.metrics() {
-            text.push_str(&prometheus_text(&reg.snapshot()));
+        if let Some(engine) = self.dispatch.metrics_snapshot() {
+            text.push_str(&prometheus_text(&engine));
         }
         text
     }

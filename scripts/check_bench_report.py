@@ -21,7 +21,7 @@ Fails (exit 1) if the report is missing any required key:
   * the observability keys (the section always runs):
     `obs.score_gcups_{off,on}` and `obs.kernel_spans` /
     `obs.kernel_p{50,95,99}_ns` positive, `obs.overhead_frac` and
-    `obs.trace_spans` present, plus all nine `stage.<name>_ns` wall
+    `obs.trace_spans` present, plus all ten `stage.<name>_ns` wall
     totals with a non-zero `stage.kernel_ns` (a traced run that spent
     no time in kernels means the span plumbing is broken),
   * `long.score_gcups` / `long.align_gcups` when `long_len` > 0,
@@ -67,8 +67,9 @@ MODES = ("score", "align")
 BACKENDS = ("scalar", "simd")
 STAGES = (
     "queue_wait",
-    "cache_probe",
     "hash",
+    "dedup",
+    "cache_probe",
     "gather",
     "transpose",
     "kernel",

@@ -185,9 +185,9 @@ fn traced_batch_produces_consistent_spans_and_exports() {
     assert!(trace.contains("\"coordinator\""));
 
     // Prometheus: the per-(backend, bin) kernel latency histogram and
-    // the per-shard cache gauges are present.
-    let registry = dispatch.metrics().expect("observe=true builds a registry");
-    let text = prometheus_text(&registry.snapshot());
+    // the per-shard cache gauges (published at export time) are present.
+    let snapshot = dispatch.metrics_snapshot();
+    let text = prometheus_text(&snapshot.expect("observe=true builds a registry"));
     assert!(text.contains("anyseq_stage_duration_ns_bucket"));
     assert!(text.contains("stage=\"kernel\""));
     assert!(text.contains("backend=\"simd\"") || text.contains("backend=\"scalar\""));
