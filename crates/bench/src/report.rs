@@ -59,31 +59,23 @@ impl Table {
 /// Dumps a result map as JSON into `target/bench-results/<name>.json`
 /// (ignored on failure — reporting must not break benchmarking).
 pub fn dump_json(name: &str, values: &BTreeMap<String, f64>) {
-    dump_json_labelled(name, values, &[]);
-}
-
-/// [`dump_json`] plus string-valued entries (`labels`, written first),
-/// for facts that are not numbers — which ISA tier ran.
-pub fn dump_json_labelled(name: &str, values: &BTreeMap<String, f64>, labels: &[(&str, &str)]) {
     let dir = std::path::Path::new("target/bench-results");
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    // Keys and labels are plain ASCII benchmark ids; escape the JSON
-    // specials.
-    let escape = |text: &str| text.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut entries: Vec<String> = labels
+    let entries: Vec<String> = values
         .iter()
-        .map(|(key, label)| format!("  \"{}\": \"{}\"", escape(key), escape(label)))
+        .map(|(key, value)| {
+            // Keys are plain ASCII benchmark ids; escape the JSON specials.
+            let key = key.replace('\\', "\\\\").replace('"', "\\\"");
+            if value.is_finite() {
+                format!("  \"{key}\": {value}")
+            } else {
+                // JSON has no NaN/inf literals; match serde_json's `null`.
+                format!("  \"{key}\": null")
+            }
+        })
         .collect();
-    entries.extend(values.iter().map(|(key, value)| {
-        if value.is_finite() {
-            format!("  \"{}\": {value}", escape(key))
-        } else {
-            // JSON has no NaN/inf literals; match serde_json's `null`.
-            format!("  \"{}\": null", escape(key))
-        }
-    }));
     let text = format!("{{\n{}\n}}", entries.join(",\n"));
     let _ = std::fs::write(dir.join(format!("{name}.json")), text);
 }

@@ -90,68 +90,8 @@ pub fn genome_pairs(scale: f64, seed: u64) -> Vec<(String, Seq, Seq)> {
 /// reads simulated from GRCh38 chromosome 10; here from a synthetic
 /// chromosome-scale reference).
 pub fn read_batch(pairs: usize, seed: u64) -> Vec<(Seq, Seq)> {
-    read_batch_with_len(pairs, ReadSimProfile::default().read_len, seed)
-}
-
-/// [`read_batch`] with an explicit read length (amplicon / merged-pair
-/// style workloads; error profile unchanged).
-pub fn read_batch_with_len(pairs: usize, read_len: usize, seed: u64) -> Vec<(Seq, Seq)> {
-    let profile = ReadSimProfile {
-        read_len,
-        ..ReadSimProfile::default()
-    };
-    profile_batch(pairs, profile, seed)
-}
-
-/// Amplicon-style read-pair batch: fixed-length reads with
-/// substitution errors only (no indels), so every pair shares the same
-/// DP dimensions. The duplicated-read / result-cache workload uses
-/// this — with uniform dimensions the SIMD lanes pack fully in both
-/// the cache-on and cache-off runs, so the two differ by cached work
-/// rather than by lane fill.
-pub fn amplicon_batch(pairs: usize, read_len: usize, seed: u64) -> Vec<(Seq, Seq)> {
-    let profile = ReadSimProfile {
-        read_len,
-        ins_rate: 0.0,
-        del_rate: 0.0,
-        ..ReadSimProfile::default()
-    };
-    profile_batch(pairs, profile, seed)
-}
-
-/// Containment-style read/window batch for the semi-global bin:
-/// every pair is a `read_len` bp read (substitution errors only, no
-/// indels) contained somewhere inside a `window_len` bp reference
-/// window, returned as `(read, window)`. Offsets vary per pair so the
-/// free-border optimum moves around; the uniform dimensions pack SIMD
-/// lanes fully.
-pub fn contained_read_batch(
-    pairs: usize,
-    read_len: usize,
-    window_len: usize,
-    seed: u64,
-) -> Vec<(Seq, Seq)> {
-    assert!(read_len <= window_len, "read must fit in the window");
-    let mut sim = GenomeSim::new(seed);
-    (0..pairs)
-        .map(|k| {
-            let window = sim.generate(window_len);
-            let offset = (k * 31) % (window_len - read_len + 1);
-            let mut codes = window.subseq(offset..offset + read_len).codes().to_vec();
-            // ~3% substitutions, varied stride so lanes differ.
-            for b in codes.iter_mut().skip(k % 13).step_by(29 + k % 7) {
-                *b = (*b + 1) % 4;
-            }
-            (Seq::from_codes(codes).unwrap(), window)
-        })
-        .collect()
-}
-
-/// Shared generator behind the read-batch workloads: one synthetic
-/// chromosome-scale reference, reads simulated under `profile`.
-fn profile_batch(pairs: usize, profile: ReadSimProfile, seed: u64) -> Vec<(Seq, Seq)> {
     let reference = GenomeSim::new(seed).generate(2_000_000);
-    let mut sim = ReadSim::new(profile, seed ^ 0x5eed);
+    let mut sim = ReadSim::new(ReadSimProfile::default(), seed ^ 0x5eed);
     sim.simulate_pairs(&reference, pairs)
         .into_iter()
         .map(|p| (p.a, p.b))
@@ -194,20 +134,5 @@ mod tests {
         let batch = read_batch(40, 9);
         assert_eq!(batch.len(), 40);
         assert!(batch.iter().all(|(a, b)| a.len() > 100 && b.len() > 100));
-    }
-
-    #[test]
-    fn contained_batch_has_uniform_dims_and_containment() {
-        let batch = contained_read_batch(24, 150, 225, 11);
-        assert_eq!(batch.len(), 24);
-        assert!(batch.iter().all(|(q, s)| q.len() == 150 && s.len() == 225));
-        // The reads are near-copies of a window slice: a semi-global
-        // score close to the perfect-containment score, far above what
-        // an unrelated read would get.
-        use anyseq_core::prelude::*;
-        let scheme = semiglobal(linear(simple(2, -3), -2));
-        for (q, s) in &batch {
-            assert!(scheme.score(q, s) > 2 * 150 * 7 / 10);
-        }
     }
 }

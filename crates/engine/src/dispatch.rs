@@ -195,9 +195,10 @@ impl DispatchPolicy {
     /// records stage-timing spans into [`crate::BatchStats::spans`]
     /// and folds per-`(backend, bin, stage)` latency histograms plus
     /// batch counters into the dispatch's [`MetricsRegistry`]
-    /// ([`Dispatch::metrics`]). Costs ≤3% throughput on the standard
-    /// bench config (asserted by `batch_throughput`); the default is
-    /// off, where every instrumentation site is a no-op.
+    /// ([`Dispatch::metrics`]). The budget is ≤3% throughput; what it
+    /// costs on a short-read batch is the benchmark's ladder row
+    /// `engine.observe_overhead_frac`. The default is off, where every
+    /// instrumentation site is a no-op.
     pub fn observe(mut self, on: bool) -> DispatchPolicy {
         self.observe = on;
         self

@@ -1379,6 +1379,38 @@ mod tests {
             .per_backend
             .iter()
             .any(|u| u.backend == "wavefront" && u.pairs == 2));
+
+        // What sharding is for, as a number: the chain's resident peak
+        // must undercut the border working set of the same pair run
+        // whole. Both sides are MiB rounded up (the gauge's unit), so
+        // the pair has to be wide enough that this is not `1 < 1`: a
+        // short query against a 2^18-column subject keeps 2 MiB + of
+        // column stripes whole and one eighth of that per slab.
+        let subject = sim.generate(1 << 18);
+        let query = sim.mutate(&subject.subseq(0..32), 0.03);
+        let wide = vec![(query, subject)];
+        let view = BatchView::from_pairs(&wide);
+        let sched = scheduler(2);
+        let policy = DispatchPolicy::fixed(BackendId::Wavefront);
+        let whole = sched
+            .try_score_batch(&policy.standard(), &spec, &view)
+            .unwrap();
+        let cut = sched
+            .try_score_batch(
+                &policy.shard_cells(view.total_cells() / 8).standard(),
+                &spec,
+                &view,
+            )
+            .unwrap();
+        assert_eq!(cut.results, whole.results);
+        assert!(cut.stats.counters[SCHED_SHARDS] >= 8);
+        let whole_mb = whole.stats.counters["wavefront.border_bytes"].div_ceil(1 << 20);
+        let peak_mb = cut.stats.counters["wavefront.peak_shard_mb"];
+        assert!(whole_mb >= 3, "pair too small to bound: {whole_mb} MiB");
+        assert!(
+            peak_mb < whole_mb,
+            "sharded resident peak {peak_mb} MiB vs {whole_mb} MiB unsharded"
+        );
     }
 
     #[test]

@@ -317,12 +317,6 @@ impl<'a> BatchView<'a> {
     pub fn total_cells(&self) -> u64 {
         self.pairs.iter().map(|p| p.cells()).sum()
     }
-
-    /// Total sequence bytes the batch keeps resident (each pair counted
-    /// as referenced, shared storage counted per reference).
-    pub fn resident_bytes(&self) -> u64 {
-        self.pairs.iter().map(|p| p.bytes()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -377,7 +371,6 @@ mod tests {
         assert!(std::ptr::eq(view.get(0).q.as_ptr(), store.get(a).as_ptr()));
         assert!(std::ptr::eq(view.get(1).q.as_ptr(), store.get(b).as_ptr()));
         assert_eq!(view.total_cells(), 12 + 12);
-        assert_eq!(view.resident_bytes(), 14);
     }
 
     #[test]

@@ -173,29 +173,6 @@ where
     block_kernel_kind_on::<K, G, SS, XDROP, L>(tier, gap, subst, q_rows, s_cols, borders, xdrop)
 }
 
-/// [`block_kernel_kind`] pinned to the baseline tier. Not an execution
-/// option — nothing in the engine calls it; it is the denominator of the
-/// bench-smoke codegen guard (`simd.kernel_gcups_tier` ÷
-/// `simd.kernel_gcups_baseline`), which fails loudly if the relaxation
-/// ever stops inlining into the AVX2 trampoline.
-#[doc(hidden)]
-pub fn block_kernel_kind_baseline<K, G, SS, const XDROP: bool, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    q_rows: &[[u8; L]],
-    s_cols: &[[u8; L]],
-    borders: &mut BlockBorders<L>,
-    xdrop: i16,
-) -> KernelOpt<L>
-where
-    K: AlignKind,
-    G: GapModel,
-    SS: SimdSubst,
-{
-    let tier = Tier::BASELINE;
-    block_kernel_kind_on::<K, G, SS, XDROP, L>(tier, gap, subst, q_rows, s_cols, borders, xdrop)
-}
-
 /// [`block_kernel_kind`] on an explicit tier — the crate-private seam
 /// the tier-identity tests drive; results are bit-identical on every
 /// tier.
@@ -660,6 +637,59 @@ mod tests {
                 assert_eq!(run::<Local, 32>(tier, seed), loc, "{}", tier.name());
             }
         }
+    }
+
+    /// The codegen guard. Tiers are bit-identical, so if the relaxation
+    /// ever stops inlining into its `#[target_feature]` trampoline the
+    /// "AVX2" kernel silently becomes baseline code and every identity
+    /// test above still passes; only the clock sees it. On an AVX2 host
+    /// the tiered L = 16 kernel measures 1.8–2.0× the baseline build of
+    /// the same body; below 1.4× the tier is broken. Optimised builds
+    /// only — debug code is vectorised on neither tier.
+    #[test]
+    fn avx2_tier_outruns_the_baseline_build() {
+        if cfg!(debug_assertions) || crate::isa() != "avx2" {
+            return;
+        }
+        const L: usize = 16;
+        let (h, w) = (150, 150);
+        let lanes = random_lanes::<L>(h, w, 0x15a);
+        let subst = simple(2, -1);
+        let fresh = BlockBorders::<L>::init::<Global, _>(&AFF, h, w);
+        let mut block = BlockBorders::<L>::init::<Global, _>(&AFF, h, w);
+        let mut time = |tier: Tier| {
+            let t0 = std::time::Instant::now();
+            for _ in 0..200 {
+                block.top_h.clone_from(&fresh.top_h);
+                block.top_e.clone_from(&fresh.top_e);
+                block.left_h.clone_from(&fresh.left_h);
+                block.left_f.clone_from(&fresh.left_f);
+                let opt = block_kernel_kind_on::<Global, _, _, false, L>(
+                    tier,
+                    &AFF,
+                    &subst,
+                    &lanes.q_rows,
+                    &lanes.s_cols,
+                    &mut block,
+                    0,
+                );
+                std::hint::black_box(opt.best.0);
+            }
+            t0.elapsed().as_secs_f64()
+        };
+        // Best of seven alternating rounds: the minimum is what the
+        // code can do; the shared host only ever adds time.
+        let (mut baseline, mut tiered) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..7 {
+            baseline = baseline.min(time(Tier::BASELINE));
+            tiered = tiered.min(time(Tier::detect()));
+        }
+        let ratio = baseline / tiered;
+        assert!(
+            ratio >= 1.4,
+            "avx2 tier runs the lane kernel at {ratio:.2}x the baseline build (< 1.4): \
+             the body is not inlining into the trampoline"
+        );
     }
 
     #[test]

@@ -2,21 +2,24 @@
 //! in-process, drive it with four concurrent clients, and check every
 //! reply against a locally computed baseline.
 //!
-//! This is the same traffic shape the CI `serve-smoke` job replays
-//! against the standalone `anyseq serve` binary: each client pipelines
-//! a handful of score requests over one unix-socket connection, the
-//! daemon's micro-batching window coalesces whatever arrives together
-//! into shared engine batches, and replies stream back per connection
-//! in submission order. A final `STATS` scrape shows the coalescing in
-//! the `anyseq_serve_*` metrics.
+//! Each client pipelines a handful of score requests over one
+//! unix-socket connection, the daemon's micro-batching window coalesces
+//! whatever arrives together into shared engine batches, and replies
+//! stream back per connection in submission order. A final `STATS`
+//! scrape shows the coalescing in the `anyseq_serve_*` metrics.
 //!
-//! Run: `cargo run --release --example serve_roundtrip`
+//! With `--socket PATH` the same verified traffic goes to a daemon that
+//! is already listening there (`anyseq serve --socket PATH`) instead of
+//! one started here — the CI `smoke` job's traffic source.
+//!
+//! Run: `cargo run --release --example serve_roundtrip [-- --socket PATH]`
 
 use anyseq::serve::proto::Results;
 use anyseq::serve::{
     ReqKind, SchemeSpec, ServeClient, ServeConfig, Server, SystemClock, WindowCfg,
 };
 use anyseq_seq::testsupport::read_pairs;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 const CLIENTS: usize = 4;
@@ -24,23 +27,39 @@ const REQS_PER_CLIENT: usize = 6;
 const PAIRS_PER_REQ: usize = 16;
 
 fn main() {
-    let sock = std::env::temp_dir().join(format!(
-        "anyseq-serve-roundtrip-{}.sock",
-        std::process::id()
-    ));
-
-    // A wide window so all four clients' bursts land in the same
-    // batches; production would run the 2 ms default.
-    let cfg = ServeConfig {
-        window: WindowCfg {
-            max_delay_ns: 50_000_000,
-            ..WindowCfg::default()
-        },
-        ..ServeConfig::default()
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let external: Option<PathBuf> = match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--socket" => Some(PathBuf::from(path)),
+        _ => {
+            eprintln!("usage: serve_roundtrip [--socket PATH]");
+            std::process::exit(2);
+        }
     };
-    let server =
-        Server::start(&sock, cfg, Arc::new(SystemClock::new())).expect("daemon start failed");
-    println!("daemon listening on {}", server.path().display());
+
+    // Unless an external daemon was named, start one here — with a wide
+    // window so all four clients' bursts land in the same batches;
+    // production would run the 2 ms default.
+    let (sock, server) = match external {
+        Some(path) => (path, None),
+        None => {
+            let cfg = ServeConfig {
+                window: WindowCfg {
+                    max_delay_ns: 50_000_000,
+                    ..WindowCfg::default()
+                },
+                ..ServeConfig::default()
+            };
+            let path = std::env::temp_dir().join(format!(
+                "anyseq-serve-roundtrip-{}.sock",
+                std::process::id()
+            ));
+            let server = Server::start(path, cfg, Arc::new(SystemClock::new()))
+                .expect("daemon start failed");
+            (server.path().to_path_buf(), Some(server))
+        }
+    };
+    println!("daemon listening on {}", sock.display());
 
     let spec = SchemeSpec::global_linear(2, -1, -1);
     // Every client sends the same simulated short-read workload, each
@@ -103,6 +122,8 @@ fn main() {
     {
         println!("  {line}");
     }
-    server.shutdown();
+    if let Some(server) = server {
+        server.shutdown();
+    }
     println!("round trip OK");
 }

@@ -18,7 +18,7 @@ Fails (exit 1) unless the exposition is well-formed:
   * counter samples are non-negative.
 
 `--require NAME` (repeatable) additionally demands at least one sample
-of family NAME — the serve-smoke CI job uses it to pin the daemon's
+of family NAME — the CI smoke job uses it to pin the daemon's
 stable cold-scrape key set (a metric that only appears after traffic
 would make dashboards and alerts race the first request).
 

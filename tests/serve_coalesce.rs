@@ -256,3 +256,84 @@ fn auto_dispatch_scores_survive_coalescing() {
         }
     }
 }
+
+/// Coalescing has to actually coalesce: every identity check above
+/// would also pass on a daemon that ran each request as its own batch.
+/// Four clients pipeline two requests each while fake time stands
+/// still, so all eight sit in one window; one tick past the deadline
+/// must flush them as one engine batch — at most a quarter of the
+/// request count, at least four requests' worth of pairs per batch.
+#[test]
+fn a_concurrent_burst_inside_one_window_is_one_batch() {
+    const CLIENTS: usize = 4;
+    const REQS: usize = 2;
+    const PAIRS: usize = 8;
+    const DEADLINE_NS: u64 = 1_000_000;
+    let clock = Arc::new(FakeClock::new());
+    let cfg = ServeConfig {
+        window: WindowCfg {
+            max_delay_ns: DEADLINE_NS,
+            target_pairs: usize::MAX,
+            ..WindowCfg::default()
+        },
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(socket_path("burst"), cfg, clock.clone() as Arc<_>)
+        .expect("daemon start failed");
+
+    let pairs = read_pairs(CLIENTS * REQS * PAIRS, 0xB0057);
+    let burst_bytes: u64 = pairs.iter().map(|(q, s)| (q.len() + s.len()) as u64).sum();
+    let clients: Vec<_> = pairs
+        .chunks(REQS * PAIRS)
+        .map(|mine| {
+            let (sock, mine) = (server.path().to_path_buf(), mine.to_vec());
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect(&sock).expect("connect failed");
+                for chunk in mine.chunks(PAIRS) {
+                    client
+                        .submit_seqs(ReqKind::Score, SchemeSpec::global_linear(2, -1, -1), chunk)
+                        .expect("submit failed");
+                }
+                for _ in 0..REQS {
+                    match client.recv().expect("recv failed") {
+                        ServerReply::Response { .. } => {}
+                        other => panic!("unexpected reply: {other:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    // The daemon's threads run in real time on a stopped clock: poll
+    // until the whole burst is admitted, then let the deadline pass.
+    let t0 = std::time::Instant::now();
+    while server.queued_bytes() < burst_bytes {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(10),
+            "the burst never sat in the queue whole (did a window flush before its deadline?)"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    clock.advance(DEADLINE_NS);
+    for client in clients {
+        client.join().expect("client panicked");
+    }
+
+    let stats = server.stats_text();
+    let metric = |name: &str| -> f64 {
+        stats
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("scrape is missing {name}:\n{stats}"))
+    };
+    let requests = metric("anyseq_serve_requests_total");
+    assert_eq!(requests, (CLIENTS * REQS) as f64);
+    let batches = metric("anyseq_serve_batches_total");
+    assert!(
+        (1.0..=requests / 4.0).contains(&batches),
+        "{requests} requests inside one window ran as {batches} batches"
+    );
+    assert!(metric("anyseq_serve_window_occupancy") >= (4 * PAIRS) as f64);
+    server.shutdown();
+}
