@@ -106,6 +106,7 @@ impl ParasailLike {
         run_static(
             &grid,
             self.threads,
+            1,
             || {
                 (
                     HStripe::default(),

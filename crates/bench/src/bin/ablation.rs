@@ -14,7 +14,7 @@ use anyseq_core::prelude::*;
 use anyseq_gpu_sim::{Device, GpuAligner, KernelShape};
 use anyseq_simd::simd_tiled_score_pass;
 use anyseq_wavefront::pass::{tiled_score_pass, ParallelCfg};
-use anyseq_wavefront::TiledPass;
+use anyseq_wavefront::{ScalarTiles, TiledPass};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -89,7 +89,7 @@ fn main() {
             let cfg = AlignConfig {
                 cutoff_area: 1 << shift,
             };
-            let pass = TiledPass { cfg: pcfg };
+            let pass = TiledPass::<ScalarTiles>::new(pcfg);
             let m = measure_gcups(2 * cells, 3, || {
                 std::hint::black_box(
                     align_with_pass::<Global, _, _, _>(

@@ -24,9 +24,9 @@ use anyseq_engine::stats::TRACEBACK_CELL_FACTOR;
 use anyseq_fpga_sim::SystolicArray;
 use anyseq_gpu_sim::{Device, GpuAligner};
 use anyseq_seq::{BatchView, Seq};
-use anyseq_simd::{simd_tiled_score_pass, SimdPass};
+use anyseq_simd::{simd_tiled_score_pass, LaneTiles};
 use anyseq_wavefront::pass::{tiled_score_pass, ParallelCfg};
-use anyseq_wavefront::{score_batch_parallel, TiledPass};
+use anyseq_wavefront::{score_batch_parallel, ScalarTiles, TiledPass};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -204,7 +204,7 @@ fn part_a(cfg: &Cfg) {
                         );
                     }
                     Output::Traceback => {
-                        let pass = TiledPass { cfg: pcfg };
+                        let pass = TiledPass::<ScalarTiles>::new(pcfg);
                         std::hint::black_box(
                             align_with_pass::<Global, _, _, _>(
                                 &pass,
@@ -235,7 +235,7 @@ fn part_a(cfg: &Cfg) {
                         );
                     }
                     Output::Traceback => {
-                        let pass = TiledPass { cfg: pcfg };
+                        let pass = TiledPass::<ScalarTiles>::new(pcfg);
                         std::hint::black_box(
                             align_with_pass::<Global, _, _, _>(
                                 &pass,
@@ -271,7 +271,7 @@ fn part_a(cfg: &Cfg) {
                                 );
                             }
                             Output::Traceback => {
-                                let pass = SimdPass::<$l> { cfg: simd_cfg };
+                                let pass = TiledPass::<LaneTiles<$l>>::new(simd_cfg);
                                 std::hint::black_box(
                                     align_with_pass::<Global, _, _, _>(
                                         &pass,
@@ -302,7 +302,7 @@ fn part_a(cfg: &Cfg) {
                                 );
                             }
                             Output::Traceback => {
-                                let pass = SimdPass::<$l> { cfg: simd_cfg };
+                                let pass = TiledPass::<LaneTiles<$l>>::new(simd_cfg);
                                 std::hint::black_box(
                                     align_with_pass::<Global, _, _, _>(
                                         &pass,

@@ -1,7 +1,8 @@
 //! `anyseq` — command-line pairwise aligner over the anyseq library.
 //!
 //! ```text
-//! anyseq align --query q.fa --subject s.fa [--type global|local|semiglobal]
+//! anyseq align --query q.fa --subject s.fa
+//!              [--type global|local|semiglobal|free-end]
 //!              [--match N] [--mismatch N] [--gap N | --open N --extend N]
 //!              [--score-only] [--threads N]
 //! anyseq batch (--pairs reads.fa | --query q.fa --subject s.fa | --simulate N)
@@ -81,21 +82,21 @@
 //! (last 256 requests / 64 batches) — write it to a file with `--out`
 //! and load it in `chrome://tracing` or Perfetto.
 
-use anyseq_core::kind::{Global, Local, SemiGlobal};
-use anyseq_core::prelude::*;
 use anyseq_engine::{
-    BackendId, BatchCfg, BatchScheduler, DispatchPolicy, GapSpec, KindSpec, Policy, SchemeSpec,
+    with_scheme, BackendId, BatchCfg, BatchScheduler, Dispatch, DispatchPolicy, EngineError,
+    GapSpec, KindSpec, Policy, SchemeSpec,
 };
 use anyseq_seq::fasta;
 use anyseq_seq::genome::GenomeSim;
-use anyseq_seq::{Seq, SeqId, SeqStore};
-use anyseq_wavefront::{ParallelCfg, ParallelExt};
+use anyseq_seq::{BatchView, Seq, SeqId, SeqStore};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  anyseq align --query FILE --subject FILE [--type global|local|semiglobal]\n\
+        "usage:\n  anyseq align --query FILE --subject FILE\n\
+         \x20              [--type global|local|semiglobal|free-end]\n\
          \x20              [--match N] [--mismatch N] [--gap N | --open N --extend N]\n\
          \x20              [--score-only] [--threads N]\n\
          \x20 anyseq batch (--pairs FILE | --query FILE --subject FILE | --simulate N)\n\
@@ -322,26 +323,18 @@ fn batch_store(flags: &HashMap<String, String>) -> (SeqStore, Vec<(SeqId, SeqId)
     (store, ids)
 }
 
-fn cmd_batch(flags: HashMap<String, String>) {
-    let (store, ids) = batch_store(&flags);
-    let view = store.view(&ids);
-    let ma: i32 = numeric_flag(&flags, "match", 2);
-    let mi: i32 = numeric_flag(&flags, "mismatch", -1);
+/// The scheme the scoring flags (`--type`, `--match`, `--mismatch`,
+/// `--gap` | `--open`/`--extend`) describe — one reading for `align`
+/// and `batch`, so the two agree on scores whatever is given.
+fn scheme_spec(flags: &HashMap<String, String>) -> SchemeSpec {
     let gap = if flags.contains_key("gap") {
         GapSpec::Linear {
-            gap: numeric_flag(&flags, "gap", -1),
-        }
-    } else if flags.contains_key("open") || flags.contains_key("extend") {
-        GapSpec::Affine {
-            open: numeric_flag(&flags, "open", -2),
-            extend: numeric_flag(&flags, "extend", -1),
+            gap: numeric_flag(flags, "gap", -1),
         }
     } else {
-        // Same default gap model as `anyseq align`, so the two
-        // subcommands agree on scores when no gap flags are given.
         GapSpec::Affine {
-            open: -2,
-            extend: -1,
+            open: numeric_flag(flags, "open", -2),
+            extend: numeric_flag(flags, "extend", -1),
         }
     };
     let kind = match flags.get("type") {
@@ -351,16 +344,19 @@ fn cmd_batch(flags: HashMap<String, String>) {
             usage()
         }),
     };
-    let spec = SchemeSpec {
+    SchemeSpec {
         kind,
-        match_score: ma,
-        mismatch: mi,
+        match_score: numeric_flag(flags, "match", 2),
+        mismatch: numeric_flag(flags, "mismatch", -1),
         gap,
-    };
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = numeric_flag(&flags, "threads", default_threads);
+    }
+}
+
+fn cmd_batch(flags: HashMap<String, String>) {
+    let (store, ids) = batch_store(&flags);
+    let view = store.view(&ids);
+    let spec = scheme_spec(&flags);
+    let threads: usize = numeric_flag(&flags, "threads", BatchCfg::default().threads);
     // Any observability sink switches the span/metrics layer on; with
     // none requested the instrumented pipeline stays a no-op.
     let observe = ["metrics", "trace-out", "stats-json"]
@@ -384,7 +380,7 @@ fn cmd_batch(flags: HashMap<String, String>) {
     // A terminal engine refusal (e.g. `UnitTooLarge` from a backend
     // with a hard per-unit bound) becomes a clean CLI error, not a
     // panic: the message already says which knob to turn.
-    let refused = |e: anyseq_engine::EngineError| -> ! {
+    let refused = |e: EngineError| -> ! {
         eprintln!("batch failed: {e}");
         exit(1)
     };
@@ -539,65 +535,63 @@ fn cmd_serve_ctl(flags: HashMap<String, String>) {
     }
 }
 
+/// `align` is a one-pair batch: the same scheme reading, dispatch
+/// policy and engine path as `batch`, with a per-pair report.
 fn cmd_align(flags: HashMap<String, String>) {
     let q = load_first_record(flags.get("query").unwrap_or_else(|| usage()));
     let s = load_first_record(flags.get("subject").unwrap_or_else(|| usage()));
-    let kind = flags.get("type").map(String::as_str).unwrap_or("global");
-    let ma: i32 = numeric_flag(&flags, "match", 2);
-    let mi: i32 = numeric_flag(&flags, "mismatch", -1);
+    let (spec, pair) = (scheme_spec(&flags), [(q, s)]);
+    let dispatch = dispatch_policy(&flags, DispatchPolicy::auto())
+        .unwrap_or_else(|e| fail(&e))
+        .standard();
+    let threads: usize = numeric_flag(&flags, "threads", BatchCfg::default().threads);
     let score_only = flags.contains_key("score-only");
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = numeric_flag(&flags, "threads", default_threads);
-    let cfg = ParallelCfg::threads(threads);
-
-    // Gap model: --gap N (linear) or --open/--extend (affine).
-    let (open, extend) = if flags.contains_key("gap") {
-        (0, numeric_flag(&flags, "gap", -1))
-    } else {
-        (
-            numeric_flag(&flags, "open", -2),
-            numeric_flag(&flags, "extend", -1),
-        )
-    };
-    let scoring = affine(simple(ma, mi), open, extend);
-
-    macro_rules! run {
-        ($scheme:expr, $kind:ty) => {{
-            let scheme = $scheme;
-            if score_only {
-                println!("score: {}", scheme.score_parallel(&q, &s, &cfg));
-            } else {
-                let aln = scheme.align_parallel(&q, &s, &cfg);
-                aln.validate::<$kind, _, _>(&q, &s, scheme.gap(), scheme.subst())
-                    .expect("internal consistency");
-                println!("score: {}", aln.score);
-                println!(
-                    "region: query {}..{} subject {}..{}",
-                    aln.q_start, aln.q_end, aln.s_start, aln.s_end
-                );
-                println!("cigar: {}", aln.cigar());
-                println!("identity: {:.2}%", 100.0 * aln.identity());
-                let (qa, mid, sa) = aln.render(&q, &s);
-                for chunk_start in (0..qa.len()).step_by(80) {
-                    let end = (chunk_start + 80).min(qa.len());
-                    println!("Q {}", String::from_utf8_lossy(&qa[chunk_start..end]));
-                    println!("  {}", String::from_utf8_lossy(&mid[chunk_start..end]));
-                    println!("S {}", String::from_utf8_lossy(&sa[chunk_start..end]));
-                }
-            }
-        }};
-    }
-    match kind {
-        "global" => run!(global(scoring), Global),
-        "local" => run!(local(scoring), Local),
-        "semiglobal" => run!(semiglobal(scoring), SemiGlobal),
-        other => {
-            eprintln!("unknown alignment type {other}");
-            usage()
+    match align_report(&dispatch, &spec, &pair, score_only, threads) {
+        Ok(report) => print!("{report}"),
+        Err(e) => {
+            eprintln!("align failed: {e}");
+            exit(1)
         }
     }
+}
+
+/// What `anyseq align` prints for `pair` (one query, one subject).
+fn align_report(
+    dispatch: &Dispatch,
+    spec: &SchemeSpec,
+    pair: &[(Seq, Seq); 1],
+    score_only: bool,
+    threads: usize,
+) -> Result<String, EngineError> {
+    let view = BatchView::from_pairs(pair);
+    let scheduler = BatchScheduler::new(BatchCfg::threads(threads));
+    if score_only {
+        let run = scheduler.try_score_batch(dispatch, spec, &view)?;
+        return Ok(format!("score: {}\n", run.results[0]));
+    }
+    let run = scheduler.try_align_batch(dispatch, spec, &view)?;
+    let (aln, (q, s)) = (&run.results[0], &pair[0]);
+    with_scheme!(spec, |scheme, K| {
+        aln.validate::<K, _, _>(q, s, scheme.gap(), scheme.subst())
+            .expect("internal consistency")
+    });
+    let mut out = String::new();
+    let _ = writeln!(out, "score: {}", aln.score);
+    let _ = writeln!(
+        out,
+        "region: query {}..{} subject {}..{}",
+        aln.q_start, aln.q_end, aln.s_start, aln.s_end
+    );
+    let _ = writeln!(out, "cigar: {}", aln.cigar());
+    let _ = writeln!(out, "identity: {:.2}%", 100.0 * aln.identity());
+    let (qa, mid, sa) = aln.render(q, s);
+    for chunk_start in (0..qa.len()).step_by(80) {
+        let end = (chunk_start + 80).min(qa.len());
+        let _ = writeln!(out, "Q {}", String::from_utf8_lossy(&qa[chunk_start..end]));
+        let _ = writeln!(out, "  {}", String::from_utf8_lossy(&mid[chunk_start..end]));
+        let _ = writeln!(out, "S {}", String::from_utf8_lossy(&sa[chunk_start..end]));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -641,6 +635,48 @@ mod tests {
             dispatch_policy(&auto, DispatchPolicy::fixed(BackendId::Scalar)),
             Ok(DispatchPolicy::auto())
         );
+    }
+
+    #[test]
+    fn align_and_batch_read_the_scheme_flags_alike_and_print_the_same_score() {
+        for (given, want) in [
+            (&[][..], SchemeSpec::global_affine(2, -1, -2, -1)),
+            (
+                &["--gap", "-3", "--match", "1"],
+                SchemeSpec::global_linear(1, -1, -3),
+            ),
+            (
+                &["--open", "-4", "--type", "free-end", "--mismatch", "-2"],
+                SchemeSpec::global_affine(2, -2, -4, -1).with_kind(KindSpec::FreeEnd),
+            ),
+        ] {
+            let align = flags(given, &[ALIGN_FLAGS]).unwrap();
+            let batch = flags(given, &[BATCH_FLAGS, POLICY_FLAGS]).unwrap();
+            assert_eq!(scheme_spec(&align), want);
+            assert_eq!(scheme_spec(&batch), want);
+
+            // What `batch` prints per pair is the scheduler's score.
+            let pair = [(
+                Seq::from_ascii(b"ACGTTGCATTACGGA").unwrap(),
+                Seq::from_ascii(b"ACGTGCATTTACGA").unwrap(),
+            )];
+            let dispatch = DispatchPolicy::auto().standard();
+            let batch_score = BatchScheduler::new(BatchCfg::threads(1))
+                .try_score_batch(&dispatch, &want, &BatchView::from_pairs(&pair))
+                .unwrap()
+                .results[0];
+            let score_line = format!("score: {batch_score}\n");
+            assert_eq!(
+                align_report(&dispatch, &want, &pair, true, 1).unwrap(),
+                score_line
+            );
+            let full = align_report(&dispatch, &want, &pair, false, 1).unwrap();
+            assert!(full.starts_with(&score_line), "{full}");
+            assert!(
+                full.contains("\ncigar: ") && full.contains("\nQ "),
+                "{full}"
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! traceback.
 
 use crate::kind::{AlignKind, OptRegion};
+use crate::relax::BestCell;
 use crate::score::{Score, NEG_INF};
 use crate::scoring::{GapModel, SubstScore};
 use crate::tile::{relax_tile, NoSink, TileIn, TileOut};
@@ -140,10 +141,51 @@ where
         &mut NoSink,
     );
 
-    let (score, end) = match K::OPT {
-        OptRegion::Corner => (out.bot_h[m], (n, m)),
+    let (score, end) = finalize_score::<K, G>(gap, out.best, n, m, tb, out.bot_h[m]);
+    PassOutput {
+        score,
+        end,
+        last_h: out.bot_h,
+        last_e: out.bot_e,
+    }
+}
+
+/// Applies the kind's optimum conventions to a tracked best cell and the
+/// final row of a non-degenerate pass — shared with every tiled backend,
+/// so their results are bit-identical with [`score_pass`].
+pub fn finalize<K: AlignKind, G: GapModel>(
+    gap: &G,
+    best: BestCell,
+    n: usize,
+    m: usize,
+    tb: Score,
+    last_h: &[Score],
+    last_e: Vec<Score>,
+) -> PassOutput {
+    let (score, end) = finalize_score::<K, G>(gap, best, n, m, tb, last_h[m]);
+    PassOutput {
+        score,
+        end,
+        last_h: last_h.to_vec(),
+        last_e,
+    }
+}
+
+/// Score-only tail of [`finalize`]: applies the kind's optimum
+/// conventions given just the tracked best cell and the final corner
+/// value `h_nm = H(n, m)` — all a sharded score chain retains after
+/// dropping the last rows.
+pub fn finalize_score<K: AlignKind, G: GapModel>(
+    gap: &G,
+    mut best: BestCell,
+    n: usize,
+    m: usize,
+    tb: Score,
+    h_nm: Score,
+) -> (Score, (usize, usize)) {
+    match K::OPT {
+        OptRegion::Corner => (h_nm, (n, m)),
         OptRegion::Border | OptRegion::Anywhere => {
-            let mut best = out.best;
             if matches!(K::OPT, OptRegion::Anywhere) && !K::NU_ZERO {
                 // Extension-style kinds: the empty prefix alignment
                 // (ending at the origin) is always available with score 0.
@@ -172,13 +214,6 @@ where
                 (best.score, (best.i, best.j))
             }
         }
-    };
-
-    PassOutput {
-        score,
-        end,
-        last_h: out.bot_h,
-        last_e: out.bot_e,
     }
 }
 

@@ -20,10 +20,8 @@ use anyseq_core::scoring::GapModel;
 use anyseq_core::Alignment;
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
-use anyseq_simd::{align_batch_simd, score_batch_simd_xdrop, BandCfg, TraceStats};
-use anyseq_wavefront::{
-    borders::BorderStore, finalize_score, slab_score_pass, ParallelCfg, ParallelExt, TileGrid,
-};
+use anyseq_simd::{align_batch_simd, score_batch_simd_xdrop, BandCfg, LaneTiles, TraceStats};
+use anyseq_wavefront::{borders::BorderStore, finalize_score, ParallelCfg, TileGrid, TiledPass};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pairs handed to one pool chunk when an adapter parallelizes
@@ -240,21 +238,22 @@ impl Engine for SimdEngine {
 // ------------------------------------------------------------- wavefront
 
 /// Tiled wavefront backend: parallelism *inside* each pair (dynamic
-/// tile queue), pairs processed one after another. The right shape for
-/// batches of few, huge pairs — the scheduler runs it exclusively with
-/// the whole thread budget instead of sharding it into the pool.
+/// tile queue, ready tiles filling [`SIMD_LANES`] vector lanes), pairs
+/// processed one after another. The right shape for batches of few,
+/// huge pairs — the scheduler runs it exclusively with the whole
+/// thread budget instead of sharding it into the pool.
 ///
 /// Telemetry: `wavefront.pairs` (pairs executed),
+/// `wavefront.lane_tiles` / `wavefront.scalar_tiles` (tiles relaxed on
+/// vector lanes / by the scalar tile kernel — which kernel ran),
 /// `wavefront.border_bytes` (boundary-stripe bytes the tiled passes
 /// kept resident, summed over pairs — the O(n + m) working set that
 /// replaces an O(n·m) matrix), and `wavefront.peak_shard_mb` (high
 /// water mark of the resident border + seam working set of sharded
 /// executions, in MiB — the number the shard budget bounds). Drained
 /// by the scheduler after each unit like the SIMD band counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WavefrontEngine {
-    /// Tile edge for the DP grid.
-    pub tile: usize,
     /// Shard budget in DP cells: pairs larger than this run their
     /// tiled passes (including every Hirschberg half-pass of an
     /// alignment) as a chain of subject slabs with seam hand-off,
@@ -264,32 +263,20 @@ pub struct WavefrontEngine {
     /// [`Caps::max_unit_cells`]; `None` = unbounded.
     pub max_unit_cells: Option<u64>,
     pairs: AtomicU64,
+    lane_tiles: AtomicU64,
+    scalar_tiles: AtomicU64,
     border_bytes: AtomicU64,
     peak_shard_bytes: AtomicU64,
 }
 
-impl Default for WavefrontEngine {
-    fn default() -> WavefrontEngine {
-        WavefrontEngine {
-            tile: 512,
-            shard_cells: 0,
-            max_unit_cells: None,
-            pairs: AtomicU64::new(0),
-            border_bytes: AtomicU64::new(0),
-            peak_shard_bytes: AtomicU64::new(0),
-        }
-    }
-}
+/// The engine's instantiation of the tiled pass: the lane kernel.
+type LanePass = TiledPass<LaneTiles<SIMD_LANES>>;
+
+/// Tile edge of the DP grid ([`MIN_SHARD_CELLS`](crate::MIN_SHARD_CELLS)
+/// is one such tile).
+const TILE: usize = 512;
 
 impl WavefrontEngine {
-    /// Engine with a custom tile edge.
-    pub fn with_tile(tile: usize) -> WavefrontEngine {
-        WavefrontEngine {
-            tile,
-            ..WavefrontEngine::default()
-        }
-    }
-
     /// Same engine with a shard budget (0 disables sharding).
     pub fn with_shard_cells(mut self, cells: u64) -> WavefrontEngine {
         self.shard_cells = cells;
@@ -303,10 +290,17 @@ impl WavefrontEngine {
         self
     }
 
-    fn cfg(&self, threads: usize) -> ParallelCfg {
-        ParallelCfg::threads(threads.max(1))
-            .with_tile(self.tile)
-            .with_shard_cells(self.shard_cells)
+    /// The pass one engine call runs its pairs through.
+    fn pass(&self, threads: usize, shard_cells: u64) -> LanePass {
+        let cfg = ParallelCfg::threads(threads).with_tile(TILE);
+        TiledPass::new(cfg.with_shard_cells(shard_cells))
+    }
+
+    /// Adds a finished pass's tile counts to the drainable counters.
+    fn record_tiles(&self, pass: &LanePass) {
+        let (lane, scalar) = pass.tile_counts();
+        self.lane_tiles.fetch_add(lane, Ordering::Relaxed);
+        self.scalar_tiles.fetch_add(scalar, Ordering::Relaxed);
     }
 
     /// Width (in subject columns) of one slab under the shard plan.
@@ -339,23 +333,49 @@ impl WavefrontEngine {
         self.pairs.fetch_add(1, Ordering::Relaxed);
         if q > 0 && s > 0 {
             let sharded = self.shard_cells > 0 && q as u64 * s as u64 > self.shard_cells && s > 1;
-            let (grid_s, seam) = if sharded {
-                // Resident at any instant: one slab's borders plus the
-                // incoming and outgoing seam frontiers (H + F rows).
-                (
-                    self.slab_width(q, s),
-                    2 * 2 * q * std::mem::size_of::<Score>(),
-                )
-            } else {
-                (s, 0)
-            };
-            let grid = TileGrid::new(q, grid_s, self.tile);
-            let bytes = (BorderStore::estimated_bytes(&grid, affine) + seam) as u64;
-            self.border_bytes.fetch_add(bytes, Ordering::Relaxed);
-            if sharded {
-                self.peak_shard_bytes.fetch_max(bytes, Ordering::Relaxed);
-            }
+            let width = if sharded { self.slab_width(q, s) } else { s };
+            self.record_borders(q, width, affine, sharded);
         }
+    }
+
+    /// Accounts the border stripes of one `q × width` grid; a `slab`
+    /// also keeps its incoming and outgoing seam frontiers (H + F
+    /// rows) resident, and raises the shard peak.
+    fn record_borders(&self, q: usize, width: usize, affine: bool, slab: bool) {
+        let grid = TileGrid::new(q, width, TILE);
+        let seams = if slab {
+            2 * 2 * q * std::mem::size_of::<Score>()
+        } else {
+            0
+        };
+        let bytes = (BorderStore::estimated_bytes(&grid, affine) + seams) as u64;
+        self.border_bytes.fetch_add(bytes, Ordering::Relaxed);
+        if slab {
+            self.peak_shard_bytes.fetch_max(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// What score and align batches share: the per-unit bound, one
+    /// pass for the whole call, `one` per pair, and the accounting.
+    fn run_pairs<T>(
+        &self,
+        spec: &SchemeSpec,
+        pairs: &[PairRef<'_>],
+        threads: usize,
+        one: impl Fn(&LanePass, PairRef<'_>) -> T,
+    ) -> Result<Vec<T>, EngineError> {
+        for p in pairs {
+            self.check_unit(p.q.len(), p.s.len())?;
+        }
+        let pass = self.pass(threads, self.shard_cells);
+        let affine = matches!(spec.gap, GapSpec::Affine { .. });
+        let map = pairs.iter().map(|&p| {
+            self.record_pair(p.q.len(), p.s.len(), affine);
+            one(&pass, p)
+        });
+        let out = map.collect();
+        self.record_tiles(&pass);
+        Ok(out)
     }
 }
 
@@ -376,22 +396,11 @@ impl Engine for WavefrontEngine {
         pairs: &[PairRef<'_>],
         threads: usize,
     ) -> Result<Vec<Score>, EngineError> {
-        for p in pairs {
-            self.check_unit(p.q.len(), p.s.len())?;
-        }
-        let cfg = self.cfg(threads);
-        let affine = matches!(spec.gap, GapSpec::Affine { .. });
-        Ok(with_scheme!(spec, |scheme, _K| {
-            pairs
-                .iter()
-                .map(|p| {
-                    self.record_pair(p.q.len(), p.s.len(), affine);
-                    anyseq_obs::span(Stage::Kernel, || {
-                        scheme.score_parallel_codes(p.q, p.s, &cfg)
-                    })
-                })
-                .collect()
-        }))
+        self.run_pairs(spec, pairs, threads, |pass, p| {
+            anyseq_obs::span(Stage::Kernel, || {
+                with_scheme!(spec, |scheme, _K| { pass.score(&scheme, p.q, p.s) })
+            })
+        })
     }
 
     fn align_batch(
@@ -400,22 +409,11 @@ impl Engine for WavefrontEngine {
         pairs: &[PairRef<'_>],
         threads: usize,
     ) -> Result<Vec<Alignment>, EngineError> {
-        for p in pairs {
-            self.check_unit(p.q.len(), p.s.len())?;
-        }
-        let cfg = self.cfg(threads);
-        let affine = matches!(spec.gap, GapSpec::Affine { .. });
-        Ok(with_scheme!(spec, |scheme, _K| {
-            pairs
-                .iter()
-                .map(|p| {
-                    self.record_pair(p.q.len(), p.s.len(), affine);
-                    anyseq_obs::span(Stage::Traceback, || {
-                        scheme.align_parallel_codes(p.q, p.s, &cfg)
-                    })
-                })
-                .collect()
-        }))
+        self.run_pairs(spec, pairs, threads, |pass, p| {
+            anyseq_obs::span(Stage::Traceback, || {
+                with_scheme!(spec, |scheme, _K| { pass.align(&scheme, p.q, p.s) })
+            })
+        })
     }
 
     fn score_shard(
@@ -438,20 +436,15 @@ impl Engine for WavefrontEngine {
             }
         }
         // One slab is the unit here; never re-shard inside it.
-        let cfg = ParallelCfg::threads(threads.max(1)).with_tile(self.tile);
+        let pass = self.pass(threads, 0);
         let affine = matches!(spec.gap, GapSpec::Affine { .. });
-        // Peak accounting: the slab's borders plus both seam frontiers.
-        let grid = TileGrid::new(n, c1 - c0, self.tile);
-        let seam_bytes = 2 * 2 * n * std::mem::size_of::<Score>();
-        let bytes = (BorderStore::estimated_bytes(&grid, affine) + seam_bytes) as u64;
-        self.border_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.peak_shard_bytes.fetch_max(bytes, Ordering::Relaxed);
+        self.record_borders(n, c1 - c0, affine, true);
         if task.last {
             self.pairs.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(with_scheme!(spec, |scheme, K| {
+        let outcome = with_scheme!(spec, |scheme, K| {
             let slab = anyseq_obs::span(Stage::Kernel, || {
-                slab_score_pass::<K, _, _>(
+                pass.slab::<K, _, _>(
                     scheme.gap(),
                     scheme.subst(),
                     task.q,
@@ -459,7 +452,6 @@ impl Engine for WavefrontEngine {
                     task.cols,
                     scheme.gap().open(),
                     task.seam,
-                    &cfg,
                 )
             });
             let mut best = task.best;
@@ -480,12 +472,16 @@ impl Engine for WavefrontEngine {
                 best,
                 score,
             }
-        }))
+        });
+        self.record_tiles(&pass);
+        Ok(outcome)
     }
 
     fn drain_counters(&self) -> Vec<(&'static str, u64)> {
         let mut out: Vec<(&'static str, u64)> = [
             ("wavefront.pairs", &self.pairs),
+            ("wavefront.lane_tiles", &self.lane_tiles),
+            ("wavefront.scalar_tiles", &self.scalar_tiles),
             ("wavefront.border_bytes", &self.border_bytes),
         ]
         .into_iter()
@@ -591,6 +587,43 @@ mod tests {
             "border bytes: {counters:?}"
         );
         assert!(engine.drain_counters().is_empty(), "drain resets");
+    }
+
+    #[test]
+    fn wavefront_tile_counters_say_which_kernel_ran() {
+        use anyseq_seq::genome::GenomeSim;
+        let mut sim = GenomeSim::new(6);
+        let q = sim.generate(6_144);
+        let s = sim.mutate(&q, 0.05);
+        // Same length as `q`: 12 × 12 full 512-tiles.
+        let s = Seq::from_codes(
+            s.codes()
+                .iter()
+                .chain(q.codes())
+                .take(6_144)
+                .copied()
+                .collect(),
+        )
+        .unwrap();
+        let pairs = [(q, s)];
+        let view = BatchView::from_pairs(&pairs);
+        let tiles = |spec: &SchemeSpec| {
+            let engine = WavefrontEngine::default();
+            // One thread pulls ready tiles in a fixed order, so the
+            // counts repeat exactly.
+            let got = engine.score_batch(spec, view.refs(), 1).unwrap();
+            assert_eq!(got[0], spec.score_scalar(&pairs[0].0, &pairs[0].1));
+            let counters = engine.drain_counters();
+            let of = |name| counters.iter().find(|c| c.0 == name).map_or(0, |c| c.1);
+            (of("wavefront.lane_tiles"), of("wavefront.scalar_tiles"))
+        };
+        let global = SchemeSpec::global_affine(2, -1, -2, -1);
+        // Whole anti-diagonals ride the lanes; the two corner tiles have
+        // no partner.
+        assert_eq!(tiles(&global), (142, 2));
+        // Lanes report scores, not cell positions: a kind whose optimum
+        // needs one runs every tile on the scalar kernel.
+        assert_eq!(tiles(&global.with_kind(KindSpec::Local)), (0, 144));
     }
 
     #[test]

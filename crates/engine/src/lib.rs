@@ -58,7 +58,10 @@
 //!    (name the kinds you implement and give the rest an `else` arm
 //!    that returns [`EngineError::Unsupported`]) — never approximate,
 //!    and return exactly one value per pair: the scheduler turns a
-//!    miscount into a batch error.
+//!    miscount into a batch error. A substrate that relaxes tiles of
+//!    one long pair is not a new pass: implement
+//!    `anyseq_wavefront::TileKernel` and instantiate `TiledPass` with
+//!    it, as [`WavefrontEngine`] does with `anyseq_simd::LaneTiles`.
 //! 2. Describe yourself honestly in [`Caps`]: supported kinds for
 //!    score/align, and whether one call amortizes
 //!    across pairs (`batch_native`; `false` means the scheduler runs

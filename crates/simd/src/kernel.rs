@@ -99,6 +99,7 @@ impl SimdSubst for MatrixSubst {
 /// The kernel works **in place**: on return `top_h`/`top_e` hold the
 /// bottom stripes and `left_h`/`left_f` hold the right stripes (the same
 /// rolling-buffer trick as the scalar tile kernel).
+#[derive(Default)]
 pub struct BlockBorders<const L: usize> {
     /// `H` crossing the top edge, `w + 1` vectors (corner included).
     pub top_h: Vec<I16s<L>>,

@@ -9,9 +9,12 @@
 //! AVX2 and un-tiered otherwise ([`mod@isa`]); [`isa()`] says which.
 //! No build flag is involved. Three execution shapes:
 //!
-//! * [`simd_tiled_score_pass`] — long-genome intra-sequence: vector lanes
-//!   are filled with independent tiles popped from the dynamic wavefront
-//!   queue (paper Fig. 3), scalar fallback when fewer than `L` are ready,
+//! * [`LaneTiles`] — long-genome intra-sequence: the lane kernel of
+//!   `anyseq_wavefront`'s tiled pass. Vector lanes are filled with the
+//!   equal-shape ready tiles popped from the dynamic wavefront queue
+//!   (paper Fig. 3); partnerless tiles, position-tracking kinds and
+//!   schemes past the 16-bit budget fall to the scalar tile kernel
+//!   ([`simd_tiled_score_pass`] is the global score pass on it),
 //! * [`score_batch_simd`] — short-read inter-sequence: one whole
 //!   alignment per lane, bucketed by matrix dimensions (a bucket's
 //!   remainder rides a *partial* lane group),
@@ -36,10 +39,5 @@ pub use batch::{score_batch_simd, score_batch_simd_stats, score_batch_simd_xdrop
 pub use isa::isa;
 pub use kernel::{block_kernel_kind, max_block_extent, BlockBorders, KernelOpt, SimdSubst, SENT16};
 pub use lanes::I16s;
-pub use tiled::{simd_tiled_score_pass, SimdPass};
+pub use tiled::{simd_tiled_score_pass, LaneTiles};
 pub use traceback::{align_batch_simd, BandCfg, TraceStats};
-
-// Internal aliases for the stripe buffers shared with the wavefront
-// border store.
-pub(crate) use anyseq_wavefront::borders::HStripe as HStripeBuf;
-pub(crate) use anyseq_wavefront::borders::VStripe as VStripeBuf;

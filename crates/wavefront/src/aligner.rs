@@ -1,9 +1,9 @@
-//! Parallel alignment entry points: a [`HalfPass`] provider backed by the
-//! tiled wavefront pass (so the Hirschberg recursion's dominant passes run
-//! multithreaded), plus an extension trait grafting `score_parallel` /
-//! `align_parallel` onto [`Scheme`].
+//! Parallel alignment entry points: [`TiledPass`] as the [`HalfPass`]
+//! provider (so the Hirschberg recursion's dominant passes run tiled,
+//! on whichever kernel the pass was built with), plus an extension
+//! trait grafting `score_parallel` / `align_parallel` onto [`Scheme`].
 
-use crate::pass::{tiled_score_pass, ParallelCfg};
+use crate::pass::{ParallelCfg, ScalarTiles, TileKernel, TiledPass};
 use anyseq_core::alignment::Alignment;
 use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::AlignKind;
@@ -12,22 +12,44 @@ use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
 use anyseq_seq::Seq;
+use parking_lot::Mutex;
 
-/// Pass provider running every sufficiently large pass through the
-/// dynamic wavefront.
-#[derive(Debug, Clone, Copy)]
-pub struct TiledPass {
-    /// Parallel execution parameters.
-    pub cfg: ParallelCfg,
-}
-
-impl<G: GapModel, S: SubstScore> HalfPass<G, S> for TiledPass {
+impl<G: GapModel, S: SubstScore, Kn: TileKernel<S>> HalfPass<G, S> for TiledPass<Kn> {
     fn pass<K: AlignKind>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
-        tiled_score_pass::<K, G, S>(gap, subst, q, s, tb, &self.cfg)
+        self.score_pass::<K, G, S>(gap, subst, q, s, tb)
     }
 }
 
-/// Parallel execution methods for [`Scheme`].
+impl<Kn> TiledPass<Kn> {
+    /// `scheme`'s optimal score for one pair of code slices.
+    pub fn score<K, G, S>(&self, scheme: &Scheme<K, G, S>, q: &[u8], s: &[u8]) -> Score
+    where
+        K: AlignKind,
+        G: GapModel,
+        S: SubstScore,
+        Kn: TileKernel<S>,
+    {
+        let gap = scheme.gap();
+        self.score_pass::<K, G, S>(gap, scheme.subst(), q, s, gap.open())
+            .score
+    }
+
+    /// Full traceback for one pair: Hirschberg with this pass as every
+    /// half-pass.
+    pub fn align<K, G, S>(&self, scheme: &Scheme<K, G, S>, q: &[u8], s: &[u8]) -> Alignment
+    where
+        K: AlignKind,
+        G: GapModel,
+        S: SubstScore,
+        Kn: TileKernel<S>,
+    {
+        let cfg = AlignConfig::default();
+        align_with_pass::<K, G, S, _>(self, scheme.gap(), scheme.subst(), q, s, &cfg)
+    }
+}
+
+/// Parallel execution methods for [`Scheme`] — the scalar-kernel
+/// instantiation of [`TiledPass`], for any substitution function.
 ///
 /// The `*_codes` variants take borrowed code slices — the zero-copy
 /// batch path (`PairRef` fields go straight through); the [`Seq`]
@@ -49,26 +71,18 @@ pub trait ParallelExt {
 
 impl<K: AlignKind, G: GapModel, S: SubstScore> ParallelExt for Scheme<K, G, S> {
     fn score_parallel_codes(&self, q: &[u8], s: &[u8], cfg: &ParallelCfg) -> Score {
-        tiled_score_pass::<K, G, S>(self.gap(), self.subst(), q, s, self.gap().open(), cfg).score
+        TiledPass::<ScalarTiles>::new(*cfg).score(self, q, s)
     }
 
     fn align_parallel_codes(&self, q: &[u8], s: &[u8], cfg: &ParallelCfg) -> Alignment {
-        let pass = TiledPass { cfg: *cfg };
-        align_with_pass::<K, G, S, _>(
-            &pass,
-            self.gap(),
-            self.subst(),
-            q,
-            s,
-            &AlignConfig::default(),
-        )
+        TiledPass::<ScalarTiles>::new(*cfg).align(self, q, s)
     }
 }
 
 /// Scores many independent pairs with inter-alignment parallelism — the
-/// paper's short-read use case (ii): each worker pulls whole alignments
-/// from a shared counter (the multi-alignment scheduling of Fig. 3 at
-/// alignment granularity).
+/// paper's short-read use case (ii): each worker pulls whole chunks of
+/// alignments from a shared iterator (the multi-alignment scheduling of
+/// Fig. 3 at alignment granularity).
 pub fn score_batch_parallel<K, G, S>(
     scheme: &Scheme<K, G, S>,
     pairs: &[(Seq, Seq)],
@@ -79,37 +93,24 @@ where
     G: GapModel,
     S: SubstScore,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    const CHUNK: usize = 64;
     let threads = threads.max(1).min(pairs.len().max(1));
     let mut scores = vec![0 as Score; pairs.len()];
-    let next = AtomicUsize::new(0);
-    const CHUNK: usize = 64;
-    // Hand out disjoint chunks of the output buffer through a raw
-    // pointer wrapper; each index is written exactly once.
-    struct Out(*mut Score);
-    unsafe impl Send for Out {}
-    unsafe impl Sync for Out {}
-    let out = Out(scores.as_mut_ptr());
-    {
-        let out = &out;
-        let next = &next;
-        std::thread::scope(|sc| {
-            for _ in 0..threads {
-                sc.spawn(move || loop {
-                    let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= pairs.len() {
-                        break;
-                    }
-                    let end = (start + CHUNK).min(pairs.len());
-                    for (idx, (q, s)) in pairs.iter().enumerate().take(end).skip(start) {
-                        let score = scheme.score(q, s);
-                        // SAFETY: idx ranges are disjoint across workers.
-                        unsafe { *out.0.add(idx) = score };
-                    }
-                });
-            }
-        });
-    }
+    // Each chunk of pairs travels with the disjoint slice of the output
+    // it fills; the lock is held only to hand one out.
+    let work = Mutex::new(pairs.chunks(CHUNK).zip(scores.chunks_mut(CHUNK)));
+    std::thread::scope(|sc| {
+        for _ in 0..threads {
+            sc.spawn(|| loop {
+                let Some((pairs, out)) = work.lock().next() else {
+                    break;
+                };
+                for ((q, s), score) in pairs.iter().zip(out) {
+                    *score = scheme.score(q, s);
+                }
+            });
+        }
+    });
     scores
 }
 

@@ -11,7 +11,7 @@
 //! they exist to keep the code `unsafe`-free, costing two lock/unlock
 //! pairs per tile (negligible against the `O(tile²)` relaxation work).
 
-use crate::grid::TileGrid;
+use crate::grid::{TileGrid, TileId};
 use crate::shard::ShardSeam;
 use anyseq_core::kind::AlignKind;
 use anyseq_core::score::{Score, NEG_INF};
@@ -115,6 +115,17 @@ impl BorderStore {
             })
             .collect();
         BorderStore { col, row }
+    }
+
+    /// The stripe hand-off: swaps tile `t`'s column and row slots with
+    /// the caller's buffers. Called before relaxing, it *takes* the
+    /// tile's input stripes (leaving the caller's spare buffers in the
+    /// slots, so nothing reallocates); called again after an in-place
+    /// kernel, it *publishes* the bottom and right stripes and hands
+    /// the spares back.
+    pub fn exchange(&self, t: TileId, top: &mut HStripe, left: &mut VStripe) {
+        std::mem::swap(top, &mut *self.col[t.tj as usize].lock());
+        std::mem::swap(left, &mut *self.row[t.ti as usize].lock());
     }
 
     /// Exports the frontier at absolute subject column `col` — after a

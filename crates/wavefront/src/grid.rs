@@ -1,7 +1,7 @@
 //! Tile-grid geometry over an `n × m` DP matrix.
 
 /// Identifier of one tile (row-major tile coordinates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TileId {
     /// Tile row.
     pub ti: u32,

@@ -10,6 +10,13 @@
 //! Only `O(n + m)` boundary stripes are ever materialized (paper Fig. 2);
 //! tile interiors live in per-worker rolling rows.
 //!
+//! There is one pass, [`TiledPass`]: a driver ([`TiledPass::slab`])
+//! generic over the [`TileKernel`] that relaxes each group of ready
+//! tiles — [`ScalarTiles`] here, the vector-lane kernel in
+//! `anyseq-simd`. Whole score passes, [`ShardSeam`]-stitched slab
+//! chains and the Hirschberg half-passes behind [`ParallelExt`] are
+//! instantiations of it.
+//!
 //! ```
 //! use anyseq_core::prelude::*;
 //! use anyseq_wavefront::{ParallelCfg, ParallelExt};
@@ -24,6 +31,8 @@
 //! assert_eq!(score, scheme.score(&q, &s));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aligner;
 pub mod borders;
 pub mod grid;
@@ -31,8 +40,10 @@ pub mod pass;
 pub mod scheduler;
 pub mod shard;
 
-pub use aligner::{score_batch_parallel, ParallelExt, TiledPass};
+pub use aligner::{score_batch_parallel, ParallelExt};
 pub use grid::{TileGrid, TileId};
-pub use pass::{finalize_score, tiled_score_pass, ParallelCfg};
+pub use pass::{
+    finalize_score, tiled_score_pass, ParallelCfg, ScalarTiles, Tile, TileKernel, TiledPass,
+};
 pub use scheduler::{run_dynamic, run_static};
-pub use shard::{plan_columns, sharded_score_pass, slab_score_pass, ShardSeam, SlabOutput};
+pub use shard::{plan_columns, ShardSeam, SlabOutput};

@@ -1,16 +1,23 @@
-//! Multithreaded tiled score passes — the paper's CPU parallelization
-//! (§IV-A) of the linear-space score computation, built from the core
-//! tile kernel plus the dynamic wavefront scheduler.
+//! The tiled score pass — the paper's CPU parallelization (§IV-A) of
+//! the linear-space score computation: one driver
+//! ([`TiledPass::slab`]) over the border store and the wavefront
+//! scheduler, generic over the [`TileKernel`] that relaxes each group
+//! of ready tiles. Whole passes, shard chains and Hirschberg
+//! half-passes are instantiations of it.
 
-use crate::borders::BorderStore;
+use crate::borders::{BorderStore, HStripe, VStripe};
 use crate::grid::{TileGrid, TileId};
 use crate::scheduler::{run_dynamic, run_static};
-use anyseq_core::kind::{AlignKind, OptRegion};
+use crate::shard::{plan_columns, ShardSeam, SlabOutput};
+use anyseq_core::kind::AlignKind;
+pub use anyseq_core::pass::{finalize, finalize_score};
 use anyseq_core::pass::{score_pass, PassOutput};
 use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
 use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Parallel execution configuration.
 #[derive(Debug, Clone, Copy)]
@@ -19,16 +26,16 @@ pub struct ParallelCfg {
     pub threads: usize,
     /// Square tile edge length.
     pub tile: usize,
-    /// Matrices smaller than this many cells run single-threaded (the
-    /// scheduling overhead would dominate).
+    /// Matrices smaller than this many cells take the plain row sweep
+    /// (tiling overhead would dominate) — Hirschberg's leaf.
     pub min_parallel_area: usize,
     /// Use the static barrier-per-diagonal schedule instead of the
     /// dynamic queue (Fig. 6 comparison; dynamic is the default).
     pub static_schedule: bool,
     /// Shard budget in DP cells: pairs larger than this run as a serial
-    /// chain of subject slabs with seam hand-off
-    /// ([`crate::sharded_score_pass`]), bounding peak resident border +
-    /// grid memory to one slab. 0 (the default) disables sharding.
+    /// chain of subject slabs with seam hand-off, bounding peak resident
+    /// border + grid memory to one slab. 0 (the default) disables
+    /// sharding.
     pub shard_cells: u64,
 }
 
@@ -42,15 +49,6 @@ impl ParallelCfg {
             static_schedule: false,
             shard_cells: 0,
         }
-    }
-
-    /// Uses all available cores.
-    pub fn auto() -> ParallelCfg {
-        ParallelCfg::threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
     }
 
     /// Overrides the tile size.
@@ -67,168 +65,275 @@ impl ParallelCfg {
     }
 }
 
-/// Per-worker scratch: reusable tile output plus the worker's running
-/// optimum.
-struct Scratch {
-    out: TileOut,
-    top: crate::borders::HStripe,
-    left: crate::borders::VStripe,
-    best: BestCell,
+/// One ready tile in a worker's hands.
+#[derive(Debug, Default)]
+pub struct Tile {
+    /// Grid position (which border slots the stripes belong to).
+    pub id: TileId,
+    /// Absolute 1-based pair coordinates of the tile's first cell.
+    pub origin: (usize, usize),
+    /// Stripe crossing the top edge (`w + 1` `H` values, corner first);
+    /// the kernel leaves the bottom stripe here.
+    pub top: HStripe,
+    /// Stripe crossing the left edge (`h` values); the kernel leaves
+    /// the right stripe here.
+    pub left: VStripe,
 }
 
-/// Parallel tiled score-only pass of kind `K` (same contract as
-/// [`anyseq_core::pass::score_pass`], including the Hirschberg `tb`
-/// boundary adjustment).
-pub fn tiled_score_pass<K, G, S>(
+impl Tile {
+    /// `(height, width)` in cells.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.left.h.len(), self.top.h.len() - 1)
+    }
+}
+
+/// How a group of ready tiles is relaxed — the driver's type
+/// parameter. `S` is the substitution function a kernel can evaluate.
+pub trait TileKernel<S: SubstScore> {
+    /// Ready tiles the driver pulls per [`TileKernel::relax`] call.
+    const GROUP: usize;
+    /// Per-worker buffers, reused from call to call.
+    type Scratch: Default + Send;
+
+    /// Tile edge to run at, given the configured one — a kernel with a
+    /// narrower in-tile score type shrinks it to what that type holds.
+    fn tile_edge<G: GapModel>(_gap: &G, _subst: &S, configured: usize) -> usize {
+        configured
+    }
+
+    /// Relaxes `tiles` — `1 ..= GROUP` mutually independent tiles of
+    /// the pair `(q, s)` — in place: each tile's `top` becomes its
+    /// bottom stripe and `left` its right stripe, bit-identical to
+    /// [`relax_tile`]. Kind-`K` optimum candidates merge into `best`.
+    /// Returns how many of the tiles rode vector lanes.
+    fn relax<K: AlignKind, G: GapModel>(
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tiles: &mut [Tile],
+        scratch: &mut Self::Scratch,
+        best: &mut BestCell,
+    ) -> usize;
+}
+
+/// The scalar kernel: [`relax_tile`], one tile at a time, any
+/// substitution function — the paper's "scalar multithreaded" variant
+/// and every other kernel's fallback.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScalarTiles;
+
+impl<S: SubstScore> TileKernel<S> for ScalarTiles {
+    const GROUP: usize = 1;
+    type Scratch = TileOut;
+
+    fn relax<K: AlignKind, G: GapModel>(
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tiles: &mut [Tile],
+        out: &mut TileOut,
+        best: &mut BestCell,
+    ) -> usize {
+        for tile in tiles {
+            let ((i0, j0), (h, w)) = (tile.origin, tile.shape());
+            relax_tile::<K, G, S, _>(
+                gap,
+                subst,
+                &q[i0 - 1..i0 - 1 + h],
+                &s[j0 - 1..j0 - 1 + w],
+                tile.origin,
+                (q.len(), s.len()),
+                TileIn {
+                    top_h: &tile.top.h,
+                    top_e: &tile.top.e,
+                    left_h: &tile.left.h,
+                    left_f: &tile.left.f,
+                },
+                out,
+                &mut NoSink,
+            );
+            best.merge(&out.best);
+            std::mem::swap(&mut tile.top.h, &mut out.bot_h);
+            std::mem::swap(&mut tile.top.e, &mut out.bot_e);
+            std::mem::swap(&mut tile.left.h, &mut out.right_h);
+            std::mem::swap(&mut tile.left.f, &mut out.right_f);
+        }
+        0
+    }
+}
+
+/// Per-worker state of the driver.
+struct Worker<W> {
+    tiles: Vec<Tile>,
+    scratch: W,
+    best: BestCell,
+    lane_tiles: u64,
+}
+
+/// The tiled wavefront pass on tile kernel `Kn`: score passes, slab
+/// chains and — as a [`HalfPass`](anyseq_core::hirschberg::HalfPass)
+/// provider — Hirschberg's half-passes. Counts the tiles it relaxes,
+/// split by whether they rode vector lanes.
+#[derive(Debug)]
+pub struct TiledPass<Kn> {
+    /// Parallel execution parameters.
+    pub cfg: ParallelCfg,
+    lane_tiles: AtomicU64,
+    scalar_tiles: AtomicU64,
+    kernel: PhantomData<fn() -> Kn>,
+}
+
+impl<Kn> TiledPass<Kn> {
+    /// A pass over `cfg` with zeroed tile counts.
+    pub fn new(cfg: ParallelCfg) -> TiledPass<Kn> {
+        TiledPass {
+            cfg,
+            lane_tiles: AtomicU64::new(0),
+            scalar_tiles: AtomicU64::new(0),
+            kernel: PhantomData,
+        }
+    }
+
+    /// `(lane, scalar)` tiles relaxed so far.
+    pub fn tile_counts(&self) -> (u64, u64) {
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (count(&self.lane_tiles), count(&self.scalar_tiles))
+    }
+
+    /// The driver: a tiled score-only pass over one subject slab
+    /// `cols = (c0, c1)` of the full pair `(q, s)`, seeded from `seam`
+    /// (the frontier at column `c0`) or from the kind's standard
+    /// initialization when `seam` is `None` (first slab). Only the
+    /// slab's own `O(n + width)` border stripes are resident.
+    /// Bit-identical to the same columns of an unsharded pass.
+    #[allow(clippy::too_many_arguments)]
+    pub fn slab<K: AlignKind, G: GapModel, S: SubstScore>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        cols: (usize, usize),
+        tb: Score,
+        seam: Option<&ShardSeam>,
+    ) -> SlabOutput
+    where
+        Kn: TileKernel<S>,
+    {
+        let (n, (c0, c1), cfg) = (q.len(), cols, &self.cfg);
+        assert!(
+            n > 0 && c0 < c1 && c1 <= s.len(),
+            "degenerate slab {cols:?}"
+        );
+        if let Some(seam) = seam {
+            assert_eq!(seam.col, c0, "seam column does not meet the slab");
+            assert_eq!(seam.h.len(), n, "seam height does not match the query");
+        }
+        let grid = TileGrid::new(n, c1 - c0, Kn::tile_edge(gap, subst, cfg.tile));
+        let borders = BorderStore::init_slab::<K, G>(&grid, gap, tb, c0, seam);
+
+        let compute = |w: &mut Worker<Kn::Scratch>, ready: &[TileId]| {
+            let tiles = &mut w.tiles[..ready.len()];
+            for (tile, &id) in tiles.iter_mut().zip(ready) {
+                // Absolute subject columns: slab-local column `j` is
+                // `c0 + j` in the pair, whose true dimensions the
+                // kind's border-optimum detection needs.
+                tile.id = id;
+                tile.origin = (grid.rows(id.ti).0, c0 + grid.cols(id.tj).0);
+                borders.exchange(id, &mut tile.top, &mut tile.left);
+            }
+            w.lane_tiles +=
+                Kn::relax::<K, G>(gap, subst, q, s, tiles, &mut w.scratch, &mut w.best) as u64;
+            for tile in tiles {
+                borders.exchange(tile.id, &mut tile.top, &mut tile.left);
+            }
+        };
+        let make_worker = || Worker {
+            tiles: (0..Kn::GROUP).map(|_| Tile::default()).collect(),
+            scratch: Default::default(),
+            best: BestCell::empty(),
+            lane_tiles: 0,
+        };
+        let run = if cfg.static_schedule {
+            run_static
+        } else {
+            run_dynamic
+        };
+        let workers = run(&grid, cfg.threads.max(1), Kn::GROUP, make_worker, compute);
+
+        let lane_tiles: u64 = workers.iter().map(|w| w.lane_tiles).sum();
+        self.lane_tiles.fetch_add(lane_tiles, Ordering::Relaxed);
+        let scalar_tiles = grid.total() as u64 - lane_tiles;
+        self.scalar_tiles.fetch_add(scalar_tiles, Ordering::Relaxed);
+        let mut best = BestCell::empty();
+        for w in &workers {
+            best.merge(&w.best);
+        }
+        let (last_h, last_e) = borders.assemble_last_rows(&grid);
+        SlabOutput {
+            seam: borders.export_seam(&grid, c1),
+            last_h,
+            last_e,
+            best,
+        }
+    }
+
+    /// Score-only pass of kind `K` (same contract as
+    /// [`anyseq_core::pass::score_pass`], including the Hirschberg
+    /// `tb` boundary adjustment): a chain of slabs with seam hand-off.
+    /// A pair over `cfg.shard_cells` is cut by [`plan_columns`], so
+    /// peak border + grid memory is one slab's — every Hirschberg
+    /// half-pass routes through here, so alignment shards too; any
+    /// other pair is one slab, or, under `cfg.min_parallel_area`, the
+    /// plain row sweep.
+    pub fn score_pass<K: AlignKind, G: GapModel, S: SubstScore>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+    ) -> PassOutput
+    where
+        Kn: TileKernel<S>,
+    {
+        let (n, m, cfg) = (q.len(), s.len(), &self.cfg);
+        let sharded = cfg.shard_cells > 0 && m > 1 && (n as u64) * (m as u64) > cfg.shard_cells;
+        if n == 0 || m == 0 || (!sharded && n * m < cfg.min_parallel_area) {
+            return score_pass::<K, G, S>(gap, subst, q, s, tb);
+        }
+        let plan = if sharded {
+            plan_columns(n, m, cfg.shard_cells)
+        } else {
+            vec![(0, m)]
+        };
+        let (mut last_h, mut last_e) = (Vec::with_capacity(m + 1), Vec::with_capacity(m));
+        let mut best = BestCell::empty();
+        let mut seam: Option<ShardSeam> = None;
+        for cols in plan {
+            let slab = self.slab::<K, G, S>(gap, subst, q, s, cols, tb, seam.as_ref());
+            // Every slab but the first repeats its left corner.
+            last_h.extend_from_slice(&slab.last_h[(cols.0 > 0) as usize..]);
+            last_e.extend_from_slice(&slab.last_e);
+            best.merge(&slab.best);
+            seam = Some(slab.seam);
+        }
+        finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e)
+    }
+}
+
+/// [`TiledPass::score_pass`] on the scalar kernel.
+pub fn tiled_score_pass<K: AlignKind, G: GapModel, S: SubstScore>(
     gap: &G,
     subst: &S,
     q: &[u8],
     s: &[u8],
     tb: Score,
     cfg: &ParallelCfg,
-) -> PassOutput
-where
-    K: AlignKind,
-    G: GapModel,
-    S: SubstScore,
-{
-    let n = q.len();
-    let m = s.len();
-    // Shard oversized pairs regardless of thread count — the memory
-    // bound matters even single-threaded. Because every Hirschberg
-    // half-pass routes through here, alignment shards automatically.
-    if cfg.shard_cells > 0 && n > 0 && m > 1 && (n as u64) * (m as u64) > cfg.shard_cells {
-        return crate::shard::sharded_score_pass::<K, G, S>(gap, subst, q, s, tb, cfg);
-    }
-    if n == 0 || m == 0 || n * m < cfg.min_parallel_area || cfg.threads == 1 {
-        return score_pass::<K, G, S>(gap, subst, q, s, tb);
-    }
-
-    let grid = TileGrid::new(n, m, cfg.tile);
-    let borders = BorderStore::init::<K, G>(&grid, gap, tb);
-
-    let compute = |scratch: &mut Scratch, tiles: &[TileId]| {
-        for &t in tiles {
-            let (i0, th) = grid.rows(t.ti);
-            let (j0, tw) = grid.cols(t.tj);
-            // Take the input stripes (swap avoids reallocation; the slots
-            // are refilled with our outputs below).
-            {
-                let mut slot = borders.col[t.tj as usize].lock();
-                std::mem::swap(&mut scratch.top.h, &mut slot.h);
-                std::mem::swap(&mut scratch.top.e, &mut slot.e);
-            }
-            {
-                let mut slot = borders.row[t.ti as usize].lock();
-                std::mem::swap(&mut scratch.left.h, &mut slot.h);
-                std::mem::swap(&mut scratch.left.f, &mut slot.f);
-            }
-            relax_tile::<K, G, S, _>(
-                gap,
-                subst,
-                &q[i0 - 1..i0 - 1 + th],
-                &s[j0 - 1..j0 - 1 + tw],
-                (i0, j0),
-                (n, m),
-                TileIn {
-                    top_h: &scratch.top.h,
-                    top_e: &scratch.top.e,
-                    left_h: &scratch.left.h,
-                    left_f: &scratch.left.f,
-                },
-                &mut scratch.out,
-                &mut NoSink,
-            );
-            scratch.best.merge(&scratch.out.best);
-            {
-                let mut slot = borders.col[t.tj as usize].lock();
-                std::mem::swap(&mut slot.h, &mut scratch.out.bot_h);
-                std::mem::swap(&mut slot.e, &mut scratch.out.bot_e);
-            }
-            {
-                let mut slot = borders.row[t.ti as usize].lock();
-                std::mem::swap(&mut slot.h, &mut scratch.out.right_h);
-                std::mem::swap(&mut slot.f, &mut scratch.out.right_f);
-            }
-        }
-    };
-    let make_scratch = || Scratch {
-        out: TileOut::new(),
-        top: Default::default(),
-        left: Default::default(),
-        best: BestCell::empty(),
-    };
-
-    let scratches = if cfg.static_schedule {
-        run_static(&grid, cfg.threads, make_scratch, compute)
-    } else {
-        run_dynamic(&grid, cfg.threads, 1, make_scratch, compute)
-    };
-
-    let (last_h, last_e) = borders.assemble_last_rows(&grid);
-    let mut best = BestCell::empty();
-    for scr in &scratches {
-        best.merge(&scr.best);
-    }
-    finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e)
-}
-
-/// Applies the kind's optimum conventions to a tracked best cell and the
-/// final row — shared by every tiled backend so results are bit-identical
-/// with `anyseq_core::pass::score_pass`.
-pub fn finalize<K: AlignKind, G: GapModel>(
-    gap: &G,
-    best: BestCell,
-    n: usize,
-    m: usize,
-    tb: Score,
-    last_h: &[Score],
-    last_e: Vec<Score>,
 ) -> PassOutput {
-    let (score, end) = finalize_score::<K, G>(gap, best, n, m, tb, last_h[m]);
-    PassOutput {
-        score,
-        end,
-        last_h: last_h.to_vec(),
-        last_e,
-    }
-}
-
-/// Score-only tail of [`finalize`]: applies the kind's optimum
-/// conventions given just the tracked best cell and the final corner
-/// value `h_nm = H(n, m)` — all a sharded score chain retains after
-/// dropping the last rows.
-pub fn finalize_score<K: AlignKind, G: GapModel>(
-    gap: &G,
-    mut best: BestCell,
-    n: usize,
-    m: usize,
-    tb: Score,
-    h_nm: Score,
-) -> (Score, (usize, usize)) {
-    match K::OPT {
-        OptRegion::Corner => (h_nm, (n, m)),
-        OptRegion::Border | OptRegion::Anywhere => {
-            if matches!(K::OPT, OptRegion::Anywhere) && !K::NU_ZERO {
-                best.update(0, 0, 0);
-            }
-            if matches!(K::OPT, OptRegion::Border) {
-                let h_0m = K::h_init(gap, m);
-                let h_n0 = if K::FREE_BEGIN {
-                    0
-                } else {
-                    tb + (n as Score) * gap.extend()
-                };
-                best.update(h_0m, 0, m);
-                best.update(h_n0, n, 0);
-            }
-            if K::NU_ZERO && best.score <= 0 {
-                (0, (0, 0))
-            } else {
-                (best.score, (best.i, best.j))
-            }
-        }
-    }
+    TiledPass::<ScalarTiles>::new(*cfg).score_pass::<K, G, S>(gap, subst, q, s, tb)
 }
 
 #[cfg(test)]
@@ -245,28 +350,6 @@ mod tests {
             min_parallel_area: 0,
             static_schedule: false,
             shard_cells: 0,
-        }
-    }
-
-    #[test]
-    fn matches_scalar_pass_linear_global() {
-        let mut sim = GenomeSim::new(1);
-        let q = sim.generate(3000);
-        let s = sim.mutate(&q, 0.05);
-        let gap = LinearGap { gap: -1 };
-        let subst = simple(2, -1);
-        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
-        for (threads, tile) in [(1, 128), (4, 128), (8, 64), (23, 256)] {
-            let par = tiled_score_pass::<Global, _, _>(
-                &gap,
-                &subst,
-                q.codes(),
-                s.codes(),
-                gap.open(),
-                &test_cfg(threads, tile),
-            );
-            assert_eq!(par.score, scalar.score, "threads={threads} tile={tile}");
-            assert_eq!(par.last_h, scalar.last_h);
         }
     }
 
@@ -307,21 +390,6 @@ mod tests {
         check!(Global);
         check!(Local);
         check!(SemiGlobal);
-    }
-
-    #[test]
-    fn static_schedule_same_result() {
-        let mut sim = GenomeSim::new(3);
-        let q = sim.generate(2000);
-        let s = sim.mutate(&q, 0.08);
-        let gap = LinearGap { gap: -1 };
-        let subst = simple(2, -1);
-        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
-        let mut cfg = test_cfg(5, 128);
-        cfg.static_schedule = true;
-        let par =
-            tiled_score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open(), &cfg);
-        assert_eq!(par.score, scalar.score);
     }
 
     #[test]

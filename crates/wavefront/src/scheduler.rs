@@ -13,12 +13,11 @@ use std::sync::Barrier;
 /// (paper: "submatrices are scheduled in a thread-safe queue which allows
 /// threads to add and extract work items concurrently").
 ///
-/// `make_scratch` builds one per-worker scratch value; `compute` may pull
-/// up to `batch` ready tiles at once (the SIMD backend fills vector lanes
-/// with independent tiles this way — paper Fig. 3; with fewer than
-/// `batch` tiles available it receives a short slice and is expected to
-/// fall back to the scalar path). Returns the scratch values for
-/// result merging.
+/// `make_scratch` builds one per-worker scratch value; `compute`
+/// receives up to `batch` ready — hence mutually independent — tiles at
+/// once (a lane kernel fills vector lanes with them, paper Fig. 3), or
+/// a shorter slice when fewer are ready. Returns the scratch values
+/// for result merging.
 ///
 /// The completion and queuing status of all submatrices is tracked in
 /// preallocated arrays of atomic flags, exactly as the paper describes.
@@ -72,43 +71,35 @@ where
         }
     };
 
-    let mut scratches = Vec::with_capacity(threads);
-    std::thread::scope(|sc| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(sc.spawn(|| {
-                let mut scratch = make_scratch();
-                let mut ready: Vec<TileId> = Vec::with_capacity(batch);
-                loop {
-                    ready.clear();
-                    // Pull up to `batch` ready tiles.
-                    while ready.len() < batch {
-                        match queue.steal() {
-                            Steal::Success(t) => ready.push(t),
-                            Steal::Retry => continue,
-                            Steal::Empty => break,
-                        }
-                    }
-                    if ready.is_empty() {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    compute(&mut scratch, &ready);
-                    for &t in &ready {
-                        release(t);
-                    }
-                    remaining.fetch_sub(ready.len(), Ordering::AcqRel);
+    let worker = || {
+        let mut scratch = make_scratch();
+        let mut ready: Vec<TileId> = Vec::with_capacity(batch);
+        loop {
+            ready.clear();
+            // Pull up to `batch` ready tiles.
+            while ready.len() < batch {
+                match queue.steal() {
+                    Steal::Success(t) => ready.push(t),
+                    Steal::Retry => continue,
+                    Steal::Empty => break,
                 }
-                scratch
-            }));
+            }
+            if ready.is_empty() {
+                if remaining.load(Ordering::Acquire) == 0 {
+                    break;
+                }
+                std::thread::yield_now();
+                continue;
+            }
+            compute(&mut scratch, &ready);
+            for &t in &ready {
+                release(t);
+            }
+            remaining.fetch_sub(ready.len(), Ordering::AcqRel);
         }
-        for h in handles {
-            scratches.push(h.join().expect("wavefront worker panicked"));
-        }
-    });
+        scratch
+    };
+    let scratches = run_workers(threads, |_| worker());
     debug_assert_eq!(remaining.load(Ordering::Acquire), 0);
     scratches
 }
@@ -119,45 +110,55 @@ where
 /// as the Fig. 6 baseline. Load imbalance (short diagonals near the
 /// corners, uneven tile costs) and the `O(diagonals)` barriers are the
 /// point: do not use this for real work.
-pub fn run_static<W, M, F>(grid: &TileGrid, threads: usize, make_scratch: M, compute: F) -> Vec<W>
+pub fn run_static<W, M, F>(
+    grid: &TileGrid,
+    threads: usize,
+    batch: usize,
+    make_scratch: M,
+    compute: F,
+) -> Vec<W>
 where
     W: Send,
     M: Fn() -> W + Sync,
     F: Fn(&mut W, &[TileId]) + Sync,
 {
-    assert!(threads >= 1);
+    assert!(threads >= 1 && batch >= 1);
     let barrier = Barrier::new(threads);
-    let mut scratches = Vec::with_capacity(threads);
+    run_workers(threads, |worker| {
+        let mut scratch = make_scratch();
+        for d in 0..grid.diagonals() {
+            // Fixed round-robin assignment, no stealing; a worker's
+            // share of the diagonal goes out `batch` tiles at a time.
+            let mine: Vec<TileId> = grid.diagonal(d).skip(worker).step_by(threads).collect();
+            for group in mine.chunks(batch) {
+                compute(&mut scratch, group);
+            }
+            barrier.wait();
+        }
+        scratch
+    })
+}
+
+/// Runs `body(worker_index)` on `threads` workers and returns their
+/// results in worker order. One worker runs inline on the caller's
+/// thread — no spawn or join for a single-thread budget, and its stage
+/// spans land on the caller's recorder.
+fn run_workers<W: Send>(threads: usize, body: impl Fn(usize) -> W + Sync) -> Vec<W> {
+    if threads == 1 {
+        return vec![body(0)];
+    }
     std::thread::scope(|sc| {
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let barrier = &barrier;
-            let compute = &compute;
-            let make_scratch = &make_scratch;
-            handles.push(sc.spawn(move || {
-                let mut scratch = make_scratch();
-                for d in 0..grid.diagonals() {
-                    let tiles: Vec<TileId> = grid.diagonal(d).collect();
-                    // Fixed round-robin assignment, no stealing.
-                    for t in tiles
-                        .iter()
-                        .skip(worker)
-                        .step_by(threads)
-                        .copied()
-                        .collect::<Vec<_>>()
-                    {
-                        compute(&mut scratch, &[t]);
-                    }
-                    barrier.wait();
-                }
-                scratch
-            }));
-        }
-        for h in handles {
-            scratches.push(h.join().expect("static wavefront worker panicked"));
-        }
-    });
-    scratches
+        let handles: Vec<_> = (0..threads)
+            .map(|worker| {
+                let body = &body;
+                sc.spawn(move || body(worker))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("wavefront worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -238,6 +239,7 @@ mod tests {
             run_static(
                 &grid,
                 threads,
+                2,
                 || (),
                 |_, tiles| {
                     log.lock().extend_from_slice(tiles);

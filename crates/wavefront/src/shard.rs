@@ -12,16 +12,8 @@
 //! grid working set of a chromosome-scale pair to one slab, and is the
 //! hand-off a multi-process deployment would ship over the wire.
 
-use crate::borders::BorderStore;
-use crate::grid::{TileGrid, TileId};
-use crate::pass::{finalize, ParallelCfg};
-use crate::scheduler::run_dynamic;
-use anyseq_core::kind::AlignKind;
-use anyseq_core::pass::PassOutput;
 use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
-use anyseq_core::scoring::{GapModel, SubstScore};
-use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
 
 /// The complete DP frontier at one absolute subject column: everything
 /// a pass over the columns to its right needs from the columns to its
@@ -122,161 +114,13 @@ pub struct SlabOutput {
     pub best: BestCell,
 }
 
-/// Per-worker scratch for the slab pass (mirror of the one in
-/// `pass.rs`; kept private to each pass).
-struct Scratch {
-    out: TileOut,
-    top: crate::borders::HStripe,
-    left: crate::borders::VStripe,
-    best: BestCell,
-}
-
-/// Tiled score-only pass over one subject slab `cols = (c0, c1)` of the
-/// full pair `(q, s)`, seeded from `seam` (the frontier at column `c0`)
-/// or from the kind's standard initialization when `seam` is `None`
-/// (first slab). Only the slab's own `O(n + width)` border stripes are
-/// resident. Bit-identical to the same columns of an unsharded pass.
-#[allow(clippy::too_many_arguments)]
-pub fn slab_score_pass<K, G, S>(
-    gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
-    cols: (usize, usize),
-    tb: Score,
-    seam: Option<&ShardSeam>,
-    cfg: &ParallelCfg,
-) -> SlabOutput
-where
-    K: AlignKind,
-    G: GapModel,
-    S: SubstScore,
-{
-    let n = q.len();
-    let m = s.len();
-    let (c0, c1) = cols;
-    assert!(n > 0 && c0 < c1 && c1 <= m, "degenerate slab {cols:?}");
-    if let Some(seam) = seam {
-        assert_eq!(seam.col, c0, "seam column does not meet the slab");
-        assert_eq!(seam.h.len(), n, "seam height does not match the query");
-    }
-
-    let grid = TileGrid::new(n, c1 - c0, cfg.tile);
-    let borders = BorderStore::init_slab::<K, G>(&grid, gap, tb, c0, seam);
-
-    let compute = |scratch: &mut Scratch, tiles: &[TileId]| {
-        for &t in tiles {
-            let (i0, th) = grid.rows(t.ti);
-            let (j0, tw) = grid.cols(t.tj);
-            {
-                let mut slot = borders.col[t.tj as usize].lock();
-                std::mem::swap(&mut scratch.top.h, &mut slot.h);
-                std::mem::swap(&mut scratch.top.e, &mut slot.e);
-            }
-            {
-                let mut slot = borders.row[t.ti as usize].lock();
-                std::mem::swap(&mut scratch.left.h, &mut slot.h);
-                std::mem::swap(&mut scratch.left.f, &mut slot.f);
-            }
-            // Absolute subject columns: the slab-local column `j` is
-            // `c0 + j` in the pair, and the kind's border-optimum
-            // detection needs the pair's true dimensions.
-            relax_tile::<K, G, S, _>(
-                gap,
-                subst,
-                &q[i0 - 1..i0 - 1 + th],
-                &s[c0 + j0 - 1..c0 + j0 - 1 + tw],
-                (i0, c0 + j0),
-                (n, m),
-                TileIn {
-                    top_h: &scratch.top.h,
-                    top_e: &scratch.top.e,
-                    left_h: &scratch.left.h,
-                    left_f: &scratch.left.f,
-                },
-                &mut scratch.out,
-                &mut NoSink,
-            );
-            scratch.best.merge(&scratch.out.best);
-            {
-                let mut slot = borders.col[t.tj as usize].lock();
-                std::mem::swap(&mut slot.h, &mut scratch.out.bot_h);
-                std::mem::swap(&mut slot.e, &mut scratch.out.bot_e);
-            }
-            {
-                let mut slot = borders.row[t.ti as usize].lock();
-                std::mem::swap(&mut slot.h, &mut scratch.out.right_h);
-                std::mem::swap(&mut slot.f, &mut scratch.out.right_f);
-            }
-        }
-    };
-    let make_scratch = || Scratch {
-        out: TileOut::new(),
-        top: Default::default(),
-        left: Default::default(),
-        best: BestCell::empty(),
-    };
-
-    let scratches = run_dynamic(&grid, cfg.threads.max(1), 1, make_scratch, compute);
-
-    let (last_h, last_e) = borders.assemble_last_rows(&grid);
-    let seam = borders.export_seam(&grid, c1);
-    let mut best = BestCell::empty();
-    for scr in &scratches {
-        best.merge(&scr.best);
-    }
-    SlabOutput {
-        seam,
-        last_h,
-        last_e,
-        best,
-    }
-}
-
-/// Full score pass executed as a serial chain of subject slabs with
-/// seam hand-off — same contract (and bit-identical output) as
-/// [`crate::tiled_score_pass`], but peak resident border + grid memory
-/// is bounded by one slab instead of the whole subject.
-pub fn sharded_score_pass<K, G, S>(
-    gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
-    tb: Score,
-    cfg: &ParallelCfg,
-) -> PassOutput
-where
-    K: AlignKind,
-    G: GapModel,
-    S: SubstScore,
-{
-    let n = q.len();
-    let m = s.len();
-    let plan = plan_columns(n, m, cfg.shard_cells);
-    let mut last_h = Vec::with_capacity(m + 1);
-    let mut last_e = Vec::with_capacity(m);
-    let mut best = BestCell::empty();
-    let mut seam: Option<ShardSeam> = None;
-    for (k, &cols) in plan.iter().enumerate() {
-        let slab = slab_score_pass::<K, G, S>(gap, subst, q, s, cols, tb, seam.as_ref(), cfg);
-        if k == 0 {
-            last_h.extend_from_slice(&slab.last_h);
-        } else {
-            last_h.extend_from_slice(&slab.last_h[1..]);
-        }
-        last_e.extend_from_slice(&slab.last_e);
-        best.merge(&slab.best);
-        seam = Some(slab.seam);
-    }
-    finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::{tiled_score_pass, ParallelCfg, ScalarTiles, TiledPass};
     use anyseq_core::kind::{Global, Local, SemiGlobal};
     use anyseq_core::pass::score_pass;
-    use anyseq_core::scoring::{simple, AffineGap, LinearGap};
+    use anyseq_core::scoring::{simple, AffineGap, GapModel};
     use anyseq_seq::genome::GenomeSim;
 
     #[test]
@@ -332,7 +176,7 @@ mod tests {
             ($kind:ty) => {{
                 let scalar =
                     score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
-                let sharded = sharded_score_pass::<$kind, _, _>(
+                let sharded = tiled_score_pass::<$kind, _, _>(
                     &gap,
                     &subst,
                     q.codes(),
@@ -352,28 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pass_matches_linear_and_single_thread() {
-        let mut sim = GenomeSim::new(12);
-        let q = sim.generate(700);
-        let s = sim.generate(900);
-        let gap = LinearGap { gap: -2 };
-        let subst = simple(1, -1);
-        let mut cfg = ParallelCfg::threads(1).with_tile(64);
-        cfg.shard_cells = 64 * 700;
-        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
-        let sharded = sharded_score_pass::<Global, _, _>(
-            &gap,
-            &subst,
-            q.codes(),
-            s.codes(),
-            gap.open(),
-            &cfg,
-        );
-        assert_eq!(sharded.score, scalar.score);
-        assert_eq!(sharded.last_h, scalar.last_h);
-    }
-
-    #[test]
     fn slab_seam_matches_unsharded_interior_column() {
         // The exported frontier must equal the H column of a full pass.
         let mut sim = GenomeSim::new(13);
@@ -386,7 +208,7 @@ mod tests {
         let subst = simple(2, -2);
         let cfg = ParallelCfg::threads(2).with_tile(64);
         let cut = 150;
-        let slab = slab_score_pass::<Global, _, _>(
+        let slab = TiledPass::<ScalarTiles>::new(cfg).slab::<Global, _, _>(
             &gap,
             &subst,
             q.codes(),
@@ -394,7 +216,6 @@ mod tests {
             (0, cut),
             gap.open(),
             None,
-            &cfg,
         );
         assert_eq!(slab.seam.col, cut);
         assert_eq!(slab.seam.h.len(), q.len());

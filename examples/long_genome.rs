@@ -1,8 +1,9 @@
 //! Long-genome pairwise alignment: the paper's use case (i).
 //!
 //! Simulates a bacterial-scale genome and a diverged relative, then
-//! aligns them with the multithreaded dynamic-wavefront engine and the
-//! SIMD inter-tile engine, reporting GCUPS for each — and finally
+//! runs the tiled pass on both of its tile kernels — `ScalarTiles`
+//! (through `ParallelExt`) and the vector-lane `LaneTiles` — reporting
+//! GCUPS and the lane/scalar tile split for each — and finally
 //! dispatches the same pair through the engine's `BatchScheduler` as a
 //! borrowed `BatchView`, showing that the exclusive wavefront unit
 //! runs without cloning a single genome byte (`sched.bytes_copied = 0`).
@@ -10,7 +11,8 @@
 //! Run: `cargo run --release --example long_genome [len] [threads]`
 
 use anyseq::prelude::*;
-use anyseq::simd::simd_tiled_score_pass;
+use anyseq::simd::LaneTiles;
+use anyseq::wavefront::TiledPass;
 use anyseq_seq::BatchView;
 use std::time::Instant;
 
@@ -36,24 +38,19 @@ fn main() {
     let score = scheme.score_parallel(&a, &b, &cfg);
     let dt = t0.elapsed().as_secs_f64();
     println!(
-        "dynamic wavefront ({threads} threads): score {score}, {:.2} GCUPS",
+        "tiled pass, scalar kernel ({threads} threads): score {score}, {:.2} GCUPS",
         cells / dt / 1e9
     );
 
     let t0 = Instant::now();
-    let simd_score = simd_tiled_score_pass::<_, _, 16>(
-        scheme.gap(),
-        scheme.subst(),
-        a.codes(),
-        b.codes(),
-        scheme.gap().open(),
-        &cfg,
-    )
-    .score;
+    let lanes = TiledPass::<LaneTiles<16>>::new(cfg);
+    let simd_score = lanes.score(&scheme, a.codes(), b.codes());
     let dt = t0.elapsed().as_secs_f64();
     assert_eq!(simd_score, score);
+    let (lane_tiles, scalar_tiles) = lanes.tile_counts();
     println!(
-        "SIMD inter-tile (16 lanes):            score {simd_score}, {:.2} GCUPS",
+        "tiled pass, lane kernel (16 lanes):     score {simd_score}, {:.2} GCUPS \
+         ({lane_tiles} lane / {scalar_tiles} scalar tiles)",
         cells / dt / 1e9
     );
 
