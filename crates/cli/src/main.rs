@@ -62,11 +62,14 @@
 //! `BatchStats` as a stable-keyed JSON object.
 //!
 //! `serve` runs the `anyseq-serve` daemon on a unix socket: concurrent
-//! client requests are coalesced into engine batches by a deadline
-//! micro-batching window (`--window-ms`, flushed early at
-//! `--target-pairs` pairs or `--batch-mb` MiB) behind a queued-bytes
-//! admission gate (`--queue-mb`; overflow gets a typed `Overloaded`
-//! refusal). Flags left out keep `ServeConfig::default()`'s values —
+//! client requests are coalesced into engine batches by a
+//! micro-batching window that waits only while some connection is
+//! mid-frame (flushed the moment none is, at `--target-pairs` pairs or
+//! `--batch-mb` MiB, or after `--window-ms` — the cap on waiting for a
+//! frame that has started arriving, not a delay every request pays)
+//! behind a queued-bytes admission gate (`--queue-mb`; overflow gets a
+//! typed `Overloaded` refusal). Flags left out keep
+//! `ServeConfig::default()`'s values —
 //! the configuration an in-process daemon runs. One engine dispatch,
 //! result cache and metrics registry are shared across all
 //! connections; the wire protocol's `STATS` verb
@@ -77,9 +80,10 @@
 //!
 //! `serve-ctl` is the companion inspector for a running daemon:
 //! `--stats` scrapes the Prometheus exposition, `--health` returns a
-//! JSON health document (queue depth, window occupancy, slow-request
-//! log), and `--dump` pulls the flight recorder as Chrome-trace JSON
-//! (last 256 requests / 64 batches) — write it to a file with `--out`
+//! JSON health document (queue depth, sessions mid-send, window
+//! occupancy, slow-request log), and `--dump` pulls the flight recorder
+//! as Chrome-trace JSON (last 256 requests / 64 batches) — write it to
+//! a file with `--out`
 //! and load it in `chrome://tracing` or Perfetto.
 
 use anyseq_engine::{
@@ -325,8 +329,10 @@ fn batch_store(flags: &HashMap<String, String>) -> (SeqStore, Vec<(SeqId, SeqId)
 
 /// The scheme the scoring flags (`--type`, `--match`, `--mismatch`,
 /// `--gap` | `--open`/`--extend`) describe — one reading for `align`
-/// and `batch`, so the two agree on scores whatever is given.
-fn scheme_spec(flags: &HashMap<String, String>) -> SchemeSpec {
+/// and `batch`, so the two agree on scores whatever is given. A
+/// positive gap score is refused here, naming its flag, instead of
+/// tripping the scoring constructors' asserts mid-run.
+fn scheme_spec(flags: &HashMap<String, String>) -> Result<SchemeSpec, String> {
     let gap = if flags.contains_key("gap") {
         GapSpec::Linear {
             gap: numeric_flag(flags, "gap", -1),
@@ -344,18 +350,22 @@ fn scheme_spec(flags: &HashMap<String, String>) -> SchemeSpec {
             usage()
         }),
     };
-    SchemeSpec {
+    let spec = SchemeSpec {
         kind,
         match_score: numeric_flag(flags, "match", 2),
         mismatch: numeric_flag(flags, "mismatch", -1),
         gap,
+    };
+    match spec.validate() {
+        Ok(()) => Ok(spec),
+        Err(e) => Err(format!("--{}: must be <= 0, got {}", e.field, e.value)),
     }
 }
 
 fn cmd_batch(flags: HashMap<String, String>) {
+    let spec = scheme_spec(&flags).unwrap_or_else(|e| fail(&e));
     let (store, ids) = batch_store(&flags);
     let view = store.view(&ids);
-    let spec = scheme_spec(&flags);
     let threads: usize = numeric_flag(&flags, "threads", BatchCfg::default().threads);
     // Any observability sink switches the span/metrics layer on; with
     // none requested the instrumented pipeline stays a no-op.
@@ -538,9 +548,10 @@ fn cmd_serve_ctl(flags: HashMap<String, String>) {
 /// `align` is a one-pair batch: the same scheme reading, dispatch
 /// policy and engine path as `batch`, with a per-pair report.
 fn cmd_align(flags: HashMap<String, String>) {
+    let spec = scheme_spec(&flags).unwrap_or_else(|e| fail(&e));
     let q = load_first_record(flags.get("query").unwrap_or_else(|| usage()));
     let s = load_first_record(flags.get("subject").unwrap_or_else(|| usage()));
-    let (spec, pair) = (scheme_spec(&flags), [(q, s)]);
+    let pair = [(q, s)];
     let dispatch = dispatch_policy(&flags, DispatchPolicy::auto())
         .unwrap_or_else(|e| fail(&e))
         .standard();
@@ -652,8 +663,8 @@ mod tests {
         ] {
             let align = flags(given, &[ALIGN_FLAGS]).unwrap();
             let batch = flags(given, &[BATCH_FLAGS, POLICY_FLAGS]).unwrap();
-            assert_eq!(scheme_spec(&align), want);
-            assert_eq!(scheme_spec(&batch), want);
+            assert_eq!(scheme_spec(&align), Ok(want));
+            assert_eq!(scheme_spec(&batch), Ok(want));
 
             // What `batch` prints per pair is the scheduler's score.
             let pair = [(
@@ -706,6 +717,11 @@ mod tests {
             ["--cache-mb", "lots"],
         ] {
             let err = policy(&bad).unwrap_err();
+            assert!(err.starts_with(bad[0]), "{err}");
+        }
+        // A gap score the kernels would assert on names its flag.
+        for bad in [["--gap", "1"], ["--open", "3"], ["--extend", "2"]] {
+            let err = scheme_spec(&flags(&bad, &[ALIGN_FLAGS]).unwrap()).unwrap_err();
             assert!(err.starts_with(bad[0]), "{err}");
         }
     }

@@ -112,7 +112,7 @@ pub use scheduler::{
     BatchCfg, BatchRun, BatchScheduler, FALLBACK_KIND_UNSUPPORTED, SCHED_BYTES_COPIED,
     SCHED_SEAM_BYTES, SCHED_SHARDS,
 };
-pub use spec::{GapSpec, KindSpec, SchemeSpec};
+pub use spec::{GapSpec, KindSpec, SchemeSpec, SpecError};
 pub use stats::{cell_share_ns, BackendUse, BatchStats};
 
 /// The ISA tier the SIMD lane kernels run on in this process

@@ -79,7 +79,47 @@ pub struct SchemeSpec {
     pub gap: GapSpec,
 }
 
+/// Why a [`SchemeSpec`] cannot be run: a gap score with the wrong sign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecError {
+    /// The offending parameter: `"gap"`, `"open"` or `"extend"` (also
+    /// the CLI flag that sets it).
+    pub field: &'static str,
+    /// The value it was given.
+    pub value: i32,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let SpecError { field, value } = self;
+        write!(f, "{field} score must be non-positive, got {value}")
+    }
+}
+
+impl std::error::Error for SpecError {}
+
 impl SchemeSpec {
+    /// Checks what the kernels take for granted: gap scores are ≤ 0.
+    /// Call it wherever a spec arrives from outside the program (wire,
+    /// command line) — lowering an invalid spec through
+    /// [`with_scheme!`](crate::with_scheme) trips the `assert!`s in
+    /// `anyseq_core::scoring`, which stay as the inner invariant.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let non_positive = |field, value| {
+            if value > 0 {
+                Err(SpecError { field, value })
+            } else {
+                Ok(())
+            }
+        };
+        match self.gap {
+            GapSpec::Linear { gap } => non_positive("gap", gap),
+            GapSpec::Affine { open, extend } => {
+                non_positive("open", open).and(non_positive("extend", extend))
+            }
+        }
+    }
+
     /// Global + linear gaps — the paper's §V default parameterization.
     pub fn global_linear(match_score: i32, mismatch: i32, gap: i32) -> SchemeSpec {
         SchemeSpec {
@@ -293,6 +333,21 @@ mod tests {
             SchemeSpec::global_linear(2, -1, -1).fingerprint(),
             SchemeSpec::global_affine(2, -1, 0, -1).fingerprint()
         );
+    }
+
+    #[test]
+    fn validate_refuses_positive_gap_scores_and_names_the_field() {
+        assert_eq!(SchemeSpec::global_linear(2, -1, 0).validate(), Ok(()));
+        assert_eq!(SchemeSpec::global_affine(2, -1, -2, 0).validate(), Ok(()));
+        for (spec, field, value) in [
+            (SchemeSpec::global_linear(2, -1, 1), "gap", 1),
+            (SchemeSpec::global_affine(2, -1, 3, -1), "open", 3),
+            (SchemeSpec::global_affine(2, -1, -2, 7), "extend", 7),
+        ] {
+            let err = spec.validate().unwrap_err();
+            assert_eq!(err, SpecError { field, value });
+            assert!(err.to_string().starts_with(field), "{err}");
+        }
     }
 
     #[test]

@@ -1,22 +1,31 @@
-//! Deadline micro-batching with admission control.
+//! Quiescence micro-batching with admission control.
 //!
 //! Requests from every connection funnel into one [`MicroBatcher`].
 //! Requests are grouped by `(scheme, mode)` — the engine runs one
 //! scheme and one mode per batch — and each group's *window* opens
-//! when its first request arrives, with a flush deadline
-//! `max_delay_ns` later. A group becomes ready to flush when **any**
-//! of three triggers fires, whichever comes first:
+//! when its first request arrives. A window waits only while someone
+//! is still sending: the batcher counts *inbound* sessions — a session
+//! is inbound from the first byte of a frame it has seen until that
+//! frame is handled and its read buffer holds nothing further — and a
+//! group becomes ready to flush when **any** of four triggers fires,
+//! whichever comes first:
 //!
-//! 1. **deadline** — `now ≥ first arrival + max_delay_ns`,
+//! 1. **quiescence** — no session is inbound: nobody can add to the
+//!    window, so waiting buys nothing (a lone closed-loop request
+//!    flushes at once),
 //! 2. **pair count** — the group holds ≥ `target_pairs` pairs,
 //! 3. **byte budget** — the group holds ≥ `max_batch_bytes` sequence
-//!    bytes.
+//!    bytes,
+//! 4. **deadline** — `now ≥ first arrival + max_delay_ns`: the cap on
+//!    how long a window waits for frames that have *started* arriving,
+//!    so a stalled or hostile half-sent frame costs the other clients
+//!    at most `max_delay_ns`.
 //!
-//! The count/byte triggers mark the group ready; the dispatcher takes
-//! the *whole* group when it next asks, so while it is busy computing
-//! a previous batch the group keeps absorbing arrivals (which is what
-//! coalescing is for — the triggers are floors, not caps; the engine's
-//! scheduler re-chunks internally).
+//! A trigger marks the group ready; the dispatcher takes the *whole*
+//! group when it next asks, so while it is busy computing a previous
+//! batch the group keeps absorbing arrivals (which is where coalescing
+//! pays — the triggers are floors, not caps; the engine's scheduler
+//! re-chunks internally).
 //!
 //! **Backpressure**: [`MicroBatcher::submit`] admits a request only if
 //! the total queued sequence bytes stay within `queue_budget_bytes`;
@@ -55,7 +64,9 @@ pub const QUEUE_DEPTH_GAUGE: &str = "anyseq_serve_queue_depth";
 /// Micro-batching window configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowCfg {
-    /// Flush deadline measured from a window's first request.
+    /// Longest a window waits, measured from its first request, for
+    /// frames that have started arriving to finish (a window nobody is
+    /// still sending into flushes at once, whatever this says).
     pub max_delay_ns: u64,
     /// Pair count at which a window becomes ready early.
     pub target_pairs: usize,
@@ -158,6 +169,17 @@ struct Group {
     ready_ns: u64,
 }
 
+impl Group {
+    /// Stamps the count/byte trigger the first time either holds.
+    fn stamp_if_full(&mut self, cfg: &WindowCfg, now: u64) {
+        if self.ready_ns == 0
+            && (self.pairs >= cfg.target_pairs || self.bytes >= cfg.max_batch_bytes)
+        {
+            self.ready_ns = now;
+        }
+    }
+}
+
 struct State {
     /// Open windows in creation order (deadlines are monotone, so the
     /// front window always has the nearest deadline).
@@ -166,6 +188,22 @@ struct State {
     queued_requests: u64,
     peak_queued_bytes: u64,
     open: bool,
+    /// Sessions that are mid-send (see the module docs). While this is
+    /// non-zero a window waits, up to its deadline, for them.
+    inbound: u64,
+    /// Clock reading when `inbound` last fell to 0: since then every
+    /// open window has been flushable by quiescence.
+    quiet_since_ns: u64,
+}
+
+impl State {
+    fn release_inbound(&mut self, now: u64) {
+        debug_assert!(self.inbound > 0, "an inbound token released twice");
+        self.inbound = self.inbound.saturating_sub(1);
+        if self.inbound == 0 {
+            self.quiet_since_ns = now;
+        }
+    }
 }
 
 /// The shared micro-batching queue (see the module docs).
@@ -190,6 +228,8 @@ impl MicroBatcher {
                 queued_requests: 0,
                 peak_queued_bytes: 0,
                 open: true,
+                inbound: 0,
+                quiet_since_ns: 0,
             }),
             cv: Condvar::new(),
         }
@@ -206,12 +246,42 @@ impl MicroBatcher {
         self.cfg
     }
 
+    /// Marks the calling session inbound: it has seen the first byte
+    /// of a frame. Every call is paired with one release — through
+    /// [`MicroBatcher::submit`]'s `sender_done` or
+    /// [`MicroBatcher::end_inbound`] — on every path, or windows fall
+    /// back to waiting out their deadline.
+    pub fn begin_inbound(&self) {
+        self.state.lock().expect("batcher state poisoned").inbound += 1;
+    }
+
+    /// Releases the calling session's inbound token when the frame it
+    /// covered was not a request (or never completed).
+    pub fn end_inbound(&self) {
+        let now = self.clock.now_ns();
+        let mut state = self.state.lock().expect("batcher state poisoned");
+        state.release_inbound(now);
+        let quiet = state.inbound == 0;
+        drop(state);
+        if quiet {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Sessions currently mid-send.
+    pub fn inbound_sessions(&self) -> u64 {
+        self.state.lock().expect("batcher state poisoned").inbound
+    }
+
     /// Admits a request into its `(spec, mode)` window, or rejects it.
     /// On success the request's results will eventually arrive on `tx`
     /// (the dispatcher drains every admitted request, even during
     /// shutdown). `rec` is the request's lifecycle record (or `None`
     /// with tracing off); it rides the queue and comes back with the
-    /// results, gaining window stamps along the way.
+    /// results, gaining window stamps along the way. `sender_done`
+    /// releases the session's inbound token — admitted or not — under
+    /// the same lock hold, so the dispatcher never sees the request
+    /// queued with its own sender still counted as mid-send.
     pub fn submit(
         &self,
         spec: SchemeSpec,
@@ -219,10 +289,14 @@ impl MicroBatcher {
         pairs: Vec<CodePair>,
         tx: Sender<RequestReply>,
         rec: Option<Box<RequestRecord>>,
+        sender_done: bool,
     ) -> Result<(), SubmitError> {
         let bytes: u64 = pairs.iter().map(|(q, s)| (q.len() + s.len()) as u64).sum();
         let now = self.clock.now_ns();
         let mut state = self.state.lock().expect("batcher state poisoned");
+        if sender_done {
+            state.release_inbound(now);
+        }
         if !state.open {
             return Err(SubmitError::Closed);
         }
@@ -246,28 +320,19 @@ impl MicroBatcher {
             group.requests.push(request);
             group.pairs += n_pairs;
             group.bytes += bytes;
-            if group.ready_ns == 0
-                && (group.pairs >= self.cfg.target_pairs || group.bytes >= self.cfg.max_batch_bytes)
-            {
-                group.ready_ns = now;
-            }
+            group.stamp_if_full(&self.cfg, now);
         } else {
-            let deadline_ns = now.saturating_add(self.cfg.max_delay_ns);
-            let ready_ns = if n_pairs >= self.cfg.target_pairs || bytes >= self.cfg.max_batch_bytes
-            {
-                now
-            } else {
-                0
-            };
-            state.groups.push_back(Group {
+            let mut group = Group {
                 spec,
                 mode,
                 requests: vec![request],
                 pairs: n_pairs,
                 bytes,
-                deadline_ns,
-                ready_ns,
-            });
+                deadline_ns: now.saturating_add(self.cfg.max_delay_ns),
+                ready_ns: 0,
+            };
+            group.stamp_if_full(&self.cfg, now);
+            state.groups.push_back(group);
         }
         drop(state);
         if let Some(reg) = &self.metrics {
@@ -286,28 +351,34 @@ impl MicroBatcher {
         let mut state = self.state.lock().expect("batcher state poisoned");
         loop {
             let now = self.clock.now_ns();
-            let open = state.open;
+            let (closed, quiet) = (!state.open, state.inbound == 0);
             let ready = |g: &Group| {
-                !open
+                closed
                     || g.pairs >= self.cfg.target_pairs
                     || g.bytes >= self.cfg.max_batch_bytes
                     || now >= g.deadline_ns
+                    || quiet
             };
             if let Some(idx) = state.groups.iter().position(ready) {
                 let mut group = state.groups.remove(idx).expect("position exists");
                 state.queued_bytes -= group.bytes;
                 state.queued_requests -= group.requests.len() as u64;
+                let quiet_since_ns = state.quiet_since_ns;
                 drop(state);
-                // When the window became flushable: the count/byte
-                // trigger stamp if one fired, else the deadline (the
-                // usual flush), else this very moment (close-flush).
-                let ready_ns = if group.ready_ns != 0 {
-                    group.ready_ns
-                } else if now >= group.deadline_ns {
-                    group.deadline_ns
-                } else {
-                    now
-                };
+                // When the window became flushable: the earliest of
+                // the triggers that hold — the count/byte stamp, the
+                // deadline, the instant the last sender went quiet —
+                // else this very moment (close-flush).
+                let mut ready_ns = now;
+                if group.ready_ns != 0 {
+                    ready_ns = ready_ns.min(group.ready_ns);
+                }
+                if now >= group.deadline_ns {
+                    ready_ns = ready_ns.min(group.deadline_ns);
+                }
+                if quiet {
+                    ready_ns = ready_ns.min(quiet_since_ns);
+                }
                 for req in &mut group.requests {
                     if let Some(rec) = &mut req.rec {
                         // A request admitted into an already-ready
@@ -407,7 +478,8 @@ mod tests {
         // These tests are dispatcher-less: nothing ever sends on `tx`,
         // so dropping the receiver immediately is harmless.
         let (tx, _rx) = channel();
-        b.submit(spec, mode, pairs, tx, None).expect("admitted");
+        b.submit(spec, mode, pairs, tx, None, false)
+            .expect("admitted");
     }
 
     /// Pulls the next batch from another thread so the test can assert
@@ -426,6 +498,9 @@ mod tests {
     fn deadline_flush_waits_for_the_fake_clock() {
         let clock = Arc::new(FakeClock::new());
         let b = Arc::new(MicroBatcher::new(cfg(), clock.clone() as Arc<dyn Clock>));
+        // Someone is mid-send and never finishes: only the deadline
+        // can flush what the others queued.
+        b.begin_inbound();
         submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
         submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
         let rx = pull(&b);
@@ -437,6 +512,38 @@ mod tests {
         assert_eq!(got, Some(2));
         assert_eq!(b.queued_bytes(), 0);
         assert_eq!(b.queued_requests(), 0);
+        assert_eq!(b.inbound_sessions(), 1);
+    }
+
+    #[test]
+    fn a_quiet_window_flushes_without_time_passing() {
+        let clock = Arc::new(FakeClock::new());
+        let b = MicroBatcher::new(cfg(), clock as Arc<dyn Clock>);
+        // The sender's own token is released with the admission, so
+        // the request is never seen queued behind its own sender.
+        b.begin_inbound();
+        let (tx, _rx) = channel();
+        b.submit(spec(), ReqKind::Score, vec![pair(5)], tx, None, true)
+            .expect("admitted");
+        assert_eq!(b.inbound_sessions(), 0);
+        let batch = b.next_batch().expect("quiescence trigger");
+        assert_eq!(batch.pair_count(), 1);
+    }
+
+    #[test]
+    fn a_mid_send_session_holds_the_window_until_it_finishes() {
+        let clock = Arc::new(FakeClock::new());
+        let b = Arc::new(MicroBatcher::new(cfg(), clock as Arc<dyn Clock>));
+        b.begin_inbound();
+        b.begin_inbound();
+        submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
+        let rx = pull(&b);
+        b.end_inbound();
+        // One sender left: still waiting, with fake time standing still.
+        assert!(rx.recv_timeout(Duration::from_millis(40)).is_err());
+        b.end_inbound();
+        let got = rx.recv_timeout(Duration::from_secs(5)).expect("flushed");
+        assert_eq!(got, Some(1));
     }
 
     #[test]
@@ -493,11 +600,28 @@ mod tests {
             clock as Arc<dyn Clock>,
         );
         let (tx, _rx) = channel();
-        b.submit(spec(), ReqKind::Score, vec![pair(30)], tx.clone(), None)
-            .expect("60 B fits");
+        b.submit(
+            spec(),
+            ReqKind::Score,
+            vec![pair(30)],
+            tx.clone(),
+            None,
+            false,
+        )
+        .expect("60 B fits");
+        // A refusal releases the sender's token all the same.
+        b.begin_inbound();
         let err = b
-            .submit(spec(), ReqKind::Score, vec![pair(30)], tx.clone(), None)
+            .submit(
+                spec(),
+                ReqKind::Score,
+                vec![pair(30)],
+                tx.clone(),
+                None,
+                true,
+            )
             .expect_err("120 B total exceeds 100 B");
+        assert_eq!(b.inbound_sessions(), 0);
         assert_eq!(
             err,
             SubmitError::Overloaded {
@@ -515,7 +639,7 @@ mod tests {
         assert!(b.next_batch().is_some());
         assert!(b.next_batch().is_none());
         assert_eq!(
-            b.submit(spec(), ReqKind::Score, vec![pair(30)], tx, None),
+            b.submit(spec(), ReqKind::Score, vec![pair(30)], tx, None, false),
             Err(SubmitError::Closed)
         );
     }
@@ -548,33 +672,51 @@ mod tests {
                 ..RequestRecord::default()
             }))
         };
-        // Deadline flush: admitted at t=0, deadline at 1 ms, taken at
-        // 3 ms — ready must be the deadline, not the take time.
-        b.submit(spec(), ReqKind::Score, vec![pair(5)], tx.clone(), rec(0))
+        let submit = |pairs: Vec<CodePair>, admit: u64, sender_done: bool| {
+            b.submit(
+                spec(),
+                ReqKind::Score,
+                pairs,
+                tx.clone(),
+                rec(admit),
+                sender_done,
+            )
             .unwrap();
+        };
+        let stamps = |what: &str| {
+            let batch = b.next_batch().expect(what);
+            let r = batch.requests[0].rec.as_ref().unwrap();
+            (r.ready_ns, r.taken_ns, r.window_wait_ns())
+        };
+        // Deadline flush: admitted at t=0 behind a peer that stays
+        // mid-send, deadline at 1 ms, taken at 3 ms — ready must be
+        // the deadline, not the take time.
+        b.begin_inbound();
+        submit(vec![pair(5)], 0, false);
         clock.advance(3_000_000);
-        let batch = b.next_batch().expect("deadline flush");
-        let r = batch.requests[0].rec.as_ref().unwrap();
-        assert_eq!(r.ready_ns, 1_000_000);
-        assert_eq!(r.taken_ns, 3_000_000);
+        assert_eq!(stamps("deadline flush"), (1_000_000, 3_000_000, 1_000_000));
         // Count-trigger flush: the 4th pair arrives at 4 ms and makes
         // the window ready immediately; taken two fake ms later.
-        clock.advance(1_000_000);
-        b.submit(
-            spec(),
-            ReqKind::Score,
-            vec![pair(2); 4],
-            tx.clone(),
-            rec(4_000_000),
-        )
-        .unwrap();
-        clock.advance(2_000_000);
-        let batch = b.next_batch().expect("count flush");
-        let r = batch.requests[0].rec.as_ref().unwrap();
-        assert_eq!(r.ready_ns, 4_000_000);
-        assert_eq!(r.taken_ns, 6_000_000);
         // window_wait = ready - admit = 0; queue_wait starts at ready.
-        assert_eq!(r.window_wait_ns(), 0);
+        clock.advance(1_000_000);
+        submit(vec![pair(2); 4], 4_000_000, false);
+        clock.advance(2_000_000);
+        assert_eq!(stamps("count flush"), (4_000_000, 6_000_000, 0));
+        // Quiescence, time-to-quiet: admitted at 6 ms with the peer
+        // still mid-send; it finishes at 6.5 ms (well inside the
+        // deadline), taken at 7 ms — the window waited for the peer.
+        submit(vec![pair(5)], 6_000_000, false);
+        clock.advance(500_000);
+        b.end_inbound();
+        clock.advance(500_000);
+        assert_eq!(stamps("quiet flush"), (6_500_000, 7_000_000, 500_000));
+        // Quiescence, already quiet: nobody else is sending when the
+        // request (and its own token) arrives at 7 ms; taken at 8 ms,
+        // all of which is queue wait.
+        b.begin_inbound();
+        submit(vec![pair(5)], 7_000_000, true);
+        clock.advance(1_000_000);
+        assert_eq!(stamps("already quiet"), (7_000_000, 8_000_000, 0));
     }
 
     #[test]

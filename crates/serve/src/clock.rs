@@ -5,10 +5,12 @@
 //! [`Clock`]. Production uses [`SystemClock`]; the concurrency test
 //! harness uses [`FakeClock`], whose time only moves when the test
 //! calls [`FakeClock::advance`] — so a test can pile requests into a
-//! window, prove nothing flushes, then advance past the deadline and
-//! prove exactly one batch forms. Flush decisions depend only on
-//! `now_ns()` and queue state, never on how often the flush loop woke
-//! up, which is what makes the fake-clock runs outcome-deterministic.
+//! window behind a peer that is mid-send, prove nothing flushes, then
+//! advance past the deadline (or let the peer finish) and prove
+//! exactly one batch forms. Flush decisions depend only on `now_ns()`,
+//! queue state and the batcher's inbound-session count, never on how
+//! often the flush loop woke up, which is what makes the fake-clock
+//! runs outcome-deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -20,8 +22,9 @@ pub trait Clock: Send + Sync + 'static {
 
     /// Longest the flush loop may block on its condvar before
     /// re-checking state, given that the nearest deadline is `wait_ns`
-    /// away (`None`: no window is open). Submissions always wake the
-    /// loop early, so this is an upper bound, not a schedule.
+    /// away (`None`: no window is open). Submissions, and the last
+    /// mid-send session going quiet, always wake the loop early, so
+    /// this is an upper bound, not a schedule.
     fn max_park(&self, wait_ns: Option<u64>) -> Duration;
 }
 

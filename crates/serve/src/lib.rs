@@ -5,7 +5,8 @@
 //! arrives as many small independent requests. This crate is the layer
 //! in between: a thread-per-connection unix-socket daemon that
 //! **coalesces concurrent requests into engine batches** with a
-//! deadline micro-batching window, applies **admission control** when
+//! micro-batching window that waits only while someone is still
+//! sending, applies **admission control** when
 //! queued bytes exceed a budget (typed `Overloaded` refusal, never
 //! unbounded buffering), and streams per-request results back **in
 //! each connection's submission order**.
@@ -15,8 +16,9 @@
 //! * [`clock`] — injected time ([`SystemClock`] in production,
 //!   [`FakeClock`] in the deterministic concurrency tests),
 //! * [`batcher`] — the `(scheme, mode)`-keyed micro-batching window:
-//!   flush on deadline, pair-count target, or byte budget — whichever
-//!   first — with the queue-budget backpressure gate,
+//!   flush on quiescence (no session mid-send), pair-count target,
+//!   byte budget, or deadline — whichever first — with the
+//!   queue-budget backpressure gate,
 //! * `session` (private) — per-connection reader/writer pair with a
 //!   FIFO reply queue (ordering + fault containment),
 //! * [`server`] — the accept + dispatcher loops around one shared

@@ -193,9 +193,10 @@ impl Shared {
         obs.flight.record_request(*rec);
     }
 
-    /// Renders the `HEALTH` JSON document: queue levels, window
-    /// occupancy, the ISA tier the SIMD lane kernels run on, and the
-    /// slow-request log ("SLOWLOG"), newest last.
+    /// Renders the `HEALTH` JSON document: queue levels, the sessions
+    /// that are mid-send (what an unflushed window is waiting for),
+    /// window occupancy, the ISA tier the SIMD lane kernels run on, and
+    /// the slow-request log ("SLOWLOG"), newest last.
     pub(crate) fn render_health(&self) -> String {
         use std::fmt::Write as _;
         let occupancy = self
@@ -209,11 +210,13 @@ impl Shared {
         let _ = write!(
             out,
             "\"request_obs\":{},\"queued_bytes\":{},\"queued_requests\":{},\
-             \"peak_queued_bytes\":{},\"window_occupancy\":{occupancy},\"simd.isa\":\"{}\"",
+             \"peak_queued_bytes\":{},\"inbound_sessions\":{},\
+             \"window_occupancy\":{occupancy},\"simd.isa\":\"{}\"",
             self.reqobs.is_some(),
             self.batcher.queued_bytes(),
             self.batcher.queued_requests(),
             self.batcher.peak_queued_bytes(),
+            self.batcher.inbound_sessions(),
             anyseq_engine::simd_isa(),
         );
         if let Some(obs) = &self.reqobs {
@@ -533,6 +536,13 @@ impl ServerHandle {
     /// High-water mark of queued bytes (bounded by the queue budget).
     pub fn peak_queued_bytes(&self) -> u64 {
         self.shared.batcher.peak_queued_bytes()
+    }
+
+    /// Sessions that are mid-send: a frame of theirs has started
+    /// arriving and is not handled yet. While this is non-zero, open
+    /// windows wait (up to `max_delay_ns`) for them.
+    pub fn inbound_sessions(&self) -> u64 {
+        self.shared.batcher.inbound_sessions()
     }
 
     /// The rendered `STATS` exposition (same text a client scrape gets).

@@ -10,6 +10,14 @@
 //! leave the socket in the order the requests arrived**, no matter how
 //! the dispatcher interleaves batches.
 //!
+//! The reader is also what tells the batcher whether anyone is still
+//! sending: it parks on `fill_buf` *ahead of* `read_frame`, takes one
+//! of the batcher's inbound tokens at a frame's first byte, and lets
+//! go once that frame is handled and the read buffer is empty (a
+//! request hands the token over inside `submit`; bytes already
+//! buffered are a pipelined frame, so the token is kept across it).
+//! Open windows wait only while some session holds a token.
+//!
 //! This is also where a request's observability record begins and
 //! ends: the reader mints the server-side `RequestId` at frame decode
 //! and stamps `recv`/`admit`; the writer stamps `reply_start`/`done`
@@ -23,7 +31,10 @@
 //! loops — its pending result channels drop, the dispatcher's sends to
 //! them fail silently, and nothing it queued stalls the window or
 //! leaks budget (queue bytes are released when the batch is taken,
-//! which happens regardless of who is still listening). A malformed
+//! which happens regardless of who is still listening; an inbound
+//! token is released on every way out of the reader loop). A request
+//! for a scheme the kernels would assert on is refused here, by id,
+//! as `Unsupported` — it never reaches the dispatcher. A malformed
 //! frame gets a typed [`ErrCode::Malformed`](crate::proto::ErrCode)
 //! error and the connection stays open; only a frame the stream cannot
 //! recover from (oversized length prefix, mid-frame EOF) closes it.
@@ -31,13 +42,13 @@
 use crate::batcher::{RequestReply, SubmitError};
 use crate::proto::{
     decode_message, encode_error, encode_response, encode_stats_text, mint_request_id, read_frame,
-    write_frame, ErrCode, ErrorFrame, Message, Response,
+    write_frame, ErrCode, ErrorFrame, Message, Request, Response,
 };
 use crate::server::{
     verb_name, Shared, SERVE_MALFORMED_TOTAL, SERVE_REJECTED_TOTAL, SERVE_REQUESTS_TOTAL,
 };
 use anyseq_obs::RequestRecord;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -73,59 +84,45 @@ pub(crate) fn run_session(stream: UnixStream, shared: Arc<Shared>) {
 
 fn reader_loop(stream: UnixStream, shared: &Arc<Shared>, reply_tx: &Sender<Reply>) {
     let mut reader = BufReader::new(stream);
+    // Whether this session holds one of the batcher's inbound tokens:
+    // taken at the first byte of a frame, released once that frame is
+    // handled and nothing further sits in the read buffer.
+    let mut inbound = false;
     loop {
+        if !inbound {
+            // Park here, not inside `read_frame`: a session with
+            // nothing on the wire is not mid-send, and no window waits
+            // for it.
+            match reader.fill_buf() {
+                Ok([]) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+            shared.batcher.begin_inbound();
+            inbound = true;
+        }
         let payload = match read_frame(&mut reader, shared.max_frame) {
             Ok(Some(p)) => p,
             // Clean EOF, unrecoverable framing, or a broken socket all
             // end the session; in-frame problems are handled below.
-            Ok(None) | Err(_) => return,
+            Ok(None) | Err(_) => break,
         };
+        // Bytes already buffered behind this frame are a pipelined
+        // frame that has started arriving: stay inbound so it lands in
+        // the same window.
+        let sender_done = reader.buffer().is_empty();
+        inbound = !sender_done;
         let recv_ns = shared.clock.now_ns();
-        let reply = match decode_message(&payload) {
-            Ok(Message::Request(req)) => {
-                shared.metrics.inc(SERVE_REQUESTS_TOTAL, String::new(), 1);
-                // The record is born at frame decode: identity, sizes,
-                // and the first two stamps. Everything later is filled
-                // in by the batcher, the dispatcher, and the writer.
-                let rec = shared.reqobs.as_ref().map(|_| {
-                    Box::new(RequestRecord {
-                        id: mint_request_id(),
-                        client_id: req.id,
-                        verb: verb_name(req.mode),
-                        kind: req.spec.kind.name(),
-                        scheme: req.spec.fingerprint(),
-                        pairs: req.pairs.len() as u64,
-                        cells: req
-                            .pairs
-                            .iter()
-                            .map(|(q, s)| q.len() as u64 * s.len() as u64)
-                            .sum(),
-                        recv_ns,
-                        admit_ns: shared.clock.now_ns(),
-                        ..RequestRecord::default()
-                    })
-                });
-                let (tx, rx) = channel();
-                match shared
-                    .batcher
-                    .submit(req.spec, req.mode, req.pairs, tx, rec)
-                {
-                    Ok(()) => Reply::Pending { id: req.id, rx },
-                    Err(err @ SubmitError::Overloaded { .. }) => {
-                        shared.metrics.inc(SERVE_REJECTED_TOTAL, String::new(), 1);
-                        Reply::Ready(encode_error(&ErrorFrame {
-                            id: req.id,
-                            code: ErrCode::Overloaded,
-                            message: err.to_string(),
-                        }))
-                    }
-                    Err(err @ SubmitError::Closed) => Reply::Ready(encode_error(&ErrorFrame {
-                        id: req.id,
-                        code: ErrCode::Internal,
-                        message: err.to_string(),
-                    })),
-                }
-            }
+        let message = decode_message(&payload);
+        // Only a request can add to a window (`admit` hands its token
+        // over with it); any other frame lets go before its reply is
+        // rendered, so a `HEALTH` probe does not count its own asker.
+        if sender_done && !matches!(message, Ok(Message::Request(_))) {
+            shared.batcher.end_inbound();
+        }
+        let reply = match message {
+            Ok(Message::Request(req)) => admit(shared, req, recv_ns, sender_done),
             Ok(Message::Stats) => Reply::Ready(encode_stats_text(&shared.render_stats())),
             Ok(Message::Health) => Reply::Ready(encode_stats_text(&shared.render_health())),
             Ok(Message::Dump) => Reply::Ready(encode_stats_text(&shared.render_flight())),
@@ -151,8 +148,71 @@ fn reader_loop(stream: UnixStream, shared: &Arc<Shared>, reply_tx: &Sender<Reply
         };
         if reply_tx.send(reply).is_err() {
             // Writer gone (socket broke): stop reading too.
-            return;
+            break;
         }
+    }
+    if inbound {
+        shared.batcher.end_inbound();
+    }
+}
+
+/// Submits a decoded request to the batcher, or refuses it. With
+/// `sender_done` the session's inbound token is released here: handed
+/// over with the admission, or dropped with the refusal.
+fn admit(shared: &Arc<Shared>, req: Request, recv_ns: u64, sender_done: bool) -> Reply {
+    shared.metrics.inc(SERVE_REQUESTS_TOTAL, String::new(), 1);
+    if let Err(invalid) = req.spec.validate() {
+        // Lowering this spec would trip the scoring constructors'
+        // asserts on the one dispatcher thread.
+        if sender_done {
+            shared.batcher.end_inbound();
+        }
+        return Reply::Ready(encode_error(&ErrorFrame {
+            id: req.id,
+            code: ErrCode::Unsupported,
+            message: invalid.to_string(),
+        }));
+    }
+    // The record is born at frame decode: identity, sizes, and the
+    // first two stamps. Everything later is filled in by the batcher,
+    // the dispatcher, and the writer.
+    let rec = shared.reqobs.as_ref().map(|_| {
+        Box::new(RequestRecord {
+            id: mint_request_id(),
+            client_id: req.id,
+            verb: verb_name(req.mode),
+            kind: req.spec.kind.name(),
+            scheme: req.spec.fingerprint(),
+            pairs: req.pairs.len() as u64,
+            cells: req
+                .pairs
+                .iter()
+                .map(|(q, s)| q.len() as u64 * s.len() as u64)
+                .sum(),
+            recv_ns,
+            admit_ns: shared.clock.now_ns(),
+            ..RequestRecord::default()
+        })
+    });
+    let (tx, rx) = channel();
+    match shared
+        .batcher
+        .submit(req.spec, req.mode, req.pairs, tx, rec, sender_done)
+    {
+        Ok(()) => Reply::Pending { id: req.id, rx },
+        Err(err @ SubmitError::Overloaded { .. }) => {
+            shared.metrics.inc(SERVE_REJECTED_TOTAL, String::new(), 1);
+            Reply::Ready(encode_error(&ErrorFrame {
+                id: req.id,
+                code: ErrCode::Overloaded,
+                message: err.to_string(),
+            }))
+        }
+        Err(err @ SubmitError::Closed) => Reply::Ready(encode_error(&ErrorFrame {
+            id: req.id,
+            code: ErrCode::Internal,
+            message: err.to_string(),
+        })),
     }
 }
 

@@ -15,9 +15,7 @@
 //! Run: `cargo run --release --example serve_roundtrip [-- --socket PATH]`
 
 use anyseq::serve::proto::Results;
-use anyseq::serve::{
-    ReqKind, SchemeSpec, ServeClient, ServeConfig, Server, SystemClock, WindowCfg,
-};
+use anyseq::serve::{ReqKind, SchemeSpec, ServeClient, ServeConfig, Server, SystemClock};
 use anyseq_seq::testsupport::read_pairs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -37,24 +35,16 @@ fn main() {
         }
     };
 
-    // Unless an external daemon was named, start one here — with a wide
-    // window so all four clients' bursts land in the same batches;
-    // production would run the 2 ms default.
+    // Unless an external daemon was named, start one here, in the
+    // configuration the shipped daemon runs.
     let (sock, server) = match external {
         Some(path) => (path, None),
         None => {
-            let cfg = ServeConfig {
-                window: WindowCfg {
-                    max_delay_ns: 50_000_000,
-                    ..WindowCfg::default()
-                },
-                ..ServeConfig::default()
-            };
             let path = std::env::temp_dir().join(format!(
                 "anyseq-serve-roundtrip-{}.sock",
                 std::process::id()
             ));
-            let server = Server::start(path, cfg, Arc::new(SystemClock::new()))
+            let server = Server::start(path, ServeConfig::default(), Arc::new(SystemClock::new()))
                 .expect("daemon start failed");
             (server.path().to_path_buf(), Some(server))
         }

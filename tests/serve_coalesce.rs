@@ -1,5 +1,5 @@
 //! The serving layer's central correctness property: **coalescing is
-//! invisible**. However the deadline micro-batching window happens to
+//! invisible**. However the micro-batching window happens to
 //! group concurrent clients' requests into engine batches, every
 //! client must get bit-identical results to dispatching its requests
 //! alone, sequentially — and must get them back in its own submission
@@ -11,6 +11,9 @@
 //! proptest case explores a different batch composition, and the
 //! assertion is that composition never shows through.
 //!
+//! The tests below the identity checks pin *when* a window flushes:
+//! the moment nobody is mid-send, with fake time standing still.
+//!
 //! CIGAR bit-identity is asserted under `Policy::Fixed(Scalar)` — the
 //! scalar backend's traceback is per-pair deterministic, while the
 //! SIMD banded traceback may legally shape CIGARs by lane-group
@@ -19,14 +22,20 @@
 //! makes scores bit-exact across backends, so score identity must
 //! survive any backend mix the coalesced batch is routed to.
 
-use anyseq::serve::proto::Results;
+mod common;
+
+use anyseq::serve::proto::{self, Message, Request, Results};
 use anyseq::serve::{
-    FakeClock, ReqKind, SchemeSpec, ServeClient, ServeConfig, Server, ServerReply, WindowCfg,
+    Clock, FakeClock, ReqKind, SchemeSpec, ServeClient, ServeConfig, Server, ServerHandle,
+    ServerReply, WindowCfg,
 };
 use anyseq_engine::{BackendId, BatchCfg, BatchScheduler, Dispatch, DispatchPolicy, Policy};
 use anyseq_seq::testsupport::read_pairs;
 use anyseq_seq::{BatchView, PairRef};
+use common::{metric, must_finish, wait_until, MidSend};
 use proptest::prelude::*;
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -257,18 +266,10 @@ fn auto_dispatch_scores_survive_coalescing() {
     }
 }
 
-/// Coalescing has to actually coalesce: every identity check above
-/// would also pass on a daemon that ran each request as its own batch.
-/// Four clients pipeline two requests each while fake time stands
-/// still, so all eight sit in one window; one tick past the deadline
-/// must flush them as one engine batch — at most a quarter of the
-/// request count, at least four requests' worth of pairs per batch.
-#[test]
-fn a_concurrent_burst_inside_one_window_is_one_batch() {
-    const CLIENTS: usize = 4;
-    const REQS: usize = 2;
-    const PAIRS: usize = 8;
-    const DEADLINE_NS: u64 = 1_000_000;
+/// A daemon on a fake clock nobody advances, with the count and byte
+/// triggers out of reach: only quiescence (or the test moving time to
+/// the 1 ms deadline) can flush a window.
+fn start_frozen(tag: &str) -> (Arc<FakeClock>, ServerHandle) {
     let clock = Arc::new(FakeClock::new());
     let cfg = ServeConfig {
         window: WindowCfg {
@@ -279,8 +280,27 @@ fn a_concurrent_burst_inside_one_window_is_one_batch() {
         threads: 1,
         ..ServeConfig::default()
     };
-    let server = Server::start(socket_path("burst"), cfg, clock.clone() as Arc<_>)
-        .expect("daemon start failed");
+    let server =
+        Server::start(socket_path(tag), cfg, clock.clone() as Arc<_>).expect("daemon start failed");
+    (clock, server)
+}
+
+const DEADLINE_NS: u64 = 1_000_000;
+
+/// Coalescing has to actually coalesce: every identity check above
+/// would also pass on a daemon that ran each request as its own batch.
+/// With a peer mid-send holding the window open, four clients pipeline
+/// two requests each while fake time stands still, so all eight sit in
+/// one window; the peer hanging up — the clock never moves — must flush
+/// them as one engine batch: at most a quarter of the request count,
+/// at least four requests' worth of pairs per batch.
+#[test]
+fn a_concurrent_burst_inside_one_window_is_one_batch() {
+    const CLIENTS: usize = 4;
+    const REQS: usize = 2;
+    const PAIRS: usize = 8;
+    let (clock, server) = start_frozen("burst");
+    let mid_send = MidSend::hold(&server);
 
     let pairs = read_pairs(CLIENTS * REQS * PAIRS, 0xB0057);
     let burst_bytes: u64 = pairs.iter().map(|(q, s)| (q.len() + s.len()) as u64).sum();
@@ -305,35 +325,81 @@ fn a_concurrent_burst_inside_one_window_is_one_batch() {
         })
         .collect();
 
-    // The daemon's threads run in real time on a stopped clock: poll
-    // until the whole burst is admitted, then let the deadline pass.
-    let t0 = std::time::Instant::now();
-    while server.queued_bytes() < burst_bytes {
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(10),
-            "the burst never sat in the queue whole (did a window flush before its deadline?)"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    clock.advance(DEADLINE_NS);
+    wait_until("the whole burst to sit in the queue", || {
+        server.queued_bytes() == burst_bytes
+    });
+    drop(mid_send);
     for client in clients {
         client.join().expect("client panicked");
     }
+    assert_eq!(clock.now_ns(), 0, "the burst was flushed by time passing");
 
     let stats = server.stats_text();
-    let metric = |name: &str| -> f64 {
-        stats
-            .lines()
-            .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
-            .unwrap_or_else(|| panic!("scrape is missing {name}:\n{stats}"))
-    };
-    let requests = metric("anyseq_serve_requests_total");
+    let requests = metric(&stats, "anyseq_serve_requests_total");
     assert_eq!(requests, (CLIENTS * REQS) as f64);
-    let batches = metric("anyseq_serve_batches_total");
+    let batches = metric(&stats, "anyseq_serve_batches_total");
     assert!(
         (1.0..=requests / 4.0).contains(&batches),
         "{requests} requests inside one window ran as {batches} batches"
     );
-    assert!(metric("anyseq_serve_window_occupancy") >= (4 * PAIRS) as f64);
+    assert!(metric(&stats, "anyseq_serve_window_occupancy") >= (4 * PAIRS) as f64);
+    server.shutdown();
+}
+
+/// Nobody else is sending, so there is nothing to wait for: a lone
+/// request is answered while fake time never moves.
+#[test]
+fn a_lone_request_is_answered_while_fake_time_stands_still() {
+    let (clock, server) = start_frozen("lone");
+    let sock = server.path().to_path_buf();
+    let results = must_finish("the lone request's reply", move || {
+        let mut client = ServeClient::connect(&sock).expect("connect failed");
+        let pair = vec![(vec![0, 1, 2, 3], vec![0, 1, 3, 3])];
+        client
+            .roundtrip(ReqKind::Score, SchemeSpec::global_linear(2, -1, -1), pair)
+            .expect("roundtrip failed")
+    });
+    assert_eq!(results, Ok(Results::Scores(vec![5])));
+    assert_eq!(clock.now_ns(), 0);
+    assert_eq!(server.inbound_sessions(), 0);
+    server.shutdown();
+}
+
+/// A pipelining client's second frame that is already in the session's
+/// read buffer has *started arriving*: the session stays inbound across
+/// both, and the two requests land in one batch.
+#[test]
+fn a_pipelined_frame_already_in_the_read_buffer_joins_the_same_batch() {
+    let (clock, server) = start_frozen("pipelined");
+    let spec = SchemeSpec::global_linear(2, -1, -1);
+    // Both frames leave in one write, so one read delivers both.
+    let mut wire = Vec::new();
+    for id in 1..=2 {
+        let req = Request {
+            id,
+            mode: ReqKind::Score,
+            spec,
+            pairs: vec![(vec![0, 1, 2, 3], vec![0, 1, 3, 3]); 3],
+        };
+        proto::write_frame(&mut wire, &proto::encode_request(&req)).expect("frame");
+    }
+    let mut stream = UnixStream::connect(server.path()).expect("connect failed");
+    stream.write_all(&wire).expect("send failed");
+    let ids = must_finish("both replies", move || {
+        [(); 2].map(|()| {
+            let payload = proto::read_frame(&mut stream, proto::MAX_FRAME_BYTES)
+                .expect("recv failed")
+                .expect("server hung up");
+            match proto::decode_message(&payload).expect("undecodable reply") {
+                Message::Response(resp) => resp.id,
+                other => panic!("unexpected reply: {other:?}"),
+            }
+        })
+    });
+    assert_eq!(ids, [1, 2]);
+    assert_eq!(clock.now_ns(), 0);
+    let stats = server.stats_text();
+    assert_eq!(metric(&stats, "anyseq_serve_batches_total"), 1.0);
+    assert_eq!(metric(&stats, "anyseq_serve_window_occupancy"), 6.0);
     server.shutdown();
 }

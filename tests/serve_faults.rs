@@ -1,7 +1,12 @@
 //! Fault injection against the serving layer: clients that vanish
-//! mid-flight, garbage on the wire, and bursts past the admission
-//! budget. The daemon's contracts under fire:
+//! mid-flight, garbage on the wire, frames that never finish, and
+//! bursts past the admission budget. The daemon's contracts under
+//! fire:
 //!
+//! * a well-formed request for a scheme the kernels cannot run is a
+//!   typed `Unsupported` refusal, never a dead dispatcher;
+//! * a peer stalled mid-frame costs the other clients at most the
+//!   window deadline, and no session is left counted as mid-send;
 //! * a disconnect never stalls the window, leaks queue bytes, or
 //!   poisons another connection's results;
 //! * a malformed frame gets a *typed* error reply, not a hangup, and
@@ -11,12 +16,17 @@
 //!   still complete, the queue gauge is bounded by the budget and
 //!   returns to exactly 0 after the storm.
 
+mod common;
+
 use anyseq::core::score::Score;
 use anyseq::serve::proto::Results;
 use anyseq::serve::{
-    ErrCode, FakeClock, ReqKind, SchemeSpec, ServeClient, ServeConfig, Server, ServerHandle,
+    Clock, ErrCode, FakeClock, ReqKind, SchemeSpec, ServeClient, ServeConfig, Server, ServerHandle,
     ServerReply, SystemClock, WindowCfg,
 };
+use common::{metric, must_finish, wait_until, MidSend};
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -29,13 +39,6 @@ fn socket_path(tag: &str) -> PathBuf {
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ))
-}
-
-/// Extracts one value from the daemon's Prometheus exposition.
-fn metric(text: &str, name: &str) -> f64 {
-    text.lines()
-        .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
-        .unwrap_or_else(|| panic!("STATS exposition is missing {name}"))
 }
 
 /// Polls until the batcher queue is fully drained (both the live
@@ -72,6 +75,170 @@ fn bulk_pairs(n: usize, len: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         .collect()
 }
 
+/// The one-pair request every liveness check sends, and its score.
+fn probe(client: &mut ServeClient) {
+    let results = client
+        .roundtrip(
+            ReqKind::Score,
+            spec(),
+            vec![(vec![0, 1, 2, 3], vec![0, 1, 3, 3])],
+        )
+        .expect("roundtrip failed")
+        .expect("request refused");
+    assert_eq!(results, Results::Scores(vec![5]));
+}
+
+/// A well-formed `REQUEST` whose gap score is positive used to panic
+/// the only dispatcher thread (`scoring::linear`'s assert) and hang
+/// every later request on every connection. Now the session refuses it
+/// under the request's id, and both an old and a new connection are
+/// still served.
+#[test]
+fn an_invalid_scheme_is_refused_by_id_and_the_daemon_lives() {
+    let server = Server::start(
+        socket_path("faults-spec"),
+        ServeConfig::default(),
+        Arc::new(SystemClock::new()),
+    )
+    .expect("daemon start failed");
+    let mut client = ServeClient::connect(server.path()).expect("connect failed");
+
+    for (bad, field) in [
+        (SchemeSpec::global_linear(2, -1, 1), "gap"),
+        (SchemeSpec::global_affine(2, -1, 3, -1), "open"),
+        (SchemeSpec::global_affine(2, -1, -2, 1), "extend"),
+    ] {
+        let id = client
+            .submit(ReqKind::Score, bad, bulk_pairs(2, 8))
+            .expect("submit failed");
+        match client.recv().expect("recv failed") {
+            ServerReply::Error(err) => {
+                assert_eq!((err.id, err.code), (id, ErrCode::Unsupported));
+                assert!(err.message.starts_with(field), "{err:?}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+    probe(&mut client);
+    probe(&mut ServeClient::connect(server.path()).expect("connect failed"));
+    server.shutdown();
+}
+
+/// The worst case of the quiescence rule is a peer that starts a frame
+/// and never finishes it: every window then waits exactly as long as
+/// `max_delay_ns` allows — not a tick less, so the wait really is for
+/// the peer, and not a tick more — and the moment the peer hangs up,
+/// windows stop waiting without any time passing at all.
+#[test]
+fn a_half_sent_frame_holds_windows_to_the_deadline_or_until_its_peer_hangs_up() {
+    const DEADLINE_NS: u64 = 1_000_000;
+    let clock = Arc::new(FakeClock::new());
+    let cfg = ServeConfig {
+        window: WindowCfg {
+            max_delay_ns: DEADLINE_NS,
+            target_pairs: usize::MAX,
+            ..WindowCfg::default()
+        },
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(socket_path("faults-stall"), cfg, clock.clone() as Arc<_>)
+        .expect("daemon start failed");
+    let stalled = MidSend::hold(&server);
+    let mut client = ServeClient::connect(server.path()).expect("connect failed");
+    let submit = |client: &mut ServeClient| {
+        client
+            .submit(ReqKind::Score, spec(), bulk_pairs(2, 8))
+            .expect("submit failed");
+        wait_until("request admitted", || server.queued_bytes() > 0);
+    };
+    // The dispatcher re-checks a frozen window every millisecond: a
+    // window that could flush would have, many times over.
+    let assert_still_queued = |why: &str| {
+        for _ in 0..20 {
+            std::thread::sleep(Duration::from_millis(1));
+            assert!(server.queued_bytes() > 0, "window flushed {why}");
+        }
+    };
+
+    submit(&mut client);
+    clock.advance(DEADLINE_NS - 1);
+    assert_still_queued("before its deadline with a peer mid-send");
+    clock.advance(1);
+    let mut client = must_finish("the deadline flush", move || {
+        client.recv().expect("recv failed");
+        client
+    });
+    assert_eq!(server.inbound_sessions(), 1, "the stalled peer is gone");
+
+    submit(&mut client);
+    assert_still_queued("with a peer mid-send and the clock stopped");
+    drop(stalled);
+    must_finish("the hang-up flush", move || {
+        client.recv().expect("recv failed")
+    });
+    assert_eq!(clock.now_ns(), DEADLINE_NS, "flushed by time, not hang-up");
+    wait_until("nobody inbound", || server.inbound_sessions() == 0);
+
+    wait_until("both requests recorded", || {
+        server.flight_requests().len() == 2
+    });
+    let recs = server.flight_requests();
+    let waits: Vec<u64> = recs.iter().map(|r| r.window_wait_ns()).collect();
+    assert_eq!(waits, [DEADLINE_NS, 0]);
+    server.shutdown();
+}
+
+/// Leak guard: whatever a connection does — vanish, send garbage, ask
+/// for stats, die mid-header or mid-payload, lie about its length —
+/// the inbound count returns to 0, or every later window would wait
+/// out its deadline for a session that no longer exists. The clock is
+/// never advanced, so each reply below is itself proof of quiescence.
+#[test]
+fn inbound_count_returns_to_zero_after_connection_churn() {
+    let clock = Arc::new(FakeClock::new());
+    let cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(socket_path("faults-churn"), cfg, clock as Arc<_>)
+        .expect("daemon start failed");
+    let sock = server.path().to_path_buf();
+    let health = must_finish("the churn", move || {
+        for _ in 0..3 {
+            drop(UnixStream::connect(&sock).expect("connect failed"));
+        }
+        // Mid-header EOF, mid-payload EOF, a length past the frame cap.
+        for half in [&[7u8, 0][..], &[100, 0, 0, 0, 1, 2, 3], &[0xFF; 4]] {
+            let mut raw = UnixStream::connect(&sock).expect("connect failed");
+            raw.write_all(half).expect("send failed");
+        }
+        let mut client = ServeClient::connect(&sock).expect("connect failed");
+        client.send_raw(&[0xFF, 1, 2, 3]).expect("send failed");
+        assert!(matches!(client.recv(), Ok(ServerReply::Error(_))));
+        let bad = SchemeSpec::global_linear(2, -1, 1);
+        let refused = client.roundtrip(ReqKind::Score, bad, bulk_pairs(1, 4));
+        assert!(matches!(refused, Ok(Err(_))), "{refused:?}");
+        client.stats().expect("stats failed");
+        client.dump_flight().expect("dump failed");
+        probe(&mut client);
+        // Pipelined: the session stays inbound across the first frame.
+        for _ in 0..2 {
+            client
+                .submit(ReqKind::Score, spec(), bulk_pairs(1, 4))
+                .expect("submit failed");
+        }
+        for _ in 0..2 {
+            assert!(matches!(client.recv(), Ok(ServerReply::Response { .. })));
+        }
+        client.health().expect("health failed")
+    });
+    // A probe does not count its own asker.
+    assert!(health.contains("\"inbound_sessions\":0"), "{health}");
+    wait_until("nobody inbound", || server.inbound_sessions() == 0);
+    server.shutdown();
+}
+
 #[test]
 fn disconnect_mid_flight_does_not_poison_other_connections() {
     let server = Server::start(
@@ -92,15 +259,7 @@ fn disconnect_mid_flight_does_not_poison_other_connections() {
     // A well-behaved client in (at least potentially) the same window
     // must be unaffected: exact scores, no stall, no error.
     let mut client = ServeClient::connect(server.path()).expect("connect failed");
-    let results = client
-        .roundtrip(
-            ReqKind::Score,
-            spec(),
-            vec![(vec![0, 1, 2, 3], vec![0, 1, 3, 3])],
-        )
-        .expect("roundtrip failed")
-        .expect("request refused");
-    assert_eq!(results, Results::Scores(vec![5]));
+    probe(&mut client);
 
     // The ghost's queue bytes were released when its batch was taken,
     // receiver liveness notwithstanding.
@@ -140,25 +299,18 @@ fn malformed_frame_gets_a_typed_error_not_a_hangup() {
     }
 
     // The connection survived both: a well-formed request still works.
-    let results = client
-        .roundtrip(
-            ReqKind::Score,
-            spec(),
-            vec![(vec![0, 1, 2, 3], vec![0, 1, 3, 3])],
-        )
-        .expect("roundtrip failed")
-        .expect("request refused");
-    assert_eq!(results, Results::Scores(vec![5]));
+    probe(&mut client);
 
     let stats = client.stats().expect("stats failed");
     assert_eq!(metric(&stats, "anyseq_serve_malformed_total"), 2.0);
     server.shutdown();
 }
 
-/// Deterministic backpressure: with the clock frozen nothing can
-/// flush, so admission arithmetic is exact — requests 1–2 fit the
-/// budget, 3–6 are refused synchronously. Thawing the clock completes
-/// the accepted ones; every reply arrives in submission order.
+/// Deterministic backpressure: with the clock frozen and a peer
+/// mid-send nothing can flush, so admission arithmetic is exact —
+/// requests 1–2 fit the budget, 3–6 are refused synchronously. Thawing
+/// the clock completes the accepted ones; every reply arrives in
+/// submission order.
 #[test]
 fn overload_is_synchronous_accounted_and_recoverable() {
     let clock = Arc::new(FakeClock::new());
@@ -174,6 +326,7 @@ fn overload_is_synchronous_accounted_and_recoverable() {
     };
     let server = Server::start(socket_path("faults-burst"), cfg, clock.clone() as Arc<_>)
         .expect("daemon start failed");
+    let mid_send = MidSend::hold(&server);
     let mut client = ServeClient::connect(server.path()).expect("connect failed");
 
     // 6 requests x 800 queue bytes against a 2000-byte budget.
@@ -183,8 +336,12 @@ fn overload_is_synchronous_accounted_and_recoverable() {
             .expect("submit failed");
     }
 
-    // Nothing has flushed yet (fake time is frozen), so the refusals
-    // are already decided; thaw the clock to let the accepted two run.
+    // Nothing can flush until fake time moves, so the refusals are
+    // decided by arithmetic alone; once the session has refused the
+    // last four, thaw the clock to let the accepted two run.
+    wait_until("requests 3-6 refused", || {
+        metric(&server.stats_text(), "anyseq_serve_rejected_total") == 4.0
+    });
     let stop = Arc::new(AtomicBool::new(false));
     let pump = {
         let (clock, stop) = (clock.clone(), stop.clone());
@@ -234,6 +391,7 @@ fn overload_is_synchronous_accounted_and_recoverable() {
         .expect("post-storm request refused");
     assert!(matches!(results, Results::Scores(ref v) if v.len() == 2));
 
+    drop(mid_send);
     stop.store(true, Ordering::Relaxed);
     pump.join().expect("clock pump panicked");
     server.shutdown();

@@ -7,12 +7,17 @@
 //! clock, so fake time only moves when the test advances it — each
 //! test walks a request through a known stage before advancing, which
 //! pins every stamp to a chosen fake instant and makes the
-//! decomposition arithmetic exact rather than approximate.
+//! decomposition arithmetic exact rather than approximate. A window
+//! only waits while someone is mid-send, so the tests that want a
+//! request to *sit* in its window keep a [`MidSend`] peer connected.
+
+mod common;
 
 use anyseq::serve::{
     Clock, FakeClock, ReqKind, RequestRecord, SchemeSpec, ServeClient, ServeConfig, Server,
     ServerHandle, ServerReply, WindowCfg,
 };
+use common::{wait_until, MidSend};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -53,20 +58,6 @@ fn start_daemon(
     Server::start(socket_path(tag), cfg, clock.clone() as Arc<_>).expect("daemon start failed")
 }
 
-/// Polls `cond` (real time) until it holds; the daemon's threads run
-/// in real time even though their clock is fake, so "the reader has
-/// admitted the frame" style facts need a poll, not a sleep.
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let t0 = std::time::Instant::now();
-    while !cond() {
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(10),
-            "timed out waiting for {what}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-}
-
 fn submit_score(client: &mut ServeClient, pairs: usize) -> u64 {
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let pairs = (0..pairs)
@@ -92,6 +83,7 @@ fn recv_scores(client: &mut ServeClient) {
 fn stage_decomposition_accounts_for_client_observed_latency() {
     let clock = Arc::new(FakeClock::new());
     let server = start_daemon("obs-decomp", &clock, 3 * MS, usize::MAX, 100);
+    let _mid_send = MidSend::hold(&server);
     let mut client = ServeClient::connect(server.path()).expect("connect failed");
 
     let t_submit = clock.now_ns();
@@ -100,7 +92,8 @@ fn stage_decomposition_accounts_for_client_observed_latency() {
     // instant) once its bytes are accounted against the queue budget.
     wait_until("request admitted", || server.queued_bytes() > 0);
     // Only now does fake time move: the whole 3 ms lands in the window
-    // wait, and the deadline flush dispatches the batch.
+    // wait (the half-sent peer never finishes), and the deadline flush
+    // dispatches the batch.
     clock.advance(3 * MS);
     recv_scores(&mut client);
     let observed = clock.now_ns() - t_submit;
@@ -141,6 +134,7 @@ fn slow_log_contains_exactly_the_over_threshold_requests() {
     let clock = Arc::new(FakeClock::new());
     // Deadline 3 ms, count trigger at 4 pairs, slow threshold 2 ms.
     let server = start_daemon("obs-slowlog", &clock, 3 * MS, 4, 2);
+    let _mid_send = MidSend::hold(&server);
     let mut client = ServeClient::connect(server.path()).expect("connect failed");
 
     // Request A (1 pair) waits 1 ms, then request B's 3 pairs fill the
