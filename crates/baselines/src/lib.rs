@@ -4,7 +4,7 @@
 //! (CPU) and NVBio 1.1 (GPU). Those codebases are not portable into this
 //! workspace, but the paper *names* the strategy differences responsible
 //! for the observed gaps; each baseline here implements exactly those
-//! strategies on top of the shared substrates (see `DESIGN.md` §3):
+//! strategies on top of the shared substrates:
 //!
 //! * [`seqan::SeqAnLike`] — dynamic wavefront with a mutex-deque queue
 //!   and a masked-dataflow SIMD kernel,

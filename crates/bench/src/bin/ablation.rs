@@ -55,13 +55,7 @@ fn main() {
         println!("== Ablation: tile size (dynamic wavefront, {threads} threads) ==");
         let mut t = Table::new(vec!["tile", "GCUPS"]);
         for tile in [64usize, 128, 256, 512, 1024, 2048] {
-            let cfg = ParallelCfg {
-                threads,
-                tile,
-                min_parallel_area: 0,
-                static_schedule: false,
-                shard_cells: 0,
-            };
+            let cfg = ParallelCfg::threads(threads).with_tile(tile);
             let m = measure_gcups(cells, 3, || {
                 std::hint::black_box(
                     tiled_score_pass::<Global, _, _>(
@@ -112,13 +106,7 @@ fn main() {
     if which == "queue" || which == "all" {
         println!("== Ablation: concurrent queue (lock-free injector vs mutex deque) ==");
         let mut t = Table::new(vec!["queue", "GCUPS"]);
-        let cfg = ParallelCfg {
-            threads,
-            tile: 256,
-            min_parallel_area: 0,
-            static_schedule: false,
-            shard_cells: 0,
-        };
+        let cfg = ParallelCfg::threads(threads).with_tile(256);
         let m = measure_gcups(cells, 3, || {
             std::hint::black_box(
                 tiled_score_pass::<Global, _, _>(

@@ -1,13 +1,15 @@
 //! Regenerates paper **Figure 5**: median GCUPS for
 //! a) pairs of long DNA sequences, b) batches of short Illumina reads,
 //! each as {scores-only, traceback} × {linear, affine} across devices
-//! (CPU scalar / AVX2-width SIMD / AVX512-width SIMD / simulated Titan V
+//! (CPU scalar / 16-lane SIMD / 32-lane SIMD / simulated Titan V
 //! / simulated ZCU104) and libraries (AnySeq, SeqAn-like, Parasail-like,
 //! NVBio-like).
 //!
 //! CPU rows are wall-clock measurements on this host; GPU/FPGA rows are
 //! the simulators' modeled GCUPS (marked `*`). Compare *shapes* (who
-//! wins, by what factor), not absolute values — see EXPERIMENTS.md.
+//! wins, by what factor), not absolute values. The SIMD columns run
+//! on the ISA tier `anyseq-simd` picks at run time (AVX2 or baseline):
+//! L = 32 is two AVX2 registers per block, not an AVX-512 kernel.
 //!
 //! Usage:
 //!   fig5 --part a [--scale F] [--gpu-scale F] [--threads N] [--repeats N]
@@ -21,12 +23,13 @@ use anyseq_core::hirschberg::{align_with_pass, AlignConfig};
 use anyseq_core::prelude::*;
 use anyseq_core::scheme::Scheme;
 use anyseq_engine::stats::TRACEBACK_CELL_FACTOR;
+use anyseq_engine::{BackendId, BatchCfg, BatchScheduler, Dispatch, Policy, SchemeSpec};
 use anyseq_fpga_sim::SystolicArray;
 use anyseq_gpu_sim::{Device, GpuAligner};
 use anyseq_seq::{BatchView, Seq};
 use anyseq_simd::{simd_tiled_score_pass, LaneTiles};
 use anyseq_wavefront::pass::{tiled_score_pass, ParallelCfg};
-use anyseq_wavefront::{score_batch_parallel, ScalarTiles, TiledPass};
+use anyseq_wavefront::{ScalarTiles, TiledPass};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -158,9 +161,7 @@ fn part_a(cfg: &Cfg) {
             }
         );
         println!("== {title} ==");
-        let mut table = Table::new(vec![
-            "library", "CPU", "AVX2", "AVX512", "TitanV*", "ZCU104*",
-        ]);
+        let mut table = Table::new(vec!["library", "CPU", "L=16", "L=32", "TitanV*", "ZCU104*"]);
 
         // Helper macro running one CPU engine closure for the right scheme.
         macro_rules! cpu_gcups {
@@ -320,8 +321,8 @@ fn part_a(cfg: &Cfg) {
                 )
             }};
         }
-        let anyseq_avx2 = anyseq_simd_col!(16);
-        let anyseq_avx512 = anyseq_simd_col!(32);
+        let anyseq_l16 = anyseq_simd_col!(16);
+        let anyseq_l32 = anyseq_simd_col!(32);
 
         // GPU (modeled) on the reduced-scale pair set.
         let gpu = GpuAligner::new(Device::titan_v()).with_tile(256);
@@ -365,14 +366,14 @@ fn part_a(cfg: &Cfg) {
         table.row(vec![
             "AnySeq".to_string(),
             format!("{anyseq_cpu:.2}"),
-            format!("{anyseq_avx2:.2}"),
-            format!("{anyseq_avx512:.2}"),
+            format!("{anyseq_l16:.2}"),
+            format!("{anyseq_l32:.2}"),
             format!("{anyseq_gpu:.1}"),
             fpga_cell,
         ]);
         json.insert(format!("{title}/AnySeq/CPU"), anyseq_cpu);
-        json.insert(format!("{title}/AnySeq/AVX2"), anyseq_avx2);
-        json.insert(format!("{title}/AnySeq/AVX512"), anyseq_avx512);
+        json.insert(format!("{title}/AnySeq/L16"), anyseq_l16);
+        json.insert(format!("{title}/AnySeq/L32"), anyseq_l32);
         json.insert(format!("{title}/AnySeq/TitanV"), anyseq_gpu);
 
         // ---- SeqAn-like ---------------------------------------------------
@@ -500,6 +501,8 @@ fn part_b(cfg: &Cfg) {
     // A reduced batch keeps the GPU functional simulation affordable.
     let sim_batch: Vec<_> = batch.iter().take(cfg.pairs.min(3000)).cloned().collect();
     let sim_view = BatchView::from_pairs(&sim_batch);
+    let scalar_dispatch = Dispatch::standard(Policy::Fixed(BackendId::Scalar));
+    let scalar_sched = BatchScheduler::new(BatchCfg::threads(cfg.threads));
 
     for gapk in [GapKind::Linear, GapKind::Affine] {
         let title = format!(
@@ -511,18 +514,22 @@ fn part_b(cfg: &Cfg) {
             }
         );
         println!("== {title} ==");
-        let mut table = Table::new(vec!["library", "CPU", "AVX2", "AVX512", "TitanV*"]);
+        let mut table = Table::new(vec!["library", "CPU", "L=16", "L=32", "TitanV*"]);
 
-        let anyseq_cpu = measure_gcups(cells, cfg.repeats, || match gapk {
-            GapKind::Linear => {
-                std::hint::black_box(score_batch_parallel(&lin, &batch, cfg.threads));
-            }
-            GapKind::Affine => {
-                std::hint::black_box(score_batch_parallel(&aff, &batch, cfg.threads));
-            }
+        // Scalar multithreaded: the engine's own scheduler, pinned to
+        // the scalar backend (its worker pool, one pair at a time).
+        let spec = match gapk {
+            GapKind::Linear => SchemeSpec::global_linear(2, -1, -1),
+            GapKind::Affine => SchemeSpec::global_affine(2, -1, -2, -1),
+        };
+        let anyseq_cpu = measure_gcups(cells, cfg.repeats, || {
+            let run = scalar_sched
+                .try_score_batch(&scalar_dispatch, &spec, &batch_view)
+                .expect("the scalar backend refuses nothing");
+            std::hint::black_box(run.results);
         })
         .gcups;
-        let anyseq_avx2 = measure_gcups(cells, cfg.repeats, || match gapk {
+        let anyseq_l16 = measure_gcups(cells, cfg.repeats, || match gapk {
             GapKind::Linear => {
                 std::hint::black_box(anyseq_simd::score_batch_simd::<_, _, _, 16>(
                     &lin,
@@ -539,7 +546,7 @@ fn part_b(cfg: &Cfg) {
             }
         })
         .gcups;
-        let anyseq_avx512 = measure_gcups(cells, cfg.repeats, || match gapk {
+        let anyseq_l32 = measure_gcups(cells, cfg.repeats, || match gapk {
             GapKind::Linear => {
                 std::hint::black_box(anyseq_simd::score_batch_simd::<_, _, _, 32>(
                     &lin,
@@ -572,13 +579,13 @@ fn part_b(cfg: &Cfg) {
         table.row(vec![
             "AnySeq".to_string(),
             format!("{anyseq_cpu:.2}"),
-            format!("{anyseq_avx2:.2}"),
-            format!("{anyseq_avx512:.2}"),
+            format!("{anyseq_l16:.2}"),
+            format!("{anyseq_l32:.2}"),
             format!("{anyseq_gpu:.1}"),
         ]);
         json.insert(format!("{title}/AnySeq/CPU"), anyseq_cpu);
-        json.insert(format!("{title}/AnySeq/AVX2"), anyseq_avx2);
-        json.insert(format!("{title}/AnySeq/AVX512"), anyseq_avx512);
+        json.insert(format!("{title}/AnySeq/L16"), anyseq_l16);
+        json.insert(format!("{title}/AnySeq/L32"), anyseq_l32);
         json.insert(format!("{title}/AnySeq/TitanV"), anyseq_gpu);
 
         // SeqAn-like batch (scalar per pair under its queue discipline).

@@ -73,11 +73,8 @@ fn main() {
     let mut base_stat = 0.0;
     for &t in &threads {
         let mk = |stat: bool| ParallelCfg {
-            threads: t,
-            tile,
-            min_parallel_area: 0,
             static_schedule: stat,
-            shard_cells: 0,
+            ..ParallelCfg::threads(t).with_tile(tile)
         };
         let dynm = measure_gcups(cells, repeats, || {
             std::hint::black_box(

@@ -30,7 +30,7 @@ fn main() {
     }
 
     println!("Table I: Long genomic sequences used for benchmarking");
-    println!("(synthetic substitutes at scale {scale}; see DESIGN.md §3)\n");
+    println!("(synthetic substitutes at scale {scale}; see the anyseq-seq crate docs)\n");
     let mut table = Table::new(vec![
         "Accession No.",
         "Length (paper)",

@@ -1,6 +1,6 @@
 //! # anyseq-bench — benchmark harness regenerating the paper's evaluation
 //!
-//! One binary per table/figure (see `DESIGN.md` §6):
+//! One binary per table/figure:
 //! `table1`, `fig5`, `fig6`, `table2`, `ablation`, `loc_breakdown`.
 //! This library provides the shared pieces: Table-I workload definitions,
 //! GCUPS measurement, and report formatting.

@@ -1,5 +1,5 @@
 //! Plain-text table rendering for the figure/table binaries, plus JSON
-//! dumps consumed when updating `EXPERIMENTS.md`.
+//! dumps of the same numbers.
 
 use std::collections::BTreeMap;
 

@@ -51,7 +51,7 @@ pub use hirschberg::AlignConfig;
 pub use kind::{AlignKind, Extension, FreeEnd, Global, Local, OptRegion, SemiGlobal};
 pub use relax::BestCell;
 pub use scheme::Scheme;
-pub use score::{Score, NEG_INF};
+pub use score::{Score, NEG_INF, SCORE_ENVELOPE};
 pub use scoring::{AffineGap, GapModel, LinearGap, MatrixSubst, Scoring, SimpleSubst, SubstScore};
 
 /// Convenience re-exports.

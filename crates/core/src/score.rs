@@ -19,6 +19,11 @@ pub type Score = i32;
 /// this leaves orders of magnitude of headroom.
 pub const NEG_INF: Score = i32::MIN / 4;
 
+/// [`NEG_INF`]'s contract as a number: `(n + m) · max|penalty|` must
+/// stay below this, `i32::MAX / 2 − |NEG_INF|` = 2²⁹ − 1. In `i64`, so
+/// the product a caller checks against it cannot wrap either.
+pub const SCORE_ENVELOPE: i64 = i32::MAX as i64 / 2 + NEG_INF as i64;
+
 /// Returns the larger of two scores (branchless-friendly helper).
 #[inline(always)]
 pub fn max2(a: Score, b: Score) -> Score {
@@ -47,6 +52,7 @@ mod tests {
         // A 128 Mbp-scale chain of penalty-4 extensions must not wrap.
         let drifted = NEG_INF as i64 - (1i64 << 27) * 4;
         assert!(drifted > i32::MIN as i64);
+        assert_eq!(SCORE_ENVELOPE, (1 << 29) - 1);
     }
 
     #[test]

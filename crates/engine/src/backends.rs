@@ -13,7 +13,6 @@
 
 use crate::engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask, ALL_KINDS, SIMD_KINDS};
 use crate::spec::{GapSpec, SchemeSpec};
-use crate::util::parallel_map;
 use crate::with_scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
@@ -24,16 +23,12 @@ use anyseq_simd::{align_batch_simd, score_batch_simd_xdrop, BandCfg, LaneTiles, 
 use anyseq_wavefront::{borders::BorderStore, finalize_score, ParallelCfg, TileGrid, TiledPass};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Pairs handed to one pool chunk when an adapter parallelizes
-/// internally.
-const MAP_CHUNK: usize = 64;
-
 // ---------------------------------------------------------------- scalar
 
 /// The reference backend: per-pair scalar kernels from `anyseq-core`,
-/// optionally sharded across threads at alignment granularity.
-/// Supports everything; never refuses — the dispatch layer's fallback
-/// of last resort.
+/// mapped over a unit's pairs in order on the calling thread — the
+/// scheduler's pool is its parallelism. Supports everything; never
+/// refuses — the dispatch layer's fallback of last resort.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarEngine;
 
@@ -43,7 +38,7 @@ impl Engine for ScalarEngine {
             name: "scalar",
             score_kinds: ALL_KINDS,
             align_kinds: ALL_KINDS,
-            batch_native: false,
+            batch_native: true,
             max_unit_cells: None,
         }
     }
@@ -52,11 +47,11 @@ impl Engine for ScalarEngine {
         &self,
         spec: &SchemeSpec,
         pairs: &[PairRef<'_>],
-        threads: usize,
+        _threads: usize,
     ) -> Result<Vec<Score>, EngineError> {
         Ok(with_scheme!(spec, |scheme, _K| {
             anyseq_obs::span(Stage::Kernel, || {
-                parallel_map(pairs, threads, MAP_CHUNK, |p| scheme.score_codes(p.q, p.s))
+                pairs.iter().map(|p| scheme.score_codes(p.q, p.s)).collect()
             })
         }))
     }
@@ -65,11 +60,11 @@ impl Engine for ScalarEngine {
         &self,
         spec: &SchemeSpec,
         pairs: &[PairRef<'_>],
-        threads: usize,
+        _threads: usize,
     ) -> Result<Vec<Alignment>, EngineError> {
         Ok(with_scheme!(spec, |scheme, _K| {
             anyseq_obs::span(Stage::Traceback, || {
-                parallel_map(pairs, threads, MAP_CHUNK, |p| scheme.align_codes(p.q, p.s))
+                pairs.iter().map(|p| scheme.align_codes(p.q, p.s)).collect()
             })
         }))
     }
@@ -624,6 +619,18 @@ mod tests {
         // Lanes report scores, not cell positions: a kind whose optimum
         // needs one runs every tile on the scalar kernel.
         assert_eq!(tiles(&global.with_kind(KindSpec::Local)), (0, 144));
+
+        // A mid-size alignment: with no row-sweep leaf, the first
+        // split's 1,024-row half-passes pair equal-shape tiles on lanes.
+        let q = sim.generate(2_048);
+        let pairs = [(q.clone(), sim.mutate(&q, 0.05))];
+        let engine = WavefrontEngine::default();
+        let aln = engine.align_batch(&global, BatchView::from_pairs(&pairs).refs(), 1);
+        let scalar = global.align_scalar(&pairs[0].0, &pairs[0].1);
+        assert_eq!(aln.unwrap(), vec![scalar], "exact score, same ops");
+        let counters = engine.drain_counters();
+        let lane_tiles = counters.iter().find(|c| c.0 == "wavefront.lane_tiles");
+        assert!(lane_tiles.is_some_and(|c| c.1 > 0), "{counters:?}");
     }
 
     #[test]
@@ -668,6 +675,7 @@ mod tests {
         assert!(!SimdEngine::default()
             .caps()
             .supports_align(&SchemeSpec::global_linear(2, -1, -1).with_kind(KindSpec::FreeEnd)));
+        assert!(ScalarEngine.caps().batch_native);
         assert!(SimdEngine::default().caps().batch_native);
         assert!(!WavefrontEngine::default().caps().batch_native);
     }

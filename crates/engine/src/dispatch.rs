@@ -339,11 +339,7 @@ impl Dispatch {
     /// Whether `id` must run exclusively (gets the whole thread budget
     /// and is not sharded into the worker pool).
     pub fn is_exclusive(&self, id: BackendId) -> bool {
-        id != BackendId::Scalar
-            && self
-                .engine(id)
-                .map(|e| !e.caps().batch_native)
-                .unwrap_or(false)
+        self.engine(id).is_some_and(|e| !e.caps().batch_native)
     }
 
     /// The ordered candidate chain for one bin: the policy's pick

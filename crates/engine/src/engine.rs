@@ -37,10 +37,10 @@ pub struct Caps {
     pub score_kinds: &'static [KindSpec],
     /// Alignment kinds `align_batch` accepts (empty ⇒ score-only).
     pub align_kinds: &'static [KindSpec],
-    /// Whether one call amortizes setup across many pairs (true for
-    /// lane-packed SIMD). Batch-native
-    /// engines are sharded across the pool; the rest run exclusively
-    /// with the full thread budget.
+    /// Whether a call runs on the calling thread (lane-packed SIMD,
+    /// the scalar reference): such engines are sharded across the
+    /// scheduler's pool. The rest parallelize inside one pair and run
+    /// exclusively with the full thread budget.
     pub batch_native: bool,
     /// Hard upper bound on DP cells per executed unit (`None` ⇒
     /// unbounded). A *refusal* bound: a backend configured with it

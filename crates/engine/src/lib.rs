@@ -87,9 +87,10 @@
 //! traceback design) lives in `docs/ARCHITECTURE.md`.
 
 #![deny(missing_docs)]
-// `unsafe` is confined to the indexed output buffer behind
-// `util::parallel_map`; everything else is checked by the compiler.
-#![deny(unsafe_code)]
+// No `unsafe`: the scheduler's pool hands results back through
+// checked slots, and every backend maps its pairs on one thread or
+// delegates to a crate that owns its threads.
+#![forbid(unsafe_code)]
 
 pub mod backends;
 pub mod cache;
@@ -100,8 +101,6 @@ pub mod report;
 pub mod scheduler;
 pub mod spec;
 pub mod stats;
-#[allow(unsafe_code)]
-pub mod util;
 
 pub use backends::{ScalarEngine, SimdEngine, WavefrontEngine, SIMD_LANES};
 pub use cache::{CacheKey, ReqKind, ResultCache, ShardStats};

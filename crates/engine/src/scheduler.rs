@@ -426,6 +426,12 @@ impl BatchScheduler {
         view: &BatchView<'_>,
     ) -> Result<BatchRun<T>, EngineError> {
         let started = Instant::now();
+        let extent = view.iter().map(|p| p.q.len() + p.s.len()).max();
+        let refused = |reason| EngineError::Unsupported {
+            backend: "scheduler",
+            reason,
+        };
+        spec.check(extent.unwrap_or(0)).map_err(refused)?;
         let align = T::KIND == ReqKind::Align;
         let cell_factor = if align {
             stats::TRACEBACK_CELL_FACTOR
@@ -1484,6 +1490,44 @@ mod tests {
         );
         let run = scheduler(2).try_score_batch(&ok, &spec, &view).unwrap();
         assert_eq!(run.results[0], spec.score_scalar(&a, &b));
+    }
+
+    /// `NEG_INF`'s envelope is enforced where a batch enters: a
+    /// 10 bp pair (n + m = 20) scores exactly at the largest per-step
+    /// score under the bound, one more is refused, not wrapped, and so
+    /// is a positive gap score.
+    #[test]
+    fn the_score_envelope_is_checked_at_the_batch_entry() {
+        let q = Seq::from_ascii(b"ACGTACGTAC").unwrap();
+        let pairs = vec![(q.clone(), q)];
+        let view = BatchView::from_pairs(&pairs);
+        let dispatch = Dispatch::standard(Policy::Auto);
+        let score = |spec| {
+            scheduler(2)
+                .try_score_batch(&dispatch, &spec, &view)
+                .map(|r| r.results[0])
+        };
+        let align = |spec| {
+            scheduler(2)
+                .try_align_batch(&dispatch, &spec, &view)
+                .map(|r| r.results[0].score)
+        };
+        let spec = |step, open| SchemeSpec::global_affine(step, -1, open, -1);
+        let step = ((anyseq_core::SCORE_ENVELOPE - 1) / 20) as i32;
+        assert_eq!(score(spec(step, -2)).unwrap(), 10 * step);
+        assert_eq!(align(spec(step, -2)).unwrap(), 10 * step);
+        for (bad, says) in [
+            (spec(step + 1, -2), "out of range"),
+            (spec(2, 1), "non-positive"),
+        ] {
+            for err in [score(bad).unwrap_err(), align(bad).unwrap_err()] {
+                let err = err.to_string();
+                assert!(
+                    err.contains("backend scheduler") && err.contains(says),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the monomorphized kernels — the runtime↔compile-time bridge every
 //! backend adapter uses.
 
-use anyseq_core::score::Score;
+use anyseq_core::score::{Score, SCORE_ENVELOPE};
 use anyseq_core::Alignment;
 use anyseq_seq::Seq;
 
@@ -118,6 +118,28 @@ impl SchemeSpec {
                 non_positive("open", open).and(non_positive("extend", extend))
             }
         }
+    }
+
+    /// [`validate`](Self::validate), then the score envelope of
+    /// [`NEG_INF`](anyseq_core::NEG_INF) for pairs whose `n + m` is at
+    /// most `extent`: `extent · max|step|` must stay below
+    /// [`SCORE_ENVELOPE`], or a score can wrap `i32` — silently in a
+    /// release build. Batch entries check it once, for their longest
+    /// pair.
+    pub fn check(&self, extent: usize) -> Result<(), String> {
+        self.validate().map_err(|e| e.to_string())?;
+        let gap = match self.gap {
+            GapSpec::Linear { gap } => i64::from(gap),
+            GapSpec::Affine { open, extend } => i64::from(open) + i64::from(extend),
+        };
+        let [hit, miss] = [self.match_score, self.mismatch].map(|v| i64::from(v).abs());
+        let step = hit.max(miss).max(gap.abs());
+        if (extent as i64).saturating_mul(step) >= SCORE_ENVELOPE {
+            return Err(format!(
+                "scores out of range: {extent} steps of up to {step} exceed {SCORE_ENVELOPE}"
+            ));
+        }
+        Ok(())
     }
 
     /// Global + linear gaps — the paper's §V default parameterization.

@@ -10,7 +10,7 @@
 //! `anyseq-core` is *content independent* (every cell of the `n × m` matrix
 //! is relaxed regardless of the characters), so seeded synthetic sequences
 //! with realistic length/composition reproduce the paper's performance
-//! behaviour faithfully; see `DESIGN.md` §3.
+//! behaviour faithfully.
 
 pub mod alphabet;
 pub mod fasta;

@@ -41,20 +41,23 @@
 //! queue drains, regardless of thread interleaving.
 
 use crate::clock::Clock;
-use crate::proto::{CodePair, Results};
+use crate::proto::{CodePair, ErrCode, Results};
 use anyseq_engine::{ReqKind, SchemeSpec};
 use anyseq_obs::{MetricsRegistry, RequestRecord};
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// What the dispatcher sends back per request: the results slice — or
-/// the engine's refusal text when the whole batch was refused, which
-/// the session answers as an `Unsupported` error frame — plus the
-/// request's observability record (None when request tracing is
-/// disabled), carrying the dispatch stamps and kernel share for the
-/// writer to finalize.
-pub type RequestReply = (Result<Results, String>, Option<Box<RequestRecord>>);
+/// What the dispatcher sends back per request: the results slice — or,
+/// when the whole batch failed, the error code and text the session
+/// answers as an error frame (`Unsupported` for an engine refusal,
+/// `Internal` for a panic) — plus the request's observability record
+/// (None when request tracing is disabled), carrying the dispatch
+/// stamps and kernel share for the writer to finalize.
+pub type RequestReply = (
+    Result<Results, (ErrCode, String)>,
+    Option<Box<RequestRecord>>,
+);
 
 /// Gauge name for queued sequence bytes awaiting a batch.
 pub const QUEUE_BYTES_GAUGE: &str = "anyseq_serve_queue_bytes";

@@ -18,7 +18,7 @@
 
 use crate::batcher::{Batch, MicroBatcher, WindowCfg};
 use crate::clock::Clock;
-use crate::proto::{Results, MAX_FRAME_BYTES};
+use crate::proto::{ErrCode, Results, MAX_FRAME_BYTES};
 use crate::session::run_session;
 use anyseq_engine::{
     cell_share_ns, BatchCfg, BatchScheduler, Dispatch, DispatchPolicy, EngineError, ReqKind,
@@ -29,6 +29,7 @@ use anyseq_obs::{
 };
 use anyseq_seq::{BatchView, PairRef};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -409,11 +410,20 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
         let pair_count = batch.pair_count() as u64;
         let t_start = shared.clock.now_ns();
         // A refused batch (e.g. a pair over a backend's unit bound)
-        // answers its own requests with the refusal; the loop and
-        // every other window carry on.
-        let (results, kernel_ns, spans) = match run_batch(shared, &batch) {
-            Ok((results, kernel_ns, spans)) => (Ok(results), kernel_ns, spans),
-            Err(refusal) => (Err(refusal.to_string()), 0, Vec::new()),
+        // answers its own requests with the refusal, a panicking one
+        // with an internal error; the loop and every other window
+        // carry on.
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_batch(shared, &batch)));
+        let failed = |code, message| (Err((code, message)), 0, Vec::new());
+        let (results, kernel_ns, spans) = match outcome {
+            Ok(Ok((results, kernel_ns, spans))) => (Ok(results), kernel_ns, spans),
+            Ok(Err(refusal)) => failed(ErrCode::Unsupported, refusal.to_string()),
+            Err(panic) => {
+                let what = (panic.downcast_ref::<&str>().copied())
+                    .or(panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                failed(ErrCode::Internal, format!("the batch panicked: {what}"))
+            }
         };
         let t_end = shared.clock.now_ns();
         let batch_seq = shared.reqobs.as_ref().map_or(0, |obs| {
@@ -480,7 +490,7 @@ fn run_batch(
 
 fn distribute(
     batch: Batch,
-    results: Result<Results, String>,
+    results: Result<Results, (ErrCode, String)>,
     t_start: u64,
     t_end: u64,
     kernel_ns: u64,
@@ -624,8 +634,10 @@ mod tests {
     use super::*;
     use crate::client::{ServeClient, ServerReply};
     use crate::clock::SystemClock;
-    use crate::proto::ErrCode;
-    use anyseq_engine::{BackendId, Policy, SchemeSpec, WavefrontEngine};
+    use anyseq_core::{Alignment, Score};
+    use anyseq_engine::{
+        BackendId, Caps, Engine, Policy, ScalarEngine, SchemeSpec, WavefrontEngine,
+    };
 
     /// A pair over the wavefront's unit bound used to panic the only
     /// dispatcher thread and hang every client; now the window's
@@ -654,6 +666,75 @@ mod tests {
         // Same connection, next window: a pair under the bound scores.
         let ok = client.roundtrip(ReqKind::Score, spec, square(50)).unwrap();
         assert_eq!(ok, Ok(Results::Scores(vec![-50])));
+        server.shutdown();
+    }
+
+    /// The scalar reference, except that it panics on a pair whose
+    /// query starts with the marker code.
+    struct PanicsOnMark;
+
+    const MARK: u8 = 3;
+
+    impl Engine for PanicsOnMark {
+        fn caps(&self) -> Caps {
+            Caps {
+                name: "panics-on-mark",
+                ..ScalarEngine.caps()
+            }
+        }
+
+        fn score_batch(
+            &self,
+            spec: &SchemeSpec,
+            pairs: &[PairRef<'_>],
+            threads: usize,
+        ) -> Result<Vec<Score>, EngineError> {
+            assert!(
+                !pairs.iter().any(|p| p.q.first() == Some(&MARK)),
+                "marked pair"
+            );
+            ScalarEngine.score_batch(spec, pairs, threads)
+        }
+
+        fn align_batch(
+            &self,
+            spec: &SchemeSpec,
+            pairs: &[PairRef<'_>],
+            threads: usize,
+        ) -> Result<Vec<Alignment>, EngineError> {
+            ScalarEngine.align_batch(spec, pairs, threads)
+        }
+    }
+
+    /// An engine panic used to unwind the dispatcher thread, after
+    /// which nothing was answered. Now the panicking window's request
+    /// gets a typed `Internal` error under its own id, and the daemon
+    /// keeps serving the same connection, a new one and `STATS`.
+    #[test]
+    fn a_panicking_batch_answers_internal_and_the_daemon_lives() {
+        let dispatch = Dispatch::standard(Policy::Fixed(BackendId::Scalar))
+            .with_engine(BackendId::Scalar, Box::new(PanicsOnMark));
+        let sock = std::env::temp_dir().join(format!("anyseq-panic-{}.sock", std::process::id()));
+        let clock = Arc::new(SystemClock::new());
+        let server = Server::start_with(&sock, ServeConfig::default(), clock, dispatch).unwrap();
+        let spec = SchemeSpec::global_linear(2, -1, -1);
+        let pair = |first: u8| vec![(vec![first, 1, 2], vec![first, 1, 2])];
+
+        let mut client = ServeClient::connect(&sock).unwrap();
+        let id = client.submit(ReqKind::Score, spec, pair(MARK)).unwrap();
+        match client.recv().unwrap() {
+            ServerReply::Error(frame) => {
+                assert_eq!((frame.id, frame.code), (id, ErrCode::Internal));
+                assert!(frame.message.contains("panicked"), "{frame:?}");
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        let ok = Ok(Results::Scores(vec![6]));
+        assert_eq!(client.roundtrip(ReqKind::Score, spec, pair(0)).unwrap(), ok);
+        let mut fresh = ServeClient::connect(&sock).unwrap();
+        assert_eq!(fresh.roundtrip(ReqKind::Score, spec, pair(0)).unwrap(), ok);
+        let stats = fresh.stats().unwrap();
+        assert!(stats.contains(SERVE_BATCHES_TOTAL), "{stats}");
         server.shutdown();
     }
 }

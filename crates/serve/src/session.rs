@@ -161,16 +161,19 @@ fn reader_loop(stream: UnixStream, shared: &Arc<Shared>, reply_tx: &Sender<Reply
 /// over with the admission, or dropped with the refusal.
 fn admit(shared: &Arc<Shared>, req: Request, recv_ns: u64, sender_done: bool) -> Reply {
     shared.metrics.inc(SERVE_REQUESTS_TOTAL, String::new(), 1);
-    if let Err(invalid) = req.spec.validate() {
-        // Lowering this spec would trip the scoring constructors'
-        // asserts on the one dispatcher thread.
+    // Checked per request, before coalescing: a spec the engine would
+    // refuse (a positive gap score, scores that could wrap `i32` on
+    // these pairs) is answered by its own id and never refuses its
+    // window-mates.
+    let extent = req.pairs.iter().map(|(q, s)| q.len() + s.len()).max();
+    if let Err(message) = req.spec.check(extent.unwrap_or(0)) {
         if sender_done {
             shared.batcher.end_inbound();
         }
         return Reply::Ready(encode_error(&ErrorFrame {
             id: req.id,
             code: ErrCode::Unsupported,
-            message: invalid.to_string(),
+            message,
         }));
     }
     // The record is born at frame decode: identity, sizes, and the
@@ -227,11 +230,7 @@ fn writer_loop(mut stream: UnixStream, rx: Receiver<Reply>, shared: &Arc<Shared>
                     }
                     let frame = match results {
                         Ok(results) => encode_response(&Response { id, results }),
-                        Err(message) => encode_error(&ErrorFrame {
-                            id,
-                            code: ErrCode::Unsupported,
-                            message,
-                        }),
+                        Err((code, message)) => encode_error(&ErrorFrame { id, code, message }),
                     };
                     (frame, rec)
                 }

@@ -182,13 +182,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn cfg(threads: usize, tile: usize) -> ParallelCfg {
-        ParallelCfg {
-            threads,
-            tile,
-            min_parallel_area: 0,
-            static_schedule: false,
-            shard_cells: 0,
-        }
+        ParallelCfg::threads(threads).with_tile(tile)
     }
 
     /// One slab chain over `plan` on kernel `Kn`, every seam shipped

@@ -12,7 +12,6 @@ use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
 use anyseq_seq::Seq;
-use parking_lot::Mutex;
 
 impl<G: GapModel, S: SubstScore, Kn: TileKernel<S>> HalfPass<G, S> for TiledPass<Kn> {
     fn pass<K: AlignKind>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
@@ -79,57 +78,15 @@ impl<K: AlignKind, G: GapModel, S: SubstScore> ParallelExt for Scheme<K, G, S> {
     }
 }
 
-/// Scores many independent pairs with inter-alignment parallelism — the
-/// paper's short-read use case (ii): each worker pulls whole chunks of
-/// alignments from a shared iterator (the multi-alignment scheduling of
-/// Fig. 3 at alignment granularity).
-pub fn score_batch_parallel<K, G, S>(
-    scheme: &Scheme<K, G, S>,
-    pairs: &[(Seq, Seq)],
-    threads: usize,
-) -> Vec<Score>
-where
-    K: AlignKind,
-    G: GapModel,
-    S: SubstScore,
-{
-    const CHUNK: usize = 64;
-    let threads = threads.max(1).min(pairs.len().max(1));
-    let mut scores = vec![0 as Score; pairs.len()];
-    // Each chunk of pairs travels with the disjoint slice of the output
-    // it fills; the lock is held only to hand one out.
-    let work = Mutex::new(pairs.chunks(CHUNK).zip(scores.chunks_mut(CHUNK)));
-    std::thread::scope(|sc| {
-        for _ in 0..threads {
-            sc.spawn(|| loop {
-                let Some((pairs, out)) = work.lock().next() else {
-                    break;
-                };
-                for ((q, s), score) in pairs.iter().zip(out) {
-                    *score = scheme.score(q, s);
-                }
-            });
-        }
-    });
-    scores
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use anyseq_core::kind::{Global, Local};
     use anyseq_core::prelude::{affine, global, linear, local, simple};
     use anyseq_seq::genome::GenomeSim;
-    use anyseq_seq::readsim::{ReadSim, ReadSimProfile};
 
     fn small_cfg() -> ParallelCfg {
-        ParallelCfg {
-            threads: 6,
-            tile: 96,
-            min_parallel_area: 0,
-            static_schedule: false,
-            shard_cells: 0,
-        }
+        ParallelCfg::threads(6).with_tile(96)
     }
 
     #[test]
@@ -160,31 +117,5 @@ mod tests {
         assert_eq!(par.score, scalar.score);
         par.validate::<Local, _, _>(&q, &s, scheme.gap(), scheme.subst())
             .unwrap();
-    }
-
-    #[test]
-    fn batch_scores_match_sequential() {
-        let mut sim = GenomeSim::new(5);
-        let reference = sim.generate(50_000);
-        let mut rs = ReadSim::new(ReadSimProfile::default(), 17);
-        let pairs: Vec<(Seq, Seq)> = rs
-            .simulate_pairs(&reference, 200)
-            .into_iter()
-            .map(|p| (p.a, p.b))
-            .collect();
-        let scheme = global(linear(simple(2, -1), -1));
-        let batch = score_batch_parallel(&scheme, &pairs, 8);
-        for (k, (q, s)) in pairs.iter().enumerate() {
-            assert_eq!(batch[k], scheme.score(q, s), "pair {k}");
-        }
-    }
-
-    #[test]
-    fn batch_empty_and_single() {
-        let scheme = global(linear(simple(2, -1), -1));
-        assert!(score_batch_parallel(&scheme, &[], 4).is_empty());
-        let q = Seq::from_ascii(b"ACGT").unwrap();
-        let out = score_batch_parallel(&scheme, &[(q.clone(), q)], 4);
-        assert_eq!(out, vec![8]);
     }
 }

@@ -3,7 +3,7 @@
 //! Multithreaded CPU parallelization of the anyseq alignment core,
 //! reproducing the paper's §IV-A: DP submatrices (tiles) are relaxed in
 //! wavefront order, scheduled **dynamically** through a thread-safe
-//! lock-free queue with per-tile atomic dependency counters. The
+//! queue with per-tile atomic dependency counters. The
 //! preliminary static barrier-per-diagonal schedule is retained for the
 //! Fig. 6 scalability comparison.
 //!
@@ -40,7 +40,7 @@ pub mod pass;
 pub mod scheduler;
 pub mod shard;
 
-pub use aligner::{score_batch_parallel, ParallelExt};
+pub use aligner::ParallelExt;
 pub use grid::{TileGrid, TileId};
 pub use pass::{
     finalize_score, tiled_score_pass, ParallelCfg, ScalarTiles, Tile, TileKernel, TiledPass,

@@ -26,9 +26,6 @@ pub struct ParallelCfg {
     pub threads: usize,
     /// Square tile edge length.
     pub tile: usize,
-    /// Matrices smaller than this many cells take the plain row sweep
-    /// (tiling overhead would dominate) — Hirschberg's leaf.
-    pub min_parallel_area: usize,
     /// Use the static barrier-per-diagonal schedule instead of the
     /// dynamic queue (Fig. 6 comparison; dynamic is the default).
     pub static_schedule: bool,
@@ -45,7 +42,6 @@ impl ParallelCfg {
         ParallelCfg {
             threads: threads.max(1),
             tile: 512,
-            min_parallel_area: 1 << 22,
             static_schedule: false,
             shard_cells: 0,
         }
@@ -261,7 +257,10 @@ impl<Kn> TiledPass<Kn> {
         } else {
             run_dynamic
         };
-        let workers = run(&grid, cfg.threads.max(1), Kn::GROUP, make_worker, compute);
+        // No anti-diagonal holds more than `min(nt, mt)` tiles, so more
+        // workers would only spin; a one-tile slab runs inline.
+        let threads = cfg.threads.clamp(1, grid.nt.min(grid.mt));
+        let workers = run(&grid, threads, Kn::GROUP, make_worker, compute);
 
         let lane_tiles: u64 = workers.iter().map(|w| w.lane_tiles).sum();
         self.lane_tiles.fetch_add(lane_tiles, Ordering::Relaxed);
@@ -286,8 +285,7 @@ impl<Kn> TiledPass<Kn> {
     /// A pair over `cfg.shard_cells` is cut by [`plan_columns`], so
     /// peak border + grid memory is one slab's — every Hirschberg
     /// half-pass routes through here, so alignment shards too; any
-    /// other pair is one slab, or, under `cfg.min_parallel_area`, the
-    /// plain row sweep.
+    /// other pair, however small, is one slab.
     pub fn score_pass<K: AlignKind, G: GapModel, S: SubstScore>(
         &self,
         gap: &G,
@@ -301,7 +299,9 @@ impl<Kn> TiledPass<Kn> {
     {
         let (n, m, cfg) = (q.len(), s.len(), &self.cfg);
         let sharded = cfg.shard_cells > 0 && m > 1 && (n as u64) * (m as u64) > cfg.shard_cells;
-        if n == 0 || m == 0 || (!sharded && n * m < cfg.min_parallel_area) {
+        if n == 0 || m == 0 {
+            // An empty rectangle has no tiles: its init stripes are
+            // the result.
             return score_pass::<K, G, S>(gap, subst, q, s, tb);
         }
         let plan = if sharded {
@@ -344,13 +344,7 @@ mod tests {
     use anyseq_seq::genome::GenomeSim;
 
     fn test_cfg(threads: usize, tile: usize) -> ParallelCfg {
-        ParallelCfg {
-            threads,
-            tile,
-            min_parallel_area: 0,
-            static_schedule: false,
-            shard_cells: 0,
-        }
+        ParallelCfg::threads(threads).with_tile(tile)
     }
 
     #[test]
@@ -393,11 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn small_inputs_fall_back_to_scalar() {
+    fn tiny_pair_scores_exactly_through_the_tiled_pass() {
         let gap = LinearGap { gap: -1 };
         let subst = simple(2, -1);
         let q = [0u8, 1, 2, 3];
-        let cfg = ParallelCfg::threads(8); // min_parallel_area big
+        let cfg = ParallelCfg::threads(8); // one tile, run inline
         let out = tiled_score_pass::<Global, _, _>(&gap, &subst, &q, &q, gap.open(), &cfg);
         assert_eq!(out.score, 8);
     }

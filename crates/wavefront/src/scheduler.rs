@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 /// Runs `compute` over every tile respecting wavefront dependencies,
-/// scheduling ready tiles through a shared lock-free queue
+/// scheduling ready tiles through a shared thread-safe queue
 /// (paper: "submatrices are scheduled in a thread-safe queue which allows
 /// threads to add and extract work items concurrently").
 ///

@@ -4,7 +4,7 @@
 //! Facade crate re-exporting the whole workspace: a Rust reproduction of
 //! *AnySeq: A High Performance Sequence Alignment Library based on
 //! Partial Evaluation* (Müller et al., IPDPS 2020). See `README.md` for a
-//! tour and `DESIGN.md` for the system inventory.
+//! tour and `docs/ARCHITECTURE.md` for the system inventory.
 //!
 //! ```
 //! use anyseq::prelude::*;
@@ -31,5 +31,5 @@ pub mod prelude {
     pub use anyseq_core::prelude::*;
     pub use anyseq_engine::prelude::*;
     pub use anyseq_seq::prelude::*;
-    pub use anyseq_wavefront::{score_batch_parallel, ParallelCfg, ParallelExt};
+    pub use anyseq_wavefront::{ParallelCfg, ParallelExt};
 }

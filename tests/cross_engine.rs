@@ -31,13 +31,7 @@ fn every_backend_agrees_on_global_scores() {
             let scheme = global(affine(simple(2, -1), open, ext));
             let expected = scheme.score(&q, &s);
 
-            let cfg = ParallelCfg {
-                threads: 6,
-                tile: 128,
-                min_parallel_area: 0,
-                static_schedule: false,
-                shard_cells: 0,
-            };
+            let cfg = ParallelCfg::threads(6).with_tile(128);
             assert_eq!(
                 tiled_score_pass::<Global, _, _>(
                     scheme.gap(),
@@ -135,7 +129,7 @@ fn read_batches_agree_across_engines() {
     let scheme = global(linear(simple(2, -1), -1));
 
     let view = BatchView::from_pairs(&pairs);
-    let scalar = score_batch_parallel(&scheme, &pairs, 8);
+    let scalar: Vec<Score> = pairs.iter().map(|(q, s)| scheme.score(q, s)).collect();
     let simd16 = score_batch_simd::<_, _, _, 16>(&scheme, view.refs(), 8);
     let simd32 = score_batch_simd::<_, _, _, 32>(&scheme, view.refs(), 8);
     assert_eq!(scalar, simd16);

@@ -31,7 +31,7 @@ proptest! {
         let scheme = global(affine(simple(2, -1), open, ext));
         let expected = scheme.score(&qs, &ss);
 
-        let cfg = ParallelCfg { threads, tile, min_parallel_area: 0, static_schedule: false, shard_cells: 0 };
+        let cfg = ParallelCfg::threads(threads).with_tile(tile);
         prop_assert_eq!(
             tiled_score_pass::<Global, _, _>(
                 scheme.gap(), scheme.subst(), qs.codes(), ss.codes(), open, &cfg).score,
@@ -59,7 +59,7 @@ proptest! {
         let ss = Seq::from_codes(s).unwrap();
         let scheme = global(affine(simple(2, -1), open, ext));
         let expected = scheme.score(&qs, &ss);
-        let cfg = ParallelCfg { threads: 3, tile: 32, min_parallel_area: 0, static_schedule: false, shard_cells: 0 };
+        let cfg = ParallelCfg::threads(3).with_tile(32);
         let aln = scheme.align_parallel(&qs, &ss, &cfg);
         prop_assert_eq!(aln.score, expected);
         if let Err(e) = aln.validate::<Global, _, _>(&qs, &ss, scheme.gap(), scheme.subst()) {
@@ -86,7 +86,7 @@ proptest! {
             .collect();
         let scheme = global(linear(simple(2, -1), -1));
         let view = anyseq_seq::BatchView::from_pairs(&pairs);
-        let scalar = score_batch_parallel(&scheme, &pairs, 4);
+        let scalar: Vec<Score> = pairs.iter().map(|(q, s)| scheme.score(q, s)).collect();
         let simd = anyseq::simd::score_batch_simd::<_, _, _, 8>(&scheme, view.refs(), 4);
         prop_assert_eq!(scalar, simd);
     }

@@ -92,7 +92,8 @@ fn probe(client: &mut ServeClient) {
 /// the only dispatcher thread (`scoring::linear`'s assert) and hang
 /// every later request on every connection. Now the session refuses it
 /// under the request's id, and both an old and a new connection are
-/// still served.
+/// still served. A match score whose `(n + m)`-step reach wraps `i32`
+/// is refused the same way instead of answering a wrong score.
 #[test]
 fn an_invalid_scheme_is_refused_by_id_and_the_daemon_lives() {
     let server = Server::start(
@@ -107,6 +108,10 @@ fn an_invalid_scheme_is_refused_by_id_and_the_daemon_lives() {
         (SchemeSpec::global_linear(2, -1, 1), "gap"),
         (SchemeSpec::global_affine(2, -1, 3, -1), "open"),
         (SchemeSpec::global_affine(2, -1, -2, 1), "extend"),
+        (
+            SchemeSpec::global_linear(i32::MAX, -1, -1),
+            "scores out of range",
+        ),
     ] {
         let id = client
             .submit(ReqKind::Score, bad, bulk_pairs(2, 8))
