@@ -61,7 +61,7 @@ pub struct RequestRecord {
     /// Clock reading at which the window became flushable (deadline
     /// hit, pair target or byte budget crossed, or daemon shutdown).
     pub ready_ns: u64,
-    /// Clock reading when the dispatcher took the batch.
+    /// Clock reading when a session thread took the window to run it.
     pub taken_ns: u64,
     /// Clock reading just before the engine ran the batch.
     pub dispatch_start_ns: u64,
@@ -87,7 +87,8 @@ impl RequestRecord {
         self.ready_ns.saturating_sub(self.admit_ns)
     }
 
-    /// Time flushable but waiting for the dispatcher:
+    /// Time flushable but not yet running — waiting for a thread with
+    /// a stake in the window to be free to take it:
     /// `dispatch_start - ready`.
     pub fn queue_wait_ns(&self) -> u64 {
         self.dispatch_start_ns.saturating_sub(self.ready_ns)
@@ -181,7 +182,7 @@ pub struct BatchRecord {
     pub seq: u64,
     /// Batch verb: `"score"` or `"align"`.
     pub verb: &'static str,
-    /// Clock reading when the dispatcher started the batch.
+    /// Clock reading when the batch's engine run started.
     pub start_ns: u64,
     /// Pairs in the batch.
     pub pairs: u64,

@@ -21,11 +21,13 @@
 //!    so a stalled or hostile half-sent frame costs the other clients
 //!    at most `max_delay_ns`.
 //!
-//! A trigger marks the group ready; the dispatcher takes the *whole*
-//! group when it next asks, so while it is busy computing a previous
-//! batch the group keeps absorbing arrivals (which is where coalescing
-//! pays — the triggers are floors, not caps; the engine's scheduler
-//! re-chunks internally).
+//! A trigger only marks the group ready. It runs when a session thread
+//! with a request in it names it to [`MicroBatcher::take`] (see the
+//! `server` module docs for who asks when), and that thread takes the
+//! *whole* group, so a ready group keeps absorbing arrivals until
+//! someone is free to run it (the triggers are floors, not caps; the
+//! engine's scheduler re-chunks internally). A window has exactly one
+//! taker: everyone else waiting on it goes back to their reply channel.
 //!
 //! **Backpressure**: [`MicroBatcher::submit`] admits a request only if
 //! the total queued sequence bytes stay within `queue_budget_bytes`;
@@ -44,11 +46,10 @@ use crate::clock::Clock;
 use crate::proto::{CodePair, ErrCode, Results};
 use anyseq_engine::{ReqKind, SchemeSpec};
 use anyseq_obs::{MetricsRegistry, RequestRecord};
-use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// What the dispatcher sends back per request: the results slice — or,
+/// What a window's runner sends back per request: the results slice — or,
 /// when the whole batch failed, the error code and text the session
 /// answers as an error frame (`Unsupported` for an engine refusal,
 /// `Internal` for a panic) — plus the request's observability record
@@ -95,13 +96,23 @@ impl Default for WindowCfg {
 pub struct PendingRequest {
     /// The request's code pairs.
     pub pairs: Vec<CodePair>,
-    /// Where the dispatcher sends this request's results. A send to a
-    /// disconnected receiver (client went away) is ignored.
+    /// Where the window's runner sends this request's results. A send
+    /// to a disconnected receiver (client went away) is ignored.
     pub tx: Sender<RequestReply>,
     /// The request's lifecycle record, boxed to keep the queue entry
     /// small; `None` when request tracing is disabled. The batcher
     /// stamps `ready_ns`/`taken_ns` when the window flushes.
     pub rec: Option<Box<RequestRecord>>,
+}
+
+/// An admitted request's claim on its window.
+#[derive(Debug)]
+pub struct Ticket {
+    /// Id of the window the request joined — what
+    /// [`MicroBatcher::take`] is asked for.
+    pub window: u64,
+    /// Where the request's results arrive once its window has run.
+    pub rx: Receiver<RequestReply>,
 }
 
 /// A flushed window: one engine batch worth of requests.
@@ -158,6 +169,7 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 struct Group {
+    id: u64,
     spec: SchemeSpec,
     mode: ReqKind,
     requests: Vec<PendingRequest>,
@@ -167,8 +179,8 @@ struct Group {
     /// Clock reading when the pair-count or byte trigger first made
     /// this window flushable (0 = neither has fired yet). Feeds the
     /// per-request `window_wait` / `queue_wait` split: time before
-    /// this stamp is window coalescing, time after is waiting for the
-    /// dispatcher.
+    /// this stamp is window coalescing, time after is waiting for a
+    /// thread to take the window.
     ready_ns: u64,
 }
 
@@ -184,9 +196,10 @@ impl Group {
 }
 
 struct State {
-    /// Open windows in creation order (deadlines are monotone, so the
-    /// front window always has the nearest deadline).
-    groups: VecDeque<Group>,
+    /// Open windows, at most one per `(spec, mode)`.
+    groups: Vec<Group>,
+    /// Id of the most recently opened window.
+    last_window: u64,
     queued_bytes: u64,
     queued_requests: u64,
     peak_queued_bytes: u64,
@@ -226,7 +239,8 @@ impl MicroBatcher {
             clock,
             metrics: None,
             state: Mutex::new(State {
-                groups: VecDeque::new(),
+                groups: Vec::new(),
+                last_window: 0,
                 queued_bytes: 0,
                 queued_requests: 0,
                 peak_queued_bytes: 0,
@@ -242,11 +256,6 @@ impl MicroBatcher {
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> MicroBatcher {
         self.metrics = Some(registry);
         self
-    }
-
-    /// The window configuration.
-    pub fn cfg(&self) -> WindowCfg {
-        self.cfg
     }
 
     /// Marks the calling session inbound: it has seen the first byte
@@ -277,24 +286,25 @@ impl MicroBatcher {
     }
 
     /// Admits a request into its `(spec, mode)` window, or rejects it.
-    /// On success the request's results will eventually arrive on `tx`
-    /// (the dispatcher drains every admitted request, even during
-    /// shutdown). `rec` is the request's lifecycle record (or `None`
-    /// with tracing off); it rides the queue and comes back with the
-    /// results, gaining window stamps along the way. `sender_done`
-    /// releases the session's inbound token — admitted or not — under
-    /// the same lock hold, so the dispatcher never sees the request
-    /// queued with its own sender still counted as mid-send.
+    /// On success the request's results arrive on the ticket's channel
+    /// once its window has been taken and run (closing the batcher
+    /// readies windows, it never drops them). `rec` is the request's
+    /// lifecycle record (or `None` with tracing off); it rides the
+    /// queue and comes back with the results, gaining window stamps
+    /// along the way. `sender_done` releases the session's inbound
+    /// token — admitted or not — under the same lock hold, so no taker
+    /// ever sees the request queued with its own sender still counted
+    /// as mid-send.
     pub fn submit(
         &self,
         spec: SchemeSpec,
         mode: ReqKind,
         pairs: Vec<CodePair>,
-        tx: Sender<RequestReply>,
         rec: Option<Box<RequestRecord>>,
         sender_done: bool,
-    ) -> Result<(), SubmitError> {
+    ) -> Result<Ticket, SubmitError> {
         let bytes: u64 = pairs.iter().map(|(q, s)| (q.len() + s.len()) as u64).sum();
+        let (tx, rx) = channel();
         let now = self.clock.now_ns();
         let mut state = self.state.lock().expect("batcher state poisoned");
         if sender_done {
@@ -315,7 +325,7 @@ impl MicroBatcher {
         state.peak_queued_bytes = state.peak_queued_bytes.max(state.queued_bytes);
         let request = PendingRequest { pairs, tx, rec };
         let n_pairs = request.pairs.len();
-        if let Some(group) = state
+        let window = if let Some(group) = state
             .groups
             .iter_mut()
             .find(|g| g.spec == spec && g.mode == mode)
@@ -324,8 +334,11 @@ impl MicroBatcher {
             group.pairs += n_pairs;
             group.bytes += bytes;
             group.stamp_if_full(&self.cfg, now);
+            group.id
         } else {
+            state.last_window += 1;
             let mut group = Group {
+                id: state.last_window,
                 spec,
                 mode,
                 requests: vec![request],
@@ -335,39 +348,45 @@ impl MicroBatcher {
                 ready_ns: 0,
             };
             group.stamp_if_full(&self.cfg, now);
-            state.groups.push_back(group);
-        }
+            state.groups.push(group);
+            state.last_window
+        };
         drop(state);
         if let Some(reg) = &self.metrics {
             reg.add_gauge(QUEUE_BYTES_GAUGE, String::new(), bytes as f64);
             reg.add_gauge(QUEUE_DEPTH_GAUGE, String::new(), 1.0);
         }
         self.cv.notify_all();
-        Ok(())
+        Ok(Ticket { window, rx })
     }
 
-    /// Blocks until a window is ready and returns it, or `None` once
-    /// the batcher is closed *and* fully drained. Closing marks every
-    /// remaining window ready, so shutdown flushes the queue instead
-    /// of dropping it.
-    pub fn next_batch(&self) -> Option<Batch> {
+    /// Takes window `window` if it is flushable and returns it. `None`
+    /// means it is not flushable yet — or it is gone: another thread
+    /// took it, and the results will arrive on the requests' channels.
+    /// With `wait`, parks until one of the two holds, which the
+    /// window's deadline bounds. Closing the batcher makes every
+    /// window flushable, so shutdown runs the queue instead of
+    /// dropping it.
+    pub fn take(&self, window: u64, wait: bool) -> Option<Batch> {
         let mut state = self.state.lock().expect("batcher state poisoned");
         loop {
             let now = self.clock.now_ns();
+            let idx = state.groups.iter().position(|g| g.id == window)?;
             let (closed, quiet) = (!state.open, state.inbound == 0);
-            let ready = |g: &Group| {
-                closed
-                    || g.pairs >= self.cfg.target_pairs
-                    || g.bytes >= self.cfg.max_batch_bytes
-                    || now >= g.deadline_ns
-                    || quiet
-            };
-            if let Some(idx) = state.groups.iter().position(ready) {
-                let mut group = state.groups.remove(idx).expect("position exists");
+            let g = &state.groups[idx];
+            let ready = closed
+                || g.pairs >= self.cfg.target_pairs
+                || g.bytes >= self.cfg.max_batch_bytes
+                || now >= g.deadline_ns
+                || quiet;
+            if ready {
+                let mut group = state.groups.remove(idx);
                 state.queued_bytes -= group.bytes;
                 state.queued_requests -= group.requests.len() as u64;
                 let quiet_since_ns = state.quiet_since_ns;
                 drop(state);
+                // Its other waiters go back to their channels.
+                self.cv.notify_all();
                 // When the window became flushable: the earliest of
                 // the triggers that hold — the count/byte stamp, the
                 // deadline, the instant the last sender went quiet —
@@ -404,14 +423,10 @@ impl MicroBatcher {
                     requests: group.requests,
                 });
             }
-            if state.groups.is_empty() && !state.open {
+            if !wait {
                 return None;
             }
-            let wait = state
-                .groups
-                .front()
-                .map(|g| g.deadline_ns.saturating_sub(now));
-            let park = self.clock.max_park(wait);
+            let park = self.clock.max_park(g.deadline_ns.saturating_sub(now));
             let (s, _) = self
                 .cv
                 .wait_timeout(state, park)
@@ -420,8 +435,8 @@ impl MicroBatcher {
         }
     }
 
-    /// Stops admitting work and marks every open window ready. The
-    /// dispatcher drains the remaining windows and then sees `None`.
+    /// Stops admitting work and marks every open window ready; the
+    /// threads waiting on them take and run them.
     pub fn close(&self) {
         self.state.lock().expect("batcher state poisoned").open = false;
         self.cv.notify_all();
@@ -456,8 +471,7 @@ impl MicroBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::FakeClock;
-    use std::sync::mpsc::channel;
+    use crate::clock::{FakeClock, SystemClock};
     use std::time::Duration;
 
     fn cfg() -> WindowCfg {
@@ -477,21 +491,26 @@ mod tests {
         (vec![0; n], vec![1; n])
     }
 
-    fn submit_pairs(b: &MicroBatcher, spec: SchemeSpec, mode: ReqKind, pairs: Vec<CodePair>) {
-        // These tests are dispatcher-less: nothing ever sends on `tx`,
-        // so dropping the receiver immediately is harmless.
-        let (tx, _rx) = channel();
-        b.submit(spec, mode, pairs, tx, None, false)
-            .expect("admitted");
+    /// Admits `pairs` and returns the window they joined. Nothing in
+    /// these tests runs a window, so the reply channel is dropped.
+    fn submit_pairs(
+        b: &MicroBatcher,
+        spec: SchemeSpec,
+        mode: ReqKind,
+        pairs: Vec<CodePair>,
+    ) -> u64 {
+        b.submit(spec, mode, pairs, None, false)
+            .expect("admitted")
+            .window
     }
 
-    /// Pulls the next batch from another thread so the test can assert
+    /// Waits for window `w` on another thread so the test can assert
     /// both "nothing flushes yet" and "flushes after advance".
-    fn pull(b: &Arc<MicroBatcher>) -> std::sync::mpsc::Receiver<Option<usize>> {
+    fn pull(b: &Arc<MicroBatcher>, w: u64) -> Receiver<Option<usize>> {
         let (tx, rx) = channel();
         let b = Arc::clone(b);
         std::thread::spawn(move || {
-            let got = b.next_batch().map(|batch| batch.pair_count());
+            let got = b.take(w, true).map(|batch| batch.pair_count());
             let _ = tx.send(got);
         });
         rx
@@ -504,9 +523,9 @@ mod tests {
         // Someone is mid-send and never finishes: only the deadline
         // can flush what the others queued.
         b.begin_inbound();
+        let w = submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
         submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
-        submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
-        let rx = pull(&b);
+        let rx = pull(&b, w);
         // Below target pairs/bytes and before the deadline: no flush,
         // no matter how much real time passes.
         assert!(rx.recv_timeout(Duration::from_millis(40)).is_err());
@@ -525,11 +544,11 @@ mod tests {
         // The sender's own token is released with the admission, so
         // the request is never seen queued behind its own sender.
         b.begin_inbound();
-        let (tx, _rx) = channel();
-        b.submit(spec(), ReqKind::Score, vec![pair(5)], tx, None, true)
+        let ticket = b
+            .submit(spec(), ReqKind::Score, vec![pair(5)], None, true)
             .expect("admitted");
         assert_eq!(b.inbound_sessions(), 0);
-        let batch = b.next_batch().expect("quiescence trigger");
+        let batch = b.take(ticket.window, false).expect("quiescence trigger");
         assert_eq!(batch.pair_count(), 1);
     }
 
@@ -539,8 +558,8 @@ mod tests {
         let b = Arc::new(MicroBatcher::new(cfg(), clock as Arc<dyn Clock>));
         b.begin_inbound();
         b.begin_inbound();
-        submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
-        let rx = pull(&b);
+        let w = submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
+        let rx = pull(&b, w);
         b.end_inbound();
         // One sender left: still waiting, with fake time standing still.
         assert!(rx.recv_timeout(Duration::from_millis(40)).is_err());
@@ -553,8 +572,8 @@ mod tests {
     fn pair_target_flushes_without_time_passing() {
         let clock = Arc::new(FakeClock::new());
         let b = MicroBatcher::new(cfg(), clock as Arc<dyn Clock>);
-        submit_pairs(&b, spec(), ReqKind::Score, vec![pair(2); 4]);
-        let batch = b.next_batch().expect("count trigger");
+        let w = submit_pairs(&b, spec(), ReqKind::Score, vec![pair(2); 4]);
+        let batch = b.take(w, false).expect("count trigger");
         assert_eq!(batch.pair_count(), 4);
         assert_eq!(batch.mode, ReqKind::Score);
     }
@@ -564,9 +583,9 @@ mod tests {
         let clock = Arc::new(FakeClock::new());
         let b = MicroBatcher::new(cfg(), clock as Arc<dyn Clock>);
         // One 600-byte pair is below both triggers; two cross 1000 B.
+        let w = submit_pairs(&b, spec(), ReqKind::Align, vec![pair(300)]);
         submit_pairs(&b, spec(), ReqKind::Align, vec![pair(300)]);
-        submit_pairs(&b, spec(), ReqKind::Align, vec![pair(300)]);
-        let batch = b.next_batch().expect("byte trigger");
+        let batch = b.take(w, false).expect("byte trigger");
         assert_eq!(batch.pair_count(), 2);
     }
 
@@ -575,19 +594,20 @@ mod tests {
         let clock = Arc::new(FakeClock::new());
         let b = MicroBatcher::new(cfg(), clock.clone() as Arc<dyn Clock>);
         let other = SchemeSpec::global_linear(1, -2, -2);
-        submit_pairs(&b, spec(), ReqKind::Score, vec![pair(1)]);
-        submit_pairs(&b, other, ReqKind::Score, vec![pair(1)]);
-        submit_pairs(&b, spec(), ReqKind::Align, vec![pair(1)]);
-        submit_pairs(&b, spec(), ReqKind::Score, vec![pair(1)]);
+        let w1 = submit_pairs(&b, spec(), ReqKind::Score, vec![pair(1)]);
+        let w2 = submit_pairs(&b, other, ReqKind::Score, vec![pair(1)]);
+        let w3 = submit_pairs(&b, spec(), ReqKind::Align, vec![pair(1)]);
+        let w4 = submit_pairs(&b, spec(), ReqKind::Score, vec![pair(1)]);
+        assert_eq!(w4, w1, "same (spec, mode), same window");
         clock.advance(2_000_000);
         // Three windows: (spec, Score) ×2 requests, (other, Score),
-        // (spec, Align) — flushed oldest-first.
-        let first = b.next_batch().expect("first window");
+        // (spec, Align).
+        let first = b.take(w1, false).expect("first window");
         assert_eq!((first.spec, first.mode), (spec(), ReqKind::Score));
         assert_eq!(first.requests.len(), 2);
-        let second = b.next_batch().expect("second window");
+        let second = b.take(w2, false).expect("second window");
         assert_eq!((second.spec, second.mode), (other, ReqKind::Score));
-        let third = b.next_batch().expect("third window");
+        let third = b.take(w3, false).expect("third window");
         assert_eq!((third.spec, third.mode), (spec(), ReqKind::Align));
         assert_eq!(b.queued_requests(), 0);
     }
@@ -602,27 +622,14 @@ mod tests {
             },
             clock as Arc<dyn Clock>,
         );
-        let (tx, _rx) = channel();
-        b.submit(
-            spec(),
-            ReqKind::Score,
-            vec![pair(30)],
-            tx.clone(),
-            None,
-            false,
-        )
-        .expect("60 B fits");
+        let w = b
+            .submit(spec(), ReqKind::Score, vec![pair(30)], None, false)
+            .expect("60 B fits")
+            .window;
         // A refusal releases the sender's token all the same.
         b.begin_inbound();
         let err = b
-            .submit(
-                spec(),
-                ReqKind::Score,
-                vec![pair(30)],
-                tx.clone(),
-                None,
-                true,
-            )
+            .submit(spec(), ReqKind::Score, vec![pair(30)], None, true)
             .expect_err("120 B total exceeds 100 B");
         assert_eq!(b.inbound_sessions(), 0);
         assert_eq!(
@@ -639,11 +646,12 @@ mod tests {
         assert_eq!(b.peak_queued_bytes(), 60);
         // …and draining restores admission.
         b.close();
-        assert!(b.next_batch().is_some());
-        assert!(b.next_batch().is_none());
+        assert!(b.take(w, false).is_some());
+        assert!(b.take(w, false).is_none());
         assert_eq!(
-            b.submit(spec(), ReqKind::Score, vec![pair(30)], tx, None, false),
-            Err(SubmitError::Closed)
+            b.submit(spec(), ReqKind::Score, vec![pair(30)], None, false)
+                .err(),
+            Some(SubmitError::Closed)
         );
     }
 
@@ -651,24 +659,24 @@ mod tests {
     fn close_drains_then_ends() {
         let clock = Arc::new(FakeClock::new());
         let b = MicroBatcher::new(cfg(), clock as Arc<dyn Clock>);
-        submit_pairs(&b, spec(), ReqKind::Score, vec![pair(1)]);
-        submit_pairs(&b, spec(), ReqKind::Align, vec![]);
+        let w1 = submit_pairs(&b, spec(), ReqKind::Score, vec![pair(1)]);
+        let w2 = submit_pairs(&b, spec(), ReqKind::Align, vec![]);
         b.close();
         // Both windows flush (deadlines unreached — close readies
-        // them), including the zero-pair one, then the stream ends.
-        assert_eq!(b.next_batch().expect("window 1").mode, ReqKind::Score);
-        let empty = b.next_batch().expect("window 2");
+        // them), including the zero-pair one, and then they are gone.
+        assert_eq!(b.take(w1, false).expect("window 1").mode, ReqKind::Score);
+        let empty = b.take(w2, false).expect("window 2");
         assert_eq!(empty.mode, ReqKind::Align);
         assert_eq!(empty.pair_count(), 0);
-        assert!(b.next_batch().is_none());
-        assert!(b.next_batch().is_none(), "None is sticky");
+        assert!(b.take(w1, true).is_none());
+        assert!(b.take(w2, true).is_none(), "a taken window stays gone");
+        assert_eq!(b.queued_requests(), 0);
     }
 
     #[test]
     fn records_get_window_stamps_on_flush() {
         let clock = Arc::new(FakeClock::new());
         let b = Arc::new(MicroBatcher::new(cfg(), clock.clone() as Arc<dyn Clock>));
-        let (tx, _rx) = channel();
         let rec = |admit: u64| {
             Some(Box::new(RequestRecord {
                 admit_ns: admit,
@@ -676,18 +684,12 @@ mod tests {
             }))
         };
         let submit = |pairs: Vec<CodePair>, admit: u64, sender_done: bool| {
-            b.submit(
-                spec(),
-                ReqKind::Score,
-                pairs,
-                tx.clone(),
-                rec(admit),
-                sender_done,
-            )
-            .unwrap();
+            b.submit(spec(), ReqKind::Score, pairs, rec(admit), sender_done)
+                .unwrap()
+                .window
         };
-        let stamps = |what: &str| {
-            let batch = b.next_batch().expect(what);
+        let stamps = |w: u64, what: &str| {
+            let batch = b.take(w, false).expect(what);
             let r = batch.requests[0].rec.as_ref().unwrap();
             (r.ready_ns, r.taken_ns, r.window_wait_ns())
         };
@@ -695,31 +697,56 @@ mod tests {
         // mid-send, deadline at 1 ms, taken at 3 ms — ready must be
         // the deadline, not the take time.
         b.begin_inbound();
-        submit(vec![pair(5)], 0, false);
+        let w = submit(vec![pair(5)], 0, false);
         clock.advance(3_000_000);
-        assert_eq!(stamps("deadline flush"), (1_000_000, 3_000_000, 1_000_000));
+        assert_eq!(
+            stamps(w, "deadline flush"),
+            (1_000_000, 3_000_000, 1_000_000)
+        );
         // Count-trigger flush: the 4th pair arrives at 4 ms and makes
         // the window ready immediately; taken two fake ms later.
         // window_wait = ready - admit = 0; queue_wait starts at ready.
         clock.advance(1_000_000);
-        submit(vec![pair(2); 4], 4_000_000, false);
+        let w = submit(vec![pair(2); 4], 4_000_000, false);
         clock.advance(2_000_000);
-        assert_eq!(stamps("count flush"), (4_000_000, 6_000_000, 0));
+        assert_eq!(stamps(w, "count flush"), (4_000_000, 6_000_000, 0));
         // Quiescence, time-to-quiet: admitted at 6 ms with the peer
         // still mid-send; it finishes at 6.5 ms (well inside the
         // deadline), taken at 7 ms — the window waited for the peer.
-        submit(vec![pair(5)], 6_000_000, false);
+        let w = submit(vec![pair(5)], 6_000_000, false);
         clock.advance(500_000);
         b.end_inbound();
         clock.advance(500_000);
-        assert_eq!(stamps("quiet flush"), (6_500_000, 7_000_000, 500_000));
+        assert_eq!(stamps(w, "quiet flush"), (6_500_000, 7_000_000, 500_000));
         // Quiescence, already quiet: nobody else is sending when the
         // request (and its own token) arrives at 7 ms; taken at 8 ms,
         // all of which is queue wait.
         b.begin_inbound();
-        submit(vec![pair(5)], 7_000_000, true);
+        let w = submit(vec![pair(5)], 7_000_000, true);
         clock.advance(1_000_000);
-        assert_eq!(stamps("already quiet"), (7_000_000, 8_000_000, 0));
+        assert_eq!(stamps(w, "already quiet"), (7_000_000, 8_000_000, 0));
+    }
+
+    /// A window has one taker: of two threads waiting on it, one takes
+    /// it and the other returns `None` — long before the deadline, a
+    /// real-time minute away.
+    #[test]
+    fn a_window_is_taken_once_and_its_other_waiter_returns() {
+        let cfg = WindowCfg {
+            max_delay_ns: 60_000_000_000,
+            ..cfg()
+        };
+        let b = Arc::new(MicroBatcher::new(cfg, Arc::new(SystemClock::new())));
+        b.begin_inbound();
+        let w = submit_pairs(&b, spec(), ReqKind::Score, vec![pair(5)]);
+        let waiters = [pull(&b, w), pull(&b, w)];
+        b.end_inbound();
+        let mut got: Vec<Option<usize>> = waiters
+            .iter()
+            .map(|rx| rx.recv_timeout(Duration::from_secs(5)).expect("returned"))
+            .collect();
+        got.sort();
+        assert_eq!(got, [None, Some(1)]);
     }
 
     #[test]
@@ -727,13 +754,15 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         let clock = Arc::new(FakeClock::new());
         let b = MicroBatcher::new(cfg(), clock as Arc<dyn Clock>).with_metrics(reg.clone());
-        submit_pairs(&b, spec(), ReqKind::Score, vec![pair(10), pair(20)]);
-        submit_pairs(&b, spec(), ReqKind::Align, vec![pair(5)]);
+        let w1 = submit_pairs(&b, spec(), ReqKind::Score, vec![pair(10), pair(20)]);
+        let w2 = submit_pairs(&b, spec(), ReqKind::Align, vec![pair(5)]);
         let snap = reg.snapshot();
         assert_eq!(snap.gauges[&(QUEUE_BYTES_GAUGE, String::new())], 70.0);
         assert_eq!(snap.gauges[&(QUEUE_DEPTH_GAUGE, String::new())], 2.0);
         b.close();
-        while b.next_batch().is_some() {}
+        for w in [w1, w2] {
+            b.take(w, false).expect("close readies every window");
+        }
         let snap = reg.snapshot();
         assert_eq!(snap.gauges[&(QUEUE_BYTES_GAUGE, String::new())], 0.0);
         assert_eq!(snap.gauges[&(QUEUE_DEPTH_GAUGE, String::new())], 0.0);

@@ -9,26 +9,26 @@
 //! advance past the deadline (or let the peer finish) and prove
 //! exactly one batch forms. Flush decisions depend only on `now_ns()`,
 //! queue state and the batcher's inbound-session count, never on how
-//! often the flush loop woke up, which is what makes the fake-clock
-//! runs outcome-deterministic.
+//! often a thread waiting on a window woke up, which is what makes the
+//! fake-clock runs outcome-deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// A monotonic nanosecond clock the batcher's flush loop polls.
+/// A monotonic nanosecond clock the batcher's window waiters poll.
 pub trait Clock: Send + Sync + 'static {
     /// Monotonic nanoseconds since an arbitrary (per-clock) epoch.
     fn now_ns(&self) -> u64;
 
-    /// Longest the flush loop may block on its condvar before
-    /// re-checking state, given that the nearest deadline is `wait_ns`
-    /// away (`None`: no window is open). Submissions, and the last
-    /// mid-send session going quiet, always wake the loop early, so
-    /// this is an upper bound, not a schedule.
-    fn max_park(&self, wait_ns: Option<u64>) -> Duration;
+    /// Longest a thread waiting on a window may block on the batcher's
+    /// condvar before re-checking state, given that the window's
+    /// deadline is `wait_ns` away. Submissions, windows being taken,
+    /// and the last mid-send session going quiet always wake it early,
+    /// so this is an upper bound, not a schedule.
+    fn max_park(&self, wait_ns: u64) -> Duration;
 }
 
-/// Real time: parks until the nearest deadline.
+/// Real time: parks until the window's deadline.
 #[derive(Debug)]
 pub struct SystemClock {
     origin: Instant,
@@ -54,13 +54,10 @@ impl Clock for SystemClock {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    fn max_park(&self, wait_ns: Option<u64>) -> Duration {
-        match wait_ns {
-            // +1 ns so a park never wakes just *before* its deadline
-            // and burns a spin iteration on rounding.
-            Some(ns) => Duration::from_nanos(ns.saturating_add(1)),
-            None => Duration::from_millis(100),
-        }
+    fn max_park(&self, wait_ns: u64) -> Duration {
+        // +1 ns so a park never wakes just *before* its deadline and
+        // burns a spin iteration on rounding.
+        Duration::from_nanos(wait_ns.saturating_add(1))
     }
 }
 
@@ -92,7 +89,7 @@ impl Clock for FakeClock {
         self.now.load(Ordering::SeqCst)
     }
 
-    fn max_park(&self, _wait_ns: Option<u64>) -> Duration {
+    fn max_park(&self, _wait_ns: u64) -> Duration {
         Duration::from_millis(1)
     }
 }
@@ -107,8 +104,7 @@ mod tests {
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);
-        assert_eq!(c.max_park(Some(5)), Duration::from_nanos(6));
-        assert!(c.max_park(None) > Duration::from_millis(1));
+        assert_eq!(c.max_park(5), Duration::from_nanos(6));
     }
 
     #[test]
@@ -120,6 +116,6 @@ mod tests {
         assert_eq!(c.now_ns(), 1_000);
         c.advance(u64::from(u32::MAX));
         assert_eq!(c.now_ns(), 1_000 + u64::from(u32::MAX));
-        assert_eq!(c.max_park(Some(1 << 40)), Duration::from_millis(1));
+        assert_eq!(c.max_park(1 << 40), Duration::from_millis(1));
     }
 }

@@ -20,10 +20,12 @@
 //!   byte budget, or deadline — whichever first — with the
 //!   queue-budget backpressure gate,
 //! * `session` (private) — per-connection reader/writer pair with a
-//!   FIFO reply queue (ordering + fault containment),
-//! * [`server`] — the accept + dispatcher loops around one shared
-//!   [`Dispatch`](anyseq_engine::Dispatch) (one result cache, one
-//!   engine metrics registry for the whole daemon; the `STATS` verb
+//!   FIFO reply queue (ordering + fault containment); these two
+//!   threads are also where windows run — no thread exists only to
+//!   run them,
+//! * [`server`] — the accept loop and the one window runner around one
+//!   shared [`Dispatch`](anyseq_engine::Dispatch) (one result cache,
+//!   one engine metrics registry for the whole daemon; the `STATS` verb
 //!   returns the Prometheus exposition),
 //! * [`client`] — the pipelining blocking client the tests, bench, and
 //!   `anyseq serve` round-trip example use.

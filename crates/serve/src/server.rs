@@ -1,14 +1,35 @@
-//! The daemon: unix-socket accept loop + the batch dispatcher.
+//! The daemon: the unix-socket accept loop, and the one function that
+//! runs a window.
 //!
-//! [`Server::start`] binds the socket and spawns two long-lived
-//! threads — an accept loop (one detached session per connection, see
-//! the private `session` module) and the *dispatcher loop*, the single consumer
-//! of the [`MicroBatcher`]: it takes each flushed window, builds one
-//! zero-copy [`BatchView`] over every coalesced request's codes, runs
-//! it through the daemon's one [`Dispatch`] (one engine registry, one
+//! [`Server::start`] binds the socket and spawns the accept loop, which
+//! gives each connection a detached session: a reader and a writer
+//! thread (the private `session` module). No thread exists just to run
+//! windows. A window of the [`MicroBatcher`] runs on a session thread
+//! that already has a stake in it, through `run_window`: one zero-copy
+//! [`BatchView`] over every coalesced request's codes, one run through
+//! the daemon's one [`Dispatch`] (one engine registry, one
 //! [`ResultCache`](anyseq_engine::ResultCache), one metrics registry
-//! for the whole daemon), and splits the results back per request in
-//! admission order.
+//! for the whole daemon), and the results split back per request in
+//! admission order. Two rules pick the thread:
+//!
+//! * a **reader** whose admission finds its window flushable runs the
+//!   window before it queues the pending reply;
+//! * a **writer** that reaches a pending reply whose window is still
+//!   open waits for the window's trigger and runs it, then receives
+//!   the reply.
+//!
+//! Every open window holds a request whose writer will wait on it with
+//! the window's own deadline as its timeout, so a deadline flush needs
+//! no thread of its own while every reader is parked in a read. The
+//! reader rule keeps a client that stops reading from holding the
+//! shared queue: its writer blocks in `write`, but its reader still
+//! runs the windows it fills. Windows of different connections run
+//! concurrently, each with the `ServeConfig::threads` engine workers,
+//! so two windows of more than one scheduler unit each can ask for
+//! more threads than there are cores; and the engines' counters are
+//! drained per run, so one
+//! window's batch stats may include a concurrent neighbour's counts
+//! (the daemon totals stay exact).
 //!
 //! Serving metrics live in their own registry (names below, all
 //! pre-seeded so a scrape never misses a key); the `STATS` verb
@@ -48,8 +69,9 @@ pub const SERVE_BATCH_PAIRS_TOTAL: &str = "anyseq_serve_batch_pairs_total";
 /// Histogram: per-batch pair counts (the occupancy distribution).
 pub const SERVE_BATCH_PAIRS_HIST: &str = "anyseq_serve_batch_pairs";
 /// Gauge: mean pairs per batch so far — the coalescing figure of
-/// merit (≥4× the single-request size under concurrent load is the
-/// acceptance bar).
+/// merit, derived from [`SERVE_BATCH_PAIRS_HIST`] on every `STATS`
+/// render. One-in-flight clients of 16-pair requests keep it at 16;
+/// a burst held in one window lifts it.
 pub const SERVE_WINDOW_OCCUPANCY: &str = "anyseq_serve_window_occupancy";
 /// Counter: completed requests slower than the `--slow-ms` threshold.
 pub const SERVE_SLOW_TOTAL: &str = "anyseq_serve_slow_total";
@@ -80,7 +102,7 @@ pub(crate) fn verb_name(mode: ReqKind) -> &'static str {
 pub struct ServeConfig {
     /// Micro-batching window (flush triggers + queue budget).
     pub window: WindowCfg,
-    /// Engine worker threads; 0 means all available cores.
+    /// Engine worker threads per window; 0 means all available cores.
     pub threads: usize,
     /// Dispatch policy for the shared engine. The default enables
     /// observability (the `STATS` verb is half the point of a daemon)
@@ -93,8 +115,8 @@ pub struct ServeConfig {
     /// bump [`SERVE_SLOW_TOTAL`].
     pub slow_ms: u64,
     /// Request-scoped tracing (records, latency histograms, slow log,
-    /// flight recorder). On by default; the throughput bench turns it
-    /// off to measure its overhead.
+    /// flight recorder). On by default; off, requests are still
+    /// served and `HEALTH` says `"request_obs":false`.
     pub request_obs: bool,
 }
 
@@ -124,14 +146,14 @@ pub(crate) struct RequestObs {
     pub slow: SlowLog,
 }
 
-/// State shared by the accept loop, every session, and the dispatcher.
+/// State shared by the accept loop and every session.
 pub(crate) struct Shared {
     /// The micro-batching queue sessions submit into.
     pub batcher: MicroBatcher,
     /// The one engine registry (with its cache and metrics registry)
     /// every batch runs through.
     pub dispatch: Dispatch,
-    /// The scheduler the dispatcher loop runs each batch with.
+    /// The scheduler every window runs with.
     pub scheduler: BatchScheduler,
     /// The serving-layer metrics registry.
     pub metrics: Arc<MetricsRegistry>,
@@ -147,10 +169,10 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// Renders the `STATS` exposition: serving metrics first (with the
-    /// latency quantile gauges freshly derived), then the engine
-    /// registry (when the dispatch observes).
+    /// histogram-derived gauges refreshed), then the engine registry
+    /// (when the dispatch observes).
     pub(crate) fn render_stats(&self) -> String {
-        self.refresh_latency_gauges();
+        self.refresh_derived_gauges();
         let mut text = prometheus_text(&self.metrics.snapshot());
         if let Some(engine) = self.dispatch.metrics_snapshot() {
             text.push_str(&prometheus_text(&engine));
@@ -158,10 +180,11 @@ impl Shared {
         text
     }
 
-    /// Recomputes the per-verb p50/p95/p99 gauges from the merged
-    /// request-latency histogram. Quantiles are derived on scrape, not
-    /// on completion — the hot path only pays one histogram observe.
-    pub(crate) fn refresh_latency_gauges(&self) {
+    /// Recomputes the gauges derived from histograms: the per-verb
+    /// p50/p95/p99 from the merged request-latency histogram, and the
+    /// window occupancy. They are derived on scrape, not on completion
+    /// — the hot path only pays one histogram observe.
+    fn refresh_derived_gauges(&self) {
         for verb in VERBS {
             let filter = format!("verb=\"{verb}\"");
             let h = self
@@ -177,6 +200,15 @@ impl Shared {
                     .set_gauge(name, l.clone(), h.quantile(q) as f64);
             }
         }
+        let occupancy = self.window_occupancy();
+        self.metrics
+            .set_gauge(SERVE_WINDOW_OCCUPANCY, String::new(), occupancy);
+    }
+
+    /// Mean pairs per batch so far (0 before the first batch).
+    fn window_occupancy(&self) -> f64 {
+        let h = self.metrics.merged_histogram(SERVE_BATCH_PAIRS_HIST, "");
+        h.mean()
     }
 
     /// Finalizes a completed request record: latency histogram, slow
@@ -200,13 +232,7 @@ impl Shared {
     /// the slow-request log ("SLOWLOG"), newest last.
     pub(crate) fn render_health(&self) -> String {
         use std::fmt::Write as _;
-        let occupancy = self
-            .metrics
-            .snapshot()
-            .gauges
-            .get(&(SERVE_WINDOW_OCCUPANCY, String::new()))
-            .copied()
-            .unwrap_or(0.0);
+        let occupancy = self.window_occupancy();
         let mut out = String::from("{");
         let _ = write!(
             out,
@@ -278,9 +304,9 @@ pub struct Server;
 
 impl Server {
     /// Binds `path` (replacing a stale socket file) and starts the
-    /// accept + dispatcher threads. The returned handle owns the
-    /// daemon: [`ServerHandle::shutdown`] flushes and joins it, and
-    /// dropping the handle does the same best-effort.
+    /// accept thread. The returned handle owns the daemon:
+    /// [`ServerHandle::shutdown`] stops it, and dropping the handle
+    /// does the same.
     pub fn start(
         path: impl AsRef<Path>,
         cfg: ServeConfig,
@@ -366,10 +392,6 @@ impl Server {
         }
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatcher_loop(&shared))
-        };
         let accept = {
             let shared = Arc::clone(&shared);
             let shutdown = Arc::clone(&shutdown);
@@ -380,7 +402,6 @@ impl Server {
             shared,
             shutdown,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
         })
     }
 }
@@ -398,66 +419,55 @@ fn accept_loop(listener: UnixListener, shared: &Arc<Shared>, shutdown: &AtomicBo
     }
 }
 
-/// The single batch consumer: coalesced window → one engine run →
-/// per-request result slices, in admission order. With request
-/// tracing on, it also stamps each request's dispatch interval,
-/// apportions the batch's kernel time by cell share, and files the
-/// batch (with its engine spans) in the flight recorder.
-fn dispatcher_loop(shared: &Arc<Shared>) {
-    let mut batches = 0u64;
-    let mut pairs_total = 0u64;
-    while let Some(batch) = shared.batcher.next_batch() {
-        let pair_count = batch.pair_count() as u64;
-        let t_start = shared.clock.now_ns();
-        // A refused batch (e.g. a pair over a backend's unit bound)
-        // answers its own requests with the refusal, a panicking one
-        // with an internal error; the loop and every other window
-        // carry on.
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_batch(shared, &batch)));
-        let failed = |code, message| (Err((code, message)), 0, Vec::new());
-        let (results, kernel_ns, spans) = match outcome {
-            Ok(Ok((results, kernel_ns, spans))) => (Ok(results), kernel_ns, spans),
-            Ok(Err(refusal)) => failed(ErrCode::Unsupported, refusal.to_string()),
-            Err(panic) => {
-                let what = (panic.downcast_ref::<&str>().copied())
-                    .or(panic.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("no message");
-                failed(ErrCode::Internal, format!("the batch panicked: {what}"))
-            }
-        };
-        let t_end = shared.clock.now_ns();
-        let batch_seq = shared.reqobs.as_ref().map_or(0, |obs| {
-            let cells: u64 = batch
-                .requests
-                .iter()
-                .filter_map(|r| r.rec.as_ref().map(|rec| rec.cells))
-                .sum();
-            obs.flight
-                .record_batch(verb_name(batch.mode), t_start, pair_count, cells, spans)
-        });
-        // Count the batch *before* handing out its results: a client
-        // that scrapes STATS right after its last reply must already
-        // see this batch in the counters and the occupancy gauge.
-        batches += 1;
-        pairs_total += pair_count;
-        shared.metrics.inc(SERVE_BATCHES_TOTAL, String::new(), 1);
-        shared
-            .metrics
-            .inc(SERVE_BATCH_PAIRS_TOTAL, String::new(), pair_count);
-        shared
-            .metrics
-            .observe(SERVE_BATCH_PAIRS_HIST, String::new(), pair_count);
-        shared.metrics.set_gauge(
-            SERVE_WINDOW_OCCUPANCY,
-            String::new(),
-            pairs_total as f64 / batches as f64,
-        );
-        distribute(batch, results, t_start, t_end, kernel_ns, batch_seq);
-    }
+/// Runs one taken window on the calling session thread: coalesced
+/// requests → one engine run → per-request result slices, in admission
+/// order. With request tracing on, it also stamps each request's
+/// dispatch interval, apportions the batch's kernel time by cell
+/// share, and files the batch (with its engine spans) in the flight
+/// recorder.
+pub(crate) fn run_window(shared: &Shared, batch: Batch) {
+    let pair_count = batch.pair_count() as u64;
+    let t_start = shared.clock.now_ns();
+    // A refused batch (e.g. a pair over a backend's unit bound) answers
+    // its own requests with the refusal, a panicking one with an
+    // internal error; the session and every other window carry on.
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_batch(shared, &batch)));
+    let failed = |code, message| (Err((code, message)), 0, Vec::new());
+    let (results, kernel_ns, spans) = match outcome {
+        Ok(Ok((results, kernel_ns, spans))) => (Ok(results), kernel_ns, spans),
+        Ok(Err(refusal)) => failed(ErrCode::Unsupported, refusal.to_string()),
+        Err(panic) => {
+            let what = (panic.downcast_ref::<&str>().copied())
+                .or(panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            failed(ErrCode::Internal, format!("the batch panicked: {what}"))
+        }
+    };
+    let t_end = shared.clock.now_ns();
+    let batch_seq = shared.reqobs.as_ref().map_or(0, |obs| {
+        let cells: u64 = batch
+            .requests
+            .iter()
+            .filter_map(|r| r.rec.as_ref().map(|rec| rec.cells))
+            .sum();
+        obs.flight
+            .record_batch(verb_name(batch.mode), t_start, pair_count, cells, spans)
+    });
+    // Count the batch *before* handing out its results: a client that
+    // scrapes STATS right after its last reply must already see this
+    // batch in the counters and the occupancy gauge.
+    shared.metrics.inc(SERVE_BATCHES_TOTAL, String::new(), 1);
+    shared
+        .metrics
+        .inc(SERVE_BATCH_PAIRS_TOTAL, String::new(), pair_count);
+    shared
+        .metrics
+        .observe(SERVE_BATCH_PAIRS_HIST, String::new(), pair_count);
+    distribute(batch, results, t_start, t_end, kernel_ns, batch_seq);
 }
 
 fn run_batch(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     batch: &Batch,
 ) -> Result<(Results, u64, Vec<anyseq_obs::Span>), EngineError> {
     // One borrowed view over every request's codes — the engine sees a
@@ -529,7 +539,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -597,27 +606,24 @@ impl ServerHandle {
         }
     }
 
-    /// Flushes admitted work, stops both threads, and removes the
-    /// socket file. Idle connected clients keep their sessions until
-    /// they hang up; everything admitted before shutdown is answered.
+    /// Readies every open window for the session threads waiting on
+    /// it, stops the accept thread, and removes the socket file. Idle
+    /// connected clients keep their sessions until they hang up;
+    /// everything admitted before shutdown is answered.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if self.accept.is_none() && self.dispatcher.is_none() {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.shutdown.store(true, Ordering::SeqCst);
         self.shared.batcher.close();
         // The accept loop only re-checks its flag per connection; poke
         // it with a throwaway connect so it wakes and exits.
         let _ = UnixStream::connect(&self.path);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
         }
         let _ = std::fs::remove_file(&self.path);
     }
@@ -638,9 +644,12 @@ mod tests {
     use anyseq_engine::{
         BackendId, Caps, Engine, Policy, ScalarEngine, SchemeSpec, WavefrontEngine,
     };
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Mutex;
+    use std::time::Duration;
 
-    /// A pair over the wavefront's unit bound used to panic the only
-    /// dispatcher thread and hang every client; now the window's
+    /// A pair over the wavefront's unit bound used to panic the thread
+    /// running every window and hang every client; now the window's
     /// requests get a typed refusal and the daemon keeps serving.
     #[test]
     fn a_refused_batch_answers_an_error_and_the_daemon_lives() {
@@ -706,8 +715,8 @@ mod tests {
         }
     }
 
-    /// An engine panic used to unwind the dispatcher thread, after
-    /// which nothing was answered. Now the panicking window's request
+    /// An engine panic used to unwind the thread running every window,
+    /// after which nothing was answered. Now the panicking window's request
     /// gets a typed `Internal` error under its own id, and the daemon
     /// keeps serving the same connection, a new one and `STATS`.
     #[test]
@@ -735,6 +744,88 @@ mod tests {
         assert_eq!(fresh.roundtrip(ReqKind::Score, spec, pair(0)).unwrap(), ok);
         let stats = fresh.stats().unwrap();
         assert!(stats.contains(SERVE_BATCHES_TOTAL), "{stats}");
+        server.shutdown();
+    }
+
+    /// The scalar reference, except that a pair whose query starts with
+    /// the marker code signals `entered` and then blocks until
+    /// `release` receives (or its sender is dropped).
+    struct BlocksOnMark {
+        entered: Sender<()>,
+        release: Mutex<Receiver<()>>,
+    }
+
+    impl Engine for BlocksOnMark {
+        fn caps(&self) -> Caps {
+            Caps {
+                name: "blocks-on-mark",
+                ..ScalarEngine.caps()
+            }
+        }
+
+        fn score_batch(
+            &self,
+            spec: &SchemeSpec,
+            pairs: &[PairRef<'_>],
+            threads: usize,
+        ) -> Result<Vec<Score>, EngineError> {
+            if pairs.iter().any(|p| p.q.first() == Some(&MARK)) {
+                let _ = self.entered.send(());
+                let _ = self.release.lock().unwrap().recv();
+            }
+            ScalarEngine.score_batch(spec, pairs, threads)
+        }
+
+        fn align_batch(
+            &self,
+            spec: &SchemeSpec,
+            pairs: &[PairRef<'_>],
+            threads: usize,
+        ) -> Result<Vec<Alignment>, EngineError> {
+            ScalarEngine.align_batch(spec, pairs, threads)
+        }
+    }
+
+    /// Windows of different connections run concurrently: while
+    /// connection A's window is stuck in the engine, connection B's
+    /// request under another scheme is answered.
+    #[test]
+    fn a_slow_window_does_not_hold_up_another_connections_window() {
+        let (entered, entered_rx) = channel();
+        let (release, release_rx) = channel();
+        let engine = BlocksOnMark {
+            entered,
+            release: Mutex::new(release_rx),
+        };
+        let dispatch = Dispatch::standard(Policy::Fixed(BackendId::Scalar))
+            .with_engine(BackendId::Scalar, Box::new(engine));
+        let sock = std::env::temp_dir().join(format!("anyseq-slow-{}.sock", std::process::id()));
+        let clock = Arc::new(SystemClock::new());
+        let server = Server::start_with(&sock, ServeConfig::default(), clock, dispatch).unwrap();
+        let pair = |first: u8| vec![(vec![first, 1, 2], vec![first, 1, 2])];
+
+        let mut a = ServeClient::connect(&sock).unwrap();
+        let spec_a = SchemeSpec::global_linear(2, -1, -1);
+        let id = a.submit(ReqKind::Score, spec_a, pair(MARK)).unwrap();
+        let ten_s = Duration::from_secs(10);
+        entered_rx
+            .recv_timeout(ten_s)
+            .expect("A's window never ran");
+        let (tx, rx) = channel();
+        let b_sock = sock.clone();
+        std::thread::spawn(move || {
+            let mut b = ServeClient::connect(&b_sock).unwrap();
+            let spec_b = SchemeSpec::global_linear(1, -2, -2);
+            let _ = tx.send(b.roundtrip(ReqKind::Score, spec_b, pair(0)).unwrap());
+        });
+        let b_reply = rx.recv_timeout(ten_s);
+        // Let A finish before asserting, so a failure cannot leave its
+        // window stuck in the engine.
+        drop(release);
+        let b_reply = b_reply.expect("B was held up behind A's window");
+        assert_eq!(b_reply, Ok(Results::Scores(vec![3])));
+        let results = Results::Scores(vec![6]);
+        assert_eq!(a.recv().unwrap(), ServerReply::Response { id, results });
         server.shutdown();
     }
 }

@@ -3,12 +3,18 @@
 //! Each accepted connection gets one *reader* (the session thread
 //! itself) and one *writer* thread, glued by a FIFO reply queue. The
 //! reader decodes frames and — for admitted requests — enqueues a
-//! pending slot holding the channel the dispatcher will answer on;
-//! instant replies (overload rejections, protocol errors, `STATS` /
-//! `HEALTH` / `DUMP`) enqueue pre-encoded frames. The writer pops the
-//! FIFO and blocks on each pending slot in turn, so **responses always
-//! leave the socket in the order the requests arrived**, no matter how
-//! the dispatcher interleaves batches.
+//! pending slot holding the request's batcher ticket (its window and
+//! reply channel); instant replies (overload rejections, protocol
+//! errors, `STATS` / `HEALTH` / `DUMP`) enqueue pre-encoded frames. The
+//! writer pops the FIFO and blocks on each pending slot in turn, so
+//! **responses always leave the socket in the order the requests
+//! arrived**, no matter which threads run which windows, in what order.
+//!
+//! The two threads are also where windows run (the `server` module
+//! docs give the two rules): the reader runs a window its admission
+//! made flushable before it queues the pending slot, and the writer
+//! runs a pending slot's window, after waiting for its trigger, if
+//! nobody has taken it yet.
 //!
 //! The reader is also what tells the batcher whether anyone is still
 //! sending: it parks on `fill_buf` *ahead of* `read_frame`, takes one
@@ -24,28 +30,29 @@
 //! around the reply write and hands the finished record to
 //! [`Shared::complete`] (latency histogram → slow log → flight
 //! recorder). The stamps in between — window, queue, dispatch — are
-//! added by the batcher and the dispatcher as the record rides the
-//! queue with its request.
+//! added by the batcher and the window's runner as the record rides
+//! the queue with its request.
 //!
-//! Fault containment: a client disconnecting mid-flight just ends both
-//! loops — its pending result channels drop, the dispatcher's sends to
-//! them fail silently, and nothing it queued stalls the window or
-//! leaks budget (queue bytes are released when the batch is taken,
-//! which happens regardless of who is still listening; an inbound
-//! token is released on every way out of the reader loop). A request
-//! for a scheme the kernels would assert on is refused here, by id,
-//! as `Unsupported` — it never reaches the dispatcher. A malformed
+//! Fault containment: a client disconnecting mid-flight ends the
+//! reader, and the writer stops writing but still works through its
+//! FIFO, running every window nobody else has taken — so nothing the
+//! client queued stalls a window or leaks budget (queue bytes are
+//! released when a window is taken; an inbound token is released on
+//! every way out of the reader loop). A request for a scheme the
+//! kernels would assert on is refused here, by id, as `Unsupported` —
+//! it never reaches a window. A malformed
 //! frame gets a typed [`ErrCode::Malformed`](crate::proto::ErrCode)
 //! error and the connection stays open; only a frame the stream cannot
 //! recover from (oversized length prefix, mid-frame EOF) closes it.
 
-use crate::batcher::{RequestReply, SubmitError};
+use crate::batcher::{SubmitError, Ticket};
 use crate::proto::{
     decode_message, encode_error, encode_response, encode_stats_text, mint_request_id, read_frame,
     write_frame, ErrCode, ErrorFrame, Message, Request, Response,
 };
 use crate::server::{
-    verb_name, Shared, SERVE_MALFORMED_TOTAL, SERVE_REJECTED_TOTAL, SERVE_REQUESTS_TOTAL,
+    run_window, verb_name, Shared, SERVE_MALFORMED_TOTAL, SERVE_REJECTED_TOTAL,
+    SERVE_REQUESTS_TOTAL,
 };
 use anyseq_obs::RequestRecord;
 use std::io::{BufRead, BufReader};
@@ -57,8 +64,9 @@ use std::sync::Arc;
 enum Reply {
     /// An already-encoded frame payload (errors, stats, health, dump).
     Ready(Vec<u8>),
-    /// A request awaiting its batch: the writer blocks on `rx`.
-    Pending { id: u64, rx: Receiver<RequestReply> },
+    /// A request awaiting its window: the writer runs the window if
+    /// nobody has taken it, then blocks on the ticket's channel.
+    Pending { id: u64, ticket: Ticket },
 }
 
 /// Runs one connection to completion (reader loop; owns a writer
@@ -75,9 +83,9 @@ pub(crate) fn run_session(stream: UnixStream, shared: Arc<Shared>) {
     };
     reader_loop(stream, &shared, &reply_tx);
     // Closing the FIFO lets the writer drain queued replies and exit;
-    // every admitted request is eventually answered by the dispatcher
-    // (even during shutdown, which flushes rather than drops), so the
-    // join cannot hang.
+    // it runs any window still open that it waits on (deadlines bound
+    // the wait, and shutdown readies every window), so the join only
+    // waits as long as the last write does.
     drop(reply_tx);
     let _ = writer.join();
 }
@@ -147,7 +155,8 @@ fn reader_loop(stream: UnixStream, shared: &Arc<Shared>, reply_tx: &Sender<Reply
             }
         };
         if reply_tx.send(reply).is_err() {
-            // Writer gone (socket broke): stop reading too.
+            // Writer gone (it only leaves early by panicking): stop
+            // reading too.
             break;
         }
     }
@@ -178,7 +187,7 @@ fn admit(shared: &Arc<Shared>, req: Request, recv_ns: u64, sender_done: bool) ->
     }
     // The record is born at frame decode: identity, sizes, and the
     // first two stamps. Everything later is filled in by the batcher,
-    // the dispatcher, and the writer.
+    // the window's runner, and the writer.
     let rec = shared.reqobs.as_ref().map(|_| {
         Box::new(RequestRecord {
             id: mint_request_id(),
@@ -197,12 +206,18 @@ fn admit(shared: &Arc<Shared>, req: Request, recv_ns: u64, sender_done: bool) ->
             ..RequestRecord::default()
         })
     });
-    let (tx, rx) = channel();
     match shared
         .batcher
-        .submit(req.spec, req.mode, req.pairs, tx, rec, sender_done)
+        .submit(req.spec, req.mode, req.pairs, rec, sender_done)
     {
-        Ok(()) => Reply::Pending { id: req.id, rx },
+        Ok(ticket) => {
+            // The reader rule: a window this admission made flushable
+            // runs here, before the pending slot is queued.
+            if let Some(batch) = shared.batcher.take(ticket.window, false) {
+                run_window(shared, batch);
+            }
+            Reply::Pending { id: req.id, ticket }
+        }
         Err(err @ SubmitError::Overloaded { .. }) => {
             shared.metrics.inc(SERVE_REJECTED_TOTAL, String::new(), 1);
             Reply::Ready(encode_error(&ErrorFrame {
@@ -220,39 +235,48 @@ fn admit(shared: &Arc<Shared>, req: Request, recv_ns: u64, sender_done: bool) ->
 }
 
 fn writer_loop(mut stream: UnixStream, rx: Receiver<Reply>, shared: &Arc<Shared>) {
+    // Set once the client has gone away: later replies are still
+    // worked through (their windows may hold nobody else's requests,
+    // and must give back their queue bytes) but no longer written.
+    let mut broken = false;
     for reply in rx {
         let (payload, rec) = match reply {
             Reply::Ready(p) => (p, None),
-            Reply::Pending { id, rx } => match rx.recv() {
-                Ok((results, mut rec)) => {
-                    if let Some(rec) = &mut rec {
-                        rec.reply_start_ns = shared.clock.now_ns();
-                    }
-                    let frame = match results {
-                        Ok(results) => encode_response(&Response { id, results }),
-                        Err((code, message)) => encode_error(&ErrorFrame { id, code, message }),
-                    };
-                    (frame, rec)
+            Reply::Pending { id, ticket } => {
+                // The writer rule: a window still open runs here, once
+                // its trigger fires.
+                if let Some(batch) = shared.batcher.take(ticket.window, true) {
+                    run_window(shared, batch);
                 }
-                // The dispatcher only drops a result channel if it
-                // died before answering — surface that instead of
-                // silently truncating the response stream.
-                Err(_) => (
-                    encode_error(&ErrorFrame {
-                        id,
-                        code: ErrCode::Internal,
-                        message: "dispatcher exited before answering".into(),
-                    }),
-                    None,
-                ),
-            },
+                match ticket.rx.recv() {
+                    Ok((results, mut rec)) => {
+                        if let Some(rec) = &mut rec {
+                            rec.reply_start_ns = shared.clock.now_ns();
+                        }
+                        let frame = match results {
+                            Ok(results) => encode_response(&Response { id, results }),
+                            Err((code, message)) => encode_error(&ErrorFrame { id, code, message }),
+                        };
+                        (frame, rec)
+                    }
+                    // A runner only drops a result channel unanswered
+                    // if it died outside the engine run — surface that
+                    // instead of silently truncating the response
+                    // stream.
+                    Err(_) => (
+                        encode_error(&ErrorFrame {
+                            id,
+                            code: ErrCode::Internal,
+                            message: "the window ended before answering".into(),
+                        }),
+                        None,
+                    ),
+                }
+            }
         };
-        if write_frame(&mut stream, &payload).is_err() {
-            // Client went away mid-stream: dropping the remaining
-            // replies (and their pending receivers) detaches this
-            // connection from the dispatcher — its sends fail silently
-            // and other clients' results are untouched.
-            return;
+        if broken || write_frame(&mut stream, &payload).is_err() {
+            broken = true;
+            continue;
         }
         if let Some(mut rec) = rec {
             rec.done_ns = shared.clock.now_ns();

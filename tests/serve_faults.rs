@@ -4,11 +4,12 @@
 //! fire:
 //!
 //! * a well-formed request for a scheme the kernels cannot run is a
-//!   typed `Unsupported` refusal, never a dead dispatcher;
+//!   typed `Unsupported` refusal, never a dead daemon;
 //! * a peer stalled mid-frame costs the other clients at most the
 //!   window deadline, and no session is left counted as mid-send;
 //! * a disconnect never stalls the window, leaks queue bytes, or
-//!   poisons another connection's results;
+//!   poisons another connection's results, and neither does a client
+//!   that stops reading;
 //! * a malformed frame gets a *typed* error reply, not a hangup, and
 //!   the connection stays usable;
 //! * overload is a synchronous, accounted refusal (`Overloaded`,
@@ -89,8 +90,8 @@ fn probe(client: &mut ServeClient) {
 }
 
 /// A well-formed `REQUEST` whose gap score is positive used to panic
-/// the only dispatcher thread (`scoring::linear`'s assert) and hang
-/// every later request on every connection. Now the session refuses it
+/// the one thread that ran every window (`scoring::linear`'s assert)
+/// and hang every later request on every connection. Now the session refuses it
 /// under the request's id, and both an old and a new connection are
 /// still served. A match score whose `(n + m)`-step reach wraps `i32`
 /// is refused the same way instead of answering a wrong score.
@@ -157,8 +158,9 @@ fn a_half_sent_frame_holds_windows_to_the_deadline_or_until_its_peer_hangs_up() 
             .expect("submit failed");
         wait_until("request admitted", || server.queued_bytes() > 0);
     };
-    // The dispatcher re-checks a frozen window every millisecond: a
-    // window that could flush would have, many times over.
+    // The client's writer re-checks its frozen window every
+    // millisecond: a window that could flush would have, many times
+    // over.
     let assert_still_queued = |why: &str| {
         for _ in 0..20 {
             std::thread::sleep(Duration::from_millis(1));
@@ -253,12 +255,20 @@ fn disconnect_mid_flight_does_not_poison_other_connections() {
     )
     .expect("daemon start failed");
 
-    // The vanishing client: submit into the window, then hang up
-    // before the reply can be written.
+    // The vanishing client: submit into the window — and into two
+    // windows nobody else is in — then hang up before the replies
+    // can be written.
     let mut ghost = ServeClient::connect(server.path()).expect("connect failed");
-    ghost
-        .submit(ReqKind::Score, spec(), bulk_pairs(8, 64))
-        .expect("submit failed");
+    let other = SchemeSpec::global_linear(1, -2, -2);
+    for (mode, spec) in [
+        (ReqKind::Score, spec()),
+        (ReqKind::Align, spec()),
+        (ReqKind::Score, other),
+    ] {
+        ghost
+            .submit(mode, spec, bulk_pairs(8, 64))
+            .expect("submit failed");
+    }
     drop(ghost);
 
     // A well-behaved client in (at least potentially) the same window
@@ -266,12 +276,51 @@ fn disconnect_mid_flight_does_not_poison_other_connections() {
     let mut client = ServeClient::connect(server.path()).expect("connect failed");
     probe(&mut client);
 
-    // The ghost's queue bytes were released when its batch was taken,
-    // receiver liveness notwithstanding.
+    // The ghost's queue bytes were released when its windows were
+    // taken, receiver liveness notwithstanding.
+    wait_until("every request admitted", || {
+        metric(&server.stats_text(), "anyseq_serve_requests_total") == 4.0
+    });
     wait_for_drained_queue(&server);
     let stats = server.stats_text();
-    assert_eq!(metric(&stats, "anyseq_serve_requests_total"), 2.0);
+    assert_eq!(metric(&stats, "anyseq_serve_requests_total"), 4.0);
     assert_eq!(metric(&stats, "anyseq_serve_rejected_total"), 0.0);
+    server.shutdown();
+}
+
+/// A client that pipelines requests and never reads a reply blocks
+/// its session's writer in `write` once the socket buffer is full. The
+/// windows it keeps filling must still run — its reader runs them — so
+/// the shared queue drains and other clients are served.
+#[test]
+fn a_client_that_never_reads_does_not_hold_the_queue() {
+    let cfg = ServeConfig {
+        window: WindowCfg {
+            queue_budget_bytes: 2 << 20,
+            ..WindowCfg::default()
+        },
+        ..ServeConfig::default()
+    };
+    let server = Server::start(
+        socket_path("faults-deaf"),
+        cfg,
+        Arc::new(SystemClock::new()),
+    )
+    .expect("daemon start failed");
+
+    // 128 alignments of a 1 × 4,000 bp pair: a 4 kB CIGAR each, far
+    // more reply bytes than a socket buffer holds.
+    let mut deaf = ServeClient::connect(server.path()).expect("connect failed");
+    for _ in 0..128 {
+        deaf.submit(ReqKind::Align, spec(), vec![(vec![0], vec![1; 4_000])])
+            .expect("submit failed");
+    }
+    wait_until("every request admitted", || {
+        metric(&server.stats_text(), "anyseq_serve_requests_total") == 128.0
+    });
+    wait_for_drained_queue(&server);
+    probe(&mut ServeClient::connect(server.path()).expect("connect failed"));
+    drop(deaf);
     server.shutdown();
 }
 
