@@ -14,6 +14,8 @@
 //! * [`farrar`] — the striped intra-sequence SIMD layout of SSW
 //!   (paper refs \[15\], \[28\]) as an extra short-read baseline.
 
+#![forbid(unsafe_code)]
+
 pub mod farrar;
 pub mod nvbio;
 pub mod parasail;
@@ -25,38 +27,26 @@ pub use seqan::SeqAnLike;
 
 use anyseq_core::score::Score;
 use anyseq_seq::Seq;
+use anyseq_wavefront::run_workers;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Shared batch driver: scores pairs in parallel with a per-pair scoring
-/// closure (used by baselines whose batch path has no dedicated kernel).
+/// Shared batch driver: scores pairs on `threads` workers of the shared
+/// pool with a per-pair scoring closure (used by baselines whose batch
+/// path has no dedicated kernel).
 pub fn batch_with<F>(pairs: &[(Seq, Seq)], threads: usize, score: F) -> Vec<Score>
 where
     F: Fn(&[u8], &[u8]) -> Score + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let threads = threads.max(1);
-    let mut out = vec![0 as Score; pairs.len()];
-    struct Out(*mut Score);
-    unsafe impl Send for Out {}
-    unsafe impl Sync for Out {}
-    let optr = Out(out.as_mut_ptr());
     let next = AtomicUsize::new(0);
-    {
-        let optr = &optr;
-        let next = &next;
-        let score = &score;
-        std::thread::scope(|sc| {
-            for _ in 0..threads {
-                sc.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= pairs.len() {
-                        break;
-                    }
-                    let v = score(pairs[k].0.codes(), pairs[k].1.codes());
-                    // SAFETY: each index written exactly once.
-                    unsafe { *optr.0.add(k) = v };
-                });
-            }
-        });
+    let done = run_workers(threads, |_| {
+        let draw = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&k| k < pairs.len());
+        std::iter::from_fn(draw)
+            .map(|k| (k, score(pairs[k].0.codes(), pairs[k].1.codes())))
+            .collect::<Vec<_>>()
+    });
+    let mut out = vec![0 as Score; pairs.len()];
+    for (k, v) in done.into_iter().flatten() {
+        out[k] = v;
     }
     out
 }

@@ -8,8 +8,8 @@
 //! control flow constructs such as if, while, or break with masked data
 //! flow". This baseline embodies exactly those differences:
 //!
-//! * a **mutex-guarded deque** work queue instead of the lock-free
-//!   injector,
+//! * a **condvar-waited mutex deque** work queue, where the dynamic
+//!   wavefront's idle workers spin-poll theirs,
 //! * a **masked-dataflow** vector kernel that unconditionally maintains
 //!   the E/F lanes and a running maximum mask even when the variant does
 //!   not need them (the cost of masked control-flow emulation),
@@ -29,6 +29,7 @@ use anyseq_simd::kernel::{block_kernel_masked, SimdSubst};
 use anyseq_wavefront::borders::{BorderStore, HStripe, VStripe};
 use anyseq_wavefront::grid::{TileGrid, TileId};
 use anyseq_wavefront::pass::finalize;
+use anyseq_wavefront::run_workers;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -155,80 +156,75 @@ impl SeqAnLike {
         let remaining = AtomicUsize::new(grid.total());
         let lanes = self.lanes;
 
-        std::thread::scope(|sc| {
-            for _ in 0..self.threads {
-                sc.spawn(|| {
-                    let mut ready: Vec<TileId> = Vec::with_capacity(lanes);
-                    let mut out = TileOut::new();
-                    let mut top = HStripe::default();
-                    let mut left = VStripe::default();
-                    loop {
-                        ready.clear();
-                        {
-                            let mut qlock = queue.lock();
-                            while qlock.is_empty() {
-                                if remaining.load(Ordering::Acquire) == 0 {
-                                    return;
-                                }
-                                nonempty.wait_for(&mut qlock, std::time::Duration::from_millis(1));
-                            }
-                            while ready.len() < lanes {
-                                match qlock.pop_front() {
-                                    Some(t) => ready.push(t),
-                                    None => break,
-                                }
-                            }
+        run_workers(self.threads, |_| {
+            let mut ready: Vec<TileId> = Vec::with_capacity(lanes);
+            let mut out = TileOut::new();
+            let mut top = HStripe::default();
+            let mut left = VStripe::default();
+            loop {
+                ready.clear();
+                {
+                    let mut qlock = queue.lock();
+                    while qlock.is_empty() {
+                        if remaining.load(Ordering::Acquire) == 0 {
+                            return;
                         }
-                        let full_block = lanes >= 8
-                            && ready.len() == lanes
-                            && ready.iter().all(|t| {
-                                let (_, th) = grid.rows(t.ti);
-                                let (_, tw) = grid.cols(t.tj);
-                                th == tile && tw == tile
-                            });
-                        if full_block {
-                            compute_masked_block::<G, SS>(
-                                gap, subst, q, s, &grid, &borders, &ready, lanes, tile,
-                            );
-                        } else {
-                            for &t in &ready {
-                                compute_scalar_tile::<K, G, SS>(
-                                    gap, subst, q, s, &grid, &borders, t, &mut out, &mut top,
-                                    &mut left,
-                                );
-                            }
-                        }
-                        let mut to_push: Vec<TileId> = Vec::new();
-                        for &t in &ready {
-                            if (t.tj as usize) + 1 < grid.mt {
-                                let r = TileId {
-                                    ti: t.ti,
-                                    tj: t.tj + 1,
-                                };
-                                if deps[grid.index(r)].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    to_push.push(r);
-                                }
-                            }
-                            if (t.ti as usize) + 1 < grid.nt {
-                                let d = TileId {
-                                    ti: t.ti + 1,
-                                    tj: t.tj,
-                                };
-                                if deps[grid.index(d)].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    to_push.push(d);
-                                }
-                            }
-                        }
-                        if !to_push.is_empty() {
-                            let mut qlock = queue.lock();
-                            for t in to_push {
-                                qlock.push_back(t);
-                            }
-                            nonempty.notify_all();
-                        }
-                        remaining.fetch_sub(ready.len(), Ordering::AcqRel);
+                        nonempty.wait_for(&mut qlock, std::time::Duration::from_millis(1));
                     }
-                });
+                    while ready.len() < lanes {
+                        match qlock.pop_front() {
+                            Some(t) => ready.push(t),
+                            None => break,
+                        }
+                    }
+                }
+                let full_block = lanes >= 8
+                    && ready.len() == lanes
+                    && ready.iter().all(|t| {
+                        let (_, th) = grid.rows(t.ti);
+                        let (_, tw) = grid.cols(t.tj);
+                        th == tile && tw == tile
+                    });
+                if full_block {
+                    compute_masked_block::<G, SS>(
+                        gap, subst, q, s, &grid, &borders, &ready, lanes, tile,
+                    );
+                } else {
+                    for &t in &ready {
+                        compute_scalar_tile::<K, G, SS>(
+                            gap, subst, q, s, &grid, &borders, t, &mut out, &mut top, &mut left,
+                        );
+                    }
+                }
+                let mut to_push: Vec<TileId> = Vec::new();
+                for &t in &ready {
+                    if (t.tj as usize) + 1 < grid.mt {
+                        let r = TileId {
+                            ti: t.ti,
+                            tj: t.tj + 1,
+                        };
+                        if deps[grid.index(r)].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            to_push.push(r);
+                        }
+                    }
+                    if (t.ti as usize) + 1 < grid.nt {
+                        let d = TileId {
+                            ti: t.ti + 1,
+                            tj: t.tj,
+                        };
+                        if deps[grid.index(d)].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            to_push.push(d);
+                        }
+                    }
+                }
+                if !to_push.is_empty() {
+                    let mut qlock = queue.lock();
+                    for t in to_push {
+                        qlock.push_back(t);
+                    }
+                    nonempty.notify_all();
+                }
+                remaining.fetch_sub(ready.len(), Ordering::AcqRel);
             }
         });
 

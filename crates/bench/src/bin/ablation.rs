@@ -104,7 +104,11 @@ fn main() {
     }
 
     if which == "queue" || which == "all" {
-        println!("== Ablation: concurrent queue (lock-free injector vs mutex deque) ==");
+        // Both queues are mutexed deques pulled one tile at a time (scalar
+        // tiles); they differ in how an idle worker waits for a tile.
+        println!(
+            "== Ablation: tile queue (wavefront's spin-polled queue vs SeqAnLike's condvar-waited deque) =="
+        );
         let mut t = Table::new(vec!["queue", "GCUPS"]);
         let cfg = ParallelCfg::threads(threads).with_tile(256);
         let m = measure_gcups(cells, 3, || {
@@ -121,7 +125,7 @@ fn main() {
             );
         });
         t.row(vec![
-            "lock-free injector".to_string(),
+            "wavefront, spin-polled".to_string(),
             format!("{:.2}", m.gcups),
         ]);
         json.insert("queue/injector".to_string(), m.gcups);
@@ -131,7 +135,10 @@ fn main() {
         let m = measure_gcups(cells, 3, || {
             std::hint::black_box(seqan.score(&scheme, q, s));
         });
-        t.row(vec!["mutex deque".to_string(), format!("{:.2}", m.gcups)]);
+        t.row(vec![
+            "SeqAnLike, condvar-waited".to_string(),
+            format!("{:.2}", m.gcups),
+        ]);
         json.insert("queue/mutex".to_string(), m.gcups);
         println!("{}", t.render());
     }

@@ -29,7 +29,7 @@
 
 use crate::alignment::{AlignOp, Alignment};
 use crate::fullmatrix::base_global;
-use crate::kind::{AlignKind, Extension, FreeEnd, Global, Local, OptRegion, SemiGlobal};
+use crate::kind::{AlignKind, Extension, FreeEnd, Global, OptRegion};
 use crate::pass::{score_pass, PassOutput};
 use crate::score::Score;
 use crate::scoring::{GapModel, SubstScore};
@@ -107,9 +107,7 @@ where
     // Forward half-pass over rows 1..=mid.
     let fwd = pass.pass::<Global>(gap, subst, &q[..mid], s, tb);
     // Backward half-pass over (reversed) rows mid+1..=n.
-    let rq: Vec<u8> = q[mid..].iter().rev().copied().collect();
-    let rs: Vec<u8> = s.iter().rev().copied().collect();
-    let bwd = pass.pass::<Global>(gap, subst, &rq, &rs, te);
+    let bwd = pass.pass::<Global>(gap, subst, &reversed(&q[mid..]), &reversed(s), te);
 
     // DD rows: E at the boundary, with the column-0 value supplied in
     // closed form (an all-delete path down column 0 pays the boundary
@@ -197,241 +195,8 @@ where
     best_score
 }
 
-/// Global alignment (linear space).
-pub fn align_global<G, S, P>(
-    pass: &P,
-    gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
-    cfg: &AlignConfig,
-) -> Alignment
-where
-    G: GapModel,
-    S: SubstScore,
-    P: HalfPass<G, S>,
-{
-    let mut ops = Vec::with_capacity(q.len().max(s.len()) + 16);
-    let score = diff(
-        pass,
-        gap,
-        subst,
-        q,
-        s,
-        gap.open(),
-        gap.open(),
-        cfg,
-        &mut ops,
-    );
-    Alignment {
-        score,
-        ops,
-        q_start: 0,
-        q_end: q.len(),
-        s_start: 0,
-        s_end: s.len(),
-    }
-}
-
 fn reversed(codes: &[u8]) -> Vec<u8> {
     codes.iter().rev().copied().collect()
-}
-
-/// Local alignment (linear space): locate the end with a forward local
-/// pass, the start with a reversed extension pass, then globally align
-/// the enclosed rectangle.
-pub fn align_local<G, S, P>(
-    pass: &P,
-    gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
-    cfg: &AlignConfig,
-) -> Alignment
-where
-    G: GapModel,
-    S: SubstScore,
-    P: HalfPass<G, S>,
-{
-    let fwd = pass.pass::<Local>(gap, subst, q, s, gap.open());
-    if fwd.score <= 0 {
-        return Alignment::empty(0);
-    }
-    let (ie, je) = fwd.end;
-    let rq = reversed(&q[..ie]);
-    let rs = reversed(&s[..je]);
-    let rev = pass.pass::<Extension>(gap, subst, &rq, &rs, gap.open());
-    debug_assert_eq!(
-        rev.score, fwd.score,
-        "reverse extension pass must reproduce the local optimum"
-    );
-    let (ri, rj) = rev.end;
-    let (is, js) = (ie - ri, je - rj);
-
-    let mut ops = Vec::new();
-    let score = diff(
-        pass,
-        gap,
-        subst,
-        &q[is..ie],
-        &s[js..je],
-        gap.open(),
-        gap.open(),
-        cfg,
-        &mut ops,
-    );
-    debug_assert_eq!(
-        score, fwd.score,
-        "region global score must equal local optimum"
-    );
-    Alignment {
-        score: fwd.score,
-        ops,
-        q_start: is,
-        q_end: ie,
-        s_start: js,
-        s_end: je,
-    }
-}
-
-/// Semi-global alignment (linear space): free gaps at both ends; the
-/// aligned core is located with a forward semi-global pass and a reversed
-/// free-end pass.
-pub fn align_semiglobal<G, S, P>(
-    pass: &P,
-    gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
-    cfg: &AlignConfig,
-) -> Alignment
-where
-    G: GapModel,
-    S: SubstScore,
-    P: HalfPass<G, S>,
-{
-    let fwd = pass.pass::<SemiGlobal>(gap, subst, q, s, gap.open());
-    let (ie, je) = fwd.end;
-    if ie == 0 || je == 0 {
-        // The optimum sits on an initialization border: everything is a
-        // free end gap, the aligned core is empty.
-        return Alignment::empty(fwd.score);
-    }
-    let rq = reversed(&q[..ie]);
-    let rs = reversed(&s[..je]);
-    let rev = pass.pass::<FreeEnd>(gap, subst, &rq, &rs, gap.open());
-    debug_assert_eq!(
-        rev.score, fwd.score,
-        "reverse free-end pass must reproduce the semi-global optimum"
-    );
-    let (ri, rj) = rev.end;
-    let (is, js) = (ie - ri, je - rj);
-    debug_assert!(
-        is == 0 || js == 0,
-        "semi-global start must lie on a sequence boundary"
-    );
-
-    let mut ops = Vec::new();
-    let score = diff(
-        pass,
-        gap,
-        subst,
-        &q[is..ie],
-        &s[js..je],
-        gap.open(),
-        gap.open(),
-        cfg,
-        &mut ops,
-    );
-    debug_assert_eq!(score, fwd.score);
-    Alignment {
-        score: fwd.score,
-        ops,
-        q_start: is,
-        q_end: ie,
-        s_start: js,
-        s_end: je,
-    }
-}
-
-/// Free-end alignment (linear space): start anchored at the origin, free
-/// gaps at the end.
-pub fn align_free_end<G, S, P>(
-    pass: &P,
-    gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
-    cfg: &AlignConfig,
-) -> Alignment
-where
-    G: GapModel,
-    S: SubstScore,
-    P: HalfPass<G, S>,
-{
-    let fwd = pass.pass::<FreeEnd>(gap, subst, q, s, gap.open());
-    let (ie, je) = fwd.end;
-    let mut ops = Vec::new();
-    let score = diff(
-        pass,
-        gap,
-        subst,
-        &q[..ie],
-        &s[..je],
-        gap.open(),
-        gap.open(),
-        cfg,
-        &mut ops,
-    );
-    debug_assert_eq!(score, fwd.score);
-    Alignment {
-        score: fwd.score,
-        ops,
-        q_start: 0,
-        q_end: ie,
-        s_start: 0,
-        s_end: je,
-    }
-}
-
-/// Extension alignment (linear space): start anchored at the origin, end
-/// free anywhere — the best prefix-pair alignment.
-pub fn align_extension<G, S, P>(
-    pass: &P,
-    gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
-    cfg: &AlignConfig,
-) -> Alignment
-where
-    G: GapModel,
-    S: SubstScore,
-    P: HalfPass<G, S>,
-{
-    let fwd = pass.pass::<Extension>(gap, subst, q, s, gap.open());
-    let (ie, je) = fwd.end;
-    let mut ops = Vec::new();
-    let score = diff(
-        pass,
-        gap,
-        subst,
-        &q[..ie],
-        &s[..je],
-        gap.open(),
-        gap.open(),
-        cfg,
-        &mut ops,
-    );
-    debug_assert_eq!(score, fwd.score);
-    Alignment {
-        score: fwd.score,
-        ops,
-        q_start: 0,
-        q_end: ie,
-        s_start: 0,
-        s_end: je,
-    }
 }
 
 /// Kind-dispatched linear-space alignment. The `match` is over
@@ -449,6 +214,12 @@ where
 
 /// [`align`] with an explicit pass provider (multithreaded / SIMD
 /// backends plug in here).
+///
+/// Every kind reduces to one global rectangle: a forward kind-`K` pass
+/// finds the end (corner kinds end at `(n, m)` and skip it), a free-begin
+/// kind finds its start with a *reversed* pass of the mirror kind
+/// ([`Extension`] for an optimum anywhere, [`FreeEnd`] for one on the
+/// border), and [`diff`] aligns what lies between.
 pub fn align_with_pass<K, G, S, P>(
     pass: &P,
     gap: &G,
@@ -463,28 +234,64 @@ where
     S: SubstScore,
     P: HalfPass<G, S>,
 {
-    match K::OPT {
-        OptRegion::Corner => align_global(pass, gap, subst, q, s, cfg),
-        OptRegion::Anywhere => {
-            if K::NU_ZERO {
-                align_local(pass, gap, subst, q, s, cfg)
-            } else {
-                align_extension(pass, gap, subst, q, s, cfg)
-            }
+    let open = gap.open();
+    let (opt, (ie, je)) = match K::OPT {
+        OptRegion::Corner => (None, (q.len(), s.len())),
+        _ => {
+            let fwd = pass.pass::<K>(gap, subst, q, s, open);
+            (Some(fwd.score), fwd.end)
         }
-        OptRegion::Border => {
-            if K::FREE_BEGIN {
-                align_semiglobal(pass, gap, subst, q, s, cfg)
-            } else {
-                align_free_end(pass, gap, subst, q, s, cfg)
-            }
+    };
+    let (mut is, mut js) = (0, 0);
+    if let Some(opt) = opt.filter(|_| K::FREE_BEGIN) {
+        // An empty core: no positive local score, or a semi-global
+        // optimum on an initialization border (all free end gaps).
+        if K::NU_ZERO && opt <= 0 {
+            return Alignment::empty(0);
         }
+        if ie == 0 || je == 0 {
+            return Alignment::empty(opt);
+        }
+        let (rq, rs) = (reversed(&q[..ie]), reversed(&s[..je]));
+        let rev = match K::OPT {
+            OptRegion::Anywhere => pass.pass::<Extension>(gap, subst, &rq, &rs, open),
+            _ => pass.pass::<FreeEnd>(gap, subst, &rq, &rs, open),
+        };
+        debug_assert_eq!(rev.score, opt, "reverse pass must reproduce the optimum");
+        (is, js) = (ie - rev.end.0, je - rev.end.1);
+        debug_assert!(
+            K::OPT != OptRegion::Border || is == 0 || js == 0,
+            "a border kind's start lies on a sequence boundary"
+        );
+    }
+
+    let mut ops = Vec::with_capacity((ie - is).max(je - js) + 16);
+    let score = diff(
+        pass,
+        gap,
+        subst,
+        &q[is..ie],
+        &s[js..je],
+        open,
+        open,
+        cfg,
+        &mut ops,
+    );
+    debug_assert!(opt.is_none_or(|opt| opt == score));
+    Alignment {
+        score: opt.unwrap_or(score),
+        ops,
+        q_start: is,
+        q_end: ie,
+        s_start: js,
+        s_end: je,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kind::{Local, SemiGlobal};
     use crate::scoring::{simple, AffineGap, LinearGap};
     use anyseq_seq::Seq;
 
@@ -503,7 +310,7 @@ mod tests {
         let subst = simple(2, -1);
         let q = seq(b"ACGTACGTTACGATCA");
         let s = seq(b"ACGACGTTAGCGTCA");
-        let big = align_global(
+        let big = align_with_pass::<Global, _, _, _>(
             &ScalarPass,
             &gap,
             &subst,
@@ -511,7 +318,14 @@ mod tests {
             s.codes(),
             &AlignConfig::default(),
         );
-        let small = align_global(&ScalarPass, &gap, &subst, q.codes(), s.codes(), &deep());
+        let small = align_with_pass::<Global, _, _, _>(
+            &ScalarPass,
+            &gap,
+            &subst,
+            q.codes(),
+            s.codes(),
+            &deep(),
+        );
         assert_eq!(big.score, small.score);
         big.validate::<Global, _, _>(&q, &s, &gap, &subst).unwrap();
         small
@@ -528,7 +342,7 @@ mod tests {
         let subst = simple(2, -1);
         let q = seq(b"ACGTTTTTACGTACGA");
         let s = seq(b"ACGTACGTACGA");
-        let big = align_global(
+        let big = align_with_pass::<Global, _, _, _>(
             &ScalarPass,
             &gap,
             &subst,
@@ -536,7 +350,14 @@ mod tests {
             s.codes(),
             &AlignConfig::default(),
         );
-        let small = align_global(&ScalarPass, &gap, &subst, q.codes(), s.codes(), &deep());
+        let small = align_with_pass::<Global, _, _, _>(
+            &ScalarPass,
+            &gap,
+            &subst,
+            q.codes(),
+            s.codes(),
+            &deep(),
+        );
         assert_eq!(big.score, small.score);
         small
             .validate::<Global, _, _>(&q, &s, &gap, &subst)
@@ -554,7 +375,14 @@ mod tests {
         let subst = simple(2, -1);
         let q = seq(b"ACGTACGTAAAAAAAACGTACGTA");
         let s = seq(b"ACGTACGTCGTACGTA");
-        let aln = align_global(&ScalarPass, &gap, &subst, q.codes(), s.codes(), &deep());
+        let aln = align_with_pass::<Global, _, _, _>(
+            &ScalarPass,
+            &gap,
+            &subst,
+            q.codes(),
+            s.codes(),
+            &deep(),
+        );
         aln.validate::<Global, _, _>(&q, &s, &gap, &subst).unwrap();
         // 16 matches + one 8-gap: 32 - 4 - 8 = 20
         assert_eq!(aln.score, 20);
@@ -566,7 +394,14 @@ mod tests {
         let subst = simple(2, -3);
         let q = seq(b"TTTTACGTACGTTTTT");
         let s = seq(b"GGGGACGTACGGGGG");
-        let aln = align_local(&ScalarPass, &gap, &subst, q.codes(), s.codes(), &deep());
+        let aln = align_with_pass::<Local, _, _, _>(
+            &ScalarPass,
+            &gap,
+            &subst,
+            q.codes(),
+            s.codes(),
+            &deep(),
+        );
         aln.validate::<Local, _, _>(&q, &s, &gap, &subst).unwrap();
         // Common core ACGTACG (7 matches); extending to q's T vs s's G
         // costs a -3 mismatch and never pays off.
@@ -577,7 +412,7 @@ mod tests {
     fn local_empty_when_all_negative() {
         let gap = LinearGap { gap: -2 };
         let subst = simple(2, -3);
-        let aln = align_local(
+        let aln = align_with_pass::<Local, _, _, _>(
             &ScalarPass,
             &gap,
             &subst,
@@ -595,7 +430,14 @@ mod tests {
         let subst = simple(2, -3);
         let q = seq(b"TTTTACGTACGTTTTT");
         let s = seq(b"ACGTACGT");
-        let aln = align_semiglobal(&ScalarPass, &gap, &subst, q.codes(), s.codes(), &deep());
+        let aln = align_with_pass::<SemiGlobal, _, _, _>(
+            &ScalarPass,
+            &gap,
+            &subst,
+            q.codes(),
+            s.codes(),
+            &deep(),
+        );
         aln.validate::<SemiGlobal, _, _>(&q, &s, &gap, &subst)
             .unwrap();
         assert_eq!(aln.score, 16);
@@ -609,7 +451,14 @@ mod tests {
         let subst = simple(2, -3);
         let q = seq(b"ACGTTTTTTTT");
         let s = seq(b"ACGTGGGGGGG");
-        let aln = align_free_end(&ScalarPass, &gap, &subst, q.codes(), s.codes(), &deep());
+        let aln = align_with_pass::<FreeEnd, _, _, _>(
+            &ScalarPass,
+            &gap,
+            &subst,
+            q.codes(),
+            s.codes(),
+            &deep(),
+        );
         aln.validate::<FreeEnd, _, _>(&q, &s, &gap, &subst).unwrap();
         // ACGT matched, then a 7-long query gap reaches the last column.
         assert_eq!(aln.score, -6);
@@ -622,7 +471,14 @@ mod tests {
         let subst = simple(2, -3);
         let q = seq(b"ACGTTTTTTTT");
         let s = seq(b"ACGTGGGGGGG");
-        let aln = align_extension(&ScalarPass, &gap, &subst, q.codes(), s.codes(), &deep());
+        let aln = align_with_pass::<Extension, _, _, _>(
+            &ScalarPass,
+            &gap,
+            &subst,
+            q.codes(),
+            s.codes(),
+            &deep(),
+        );
         aln.validate::<crate::kind::Extension, _, _>(&q, &s, &gap, &subst)
             .unwrap();
         assert_eq!(aln.score, 8);

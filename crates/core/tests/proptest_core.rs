@@ -218,7 +218,7 @@ proptest! {
         let subst = simple(3, -2);
         let qs = Seq::from_codes(q.clone()).unwrap();
         let ss = Seq::from_codes(s.clone()).unwrap();
-        let aln = anyseq_core::hirschberg::align_global(&anyseq_core::hirschberg::ScalarPass, &gap, &subst, qs.codes(), ss.codes(), &AlignConfig::default());
+        let aln = anyseq_core::hirschberg::align_with_pass::<Global, _, _, _>(&anyseq_core::hirschberg::ScalarPass, &gap, &subst, qs.codes(), ss.codes(), &AlignConfig::default());
         if let Err(e) = aln.validate::<Global, _, _>(&qs, &ss, &gap, &subst) {
             prop_assert!(false, "invalid: {e}");
         }
@@ -261,7 +261,7 @@ fn giant_gap_across_midlines() {
             let gap = AffineGap { open, extend: -1 };
             let subst = simple(2, -7);
             let cfg = AlignConfig { cutoff_area: 16 };
-            let aln = anyseq_core::hirschberg::align_global(
+            let aln = anyseq_core::hirschberg::align_with_pass::<Global, _, _, _>(
                 &anyseq_core::hirschberg::ScalarPass,
                 &gap,
                 &subst,

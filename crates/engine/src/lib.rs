@@ -88,8 +88,9 @@
 
 #![deny(missing_docs)]
 // No `unsafe`: the scheduler's pool hands results back through
-// checked slots, and every backend maps its pairs on one thread or
-// delegates to a crate that owns its threads.
+// checked slots, and every thread a backend runs on comes from the
+// workspace's one pool (`anyseq_wavefront::run_workers`), which returns
+// each worker's output instead of sharing a buffer.
 #![forbid(unsafe_code)]
 
 pub mod backends;

@@ -102,7 +102,7 @@ use anyseq_core::Alignment;
 use anyseq_obs as obs;
 use anyseq_obs::Stage;
 use anyseq_seq::{BatchView, PairRef};
-use anyseq_wavefront::{plan_columns, ShardSeam};
+use anyseq_wavefront::{plan_columns, run_workers, ShardSeam};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -757,40 +757,36 @@ impl BatchScheduler {
     }
 }
 
-/// The scheduler's one worker pool: runs `work` on the calling thread
-/// and on `workers − 1` scoped helpers (lanes `1..workers` of the
+/// The scheduler's worker pool: runs `work` on the calling thread and
+/// on `workers − 1` helpers of the shared pool
+/// ([`anyseq_wavefront::run_workers`]; lanes `1..workers` of the
 /// tracer), and returns every worker's output, the caller's first.
 ///
 /// Caller-runs: a batch starts working at once on the core that is
 /// already running it, a helper that is slow to be scheduled costs only
 /// what it did not draw from whatever shared counter `work` pulls, and
-/// a one-worker pool spawns nothing. No thread outlives the call.
+/// a one-worker pool spawns nothing.
 fn on_pool<R: Send>(
     workers: usize,
     tracer: Option<&obs::BatchTracer>,
     work: impl Fn() -> R + Sync,
 ) -> Vec<R> {
-    let work = &work;
-    std::thread::scope(|sc| {
-        let helpers: Vec<_> = (1..workers)
-            .map(|w| {
-                sc.spawn(move || {
-                    let _g = tracer.map(|t| t.worker(w as u32));
-                    work()
-                })
-            })
-            .collect();
-        let mut out = vec![work()];
+    let mut out = run_workers(workers, |w| {
+        if w > 0 {
+            let _g = tracer.map(|t| t.worker(w as u32));
+            return (work(), None);
+        }
+        let mine = work();
         // Back to coordinating: what the coordinator lane records from
         // here on belongs to no unit, and the time it spends blocked on
         // the join is queue wait.
         obs::set_context("sched", obs::NO_ID, obs::NO_ID);
-        let t_wait = obs::timer();
-        let joined = helpers.into_iter().map(|h| h.join());
-        out.extend(joined.map(|out| out.expect("batch worker panicked")));
+        (mine, Some(obs::timer()))
+    });
+    if let Some(t_wait) = out[0].1.take() {
         obs::commit(Stage::QueueWait, t_wait);
-        out
-    })
+    }
+    out.into_iter().map(|(r, _)| r).collect()
 }
 
 /// Fewest pairs worth a probe chunk of their own: below this a helper

@@ -24,7 +24,8 @@ use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use anyseq_wavefront::run_workers;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Smallest bucket remainder the score path runs as a partial lane
 /// group: one `L`-lane block costs less than two scalar pairs on either
@@ -100,6 +101,48 @@ impl<const L: usize> LaneGroups<L> {
         }
         LaneGroups { groups, scalar_idx }
     }
+
+    /// Runs the groups, then the scalar pairs, on `threads` workers of
+    /// the shared pool ([`run_workers`]; the calling thread is worker 0,
+    /// so `threads ≤ 1` runs inline), drawn off one counter. `group`
+    /// pushes `(pair index, value)` for its live lanes, `scalar` computes
+    /// one pair's value; each worker keeps its own outputs and
+    /// telemetry, and the caller's thread scatters them into input
+    /// order (`len` values, `fill` where no one wrote) after the join.
+    pub(crate) fn run<T: Clone + Send>(
+        &self,
+        threads: usize,
+        len: usize,
+        fill: T,
+        group: impl Fn(&LaneGroup<L>, &mut TraceStats, &mut Vec<(usize, T)>) + Sync,
+        scalar: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, TraceStats) {
+        let next = AtomicUsize::new(0);
+        let done = run_workers(threads, |_| {
+            let mut out = Vec::with_capacity(len / threads.max(1));
+            let mut stats = TraceStats::default();
+            loop {
+                let item = next.fetch_add(1, Ordering::Relaxed);
+                if let Some(g) = self.groups.get(item) {
+                    group(g, &mut stats, &mut out);
+                } else if let Some(&idx) = self.scalar_idx.get(item - self.groups.len()) {
+                    stats.scalar_pairs += 1;
+                    out.push((idx, scalar(idx)));
+                } else {
+                    break (out, stats);
+                }
+            }
+        });
+        let mut values = vec![fill; len];
+        let mut stats = TraceStats::default();
+        for (out, worker) in done {
+            for (idx, value) in out {
+                values[idx] = value;
+            }
+            stats.merge(&worker);
+        }
+        (values, stats)
+    }
 }
 
 /// The lane transpose — the one copy of sequence bytes on the batch
@@ -126,9 +169,15 @@ pub(crate) fn transpose_lanes<const L: usize>(
     (q_rows, s_cols)
 }
 
-/// Scores a batch of independent pairs with `L`-lane SIMD and
-/// `threads`-way parallelism; returns one kind-`K` score per pair, in
-/// input order (bit-identical to `scheme.score`).
+/// Scores a batch of independent pairs with `L`-lane SIMD; returns one
+/// kind-`K` score per pair, in input order (bit-identical to
+/// `scheme.score`).
+///
+/// `threads` workers of the shared pool
+/// ([`anyseq_wavefront::run_workers`]) draw lane groups and scalar
+/// pairs off one counter; the calling thread is worker 0, so
+/// `threads ≤ 1` runs inline and spawns nothing. The result does not
+/// depend on `threads`.
 pub fn score_batch_simd<K, G, SS, const L: usize>(
     scheme: &Scheme<K, G, SS>,
     pairs: &[PairRef<'_>],
@@ -181,8 +230,7 @@ where
     let gap = *scheme.gap();
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
-    let LaneGroups { groups, scalar_idx } =
-        LaneGroups::<L>::build(pairs, extent_budget, SCORE_MIN_PARTIAL);
+    let built = LaneGroups::<L>::build(pairs, extent_budget, SCORE_MIN_PARTIAL);
     // X-drop only applies where an optimum can be frozen early; corner
     // kinds always relax the full matrix. Clamp to the i16 block budget.
     let xdrop16 = if matches!(K::OPT, OptRegion::Corner) {
@@ -191,82 +239,20 @@ where
         xdrop.clamp(0, 12_000) as i16
     };
 
-    let mut scores = vec![0 as Score; pairs.len()];
-    struct Out(*mut Score);
-    unsafe impl Send for Out {}
-    unsafe impl Sync for Out {}
-    let out = Out(scores.as_mut_ptr());
-    let next_group = AtomicUsize::new(0);
-    let next_scalar = AtomicUsize::new(0);
-    let bytes_copied = AtomicU64::new(0);
-    let lanes_retired = AtomicU64::new(0);
-    let threads = threads.max(1);
-
-    {
-        let out = &out;
-        let groups = &groups;
-        let scalar_idx = &scalar_idx;
-        let next_group = &next_group;
-        let next_scalar = &next_scalar;
-        let bytes_copied = &bytes_copied;
-        let lanes_retired = &lanes_retired;
-        let gap = &gap;
-        let subst = &subst;
-        let worker = move || {
-            let mut local_bytes = 0u64;
-            let mut local_retired = 0u64;
-            loop {
-                let g = next_group.fetch_add(1, Ordering::Relaxed);
-                if g >= groups.len() {
-                    break;
-                }
-                let group = &groups[g];
-                let p0 = pairs[group.lanes[0]];
-                local_bytes += ((p0.q.len() + p0.s.len()) * L) as u64;
-                let (results, retired) =
-                    score_lane_group::<K, G, SS, L>(gap, subst, pairs, &group.lanes, xdrop16);
-                local_retired += (retired & group.live_mask()).count_ones() as u64;
-                for (l, &idx) in group.live().iter().enumerate() {
-                    // SAFETY: each pair index is live in exactly one
-                    // lane of one group, so it is written exactly once.
-                    unsafe { *out.0.add(idx) = results[l] };
-                }
-            }
-            bytes_copied.fetch_add(local_bytes, Ordering::Relaxed);
-            lanes_retired.fetch_add(local_retired, Ordering::Relaxed);
-            loop {
-                let k = next_scalar.fetch_add(1, Ordering::Relaxed);
-                if k >= scalar_idx.len() {
-                    break;
-                }
-                let idx = scalar_idx[k];
-                let p = pairs[idx];
-                let score = anyseq_obs::span(Stage::Kernel, || scheme.score_codes(p.q, p.s));
-                unsafe { *out.0.add(idx) = score };
-            }
-        };
-        if threads == 1 {
-            // Inline: no spawn/join for a single-thread budget (the
-            // scheduler pools units at 1 thread each), and stage spans
-            // land on the caller's recorder instead of anonymous
-            // threads.
-            worker();
-        } else {
-            std::thread::scope(|sc| {
-                for _ in 0..threads {
-                    sc.spawn(worker);
-                }
-            });
-        }
-    }
-    let stats = TraceStats {
-        lane_pairs: groups.iter().map(|g| g.fill as u64).sum(),
-        scalar_pairs: scalar_idx.len() as u64,
-        bytes_copied: bytes_copied.load(Ordering::Relaxed),
-        xdrop_retired: lanes_retired.load(Ordering::Relaxed),
-        ..TraceStats::default()
+    let group = |group: &LaneGroup<L>, stats: &mut TraceStats, out: &mut Vec<(usize, Score)>| {
+        let p0 = pairs[group.lanes[0]];
+        stats.lane_pairs += group.fill as u64;
+        stats.bytes_copied += ((p0.q.len() + p0.s.len()) * L) as u64;
+        let (results, retired) =
+            score_lane_group::<K, G, SS, L>(&gap, &subst, pairs, &group.lanes, xdrop16);
+        stats.xdrop_retired += (retired & group.live_mask()).count_ones() as u64;
+        out.extend(group.live().iter().copied().zip(results));
     };
-    (scores, stats)
+    let scalar = |idx: usize| {
+        let p = pairs[idx];
+        anyseq_obs::span(Stage::Kernel, || scheme.score_codes(p.q, p.s))
+    };
+    built.run(threads, pairs.len(), 0, group, scalar)
 }
 
 /// Scores `L` equal-dimension pairs in one vector block; returns the
@@ -425,6 +411,50 @@ mod tests {
         assert_eq!(lanes, [([0, 1, 2, 3], 4), ([4, 5, 5, 5], 2)]);
     }
 
+    /// The invariant the batch pools' result scatter rests on: every
+    /// input index is live in exactly one lane of one group or on the
+    /// scalar list, a group's lanes share `(|q|, |s|)`, and padding
+    /// lanes repeat a live index of their own group.
+    fn check_lane_groups<const L: usize>(
+        dims: &[(usize, usize)],
+        extent_budget: usize,
+        min_partial: usize,
+    ) {
+        let seq = |len: usize| Seq::from_codes(vec![1u8; len]).unwrap();
+        let pairs: Vec<(Seq, Seq)> = dims.iter().map(|&(n, m)| (seq(n), seq(m))).collect();
+        let view = BatchView::from_pairs(&pairs);
+        let built = LaneGroups::<L>::build(view.refs(), extent_budget, min_partial);
+        let mut seen = vec![0u32; dims.len()];
+        for group in &built.groups {
+            assert!((1..=L).contains(&group.fill));
+            let shape = dims[group.lanes[0]];
+            assert!(group.lanes.iter().all(|&k| dims[k] == shape), "{shape:?}");
+            let pad = &group.lanes[group.fill..];
+            assert!(pad.iter().all(|k| group.live().contains(k)), "{pad:?}");
+            for &k in group.live() {
+                seen[k] += 1;
+            }
+        }
+        for &k in &built.scalar_idx {
+            seen[k] += 1;
+        }
+        assert!(seen.iter().all(|&c| c == 1), "index counts {seen:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lane_groups_place_every_index_once_in_one_shape(
+            dims in proptest::collection::vec((0usize..5, 0usize..5), 0..80),
+            extent_budget in 0usize..10,
+            min_partial in 0usize..10,
+        ) {
+            check_lane_groups::<4>(&dims, extent_budget, min_partial);
+            check_lane_groups::<8>(&dims, extent_budget, min_partial);
+        }
+    }
+
     /// What a bucket of `count` equal-dimension pairs must turn into:
     /// (pairs in live lanes, lane groups run).
     fn expected_split(count: usize, lanes: usize, min_partial: usize) -> (u64, u64) {
@@ -529,9 +559,14 @@ mod tests {
         pairs.extend(extra);
         let view = BatchView::from_pairs(&pairs);
         let scheme = global(linear(simple(2, -1), -1));
-        let simd = score_batch_simd::<_, _, _, 16>(&scheme, view.refs(), 6);
+        let (simd, stats) = score_batch_simd_stats::<_, _, _, 16>(&scheme, view.refs(), 1);
         for (k, (q, s)) in pairs.iter().enumerate() {
             assert_eq!(simd[k], scheme.score(q, s), "pair {k}");
+        }
+        assert!(stats.lane_pairs > 0);
+        for threads in [3, 8] {
+            let par = score_batch_simd_stats::<_, _, _, 16>(&scheme, view.refs(), threads);
+            assert_eq!(par, (simd.clone(), stats), "threads = {threads}");
         }
     }
 }

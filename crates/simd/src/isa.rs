@@ -70,6 +70,7 @@ impl Tier {
     /// body: code that is not inlined into the trampoline keeps the
     /// build's baseline features.
     #[inline(always)]
+    #[allow(unsafe_code)]
     pub(crate) fn run<R>(self, body: impl FnOnce() -> R) -> R {
         match self.0 {
             Isa::Baseline => body(),
@@ -84,13 +85,11 @@ impl Tier {
 }
 
 /// The AVX2 trampoline: everything inlined into an instantiation of
-/// this function is code-generated with AVX2 enabled.
-///
-/// # Safety
-/// The CPU must support AVX2.
+/// this function is code-generated with AVX2 enabled. Calling it from
+/// code without AVX2 is `unsafe`: the CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn avx2<R>(body: impl FnOnce() -> R) -> R {
+fn avx2<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 

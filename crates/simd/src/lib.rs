@@ -28,6 +28,10 @@
 //! corner* (paper: "only differences to the global score are relevant"),
 //! with the block extent bounded by [`kernel::max_block_extent`].
 
+// The AVX2 trampoline (`isa::Tier::run`) is the crate's one `unsafe`
+// block; every other site fails the build.
+#![deny(unsafe_code)]
+
 pub mod batch;
 pub mod isa;
 pub mod kernel;

@@ -45,8 +45,6 @@ use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Smallest bucket remainder the traceback path runs as a partial lane
 /// group instead of `k` scalar `align_codes` calls. A padded group pays
@@ -571,9 +569,11 @@ where
 }
 
 /// Aligns a batch of independent pairs with `L`-lane SIMD banded
-/// traceback and `threads`-way parallelism; returns one kind-`K`
-/// [`Alignment`] per pair, in input order, plus the run's band
-/// telemetry. Scores are bit-identical to `scheme.align`; CIGARs are
+/// traceback; returns one kind-`K` [`Alignment`] per pair, in input
+/// order, plus the run's band telemetry. `threads` works as in
+/// [`score_batch_simd`](crate::batch::score_batch_simd); neither the
+/// alignments nor the telemetry depend on it. Scores are bit-identical
+/// to `scheme.align`; CIGARs are
 /// guaranteed to replay to that score (ties may be broken differently
 /// than the scalar Hirschberg traceback). X-drop never applies here —
 /// tracebacks are always exact.
@@ -596,82 +596,20 @@ where
     let gap = *scheme.gap();
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
-    let LaneGroups { groups, scalar_idx } =
-        LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL);
-
-    let mut results: Vec<Alignment> = vec![Alignment::empty(0); pairs.len()];
-    struct Out(*mut Alignment);
-    unsafe impl Send for Out {}
-    unsafe impl Sync for Out {}
-    let out = Out(results.as_mut_ptr());
-    let next_group = AtomicUsize::new(0);
-    let next_scalar = AtomicUsize::new(0);
-    let threads = threads.max(1);
-    let total = Mutex::new(TraceStats::default());
-
-    {
-        let out = &out;
-        let groups = &groups;
-        let scalar_idx = &scalar_idx;
-        let next_group = &next_group;
-        let next_scalar = &next_scalar;
-        let total = &total;
-        let gap = &gap;
-        let subst = &subst;
-        let worker = move || {
-            let mut local = TraceStats::default();
-            loop {
-                let g = next_group.fetch_add(1, Ordering::Relaxed);
-                if g >= groups.len() {
-                    break;
-                }
-                let group = &groups[g];
-                let alns =
-                    align_lane_group::<K, G, SS, L>(gap, subst, pairs, group, band, &mut local);
-                for (&idx, aln) in group.live().iter().zip(alns) {
-                    let aln = aln.unwrap_or_else(|| {
-                        // Band overflow: scalar rescue for this
-                        // lane only (already counted).
-                        let p = pairs[idx];
-                        anyseq_obs::span(Stage::Traceback, || scheme.align_codes(p.q, p.s))
-                    });
-                    // SAFETY: each pair index is live in exactly one
-                    // lane of one group, so it is written exactly once.
-                    unsafe { *out.0.add(idx) = aln };
-                }
-            }
-            loop {
-                let k = next_scalar.fetch_add(1, Ordering::Relaxed);
-                if k >= scalar_idx.len() {
-                    break;
-                }
-                let idx = scalar_idx[k];
-                let p = pairs[idx];
-                local.scalar_pairs += 1;
-                // SAFETY: scalar indices are disjoint from groups.
-                unsafe {
-                    *out.0.add(idx) =
-                        anyseq_obs::span(Stage::Traceback, || scheme.align_codes(p.q, p.s))
-                };
-            }
-            total.lock().unwrap().merge(&local);
-        };
-        if threads == 1 {
-            // Inline: no spawn/join for a single-thread budget (the
-            // scheduler pools units at 1 thread each), and stage spans
-            // land on the caller's recorder instead of anonymous
-            // threads.
-            worker();
-        } else {
-            std::thread::scope(|sc| {
-                for _ in 0..threads {
-                    sc.spawn(worker);
-                }
-            });
+    let built = LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL);
+    let scalar = |idx: usize| {
+        let p = pairs[idx];
+        anyseq_obs::span(Stage::Traceback, || scheme.align_codes(p.q, p.s))
+    };
+    let group = |group: &LaneGroup<L>, stats: &mut TraceStats, out: &mut Vec<_>| {
+        let alns = align_lane_group::<K, G, SS, L>(&gap, &subst, pairs, group, band, stats);
+        for (&idx, aln) in group.live().iter().zip(alns) {
+            // `None`: band overflow (already counted), rescued by the
+            // scalar path for this lane only.
+            out.push((idx, aln.unwrap_or_else(|| scalar(idx))));
         }
-    }
-    let stats = *total.lock().unwrap();
-    (results, stats)
+    };
+    built.run(threads, pairs.len(), Alignment::empty(0), group, scalar)
 }
 
 #[cfg(test)]
@@ -972,11 +910,18 @@ mod tests {
         }
         pairs.extend(extra);
         let scheme = global(affine(simple(2, -1), -2, -1));
-        let (alns, stats) = run::<_, _, _, 16>(&scheme, &pairs, 6, BandCfg::default());
+        let (alns, stats) = run::<_, _, _, 16>(&scheme, &pairs, 1, BandCfg::default());
         check_all(&scheme, &pairs, &alns);
         assert_eq!(
             stats.lane_pairs + stats.scalar_pairs + stats.band_overflows,
             pairs.len() as u64
         );
+        // Workers' results and telemetry merge to the same answer at
+        // every thread count.
+        for threads in [3, 8] {
+            let (par, par_stats) = run::<_, _, _, 16>(&scheme, &pairs, threads, BandCfg::default());
+            assert_eq!(par, alns, "threads = {threads}");
+            assert_eq!(par_stats, stats, "threads = {threads}");
+        }
     }
 }

@@ -17,6 +17,10 @@
 //! chains and the Hirschberg half-passes behind [`ParallelExt`] are
 //! instantiations of it.
 //!
+//! [`run_workers`] is the workspace's one compute-thread pool: the tile
+//! schedulers here, the SIMD batch paths, the baselines and the
+//! engine's batch scheduler all start their threads through it.
+//!
 //! ```
 //! use anyseq_core::prelude::*;
 //! use anyseq_wavefront::{ParallelCfg, ParallelExt};
@@ -45,5 +49,5 @@ pub use grid::{TileGrid, TileId};
 pub use pass::{
     finalize_score, tiled_score_pass, ParallelCfg, ScalarTiles, Tile, TileKernel, TiledPass,
 };
-pub use scheduler::{run_dynamic, run_static};
+pub use scheduler::{run_dynamic, run_static, run_workers};
 pub use shard::{plan_columns, ShardSeam, SlabOutput};

@@ -139,25 +139,29 @@ where
     })
 }
 
-/// Runs `body(worker_index)` on `threads` workers and returns their
-/// results in worker order. One worker runs inline on the caller's
-/// thread — no spawn or join for a single-thread budget, and its stage
-/// spans land on the caller's recorder.
-fn run_workers<W: Send>(threads: usize, body: impl Fn(usize) -> W + Sync) -> Vec<W> {
-    if threads == 1 {
-        return vec![body(0)];
-    }
+/// The workspace's one compute-thread pool: runs `body(worker)` for
+/// `worker` in `0..threads` (at least one) and returns the outputs in
+/// worker order.
+///
+/// Caller-runs: worker 0 runs on the calling thread, next to
+/// `threads − 1` scoped helpers, so a one-worker call spawns nothing
+/// and worker 0's stage spans land on the caller's recorder. No thread
+/// outlives the call. A worker's panic is re-raised on the caller once
+/// the other workers have returned, so workers that wait on each other
+/// (a barrier, a shared tile count) must not panic.
+pub fn run_workers<W: Send>(threads: usize, body: impl Fn(usize) -> W + Sync) -> Vec<W> {
+    let body = &body;
     std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let body = &body;
-                sc.spawn(move || body(worker))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("wavefront worker panicked"))
-            .collect()
+        let helpers: Vec<_> = (1..threads).map(|w| sc.spawn(move || body(w))).collect();
+        let mut out = Vec::with_capacity(threads.max(1));
+        out.push(body(0));
+        for h in helpers {
+            out.push(
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        out
     })
 }
 
@@ -247,6 +251,44 @@ mod tests {
             );
             check_order(&log.into_inner(), &grid);
         }
+    }
+
+    #[test]
+    fn pool_runs_worker_zero_on_the_caller_and_returns_in_worker_order() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 5] {
+            let out = run_workers(threads, |w| (w, std::thread::current().id()));
+            assert_eq!(out.len(), threads);
+            assert!(out.iter().enumerate().all(|(k, &(w, _))| k == w));
+            assert_eq!(out[0].1, caller, "worker 0 is the calling thread");
+            let ids: HashSet<_> = out.iter().map(|&(_, id)| id).collect();
+            assert_eq!(ids.len(), threads, "one thread per worker");
+        }
+        // A one-worker (or empty) budget runs inline and spawns nothing.
+        for threads in [0, 1] {
+            let out = run_workers(threads, |w| (w, std::thread::current().id()));
+            assert_eq!(out, [(0, caller)]);
+        }
+    }
+
+    #[test]
+    fn pool_reraises_a_helper_panic_on_the_caller() {
+        let done = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_workers(4, |w| {
+                if w == 2 {
+                    panic!("helper {w} failed");
+                }
+                done.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let payload = caught.expect_err("the helper's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "helper 2 failed");
+        assert_eq!(
+            done.load(Ordering::Relaxed),
+            3,
+            "the other workers ran to the end"
+        );
     }
 
     #[test]
