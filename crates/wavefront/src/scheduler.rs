@@ -150,17 +150,17 @@ where
 /// the other workers have returned, so workers that wait on each other
 /// (a barrier, a shared tile count) must not panic.
 pub fn run_workers<W: Send>(threads: usize, body: impl Fn(usize) -> W + Sync) -> Vec<W> {
+    if threads <= 1 {
+        // No scope either: a one-worker call is a plain call.
+        return vec![body(0)];
+    }
     let body = &body;
     std::thread::scope(|sc| {
         let helpers: Vec<_> = (1..threads).map(|w| sc.spawn(move || body(w))).collect();
-        let mut out = Vec::with_capacity(threads.max(1));
+        let mut out = Vec::with_capacity(threads);
         out.push(body(0));
-        for h in helpers {
-            out.push(
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
-        }
+        let joined = helpers.into_iter().map(|h| h.join());
+        out.extend(joined.map(|w| w.unwrap_or_else(|panic| std::panic::resume_unwind(panic))));
         out
     })
 }
