@@ -103,12 +103,11 @@ impl<const L: usize> LaneGroups<L> {
     }
 
     /// Runs the groups, then the scalar pairs, on `threads` workers of
-    /// the shared pool ([`run_workers`]; the calling thread is worker 0,
-    /// so `threads ≤ 1` runs inline), drawn off one counter. `group`
-    /// pushes `(pair index, value)` for its live lanes, `scalar` computes
-    /// one pair's value; each worker keeps its own outputs and
-    /// telemetry, and the caller's thread scatters them into input
-    /// order (`len` values, `fill` where no one wrote) after the join.
+    /// the shared pool ([`run_workers`]), drawn off one counter. `group`
+    /// pushes `(pair index, value)` for a group's live lanes, `scalar`
+    /// computes one pair's value. Each worker keeps its own outputs and
+    /// telemetry; after the join they are scattered into input order
+    /// (`len` values, `fill` where none was written) and merged.
     pub(crate) fn run<T: Clone + Send>(
         &self,
         threads: usize,
