@@ -35,13 +35,14 @@
 //! batches, tracebacks or the scalar reference. `--xdrop 0` is
 //! rejected (it would retire every lane immediately; omit the flag for
 //! the exact path).
-//! `--shard-cells CELLS` bounds the exclusive wavefront's resident
-//! working set: a pair whose DP matrix exceeds CELLS is cut into
-//! subject slabs stitched through serialized border seams — scores and
-//! CIGARs stay bit-identical to the unsharded run while peak memory
-//! drops to one slab's tile borders. Values below one 512×512 tile are
-//! clamped up; `--shard-cells 0` is rejected (omit the flag for
-//! unsharded execution).
+//! `--shard-cells CELLS` bounds the wavefront backend's resident
+//! working set: a pass whose DP matrix exceeds CELLS is cut into
+//! subject slabs stitched through border seams — scores and CIGARs
+//! stay bit-identical to the unsharded run. A score keeps one slab's
+//! tile borders resident; each Hirschberg half-pass of an alignment
+//! keeps one slab plus the O(m) last rows it returns. Values below
+//! one 512×512 tile are clamped up; `--shard-cells 0` is rejected
+//! (omit the flag for unsharded execution).
 //! `--cache-mb N` enables the content-hash result cache: repeated
 //! `(scheme, query, subject)` pairs — PCR duplicates, resequenced
 //! reads — are served from an N-MiB LRU instead of re-running the DP,

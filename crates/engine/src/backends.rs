@@ -11,16 +11,15 @@
 //! [`SchemeSpec`] to them), so results stay bit-identical across
 //! backends.
 
-use crate::engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask, ALL_KINDS, SIMD_KINDS};
+use crate::engine::{Caps, Engine, EngineError, ALL_KINDS, SIMD_KINDS};
 use crate::spec::{GapSpec, SchemeSpec};
 use crate::with_scheme;
 use anyseq_core::score::Score;
-use anyseq_core::scoring::GapModel;
 use anyseq_core::Alignment;
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
 use anyseq_simd::{align_batch_simd, score_batch_simd_xdrop, BandCfg, LaneTiles, TraceStats};
-use anyseq_wavefront::{borders::BorderStore, finalize_score, ParallelCfg, TileGrid, TiledPass};
+use anyseq_wavefront::{borders::BorderStore, ParallelCfg, TileGrid, TiledPass};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------- scalar
@@ -39,7 +38,6 @@ impl Engine for ScalarEngine {
             score_kinds: ALL_KINDS,
             align_kinds: ALL_KINDS,
             batch_native: true,
-            max_unit_cells: None,
         }
     }
 
@@ -146,7 +144,6 @@ impl Engine for SimdEngine {
             score_kinds: SIMD_KINDS,
             align_kinds: SIMD_KINDS,
             batch_native: true,
-            max_unit_cells: None,
         }
     }
 
@@ -241,6 +238,8 @@ impl Engine for SimdEngine {
 /// Telemetry: `wavefront.pairs` (pairs executed),
 /// `wavefront.lane_tiles` / `wavefront.scalar_tiles` (tiles relaxed on
 /// vector lanes / by the scalar tile kernel — which kernel ran),
+/// `wavefront.shards` (subject slabs run by passes the shard budget
+/// cut — every Hirschberg half-pass over the budget counts its own),
 /// `wavefront.border_bytes` (boundary-stripe bytes the tiled passes
 /// kept resident, summed over pairs — the O(n + m) working set that
 /// replaces an O(n·m) matrix), and `wavefront.peak_shard_mb` (high
@@ -251,15 +250,16 @@ impl Engine for SimdEngine {
 pub struct WavefrontEngine {
     /// Shard budget in DP cells: pairs larger than this run their
     /// tiled passes (including every Hirschberg half-pass of an
-    /// alignment) as a chain of subject slabs with seam hand-off,
-    /// bounding peak border memory to one slab. 0 disables sharding.
+    /// alignment) as a chain of subject slabs with seam hand-off. A
+    /// score keeps one slab's borders resident; a half-pass keeps one
+    /// slab plus the `O(m)` last rows it returns. 0 disables sharding.
     pub shard_cells: u64,
-    /// Per-unit DP-cell refusal bound advertised through
-    /// [`Caps::max_unit_cells`]; `None` = unbounded.
+    /// Per-unit DP-cell refusal bound; `None` = unbounded.
     pub max_unit_cells: Option<u64>,
     pairs: AtomicU64,
     lane_tiles: AtomicU64,
     scalar_tiles: AtomicU64,
+    shards: AtomicU64,
     border_bytes: AtomicU64,
     peak_shard_bytes: AtomicU64,
 }
@@ -278,24 +278,12 @@ impl WavefrontEngine {
         self
     }
 
-    /// Same engine with a hard per-unit cell bound (refuses instead of
-    /// executing anything bigger — see [`Caps::max_unit_cells`]).
+    /// Same engine with a hard per-unit cell bound: a pair whose
+    /// resident unit is bigger is refused with the terminal
+    /// [`EngineError::UnitTooLarge`] instead of risking an OOM kill.
     pub fn with_max_unit_cells(mut self, cells: u64) -> WavefrontEngine {
         self.max_unit_cells = Some(cells);
         self
-    }
-
-    /// The pass one engine call runs its pairs through.
-    fn pass(&self, threads: usize, shard_cells: u64) -> LanePass {
-        let cfg = ParallelCfg::threads(threads).with_tile(TILE);
-        TiledPass::new(cfg.with_shard_cells(shard_cells))
-    }
-
-    /// Adds a finished pass's tile counts to the drainable counters.
-    fn record_tiles(&self, pass: &LanePass) {
-        let (lane, scalar) = pass.tile_counts();
-        self.lane_tiles.fetch_add(lane, Ordering::Relaxed);
-        self.scalar_tiles.fetch_add(scalar, Ordering::Relaxed);
     }
 
     /// Width (in subject columns) of one slab under the shard plan.
@@ -303,9 +291,8 @@ impl WavefrontEngine {
         ((self.shard_cells / q.max(1) as u64).max(1) as usize).min(s)
     }
 
-    /// Checks one pair against the advertised per-unit bound: the
-    /// resident unit is the whole matrix, or one slab when the shard
-    /// plan applies.
+    /// Checks one pair against the per-unit bound: the resident unit
+    /// is the whole matrix, or one slab when the shard plan applies.
     fn check_unit(&self, q: usize, s: usize) -> Result<(), EngineError> {
         let Some(max) = self.max_unit_cells else {
             return Ok(());
@@ -323,29 +310,26 @@ impl WavefrontEngine {
         Err(EngineError::unit_too_large("wavefront", cells, max))
     }
 
-    /// Accounts one executed pair's boundary working set.
+    /// Accounts one executed pair's boundary working set: the border
+    /// stripes of its grid — one slab's when the shard plan applies,
+    /// which also keeps its incoming and outgoing seam frontiers (H + F
+    /// rows) resident and raises the shard peak.
     fn record_pair(&self, q: usize, s: usize, affine: bool) {
         self.pairs.fetch_add(1, Ordering::Relaxed);
-        if q > 0 && s > 0 {
-            let sharded = self.shard_cells > 0 && q as u64 * s as u64 > self.shard_cells && s > 1;
-            let width = if sharded { self.slab_width(q, s) } else { s };
-            self.record_borders(q, width, affine, sharded);
+        if q == 0 || s == 0 {
+            return;
         }
-    }
-
-    /// Accounts the border stripes of one `q × width` grid; a `slab`
-    /// also keeps its incoming and outgoing seam frontiers (H + F
-    /// rows) resident, and raises the shard peak.
-    fn record_borders(&self, q: usize, width: usize, affine: bool, slab: bool) {
-        let grid = TileGrid::new(q, width, TILE);
-        let seams = if slab {
+        let sharded = self.shard_cells > 0 && q as u64 * s as u64 > self.shard_cells && s > 1;
+        let width = if sharded { self.slab_width(q, s) } else { s };
+        let seams = if sharded {
             2 * 2 * q * std::mem::size_of::<Score>()
         } else {
             0
         };
+        let grid = TileGrid::new(q, width, TILE);
         let bytes = (BorderStore::estimated_bytes(&grid, affine) + seams) as u64;
         self.border_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if slab {
+        if sharded {
             self.peak_shard_bytes.fetch_max(bytes, Ordering::Relaxed);
         }
     }
@@ -362,14 +346,18 @@ impl WavefrontEngine {
         for p in pairs {
             self.check_unit(p.q.len(), p.s.len())?;
         }
-        let pass = self.pass(threads, self.shard_cells);
+        let cfg = ParallelCfg::threads(threads).with_tile(TILE);
+        let pass = LanePass::new(cfg.with_shard_cells(self.shard_cells));
         let affine = matches!(spec.gap, GapSpec::Affine { .. });
         let map = pairs.iter().map(|&p| {
             self.record_pair(p.q.len(), p.s.len(), affine);
             one(&pass, p)
         });
         let out = map.collect();
-        self.record_tiles(&pass);
+        let (lane, scalar) = pass.tile_counts();
+        self.lane_tiles.fetch_add(lane, Ordering::Relaxed);
+        self.scalar_tiles.fetch_add(scalar, Ordering::Relaxed);
+        self.shards.fetch_add(pass.shard_count(), Ordering::Relaxed);
         Ok(out)
     }
 }
@@ -381,7 +369,6 @@ impl Engine for WavefrontEngine {
             score_kinds: ALL_KINDS,
             align_kinds: ALL_KINDS,
             batch_native: false,
-            max_unit_cells: self.max_unit_cells,
         }
     }
 
@@ -411,72 +398,12 @@ impl Engine for WavefrontEngine {
         })
     }
 
-    fn score_shard(
-        &self,
-        spec: &SchemeSpec,
-        task: &ShardTask<'_>,
-        threads: usize,
-    ) -> Result<ShardOutcome, EngineError> {
-        let (n, (c0, c1)) = (task.q.len(), task.cols);
-        if n == 0 || c0 >= c1 || c1 > task.s.len() {
-            return Err(EngineError::unsupported(
-                "wavefront",
-                format!("degenerate shard columns {:?}", task.cols),
-            ));
-        }
-        if let Some(max) = self.max_unit_cells {
-            let cells = n as u64 * (c1 - c0) as u64;
-            if cells > max {
-                return Err(EngineError::unit_too_large("wavefront", cells, max));
-            }
-        }
-        // One slab is the unit here; never re-shard inside it.
-        let pass = self.pass(threads, 0);
-        let affine = matches!(spec.gap, GapSpec::Affine { .. });
-        self.record_borders(n, c1 - c0, affine, true);
-        if task.last {
-            self.pairs.fetch_add(1, Ordering::Relaxed);
-        }
-        let outcome = with_scheme!(spec, |scheme, K| {
-            let slab = anyseq_obs::span(Stage::Kernel, || {
-                pass.slab::<K, _, _>(
-                    scheme.gap(),
-                    scheme.subst(),
-                    task.q,
-                    task.s,
-                    task.cols,
-                    scheme.gap().open(),
-                    task.seam,
-                )
-            });
-            let mut best = task.best;
-            best.merge(&slab.best);
-            let score = task.last.then(|| {
-                finalize_score::<K, _>(
-                    scheme.gap(),
-                    best,
-                    n,
-                    task.s.len(),
-                    scheme.gap().open(),
-                    *slab.last_h.last().expect("slab last row is never empty"),
-                )
-                .0
-            });
-            ShardOutcome {
-                seam: slab.seam,
-                best,
-                score,
-            }
-        });
-        self.record_tiles(&pass);
-        Ok(outcome)
-    }
-
     fn drain_counters(&self) -> Vec<(&'static str, u64)> {
         let mut out: Vec<(&'static str, u64)> = [
             ("wavefront.pairs", &self.pairs),
             ("wavefront.lane_tiles", &self.lane_tiles),
             ("wavefront.scalar_tiles", &self.scalar_tiles),
+            ("wavefront.shards", &self.shards),
             ("wavefront.border_bytes", &self.border_bytes),
         ]
         .into_iter()

@@ -159,11 +159,14 @@ impl DispatchPolicy {
         self
     }
 
-    /// Sets the shard budget for chromosome-scale pairs: any pair
-    /// whose DP matrix exceeds `cells` runs as a chain of subject
-    /// slabs stitched through serializable seam frontiers, so peak
-    /// resident border + grid memory stays bounded by one slab no
-    /// matter how long the subject is.
+    /// Sets the wavefront backend's shard budget for chromosome-scale
+    /// pairs: its tiled pass runs any pass whose DP matrix exceeds
+    /// `cells` as a chain of subject slabs stitched through seam
+    /// frontiers, however long the subject. A score then keeps one
+    /// slab's borders and grid resident; each Hirschberg half-pass of
+    /// an alignment keeps one slab plus the `O(m)` last rows it
+    /// returns. Scores and CIGARs stay bit-identical to the unsharded
+    /// run.
     ///
     /// Degenerate values are clamped to [`MIN_SHARD_CELLS`] (one
     /// default wavefront tile): a budget below one tile would slice
@@ -221,7 +224,6 @@ impl DispatchPolicy {
                 ),
             ],
             policy: self.policy,
-            shard_cells: self.shard_cells,
             // Saturate rather than shift: `mb << 20` could wrap to 0
             // on 32-bit targets and silently disable caching.
             cache: (self.cache_mb > 0)
@@ -250,8 +252,6 @@ pub struct Dispatch {
     engines: Vec<(BackendId, Box<dyn Engine>)>,
     /// Selection policy applied per bin.
     pub policy: Policy,
-    /// Shard budget for the exclusive path (0 = sharding off).
-    shard_cells: u64,
     /// Optional content-hash result cache the scheduler consults.
     cache: Option<ResultCache>,
     /// Optional metrics registry; present iff observability is on.
@@ -264,11 +264,6 @@ impl Dispatch {
     /// customize.
     pub fn standard(policy: Policy) -> Dispatch {
         DispatchPolicy::new(policy).standard()
-    }
-
-    /// The configured shard budget in DP cells (0 = sharding off).
-    pub fn shard_cells(&self) -> u64 {
-        self.shard_cells
     }
 
     /// The result cache the scheduler should consult, if caching is
@@ -482,11 +477,6 @@ mod tests {
     #[test]
     fn shard_cells_knob_clamps_to_one_tile() {
         assert_eq!(DispatchPolicy::auto().shard_cells, 0, "off by default");
-        assert_eq!(
-            DispatchPolicy::auto().standard().shard_cells(),
-            0,
-            "off propagates into the dispatch"
-        );
         // 0 stays off (the CLI rejects it); nonzero clamps up to one
         // default tile, mirroring the xdrop clamp semantics.
         assert_eq!(DispatchPolicy::auto().shard_cells(0).shard_cells, 0);
@@ -499,9 +489,21 @@ mod tests {
             1 << 24
         );
         // The built dispatch wires the budget into its wavefront
-        // backend so alignment units shard internally too.
-        let d = DispatchPolicy::auto().shard_cells(1 << 20).standard();
-        assert_eq!(d.shard_cells(), 1 << 20);
+        // backend, whose pass then cuts a pair over it into slabs.
+        let mut sim = anyseq_seq::genome::GenomeSim::new(5);
+        let q = sim.generate(600);
+        let pairs = vec![(q.clone(), sim.mutate(&q, 0.05))];
+        let view = anyseq_seq::BatchView::from_pairs(&pairs);
+        let spec = SchemeSpec::global_linear(2, -1, -1);
+        let slabs = |d: Dispatch| {
+            let wavefront = d.engine(BackendId::Wavefront).unwrap();
+            wavefront.score_batch(&spec, view.refs(), 1).unwrap();
+            let counters = wavefront.drain_counters();
+            counters.into_iter().find(|c| c.0 == "wavefront.shards")
+        };
+        assert_eq!(slabs(DispatchPolicy::auto().standard()), None);
+        let cut = DispatchPolicy::auto().shard_cells(1).standard();
+        assert_eq!(slabs(cut), Some(("wavefront.shards", 2)));
     }
 
     #[test]

@@ -22,11 +22,9 @@
 //!   exclusively and receive the whole budget.
 
 use crate::spec::{KindSpec, SchemeSpec};
-use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 use anyseq_core::Alignment;
 use anyseq_seq::PairRef;
-use anyseq_wavefront::ShardSeam;
 
 /// Static capability flags a backend advertises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,12 +40,6 @@ pub struct Caps {
     /// scheduler's pool. The rest parallelize inside one pair and run
     /// exclusively with the full thread budget.
     pub batch_native: bool,
-    /// Hard upper bound on DP cells per executed unit (`None` ⇒
-    /// unbounded). A *refusal* bound: a backend configured with it
-    /// returns [`EngineError::UnitTooLarge`] for any pair whose
-    /// resident unit — the whole matrix, or one slab when a shard plan
-    /// applies — would exceed it, instead of risking an OOM kill.
-    pub max_unit_cells: Option<u64>,
 }
 
 impl Caps {
@@ -72,8 +64,10 @@ pub enum EngineError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A single pair exceeds the backend's [`Caps::max_unit_cells`]
-    /// and no shard plan brings its resident unit under the bound.
+    /// A single pair's resident unit — the whole matrix, or one slab
+    /// when the backend's shard budget cuts it — exceeds the backend's
+    /// per-unit cell bound
+    /// ([`WavefrontEngine::with_max_unit_cells`](crate::WavefrontEngine::with_max_unit_cells)).
     /// Unlike [`EngineError::Unsupported`] this refusal is *terminal*:
     /// falling back to another backend would execute the very
     /// allocation the bound exists to prevent, so the scheduler
@@ -83,7 +77,7 @@ pub enum EngineError {
         backend: &'static str,
         /// DP cells of the offending unit.
         cells: u64,
-        /// The backend's advertised per-unit bound.
+        /// The backend's per-unit bound.
         max_unit_cells: u64,
     },
 }
@@ -129,41 +123,6 @@ impl EngineError {
             max_unit_cells,
         }
     }
-}
-
-/// One subject slab of a sharded score pass, handed to
-/// [`Engine::score_shard`] by the scheduler's shard chain. The slab
-/// covers absolute subject columns `cols.0+1..=cols.1` of the full
-/// pair `(q, s)`; `seam` is the frontier imported from the previous
-/// shard (`None` for the first).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardTask<'a> {
-    /// Full query codes.
-    pub q: &'a [u8],
-    /// Full subject codes (the slab slices out its own columns).
-    pub s: &'a [u8],
-    /// Half-open column range `(consumed, last)` — see
-    /// [`anyseq_wavefront::plan_columns`].
-    pub cols: (usize, usize),
-    /// Frontier at column `cols.0`, from the previous shard.
-    pub seam: Option<&'a ShardSeam>,
-    /// Running best cell merged over all previous shards.
-    pub best: BestCell,
-    /// Whether this is the final shard (the executor then finalizes
-    /// the kind's optimum and returns the score).
-    pub last: bool,
-}
-
-/// What one shard execution returns.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// Frontier at the slab's last column — input for the next shard.
-    pub seam: ShardSeam,
-    /// Running best including this shard.
-    pub best: BestCell,
-    /// The finalized pair score; `Some` iff the task was the last
-    /// shard.
-    pub score: Option<Score>,
 }
 
 /// A batch-execution backend.
@@ -223,29 +182,6 @@ pub trait Engine: Send + Sync {
     /// optional part of the contract.
     fn drain_counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
-    }
-
-    /// Scores one subject slab of a sharded pair, importing the seam
-    /// frontier from the previous shard and exporting the next one —
-    /// the building block of the scheduler's pipelined shard chain.
-    /// Results must be bit-identical to the same columns of an
-    /// unsharded pass. Backends without intra-pair tiling decline
-    /// (the default); the scheduler then tries the next candidate or
-    /// runs the pair unsharded.
-    fn score_shard(
-        &self,
-        spec: &SchemeSpec,
-        task: &ShardTask<'_>,
-        threads: usize,
-    ) -> Result<ShardOutcome, EngineError> {
-        let _ = (task, threads);
-        Err(EngineError::unsupported(
-            self.caps().name,
-            format!(
-                "no sharded execution path for kind {} (intra-pair tiling required)",
-                spec.kind.name()
-            ),
-        ))
     }
 }
 

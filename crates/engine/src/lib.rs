@@ -106,11 +106,10 @@ pub mod stats;
 pub use backends::{ScalarEngine, SimdEngine, WavefrontEngine, SIMD_LANES};
 pub use cache::{CacheKey, ReqKind, ResultCache, ShardStats};
 pub use dispatch::{BackendId, Dispatch, DispatchPolicy, Policy, MIN_SHARD_CELLS};
-pub use engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask};
+pub use engine::{Caps, Engine, EngineError};
 pub use report::{stats_json, summary_with_utilization};
 pub use scheduler::{
     BatchCfg, BatchRun, BatchScheduler, FALLBACK_KIND_UNSUPPORTED, SCHED_BYTES_COPIED,
-    SCHED_SEAM_BYTES, SCHED_SHARDS,
 };
 pub use spec::{GapSpec, KindSpec, SchemeSpec, SpecError};
 pub use stats::{cell_share_ns, BackendUse, BatchStats};
@@ -118,20 +117,17 @@ pub use stats::{cell_share_ns, BackendUse, BatchStats};
 /// The ISA tier the SIMD lane kernels run on in this process
 /// (`"avx2"` / `"baseline"`).
 pub use anyseq_simd::isa as simd_isa;
-pub use anyseq_wavefront::ShardSeam;
 
 /// Convenience re-exports for applications.
 pub mod prelude {
     pub use crate::backends::{ScalarEngine, SimdEngine, WavefrontEngine};
     pub use crate::cache::{CacheKey, ReqKind, ResultCache};
     pub use crate::dispatch::{BackendId, Dispatch, DispatchPolicy, Policy, MIN_SHARD_CELLS};
-    pub use crate::engine::{Caps, Engine, EngineError, ShardOutcome, ShardTask};
+    pub use crate::engine::{Caps, Engine, EngineError};
     pub use crate::report::{stats_json, summary_with_utilization};
     pub use crate::scheduler::{
         BatchCfg, BatchRun, BatchScheduler, FALLBACK_KIND_UNSUPPORTED, SCHED_BYTES_COPIED,
-        SCHED_SEAM_BYTES, SCHED_SHARDS,
     };
     pub use crate::spec::{GapSpec, KindSpec, SchemeSpec};
     pub use crate::stats::{BackendUse, BatchStats};
-    pub use anyseq_wavefront::ShardSeam;
 }

@@ -12,21 +12,20 @@
 //!    (the only pass over the sequence bytes besides the memcmps), fold
 //!    in-batch duplicates onto their first occurrence in one pass over
 //!    the keys, and look up the leaders only — followers never take a
-//!    shard lock. Hashing and probing run in chunks on the calling
+//!    cache lock. Hashing and probing run in chunks on the calling
 //!    thread and `threads − 1` helpers, the pool `execute` uses; each
-//!    probe chunk takes a shard's lock once. Yields verified hits and
-//!    the leaders still to compute. Without a cache this step does
-//!    nothing: no hashing, no dedup.
+//!    probe chunk takes each cache lock it needs once. Yields verified
+//!    hits and the leaders still to compute. Without a cache this step
+//!    does nothing: no hashing, no dedup.
 //! 2. **plan** — a pure function of the view, those leaders and the
 //!    [`Dispatch`] policy: they are binned and cut into units, every
-//!    unit gets its candidate chain, units split into the worker pool
-//!    (longest first) and the exclusive phase, and oversized score-mode
-//!    pairs get their slab plans. No engine runs.
-//! 3. **execute** — one chain walker serves pooled units, exclusive
-//!    units and slab chains alike: try each candidate in order, fall
-//!    through on [`EngineError::Unsupported`], stop on anything else.
-//! 4. **settle** — the one place a finished piece of work is booked:
-//!    cache insert (one lock hold per shard for the whole piece), values
+//!    unit gets its candidate chain, and units split into the worker
+//!    pool (longest first) and the exclusive phase. No engine runs.
+//! 3. **execute** — one chain walker serves pooled and exclusive units
+//!    alike: try each candidate in order, fall through on
+//!    [`EngineError::Unsupported`], stop on anything else.
+//! 4. **settle** — the one place a finished unit is booked: cache
+//!    insert (each cache lock taken once for the whole unit), values
 //!    handed back by view position, unit histograms, fallback counters,
 //!    the engine's drained counters and the per-backend record.
 //! 5. **report** — the tracer's spans fold into `stage.*_ns` counters
@@ -56,7 +55,7 @@
 //! ## Binning strategy
 //!
 //! Pairs are grouped by their dimensions rounded up to a quantum
-//! (default 16 bases): pairs in one bin have near-identical DP
+//! (16 bases): pairs in one bin have near-identical DP
 //! matrices, which is exactly what the inter-sequence SIMD backend
 //! needs for dense lane occupancy and what keeps tile padding waste
 //! low everywhere else. Within a bin, pairs are sorted by exact
@@ -76,9 +75,10 @@
 //!
 //! Verified hits never reach a backend, and only the unique misses are
 //! binned. Byte equality is the only thing that serves a hit or merges
-//! a duplicate: a key match alone does neither, at either seam. Fresh
-//! unit results are inserted back into the cache as they complete
-//! (workers insert concurrently; shards lock independently).
+//! a duplicate: a key match alone does neither, in the cache or in
+//! the batch. Fresh unit results are inserted back into the cache as
+//! they complete (workers insert concurrently; the cache's locks are
+//! independent).
 //! `cache.hits` + `cache.misses` always equals the batch's pair count;
 //! duplicates served from their leader's result count as hits.
 //! With hits in play, [`BatchStats::cells`] keeps counting the batch's
@@ -93,16 +93,15 @@ use crate::cache::{
     CACHE_INGEST_BYTES, CACHE_MISSES,
 };
 use crate::dispatch::{BackendId, Dispatch};
-use crate::engine::{Engine, EngineError, ShardTask};
+use crate::engine::{Engine, EngineError};
 use crate::spec::SchemeSpec;
 use crate::stats::{self, BatchStats};
-use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 use anyseq_core::Alignment;
 use anyseq_obs as obs;
 use anyseq_obs::Stage;
 use anyseq_seq::{BatchView, PairRef};
-use anyseq_wavefront::{plan_columns, run_workers, ShardSeam};
+use anyseq_wavefront::run_workers;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -123,27 +122,14 @@ pub const SCHED_BYTES_COPIED: &str = "sched.bytes_copied";
 /// mismatched backend.
 pub const FALLBACK_KIND_UNSUPPORTED: &str = "dispatch.fallback_kind_unsupported";
 
-/// Name of the counter recording how many subject slabs the plan cut
-/// the exclusive phase's oversized pairs into (score mode executes
-/// them as a chain; align mode records the count while the engine
-/// shards internally under Hirschberg). Absent when no pair exceeded
-/// [`DispatchPolicy::shard_cells`](crate::DispatchPolicy::shard_cells).
-pub const SCHED_SHARDS: &str = "sched.shards";
-
-/// Name of the counter recording serialized [`ShardSeam`] bytes handed
-/// between consecutive shards of the score chain. The hand-off goes
-/// through the seam's wire form even in-process — the value is exactly
-/// what a multi-node deployment would put on the network, and the
-/// round-trip keeps the serializer honest on the production path.
-pub const SCHED_SEAM_BYTES: &str = "sched.seam_bytes";
+/// Length rounding for bin keys, in bases.
+const BIN_QUANTUM: usize = 16;
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchCfg {
     /// Worker threads (also the budget handed to exclusive backends).
     pub threads: usize,
-    /// Length rounding for bin keys, in bases.
-    pub bin_quantum: usize,
     /// Maximum pairs per work unit.
     pub chunk_pairs: usize,
 }
@@ -154,7 +140,6 @@ impl Default for BatchCfg {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            bin_quantum: 16,
             chunk_pairs: 512,
         }
     }
@@ -189,15 +174,12 @@ pub struct BatchRun<T> {
 /// What the request path needs from a result type beyond caching it:
 /// the one backend call that produces it.
 trait Request: CacheableResult {
-    /// Runs `pairs` on `engine`. With `slabs`, each pair runs as a
-    /// chain of those subject slabs instead of whole.
+    /// Runs `pairs` on `engine`.
     fn run(
         engine: &dyn Engine,
         spec: &SchemeSpec,
         pairs: &[PairRef<'_>],
-        slabs: Option<&[(usize, usize)]>,
         threads: usize,
-        stats: &mut BatchStats,
     ) -> Result<Vec<Self>, EngineError>;
 }
 
@@ -206,32 +188,18 @@ impl Request for Score {
         engine: &dyn Engine,
         spec: &SchemeSpec,
         pairs: &[PairRef<'_>],
-        slabs: Option<&[(usize, usize)]>,
         threads: usize,
-        stats: &mut BatchStats,
     ) -> Result<Vec<Score>, EngineError> {
-        match slabs {
-            None => engine.score_batch(spec, pairs, threads),
-            Some(slabs) => pairs
-                .iter()
-                .map(|p| score_shard_chain(engine, spec, p, slabs, threads, stats))
-                .collect(),
-        }
+        engine.score_batch(spec, pairs, threads)
     }
 }
 
 impl Request for Alignment {
-    /// Oversized pairs stay whole here (`plan` cuts slabs for score
-    /// requests only): stitching per-shard CIGARs is the Hirschberg
-    /// recursion's job, and the wavefront engine's internal shard
-    /// dispatch already bounds every half-pass to one slab.
     fn run(
         engine: &dyn Engine,
         spec: &SchemeSpec,
         pairs: &[PairRef<'_>],
-        _slabs: Option<&[(usize, usize)]>,
         threads: usize,
-        _stats: &mut BatchStats,
     ) -> Result<Vec<Alignment>, EngineError> {
         engine.align_batch(spec, pairs, threads)
     }
@@ -250,10 +218,6 @@ struct Unit {
     id: u32,
     /// Candidate backends, first pick first, scalar last.
     chain: Vec<BackendId>,
-    /// Slab plans `(view position, column ranges)` for the unit's
-    /// oversized pairs; only exclusive units of score requests have
-    /// any.
-    slabs: Vec<(usize, Vec<(usize, usize)>)>,
 }
 
 /// Everything decided between the cache probe and the first engine
@@ -269,8 +233,6 @@ struct Plan {
     pooled: Vec<usize>,
     /// Indices into `units` whose first candidate owns the machine.
     exclusive: Vec<usize>,
-    /// Slabs planned over all oversized pairs, either mode.
-    shards: u64,
 }
 
 /// What `probe` found.
@@ -284,17 +246,6 @@ struct Probed<T> {
     hits: Vec<(usize, T)>,
     /// Leaders still to compute, in input order.
     misses: Vec<usize>,
-}
-
-/// One executable piece of a unit: all of it, one oversized pair as a
-/// slab chain, or what the chains left over.
-struct Work<'p> {
-    unit: &'p Unit,
-    /// The view positions this piece covers (a subset of the unit's).
-    indices: &'p [usize],
-    slabs: Option<&'p [(usize, usize)]>,
-    /// Thread budget granted to the backend call.
-    threads: usize,
 }
 
 /// What one worker lane accumulates: its share of the batch stats and
@@ -387,14 +338,6 @@ impl BatchScheduler {
     /// Scores every pair of the view through the dispatch policy,
     /// surfacing terminal refusals ([`EngineError::UnitTooLarge`], or
     /// a foreign candidate chain that declined everything).
-    ///
-    /// With [`DispatchPolicy::shard_cells`](crate::DispatchPolicy::shard_cells)
-    /// set, pairs whose DP matrix exceeds the budget run as a pipelined
-    /// chain of subject slabs through [`Engine::score_shard`]: each
-    /// shard imports the previous shard's border frontier (a
-    /// [`ShardSeam`], serialized across the hand-off) and exports the
-    /// next, so only one slab's tile borders are ever resident.
-    /// Results are bit-identical to the unsharded pass.
     pub fn try_score_batch(
         &self,
         dispatch: &Dispatch,
@@ -406,10 +349,6 @@ impl BatchScheduler {
 
     /// Aligns (with traceback) every pair of the view through the
     /// dispatch policy, surfacing terminal refusals.
-    ///
-    /// Oversized pairs stay whole — the engine shards them internally
-    /// under Hirschberg — but the planned [`SCHED_SHARDS`] count is
-    /// still recorded so align-mode telemetry matches.
     pub fn try_align_batch(
         &self,
         dispatch: &Dispatch,
@@ -478,9 +417,6 @@ impl BatchScheduler {
         }
         stats.bins = plan.bin_labels.len() as u64;
         stats.units = plan.units.len() as u64;
-        if plan.shards > 0 {
-            stats.record_counter(SCHED_SHARDS, plan.shards);
-        }
 
         let mut slots = Slots::new(view.len());
         obs::span(Stage::Merge, || slots.fill(hits))?;
@@ -614,30 +550,16 @@ impl BatchScheduler {
         align: bool,
     ) -> Plan {
         let (mut units, bin_labels) = self.cut_units(view, misses);
-        let shard_cells = dispatch.shard_cells();
-        let (mut pooled, mut exclusive, mut shards) = (Vec::new(), Vec::new(), 0u64);
+        let (mut pooled, mut exclusive) = (Vec::new(), Vec::new());
         for (u, unit) in units.iter_mut().enumerate() {
             let max_cells = unit.indices.iter().map(|&k| view.get(k).cells()).max();
             unit.chain = dispatch.candidates(spec, max_cells.unwrap_or(0), align);
             // Exclusive backends own the machine for their units;
             // pooled units share the worker pool.
-            if !dispatch.is_exclusive(unit.chain[0]) {
+            if dispatch.is_exclusive(unit.chain[0]) {
+                exclusive.push(u);
+            } else {
                 pooled.push(u);
-                continue;
-            }
-            exclusive.push(u);
-            // Chromosome-scale pairs are cut into subject slabs. Score
-            // requests execute them as a chain through
-            // `Engine::score_shard`; align requests only count them.
-            for &k in &unit.indices {
-                let p = view.get(k);
-                if shard_cells > 0 && p.cells() > shard_cells && !p.q.is_empty() && p.s.len() > 1 {
-                    let columns = plan_columns(p.q.len(), p.s.len(), shard_cells);
-                    shards += columns.len() as u64;
-                    if !align {
-                        unit.slabs.push((k, columns));
-                    }
-                }
             }
         }
         // Longest-processing-time-first keeps the pool tail short.
@@ -647,7 +569,6 @@ impl BatchScheduler {
             bin_labels,
             pooled,
             exclusive,
-            shards,
         }
     }
 
@@ -669,7 +590,7 @@ impl BatchScheduler {
     /// average (~6 % of a read batch), and longer whenever one core
     /// ran slow.
     fn cut_units(&self, view: &BatchView<'_>, indices: &[usize]) -> (Vec<Unit>, Vec<String>) {
-        let quantum = self.cfg.bin_quantum.max(1);
+        let quantum = BIN_QUANTUM;
         let fill_chunk = indices.len().div_ceil(self.cfg.threads.max(1)).max(32);
         let chunk = self.cfg.chunk_pairs.max(1).min(fill_chunk);
         // Cut units at lane-group boundaries: a unit whose pair count
@@ -713,7 +634,6 @@ impl BatchScheduler {
                     bin,
                     id: units.len() as u32,
                     chain: Vec::new(),
-                    slabs: Vec::new(),
                 });
                 uncut -= piece.len();
                 rest = tail;
@@ -752,7 +672,7 @@ impl BatchScheduler {
         let outcome = plan
             .exclusive
             .iter()
-            .try_for_each(|&u| run_exclusive(batch, &plan.units[u], threads, &mut lane));
+            .try_for_each(|&u| walk(batch, &plan.units[u], threads, &mut lane));
         absorb(stats, slots, vec![(lane, outcome)])
     }
 }
@@ -811,8 +731,8 @@ fn dedup(view: &BatchView<'_>, keys: &[CacheKey]) -> (Vec<u32>, Vec<u32>) {
     let mut leaders = Vec::new();
     for (k, key) in keys.iter().enumerate() {
         let mine = view.get(k);
-        // The cache's shards take the key's low bits and their tables
-        // its high half; any of its bits would do here.
+        // The cache picks its lock by the key's low bits and a table
+        // slot by its high half; any of its bits would do here.
         let mut i = (key.0 >> 8) as usize & mask;
         let leader = loop {
             let seen = table[i];
@@ -894,70 +814,26 @@ fn pull_units<T: Request>(
         let unit = &plan.units[u];
         obs::set_context("sched", unit.bin, unit.id);
         obs::commit(Stage::QueueWait, t_idle);
-        let whole = Work {
-            unit,
-            indices: &unit.indices,
-            slabs: None,
-            threads: 1,
-        };
-        walk(batch, &whole, lane)?;
+        walk(batch, unit, 1, lane)?;
     }
 }
 
-/// Runs one exclusive unit with the whole thread budget: each planned
-/// slab chain first, then — as one piece — every pair that has no
-/// chain or whose chain found no shard-capable backend (an engine with
-/// internal shard dispatch still bounds its own memory through its
-/// pass config).
-fn run_exclusive<T: Request>(
+/// The chain walker every unit goes through, pooled (`threads` = 1)
+/// or exclusive (the whole budget): gathers the pairs, then tries the
+/// unit's candidates in order until one accepts and its values settle.
+fn walk<T: Request>(
     batch: &Batch<'_, '_>,
     unit: &Unit,
     threads: usize,
     lane: &mut Lane<T>,
 ) -> Result<(), EngineError> {
-    let mut whole = unit.indices.clone();
-    for (pos, columns) in &unit.slabs {
-        let chain = Work {
-            unit,
-            indices: std::slice::from_ref(pos),
-            slabs: Some(columns),
-            threads,
-        };
-        match walk(batch, &chain, lane) {
-            Ok(()) => whole.retain(|k| k != pos),
-            Err(EngineError::Unsupported { .. }) => {}
-            // UnitTooLarge: even one slab busts the backend's bound.
-            Err(err) => return Err(err),
-        }
-    }
-    if whole.is_empty() {
-        return Ok(());
-    }
-    let rest = Work {
-        unit,
-        indices: &whole,
-        slabs: None,
-        threads,
-    };
-    walk(batch, &rest, lane)
-}
-
-/// The chain walker every piece of work goes through: gathers the
-/// pairs, then tries the unit's candidates in order until one accepts
-/// and its values settle.
-fn walk<T: Request>(
-    batch: &Batch<'_, '_>,
-    work: &Work<'_>,
-    lane: &mut Lane<T>,
-) -> Result<(), EngineError> {
-    let unit = work.unit;
     obs::set_context("sched", unit.bin, unit.id);
     // Gather the pair *references* contiguously just-in-time: 32 bytes
     // of pointers per pair. The sequence bytes stay where the caller
     // put them — for an exclusive unit holding a multi-Mbp genome this
     // is the difference between a dispatch and a deep copy.
     let pairs: Vec<PairRef<'_>> = obs::span(Stage::Gather, || {
-        work.indices.iter().map(|&k| batch.view.get(k)).collect()
+        unit.indices.iter().map(|&k| batch.view.get(k)).collect()
     });
     let mut last_refusal = None;
     for (tried, id) in unit.chain.iter().enumerate() {
@@ -970,17 +846,12 @@ fn walk<T: Request>(
         // chain's first pick.
         obs::set_context(engine.caps().name, unit.bin, unit.id);
         let t0 = Instant::now();
-        let ran = T::run(
-            engine,
-            batch.spec,
-            &pairs,
-            work.slabs,
-            work.threads,
-            &mut lane.stats,
-        );
-        match ran {
+        match T::run(engine, batch.spec, &pairs, threads) {
             Ok(values) => {
-                return settle(batch, work, &pairs, engine, values, tried as u64, t0, lane)
+                let tried = tried as u64;
+                return settle(
+                    batch, unit, threads, &pairs, engine, values, tried, t0, lane,
+                );
             }
             Err(err @ EngineError::Unsupported { .. }) => {
                 // A declining engine may still have accumulated
@@ -1017,12 +888,13 @@ fn walk<T: Request>(
     Err(last_refusal.expect("empty candidate chain"))
 }
 
-/// Step 4: books one finished piece of work on its lane — the only
-/// place results enter the cache and are handed back by view position.
+/// Step 4: books one finished unit on its lane — the only place
+/// results enter the cache and are handed back by view position.
 #[allow(clippy::too_many_arguments)]
 fn settle<T: Request>(
     batch: &Batch<'_, '_>,
-    work: &Work<'_>,
+    unit: &Unit,
+    threads: usize,
     gathered: &[PairRef<'_>],
     engine: &dyn Engine,
     values: Vec<T>,
@@ -1031,7 +903,7 @@ fn settle<T: Request>(
     lane: &mut Lane<T>,
 ) -> Result<(), EngineError> {
     let backend = engine.caps().name;
-    let pairs = work.indices.len();
+    let pairs = unit.indices.len();
     // One value per pair, even from foreign `Engine` impls.
     if values.len() != pairs {
         return Err(EngineError::unsupported(
@@ -1041,27 +913,22 @@ fn settle<T: Request>(
     }
     if let Some(cache) = batch.dispatch.cache() {
         // Fresh results: retain them (and their verification bytes)
-        // for future batches, one lock hold per shard for the whole
-        // piece. Without a cache the hand-back below is a plain move
+        // for future batches, each cache lock taken once for the whole
+        // unit. Without a cache the hand-back below is a plain move
         // loop — only insert traffic is worth a span.
         let t_insert = obs::timer();
-        let keys: Vec<_> = work.indices.iter().map(|&k| batch.keys[k]).collect();
+        let keys: Vec<_> = unit.indices.iter().map(|&k| batch.keys[k]).collect();
         let ingest = cache.insert_many(&keys, gathered, &values);
         obs::commit(Stage::CacheInsert, t_insert);
         lane.stats.record_counter(CACHE_INGEST_BYTES, ingest as u64);
     }
-    lane.out.extend(work.indices.iter().copied().zip(values));
-    let cells = if pairs == work.unit.indices.len() {
-        work.unit.cells
-    } else {
-        let per_pair = work.indices.iter().map(|&k| batch.view.get(k).cells());
-        per_pair.sum()
-    } * batch.cell_factor;
+    lane.out.extend(unit.indices.iter().copied().zip(values));
+    let cells = unit.cells * batch.cell_factor;
     if let Some(reg) = batch.dispatch.metrics() {
         let labels = obs::labels(&[
             ("backend", backend),
             ("kind", batch.spec.kind.name()),
-            ("bin", &batch.plan.bin_labels[work.unit.bin as usize]),
+            ("bin", &batch.plan.bin_labels[unit.bin as usize]),
         ]);
         reg.observe("anyseq_unit_pairs", labels.clone(), pairs as u64);
         reg.observe("anyseq_unit_cells", labels, cells);
@@ -1075,7 +942,7 @@ fn settle<T: Request>(
     }
     // Busy time records granted capacity: an exclusive backend holds
     // `threads` workers' worth of the machine for its wall time.
-    let busy = started.elapsed().as_secs_f64() * work.threads.max(1) as f64;
+    let busy = started.elapsed().as_secs_f64() * threads.max(1) as f64;
     lane.stats.record(backend, pairs as u64, cells, busy);
     Ok(())
 }
@@ -1124,62 +991,11 @@ fn report(
             ]);
             reg.observe("anyseq_stage_duration_ns", labels, span.dur_ns);
         }
-        let counter = |name: &str| stats.counters.get(name).copied().unwrap_or(0);
-        for (name, value) in [
-            ("anyseq_batches_total", 1),
-            ("anyseq_batch_pairs_total", stats.pairs),
-            ("anyseq_batch_cells_total", stats.cells),
-            ("anyseq_batch_fallbacks_total", stats.fallbacks),
-            ("anyseq_batch_shards_total", counter(SCHED_SHARDS)),
-            ("anyseq_batch_seam_bytes_total", counter(SCHED_SEAM_BYTES)),
-        ] {
+        for (name, value) in stats.registry_totals() {
             reg.inc(name, String::new(), value);
         }
     }
     stats.spans = spans;
-}
-
-/// Runs one oversized pair as a pipelined chain of subject slabs over
-/// `engine`, handing the border frontier forward between shards.
-///
-/// The seam crosses each hand-off in its serialized wire form — the
-/// recorded [`SCHED_SEAM_BYTES`] are exactly what a multi-node
-/// deployment would ship, and the round-trip exercises the
-/// serializer on the production path. Any shard error aborts the chain
-/// (partial work is discarded; the caller decides whether to retry the
-/// pair unsharded on another candidate).
-fn score_shard_chain(
-    engine: &dyn Engine,
-    spec: &SchemeSpec,
-    p: &PairRef<'_>,
-    plan: &[(usize, usize)],
-    threads: usize,
-    stats: &mut BatchStats,
-) -> Result<Score, EngineError> {
-    let mut seam: Option<ShardSeam> = None;
-    let mut best = BestCell::empty();
-    let mut score = None;
-    let last = plan.len() - 1;
-    for (i, &cols) in plan.iter().enumerate() {
-        let task = ShardTask {
-            q: p.q,
-            s: p.s,
-            cols,
-            seam: seam.as_ref(),
-            best,
-            last: i == last,
-        };
-        let out = engine.score_shard(spec, &task, threads)?;
-        best = out.best;
-        score = out.score;
-        if i < last {
-            let bytes = out.seam.to_bytes();
-            stats.record_counter(SCHED_SEAM_BYTES, bytes.len() as u64);
-            seam =
-                Some(ShardSeam::from_bytes(&bytes).expect("a just-serialized seam deserializes"));
-        }
-    }
-    Ok(score.expect("the last shard finalizes the score"))
 }
 
 #[cfg(test)]
@@ -1194,7 +1010,6 @@ mod tests {
     fn scheduler(threads: usize) -> BatchScheduler {
         BatchScheduler::new(BatchCfg {
             threads,
-            bin_quantum: 16,
             chunk_pairs: 64,
         })
     }
@@ -1359,6 +1174,7 @@ mod tests {
         let spec = SchemeSpec::global_affine(2, -1, -2, -1);
         let sharded = DispatchPolicy::fixed(BackendId::Wavefront)
             .shard_cells(1 << 18)
+            .observe(true)
             .standard();
         let run = scheduler(4)
             .try_score_batch(&sharded, &spec, &view)
@@ -1366,14 +1182,13 @@ mod tests {
         for (k, (q, s)) in pairs.iter().enumerate() {
             assert_eq!(run.results[k], spec.score_scalar(q, s), "pair {k}");
         }
-        // ~1.4M cells over a 256Ki budget → at least 5 slabs, each
-        // hand-off shipping a serialized seam.
-        assert!(
-            run.stats.counters[SCHED_SHARDS] >= 5,
-            "{:?}",
-            run.stats.counters
-        );
-        assert!(run.stats.counters[SCHED_SEAM_BYTES] > 0);
+        // ~1.4M cells over a 256Ki budget → at least 5 slabs run, and
+        // the registry's total reads the same count.
+        let shards = run.stats.counters["wavefront.shards"];
+        assert!(shards >= 5, "{:?}", run.stats.counters);
+        let totals = sharded.metrics().unwrap().snapshot().counters;
+        let key = ("anyseq_batch_shards_total", String::new());
+        assert_eq!(totals.get(&key), Some(&shards));
         // The resident-footprint gauge rides along from the backend.
         assert!(run.stats.counters["wavefront.peak_shard_mb"] >= 1);
         assert!(run
@@ -1405,7 +1220,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(cut.results, whole.results);
-        assert!(cut.stats.counters[SCHED_SHARDS] >= 8);
+        assert!(cut.stats.counters["wavefront.shards"] >= 8);
         let whole_mb = whole.stats.counters["wavefront.border_bytes"].div_ceil(1 << 20);
         let peak_mb = cut.stats.counters["wavefront.peak_shard_mb"];
         assert!(whole_mb >= 3, "pair too small to bound: {whole_mb} MiB");
@@ -1416,7 +1231,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_aligns_match_unsharded_and_record_planned_shards() {
+    fn sharded_aligns_match_unsharded_and_count_their_slabs() {
         use crate::dispatch::DispatchPolicy;
         let mut sim = GenomeSim::new(33);
         let a = sim.generate(1000);
@@ -1435,14 +1250,13 @@ mod tests {
         // bit-identical to the unsharded run.
         assert_eq!(run.results[0].score, base.results[0].score);
         assert_eq!(run.results[0].ops, base.results[0].ops);
-        // Align mode records the planned shard count (the engine
-        // shards internally under the recursion).
+        // Every half-pass over the budget runs cut into slabs.
         assert!(
-            run.stats.counters[SCHED_SHARDS] >= 3,
+            run.stats.counters["wavefront.shards"] >= 3,
             "{:?}",
             run.stats.counters
         );
-        assert!(!base.stats.counters.contains_key(SCHED_SHARDS));
+        assert!(!base.stats.counters.contains_key("wavefront.shards"));
     }
 
     #[test]
@@ -1921,10 +1735,9 @@ mod tests {
                 Just(Policy::Fixed(BackendId::Wavefront)),
                 Just(Policy::Fixed(BackendId::Scalar)),
             ],
-            (shard, align, cached, hit_every) in (0u64..2, 0u8..2, 0u8..2, 2usize..6),
+            (align, cached, hit_every) in (0u8..2, 0u8..2, 2usize..6),
             forged in 0u8..2,
         ) {
-            use crate::dispatch::{DispatchPolicy, MIN_SHARD_CELLS};
             let (align, cached) = (align == 1, cached == 1);
             // Content is a function of (length, variant): equal shapes
             // are byte-identical duplicates.
@@ -1939,8 +1752,7 @@ mod tests {
             let view = BatchView::from_refs(refs.collect());
             let n = view.len();
             let spec = SchemeSpec::global_affine(2, -1, -2, -1);
-            let dispatch = DispatchPolicy::new(policy).shard_cells(shard).standard();
-            let budget = shard * MIN_SHARD_CELLS;
+            let dispatch = Dispatch::standard(policy);
             let cfg = BatchCfg { chunk_pairs, ..BatchCfg::threads(threads) };
             let sched = BatchScheduler::new(cfg);
             let kind = if align { ReqKind::Align } else { ReqKind::Score };
@@ -2012,35 +1824,13 @@ mod tests {
             prop_assert_eq!(routed, (0..plan.units.len()).collect::<Vec<_>>());
             for &u in &plan.pooled {
                 prop_assert!(!dispatch.is_exclusive(plan.units[u].chain[0]));
-                prop_assert!(plan.units[u].slabs.is_empty());
+            }
+            for &u in &plan.exclusive {
+                prop_assert!(dispatch.is_exclusive(plan.units[u].chain[0]));
             }
             for w in plan.pooled.windows(2) {
                 prop_assert!(plan.units[w[0]].cells >= plan.units[w[1]].cells, "LPT");
             }
-            // Slab plans: exactly the oversized pairs of exclusive
-            // units, executed only for score requests, counted for both.
-            let mut shards = 0;
-            for &u in &plan.exclusive {
-                let unit = &plan.units[u];
-                prop_assert!(dispatch.is_exclusive(unit.chain[0]));
-                let oversized: Vec<usize> = unit
-                    .indices
-                    .iter()
-                    .copied()
-                    .filter(|&k| budget > 0 && view.get(k).cells() > budget)
-                    .collect();
-                for &k in &oversized {
-                    let p = view.get(k);
-                    shards += plan_columns(p.q.len(), p.s.len(), budget).len() as u64;
-                }
-                let planned: Vec<usize> = unit.slabs.iter().map(|(k, _)| *k).collect();
-                prop_assert_eq!(planned, if align { Vec::new() } else { oversized });
-                for (k, columns) in &unit.slabs {
-                    prop_assert_eq!(columns.first().unwrap().0, 0);
-                    prop_assert_eq!(columns.last().unwrap().1, view.get(*k).s.len());
-                }
-            }
-            prop_assert_eq!(plan.shards, shards);
         }
     }
 

@@ -176,6 +176,19 @@ impl BatchStats {
             .sum()
     }
 
+    /// The metrics registry's per-batch totals, `(family, value)`: what
+    /// this batch adds to each.
+    pub(crate) fn registry_totals(&self) -> [(&'static str, u64); 5] {
+        let counter = |name| self.counters.get(name).copied().unwrap_or(0);
+        [
+            ("anyseq_batches_total", 1),
+            ("anyseq_batch_pairs_total", self.pairs),
+            ("anyseq_batch_cells_total", self.cells),
+            ("anyseq_batch_fallbacks_total", self.fallbacks),
+            ("anyseq_batch_shards_total", counter("wavefront.shards")),
+        ]
+    }
+
     /// Merges another accumulator. Every field is additive: worker
     /// locals carry zeros for the batch-level fields (`pairs`, `cells`,
     /// `bins`, `units`, `wall_seconds`), so merging them is a no-op
@@ -308,11 +321,14 @@ mod tests {
         assert_eq!(a.counters["wavefront.peak_shard_mb"], 40);
         let mut b = BatchStats::default();
         b.record_counter("wavefront.peak_shard_mb", 60);
-        b.record_counter("sched.shards", 3);
-        a.record_counter("sched.shards", 2);
+        b.record_counter("wavefront.shards", 3);
+        a.record_counter("wavefront.shards", 2);
         a.merge(&b);
         assert_eq!(a.counters["wavefront.peak_shard_mb"], 60);
-        assert_eq!(a.counters["sched.shards"], 5, "plain counters still sum");
+        assert_eq!(
+            a.counters["wavefront.shards"], 5,
+            "plain counters still sum"
+        );
     }
 
     #[test]

@@ -383,12 +383,11 @@ impl Server {
             reqobs,
         });
         // The engine registry gets the same cold-scrape treatment for
-        // the sharded-execution totals: the keys must exist before the
+        // the sharded-execution total: the key must exist before the
         // first chromosome-scale pair ever arrives, so dashboards and
         // the report checker see a stable key set from scrape one.
         if let Some(reg) = shared.dispatch.metrics() {
             reg.inc("anyseq_batch_shards_total", String::new(), 0);
-            reg.inc("anyseq_batch_seam_bytes_total", String::new(), 0);
         }
 
         let shutdown = Arc::new(AtomicBool::new(false));

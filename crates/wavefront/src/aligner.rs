@@ -20,19 +20,6 @@ impl<G: GapModel, S: SubstScore, Kn: TileKernel<S>> HalfPass<G, S> for TiledPass
 }
 
 impl<Kn> TiledPass<Kn> {
-    /// `scheme`'s optimal score for one pair of code slices.
-    pub fn score<K, G, S>(&self, scheme: &Scheme<K, G, S>, q: &[u8], s: &[u8]) -> Score
-    where
-        K: AlignKind,
-        G: GapModel,
-        S: SubstScore,
-        Kn: TileKernel<S>,
-    {
-        let gap = scheme.gap();
-        self.score_pass::<K, G, S>(gap, scheme.subst(), q, s, gap.open())
-            .score
-    }
-
     /// Full traceback for one pair: Hirschberg with this pass as every
     /// half-pass.
     pub fn align<K, G, S>(&self, scheme: &Scheme<K, G, S>, q: &[u8], s: &[u8]) -> Alignment

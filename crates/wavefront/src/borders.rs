@@ -132,7 +132,7 @@ impl BorderStore {
     /// slab pass each row slot holds the right stripe of its row's last
     /// tile, i.e. `H`/`F` of the slab's final column. Concatenating the
     /// slots top to bottom rebuilds the full-height [`ShardSeam`] the
-    /// next slab (or the next process) seeds from.
+    /// next slab seeds from.
     pub fn export_seam(&self, grid: &TileGrid, col: usize) -> ShardSeam {
         let mut h = Vec::with_capacity(grid.n);
         let mut f = Vec::new();

@@ -2,7 +2,7 @@
 //! the linear-space score computation: one driver
 //! ([`TiledPass::slab`]) over the border store and the wavefront
 //! scheduler, generic over the [`TileKernel`] that relaxes each group
-//! of ready tiles. Whole passes, shard chains and Hirschberg
+//! of ready tiles. Score passes, their shard chains and Hirschberg
 //! half-passes are instantiations of it.
 
 use crate::borders::{BorderStore, HStripe, VStripe};
@@ -13,6 +13,7 @@ use anyseq_core::kind::AlignKind;
 pub use anyseq_core::pass::{finalize, finalize_score};
 use anyseq_core::pass::{score_pass, PassOutput};
 use anyseq_core::relax::BestCell;
+use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
 use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
@@ -29,10 +30,11 @@ pub struct ParallelCfg {
     /// Use the static barrier-per-diagonal schedule instead of the
     /// dynamic queue (Fig. 6 comparison; dynamic is the default).
     pub static_schedule: bool,
-    /// Shard budget in DP cells: pairs larger than this run as a serial
-    /// chain of subject slabs with seam hand-off, bounding peak resident
-    /// border + grid memory to one slab. 0 (the default) disables
-    /// sharding.
+    /// Shard budget in DP cells: a pass over a larger pair runs as a
+    /// serial chain of subject slabs with seam hand-off. What stays
+    /// resident is one slab's borders and grid — plus, for a
+    /// Hirschberg half-pass, the `O(m)` last rows it returns. 0 (the
+    /// default) disables sharding.
     pub shard_cells: u64,
 }
 
@@ -171,23 +173,26 @@ struct Worker<W> {
 /// The tiled wavefront pass on tile kernel `Kn`: score passes, slab
 /// chains and — as a [`HalfPass`](anyseq_core::hirschberg::HalfPass)
 /// provider — Hirschberg's half-passes. Counts the tiles it relaxes,
-/// split by whether they rode vector lanes.
+/// split by whether they rode vector lanes, and the slabs of the
+/// passes its shard budget cut.
 #[derive(Debug)]
 pub struct TiledPass<Kn> {
     /// Parallel execution parameters.
     pub cfg: ParallelCfg,
     lane_tiles: AtomicU64,
     scalar_tiles: AtomicU64,
+    shards: AtomicU64,
     kernel: PhantomData<fn() -> Kn>,
 }
 
 impl<Kn> TiledPass<Kn> {
-    /// A pass over `cfg` with zeroed tile counts.
+    /// A pass over `cfg` with zeroed counts.
     pub fn new(cfg: ParallelCfg) -> TiledPass<Kn> {
         TiledPass {
             cfg,
             lane_tiles: AtomicU64::new(0),
             scalar_tiles: AtomicU64::new(0),
+            shards: AtomicU64::new(0),
             kernel: PhantomData,
         }
     }
@@ -196,6 +201,12 @@ impl<Kn> TiledPass<Kn> {
     pub fn tile_counts(&self) -> (u64, u64) {
         let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
         (count(&self.lane_tiles), count(&self.scalar_tiles))
+    }
+
+    /// Slabs run so far by passes the shard budget cut (a pass that
+    /// fits the budget runs as one slab and counts none).
+    pub fn shard_count(&self) -> u64 {
+        self.shards.load(Ordering::Relaxed)
     }
 
     /// The driver: a tiled score-only pass over one subject slab
@@ -270,22 +281,52 @@ impl<Kn> TiledPass<Kn> {
         for w in &workers {
             best.merge(&w.best);
         }
-        let (last_h, last_e) = borders.assemble_last_rows(&grid);
         SlabOutput {
             seam: borders.export_seam(&grid, c1),
-            last_h,
-            last_e,
             best,
+            grid,
+            borders,
+        }
+    }
+
+    /// Runs the pass of kind `K` over `(q, s)` slab by slab — one slab,
+    /// unless the pair is over `cfg.shard_cells` and [`plan_columns`]
+    /// cuts it — and hands each slab's output to `each` in column
+    /// order. Resident at a time: the slab in flight and the seam it
+    /// started from; what outlives a slab is whatever `each` keeps.
+    fn for_each_slab<K: AlignKind, G: GapModel, S: SubstScore>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        mut each: impl FnMut((usize, usize), &SlabOutput),
+    ) where
+        Kn: TileKernel<S>,
+    {
+        let (n, m, cfg) = (q.len(), s.len(), &self.cfg);
+        let plan = if cfg.shard_cells > 0 && m > 1 && (n as u64) * (m as u64) > cfg.shard_cells {
+            plan_columns(n, m, cfg.shard_cells)
+        } else {
+            vec![(0, m)]
+        };
+        if plan.len() > 1 {
+            self.shards.fetch_add(plan.len() as u64, Ordering::Relaxed);
+        }
+        let mut seam: Option<ShardSeam> = None;
+        for cols in plan {
+            let slab = self.slab::<K, G, S>(gap, subst, q, s, cols, tb, seam.as_ref());
+            each(cols, &slab);
+            seam = Some(slab.seam);
         }
     }
 
     /// Score-only pass of kind `K` (same contract as
     /// [`anyseq_core::pass::score_pass`], including the Hirschberg
-    /// `tb` boundary adjustment): a chain of slabs with seam hand-off.
-    /// A pair over `cfg.shard_cells` is cut by [`plan_columns`], so
-    /// peak border + grid memory is one slab's — every Hirschberg
-    /// half-pass routes through here, so alignment shards too; any
-    /// other pair, however small, is one slab.
+    /// `tb` boundary adjustment) — the half-pass Hirschberg runs, so
+    /// alignments shard too. It returns the last rows, so besides one
+    /// slab (see [`TiledPass::score`]) their `O(m)` stays resident.
     pub fn score_pass<K: AlignKind, G: GapModel, S: SubstScore>(
         &self,
         gap: &G,
@@ -297,30 +338,46 @@ impl<Kn> TiledPass<Kn> {
     where
         Kn: TileKernel<S>,
     {
-        let (n, m, cfg) = (q.len(), s.len(), &self.cfg);
-        let sharded = cfg.shard_cells > 0 && m > 1 && (n as u64) * (m as u64) > cfg.shard_cells;
+        let (n, m) = (q.len(), s.len());
         if n == 0 || m == 0 {
             // An empty rectangle has no tiles: its init stripes are
             // the result.
             return score_pass::<K, G, S>(gap, subst, q, s, tb);
         }
-        let plan = if sharded {
-            plan_columns(n, m, cfg.shard_cells)
-        } else {
-            vec![(0, m)]
-        };
         let (mut last_h, mut last_e) = (Vec::with_capacity(m + 1), Vec::with_capacity(m));
         let mut best = BestCell::empty();
-        let mut seam: Option<ShardSeam> = None;
-        for cols in plan {
-            let slab = self.slab::<K, G, S>(gap, subst, q, s, cols, tb, seam.as_ref());
+        self.for_each_slab::<K, G, S>(gap, subst, q, s, tb, |cols, slab| {
+            let (h, e) = slab.last_rows();
             // Every slab but the first repeats its left corner.
-            last_h.extend_from_slice(&slab.last_h[(cols.0 > 0) as usize..]);
-            last_e.extend_from_slice(&slab.last_e);
+            last_h.extend_from_slice(&h[(cols.0 > 0) as usize..]);
+            last_e.extend_from_slice(&e);
             best.merge(&slab.best);
-            seam = Some(slab.seam);
-        }
+        });
         finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e)
+    }
+
+    /// `scheme`'s optimal score for one pair of code slices. Of each
+    /// slab it keeps only the running best cell and the corner
+    /// `H(n, m)` of the last one, and it assembles no rows, so a pair
+    /// over the shard budget holds one slab's borders and grid plus
+    /// its incoming seam, however long the subject.
+    pub fn score<K, G, S>(&self, scheme: &Scheme<K, G, S>, q: &[u8], s: &[u8]) -> Score
+    where
+        K: AlignKind,
+        G: GapModel,
+        S: SubstScore,
+        Kn: TileKernel<S>,
+    {
+        let (gap, subst, (n, m)) = (scheme.gap(), scheme.subst(), (q.len(), s.len()));
+        if n == 0 || m == 0 {
+            return score_pass::<K, G, S>(gap, subst, q, s, gap.open()).score;
+        }
+        let (mut best, mut h_nm) = (BestCell::empty(), 0);
+        self.for_each_slab::<K, G, S>(gap, subst, q, s, gap.open(), |_, slab| {
+            best.merge(&slab.best);
+            h_nm = *slab.seam.h.last().expect("a slab has at least one row");
+        });
+        finalize_score::<K, G>(gap, best, n, m, gap.open(), h_nm).0
     }
 }
 

@@ -7,11 +7,12 @@
 //! column — `H(1..=n, col)` plus `F(1..=n, col)` for affine models (`E`
 //! propagates *down* rows, never *right* across a column cut, so it
 //! never crosses a vertical seam). That frontier is a [`ShardSeam`]:
-//! small (`O(n)`), serializable, and sufficient to restart the pass on
-//! the other side of the cut — which bounds the resident border +
-//! grid working set of a chromosome-scale pair to one slab, and is the
-//! hand-off a multi-process deployment would ship over the wire.
+//! small (`O(n)`) and sufficient to restart the pass on the other side
+//! of the cut — which bounds the resident border + grid working set of
+//! a chromosome-scale pair to one slab.
 
+use crate::borders::BorderStore;
+use crate::grid::TileGrid;
 use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 
@@ -28,54 +29,6 @@ pub struct ShardSeam {
     /// `F(1..=n, col)` — one value per query row; empty for linear gap
     /// models (the linear kernel derives vertical moves from `H`).
     pub f: Vec<Score>,
-}
-
-impl ShardSeam {
-    /// Resident payload bytes of the frontier.
-    pub fn bytes(&self) -> usize {
-        (self.h.len() + self.f.len()) * std::mem::size_of::<Score>()
-    }
-
-    /// Serializes the seam (little-endian `col`/`h.len`/`f.len` header
-    /// followed by the raw score payloads) — the wire format a
-    /// multi-process shard chain would exchange.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.bytes());
-        out.extend_from_slice(&(self.col as u64).to_le_bytes());
-        out.extend_from_slice(&(self.h.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.f.len() as u64).to_le_bytes());
-        for v in &self.h {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.f {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes a seam produced by [`ShardSeam::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardSeam, String> {
-        let word = |at: usize| -> Result<u64, String> {
-            bytes
-                .get(at..at + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                .ok_or_else(|| "seam header truncated".to_string())
-        };
-        let col = word(0)? as usize;
-        let hn = word(8)? as usize;
-        let fn_ = word(16)? as usize;
-        let need = 24 + (hn + fn_) * std::mem::size_of::<Score>();
-        if bytes.len() != need {
-            return Err(format!(
-                "seam payload length mismatch: have {}, need {need}",
-                bytes.len()
-            ));
-        }
-        let score_at = |at: usize| Score::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let h = (0..hn).map(|k| score_at(24 + 4 * k)).collect();
-        let f = (0..fn_).map(|k| score_at(24 + 4 * (hn + k))).collect();
-        Ok(ShardSeam { col, h, f })
-    }
 }
 
 /// Cuts an `n × m` DP matrix into contiguous subject-column slabs of at
@@ -98,50 +51,38 @@ pub fn plan_columns(n: usize, m: usize, shard_cells: u64) -> Vec<(usize, usize)>
     plan
 }
 
-/// Result of one slab pass: the outgoing frontier plus the slab's share
-/// of the final DP row and the slab-local optimum.
-#[derive(Debug, Clone)]
+/// Result of one slab pass: the outgoing frontier, the slab-local
+/// optimum and the slab's border stripes, from which its share of the
+/// final DP row is assembled only on request.
 pub struct SlabOutput {
     /// Frontier at the slab's last column — input for the next slab.
+    /// Its last entry is the slab's corner `H(n, c1)`.
     pub seam: ShardSeam,
-    /// `H(n, c0..=c1)` — width + 1 values including the left corner
-    /// (concatenate, dropping the corner on every slab but the first,
-    /// to rebuild the full last row).
-    pub last_h: Vec<Score>,
-    /// `E(n, c0+1..=c1)` — width values; empty for linear models.
-    pub last_e: Vec<Score>,
     /// Best cell seen inside the slab (absolute coordinates).
     pub best: BestCell,
+    pub(crate) grid: TileGrid,
+    pub(crate) borders: BorderStore,
+}
+
+impl SlabOutput {
+    /// `H(n, c0..=c1)` — width + 1 values including the left corner
+    /// (concatenate, dropping the corner on every slab but the first,
+    /// to rebuild the full last row) — and `E(n, c0+1..=c1)`, width
+    /// values, empty for linear models.
+    pub fn last_rows(&self) -> (Vec<Score>, Vec<Score>) {
+        self.borders.assemble_last_rows(&self.grid)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pass::{tiled_score_pass, ParallelCfg, ScalarTiles, TiledPass};
-    use anyseq_core::kind::{Global, Local, SemiGlobal};
+    use anyseq_core::kind::{AlignKind, FreeEnd, Global, Local, SemiGlobal};
     use anyseq_core::pass::score_pass;
-    use anyseq_core::scoring::{simple, AffineGap, GapModel};
+    use anyseq_core::scheme::Scheme;
+    use anyseq_core::scoring::{simple, AffineGap, GapModel, Scoring};
     use anyseq_seq::genome::GenomeSim;
-
-    #[test]
-    fn seam_round_trips_stripe_exactly() {
-        let seam = ShardSeam {
-            col: 1234,
-            h: vec![0, -3, 7, Score::MIN / 4, 42],
-            f: vec![-9, -8, -7, -6, -5],
-        };
-        let back = ShardSeam::from_bytes(&seam.to_bytes()).unwrap();
-        assert_eq!(back, seam);
-        // Linear seams carry no F stripe.
-        let lin = ShardSeam {
-            col: 1,
-            h: vec![5, -5],
-            f: Vec::new(),
-        };
-        assert_eq!(ShardSeam::from_bytes(&lin.to_bytes()).unwrap(), lin);
-        assert!(ShardSeam::from_bytes(&lin.to_bytes()[..9]).is_err());
-        assert!(ShardSeam::from_bytes(&[0u8; 25]).is_err());
-    }
 
     #[test]
     fn plan_covers_all_columns_without_overlap() {
@@ -172,8 +113,10 @@ mod tests {
         let mut cfg = ParallelCfg::threads(4).with_tile(96);
         // Force ~6 slabs of the subject.
         cfg.shard_cells = (q.len() as u64) * (s.len() as u64) / 6;
+        let slabs = plan_columns(q.len(), s.len(), cfg.shard_cells).len() as u64;
+        assert!(slabs >= 6, "{slabs} slabs");
         macro_rules! check {
-            ($kind:ty) => {{
+            ($kind:ident) => {{
                 let scalar =
                     score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
                 let sharded = tiled_score_pass::<$kind, _, _>(
@@ -184,15 +127,30 @@ mod tests {
                     gap.open(),
                     &cfg,
                 );
-                assert_eq!(sharded.score, scalar.score);
-                assert_eq!(sharded.end, scalar.end);
-                assert_eq!(sharded.last_h, scalar.last_h);
-                assert_eq!(sharded.last_e, scalar.last_e);
+                let what = <$kind as AlignKind>::NAME;
+                assert_eq!(sharded.score, scalar.score, "{what}");
+                assert_eq!(sharded.end, scalar.end, "{what}");
+                assert_eq!(sharded.last_h, scalar.last_h, "{what}");
+                assert_eq!(sharded.last_e, scalar.last_e, "{what}");
+                // The score-only pass keeps no rows, only the running
+                // best cell and the last slab's corner.
+                let scheme = Scheme {
+                    kind: $kind,
+                    scoring: Scoring { gap, subst },
+                };
+                let pass = TiledPass::<ScalarTiles>::new(cfg);
+                assert_eq!(
+                    pass.score(&scheme, q.codes(), s.codes()),
+                    scalar.score,
+                    "{what}"
+                );
+                assert_eq!(pass.shard_count(), slabs, "{what}");
             }};
         }
         check!(Global);
         check!(Local);
         check!(SemiGlobal);
+        check!(FreeEnd);
     }
 
     #[test]

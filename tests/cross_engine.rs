@@ -188,7 +188,6 @@ fn random_batch(lens: &[(usize, usize)], seed: u64) -> Vec<(Seq, Seq)> {
 fn scheduler_for(threads: usize, chunk: usize) -> BatchScheduler {
     BatchScheduler::new(BatchCfg {
         threads,
-        bin_quantum: 16,
         chunk_pairs: chunk,
     })
 }
@@ -552,17 +551,20 @@ proptest! {
         seed in 0u64..1000,
         shards in 1u64..8,
         affine_gaps in prop_oneof![Just(false), Just(true)],
-        semi in prop_oneof![Just(false), Just(true)],
+        kind in prop_oneof![
+            Just(KindSpec::Global),
+            Just(KindSpec::SemiGlobal),
+            Just(KindSpec::Local),
+            Just(KindSpec::FreeEnd),
+        ],
     ) {
-        // The sharded exclusive pipeline is a pure memory refactor:
-        // cutting a pair into subject slabs stitched through
-        // serialized border seams must leave scores AND CIGARs
-        // bit-identical to the unsharded run, across gap models and
-        // alignment kinds, for any shard count.
+        // Sharding is a pure memory refactor: cutting a pair into
+        // subject slabs stitched through border seams must leave
+        // scores AND CIGARs bit-identical to the unsharded run, across
+        // gap models and all four alignment kinds, for any shard count.
         let (q, s) = genome_pair(len, div, seed ^ 0x54a2d);
         let cells = (q.len() as u64) * (s.len() as u64);
         let shard_cells = (cells / shards).max(1);
-        let kind = if semi { KindSpec::SemiGlobal } else { KindSpec::Global };
         let spec = if affine_gaps {
             SchemeSpec::global_affine(2, -1, -2, -1).with_kind(kind)
         } else {
@@ -578,16 +580,12 @@ proptest! {
 
         let base = sched.try_score_batch(&plain, &spec, &view).unwrap();
         let cut = sched.try_score_batch(&sharded, &spec, &view).unwrap();
-        prop_assert_eq!(&cut.results, &base.results, "scores shards={}", shards);
+        prop_assert_eq!(&cut.results, &base.results, "{:?} scores shards={}", kind, shards);
         if shards >= 2 {
             // The budget genuinely bites (even after the one-tile
-            // clamp), so the score run must go through the seam chain.
+            // clamp), so the score pass must run cut into slabs.
             prop_assert!(
-                cut.stats.counters.get(anyseq_engine::SCHED_SHARDS).copied().unwrap_or(0) >= 2,
-                "shards={} counters={:?}", shards, cut.stats.counters
-            );
-            prop_assert!(
-                cut.stats.counters.get(anyseq_engine::SCHED_SEAM_BYTES).copied().unwrap_or(0) > 0,
+                cut.stats.counters.get("wavefront.shards").copied().unwrap_or(0) >= 2,
                 "shards={} counters={:?}", shards, cut.stats.counters
             );
         }
@@ -596,11 +594,11 @@ proptest! {
         let aln_cut = sched.try_align_batch(&sharded, &spec, &view).unwrap();
         prop_assert_eq!(
             aln_cut.results[0].score, aln_base.results[0].score,
-            "align score shards={}", shards
+            "{:?} align score shards={}", kind, shards
         );
         prop_assert_eq!(
             &aln_cut.results[0].ops, &aln_base.results[0].ops,
-            "CIGAR shards={}", shards
+            "{:?} CIGAR shards={}", kind, shards
         );
     }
 }

@@ -32,7 +32,6 @@ impl Engine for ProbingDecliner {
             score_kinds: ALL_KINDS,
             align_kinds: ALL_KINDS,
             batch_native: true,
-            max_unit_cells: None,
         }
     }
 
