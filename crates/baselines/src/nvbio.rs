@@ -71,7 +71,7 @@ impl NvbioLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anyseq_core::prelude::{global, linear, simple};
+    use anyseq_core::prelude::{affine, global, linear, simple};
     use anyseq_seq::genome::GenomeSim;
 
     #[test]
@@ -97,5 +97,35 @@ mod tests {
         // (The deficit shows up as extra synchronization + divergence
         // cycles; warp-step counts alone are not comparable across
         // different block sizes.)
+    }
+
+    /// NVBio's modeled numbers on the pair `anyseq-gpu-sim` pins its
+    /// own cost model on: fields equal, `cycles` bit-equal.
+    #[test]
+    fn nvbio_cost_model_is_pinned() {
+        let mut sim = GenomeSim::new(41);
+        let q = sim.generate(3000);
+        let s = sim.mutate(&q, 0.08);
+        let lin = global(linear(simple(2, -1), -1));
+        let aff = global(affine(simple(2, -1), -2, -1));
+        let stats = |cycles, transactions, peak_shared_bytes| GpuStats {
+            cells: 9_099_000,
+            cycles,
+            transactions,
+            launches: 23,
+            blocks: 144,
+            warp_steps: 319_974,
+            peak_shared_bytes,
+        };
+        let lin_run = NvbioLike::new(Device::titan_v()).score(&lin, &q, &s);
+        let aff_run = NvbioLike::new(Device::titan_v()).score(&aff, &q, &s);
+        assert_eq!((lin_run.score, aff_run.score), (5199, 5076));
+        for (what, got, want) in [
+            ("linear", lin_run.stats, stats(1_605_692.0, 20_652, 1828)),
+            ("affine", aff_run.stats, stats(1_830_532.0, 38_772, 2852)),
+        ] {
+            assert_eq!(got, want, "{what}");
+            assert_eq!(got.cycles.to_bits(), want.cycles.to_bits(), "{what} cycles");
+        }
     }
 }

@@ -25,10 +25,8 @@ use anyseq_core::scheme::Scheme;
 use anyseq_core::score::{Score, NEG_INF};
 use anyseq_core::scoring::{AffineGap, GapModel, SubstScore};
 use anyseq_seq::Seq;
-use anyseq_wavefront::borders::{BorderStore, HStripe, VStripe};
-use anyseq_wavefront::grid::TileGrid;
-use anyseq_wavefront::pass::finalize;
-use anyseq_wavefront::scheduler::run_static;
+use anyseq_wavefront::borders::{HStripe, VStripe};
+use anyseq_wavefront::{ParallelCfg, Tile, TileKernel, TiledPass};
 
 /// Parasail-like configuration.
 #[derive(Debug, Clone, Copy)]
@@ -95,64 +93,13 @@ impl ParasailLike {
         K: AlignKind,
         S: SubstScore,
     {
-        let n = q.len();
-        let m = s.len();
+        let (n, m) = (q.len(), s.len());
         if n == 0 || m == 0 || n * m < 1 << 22 || self.threads == 1 {
             return score_pass::<K, AffineGap, S>(gap, subst, q, s, tb);
         }
-        let grid = TileGrid::new(n, m, self.tile);
-        let borders = BorderStore::init::<K, AffineGap>(&grid, gap, tb);
-
-        run_static(
-            &grid,
-            self.threads,
-            1,
-            || {
-                (
-                    HStripe::default(),
-                    VStripe::default(),
-                    DiagScratch::default(),
-                )
-            },
-            |(top, left, scratch), tiles| {
-                for &t in tiles {
-                    let (i0, th) = grid.rows(t.ti);
-                    let (j0, tw) = grid.cols(t.tj);
-                    {
-                        let mut slot = borders.col[t.tj as usize].lock();
-                        std::mem::swap(&mut top.h, &mut slot.h);
-                        std::mem::swap(&mut top.e, &mut slot.e);
-                    }
-                    {
-                        let mut slot = borders.row[t.ti as usize].lock();
-                        std::mem::swap(&mut left.h, &mut slot.h);
-                        std::mem::swap(&mut left.f, &mut slot.f);
-                    }
-                    diag_tile_kernel(
-                        gap,
-                        subst,
-                        &q[i0 - 1..i0 - 1 + th],
-                        &s[j0 - 1..j0 - 1 + tw],
-                        top,
-                        left,
-                        scratch,
-                    );
-                    {
-                        let mut slot = borders.col[t.tj as usize].lock();
-                        std::mem::swap(&mut slot.h, &mut top.h);
-                        std::mem::swap(&mut slot.e, &mut top.e);
-                    }
-                    {
-                        let mut slot = borders.row[t.ti as usize].lock();
-                        std::mem::swap(&mut slot.h, &mut left.h);
-                        std::mem::swap(&mut slot.f, &mut left.f);
-                    }
-                }
-            },
-        );
-
-        let (last_h, last_e) = borders.assemble_last_rows(&grid);
-        finalize::<K, AffineGap>(gap, BestCell::empty(), n, m, tb, &last_h, last_e)
+        let mut cfg = ParallelCfg::threads(self.threads).with_tile(self.tile);
+        cfg.static_schedule = true;
+        TiledPass::<DiagTiles>::new(cfg).score_pass::<K, AffineGap, S>(gap, subst, q, s, tb)
     }
 }
 
@@ -173,6 +120,46 @@ impl<S: SubstScore> HalfPass<AffineGap, S> for ParasailLike {
     }
 }
 
+/// [`diag_tile_kernel`] as a [`TileKernel`], one tile at a time. It
+/// tracks no optimum, so it serves corner kinds only, and it runs the
+/// affine recurrence only.
+#[derive(Debug, Clone, Copy, Default)]
+struct DiagTiles;
+
+impl<S: SubstScore> TileKernel<S> for DiagTiles {
+    const GROUP: usize = 1;
+    type Scratch = DiagScratch;
+
+    fn relax<K: AlignKind, G: GapModel>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tiles: &mut [Tile],
+        scratch: &mut DiagScratch,
+        _: &mut BestCell,
+    ) -> usize {
+        assert!(
+            G::AFFINE && matches!(K::OPT, OptRegion::Corner),
+            "the diagonal kernel runs affine corner-optimum passes only"
+        );
+        for tile in tiles {
+            let ((i0, j0), (h, w)) = (tile.origin, tile.shape());
+            diag_tile_kernel(
+                gap,
+                subst,
+                &q[i0 - 1..i0 - 1 + h],
+                &s[j0 - 1..j0 - 1 + w],
+                &mut tile.top,
+                &mut tile.left,
+                scratch,
+            );
+        }
+        0
+    }
+}
+
 /// Per-worker scratch for the diagonal kernel.
 #[derive(Default)]
 struct DiagScratch {
@@ -186,8 +173,8 @@ struct DiagScratch {
 /// (same border contract as `relax_tile`, different iteration order —
 /// the strided accesses and shuffle-like data movement make it measurably
 /// slower per cell, which is the historical cost of the layout).
-fn diag_tile_kernel<S: SubstScore>(
-    gap: &AffineGap,
+fn diag_tile_kernel<G: GapModel, S: SubstScore>(
+    gap: &G,
     subst: &S,
     q_tile: &[u8],
     s_tile: &[u8],
@@ -197,8 +184,8 @@ fn diag_tile_kernel<S: SubstScore>(
 ) {
     let h = q_tile.len();
     let w = s_tile.len();
-    let ext = gap.extend;
-    let open = gap.open;
+    let ext = gap.extend();
+    let open = gap.open();
 
     scratch.a_h.clear();
     scratch.a_h.resize(h, 0);
@@ -262,23 +249,29 @@ mod tests {
 
     #[test]
     fn parasail_like_score_matches_affine_reference() {
+        // Above the 2²² cutoff at 5 threads, so the tiled pass runs;
+        // tile edge 128 leaves ragged tiles on the last row and column.
+        // Hirschberg consumes the last rows: they must match the row
+        // sweep, for either top-boundary open.
         let mut sim = GenomeSim::new(101);
         let q = sim.generate(3000);
         let s = sim.mutate(&q, 0.1);
-        let scheme = global(affine(simple(2, -1), -2, -1));
+        let (q, s) = (q.codes(), s.codes());
+        assert!(q.len() * s.len() >= 1 << 22 && q.len() % 128 != 0);
+        let gap = AffineGap {
+            open: -2,
+            extend: -1,
+        };
+        let subst = simple(2, -1);
         let mut b = ParasailLike::new(5);
-        b.tile = 100;
-        let got = b.pass_impl::<Global, _>(
-            &AffineGap {
-                open: -2,
-                extend: -1,
-            },
-            scheme.subst(),
-            q.codes(),
-            s.codes(),
-            -2,
-        );
-        assert_eq!(got.score, scheme.score(&q, &s));
+        b.tile = 128;
+        for tb in [gap.open, 0] {
+            let want = score_pass::<Global, _, _>(&gap, &subst, q, s, tb);
+            let got = b.pass_impl::<Global, _>(&gap, &subst, q, s, tb);
+            assert_eq!((got.score, got.end), (want.score, want.end), "tb {tb}");
+            assert_eq!(got.last_h, want.last_h, "last_h, tb {tb}");
+            assert_eq!(got.last_e, want.last_e, "last_e, tb {tb}");
+        }
     }
 
     #[test]

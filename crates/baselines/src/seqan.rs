@@ -23,13 +23,13 @@ use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
-use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
+use anyseq_core::tile::TileOut;
 use anyseq_seq::Seq;
 use anyseq_simd::kernel::{block_kernel_masked, SimdSubst};
-use anyseq_wavefront::borders::{BorderStore, HStripe, VStripe};
+use anyseq_wavefront::borders::BorderStore;
 use anyseq_wavefront::grid::{TileGrid, TileId};
 use anyseq_wavefront::pass::finalize;
-use anyseq_wavefront::run_workers;
+use anyseq_wavefront::{run_workers, ScalarTiles, Tile, TileKernel};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -158,9 +158,10 @@ impl SeqAnLike {
 
         run_workers(self.threads, |_| {
             let mut ready: Vec<TileId> = Vec::with_capacity(lanes);
+            let mut tiles: Vec<Tile> = (0..lanes).map(|_| Tile::default()).collect();
             let mut out = TileOut::new();
-            let mut top = HStripe::default();
-            let mut left = VStripe::default();
+            // Corner kinds only: the optimum is H(n, m), no cell to track.
+            let mut best = BestCell::empty();
             loop {
                 ready.clear();
                 {
@@ -178,23 +179,22 @@ impl SeqAnLike {
                         }
                     }
                 }
+                let tiles = &mut tiles[..ready.len()];
+                for (t, &id) in tiles.iter_mut().zip(&ready) {
+                    t.id = id;
+                    t.origin = (grid.rows(id.ti).0, grid.cols(id.tj).0);
+                    borders.exchange(id, &mut t.top, &mut t.left);
+                }
                 let full_block = lanes >= 8
-                    && ready.len() == lanes
-                    && ready.iter().all(|t| {
-                        let (_, th) = grid.rows(t.ti);
-                        let (_, tw) = grid.cols(t.tj);
-                        th == tile && tw == tile
-                    });
+                    && tiles.len() == lanes
+                    && tiles.iter().all(|t| t.shape() == (tile, tile));
                 if full_block {
-                    compute_masked_block::<G, SS>(
-                        gap, subst, q, s, &grid, &borders, &ready, lanes, tile,
-                    );
+                    compute_masked_block::<G, SS>(gap, subst, q, s, tiles);
                 } else {
-                    for &t in &ready {
-                        compute_scalar_tile::<K, G, SS>(
-                            gap, subst, q, s, &grid, &borders, t, &mut out, &mut top, &mut left,
-                        );
-                    }
+                    ScalarTiles.relax::<K, G>(gap, subst, q, s, tiles, &mut out, &mut best);
+                }
+                for t in tiles.iter_mut() {
+                    borders.exchange(t.id, &mut t.top, &mut t.left);
                 }
                 let mut to_push: Vec<TileId> = Vec::new();
                 for &t in &ready {
@@ -250,194 +250,62 @@ impl<G: GapModel, SS: SimdSubst> HalfPass<G, SS> for SeqAnLike {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn compute_scalar_tile<K, G, SS>(
-    gap: &G,
-    subst: &SS,
-    q: &[u8],
-    s: &[u8],
-    grid: &TileGrid,
-    borders: &BorderStore,
-    t: TileId,
-    out: &mut TileOut,
-    top: &mut HStripe,
-    left: &mut VStripe,
-) where
-    K: AlignKind,
+/// Vector path: one full block of `tiles.len()` equal-shape tiles on
+/// the masked kernel, one tile per lane.
+fn compute_masked_block<G, SS>(gap: &G, subst: &SS, q: &[u8], s: &[u8], tiles: &mut [Tile])
+where
     G: GapModel,
     SS: SimdSubst,
 {
-    let (i0, th) = grid.rows(t.ti);
-    let (j0, tw) = grid.cols(t.tj);
-    {
-        let mut slot = borders.col[t.tj as usize].lock();
-        std::mem::swap(&mut top.h, &mut slot.h);
-        std::mem::swap(&mut top.e, &mut slot.e);
-    }
-    {
-        let mut slot = borders.row[t.ti as usize].lock();
-        std::mem::swap(&mut left.h, &mut slot.h);
-        std::mem::swap(&mut left.f, &mut slot.f);
-    }
-    relax_tile::<K, G, SS, _>(
-        gap,
-        subst,
-        &q[i0 - 1..i0 - 1 + th],
-        &s[j0 - 1..j0 - 1 + tw],
-        (i0, j0),
-        (grid.n, grid.m),
-        TileIn {
-            top_h: &top.h,
-            top_e: &top.e,
-            left_h: &left.h,
-            left_f: &left.f,
-        },
-        out,
-        &mut NoSink,
-    );
-    {
-        let mut slot = borders.col[t.tj as usize].lock();
-        std::mem::swap(&mut slot.h, &mut out.bot_h);
-        std::mem::swap(&mut slot.e, &mut out.bot_e);
-    }
-    {
-        let mut slot = borders.row[t.ti as usize].lock();
-        std::mem::swap(&mut slot.h, &mut out.right_h);
-        std::mem::swap(&mut slot.f, &mut out.right_f);
-    }
-}
-
-/// Vector path: dispatches on the configured lane count (masked kernel).
-#[allow(clippy::too_many_arguments)]
-fn compute_masked_block<G, SS>(
-    gap: &G,
-    subst: &SS,
-    q: &[u8],
-    s: &[u8],
-    grid: &TileGrid,
-    borders: &BorderStore,
-    tiles: &[TileId],
-    lanes: usize,
-    tile: usize,
-) where
-    G: GapModel,
-    SS: SimdSubst,
-{
-    match lanes {
-        16 => masked_block::<G, SS, 16>(gap, subst, q, s, grid, borders, tiles, tile),
-        32 => masked_block::<G, SS, 32>(gap, subst, q, s, grid, borders, tiles, tile),
-        8 => masked_block::<G, SS, 8>(gap, subst, q, s, grid, borders, tiles, tile),
+    match tiles.len() {
+        16 => masked_block::<G, SS, 16>(gap, subst, q, s, tiles),
+        32 => masked_block::<G, SS, 32>(gap, subst, q, s, tiles),
+        8 => masked_block::<G, SS, 8>(gap, subst, q, s, tiles),
         other => panic!("unsupported lane count {other} (use 8, 16 or 32)"),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn masked_block<G, SS, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    q: &[u8],
-    s: &[u8],
-    grid: &TileGrid,
-    borders: &BorderStore,
-    tiles: &[TileId],
-    tile: usize,
-) where
+fn masked_block<G, SS, const L: usize>(gap: &G, subst: &SS, q: &[u8], s: &[u8], tiles: &mut [Tile])
+where
     G: GapModel,
     SS: SimdSubst,
 {
     use anyseq_simd::kernel::{from16, to16};
     use anyseq_simd::I16s;
     debug_assert_eq!(tiles.len(), L);
-    let w = tile;
-    let h = tile;
-    let mut top: Vec<HStripe> = Vec::with_capacity(L);
-    let mut left: Vec<VStripe> = Vec::with_capacity(L);
-    let mut base = [0 as Score; L];
-    for (l, t) in tiles.iter().enumerate() {
-        let mut tt = HStripe::default();
-        let mut ll = VStripe::default();
-        {
-            let mut slot = borders.col[t.tj as usize].lock();
-            std::mem::swap(&mut tt.h, &mut slot.h);
-            std::mem::swap(&mut tt.e, &mut slot.e);
-        }
-        {
-            let mut slot = borders.row[t.ti as usize].lock();
-            std::mem::swap(&mut ll.h, &mut slot.h);
-            std::mem::swap(&mut ll.f, &mut slot.f);
-        }
-        base[l] = tt.h[0];
-        top.push(tt);
-        left.push(ll);
-    }
+    let (h, w) = tiles[0].shape();
+    let base: [Score; L] = std::array::from_fn(|l| tiles[l].top.h[0]);
+    let lift = |len: usize, at: &dyn Fn(&Tile, usize) -> Score| -> Vec<I16s<L>> {
+        (0..len)
+            .map(|k| I16s(std::array::from_fn(|l| to16(at(&tiles[l], k), base[l]))))
+            .collect()
+    };
+    let (ew, fh) = if G::AFFINE { (w, h) } else { (0, 0) };
     let mut block = anyseq_simd::BlockBorders::<L> {
-        top_h: (0..=w)
-            .map(|c| I16s(std::array::from_fn(|l| to16(top[l].h[c], base[l]))))
-            .collect(),
-        top_e: if G::AFFINE {
-            (0..w)
-                .map(|c| I16s(std::array::from_fn(|l| to16(top[l].e[c], base[l]))))
-                .collect()
-        } else {
-            Vec::new()
-        },
-        left_h: (0..h)
-            .map(|r| I16s(std::array::from_fn(|l| to16(left[l].h[r], base[l]))))
-            .collect(),
-        left_f: if G::AFFINE {
-            (0..h)
-                .map(|r| I16s(std::array::from_fn(|l| to16(left[l].f[r], base[l]))))
-                .collect()
-        } else {
-            Vec::new()
-        },
+        top_h: lift(w + 1, &|t, c| t.top.h[c]),
+        top_e: lift(ew, &|t, c| t.top.e[c]),
+        left_h: lift(h, &|t, r| t.left.h[r]),
+        left_f: lift(fh, &|t, r| t.left.f[r]),
     };
     let q_rows: Vec<[u8; L]> = (0..h)
-        .map(|r| {
-            std::array::from_fn(|l| {
-                let (i0, _) = grid.rows(tiles[l].ti);
-                q[i0 - 1 + r]
-            })
-        })
+        .map(|r| std::array::from_fn(|l| q[tiles[l].origin.0 - 1 + r]))
         .collect();
     let s_cols: Vec<[u8; L]> = (0..w)
-        .map(|c| {
-            std::array::from_fn(|l| {
-                let (j0, _) = grid.cols(tiles[l].tj);
-                s[j0 - 1 + c]
-            })
-        })
+        .map(|c| std::array::from_fn(|l| s[tiles[l].origin.1 - 1 + c]))
         .collect();
 
     block_kernel_masked(gap, subst, &q_rows, &s_cols, &mut block);
 
-    for (l, t) in tiles.iter().enumerate() {
-        for c in 0..=w {
-            top[l].h[c] = from16(block.top_h[c].0[l], base[l]);
-        }
-        if G::AFFINE {
-            for c in 0..w {
-                top[l].e[c] = from16(block.top_e[c].0[l], base[l]);
+    for (l, tile) in tiles.iter_mut().enumerate() {
+        let lower = |dst: &mut [Score], src: &[I16s<L>]| {
+            for (d, v) in dst.iter_mut().zip(src) {
+                *d = from16(v.0[l], base[l]);
             }
-        }
-        for r in 0..h {
-            left[l].h[r] = from16(block.left_h[r].0[l], base[l]);
-        }
-        if G::AFFINE {
-            for r in 0..h {
-                left[l].f[r] = from16(block.left_f[r].0[l], base[l]);
-            }
-        }
-        {
-            let mut slot = borders.col[t.tj as usize].lock();
-            std::mem::swap(&mut slot.h, &mut top[l].h);
-            std::mem::swap(&mut slot.e, &mut top[l].e);
-        }
-        {
-            let mut slot = borders.row[t.ti as usize].lock();
-            std::mem::swap(&mut slot.h, &mut left[l].h);
-            std::mem::swap(&mut slot.f, &mut left[l].f);
-        }
+        };
+        lower(&mut tile.top.h, &block.top_h);
+        lower(&mut tile.top.e, &block.top_e);
+        lower(&mut tile.left.h, &block.left_h);
+        lower(&mut tile.left.f, &block.left_f);
     }
 }
 

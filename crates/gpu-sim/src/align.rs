@@ -2,8 +2,12 @@
 //! diagonals (paper §IV-B: "This is done in host code that starts a GPU
 //! kernel for each diagonal. The GPU kernel uses a one-dimensional grid
 //! of thread-blocks where each block computes one matrix tile.").
+//!
+//! The host loop is [`TiledPass`] on its static schedule at one thread,
+//! so each tile diagonal is one launch; its kernel, `GpuTiles`, runs
+//! [`striped_tile_kernel`] as one thread-block per tile.
 
-use crate::device::{Device, GpuStats};
+use crate::device::{Device, GpuStats, MEMORY_PARALLELISM};
 use crate::kernel::{striped_tile_kernel, GpuTileIo, KernelShape};
 use crate::mem::MemTracker;
 use anyseq_core::alignment::Alignment;
@@ -15,8 +19,7 @@ use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
 use anyseq_seq::{PairRef, Seq};
-use anyseq_wavefront::grid::TileGrid;
-use anyseq_wavefront::pass::finalize;
+use anyseq_wavefront::{ParallelCfg, Tile, TileKernel, TiledPass};
 use parking_lot::Mutex;
 
 /// A GPU-simulated aligner: device + kernel shape + tile geometry.
@@ -27,7 +30,6 @@ pub struct GpuAligner {
     pub shape: KernelShape,
     /// Tile edge (tiles are `tile × tile`, edges smaller).
     pub tile: usize,
-    stats: Mutex<GpuStats>,
 }
 
 /// Result of a GPU-simulated scoring run.
@@ -41,6 +43,119 @@ pub struct GpuRun {
     pub stats: GpuStats,
 }
 
+/// The simulated device as a [`TileKernel`]: one thread-block per
+/// tile, [`striped_tile_kernel`] on the tile's stripes in place.
+struct GpuTiles<'d> {
+    device: &'d Device,
+    shape: KernelShape,
+    account: Mutex<Account>,
+}
+
+/// What one pass launched, as the launch model prices it.
+#[derive(Default)]
+struct Account {
+    /// Per tile diagonal `ti + tj`: its blocks and the slowest block's
+    /// cycles.
+    diagonals: Vec<(usize, f64)>,
+    /// The blocks' stats and memory transactions, merged.
+    blocks: GpuStats,
+}
+
+impl<S: SubstScore> TileKernel<S> for GpuTiles<'_> {
+    const GROUP: usize = 1;
+    type Scratch = ();
+
+    fn relax<K: AlignKind, G: GapModel>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tiles: &mut [Tile],
+        _: &mut (),
+        best: &mut BestCell,
+    ) -> usize {
+        assert!(
+            !matches!(K::OPT, OptRegion::Anywhere),
+            "the GPU backend supports corner/border kinds (the paper's \
+             GPU evaluation is global); use the CPU engines for local"
+        );
+        let (n, m) = (q.len(), s.len());
+        for tile in tiles {
+            let ((i0, j0), (th, tw)) = (tile.origin, tile.shape());
+            let (mut block, mut mem) = (GpuStats::default(), MemTracker::new());
+            striped_tile_kernel(
+                self.device,
+                &self.shape,
+                gap,
+                subst,
+                &q[i0 - 1..i0 - 1 + th],
+                &s[j0 - 1..j0 - 1 + tw],
+                GpuTileIo {
+                    h_row: &mut tile.top.h,
+                    e_row: &mut tile.top.e,
+                    h_col: &mut tile.left.h,
+                    f_col: &mut tile.left.f,
+                },
+                &mut block,
+                &mut mem,
+            );
+            // Track the kind's optimum on the freshly written borders
+            // (GPU kernels keep the running maximum in registers; we
+            // read it off the border stripes, which is equivalent for
+            // border/corner kinds).
+            if matches!(K::OPT, OptRegion::Border) {
+                if i0 + th - 1 == n {
+                    for (k, &v) in tile.top.h[1..].iter().enumerate() {
+                        best.update(v, n, j0 + k);
+                    }
+                }
+                if j0 + tw - 1 == m {
+                    for (k, &v) in tile.left.h.iter().enumerate() {
+                        best.update(v, i0 + k, m);
+                    }
+                }
+            }
+            let d = (tile.id.ti + tile.id.tj) as usize;
+            let mut account = self.account.lock();
+            if account.diagonals.len() <= d {
+                account.diagonals.resize(d + 1, (0, 0.0));
+            }
+            let (blocks, max_cycles) = &mut account.diagonals[d];
+            *blocks += 1;
+            *max_cycles = max_cycles.max(block.cycles);
+            block.transactions = mem.transactions();
+            account.blocks.merge(&block);
+        }
+        0
+    }
+}
+
+impl GpuTiles<'_> {
+    /// The pass's modeled stats. Each diagonal is one launch; the
+    /// device runs `concurrent_blocks()` tiles at a time, so its
+    /// duration is the slowest block's cycles times the occupancy
+    /// waves (blocks on one diagonal have identical dimensions except
+    /// at the ragged edge). Memory transactions contribute
+    /// bandwidth-limited cycles on top.
+    fn stats(self) -> GpuStats {
+        let account = self.account.into_inner();
+        let mut stats = GpuStats {
+            cycles: 0.0,
+            ..account.blocks
+        };
+        for (blocks, max_cycles) in account.diagonals {
+            stats.launches += 1;
+            stats.cycles += self.device.launch_cycles;
+            let waves = blocks.div_ceil(self.device.concurrent_blocks());
+            stats.cycles += waves as f64 * max_cycles;
+        }
+        stats.cycles +=
+            stats.transactions as f64 * self.device.transaction_cycles / MEMORY_PARALLELISM;
+        stats
+    }
+}
+
 impl GpuAligner {
     /// An AnySeq-configured aligner on the given device.
     pub fn new(device: Device) -> GpuAligner {
@@ -48,7 +163,6 @@ impl GpuAligner {
             device,
             shape: KernelShape::default(),
             tile: 1024,
-            stats: Mutex::new(GpuStats::default()),
         }
     }
 
@@ -65,16 +179,6 @@ impl GpuAligner {
         self
     }
 
-    /// Accumulated statistics across all runs since the last reset.
-    pub fn stats(&self) -> GpuStats {
-        *self.stats.lock()
-    }
-
-    /// Clears the statistics accumulator.
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = GpuStats::default();
-    }
-
     /// Score-only pass of kind `K` on the simulated device.
     pub fn pass<K, G, S>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput
     where
@@ -82,130 +186,35 @@ impl GpuAligner {
         G: GapModel,
         S: SubstScore,
     {
-        let n = q.len();
-        let m = s.len();
-        if n == 0 || m == 0 {
-            return score_pass::<K, G, S>(gap, subst, q, s, tb);
-        }
-        let grid = TileGrid::new(n, m, self.tile);
+        self.run_pass::<K, G, S>(gap, subst, q, s, tb).0
+    }
 
-        // Device-resident border arrays (the stripes live in global
-        // memory between kernel launches).
-        let mut col_h: Vec<Vec<Score>> = Vec::with_capacity(grid.mt);
-        let mut col_e: Vec<Vec<Score>> = Vec::with_capacity(grid.mt);
-        let top_h = init_top_h::<K, G>(gap, m);
-        let top_e = init_top_e::<K, G>(gap, m);
-        for tj in 0..grid.mt {
-            let (j0, w) = grid.cols(tj as u32);
-            col_h.push(top_h[j0 - 1..j0 + w].to_vec());
-            col_e.push(if top_e.is_empty() {
-                Vec::new()
-            } else {
-                top_e[j0 - 1..j0 - 1 + w].to_vec()
-            });
-        }
-        let left_h = init_left_h::<K, G>(gap, n, tb);
-        let left_f = init_left_f::<G>(n);
-        let mut row_h: Vec<Vec<Score>> = Vec::with_capacity(grid.nt);
-        let mut row_f: Vec<Vec<Score>> = Vec::with_capacity(grid.nt);
-        for ti in 0..grid.nt {
-            let (i0, h) = grid.rows(ti as u32);
-            row_h.push(left_h[i0 - 1..i0 - 1 + h].to_vec());
-            row_f.push(if left_f.is_empty() {
-                Vec::new()
-            } else {
-                left_f[i0 - 1..i0 - 1 + h].to_vec()
-            });
-        }
-
-        let mut stats = GpuStats::default();
-        let mut mem = MemTracker::new();
-        let mut best = BestCell::empty();
-
-        // One kernel launch per tile diagonal; the device runs
-        // `concurrent_blocks()` tiles at a time, so the diagonal's
-        // modeled duration is the block cost times the occupancy waves
-        // (blocks on one diagonal have identical dimensions except at
-        // the ragged edge — take the max).
-        for d in 0..grid.diagonals() {
-            stats.launches += 1;
-            stats.cycles += self.device.launch_cycles;
-            let tiles: Vec<_> = grid.diagonal(d).collect();
-            let mut max_block_cycles = 0.0f64;
-            let before_diag = stats.cycles;
-            for t in &tiles {
-                let (i0, th) = grid.rows(t.ti);
-                let (j0, tw) = grid.cols(t.tj);
-                let mut block_stats = GpuStats::default();
-                striped_tile_kernel(
-                    &self.device,
-                    &self.shape,
-                    gap,
-                    subst,
-                    &q[i0 - 1..i0 - 1 + th],
-                    &s[j0 - 1..j0 - 1 + tw],
-                    GpuTileIo {
-                        h_row: &mut col_h[t.tj as usize],
-                        e_row: &mut col_e[t.tj as usize],
-                        h_col: &mut row_h[t.ti as usize],
-                        f_col: &mut row_f[t.ti as usize],
-                    },
-                    &mut block_stats,
-                    &mut mem,
-                );
-                // Track the kind's optimum on the freshly written borders
-                // (GPU kernels keep the running maximum in registers; we
-                // read it off the border stripes, which is equivalent
-                // for border/corner kinds; the local kind additionally
-                // scans... not supported on this backend).
-                if matches!(K::OPT, OptRegion::Border) {
-                    let (j0b, wb) = grid.cols(t.tj);
-                    if i0 + th - 1 == n {
-                        for (k, &v) in col_h[t.tj as usize][1..].iter().enumerate() {
-                            let _ = wb;
-                            best.update(v, n, j0b + k);
-                        }
-                    }
-                    if j0 + tw - 1 == m {
-                        for (k, &v) in row_h[t.ti as usize].iter().enumerate() {
-                            best.update(v, i0 + k, m);
-                        }
-                    }
-                }
-                max_block_cycles = max_block_cycles.max(block_stats.cycles);
-                let cycles_before = block_stats.cycles;
-                stats.merge(&block_stats);
-                stats.cycles -= cycles_before; // re-add via wave model below
-            }
-            let waves = tiles.len().div_ceil(self.device.concurrent_blocks());
-            stats.cycles = before_diag + waves as f64 * max_block_cycles;
-        }
-        // Memory transactions contribute bandwidth-limited cycles on top.
-        stats.transactions = mem.transactions();
-        stats.cycles += stats.transactions as f64 * self.device.transaction_cycles
-            / crate::device::MEMORY_PARALLELISM;
-
-        // Assemble the final row from the column borders.
-        let mut last_h = Vec::with_capacity(m + 1);
-        let mut last_e = Vec::with_capacity(m);
-        for (tj, h) in col_h.iter().enumerate() {
-            if tj == 0 {
-                last_h.extend_from_slice(h);
-            } else {
-                last_h.extend_from_slice(&h[1..]);
-            }
-        }
-        for e in &col_e {
-            last_e.extend_from_slice(e);
-        }
-
-        self.stats.lock().merge(&stats);
-        assert!(
-            !matches!(K::OPT, OptRegion::Anywhere),
-            "the GPU backend supports corner/border kinds (the paper's \
-             GPU evaluation is global); use the CPU engines for local"
-        );
-        finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e)
+    /// [`GpuAligner::pass`] and its modeled statistics.
+    fn run_pass<K, G, S>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+    ) -> (PassOutput, GpuStats)
+    where
+        K: AlignKind,
+        G: GapModel,
+        S: SubstScore,
+    {
+        // One host thread; the static schedule's barrier after each
+        // tile diagonal is the boundary between two launches.
+        let mut cfg = ParallelCfg::threads(1).with_tile(self.tile);
+        cfg.static_schedule = true;
+        let kernel = GpuTiles {
+            device: &self.device,
+            shape: self.shape,
+            account: Mutex::default(),
+        };
+        let pass = TiledPass::with_kernel(cfg, kernel);
+        let out = pass.score_pass::<K, G, S>(gap, subst, q, s, tb);
+        (out, pass.kernel.stats())
     }
 
     /// Global score on the simulated device.
@@ -214,29 +223,19 @@ impl GpuAligner {
         G: GapModel,
         S: SubstScore,
     {
-        let before = self.stats();
-        let out = self.pass::<Global, G, S>(
+        let (out, stats) = self.run_pass::<Global, G, S>(
             scheme.gap(),
             scheme.subst(),
             q.codes(),
             s.codes(),
             scheme.gap().open(),
         );
-        let mut stats = self.stats();
-        let b = before;
-        stats.cells -= b.cells;
-        stats.cycles -= b.cycles;
-        stats.transactions -= b.transactions;
-        stats.launches -= b.launches;
-        stats.blocks -= b.blocks;
-        stats.warp_steps -= b.warp_steps;
         GpuRun {
             score: out.score,
             end: out.end,
             stats,
         }
     }
-
     /// Scores a batch of independent pairs (short-read use case): each
     /// alignment is one thread-block computing its whole matrix as a
     /// single tile; blocks are packed into launches of
@@ -304,15 +303,15 @@ impl GpuAligner {
         stats.launches += 1 + (pairs.len() / 65_535) as u64;
         stats.cycles += stats.launches as f64 * self.device.launch_cycles;
         stats.transactions = mem.transactions();
-        stats.cycles += stats.transactions as f64 * self.device.transaction_cycles
-            / crate::device::MEMORY_PARALLELISM;
-        self.stats.lock().merge(&stats);
+        stats.cycles +=
+            stats.transactions as f64 * self.device.transaction_cycles / MEMORY_PARALLELISM;
         (scores, stats)
     }
 
     /// Global alignment with traceback: the Hirschberg recursion runs on
     /// the host, every score pass on the simulated device (the paper's
     /// GPU traceback measurements cover exactly this division of labor).
+    /// The stats are those of all the passes the device ran.
     pub fn align<G, S>(
         &self,
         scheme: &Scheme<Global, G, S>,
@@ -323,42 +322,48 @@ impl GpuAligner {
         G: GapModel,
         S: SubstScore,
     {
-        let before = self.stats();
+        let passes = DevicePasses {
+            gpu: self,
+            stats: Mutex::default(),
+        };
         let aln = align_with_pass::<Global, G, S, _>(
-            self,
+            &passes,
             scheme.gap(),
             scheme.subst(),
             q,
             s,
             &AlignConfig::default(),
         );
-        let mut stats = self.stats();
-        stats.cells -= before.cells;
-        stats.cycles -= before.cycles;
-        stats.transactions -= before.transactions;
-        stats.launches -= before.launches;
-        stats.blocks -= before.blocks;
-        stats.warp_steps -= before.warp_steps;
-        (aln, stats)
+        (aln, passes.stats.into_inner())
     }
 }
 
-impl<G: GapModel, S: SubstScore> HalfPass<G, S> for GpuAligner {
+/// Hirschberg's half-passes on the simulated device, summing the
+/// modeled statistics of the passes it runs there.
+struct DevicePasses<'a> {
+    gpu: &'a GpuAligner,
+    stats: Mutex<GpuStats>,
+}
+
+impl<G: GapModel, S: SubstScore> HalfPass<G, S> for DevicePasses<'_> {
     fn pass<K: AlignKind>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
         // Small sub-problems of the recursion are not worth a kernel
         // launch; the paper's recursion cutoff plays the same role.
         if q.len().saturating_mul(s.len()) < 1 << 16 {
             return score_pass::<K, G, S>(gap, subst, q, s, tb);
         }
-        GpuAligner::pass::<K, G, S>(self, gap, subst, q, s, tb)
+        let (out, stats) = self.gpu.run_pass::<K, G, S>(gap, subst, q, s, tb);
+        self.stats.lock().merge(&stats);
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anyseq_core::kind::SemiGlobal;
+    use anyseq_core::kind::{Local, SemiGlobal};
     use anyseq_core::prelude::{affine, global, linear, simple};
+    use anyseq_core::scoring::{AffineGap, LinearGap};
     use anyseq_seq::genome::GenomeSim;
 
     fn aligner(tile: usize, threads: usize) -> GpuAligner {
@@ -398,26 +403,114 @@ mod tests {
 
     #[test]
     fn gpu_semiglobal_pass_matches_cpu() {
+        // Hirschberg consumes the last rows, so they must match the row
+        // sweep as exactly as the score and end do. A 1500 × ~1500 pair
+        // at tile edge 200 leaves ragged tiles on the last row and
+        // column.
         let mut sim = GenomeSim::new(47);
         let q = sim.generate(1500);
         let s = sim.mutate(&q, 0.1);
-        let gap = anyseq_core::scoring::AffineGap {
-            open: -2,
-            extend: -1,
-        };
+        let (q, s) = (q.codes(), s.codes());
+        assert!(q.len() % 200 != 0 && s.len() % 200 != 0);
         let subst = simple(2, -1);
-        let cpu = score_pass::<SemiGlobal, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
         let gpu = aligner(200, 64);
-        let out = GpuAligner::pass::<SemiGlobal, _, _>(
-            &gpu,
+        macro_rules! check {
+            ($kind:ty, $gap:expr) => {{
+                let gap = $gap;
+                for tb in [gap.open(), 0] {
+                    let cpu = score_pass::<$kind, _, _>(&gap, &subst, q, s, tb);
+                    let out = GpuAligner::pass::<$kind, _, _>(&gpu, &gap, &subst, q, s, tb);
+                    let what = format!("{} {gap:?} tb {tb}", <$kind as AlignKind>::NAME);
+                    assert_eq!(out.score, cpu.score, "score: {what}");
+                    assert_eq!(out.end, cpu.end, "end: {what}");
+                    assert_eq!(out.last_h, cpu.last_h, "last_h: {what}");
+                    assert_eq!(out.last_e, cpu.last_e, "last_e: {what}");
+                }
+            }};
+        }
+        let (lin, aff) = (
+            LinearGap { gap: -1 },
+            AffineGap {
+                open: -2,
+                extend: -1,
+            },
+        );
+        check!(Global, lin);
+        check!(Global, aff);
+        check!(SemiGlobal, lin);
+        check!(SemiGlobal, aff);
+    }
+
+    #[test]
+    #[should_panic(expected = "the GPU backend supports corner/border kinds")]
+    fn gpu_pass_refuses_local_before_relaxing() {
+        let mut sim = GenomeSim::new(61);
+        let q = sim.generate(300);
+        let s = sim.mutate(&q, 0.1);
+        let gap = LinearGap { gap: -1 };
+        GpuAligner::pass::<Local, _, _>(
+            &aligner(128, 64),
             &gap,
-            &subst,
+            &simple(2, -1),
             q.codes(),
             s.codes(),
             gap.open(),
         );
-        assert_eq!(out.score, cpu.score);
-        assert_eq!(out.end, cpu.end);
+    }
+
+    /// The cost model the `fig5`, `table2` and `ablation` numbers rest
+    /// on, pinned field by field (integers equal, `cycles` bit-equal)
+    /// for a fresh aligner per call: `score` linear and affine, then
+    /// `align` on the same ~3 kbp pair.
+    #[test]
+    fn gpu_cost_model_is_pinned() {
+        let mut sim = GenomeSim::new(41);
+        let q = sim.generate(3000);
+        let s = sim.mutate(&q, 0.08);
+        let lin = global(linear(simple(2, -1), -1));
+        let aff = global(affine(simple(2, -1), -2, -1));
+        let gpu = || GpuAligner::new(Device::titan_v()).with_tile(256);
+        let stats = |cells, cycles, transactions, launches, blocks, warp_steps, peak| GpuStats {
+            cells,
+            cycles,
+            transactions,
+            launches,
+            blocks,
+            warp_steps,
+            peak_shared_bytes: peak,
+        };
+        let lin_run = gpu().score(&lin, &q, &s);
+        let aff_run = gpu().score(&aff, &q, &s);
+        assert_eq!((lin_run.score, lin_run.end), (5199, (3000, 3033)));
+        assert_eq!((aff_run.score, aff_run.end), (5076, (3000, 3033)));
+        let (lin_aln, lin_aln_stats) = gpu().align(&lin, q.codes(), s.codes());
+        let (aff_aln, aff_aln_stats) = gpu().align(&aff, q.codes(), s.codes());
+        assert_eq!((lin_aln.score, aff_aln.score), (5199, 5076));
+        for (what, got, want) in [
+            (
+                "score linear",
+                lin_run.stats,
+                stats(9_099_000, 1_146_988.0, 20_652, 23, 144, 319_878, 2372),
+            ),
+            (
+                "score affine",
+                aff_run.stats,
+                stats(9_099_000, 1_371_796.0, 38_772, 23, 144, 319_878, 3396),
+            ),
+            (
+                "align linear",
+                lin_aln_stats,
+                stats(15_923_250, 4_708_100.0, 37_292, 100, 268, 564_480, 2372),
+            ),
+            (
+                "align affine",
+                aff_aln_stats,
+                stats(15_923_250, 5_589_584.0, 69_992, 100, 268, 564_480, 3396),
+            ),
+        ] {
+            assert_eq!(got, want, "{what}");
+            assert_eq!(got.cycles.to_bits(), want.cycles.to_bits(), "{what} cycles");
+        }
     }
 
     #[test]

@@ -56,6 +56,7 @@ impl<SS: SimdSubst, const L: usize> TileKernel<SS> for LaneTiles<L> {
     }
 
     fn relax<K: AlignKind, G: GapModel>(
+        &self,
         gap: &G,
         subst: &SS,
         q: &[u8],
@@ -65,7 +66,7 @@ impl<SS: SimdSubst, const L: usize> TileKernel<SS> for LaneTiles<L> {
         best: &mut BestCell,
     ) -> usize {
         if !matches!(K::OPT, OptRegion::Corner) {
-            return ScalarTiles::relax::<K, G>(gap, subst, q, s, tiles, &mut scratch.out, best);
+            return ScalarTiles.relax::<K, G>(gap, subst, q, s, tiles, &mut scratch.out, best);
         }
         let extent = max_block_extent(gap, subst);
         let mut lane_tiles = 0;
@@ -76,7 +77,7 @@ impl<SS: SimdSubst, const L: usize> TileKernel<SS> for LaneTiles<L> {
                 relax_lanes::<K, G, SS, L>(gap, subst, q, s, group, scratch);
                 lane_tiles += group.len();
             } else {
-                ScalarTiles::relax::<K, G>(gap, subst, q, s, group, &mut scratch.out, best);
+                ScalarTiles.relax::<K, G>(gap, subst, q, s, group, &mut scratch.out, best);
             }
         }
         lane_tiles
@@ -187,7 +188,7 @@ mod tests {
 
     /// One slab chain over `plan` on kernel `Kn`, each slab starting
     /// from the seam the one before it exported.
-    fn chain<Kn: TileKernel<SS>, K: AlignKind, G: GapModel, SS: SimdSubst>(
+    fn chain<Kn: TileKernel<SS> + Default, K: AlignKind, G: GapModel, SS: SimdSubst>(
         (gap, subst): (&G, &SS),
         (q, s): (&[u8], &[u8]),
         tb: Score,

@@ -39,9 +39,9 @@ pub struct VStripe {
 /// All live boundary stripes of one in-flight tiled pass.
 pub struct BorderStore {
     /// Per tile column: the stripe crossing its top edge frontier.
-    pub col: Vec<Mutex<HStripe>>,
+    col: Vec<Mutex<HStripe>>,
     /// Per tile row: the stripe crossing its left edge frontier.
-    pub row: Vec<Mutex<VStripe>>,
+    row: Vec<Mutex<VStripe>>,
 }
 
 impl BorderStore {

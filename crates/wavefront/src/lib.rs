@@ -3,9 +3,10 @@
 //! Multithreaded CPU parallelization of the anyseq alignment core,
 //! reproducing the paper's §IV-A: DP submatrices (tiles) are relaxed in
 //! wavefront order, scheduled **dynamically** through a thread-safe
-//! queue with per-tile atomic dependency counters. The
-//! preliminary static barrier-per-diagonal schedule is retained for the
-//! Fig. 6 scalability comparison.
+//! queue with per-tile atomic dependency counters. The preliminary
+//! static barrier-per-diagonal schedule is retained: it is the Fig. 6
+//! scalability comparison, the GPU simulator's one-launch-per-diagonal
+//! host loop and the Parasail-like baseline's schedule.
 //!
 //! Only `O(n + m)` boundary stripes are ever materialized (paper Fig. 2);
 //! tile interiors live in per-worker rolling rows.
@@ -13,9 +14,10 @@
 //! There is one pass, [`TiledPass`]: a driver ([`TiledPass::slab`])
 //! generic over the [`TileKernel`] that relaxes each group of ready
 //! tiles — [`ScalarTiles`] here, the vector-lane kernel in
-//! `anyseq-simd`. Whole score passes, [`ShardSeam`]-stitched slab
-//! chains and the Hirschberg half-passes behind [`ParallelExt`] are
-//! instantiations of it.
+//! `anyseq-simd`, the GPU simulator's block kernel and the
+//! Parasail-like baseline's minor-diagonal kernel. Whole score passes,
+//! [`ShardSeam`]-stitched slab chains and the Hirschberg half-passes
+//! behind [`ParallelExt`] are instantiations of it.
 //!
 //! [`run_workers`] is the workspace's one compute-thread pool: the tile
 //! schedulers here, the SIMD batch paths, the baselines and the

@@ -17,7 +17,6 @@ use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
 use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Parallel execution configuration.
@@ -28,7 +27,8 @@ pub struct ParallelCfg {
     /// Square tile edge length.
     pub tile: usize,
     /// Use the static barrier-per-diagonal schedule instead of the
-    /// dynamic queue (Fig. 6 comparison; dynamic is the default).
+    /// dynamic queue (the Fig. 6 comparison, the GPU simulator's launch
+    /// model and the Parasail-like baseline; dynamic is the default).
     pub static_schedule: bool,
     /// Shard budget in DP cells: a pass over a larger pair runs as a
     /// serial chain of subject slabs with seam hand-off. What stays
@@ -87,7 +87,12 @@ impl Tile {
 
 /// How a group of ready tiles is relaxed — the driver's type
 /// parameter. `S` is the substitution function a kernel can evaluate.
-pub trait TileKernel<S: SubstScore> {
+///
+/// The driver holds one kernel value and calls it through `&self` from
+/// every worker, so a kernel can carry configuration (the GPU
+/// simulator's device and block shape) and account for what it ran
+/// behind a lock of its own; the CPU kernels are zero-sized.
+pub trait TileKernel<S: SubstScore>: Sync {
     /// Ready tiles the driver pulls per [`TileKernel::relax`] call.
     const GROUP: usize;
     /// Per-worker buffers, reused from call to call.
@@ -104,7 +109,9 @@ pub trait TileKernel<S: SubstScore> {
     /// bottom stripe and `left` its right stripe, bit-identical to
     /// [`relax_tile`]. Kind-`K` optimum candidates merge into `best`.
     /// Returns how many of the tiles rode vector lanes.
+    #[allow(clippy::too_many_arguments)]
     fn relax<K: AlignKind, G: GapModel>(
+        &self,
         gap: &G,
         subst: &S,
         q: &[u8],
@@ -126,6 +133,7 @@ impl<S: SubstScore> TileKernel<S> for ScalarTiles {
     type Scratch = TileOut;
 
     fn relax<K: AlignKind, G: GapModel>(
+        &self,
         gap: &G,
         subst: &S,
         q: &[u8],
@@ -182,18 +190,27 @@ pub struct TiledPass<Kn> {
     lane_tiles: AtomicU64,
     scalar_tiles: AtomicU64,
     shards: AtomicU64,
-    kernel: PhantomData<fn() -> Kn>,
+    /// The tile kernel every worker relaxes its ready tiles with.
+    pub kernel: Kn,
+}
+
+impl<Kn: Default> TiledPass<Kn> {
+    /// A pass over `cfg` on the kernel's default value, with zeroed
+    /// counts.
+    pub fn new(cfg: ParallelCfg) -> TiledPass<Kn> {
+        TiledPass::with_kernel(cfg, Kn::default())
+    }
 }
 
 impl<Kn> TiledPass<Kn> {
-    /// A pass over `cfg` with zeroed counts.
-    pub fn new(cfg: ParallelCfg) -> TiledPass<Kn> {
+    /// A pass over `cfg` on `kernel`, with zeroed counts.
+    pub fn with_kernel(cfg: ParallelCfg, kernel: Kn) -> TiledPass<Kn> {
         TiledPass {
             cfg,
             lane_tiles: AtomicU64::new(0),
             scalar_tiles: AtomicU64::new(0),
             shards: AtomicU64::new(0),
-            kernel: PhantomData,
+            kernel,
         }
     }
 
@@ -252,7 +269,9 @@ impl<Kn> TiledPass<Kn> {
                 borders.exchange(id, &mut tile.top, &mut tile.left);
             }
             w.lane_tiles +=
-                Kn::relax::<K, G>(gap, subst, q, s, tiles, &mut w.scratch, &mut w.best) as u64;
+                self.kernel
+                    .relax::<K, G>(gap, subst, q, s, tiles, &mut w.scratch, &mut w.best)
+                    as u64;
             for tile in tiles {
                 borders.exchange(tile.id, &mut tile.top, &mut tile.left);
             }

@@ -1,10 +1,13 @@
 //! Tile schedulers: the paper's **dynamic wavefront** (work queue +
 //! atomic dependency tracking, §IV-A) and the preliminary version's
-//! **static wavefront** (barrier per anti-diagonal) kept as the Fig. 6
-//! comparison baseline.
+//! **static wavefront** (barrier per anti-diagonal), kept as the Fig. 6
+//! comparison baseline. The static one also serves the GPU simulator,
+//! whose host starts one kernel launch per tile diagonal (§IV-B), and
+//! the Parasail-like baseline.
 
 use crate::grid::{TileGrid, TileId};
-use crossbeam::deque::{Injector, Steal};
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
@@ -44,8 +47,11 @@ where
         })
         .collect();
     let remaining = AtomicUsize::new(grid.total());
-    let queue: Injector<TileId> = Injector::new();
-    queue.push(TileId { ti: 0, tj: 0 });
+    // A mutexed FIFO: at tile granularity the queue is far from the
+    // bottleneck. Its `parking_lot` lock recovers from poisoning, and
+    // each locked section is one push or pop, so the deque a panicking
+    // worker leaves behind is consistent.
+    let queue = Mutex::new(VecDeque::from([TileId { ti: 0, tj: 0 }]));
 
     let release = |t: TileId| {
         // Decrement each successor's dependency count; the one that
@@ -57,7 +63,7 @@ where
                 tj: t.tj + 1,
             };
             if deps[grid.index(right)].fetch_sub(1, Ordering::AcqRel) == 1 {
-                queue.push(right);
+                queue.lock().push_back(right);
             }
         }
         if (t.ti as usize) + 1 < grid.nt {
@@ -66,7 +72,7 @@ where
                 tj: t.tj,
             };
             if deps[grid.index(down)].fetch_sub(1, Ordering::AcqRel) == 1 {
-                queue.push(down);
+                queue.lock().push_back(down);
             }
         }
     };
@@ -78,11 +84,10 @@ where
             ready.clear();
             // Pull up to `batch` ready tiles.
             while ready.len() < batch {
-                match queue.steal() {
-                    Steal::Success(t) => ready.push(t),
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
+                let Some(t) = queue.lock().pop_front() else {
+                    break;
+                };
+                ready.push(t);
             }
             if ready.is_empty() {
                 if remaining.load(Ordering::Acquire) == 0 {
@@ -107,9 +112,11 @@ where
 /// Runs `compute` with a **static** wavefront: every anti-diagonal is
 /// split evenly among the threads, followed by a barrier — the schedule
 /// of the paper's preliminary AnySeq version and of Parasail, reproduced
-/// as the Fig. 6 baseline. Load imbalance (short diagonals near the
-/// corners, uneven tile costs) and the `O(diagonals)` barriers are the
-/// point: do not use this for real work.
+/// as the Fig. 6 baseline and the Parasail-like one; at one thread it is
+/// the GPU simulator's launch order, one diagonal per launch. Load
+/// imbalance (short diagonals near the corners, uneven tile costs) and
+/// the `O(diagonals)` barriers are the point: do not use this for real
+/// work.
 pub fn run_static<W, M, F>(
     grid: &TileGrid,
     threads: usize,
@@ -168,7 +175,6 @@ pub fn run_workers<W: Send>(threads: usize, body: impl Fn(usize) -> W + Sync) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::collections::HashSet;
 
     fn check_order(order: &[TileId], grid: &TileGrid) {
