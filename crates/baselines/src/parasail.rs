@@ -93,7 +93,8 @@ impl ParasailLike {
         K: AlignKind,
         S: SubstScore,
     {
-        let (n, m) = (q.len(), s.len());
+        let n = q.len();
+        let m = s.len();
         if n == 0 || m == 0 || n * m < 1 << 22 || self.threads == 1 {
             return score_pass::<K, AffineGap, S>(gap, subst, q, s, tb);
         }

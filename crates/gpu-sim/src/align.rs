@@ -404,23 +404,32 @@ mod tests {
     #[test]
     fn gpu_semiglobal_pass_matches_cpu() {
         // Hirschberg consumes the last rows, so they must match the row
-        // sweep as exactly as the score and end do. A 1500 × ~1500 pair
-        // at tile edge 200 leaves ragged tiles on the last row and
-        // column.
+        // sweep as exactly as the score and end do. At tile edge 200
+        // every pair leaves ragged tiles on the last row and column.
+        // Against a diverged copy of a 1100 bp prefix of `q`, the
+        // semi-global optimum ends inside the last column (and, with
+        // the pair swapped, inside the last row): the border read-out
+        // of both stripes counts.
         let mut sim = GenomeSim::new(47);
         let q = sim.generate(1500);
         let s = sim.mutate(&q, 0.1);
-        let (q, s) = (q.codes(), s.codes());
-        assert!(q.len() % 200 != 0 && s.len() % 200 != 0);
+        let p = sim.mutate(&q.subseq(0..1100), 0.1);
+        let (q, s, p) = (q.codes(), s.codes(), p.codes());
         let subst = simple(2, -1);
         let gpu = aligner(200, 64);
         macro_rules! check {
             ($kind:ty, $gap:expr) => {{
                 let gap = $gap;
-                for tb in [gap.open(), 0] {
+                for ((q, s), tb) in [(q, s), (q, p), (p, q)].into_iter().zip([gap.open(), 0, 0]) {
+                    assert!(q.len() % 200 != 0 && s.len() % 200 != 0);
                     let cpu = score_pass::<$kind, _, _>(&gap, &subst, q, s, tb);
                     let out = GpuAligner::pass::<$kind, _, _>(&gpu, &gap, &subst, q, s, tb);
-                    let what = format!("{} {gap:?} tb {tb}", <$kind as AlignKind>::NAME);
+                    let what = format!(
+                        "{} {gap:?} {}×{} tb {tb}",
+                        <$kind as AlignKind>::NAME,
+                        q.len(),
+                        s.len()
+                    );
                     assert_eq!(out.score, cpu.score, "score: {what}");
                     assert_eq!(out.end, cpu.end, "end: {what}");
                     assert_eq!(out.last_h, cpu.last_h, "last_h: {what}");
