@@ -55,8 +55,8 @@
 //!
 //! Observability (any of these switches it on for the run):
 //! `--metrics [PATH]` exposes the dispatch's metrics registry in
-//! Prometheus text format (stage-duration histograms per backend and
-//! length bin, batch counters, per-shard cache gauges) — to stderr, or
+//! Prometheus text format (stage-duration histograms per stage and
+//! backend, batch counters, per-shard cache gauges) — to stderr, or
 //! to PATH if given; `--trace-out PATH` writes the batch's stage spans
 //! as a Chrome-trace JSON (load in `chrome://tracing` / Perfetto, one
 //! lane per worker); `--stats-json [PATH]` dumps the run's

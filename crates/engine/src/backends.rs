@@ -76,7 +76,7 @@ impl Engine for ScalarEngine {
 pub const SIMD_LANES: usize = 16;
 
 /// Inter-sequence SIMD batching: one whole alignment per vector lane,
-/// pairs bucketed by matrix dimensions (`anyseq_simd::batch`). Scores
+/// in the lane groups `anyseq_simd::LaneGroups` cuts. Scores
 /// *and* banded-traceback alignments for global, semi-global and local
 /// specs (`FreeEnd` is the one refusal); oversized pairs and band
 /// overflows take the internal scalar fallback, so acceptance is still
@@ -98,33 +98,39 @@ pub struct SimdEngine {
     counters: SimdCounters,
 }
 
-/// Drainable telemetry for [`SimdEngine`] (see
-/// [`anyseq_simd::TraceStats`] for the per-run struct these sum).
+/// Drainable telemetry for [`SimdEngine`]: one cell per counter of
+/// [`anyseq_simd::TraceStats`] (the per-run struct these sum), in
+/// [`SIMD_COUNTERS`] order.
 #[derive(Debug, Default)]
-struct SimdCounters {
-    lane_pairs: AtomicU64,
-    scalar_pairs: AtomicU64,
-    band_widenings: AtomicU64,
-    band_overflows: AtomicU64,
-    band_cells: AtomicU64,
-    bytes_copied: AtomicU64,
-    xdrop_retired: AtomicU64,
-}
+struct SimdCounters([AtomicU64; 8]);
+
+/// The names [`SimdCounters`] drain under.
+const SIMD_COUNTERS: [&str; 8] = [
+    "simd.lane_pairs",
+    "simd.scalar_pairs",
+    "simd.band_widenings",
+    "simd.band_overflows",
+    "simd.band_cells",
+    "simd.bytes_copied",
+    "simd.xdrop_retired",
+    "simd.pad_cells",
+];
 
 impl SimdCounters {
     fn add(&self, t: &TraceStats) {
-        self.lane_pairs.fetch_add(t.lane_pairs, Ordering::Relaxed);
-        self.scalar_pairs
-            .fetch_add(t.scalar_pairs, Ordering::Relaxed);
-        self.band_widenings
-            .fetch_add(t.band_widenings, Ordering::Relaxed);
-        self.band_overflows
-            .fetch_add(t.band_overflows, Ordering::Relaxed);
-        self.band_cells.fetch_add(t.band_cells, Ordering::Relaxed);
-        self.bytes_copied
-            .fetch_add(t.bytes_copied, Ordering::Relaxed);
-        self.xdrop_retired
-            .fetch_add(t.xdrop_retired, Ordering::Relaxed);
+        let values = [
+            t.lane_pairs,
+            t.scalar_pairs,
+            t.band_widenings,
+            t.band_overflows,
+            t.band_cells,
+            t.bytes_copied,
+            t.xdrop_retired,
+            t.pad_cells,
+        ];
+        for (cell, value) in self.0.iter().zip(values) {
+            cell.fetch_add(value, Ordering::Relaxed);
+        }
     }
 }
 
@@ -209,21 +215,14 @@ impl Engine for SimdEngine {
     }
 
     fn drain_counters(&self) -> Vec<(&'static str, u64)> {
-        [
-            ("simd.lane_pairs", &self.counters.lane_pairs),
-            ("simd.scalar_pairs", &self.counters.scalar_pairs),
-            ("simd.band_widenings", &self.counters.band_widenings),
-            ("simd.band_overflows", &self.counters.band_overflows),
-            ("simd.band_cells", &self.counters.band_cells),
-            ("simd.bytes_copied", &self.counters.bytes_copied),
-            ("simd.xdrop_retired", &self.counters.xdrop_retired),
-        ]
-        .into_iter()
-        .filter_map(|(name, cell)| {
-            let v = cell.swap(0, Ordering::Relaxed);
-            (v != 0).then_some((name, v))
-        })
-        .collect()
+        SIMD_COUNTERS
+            .into_iter()
+            .zip(&self.counters.0)
+            .filter_map(|(name, cell)| {
+                let v = cell.swap(0, Ordering::Relaxed);
+                (v != 0).then_some((name, v))
+            })
+            .collect()
     }
 }
 

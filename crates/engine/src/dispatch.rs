@@ -1,9 +1,9 @@
 //! Backend selection policy.
 //!
-//! A [`Dispatch`] owns the registered engines and decides, per length
-//! bin, which backend should run it — either a fixed user choice or
-//! the `Auto` heuristic (SIMD lanes for short-read-shaped global,
-//! semi-global and local bins, the wavefront for huge pairs, scalar
+//! A [`Dispatch`] owns the registered engines and decides, per pair,
+//! which backend should run it — either a fixed user choice or the
+//! `Auto` heuristic (SIMD lanes for short-read-shaped global,
+//! semi-global and local pairs, the wavefront for huge pairs, scalar
 //! otherwise). Selection returns
 //! a *candidate chain* ending in the scalar engine, so a backend that
 //! refuses a unit (unsupported kind, score-only, …) degrades
@@ -58,10 +58,10 @@ impl BackendId {
     }
 }
 
-/// How the scheduler picks a backend for each bin.
+/// How the scheduler picks a backend for each pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// Heuristic per-bin choice (see [`Dispatch::candidates`]).
+    /// Heuristic per-pair choice (see [`Dispatch::candidates`]).
     Auto,
     /// Route everything to one backend (scalar fallback still applies
     /// when it refuses).
@@ -96,7 +96,7 @@ pub const MIN_SHARD_CELLS: u64 = 1 << 18;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchPolicy {
-    /// Selection policy the built dispatch applies per bin.
+    /// Selection policy the built dispatch applies per pair.
     pub policy: Policy,
     /// MiB; 0 disables caching (the default).
     cache_mb: usize,
@@ -146,7 +146,7 @@ impl DispatchPolicy {
     /// score path: a lane whose row maximum falls more than `x` below
     /// its running best retires with the best-so-far as its score.
     /// Inexact by design (a late-recovering alignment may be missed),
-    /// so it is opt-in and never applies to global bins, tracebacks or
+    /// so it is opt-in and never applies to global pairs, tracebacks or
     /// the scalar reference.
     ///
     /// Degenerate values are clamped to 1: a threshold of 0 would
@@ -196,7 +196,7 @@ impl DispatchPolicy {
 
     /// Enables observability on the built dispatch: the scheduler
     /// records stage-timing spans into [`crate::BatchStats::spans`]
-    /// and folds per-`(backend, bin, stage)` latency histograms plus
+    /// and folds per-`(backend, stage)` latency histograms plus
     /// batch counters into the dispatch's [`MetricsRegistry`]
     /// ([`Dispatch::metrics`]). The budget is ≤3% throughput; what it
     /// costs on a short-read batch is the benchmark's ladder row
@@ -250,7 +250,7 @@ impl DispatchPolicy {
 /// ```
 pub struct Dispatch {
     engines: Vec<(BackendId, Box<dyn Engine>)>,
-    /// Selection policy applied per bin.
+    /// Selection policy applied per pair.
     pub policy: Policy,
     /// Optional content-hash result cache the scheduler consults.
     cache: Option<ResultCache>,
@@ -337,14 +337,13 @@ impl Dispatch {
         self.engine(id).is_some_and(|e| !e.caps().batch_native)
     }
 
-    /// The ordered candidate chain for one bin: the policy's pick
-    /// first, the scalar reference last (deduplicated). `max_cells`
-    /// is the largest per-pair DP size in the bin; `align` selects the
-    /// traceback capability.
-    pub fn candidates(&self, spec: &SchemeSpec, max_cells: u64, align: bool) -> Vec<BackendId> {
+    /// The ordered candidate chain for one pair: the policy's pick
+    /// first, the scalar reference last (deduplicated). `cells` is the
+    /// pair's DP size; `align` selects the traceback capability.
+    pub fn candidates(&self, spec: &SchemeSpec, cells: u64, align: bool) -> Vec<BackendId> {
         let primary = match self.policy {
             Policy::Fixed(id) => id,
-            Policy::Auto => self.auto_choice(spec, max_cells, align),
+            Policy::Auto => self.auto_choice(spec, cells, align),
         };
         let mut chain = vec![primary];
         if primary != BackendId::Scalar {
@@ -359,7 +358,7 @@ impl Dispatch {
         chain
     }
 
-    fn auto_choice(&self, spec: &SchemeSpec, max_cells: u64, align: bool) -> BackendId {
+    fn auto_choice(&self, spec: &SchemeSpec, cells: u64, align: bool) -> BackendId {
         let caps_allow = |id: BackendId| {
             self.engine(id)
                 .map(|e| {
@@ -371,11 +370,11 @@ impl Dispatch {
                 })
                 .unwrap_or(false)
         };
-        if max_cells >= AUTO_WAVEFRONT_MIN_CELLS && caps_allow(BackendId::Wavefront) {
+        if cells >= AUTO_WAVEFRONT_MIN_CELLS && caps_allow(BackendId::Wavefront) {
             return BackendId::Wavefront;
         }
         // Score *and* alignment requests ride the lanes: the banded
-        // traceback keeps short-read bins vectorized end to end, and
+        // traceback keeps short reads vectorized end to end, and
         // band overflows are rescued inside the backend without
         // leaving the chain.
         if caps_allow(BackendId::Simd) {
@@ -394,7 +393,7 @@ mod tests {
     fn auto_routes_by_shape() {
         let d = Dispatch::standard(Policy::Auto);
         let spec = SchemeSpec::global_linear(2, -1, -1);
-        // Short-read bins: SIMD lanes.
+        // Short reads: SIMD lanes.
         assert_eq!(d.candidates(&spec, 150 * 150, false)[0], BackendId::Simd);
         // Huge pairs: wavefront.
         assert_eq!(
@@ -407,17 +406,17 @@ mod tests {
         assert_eq!(d.candidates(&local, 150 * 150, false)[0], BackendId::Simd);
         let semi = spec.with_kind(KindSpec::SemiGlobal);
         assert_eq!(d.candidates(&semi, 150 * 150, false)[0], BackendId::Simd);
-        // Alignment requests for short-read bins also stay on the SIMD
+        // Alignment requests for short reads also stay on the SIMD
         // lanes (banded traceback)…
         assert_eq!(d.candidates(&spec, 150 * 150, true)[0], BackendId::Simd);
         assert_eq!(d.candidates(&local, 150 * 150, true)[0], BackendId::Simd);
-        // …but free-end bins still fall through to scalar.
+        // …but free-end pairs still fall through to scalar.
         let free_end = spec.with_kind(KindSpec::FreeEnd);
         assert_eq!(
             d.candidates(&free_end, 150 * 150, true)[0],
             BackendId::Scalar
         );
-        // Huge alignment bins prefer intra-pair wavefront parallelism.
+        // Huge alignment pairs prefer intra-pair wavefront parallelism.
         assert_eq!(
             d.candidates(&spec, 5000 * 5000, true)[0],
             BackendId::Wavefront

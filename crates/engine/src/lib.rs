@@ -11,9 +11,9 @@
 //! * [`BatchScheduler`] — one request path, probe → plan → execute →
 //!   settle → report, behind two fallible entry points
 //!   ([`BatchScheduler::try_score_batch`] /
-//!   [`BatchScheduler::try_align_batch`]): length-bins a batch to
-//!   minimize SIMD lane divergence and tile padding waste, shards bins
-//!   across a worker pool (std threads + a shared counter, no external
+//!   [`BatchScheduler::try_align_batch`]): routes every pair, orders
+//!   each route by exact dimensions for the SIMD lane groups, cuts it
+//!   into units and shards them across a worker pool (std threads + a shared counter, no external
 //!   deps) and returns results in input order ([`scheduler`]),
 //! * [`Dispatch`] — the policy layer: auto or explicit backend
 //!   selection with graceful per-unit fallback, plus per-batch

@@ -31,7 +31,7 @@ pub fn summary_with_utilization(stats: &BatchStats, threads: usize) -> String {
 }
 
 /// Serializes one batch run as a stable-keyed JSON object:
-/// `pairs`, `cells`, `bins`, `units`, `fallbacks`, `wall_seconds`,
+/// `pairs`, `cells`, `units`, `fallbacks`, `wall_seconds`,
 /// `gcups`, `utilization` and `threads` scalars and the `simd.isa`
 /// string (`"avx2"` / `"baseline"`), then `per_backend`
 /// (name → `{pairs, cells, busy_seconds, gcups}`) and `counters`
@@ -42,7 +42,6 @@ pub fn stats_json(stats: &BatchStats, threads: usize) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"pairs\": {},", stats.pairs);
     let _ = writeln!(out, "  \"cells\": {},", stats.cells);
-    let _ = writeln!(out, "  \"bins\": {},", stats.bins);
     let _ = writeln!(out, "  \"units\": {},", stats.units);
     let _ = writeln!(out, "  \"fallbacks\": {},", stats.fallbacks);
     let _ = writeln!(out, "  \"threads\": {threads},");
@@ -129,7 +128,6 @@ mod tests {
             pairs: 4,
             cells: 400,
             wall_seconds: 0.5,
-            bins: 2,
             units: 2,
             fallbacks: 1,
             ..BatchStats::default()

@@ -1,4 +1,4 @@
-//! Length-binned batch scheduling over borrowed [`BatchView`]s.
+//! Batch scheduling over borrowed [`BatchView`]s: route, order, cut.
 //!
 //! ## Request path
 //!
@@ -18,9 +18,9 @@
 //!    hits and the leaders still to compute. Without a cache this step
 //!    does nothing: no hashing, no dedup.
 //! 2. **plan** — a pure function of the view, those leaders and the
-//!    [`Dispatch`] policy: they are binned and cut into units, every
-//!    unit gets its candidate chain, and units split into the worker
-//!    pool (longest first) and the exclusive phase. No engine runs.
+//!    [`Dispatch`] policy: each is routed to its candidate chain,
+//!    ordered and cut into units, and units split into the worker pool
+//!    (longest first) and the exclusive phase. No engine runs.
 //! 3. **execute** — one chain walker serves pooled and exclusive units
 //!    alike: try each candidate in order, fall through on
 //!    [`EngineError::Unsupported`], stop on anything else.
@@ -52,20 +52,19 @@
 //! as a regression tripwire and so benchmark reports can prove the
 //! zero-copy property.
 //!
-//! ## Binning strategy
+//! ## Route, order, cut
 //!
-//! Pairs are grouped by their dimensions rounded up to a quantum
-//! (16 bases): pairs in one bin have near-identical DP
-//! matrices, which is exactly what the inter-sequence SIMD backend
-//! needs for dense lane occupancy and what keeps tile padding waste
-//! low everywhere else. Within a bin, pairs are sorted by exact
-//! dimensions so equal-size runs sit adjacently — the SIMD bucketer
-//! then fills whole lane groups instead of leftovers.
+//! Every pair is routed by its own cells ([`Dispatch::candidates`]),
+//! and each route's pairs are sorted by exact `(|q|, |s|)`, ties in
+//! input order. The scheduler decides nothing about lanes: which pairs
+//! share a vector block is the SIMD backend's `LaneGroups` alone, and
+//! the sorted order hands it runs of near-equal shapes.
 //!
-//! Bins are cut into bounded work units whose sizes taper toward the
-//! end of the cut, ordered longest-first (LPT), and pulled over a
-//! shared counter by a pool of `threads` workers — the calling thread
-//! and `threads − 1` helpers — so the workers finish together.
+//! Each route's sorted run is cut into bounded work units whose sizes
+//! taper toward the end of the cut, ordered longest-first (LPT), and
+//! pulled over a shared counter by a pool of `threads` workers — the
+//! calling thread and `threads − 1` helpers — so the workers finish
+//! together. A unit never mixes candidate chains.
 //! Each worker runs the dispatch-selected backend with a thread budget
 //! of 1; backends that parallelize *inside* a pair (wavefront) are
 //! instead run exclusively with the whole budget. The output order is
@@ -74,7 +73,7 @@
 //! ## Result caching
 //!
 //! Verified hits never reach a backend, and only the unique misses are
-//! binned. Byte equality is the only thing that serves a hit or merges
+//! planned. Byte equality is the only thing that serves a hit or merges
 //! a duplicate: a key match alone does neither, in the cache or in
 //! the batch. Fresh unit results are inserted back into the cache as
 //! they complete (workers insert concurrently; the cache's locks are
@@ -102,7 +101,6 @@ use anyseq_obs as obs;
 use anyseq_obs::Stage;
 use anyseq_seq::{BatchView, PairRef};
 use anyseq_wavefront::run_workers;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -117,40 +115,33 @@ pub const SCHED_BYTES_COPIED: &str = "sched.bytes_copied";
 /// *kind* (as opposed to score-only/alphabet refusals). A non-zero
 /// value under `Auto` means the router proposed a backend whose
 /// capability table it should have consulted — with the kind-generic
-/// SIMD kernels, short non-global bins route to the lanes directly and
+/// SIMD kernels, short non-global pairs route to the lanes directly and
 /// this counter stays 0 outside `Fixed` policies that force a
 /// mismatched backend.
 pub const FALLBACK_KIND_UNSUPPORTED: &str = "dispatch.fallback_kind_unsupported";
 
-/// Length rounding for bin keys, in bases.
-const BIN_QUANTUM: usize = 16;
+/// Most pairs in one work unit.
+const UNIT_PAIRS: usize = 512;
 
-/// Scheduler tuning knobs.
+/// Scheduler configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchCfg {
     /// Worker threads (also the budget handed to exclusive backends).
     pub threads: usize,
-    /// Maximum pairs per work unit.
-    pub chunk_pairs: usize,
 }
 
 impl Default for BatchCfg {
     fn default() -> BatchCfg {
-        BatchCfg {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            chunk_pairs: 512,
-        }
+        let cores = std::thread::available_parallelism().map(|n| n.get());
+        BatchCfg::threads(cores.unwrap_or(4))
     }
 }
 
 impl BatchCfg {
-    /// Default configuration with an explicit thread count.
+    /// Configuration with an explicit thread count.
     pub fn threads(threads: usize) -> BatchCfg {
         BatchCfg {
             threads: threads.max(1),
-            ..BatchCfg::default()
         }
     }
 }
@@ -205,15 +196,13 @@ impl Request for Alignment {
     }
 }
 
-/// One schedulable chunk of a bin, with its routing.
+/// One schedulable chunk of a route, with its routing.
 #[derive(Debug)]
 struct Unit {
     /// View positions of the unit's pairs.
     indices: Vec<usize>,
     /// Total DP cells in the unit.
     cells: u64,
-    /// Index into the plan's bin-label table (span/metric tag).
-    bin: u32,
     /// Batch-unique unit id (span tag).
     id: u32,
     /// Candidate backends, first pick first, scalar last.
@@ -224,11 +213,8 @@ struct Unit {
 /// call.
 #[derive(Debug)]
 struct Plan {
-    /// Units over the pairs to compute, in bin order.
+    /// Units over the pairs to compute, route by route in cut order.
     units: Vec<Unit>,
-    /// One `"<q>x<s>"` label per bin (quantized dimensions in bases) —
-    /// the `bin` tag vocabulary for spans and metrics.
-    bin_labels: Vec<String>,
     /// Indices into `units` that share the worker pool, longest first.
     pooled: Vec<usize>,
     /// Indices into `units` whose first candidate owns the machine.
@@ -415,7 +401,6 @@ impl BatchScheduler {
             stats.record_counter(CACHE_HITS, (view.len() - computed) as u64);
             stats.record_counter(CACHE_MISSES, computed as u64);
         }
-        stats.bins = plan.bin_labels.len() as u64;
         stats.units = plan.units.len() as u64;
 
         let mut slots = Slots::new(view.len());
@@ -453,7 +438,7 @@ impl BatchScheduler {
         stats.wall_seconds = started.elapsed().as_secs_f64();
         drop(main_guard);
         if let Some(tracer) = tracer {
-            report(&mut stats, tracer.finish(), dispatch, &plan.bin_labels);
+            report(&mut stats, tracer.finish(), dispatch);
         }
         Ok(BatchRun { results, stats })
     }
@@ -549,34 +534,28 @@ impl BatchScheduler {
         misses: &[usize],
         align: bool,
     ) -> Plan {
-        let (mut units, bin_labels) = self.cut_units(view, misses);
-        let (mut pooled, mut exclusive) = (Vec::new(), Vec::new());
-        for (u, unit) in units.iter_mut().enumerate() {
-            let max_cells = unit.indices.iter().map(|&k| view.get(k).cells()).max();
-            unit.chain = dispatch.candidates(spec, max_cells.unwrap_or(0), align);
-            // Exclusive backends own the machine for their units;
-            // pooled units share the worker pool.
-            if dispatch.is_exclusive(unit.chain[0]) {
-                exclusive.push(u);
-            } else {
-                pooled.push(u);
-            }
-        }
+        let units = self.cut_units(view, misses, |cells| {
+            dispatch.candidates(spec, cells, align)
+        });
+        // Exclusive backends own the machine for their units; pooled
+        // units share the worker pool.
+        let (exclusive, mut pooled): (Vec<usize>, Vec<usize>) =
+            (0..units.len()).partition(|&u| dispatch.is_exclusive(units[u].chain[0]));
         // Longest-processing-time-first keeps the pool tail short.
         pooled.sort_by_key(|&u| std::cmp::Reverse(units[u].cells));
         Plan {
             units,
-            bin_labels,
             pooled,
             exclusive,
         }
     }
 
-    /// Bins the given view positions by quantized dimensions, sorts
-    /// bins for lane density, and cuts them into bounded units (routing
-    /// left for `plan` to fill in).
+    /// Routes the given view positions by their own cells (`route`
+    /// yields a pair's candidate chain), orders each route by exact
+    /// `(|q|, |s|)` with ties in input order, and cuts each ordered run
+    /// into bounded units.
     ///
-    /// The chunk size shrinks below `chunk_pairs` when the batch is
+    /// The unit size shrinks below [`UNIT_PAIRS`] when the batch is
     /// small relative to the pool, so a batch never collapses into
     /// fewer units than there are workers (idle-core guard); a floor
     /// of 32 pairs keeps SIMD lane groups dense.
@@ -589,38 +568,52 @@ impl BatchScheduler {
     /// — at 16 equal units on 2 workers the join waited half a unit on
     /// average (~6 % of a read batch), and longer whenever one core
     /// ran slow.
-    fn cut_units(&self, view: &BatchView<'_>, indices: &[usize]) -> (Vec<Unit>, Vec<String>) {
-        let quantum = BIN_QUANTUM;
-        let fill_chunk = indices.len().div_ceil(self.cfg.threads.max(1)).max(32);
-        let chunk = self.cfg.chunk_pairs.max(1).min(fill_chunk);
+    fn cut_units(
+        &self,
+        view: &BatchView<'_>,
+        indices: &[usize],
+        route: impl Fn(u64) -> Vec<BackendId>,
+    ) -> Vec<Unit> {
+        let workers = self.cfg.threads.max(1);
         // Cut units at lane-group boundaries: a unit whose pair count
         // is a multiple of the widest SIMD lane group (32) leaves no
-        // leftover pairs for the backend's scalar tail, which runs
-        // ~4× slower per cell than the lanes and dominates small
-        // batches otherwise. Rounding down keeps the idle-core guard
-        // intact (the unit count can only grow).
+        // short run for the backend's scalar tail, which runs ~4×
+        // slower per cell than the lanes and dominates small batches
+        // otherwise. Rounding down keeps the idle-core guard intact
+        // (the unit count can only grow).
         let lane_cut = |len: usize| if len > 32 { len - len % 32 } else { len };
-        let chunk = lane_cut(chunk);
-        let workers = self.cfg.threads.max(1);
-        let round = |len: usize| len.div_ceil(quantum);
+        let chunk = lane_cut(UNIT_PAIRS.min(indices.len().div_ceil(workers).max(32)));
 
-        let mut bins: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for &k in indices {
-            let p = view.get(k);
-            bins.entry((round(p.q.len()), round(p.s.len())))
-                .or_default()
-                .push(k);
+        // `(|q|, |s|, position)` packed into one key, so a single
+        // unstable sort gives a deterministic order without view
+        // lookups.
+        const LOW: u32 = 40;
+        let mut keys: Vec<u128> = indices
+            .iter()
+            .map(|&k| {
+                let p = view.get(k);
+                (p.q.len() as u128) << (2 * LOW) | (p.s.len() as u128) << LOW | k as u128
+            })
+            .collect();
+        keys.sort_unstable();
+        // A chain depends on a pair's cells only: one call per shape.
+        let at = |key: &u128| (key & ((1 << LOW) - 1)) as usize;
+        let mut routes: Vec<(Vec<BackendId>, Vec<usize>)> = Vec::new();
+        for shape in keys.chunk_by(|a, b| a >> LOW == b >> LOW) {
+            let chain = route(view.get(at(&shape[0])).cells());
+            let r = routes.iter().position(|(c, _)| *c == chain);
+            let r = r.unwrap_or_else(|| {
+                routes.push((chain, Vec::new()));
+                routes.len() - 1
+            });
+            routes[r].1.extend(shape.iter().map(at));
         }
-        let mut bin_labels = Vec::with_capacity(bins.len());
+
         let mut units = Vec::new();
-        // Pairs not yet cut into a unit, across all bins.
+        // Pairs not yet cut into a unit, across all routes.
         let mut uncut = indices.len();
-        for ((qk, sk), mut indices) in bins {
-            let bin = bin_labels.len() as u32;
-            bin_labels.push(format!("{}x{}", qk * quantum, sk * quantum));
-            // Exact-dimension order maximizes full SIMD lane groups.
-            sort_by_dims(view, &mut indices, quantum, (qk, sk));
-            let mut rest = indices.as_slice();
+        for (chain, members) in routes {
+            let mut rest = members.as_slice();
             while !rest.is_empty() {
                 let guided = if workers > 1 {
                     lane_cut(uncut.div_ceil(2 * workers).clamp(chunk.min(32), chunk))
@@ -631,15 +624,14 @@ impl BatchScheduler {
                 units.push(Unit {
                     indices: piece.to_vec(),
                     cells: piece.iter().map(|&k| view.get(k).cells()).sum(),
-                    bin,
                     id: units.len() as u32,
-                    chain: Vec::new(),
+                    chain: chain.clone(),
                 });
                 uncut -= piece.len();
                 rest = tail;
             }
         }
-        (units, bin_labels)
+        units
     }
 
     /// Step 3: runs the plan — the pooled units over a shared-counter
@@ -700,7 +692,7 @@ fn on_pool<R: Send>(
         // Back to coordinating: what the coordinator lane records from
         // here on belongs to no unit, and the time it spends blocked on
         // the join is queue wait.
-        obs::set_context("sched", obs::NO_ID, obs::NO_ID);
+        obs::set_context("sched", obs::NO_ID);
         (mine, Some(obs::timer()))
     });
     if let Some(t_wait) = out[0].1.take() {
@@ -752,48 +744,6 @@ fn dedup(view: &BatchView<'_>, keys: &[CacheKey]) -> (Vec<u32>, Vec<u32>) {
     (leader_of, leaders)
 }
 
-/// Orders the members of bin `(qk, sk)` by exact `(|q|, |s|)`, ties in
-/// the order given (view positions arrive ascending).
-///
-/// A bin spans at most `quantum²` distinct dimensions, so this is a
-/// counting sort: two passes over the members instead of the
-/// `n log n` view lookups of a comparison sort, on the calling thread
-/// while every other worker is idle (a third of a millisecond per
-/// 8,192-read batch). Bins smaller than the table take the plain sort.
-fn sort_by_dims(
-    view: &BatchView<'_>,
-    members: &mut Vec<usize>,
-    quantum: usize,
-    (qk, sk): (usize, usize),
-) {
-    let slots = quantum * quantum;
-    if slots > members.len() {
-        members.sort_by_key(|&k| (view.get(k).q.len(), view.get(k).s.len()));
-        return;
-    }
-    // Lengths of bin key `x` lie in `(x − 1)·quantum + 1 ..= x·quantum`
-    // (just 0 for `x = 0`): rank them upward from 0.
-    let rank = |len: usize, key: usize| quantum - 1 - (key * quantum - len);
-    let slot = |k: usize| {
-        let p = view.get(k);
-        rank(p.q.len(), qk) * quantum + rank(p.s.len(), sk)
-    };
-    let mut starts = vec![0usize; slots + 1];
-    for &k in members.iter() {
-        starts[slot(k) + 1] += 1;
-    }
-    for s in 0..slots {
-        starts[s + 1] += starts[s];
-    }
-    let mut sorted = vec![0usize; members.len()];
-    for &k in members.iter() {
-        let at = &mut starts[slot(k)];
-        sorted[*at] = k;
-        *at += 1;
-    }
-    *members = sorted;
-}
-
 /// One pool worker: pulls pooled units off the shared counter until
 /// none is left or one is refused terminally (the batch then errors
 /// out after the joins).
@@ -812,7 +762,7 @@ fn pull_units<T: Request>(
             return Ok(());
         };
         let unit = &plan.units[u];
-        obs::set_context("sched", unit.bin, unit.id);
+        obs::set_context("sched", unit.id);
         obs::commit(Stage::QueueWait, t_idle);
         walk(batch, unit, 1, lane)?;
     }
@@ -827,7 +777,7 @@ fn walk<T: Request>(
     threads: usize,
     lane: &mut Lane<T>,
 ) -> Result<(), EngineError> {
-    obs::set_context("sched", unit.bin, unit.id);
+    obs::set_context("sched", unit.id);
     // Gather the pair *references* contiguously just-in-time: 32 bytes
     // of pointers per pair. The sequence bytes stay where the caller
     // put them — for an exclusive unit holding a multi-Mbp genome this
@@ -844,7 +794,7 @@ fn walk<T: Request>(
         // Spans the engine emits (kernel, transpose, traceback) must
         // attribute to the engine that actually executes, not the
         // chain's first pick.
-        obs::set_context(engine.caps().name, unit.bin, unit.id);
+        obs::set_context(engine.caps().name, unit.id);
         let t0 = Instant::now();
         match T::run(engine, batch.spec, &pairs, threads) {
             Ok(values) => {
@@ -925,11 +875,7 @@ fn settle<T: Request>(
     lane.out.extend(unit.indices.iter().copied().zip(values));
     let cells = unit.cells * batch.cell_factor;
     if let Some(reg) = batch.dispatch.metrics() {
-        let labels = obs::labels(&[
-            ("backend", backend),
-            ("kind", batch.spec.kind.name()),
-            ("bin", &batch.plan.bin_labels[unit.bin as usize]),
-        ]);
+        let labels = obs::labels(&[("backend", backend), ("kind", batch.spec.kind.name())]);
         reg.observe("anyseq_unit_pairs", labels.clone(), pairs as u64);
         reg.observe("anyseq_unit_cells", labels, cells);
     }
@@ -965,30 +911,16 @@ fn absorb<T>(
 }
 
 /// Step 5: folds every span into the additive `stage.*_ns` counters,
-/// feeds the registry's per-(stage, backend, bin) latency histograms
-/// and per-batch totals, and keeps the raw spans on the stats for the
+/// feeds the registry's per-(stage, backend) latency histograms and
+/// per-batch totals, and keeps the raw spans on the stats for the
 /// Chrome-trace exporter.
-fn report(
-    stats: &mut BatchStats,
-    spans: Vec<obs::Span>,
-    dispatch: &Dispatch,
-    bin_labels: &[String],
-) {
+fn report(stats: &mut BatchStats, spans: Vec<obs::Span>, dispatch: &Dispatch) {
     for span in &spans {
         stats.record_counter(span.stage.counter_key(), span.dur_ns);
     }
     if let Some(reg) = dispatch.metrics() {
         for span in &spans {
-            let bin = if span.bin == obs::NO_ID {
-                "-"
-            } else {
-                &bin_labels[span.bin as usize]
-            };
-            let labels = obs::labels(&[
-                ("stage", span.stage.name()),
-                ("backend", span.backend),
-                ("bin", bin),
-            ]);
+            let labels = obs::labels(&[("stage", span.stage.name()), ("backend", span.backend)]);
             reg.observe("anyseq_stage_duration_ns", labels, span.dur_ns);
         }
         for (name, value) in stats.registry_totals() {
@@ -1008,10 +940,7 @@ mod tests {
     use anyseq_seq::Seq;
 
     fn scheduler(threads: usize) -> BatchScheduler {
-        BatchScheduler::new(BatchCfg {
-            threads,
-            chunk_pairs: 64,
-        })
+        BatchScheduler::new(BatchCfg::threads(threads))
     }
 
     #[test]
@@ -1108,7 +1037,7 @@ mod tests {
     #[test]
     fn kind_unsupported_counter_is_zero_for_auto_nonglobal_bins() {
         // Before the kind-generic SIMD kernels, every short semi-global
-        // or local bin bounced off the lanes' caps; now `Auto` routes
+        // or local unit bounced off the lanes' caps; now `Auto` routes
         // them to SIMD directly and the kind-refusal counter stays
         // absent (additive counters are only recorded when bumped).
         let pairs = read_pairs(60, 17);
@@ -1359,10 +1288,24 @@ mod tests {
         assert_eq!(run.results, vec![-4, 8]);
     }
 
+    /// The chain `Auto` picks for the pairs of these tests, and a
+    /// second route for pairs of at least 600 cells.
+    fn lanes(_cells: u64) -> Vec<BackendId> {
+        vec![BackendId::Simd, BackendId::Scalar]
+    }
+
+    fn by_size(cells: u64) -> Vec<BackendId> {
+        if cells >= 600 {
+            vec![BackendId::Wavefront, BackendId::Scalar]
+        } else {
+            lanes(cells)
+        }
+    }
+
     #[test]
-    fn bins_are_cut_in_exact_dimension_order_with_a_tapering_tail() {
-        // One big bin (counting sort), one small bin and the empty-
-        // sequence bin (comparison sort); lengths from a fixed LCG.
+    fn units_are_cut_in_exact_dimension_order_with_a_tapering_tail() {
+        // A wide run of shapes, a narrow one and empty sequences;
+        // lengths from a fixed LCG.
         let mut x = 7u64;
         let mut next = |lo: usize, span: usize| {
             x = x
@@ -1382,66 +1325,66 @@ mod tests {
         let all: Vec<usize> = (0..view.len()).collect();
         let dims = |k: usize| (view.get(k).q.len(), view.get(k).s.len(), k);
 
+        // One route: the units, end to end, are the batch in exact
+        // `(|q|, |s|)` order, ties in input order.
         let sched = BatchScheduler::new(BatchCfg::threads(2));
-        let (units, bin_labels) = sched.cut_units(&view, &all);
-        assert_eq!(bin_labels, ["0x0", "0x16", "16x16", "32x48"]);
-        for bin in 0..bin_labels.len() as u32 {
-            let members: Vec<usize> = units
-                .iter()
-                .filter(|u| u.bin == bin)
-                .flat_map(|u| u.indices.clone())
-                .collect();
-            assert!(
-                members.windows(2).all(|w| dims(w[0]) < dims(w[1])),
-                "bin {bin}"
-            );
-        }
+        let units = sched.cut_units(&view, &all, lanes);
+        let order: Vec<usize> = units.iter().flat_map(|u| u.indices.clone()).collect();
+        assert_eq!(order.len(), view.len());
+        assert!(order.windows(2).all(|w| dims(w[0]) < dims(w[1])));
         // Guided cut: sizes never grow along the cut, start at the
-        // chunk, end at the 32-pair floor, and stay lane-group multiples.
-        let big: Vec<usize> = units
-            .iter()
-            .filter(|u| u.bin == 3)
-            .map(|u| u.indices.len())
-            .collect();
-        assert_eq!(big.iter().sum::<usize>(), 4000);
-        assert_eq!(big[0], 512);
+        // unit bound, end at the 32-pair floor, and stay lane-group
+        // multiples.
+        let sizes: Vec<usize> = units.iter().map(|u| u.indices.len()).collect();
+        assert_eq!(sizes[0], UNIT_PAIRS);
+        assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
+        let cut = &sizes[..sizes.len() - 1];
+        assert!(cut.iter().all(|len| len % 32 == 0), "{sizes:?}");
         assert!(
-            big[..big.len() - 1].windows(2).all(|w| w[0] >= w[1]),
-            "{big:?}"
+            sizes.iter().rev().take(3).all(|&len| len <= 32),
+            "{sizes:?}"
         );
-        assert!(
-            big[..big.len() - 1].iter().all(|len| len % 32 == 0),
-            "{big:?}"
-        );
-        assert!(big.iter().rev().take(3).all(|&len| len <= 32), "{big:?}");
         // One worker has nobody to finish together with: plain chunks.
-        let (solo, _) = BatchScheduler::new(BatchCfg::threads(1)).cut_units(&view, &all);
-        let big: Vec<usize> = solo
-            .iter()
-            .filter(|u| u.bin == 3)
-            .map(|u| u.indices.len())
-            .collect();
-        assert_eq!(big, [512, 512, 512, 512, 512, 512, 512, 416]);
+        let solo = BatchScheduler::new(BatchCfg::threads(1)).cut_units(&view, &all, lanes);
+        let sizes: Vec<usize> = solo.iter().map(|u| u.indices.len()).collect();
+        assert_eq!(sizes, [512, 512, 512, 512, 512, 512, 512, 459]);
+
+        // Two routes: a unit never mixes them, each route is cut in
+        // exact-dimension order, and the guided cut tapers across both.
+        let units = sched.cut_units(&view, &all, by_size);
+        for unit in &units {
+            for &k in &unit.indices {
+                assert_eq!(unit.chain, by_size(view.get(k).cells()), "pair {k}");
+            }
+        }
+        for chain in [lanes(0), by_size(600)] {
+            let route = units.iter().filter(|u| u.chain == chain);
+            let order: Vec<usize> = route.flat_map(|u| u.indices.clone()).collect();
+            assert!(order.windows(2).all(|w| dims(w[0]) < dims(w[1])));
+        }
+        let tail = &units[units.len() - 3..];
+        assert!(tail.iter().all(|u| u.indices.len() <= 32));
     }
 
     #[test]
-    fn binning_is_deterministic_and_covers_input() {
+    fn cutting_is_deterministic_and_covers_input() {
         let pairs = read_pairs(150, 5);
         let view = BatchView::from_pairs(&pairs);
         let sched = scheduler(3);
         let all: Vec<usize> = (0..view.len()).collect();
-        let (units, bin_labels) = sched.cut_units(&view, &all);
-        assert!(!bin_labels.is_empty());
-        for unit in &units {
-            assert!((unit.bin as usize) < bin_labels.len());
-        }
+        let units = sched.cut_units(&view, &all, by_size);
+        let again = sched.cut_units(&view, &all, by_size);
+        let cut = |units: &[Unit]| -> Vec<Vec<usize>> {
+            units.iter().map(|u| u.indices.clone()).collect()
+        };
+        assert_eq!(cut(&units), cut(&again));
         let ids: Vec<u32> = units.iter().map(|u| u.id).collect();
         assert_eq!(ids, (0..units.len() as u32).collect::<Vec<_>>());
         let mut seen: Vec<usize> = units.iter().flat_map(|u| u.indices.clone()).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..pairs.len()).collect::<Vec<_>>());
         for unit in &units {
-            assert!(unit.indices.len() <= sched.cfg.chunk_pairs);
+            assert!(unit.indices.len() <= UNIT_PAIRS);
             let cells: u64 = unit
                 .indices
                 .iter()
@@ -1449,6 +1392,67 @@ mod tests {
                 .sum();
             assert_eq!(unit.cells, cells);
         }
+    }
+
+    /// 16 reads of 50–150 bp, each inside a reference window 1.5× its
+    /// length, interleaved: the shape of one `serve_mixed` request.
+    fn serve_window(seed: u64) -> Vec<(Seq, Seq)> {
+        let mut sim = GenomeSim::new(seed);
+        (0..16)
+            .map(|r| {
+                let len = 50 + (r * 37 + seed as usize) % 101;
+                let window = sim.generate(len * 3 / 2);
+                let at = (r * 13) % (window.len() - len + 1);
+                let read = sim.mutate(&window.subseq(at..at + len), 0.02);
+                (read, window)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_serve_shaped_window_is_one_unit_on_the_lanes() {
+        use crate::dispatch::DispatchPolicy;
+        let spec = SchemeSpec::global_affine(2, -1, -2, -1).with_kind(KindSpec::SemiGlobal);
+        for seed in 0..8 {
+            let pairs = serve_window(seed);
+            let view = BatchView::from_pairs(&pairs);
+            let dispatch = DispatchPolicy::auto().observe(true).standard();
+            let run = scheduler(2)
+                .try_score_batch(&dispatch, &spec, &view)
+                .unwrap();
+            for (k, (q, s)) in pairs.iter().enumerate() {
+                assert_eq!(
+                    run.results[k],
+                    spec.score_scalar(q, s),
+                    "seed {seed} pair {k}"
+                );
+            }
+            // One unit: the pool runs on the calling thread alone.
+            assert_eq!(run.stats.units, 1, "seed {seed}");
+            assert!(run.stats.spans.iter().all(|s| s.worker == 0), "seed {seed}");
+            let counter = |name: &str| run.stats.counters.get(name).copied().unwrap_or(0);
+            assert!(
+                counter("simd.lane_pairs") >= 15,
+                "seed {seed}: {:?}",
+                run.stats.counters
+            );
+            assert!(counter("simd.pad_cells") > 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn equal_dimension_batches_pad_nothing() {
+        let q = Seq::from_ascii(&b"ACGTTGCA".repeat(12)).unwrap();
+        let s = Seq::from_ascii(&b"ACGATGCA".repeat(12)).unwrap();
+        let pairs = vec![(q, s); 40];
+        let view = BatchView::from_pairs(&pairs);
+        let spec = SchemeSpec::global_affine(2, -1, -2, -1).with_kind(KindSpec::Local);
+        let dispatch = Dispatch::standard(Policy::Auto);
+        let run = scheduler(2)
+            .try_score_batch(&dispatch, &spec, &view)
+            .unwrap();
+        assert_eq!(run.stats.counters["simd.lane_pairs"], 40);
+        assert!(!run.stats.counters.contains_key("simd.pad_cells"));
     }
 
     #[test]
@@ -1725,10 +1729,7 @@ mod tests {
                 ),
                 0..140,
             ),
-            (threads, chunk_pairs) in (
-                1usize..9,
-                prop_oneof![Just(1usize), Just(8), Just(64), Just(512)],
-            ),
+            threads in 1usize..9,
             policy in prop_oneof![
                 Just(Policy::Auto),
                 Just(Policy::Fixed(BackendId::Simd)),
@@ -1753,8 +1754,7 @@ mod tests {
             let n = view.len();
             let spec = SchemeSpec::global_affine(2, -1, -2, -1);
             let dispatch = Dispatch::standard(policy);
-            let cfg = BatchCfg { chunk_pairs, ..BatchCfg::threads(threads) };
-            let sched = BatchScheduler::new(cfg);
+            let sched = BatchScheduler::new(BatchCfg::threads(threads));
             let kind = if align { ReqKind::Align } else { ReqKind::Score };
             // Forged: byte-different pairs share one of four keys, as
             // colliding hashes would have them.
@@ -1795,27 +1795,25 @@ mod tests {
                     prop_assert!(a.q != b.q || a.s != b.s);
                 }
             }
-            // Units: sequential ids, one bin each, bounded by
-            // chunk_pairs, cut at lane-group multiples.
+            // Units: sequential ids, bounded, in exact-dimension order,
+            // cut at lane-group multiples, and every member routed by its
+            // own cells to the unit's chain.
+            let dims = |k: usize| (view.get(k).q.len(), view.get(k).s.len(), k);
             for (i, unit) in plan.units.iter().enumerate() {
                 prop_assert_eq!(unit.id as usize, i);
-                prop_assert!(!unit.indices.is_empty() && unit.indices.len() <= chunk_pairs);
-                let label = &plan.bin_labels[unit.bin as usize];
+                prop_assert!(!unit.indices.is_empty() && unit.indices.len() <= UNIT_PAIRS);
+                prop_assert!(unit.indices.windows(2).all(|w| dims(w[0]) < dims(w[1])));
                 let mut cells = 0;
                 for &k in &unit.indices {
                     let p = view.get(k);
                     cells += p.cells();
-                    let (q16, s16) = (p.q.len().div_ceil(16) * 16, p.s.len().div_ceil(16) * 16);
-                    prop_assert_eq!(&format!("{q16}x{s16}"), label);
+                    prop_assert_eq!(&unit.chain, &dispatch.candidates(&spec, p.cells(), align));
                 }
                 prop_assert_eq!(unit.cells, cells);
-                let full = plan.units.get(i + 1).is_some_and(|next| next.bin == unit.bin);
+                let full = plan.units.get(i + 1).is_some_and(|next| next.chain == unit.chain);
                 if full && unit.indices.len() > 32 {
                     prop_assert_eq!(unit.indices.len() % 32, 0, "lane-group cut");
                 }
-                let max_cells = unit.indices.iter().map(|&k| view.get(k).cells()).max();
-                let chain = dispatch.candidates(&spec, max_cells.unwrap(), align);
-                prop_assert_eq!(&unit.chain, &chain);
             }
             // pooled ∪ exclusive covers the units once; exclusive ⇔
             // the first candidate owns the machine; pooled is LPT.

@@ -80,9 +80,7 @@ pub struct BatchStats {
     pub cells: u64,
     /// Wall-clock seconds for the whole batch.
     pub wall_seconds: f64,
-    /// Length bins the batch was split into.
-    pub bins: u64,
-    /// Work units handed to the pool (chunks of bins).
+    /// Work units handed to the pool (chunks of routes).
     pub units: u64,
     /// Times a backend declined a unit and the next candidate ran.
     pub fallbacks: u64,
@@ -191,7 +189,7 @@ impl BatchStats {
 
     /// Merges another accumulator. Every field is additive: worker
     /// locals carry zeros for the batch-level fields (`pairs`, `cells`,
-    /// `bins`, `units`, `wall_seconds`), so merging them is a no-op
+    /// `units`, `wall_seconds`), so merging them is a no-op
     /// there, while merging two *complete* batch stats (e.g. a serving
     /// layer aggregating sequential batches) sums the real totals.
     /// `wall_seconds` is summed too — correct for sequential batches,
@@ -201,7 +199,6 @@ impl BatchStats {
         self.pairs += other.pairs;
         self.cells += other.cells;
         self.wall_seconds += other.wall_seconds;
-        self.bins += other.bins;
         self.units += other.units;
         self.fallbacks += other.fallbacks;
         for b in &other.per_backend {
@@ -216,9 +213,8 @@ impl BatchStats {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "{} pairs, {} bins, {} units, {:.3}s wall, {:.2} GCUPS",
+            "{} pairs, {} units, {:.3}s wall, {:.2} GCUPS",
             self.pairs,
-            self.bins,
             self.units,
             self.wall_seconds,
             self.gcups()
@@ -283,14 +279,13 @@ mod tests {
     #[test]
     fn merge_accumulates_every_field() {
         // Regression: merge used to accumulate only fallbacks,
-        // per_backend, and counters — pairs/cells/bins/units (and
+        // per_backend, and counters — pairs/cells/units (and
         // wall) were silently dropped, so aggregating complete batch
         // stats undercounted work.
         let mut a = BatchStats {
             pairs: 10,
             cells: 1_000,
             wall_seconds: 0.5,
-            bins: 2,
             units: 3,
             fallbacks: 1,
             ..BatchStats::default()
@@ -299,7 +294,6 @@ mod tests {
             pairs: 4,
             cells: 500,
             wall_seconds: 0.25,
-            bins: 1,
             units: 2,
             fallbacks: 0,
             ..BatchStats::default()
@@ -307,7 +301,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.pairs, 14);
         assert_eq!(a.cells, 1_500);
-        assert_eq!(a.bins, 3);
         assert_eq!(a.units, 5);
         assert_eq!(a.fallbacks, 1);
         assert!((a.wall_seconds - 0.75).abs() < 1e-12);

@@ -3,7 +3,7 @@
 //! Both are hand-rolled writers (the crate is dependency-free). The
 //! Chrome trace loads in Perfetto / `chrome://tracing`: one lane per
 //! worker (`tid` = worker id), one `B`/`E` event pair per span, with
-//! `backend`/`bin`/`unit` attached as event args. Spans on one lane
+//! `backend`/`unit` attached as event args. Spans on one lane
 //! are non-overlapping by construction (the scheduler never nests
 //! stages), which `scripts/check_trace.py` verifies.
 
@@ -131,9 +131,6 @@ pub fn chrome_trace(spans: &[Span]) -> String {
         );
         push_escaped(&mut out, s.backend);
         out.push('"');
-        if s.bin != NO_ID {
-            let _ = write!(out, r#","bin":{}"#, s.bin);
-        }
         if s.unit != NO_ID {
             let _ = write!(out, r#","unit":{}"#, s.unit);
         }
@@ -189,7 +186,6 @@ mod tests {
             Span {
                 stage: Stage::Kernel,
                 backend: "simd",
-                bin: 1,
                 unit: 4,
                 worker: 1,
                 start_ns: 1_000,
@@ -198,7 +194,6 @@ mod tests {
             Span {
                 stage: Stage::Merge,
                 backend: "sched",
-                bin: NO_ID,
                 unit: NO_ID,
                 worker: 1,
                 start_ns: 4_000,
@@ -211,8 +206,8 @@ mod tests {
         assert_eq!(json.matches(r#""ph":"E""#).count(), 2);
         assert_eq!(json.matches(r#""ph":"M""#).count(), 1);
         assert!(json.contains(r#""name":"kernel","cat":"simd","ph":"B","ts":1.000"#));
-        assert!(json.contains(r#""bin":1"#) && json.contains(r#""unit":4"#));
-        // The merge span has no bin/unit labels.
-        assert!(!json.contains(&format!(r#""bin":{NO_ID}"#)));
+        assert!(json.contains(r#""unit":4"#) && !json.contains(r#""bin""#));
+        // The merge span has no unit label.
+        assert!(!json.contains(&format!(r#""unit":{NO_ID}"#)));
     }
 }

@@ -20,7 +20,7 @@
 //! let tracer = BatchTracer::new();
 //! {
 //!     let _guard = tracer.worker(1);
-//!     anyseq_obs::set_context("simd", 0, 0);
+//!     anyseq_obs::set_context("simd", 0);
 //!     anyseq_obs::span(Stage::Kernel, || { /* hot work */ });
 //! }
 //! let spans = tracer.finish();

@@ -161,7 +161,7 @@ impl Histogram {
 }
 
 /// Renders label pairs as a canonical Prometheus label body, e.g.
-/// `backend="simd",bin="144x160",stage="kernel"`. Values are escaped
+/// `backend="simd",kind="local",stage="kernel"`. Values are escaped
 /// per the text exposition format. Pass pairs pre-sorted if a stable
 /// key is needed — the function preserves order.
 pub fn labels(pairs: &[(&str, &str)]) -> String {
@@ -400,8 +400,8 @@ mod tests {
     #[test]
     fn registry_round_trip() {
         let reg = MetricsRegistry::new();
-        let l = labels(&[("backend", "simd"), ("bin", "144x160")]);
-        assert_eq!(l, r#"backend="simd",bin="144x160""#);
+        let l = labels(&[("backend", "simd"), ("kind", "local")]);
+        assert_eq!(l, r#"backend="simd",kind="local""#);
         reg.inc("anyseq_batches_total", String::new(), 1);
         reg.inc("anyseq_batches_total", String::new(), 2);
         reg.set_gauge("anyseq_cache_bytes", String::new(), 42.0);

@@ -498,7 +498,6 @@ mod tests {
         let span = Span {
             stage: Stage::Kernel,
             backend: "simd",
-            bin: 0,
             unit: 0,
             worker: 0,
             start_ns: 10,

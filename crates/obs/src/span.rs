@@ -10,7 +10,7 @@
 //! degenerates to a single thread-local read and records nothing, so
 //! instrumented library code pays effectively nothing in production.
 //!
-//! Spans carry a context of `(backend, bin, unit)` labels set by the
+//! Spans carry a context of `(backend, unit)` labels set by the
 //! scheduler via [`set_context`]; library code below the scheduler (the
 //! SIMD kernels, the backend adapters) only names the [`Stage`], and the
 //! labels in effect at commit time are attached automatically.
@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Label value meaning "no bin / no unit applies to this span"
+/// Label value meaning "no unit applies to this span"
 /// (scheduler-side phases such as cache probing or the final merge).
 pub const NO_ID: u32 = u32::MAX;
 
@@ -33,8 +33,6 @@ pub struct Span {
     /// Component or backend label (`"sched"` for scheduler phases,
     /// otherwise the executing engine's `Caps::name`).
     pub backend: &'static str,
-    /// Length-bin id of the unit being processed, or [`NO_ID`].
-    pub bin: u32,
     /// Unit id within the batch, or [`NO_ID`].
     pub unit: u32,
     /// Worker lane (0 = coordinator thread).
@@ -49,7 +47,6 @@ struct Recorder {
     origin: Instant,
     worker: u32,
     backend: &'static str,
-    bin: u32,
     unit: u32,
     buf: Vec<Span>,
 }
@@ -95,7 +92,6 @@ impl BatchTracer {
                 origin: self.origin,
                 worker,
                 backend: "sched",
-                bin: NO_ID,
                 unit: NO_ID,
                 buf: Vec::with_capacity(64),
             });
@@ -163,7 +159,6 @@ pub fn commit(stage: Stage, t: Timer) {
             rec.buf.push(Span {
                 stage,
                 backend: rec.backend,
-                bin: rec.bin,
                 unit: rec.unit,
                 worker: rec.worker,
                 start_ns,
@@ -181,13 +176,12 @@ pub fn span<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Sets the `(backend, bin, unit)` labels attached to subsequently
+/// Sets the `(backend, unit)` labels attached to subsequently
 /// committed spans on this thread. No-op without a recorder.
-pub fn set_context(backend: &'static str, bin: u32, unit: u32) {
+pub fn set_context(backend: &'static str, unit: u32) {
     CURRENT.with(|c| {
         if let Some(rec) = c.borrow_mut().as_mut() {
             rec.backend = backend;
-            rec.bin = bin;
             rec.unit = unit;
         }
     });
@@ -203,7 +197,7 @@ mod tests {
         {
             let _g = tracer.worker(3);
             span(Stage::Hash, || ());
-            set_context("simd", 2, 7);
+            set_context("simd", 7);
             let t = timer();
             std::thread::sleep(std::time::Duration::from_millis(1));
             commit(Stage::Kernel, t);
@@ -212,10 +206,10 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].stage, Stage::Hash);
         assert_eq!(spans[0].backend, "sched");
-        assert_eq!(spans[0].bin, NO_ID);
+        assert_eq!(spans[0].unit, NO_ID);
         assert_eq!(spans[1].stage, Stage::Kernel);
         assert_eq!(spans[1].backend, "simd");
-        assert_eq!((spans[1].bin, spans[1].unit, spans[1].worker), (2, 7, 3));
+        assert_eq!((spans[1].unit, spans[1].worker), (7, 3));
         assert!(spans[1].dur_ns >= 1_000_000);
         assert!(spans[1].start_ns >= spans[0].start_ns);
     }
@@ -226,7 +220,7 @@ mod tests {
         // Must not panic or record anywhere.
         span(Stage::Kernel, || ());
         commit(Stage::Merge, timer());
-        set_context("x", 0, 0);
+        set_context("x", 0);
         let tracer = BatchTracer::new();
         assert!(tracer.finish().is_empty());
     }

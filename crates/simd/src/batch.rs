@@ -2,21 +2,31 @@
 //! carries one *whole* alignment (the classic inter-sequence scheme the
 //! paper uses for the NGS use case (ii), with 16-bit in-lane scores).
 //!
-//! Lanes must share matrix dimensions, so pairs are bucketed by
-//! `(|q|, |s|)` — for Illumina-style reads the dominant bucket is
-//! `(150, 150)` and lane occupancy is near-perfect. A bucket's remainder
-//! of two or more pairs rides one *partial* lane group (unused lanes
-//! padded with a repeat and never written back); lone pairs and
-//! oversized problems fall back to the scalar engine.
+//! [`LaneGroups::build`] is the one place that decides which pairs
+//! share a vector block: it sorts the batch by `(|q|, |s|)` and cuts
+//! the order into runs of at most `L` pairs, closing a run before a
+//! pair that would pad it past a bound. On the score path a group may
+//! be *ragged*: every lane is padded to the group's largest `|q|` and
+//! `|s|`, and the kernel reads each lane's optimum from its own region,
+//! so reads of mixed lengths (SeqAn 2.4's inter-sequence layout) ride
+//! the lanes too. The traceback takes exact-shape groups only (zero
+//! padding). Lanes a group does not fill repeat a live pair and are
+//! never written back; a run too short to pay for a block, an empty
+//! sequence or a pair past the 16-bit extent budget goes to the scalar
+//! engine.
 //!
 //! Input is borrowed: a slice of [`PairRef`]s (`&[u8]` query/subject
 //! codes). The only sequence bytes this module copies are the
 //! lane-*transposed* row/column buffers the vector kernel needs —
-//! `(|q| + |s|) × L` bytes per lane group, reported as
+//! `(rows + cols) × L` bytes per lane group, reported as
 //! [`TraceStats::bytes_copied`] so callers can verify the pipeline
 //! above stayed zero-copy.
 
-use crate::kernel::{block_kernel_kind, from16, max_block_extent, BlockBorders, SimdSubst};
+use crate::isa::Tier;
+use crate::kernel::{
+    block_kernel_kind_on, from16, max_block_extent, BlockBorders, Ends, LaneEnds, SimdSubst,
+    Uniform,
+};
 use crate::traceback::TraceStats;
 use anyseq_core::kind::{AlignKind, OptRegion};
 use anyseq_core::scheme::Scheme;
@@ -27,12 +37,22 @@ use anyseq_seq::PairRef;
 use anyseq_wavefront::run_workers;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Smallest bucket remainder the score path runs as a partial lane
-/// group: one `L`-lane block costs less than two scalar pairs on either
-/// ISA tier, so only a lone leftover stays scalar.
+/// Smallest run the score path takes as a lane group: one `L`-lane
+/// block costs less than two scalar pairs on either ISA tier, so only a
+/// lone pair stays scalar.
 const SCORE_MIN_PARTIAL: usize = 2;
 
-/// One vector block's worth of equal-dimension pairs.
+/// Padded cells a score-path group may carry per live cell. A lane
+/// cell costs 1/R of a scalar cell: on 150 bp reads the L = 16 AVX2
+/// tier ran 4.6–6.3 Gcell/s against the scalar kernel's 0.21 (R ≈ 25),
+/// and the baseline tier runs the lanes at about half that (R ≈ 12).
+/// At two padded cells per live one, a ragged group still runs its live
+/// cells at least 4× cheaper than the scalar path on either tier, and a
+/// 16-read window of 50–150 bp reads in windows 1.5× as long stays one
+/// group (99.8 % of random windows, against 40 % at a bound of 1).
+const SCORE_PAD_PER_LIVE: u64 = 2;
+
+/// One vector block's worth of pairs.
 pub struct LaneGroup<const L: usize> {
     /// Input index carried by each lane. Lanes `fill..` of a partial
     /// group repeat the last live index so the block stays well-formed.
@@ -40,18 +60,15 @@ pub struct LaneGroup<const L: usize> {
     /// Live lanes: only `lanes[..fill]` are written back, decoded or
     /// counted.
     pub fill: usize,
+    /// The block's `(rows, cols)`: the largest `|q|` and `|s|` of its
+    /// pairs.
+    pub(crate) shape: (usize, usize),
+    /// Cells the live lanes relax past their own pair's extent (0 for
+    /// a group of one shape).
+    pub(crate) pad_cells: u64,
 }
 
 impl<const L: usize> LaneGroup<L> {
-    /// `chunk` (1 ..= `L` indices) padded to a whole block.
-    fn of(chunk: &[usize]) -> LaneGroup<L> {
-        let fill = chunk.len();
-        LaneGroup {
-            lanes: std::array::from_fn(|l| chunk[l.min(fill - 1)]),
-            fill,
-        }
-    }
-
     /// The live input indices.
     pub fn live(&self) -> &[usize] {
         &self.lanes[..self.fill]
@@ -63,10 +80,10 @@ impl<const L: usize> LaneGroup<L> {
     }
 }
 
-/// A batch split into `L`-lane groups of equal-dimension pairs plus the
-/// indices that must take the in-backend scalar path (lone leftovers,
-/// empty sequences, pairs past the 16-bit extent budget). Shared by the
-/// score and traceback paths so both fill lanes the same way.
+/// A batch split into `L`-lane groups plus the indices that must take
+/// the in-backend scalar path (short runs, empty sequences, pairs past
+/// the 16-bit extent budget). Shared by the score and traceback paths
+/// so both fill lanes the same way.
 pub struct LaneGroups<const L: usize> {
     /// Lane groups, in `(|q|, |s|)` then input order.
     pub groups: Vec<LaneGroup<L>>,
@@ -75,12 +92,19 @@ pub struct LaneGroups<const L: usize> {
 }
 
 impl<const L: usize> LaneGroups<L> {
-    /// Buckets `pairs` by matrix dimensions and cuts each bucket into
-    /// full lane groups; a remainder of at least `min_partial` pairs
-    /// becomes one partial group, everything else goes scalar. Buckets
-    /// come from a stable sort, so the same batch yields the same
-    /// groups on every run.
-    pub fn build(pairs: &[PairRef<'_>], extent_budget: usize, min_partial: usize) -> LaneGroups<L> {
+    /// Sorts `pairs` by matrix dimensions and cuts the order into runs
+    /// of at most `L` pairs. A run closes before a pair that would take
+    /// its padded extent `max|q| + max|s|` past `extent_budget`, or its
+    /// padded cells past `pad_per_live` times its live cells (0: one
+    /// shape per group). A run of at least `min_partial` pairs becomes a
+    /// group, a shorter one goes scalar. The sort is stable, so the same
+    /// batch yields the same groups on every run.
+    pub fn build(
+        pairs: &[PairRef<'_>],
+        extent_budget: usize,
+        min_partial: usize,
+        pad_per_live: u64,
+    ) -> LaneGroups<L> {
         let dims = |k: usize| (pairs[k].q.len(), pairs[k].s.len());
         let (mut lane_idx, mut scalar_idx): (Vec<usize>, Vec<usize>) =
             (0..pairs.len()).partition(|&k| {
@@ -89,15 +113,31 @@ impl<const L: usize> LaneGroups<L> {
             });
         lane_idx.sort_by_key(|&k| dims(k));
         let mut groups = Vec::with_capacity(lane_idx.len() / L + 1);
-        for bucket in lane_idx.chunk_by(|&a, &b| dims(a) == dims(b)) {
-            let mut chunks = bucket.chunks_exact(L);
-            groups.extend(chunks.by_ref().map(LaneGroup::of));
-            let rest = chunks.remainder();
-            if rest.len() >= min_partial.max(1) {
-                groups.push(LaneGroup::of(rest));
-            } else {
-                scalar_idx.extend_from_slice(rest);
+        let mut rest = lane_idx.as_slice();
+        while let Some(&first) = rest.first() {
+            let (mut shape, mut live, mut len) = (dims(first), 0, 0);
+            for &k in &rest[..rest.len().min(L)] {
+                let (n, m) = dims(k);
+                let (rows, cols) = (shape.0.max(n), shape.1.max(m));
+                let cells = live + (n * m) as u64;
+                let pad = (len + 1) as u64 * (rows * cols) as u64 - cells;
+                if rows + cols > extent_budget || pad > pad_per_live.saturating_mul(cells) {
+                    break;
+                }
+                (shape, live, len) = ((rows, cols), cells, len + 1);
             }
+            let (run, tail) = rest.split_at(len);
+            if len >= min_partial.max(1) {
+                groups.push(LaneGroup {
+                    lanes: std::array::from_fn(|l| run[l.min(len - 1)]),
+                    fill: len,
+                    shape,
+                    pad_cells: len as u64 * (shape.0 * shape.1) as u64 - live,
+                });
+            } else {
+                scalar_idx.extend_from_slice(run);
+            }
+            rest = tail;
         }
         LaneGroups { groups, scalar_idx }
     }
@@ -146,18 +186,18 @@ impl<const L: usize> LaneGroups<L> {
 
 /// The lane transpose — the one copy of sequence bytes on the batch
 /// paths: row `r` of the result holds base `r` of every lane's query,
-/// column `c` base `c` of every lane's subject. Filled lane-major so
-/// each source sequence is read once, front to back.
+/// column `c` base `c` of every lane's subject, code 0 past a lane's
+/// own length. Filled lane-major so each source sequence is read once,
+/// front to back.
 pub(crate) fn transpose_lanes<const L: usize>(
     pairs: &[PairRef<'_>],
     lanes: &[usize; L],
 ) -> (Vec<[u8; L]>, Vec<[u8; L]>) {
-    let first = pairs[lanes[0]];
-    let mut q_rows = vec![[0u8; L]; first.q.len()];
-    let mut s_cols = vec![[0u8; L]; first.s.len()];
+    let longest = |len: fn(&PairRef<'_>) -> usize| lanes.iter().map(|&k| len(&pairs[k])).max();
+    let mut q_rows = vec![[0u8; L]; longest(|p| p.q.len()).unwrap_or(0)];
+    let mut s_cols = vec![[0u8; L]; longest(|p| p.s.len()).unwrap_or(0)];
     for (lane, &k) in lanes.iter().enumerate() {
         let p = pairs[k];
-        debug_assert!(p.q.len() == q_rows.len() && p.s.len() == s_cols.len());
         for (row, &c) in q_rows.iter_mut().zip(p.q) {
             row[lane] = c;
         }
@@ -211,10 +251,10 @@ where
 /// `xdrop > 0` enables per-lane retirement for non-corner kinds: a lane
 /// whose current-row maximum has dropped more than `xdrop` below its
 /// running best stops relaxing and reports the best it has seen (see
-/// [`block_kernel_kind`]). Retired-lane counts surface as
-/// [`TraceStats::xdrop_retired`]. `xdrop == 0` (and any corner-optimum
-/// kind, where the score lives at `(n, m)` and early exit is
-/// meaningless) runs the bit-exact path.
+/// [`block_kernel_kind`](crate::kernel::block_kernel_kind)).
+/// Retired-lane counts surface as [`TraceStats::xdrop_retired`].
+/// `xdrop == 0` (and any corner-optimum kind, where the score lives at
+/// `(n, m)` and early exit is meaningless) runs the bit-exact path.
 pub fn score_batch_simd_xdrop<K, G, SS, const L: usize>(
     scheme: &Scheme<K, G, SS>,
     pairs: &[PairRef<'_>],
@@ -229,7 +269,7 @@ where
     let gap = *scheme.gap();
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
-    let built = LaneGroups::<L>::build(pairs, extent_budget, SCORE_MIN_PARTIAL);
+    let built = LaneGroups::<L>::build(pairs, extent_budget, SCORE_MIN_PARTIAL, SCORE_PAD_PER_LIVE);
     // X-drop only applies where an optimum can be frozen early; corner
     // kinds always relax the full matrix. Clamp to the i16 block budget.
     let xdrop16 = if matches!(K::OPT, OptRegion::Corner) {
@@ -239,11 +279,17 @@ where
     };
 
     let group = |group: &LaneGroup<L>, stats: &mut TraceStats, out: &mut Vec<(usize, Score)>| {
-        let p0 = pairs[group.lanes[0]];
+        let (rows, cols) = group.shape;
         stats.lane_pairs += group.fill as u64;
-        stats.bytes_copied += ((p0.q.len() + p0.s.len()) * L) as u64;
-        let (results, retired) =
-            score_lane_group::<K, G, SS, L>(&gap, &subst, pairs, &group.lanes, xdrop16);
+        stats.pad_cells += group.pad_cells;
+        stats.bytes_copied += ((rows + cols) * L) as u64;
+        // A ragged group reads each lane's optimum from its own region.
+        let (results, retired) = if group.pad_cells == 0 {
+            score_lane_group::<K, G, SS, L>(&gap, &subst, pairs, group, xdrop16, &Uniform)
+        } else {
+            let ends = LaneEnds::new(pairs, &group.lanes);
+            score_lane_group::<K, G, SS, L>(&gap, &subst, pairs, group, xdrop16, &ends)
+        };
         stats.xdrop_retired += (retired & group.live_mask()).count_ones() as u64;
         out.extend(group.live().iter().copied().zip(results));
     };
@@ -254,30 +300,34 @@ where
     built.run(threads, pairs.len(), 0, group, scalar)
 }
 
-/// Scores `L` equal-dimension pairs in one vector block; returns the
-/// per-lane scores plus the X-drop retirement mask (0 when disabled).
+/// Scores one lane group in one vector block, reading each lane's
+/// optimum through `ends`; returns the per-lane scores plus the X-drop
+/// retirement mask (0 when disabled).
 fn score_lane_group<K, G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
     pairs: &[PairRef<'_>],
-    lanes: &[usize; L],
+    group: &LaneGroup<L>,
     xdrop: i16,
+    ends: &impl Ends<L>,
 ) -> ([Score; L], u32)
 where
     K: AlignKind,
     G: GapModel,
     SS: SimdSubst,
 {
-    let (n, m) = (pairs[lanes[0]].q.len(), pairs[lanes[0]].s.len());
+    let (n, m) = group.shape;
     // Kind `K`'s init stripes are lane-uniform (base 0).
     let mut block = BlockBorders::<L>::init::<K, G>(gap, n, m);
+    let lanes = &group.lanes;
     let (q_rows, s_cols) = anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, lanes));
 
     let opt = anyseq_obs::span(Stage::Kernel, || {
+        let (q, s, b, tier) = (&q_rows, &s_cols, &mut block, Tier::detect());
         if xdrop > 0 {
-            block_kernel_kind::<K, G, SS, true, L>(gap, subst, &q_rows, &s_cols, &mut block, xdrop)
+            block_kernel_kind_on::<K, G, SS, true, L>(tier, gap, subst, q, s, b, xdrop, ends)
         } else {
-            block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut block, 0)
+            block_kernel_kind_on::<K, G, SS, false, L>(tier, gap, subst, q, s, b, 0, ends)
         }
     });
 
@@ -290,7 +340,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anyseq_core::prelude::{affine, global, linear, local, semiglobal, simple};
+    use anyseq_core::prelude::{affine, free_end, global, linear, local, semiglobal, simple};
     use anyseq_seq::testsupport::read_pairs;
     use anyseq_seq::{BatchView, Seq};
 
@@ -388,7 +438,7 @@ mod tests {
         let dims = [(3, 4), (5, 5), (3, 4), (0, 4), (3, 4), (40, 40)];
         let pairs: Vec<(Seq, Seq)> = dims.iter().map(|&(n, m)| (seq(n), seq(m))).collect();
         let view = BatchView::from_pairs(&pairs);
-        let built = LaneGroups::<4>::build(view.refs(), 50, 2);
+        let built = LaneGroups::<4>::build(view.refs(), 50, 2, 0);
         assert_eq!(built.groups.len(), 1);
         assert_eq!(built.groups[0].lanes, [0, 2, 4, 4], "input order, padded");
         assert_eq!(built.groups[0].live(), &[0, 2, 4]);
@@ -399,35 +449,63 @@ mod tests {
             "rejects first, then lone leftovers"
         );
         // A higher threshold sends the same remainder to the scalar path.
-        let built = LaneGroups::<4>::build(view.refs(), 50, 4);
+        let built = LaneGroups::<4>::build(view.refs(), 50, 4, 0);
         assert!(built.groups.is_empty());
         assert_eq!(built.scalar_idx, [3, 5, 0, 2, 4, 1]);
+        // Padding slack lets the (5, 5) pair join the (3, 4) run: 4 × 25
+        // block cells, 61 of them live.
+        let built = LaneGroups::<4>::build(view.refs(), 50, 2, 2);
+        let group = &built.groups[0];
+        assert_eq!((group.lanes, group.fill), ([0, 2, 4, 1], 4));
+        assert_eq!((group.shape, group.pad_cells), ((5, 5), 39));
+        assert_eq!(built.scalar_idx, [3, 5]);
+        // ... nor past the extent budget: (6, 2) fits alone (8 ≤ 9), but
+        // not in a block with (3, 4) pairs (6 + 4 > 9).
+        let pairs: Vec<(Seq, Seq)> = [(3, 4), (6, 2), (3, 4)]
+            .iter()
+            .map(|&(n, m)| (seq(n), seq(m)))
+            .collect();
+        let view = BatchView::from_pairs(&pairs);
+        let built = LaneGroups::<4>::build(view.refs(), 9, 2, 2);
+        assert_eq!(built.groups[0].live(), &[0, 2]);
+        assert_eq!(built.scalar_idx, [1]);
         // A full group plus a remainder of exactly `min_partial`.
         let pairs: Vec<(Seq, Seq)> = (0..6).map(|_| (seq(3), seq(4))).collect();
         let view = BatchView::from_pairs(&pairs);
-        let built = LaneGroups::<4>::build(view.refs(), 50, 2);
+        let built = LaneGroups::<4>::build(view.refs(), 50, 2, 0);
         let lanes: Vec<_> = built.groups.iter().map(|g| (g.lanes, g.fill)).collect();
         assert_eq!(lanes, [([0, 1, 2, 3], 4), ([4, 5, 5, 5], 2)]);
     }
 
     /// The invariant the batch pools' result scatter rests on: every
     /// input index is live in exactly one lane of one group or on the
-    /// scalar list, a group's lanes share `(|q|, |s|)`, and padding
-    /// lanes repeat a live index of their own group.
+    /// scalar list, and padding lanes repeat a live index of their own
+    /// group. A group's block is its pairs' largest `|q|` × largest
+    /// `|s|`, within the extent budget, and its padded cells stay within
+    /// `pad_per_live` times its live cells — one shape at 0.
     fn check_lane_groups<const L: usize>(
         dims: &[(usize, usize)],
         extent_budget: usize,
         min_partial: usize,
+        pad_per_live: u64,
     ) {
         let seq = |len: usize| Seq::from_codes(vec![1u8; len]).unwrap();
         let pairs: Vec<(Seq, Seq)> = dims.iter().map(|&(n, m)| (seq(n), seq(m))).collect();
         let view = BatchView::from_pairs(&pairs);
-        let built = LaneGroups::<L>::build(view.refs(), extent_budget, min_partial);
+        let built = LaneGroups::<L>::build(view.refs(), extent_budget, min_partial, pad_per_live);
         let mut seen = vec![0u32; dims.len()];
         for group in &built.groups {
-            assert!((1..=L).contains(&group.fill));
-            let shape = dims[group.lanes[0]];
-            assert!(group.lanes.iter().all(|&k| dims[k] == shape), "{shape:?}");
+            assert!((min_partial.max(1)..=L).contains(&group.fill));
+            let live = group.live().iter().map(|&k| dims[k]);
+            let shape = live
+                .clone()
+                .fold((0, 0), |(n, m), d| (n.max(d.0), m.max(d.1)));
+            assert_eq!(group.shape, shape);
+            assert!(shape.0 + shape.1 <= extent_budget, "{shape:?}");
+            let cells: u64 = live.map(|(n, m)| (n * m) as u64).sum();
+            let block = group.fill as u64 * (shape.0 * shape.1) as u64;
+            assert_eq!(group.pad_cells, block - cells);
+            assert!(group.pad_cells <= pad_per_live * cells, "{shape:?}");
             let pad = &group.lanes[group.fill..];
             assert!(pad.iter().all(|k| group.live().contains(k)), "{pad:?}");
             for &k in group.live() {
@@ -444,18 +522,19 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         #[test]
-        fn lane_groups_place_every_index_once_in_one_shape(
-            dims in proptest::collection::vec((0usize..5, 0usize..5), 0..80),
-            extent_budget in 0usize..10,
+        fn lane_groups_place_every_index_once_within_the_padding_bound(
+            dims in proptest::collection::vec((0usize..9, 0usize..9), 0..80),
+            extent_budget in 0usize..18,
             min_partial in 0usize..10,
+            pad_per_live in 0u64..4,
         ) {
-            check_lane_groups::<4>(&dims, extent_budget, min_partial);
-            check_lane_groups::<8>(&dims, extent_budget, min_partial);
+            check_lane_groups::<4>(&dims, extent_budget, min_partial, pad_per_live);
+            check_lane_groups::<8>(&dims, extent_budget, min_partial, pad_per_live);
         }
     }
 
-    /// What a bucket of `count` equal-dimension pairs must turn into:
-    /// (pairs in live lanes, lane groups run).
+    /// What a run of `count` equal-dimension pairs must turn into on the
+    /// exact-shape traceback path: (pairs in live lanes, lane groups run).
     fn expected_split(count: usize, lanes: usize, min_partial: usize) -> (u64, u64) {
         let rest = count % lanes;
         let partial = rest >= min_partial;
@@ -467,7 +546,11 @@ mod tests {
 
     /// Buckets of 1 … L+3 members each, interleaved in input order:
     /// scores and CIGAR replays identical to scalar, padded lanes in
-    /// neither pair counter, one whole transpose per group run.
+    /// neither pair counter, one whole transpose per group run. The
+    /// score path packs the buckets into ragged groups of `L` in
+    /// `(|q|, |s|)` order (their shapes are close enough that the
+    /// padding bound never closes one early); the traceback keeps one
+    /// shape per group.
     fn check_partial_groups<K: AlignKind, const L: usize>(
         scheme: &Scheme<K, anyseq_core::scoring::AffineGap, anyseq_core::scoring::SimpleSubst>,
         sizes: &[usize],
@@ -497,22 +580,33 @@ mod tests {
         }
         let view = BatchView::from_pairs(&pairs);
         let total = pairs.len() as u64;
-        let expect = |min_partial: usize| {
-            sizes.iter().enumerate().fold((0, 0), |acc, (b, &count)| {
-                let (lane, groups) = expected_split(count, L, min_partial);
-                let bytes = groups * ((dims(b).0 + dims(b).1) * L) as u64;
-                (acc.0 + lane, acc.1 + bytes)
-            })
-        };
 
         let (scores, stats) = score_batch_simd_stats::<_, _, _, L>(scheme, view.refs(), 2);
         for (k, (q, s)) in pairs.iter().enumerate() {
             assert_eq!(scores[k], scheme.score(q, s), "score of pair {k}");
         }
-        let (lane_pairs, bytes) = expect(SCORE_MIN_PARTIAL);
+        // Bucket dimensions grow in both axes, so every ragged group's
+        // block is the shape of its last member.
+        let sorted: Vec<(usize, usize)> = (0..sizes.len())
+            .flat_map(|b| std::iter::repeat_n(dims(b), sizes[b]))
+            .collect();
+        let (mut lane_pairs, mut bytes, mut pad) = (0, 0, 0);
+        for run in sorted
+            .chunks(L)
+            .filter(|run| run.len() >= SCORE_MIN_PARTIAL)
+        {
+            let (n, m) = run[run.len() - 1];
+            lane_pairs += run.len() as u64;
+            bytes += ((n + m) * L) as u64;
+            pad += run
+                .iter()
+                .map(|&(a, b)| (n * m - a * b) as u64)
+                .sum::<u64>();
+        }
         assert_eq!(stats.lane_pairs, lane_pairs);
         assert_eq!(stats.lane_pairs + stats.scalar_pairs, total);
         assert_eq!(stats.bytes_copied, bytes);
+        assert_eq!(stats.pad_cells, pad);
 
         let (alns, stats) =
             align_batch_simd::<_, _, _, L>(scheme, view.refs(), 2, BandCfg::default());
@@ -522,13 +616,20 @@ mod tests {
                 .validate::<K, _, _>(q, s, scheme.gap(), scheme.subst())
                 .unwrap_or_else(|e| panic!("pair {k}: {e}"));
         }
-        let (lane_pairs, bytes) = expect(ALIGN_MIN_PARTIAL);
+        let (lane_pairs, bytes) = sizes.iter().enumerate().fold((0, 0), |acc, (b, &count)| {
+            let (lane, groups) = expected_split(count, L, ALIGN_MIN_PARTIAL);
+            (
+                acc.0 + lane,
+                acc.1 + groups * ((dims(b).0 + dims(b).1) * L) as u64,
+            )
+        });
         assert_eq!(stats.lane_pairs + stats.band_overflows, lane_pairs);
         assert_eq!(
             stats.lane_pairs + stats.band_overflows + stats.scalar_pairs,
             total
         );
         assert_eq!(stats.bytes_copied, bytes);
+        assert_eq!(stats.pad_cells, 0, "the traceback never pads");
     }
 
     proptest::proptest! {
@@ -544,6 +645,100 @@ mod tests {
             check_partial_groups::<_, 8>(&global(scoring), &sizes, seed);
             check_partial_groups::<_, 8>(&semiglobal(scoring), &sizes, seed);
             check_partial_groups::<_, 16>(&local(scoring), &wide, seed);
+        }
+    }
+
+    /// A ragged block at the edge of the 16-bit envelope, on every
+    /// tier: padded extent `max|q| + max|s|` one under or at
+    /// `max_block_extent`, scores steep enough to put its cells near
+    /// ±12,000. Every lane reads bit-identical to `scheme.score`, X-drop
+    /// at a huge X too, and at any X never above it. One past the
+    /// budget, `LaneGroups` forms no such block and the batch stays
+    /// exact. `to16`'s range check is a `debug_assert!`: in a release
+    /// build this test is the only guard.
+    fn check_envelope<K: AlignKind>(
+        scheme: &Scheme<K, anyseq_core::scoring::AffineGap, anyseq_core::scoring::SimpleSubst>,
+        over: usize,
+        x: i16,
+        seed: u64,
+    ) {
+        use crate::isa::Tier;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const L: usize = 8;
+        let (gap, subst) = (scheme.gap(), scheme.subst());
+        let budget = max_block_extent(gap, subst);
+        let extent = budget - 1 + over;
+        let (rows, cols) = (extent / 2, extent - extent / 2);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Lane 0 spans the block's rows and matches throughout, lane 1
+        // spans its columns and mismatches throughout, the rest draw.
+        let pairs: Vec<(Seq, Seq)> = (0..L)
+            .map(|l| {
+                let n = if l == 0 {
+                    rows
+                } else {
+                    rng.gen_range(1..=rows)
+                };
+                let m = if l == 1 {
+                    cols
+                } else {
+                    rng.gen_range(1..=cols)
+                };
+                let mut code = |fixed: u8| if l < 2 { fixed } else { rng.gen_range(0..4u8) };
+                let q: Vec<u8> = (0..n).map(|_| code(0)).collect();
+                let s: Vec<u8> = (0..m).map(|_| code(l as u8)).collect();
+                (Seq::from_codes(q).unwrap(), Seq::from_codes(s).unwrap())
+            })
+            .collect();
+        let view = BatchView::from_pairs(&pairs);
+        let refs = view.refs();
+        let exact: Vec<Score> = pairs.iter().map(|(q, s)| scheme.score(q, s)).collect();
+        if extent > budget {
+            let built = LaneGroups::<L>::build(refs, budget, 2, 1 << 20);
+            assert!(built.groups.iter().all(|g| g.shape.0 + g.shape.1 <= budget));
+            assert_eq!(score_batch_simd::<_, _, _, L>(scheme, refs, 1), exact);
+            return;
+        }
+        let lanes: [usize; L] = std::array::from_fn(|l| l);
+        let (q_rows, s_cols) = transpose_lanes(refs, &lanes);
+        let ends = LaneEnds::new(refs, &lanes);
+        let run = |tier: Tier, xdrop: i16| {
+            let mut b = BlockBorders::<L>::init::<K, _>(gap, rows, cols);
+            let (q, s, e) = (&q_rows, &s_cols, &ends);
+            let opt = if xdrop > 0 {
+                block_kernel_kind_on::<K, _, _, true, L>(tier, gap, subst, q, s, &mut b, xdrop, e)
+            } else {
+                block_kernel_kind_on::<K, _, _, false, L>(tier, gap, subst, q, s, &mut b, 0, e)
+            };
+            opt.best.0.map(|v| from16(v, 0)).to_vec()
+        };
+        for tier in Tier::available() {
+            let what = format!("{} {} extent {extent}/{budget}", tier.name(), K::NAME);
+            assert_eq!(run(tier, 0), exact, "{what}");
+            if !matches!(K::OPT, OptRegion::Corner) {
+                assert_eq!(run(tier, i16::MAX), exact, "{what}, huge X");
+                let dropped = run(tier, x);
+                let under = dropped.iter().zip(&exact).all(|(d, e)| d <= e);
+                assert!(under, "{what}, X = {x}: {dropped:?} vs {exact:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn ragged_groups_at_the_16_bit_envelope_stay_exact(
+            (mat, mis, open, ext) in (60i32..=1200, -1200i32..=0, -1200i32..=0, -1200i32..=-1),
+            over in 0usize..3,
+            x in 1i16..=i16::MAX,
+            seed in 0u64..1_000_000,
+        ) {
+            let scoring = affine(simple(mat, mis), open, ext);
+            check_envelope(&global(scoring), over, x, seed);
+            check_envelope(&semiglobal(scoring), over, x, seed);
+            check_envelope(&free_end(scoring), over, x, seed);
+            check_envelope(&local(scoring), over, x, seed);
         }
     }
 

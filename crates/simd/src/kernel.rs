@@ -17,6 +17,7 @@ use anyseq_core::kind::{AlignKind, OptRegion};
 use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
 use anyseq_core::score::{Score, NEG_INF};
 use anyseq_core::scoring::{GapModel, MatrixSubst, SimpleSubst, SubstScore};
+use anyseq_seq::PairRef;
 
 /// The 16-bit −∞ sentinel. Large enough below any legitimate
 /// differential score (bounded by `(h+w)·max|step|`, see
@@ -136,6 +137,85 @@ pub struct KernelOpt<const L: usize> {
     pub retired: u32,
 }
 
+/// Where each lane's problem ends in a block. The relaxation reads every
+/// lane's optimum, and X-drop tests every lane, through these; the
+/// defaults are the plain read-out of a block of one shape ([`Uniform`]),
+/// [`LaneEnds`] overrides them for a ragged one.
+pub(crate) trait Ends<const L: usize> {
+    /// Lanes whose last row is row `r` of an `h`-row block.
+    #[inline(always)]
+    fn ending(&self, r: usize, h: usize) -> u32 {
+        u32::MAX * u32::from(r == h)
+    }
+    /// Each lane's cell in its own last column of the row stripe `row`.
+    #[inline(always)]
+    fn edge(&self, row: &[I16s<L>]) -> I16s<L> {
+        row[row.len() - 1]
+    }
+    /// Column-`c` cells `v`, sunk below every live cell in the lanes
+    /// whose problem has no column `c`.
+    #[inline(always)]
+    fn live(&self, _c: usize, v: I16s<L>) -> I16s<L> {
+        v
+    }
+    /// Each lane's maximum over its own columns of the row stripe `row`.
+    #[inline(always)]
+    fn row_max(&self, row: &[I16s<L>]) -> I16s<L> {
+        let cells = row.iter().enumerate().map(|(c, v)| self.live(c, *v));
+        cells.fold(I16s::splat(i16::MIN), I16s::max)
+    }
+}
+
+/// A block of one shape.
+pub(crate) struct Uniform;
+
+impl<const L: usize> Ends<L> for Uniform {}
+
+/// A *ragged* block: each lane's pair padded to the block's largest
+/// `|q|` and `|s|`. Cells past a lane's own extent never feed its live
+/// cells (DP dependencies run down and right), so only the read-out
+/// needs to know where each lane ends.
+pub(crate) struct LaneEnds<const L: usize> {
+    rows: [usize; L],
+    cols: [usize; L],
+    /// `pad[c]`: 0 in the lanes that have column `c`, `i16::MIN` in the
+    /// others. Every cell lies within ±12,000 ([`max_block_extent`]), so
+    /// the sum sinks a padded cell below −20,000 and every live cell.
+    pad: Vec<I16s<L>>,
+}
+
+impl<const L: usize> LaneEnds<L> {
+    /// The extents of the pairs `lanes` picks from `pairs`.
+    pub(crate) fn new(pairs: &[PairRef<'_>], lanes: &[usize; L]) -> LaneEnds<L> {
+        let (rows, cols) = (
+            lanes.map(|k| pairs[k].q.len()),
+            lanes.map(|k| pairs[k].s.len()),
+        );
+        let pad = (0..=cols.into_iter().max().unwrap_or(0))
+            .map(|c| I16s(cols.map(|m| if c <= m { 0 } else { i16::MIN })));
+        LaneEnds {
+            rows,
+            cols,
+            pad: pad.collect(),
+        }
+    }
+}
+
+impl<const L: usize> Ends<L> for LaneEnds<L> {
+    #[inline(always)]
+    fn ending(&self, r: usize, _: usize) -> u32 {
+        (0..L).fold(0, |mask, l| mask | u32::from(self.rows[l] == r) << l)
+    }
+    #[inline(always)]
+    fn edge(&self, row: &[I16s<L>]) -> I16s<L> {
+        I16s(std::array::from_fn(|l| row[self.cols[l]].0[l]))
+    }
+    #[inline(always)]
+    fn live(&self, c: usize, v: I16s<L>) -> I16s<L> {
+        v.sat_add(self.pad[c])
+    }
+}
+
 /// Relaxes a block of `L` independent `h × w` tiles, one per lane,
 /// deriving the per-cell dataflow from `K`'s contract.
 ///
@@ -171,11 +251,14 @@ where
     SS: SimdSubst,
 {
     let tier = Tier::detect();
-    block_kernel_kind_on::<K, G, SS, XDROP, L>(tier, gap, subst, q_rows, s_cols, borders, xdrop)
+    block_kernel_kind_on::<K, G, SS, XDROP, L>(
+        tier, gap, subst, q_rows, s_cols, borders, xdrop, &Uniform,
+    )
 }
 
-/// [`block_kernel_kind`] on an explicit tier — the crate-private seam
-/// the tier-identity tests drive; results are bit-identical on every
+/// [`block_kernel_kind`] on an explicit tier and for a uniform or a
+/// ragged block ([`Ends`]) — the crate-private seam of the batch score
+/// path and the tier-identity tests; results are bit-identical on every
 /// tier.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn block_kernel_kind_on<K, G, SS, const XDROP: bool, const L: usize>(
@@ -186,6 +269,7 @@ pub(crate) fn block_kernel_kind_on<K, G, SS, const XDROP: bool, const L: usize>(
     s_cols: &[[u8; L]],
     borders: &mut BlockBorders<L>,
     xdrop: i16,
+    ends: &impl Ends<L>,
 ) -> KernelOpt<L>
 where
     K: AlignKind,
@@ -207,7 +291,7 @@ where
     );
     tier.run(
         #[inline(always)]
-        || kind_body::<K, G, SS, XDROP, L>(gap, subst, q_rows, s_cols, borders, xdrop),
+        || kind_body::<K, G, SS, XDROP, L>(gap, subst, q_rows, s_cols, borders, xdrop, ends),
     )
 }
 
@@ -222,6 +306,7 @@ fn kind_body<K, G, SS, const XDROP: bool, const L: usize>(
     s_cols: &[[u8; L]],
     borders: &mut BlockBorders<L>,
     xdrop: i16,
+    ends: &impl Ends<L>,
 ) -> KernelOpt<L>
 where
     K: AlignKind,
@@ -247,14 +332,17 @@ where
     let all: u32 = if L >= 32 { u32::MAX } else { (1u32 << L) - 1 };
 
     // Optimum seeds: Border kinds can end on the init stripes at H(0,w)
-    // (H(h,0) is folded in at the end, it sits in the final bottom
+    // (H(h,0) is folded in with the last row, it sits in that row's
     // stripe); Anywhere kinds always have the empty alignment (score 0).
     let mut best = match K::OPT {
         OptRegion::Corner => I16s::splat(SENT16),
-        OptRegion::Border => top_h[w],
+        OptRegion::Border => ends.edge(top_h),
         OptRegion::Anywhere => I16s::splat(0),
     };
+    // `active`: lanes X-drop has not retired; `open`: lanes with rows
+    // still to relax (all of them until a ragged lane's last row).
     let mut active = all;
+    let mut open = all;
     let mut retired = 0u32;
     let mut run_max = I16s::<L>::splat(SENT16);
 
@@ -287,7 +375,7 @@ where
                 hval = hval.maxs(0);
             }
             if XDROP || matches!(K::OPT, OptRegion::Anywhere) {
-                row_max = row_max.max(hval);
+                row_max = row_max.max(ends.live(c + 1, hval));
             }
             diag = up;
             top_h[c + 1] = hval;
@@ -300,38 +388,36 @@ where
         if G::AFFINE {
             left_f[r] = f;
         }
+        let relaxing = active & open;
         match K::OPT {
             OptRegion::Corner => {}
-            // Right-column candidate H(r+1, w).
-            OptRegion::Border => best = top_h[w].max(best).blend(active, best),
-            OptRegion::Anywhere => best = row_max.max(best).blend(active, best),
+            // Each lane's last-column candidate H(r+1, m_l).
+            OptRegion::Border => best = ends.edge(top_h).max(best).blend(relaxing, best),
+            OptRegion::Anywhere => best = row_max.max(best).blend(relaxing, best),
         }
         if XDROP {
-            run_max = run_max.max(row_max).blend(active, run_max);
+            run_max = run_max.max(row_max).blend(relaxing, run_max);
             let cutoff = run_max.sat_adds(xdrop.saturating_neg());
-            let dropped = cutoff.gt_mask(row_max) & active;
-            if dropped != 0 {
-                retired |= dropped;
-                active &= !dropped;
-                if active == 0 {
-                    break;
+            let dropped = cutoff.gt_mask(row_max) & relaxing;
+            retired |= dropped;
+            active &= !dropped;
+        }
+        // Lanes whose last row this was: the corner, or the bottom-row
+        // candidates H(r+1, 0..=w) — the H(r+1, 0) seed included.
+        let ending = ends.ending(r + 1, h);
+        if ending != 0 {
+            match K::OPT {
+                OptRegion::Corner => best = ends.edge(top_h).blend(ending, best),
+                OptRegion::Border => {
+                    best = ends.row_max(top_h).max(best).blend(active & ending, best);
                 }
+                OptRegion::Anywhere => {}
             }
+            open &= !ending;
         }
-    }
-
-    match K::OPT {
-        OptRegion::Corner => best = top_h[w],
-        // Bottom-row candidates H(h, 0..=w) — including the H(h, 0) seed,
-        // which the rolling buffers leave in `top_h[0]` after the last row.
-        OptRegion::Border => {
-            let mut bottom = top_h[0];
-            for c in 1..=w {
-                bottom = bottom.max(top_h[c]);
-            }
-            best = bottom.max(best).blend(active, best);
+        if XDROP && active & open == 0 {
+            break;
         }
-        OptRegion::Anywhere => {}
     }
     KernelOpt { best, retired }
 }
@@ -493,6 +579,7 @@ mod tests {
             &lanes.s_cols,
             &mut borders,
             if XDROP { 12_000 } else { 0 },
+            &Uniform,
         );
         assert_eq!(opt.retired, 0);
         let what = format!(
@@ -627,6 +714,7 @@ mod tests {
                 &lanes.s_cols,
                 &mut borders,
                 6,
+                &Uniform,
             );
             (opt.best.0, opt.retired)
         }
@@ -673,6 +761,7 @@ mod tests {
                     &lanes.s_cols,
                     &mut block,
                     0,
+                    &Uniform,
                 );
                 std::hint::black_box(opt.best.0);
             }

@@ -16,8 +16,9 @@
 //!   schemes past the 16-bit budget fall to the scalar tile kernel
 //!   ([`simd_tiled_score_pass`] is the global score pass on it),
 //! * [`score_batch_simd`] — short-read inter-sequence: one whole
-//!   alignment per lane, bucketed by matrix dimensions (a bucket's
-//!   remainder rides a *partial* lane group),
+//!   alignment per lane, in lane groups cut from the batch sorted by
+//!   matrix dimensions ([`LaneGroups`]; lanes of unequal length are
+//!   padded and read out from their own regions),
 //! * [`align_batch_simd`] — inter-sequence with full tracebacks: a
 //!   banded DP records 2 packed direction bits per lane per cell
 //!   (plus affine extend bits), the band widens adaptively until each

@@ -46,8 +46,8 @@ use anyseq_core::scoring::GapModel;
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
 
-/// Smallest bucket remainder the traceback path runs as a partial lane
-/// group instead of `k` scalar `align_codes` calls. A padded group pays
+/// Smallest run of one shape the traceback path runs as a lane group
+/// instead of `k` scalar `align_codes` calls. A padded group pays
 /// a whole `L`-lane score pass plus banded pass whatever its fill, so
 /// the break-even sits higher than the score path's 2. Measured on
 /// `reads_align`-shaped pairs (150 × 150, global affine, L = 16): one
@@ -109,6 +109,9 @@ pub struct TraceStats {
     /// the knob is off or the kind is corner-optimum; the alignment
     /// path never retires — tracebacks stay exact).
     pub xdrop_retired: u64,
+    /// Cells live lanes of ragged score-path groups relaxed past their
+    /// own pair's extent. Not counted as work: GCUPS counts live cells.
+    pub pad_cells: u64,
 }
 
 impl TraceStats {
@@ -122,6 +125,7 @@ impl TraceStats {
         self.bytes_copied += other.bytes_copied;
         self.max_band = self.max_band.max(other.max_band);
         self.xdrop_retired += other.xdrop_retired;
+        self.pad_cells += other.pad_cells;
     }
 }
 
@@ -493,7 +497,7 @@ where
     G: GapModel,
     SS: SimdSubst,
 {
-    let (n, m) = (pairs[group.lanes[0]].q.len(), pairs[group.lanes[0]].s.len());
+    let (n, m) = group.shape;
 
     // The lane transpose: the only sequence-byte copy on this path
     // (built once per group; band retries reuse it).
@@ -578,7 +582,7 @@ where
 /// than the scalar Hirschberg traceback). X-drop never applies here —
 /// tracebacks are always exact.
 ///
-/// Pairs that cannot ride a lane group (bucket remainders below
+/// Pairs that cannot ride a lane group (runs of one shape shorter than
 /// `ALIGN_MIN_PARTIAL`, empty or oversized sequences) and lanes whose
 /// optimal path escapes the maximum band are aligned by the scalar
 /// `Scheme::align` inside this call — the result is complete either way.
@@ -596,7 +600,9 @@ where
     let gap = *scheme.gap();
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
-    let built = LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL);
+    // Exact-shape groups: the band and the verifying score pass are
+    // sized by the group's shape, which padding would only widen.
+    let built = LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL, 0);
     let scalar = |idx: usize| {
         let p = pairs[idx];
         anyseq_obs::span(Stage::Traceback, || scheme.align_codes(p.q, p.s))
@@ -708,6 +714,35 @@ mod tests {
         }
         assert_eq!(stats.lane_pairs, 32);
         assert_eq!(stats.scalar_pairs, 0);
+    }
+
+    #[test]
+    fn traceback_groups_never_mix_dimensions() {
+        // Two shapes, four pairs each, interleaved: the score path packs
+        // all eight into one ragged 8-lane group, the traceback runs one
+        // group per shape and pads nothing.
+        let mut sim = GenomeSim::new(23);
+        let pairs: Vec<(Seq, Seq)> = (0..8)
+            .map(|k| {
+                let (n, m) = if k % 2 == 0 { (40, 44) } else { (48, 46) };
+                let s = sim.generate(m);
+                let q = sim.mutate(&s.subseq(0..n.min(m)), 0.05);
+                let mut q = q.codes().to_vec();
+                q.resize(n, 1);
+                (Seq::from_codes(q).unwrap(), s)
+            })
+            .collect();
+        let scheme = global(affine(simple(2, -1), -2, -1));
+        let (alns, stats) = run::<_, _, _, 8>(&scheme, &pairs, 1, BandCfg::default());
+        check_all(&scheme, &pairs, &alns);
+        assert_eq!(stats.lane_pairs + stats.band_overflows, 8);
+        assert_eq!(stats.bytes_copied, ((40 + 44) * 8 + (48 + 46) * 8) as u64);
+        assert_eq!(stats.pad_cells, 0);
+        let view = BatchView::from_pairs(&pairs);
+        let (_, ragged) =
+            crate::batch::score_batch_simd_stats::<_, _, _, 8>(&scheme, view.refs(), 1);
+        assert_eq!(ragged.bytes_copied, ((48 + 46) * 8) as u64);
+        assert!(ragged.pad_cells > 0);
     }
 
     /// Fixed-dimension contained-read pairs (substitution-only noise so

@@ -3,7 +3,7 @@
 //!
 //! Simulates Illumina-style 150 bp read pairs (Mason-like) and scores
 //! them three ways — a plain scalar loop and the SIMD batch entry point, then
-//! the engine's `BatchScheduler` with auto dispatch (length binning,
+//! the engine's `BatchScheduler` with auto dispatch (exact-shape order,
 //! worker pool, per-backend stats) — asserting bit-identical results.
 //!
 //! Run: `cargo run --release --example read_batch [pairs] [threads]`

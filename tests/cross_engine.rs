@@ -185,11 +185,8 @@ fn random_batch(lens: &[(usize, usize)], seed: u64) -> Vec<(Seq, Seq)> {
         .collect()
 }
 
-fn scheduler_for(threads: usize, chunk: usize) -> BatchScheduler {
-    BatchScheduler::new(BatchCfg {
-        threads,
-        chunk_pairs: chunk,
-    })
+fn scheduler_for(threads: usize) -> BatchScheduler {
+    BatchScheduler::new(BatchCfg::threads(threads))
 }
 
 /// The engine contract's alignment check: the reported score must be
@@ -208,10 +205,9 @@ proptest! {
 
     #[test]
     fn batch_scheduler_scores_equal_sequential_on_every_backend(
-        lens in prop::collection::vec((1usize..220, 1usize..220), 1..30),
+        lens in prop::collection::vec((1usize..220, 1usize..220), 1..120),
         seed in 0u64..1000,
         threads in 1usize..5,
-        chunk in prop_oneof![Just(3usize), Just(16), Just(512)],
         affine_gaps in prop_oneof![Just(false), Just(true)],
     ) {
         let pairs = random_batch(&lens, seed);
@@ -222,7 +218,7 @@ proptest! {
             SchemeSpec::global_linear(2, -1, -1)
         };
         let expected: Vec<i32> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
-        let sched = scheduler_for(threads, chunk);
+        let sched = scheduler_for(threads);
         for policy in [
             Policy::Auto,
             Policy::Fixed(BackendId::Scalar),
@@ -233,6 +229,10 @@ proptest! {
             let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
             prop_assert_eq!(&run.results, &expected, "policy {:?}", policy);
             prop_assert_eq!(run.stats.pairs as usize, pairs.len());
+            // Past 32 pairs a pool of two or more cuts several units.
+            if threads > 1 && pairs.len() > 32 {
+                prop_assert!(run.stats.units > 1, "policy {:?}", policy);
+            }
         }
     }
 
@@ -256,7 +256,7 @@ proptest! {
             mismatch: -1,
             gap: GapSpec::Affine { open: -2, extend: -1 },
         };
-        let sched = scheduler_for(threads, 8);
+        let sched = scheduler_for(threads);
         for policy in [
             Policy::Auto,
             Policy::Fixed(BackendId::Simd),
@@ -336,7 +336,7 @@ proptest! {
             },
         };
         let expected: Vec<i32> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
-        let sched = scheduler_for(threads, 16);
+        let sched = scheduler_for(threads);
         for policy in [
             Policy::Auto,
             Policy::Fixed(BackendId::Scalar),
@@ -373,7 +373,7 @@ proptest! {
             gap: GapSpec::Linear { gap: -1 },
         };
         let expected: Vec<i32> = pairs.iter().map(|(q, s)| spec.score_scalar(q, s)).collect();
-        let sched = scheduler_for(2, 16);
+        let sched = scheduler_for(2);
         let dispatch = Dispatch::standard(Policy::Fixed(BackendId::Simd));
         let run = sched.try_score_batch(&dispatch, &spec, &view).unwrap();
         prop_assert_eq!(&run.results, &expected);
@@ -412,7 +412,7 @@ proptest! {
             .collect();
         let store_view = store.view(&ids);
         let view = BatchView::from_pairs(&pairs);
-        let sched = scheduler_for(threads, 16);
+        let sched = scheduler_for(threads);
         for policy in [
             Policy::Auto,
             Policy::Fixed(BackendId::Scalar),
@@ -458,7 +458,7 @@ proptest! {
         } else {
             SchemeSpec::global_linear(2, -1, -1)
         };
-        let sched = scheduler_for(threads, 16);
+        let sched = scheduler_for(threads);
         for policy in [
             Policy::Auto,
             Policy::Fixed(BackendId::Scalar),
@@ -521,7 +521,7 @@ proptest! {
         let pairs = random_batch(&lens, seed ^ 0x0c0b);
         let view = BatchView::from_pairs(&pairs);
         let spec = SchemeSpec::global_linear(2, -1, -1);
-        let sched = scheduler_for(2, 16);
+        let sched = scheduler_for(2);
         for backend in [BackendId::Scalar, BackendId::Wavefront] {
             let dispatch = Dispatch::standard(Policy::Fixed(backend));
             let stats = if align {
@@ -572,7 +572,7 @@ proptest! {
         };
         let pairs = vec![(q, s)];
         let view = BatchView::from_pairs(&pairs);
-        let sched = scheduler_for(4, 16);
+        let sched = scheduler_for(4);
         let plain = Dispatch::standard(Policy::Fixed(BackendId::Wavefront));
         let sharded = anyseq_engine::DispatchPolicy::fixed(BackendId::Wavefront)
             .shard_cells(shard_cells)
@@ -636,7 +636,7 @@ fn batch_scheduler_mixes_pooled_and_exclusive_phases() {
 
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
-    let run = scheduler_for(3, 32)
+    let run = scheduler_for(3)
         .try_score_batch(&dispatch, &spec, &view)
         .unwrap();
     for (k, (q, s)) in pairs.iter().enumerate() {
@@ -667,7 +667,7 @@ fn auto_alignment_batches_stay_on_the_simd_path() {
     let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_affine(2, -1, -2, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
-    let run = scheduler_for(4, 64)
+    let run = scheduler_for(4)
         .try_align_batch(&dispatch, &spec, &view)
         .unwrap();
 
@@ -713,7 +713,7 @@ fn auto_alignment_batches_stay_on_the_simd_path() {
 #[test]
 fn auto_nonglobal_batches_stay_on_the_simd_path() {
     // The acceptance bar for the kind-generic kernels: short
-    // SemiGlobal and Local bins under `Policy::Auto` route to the
+    // SemiGlobal and Local reads under `Policy::Auto` route to the
     // SIMD backend for both score and align — no dispatch-level
     // fallback, no kind-capability refusal, lanes carrying the bulk.
     let reference = GenomeSim::new(47).generate(120_000);
@@ -725,7 +725,7 @@ fn auto_nonglobal_batches_stay_on_the_simd_path() {
         .collect();
     let view = BatchView::from_pairs(&pairs);
     let dispatch = Dispatch::standard(Policy::Auto);
-    let sched = scheduler_for(4, 64);
+    let sched = scheduler_for(4);
     for kind in [KindSpec::SemiGlobal, KindSpec::Local] {
         let spec = SchemeSpec {
             kind,
@@ -787,7 +787,7 @@ fn batch_scheduler_stats_account_all_cells() {
     let view = BatchView::from_pairs(&pairs);
     let spec = SchemeSpec::global_linear(2, -1, -1);
     let dispatch = Dispatch::standard(Policy::Auto);
-    let run = scheduler_for(2, 2)
+    let run = scheduler_for(2)
         .try_score_batch(&dispatch, &spec, &view)
         .unwrap();
     let expected_cells: u64 = pairs.iter().map(|(q, s)| (q.len() * s.len()) as u64).sum();

@@ -183,7 +183,7 @@ fn traced_batch_produces_consistent_spans_and_exports() {
     assert_eq!(begins, stats.spans.len());
     assert!(trace.contains("\"coordinator\""));
 
-    // Prometheus: the per-(backend, bin) kernel latency histogram and
+    // Prometheus: the per-(stage, backend) kernel latency histogram and
     // the per-shard cache gauges (published at export time) are present.
     let snapshot = dispatch.metrics_snapshot();
     let text = prometheus_text(&snapshot.expect("observe=true builds a registry"));
