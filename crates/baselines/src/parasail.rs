@@ -19,7 +19,7 @@
 use anyseq_core::alignment::Alignment;
 use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::{AlignKind, Global, OptRegion};
-use anyseq_core::pass::{score_pass, PassOutput};
+use anyseq_core::pass::{lines_pass, score_pass, PassOutput, TileLines};
 use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::{Score, NEG_INF};
@@ -57,11 +57,13 @@ impl ParasailLike {
             open: scheme.gap().open(),
             extend: scheme.gap().extend(),
         };
-        self.pass_impl::<Global, S>(&aff, scheme.subst(), q.codes(), s.codes(), aff.open)
+        self.pass_impl::<Global, S>(&aff, scheme.subst(), q.codes(), s.codes(), aff.open, None)
+            .pass
             .score
     }
 
-    /// Global alignment via Hirschberg over the static-wavefront passes.
+    /// Global alignment through the static-wavefront passes (a leaf's
+    /// kept-lines pass, Hirschberg's half-passes above the leaf budget).
     pub fn align<G, S>(&self, scheme: &Scheme<Global, G, S>, q: &Seq, s: &Seq) -> Alignment
     where
         G: GapModel,
@@ -81,6 +83,8 @@ impl ParasailLike {
         )
     }
 
+    /// A pass of kind `K`; with `edge` set, one that keeps its tile
+    /// lines at most `edge` apart.
     fn pass_impl<K, S>(
         &self,
         gap: &AffineGap,
@@ -88,7 +92,8 @@ impl ParasailLike {
         q: &[u8],
         s: &[u8],
         tb: Score,
-    ) -> PassOutput
+        edge: Option<usize>,
+    ) -> TileLines
     where
         K: AlignKind,
         S: SubstScore,
@@ -96,11 +101,18 @@ impl ParasailLike {
         let n = q.len();
         let m = s.len();
         if n == 0 || m == 0 || n * m < 1 << 22 || self.threads == 1 {
-            return score_pass::<K, AffineGap, S>(gap, subst, q, s, tb);
+            let edge = edge.unwrap_or(usize::MAX);
+            return lines_pass::<K, AffineGap, S>(gap, subst, q, s, tb, edge);
         }
         let mut cfg = ParallelCfg::threads(self.threads).with_tile(self.tile);
         cfg.static_schedule = true;
-        TiledPass::<DiagTiles>::new(cfg).score_pass::<K, AffineGap, S>(gap, subst, q, s, tb)
+        let pass = TiledPass::<DiagTiles>::new(cfg);
+        match edge {
+            Some(edge) => pass.lines::<K, AffineGap, S>(gap, subst, q, s, tb, edge),
+            None => pass
+                .score_pass::<K, AffineGap, S>(gap, subst, q, s, tb)
+                .into(),
+        }
     }
 }
 
@@ -114,9 +126,25 @@ impl<S: SubstScore> HalfPass<AffineGap, S> for ParasailLike {
         tb: Score,
     ) -> PassOutput {
         if matches!(K::OPT, OptRegion::Corner) {
-            self.pass_impl::<K, S>(gap, subst, q, s, tb)
+            self.pass_impl::<K, S>(gap, subst, q, s, tb, None).pass
         } else {
             score_pass::<K, AffineGap, S>(gap, subst, q, s, tb)
+        }
+    }
+
+    fn lines<K: AlignKind>(
+        &self,
+        gap: &AffineGap,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        edge: usize,
+    ) -> TileLines {
+        if matches!(K::OPT, OptRegion::Corner) {
+            self.pass_impl::<K, S>(gap, subst, q, s, tb, Some(edge))
+        } else {
+            lines_pass::<K, AffineGap, S>(gap, subst, q, s, tb, edge)
         }
     }
 }
@@ -268,10 +296,18 @@ mod tests {
         b.tile = 128;
         for tb in [gap.open, 0] {
             let want = score_pass::<Global, _, _>(&gap, &subst, q, s, tb);
-            let got = b.pass_impl::<Global, _>(&gap, &subst, q, s, tb);
+            let got = b.pass_impl::<Global, _>(&gap, &subst, q, s, tb, None).pass;
             assert_eq!((got.score, got.end), (want.score, want.end), "tb {tb}");
             assert_eq!(got.last_h, want.last_h, "last_h, tb {tb}");
             assert_eq!(got.last_e, want.last_e, "last_e, tb {tb}");
+            // A traceback leaf walks the kept lines: the row sweep's.
+            let kept = b.pass_impl::<Global, _>(&gap, &subst, q, s, tb, Some(128));
+            let want = lines_pass::<Global, _, _>(&gap, &subst, q, s, tb, 128);
+            assert_eq!(
+                (kept.rows, kept.cols),
+                (want.rows, want.cols),
+                "lines, tb {tb}"
+            );
         }
     }
 

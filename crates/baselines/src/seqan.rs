@@ -18,7 +18,7 @@
 use anyseq_core::alignment::Alignment;
 use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::{AlignKind, Global, OptRegion};
-use anyseq_core::pass::{score_pass, PassOutput};
+use anyseq_core::pass::{lines_pass, score_pass, PassOutput, TileLines};
 use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
@@ -79,12 +79,13 @@ impl SeqAnLike {
             q.codes(),
             s.codes(),
             scheme.gap().open(),
+            None,
         )
+        .pass
         .score
     }
 
-    /// Global alignment (Hirschberg with SeqAn-like passes and SeqAn-ish
-    /// cutoff).
+    /// Global alignment (SeqAn-like passes, SeqAn-ish cutoff).
     pub fn align<G, SS>(&self, scheme: &Scheme<Global, G, SS>, q: &Seq, s: &Seq) -> Alignment
     where
         G: GapModel,
@@ -122,7 +123,18 @@ impl SeqAnLike {
         })
     }
 
-    fn pass_impl<K, G, SS>(&self, gap: &G, subst: &SS, q: &[u8], s: &[u8], tb: Score) -> PassOutput
+    /// A pass of kind `K`; with `edge` set, one whose border store
+    /// keeps its tile lines, at most `edge` apart.
+    #[allow(clippy::too_many_arguments)]
+    fn pass_impl<K, G, SS>(
+        &self,
+        gap: &G,
+        subst: &SS,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        edge: Option<usize>,
+    ) -> TileLines
     where
         K: AlignKind,
         G: GapModel,
@@ -131,14 +143,19 @@ impl SeqAnLike {
         let n = q.len();
         let m = s.len();
         if n == 0 || m == 0 || n * m < 1 << 22 || self.threads == 1 {
-            return score_pass::<K, G, SS>(gap, subst, q, s, tb);
+            let edge = edge.unwrap_or(usize::MAX);
+            return lines_pass::<K, G, SS>(gap, subst, q, s, tb, edge);
         }
         let tile = self
             .tile
             .min(anyseq_simd::max_block_extent(gap, subst) / 2)
-            .max(16);
+            .max(16)
+            .min(edge.unwrap_or(usize::MAX));
         let grid = TileGrid::new(n, m, tile);
-        let borders = BorderStore::init::<K, G>(&grid, gap, tb);
+        let mut borders = BorderStore::init::<K, G>(&grid, gap, tb);
+        if edge.is_some() {
+            borders = borders.keeping(G::AFFINE);
+        }
 
         // Mutex-deque scheduler (the "different concurrent queue").
         let deps: Vec<AtomicU8> = (0..grid.total())
@@ -228,15 +245,21 @@ impl SeqAnLike {
             }
         });
 
-        let (last_h, last_e) = borders.assemble_last_rows(&grid);
-        finalize::<K, G>(gap, BestCell::empty(), n, m, tb, &last_h, last_e)
+        let (last_h, last_e) = borders.assemble_last_rows();
+        let (rows, mut cols) = borders.take_lines(0);
+        cols.retain(|c| c.j < m);
+        TileLines {
+            pass: finalize::<K, G>(gap, BestCell::empty(), n, m, tb, &last_h, last_e),
+            rows,
+            cols,
+        }
     }
 }
 
 impl<G: GapModel, SS: SimdSubst> HalfPass<G, SS> for SeqAnLike {
     fn pass<K: AlignKind>(&self, gap: &G, subst: &SS, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
         if matches!(K::OPT, OptRegion::Corner) {
-            self.pass_impl::<K, G, SS>(gap, subst, q, s, tb)
+            self.pass_impl::<K, G, SS>(gap, subst, q, s, tb, None).pass
         } else {
             anyseq_wavefront::pass::tiled_score_pass::<K, G, SS>(
                 gap,
@@ -246,6 +269,24 @@ impl<G: GapModel, SS: SimdSubst> HalfPass<G, SS> for SeqAnLike {
                 tb,
                 &anyseq_wavefront::ParallelCfg::threads(self.threads),
             )
+        }
+    }
+
+    fn lines<K: AlignKind>(
+        &self,
+        gap: &G,
+        subst: &SS,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        edge: usize,
+    ) -> TileLines {
+        if matches!(K::OPT, OptRegion::Corner) {
+            self.pass_impl::<K, G, SS>(gap, subst, q, s, tb, Some(edge))
+        } else {
+            let cfg = anyseq_wavefront::ParallelCfg::threads(self.threads);
+            anyseq_wavefront::TiledPass::<ScalarTiles>::new(cfg)
+                .lines::<K, G, SS>(gap, subst, q, s, tb, edge)
         }
     }
 }
@@ -329,8 +370,9 @@ mod tests {
             q.codes(),
             s.codes(),
             scheme.gap().open(),
+            None,
         );
-        assert_eq!(got.score, scheme.score(&q, &s));
+        assert_eq!(got.pass.score, scheme.score(&q, &s));
     }
 
     #[test]
@@ -343,14 +385,14 @@ mod tests {
         let mut b = SeqAnLike::new(4).with_lanes(8);
         b.tile = 64;
         // Call the internal pass directly to bypass the size threshold.
-        let got = b.pass_impl::<Global, _, _>(
-            scheme.gap(),
-            scheme.subst(),
-            q.codes(),
-            s.codes(),
-            scheme.gap().open(),
-        );
-        assert_eq!(got.score, scheme.score(&q, &s));
+        let (gap, subst, q, s) = (scheme.gap(), scheme.subst(), q.codes(), s.codes());
+        let got = b.pass_impl::<Global, _, _>(gap, subst, q, s, gap.open(), None);
+        assert_eq!(got.pass.score, scheme.score_codes(q, s));
+        // Its border store keeps the lines a traceback leaf walks: the
+        // row sweep's, masked-lane tiles included.
+        let kept = b.pass_impl::<Global, _, _>(gap, subst, q, s, gap.open(), Some(64));
+        let want = lines_pass::<Global, _, _>(gap, subst, q, s, gap.open(), 64);
+        assert_eq!((kept.rows, kept.cols), (want.rows, want.cols));
     }
 
     #[test]

@@ -39,10 +39,11 @@
 //! working set: a pass whose DP matrix exceeds CELLS is cut into
 //! subject slabs stitched through border seams — scores and CIGARs
 //! stay bit-identical to the unsharded run. A score keeps one slab's
-//! tile borders resident; each Hirschberg half-pass of an alignment
-//! keeps one slab plus the O(m) last rows it returns. Values below
-//! one 512×512 tile are clamped up; `--shard-cells 0` is rejected
-//! (omit the flag for unsharded execution).
+//! tile borders resident; each pass of an alignment keeps one slab
+//! plus the O(m) last rows it returns, and a traceback leaf's pass
+//! its kept tile lines (bounded by the leaf budget). Values below
+//! 2^18 cells are clamped up; `--shard-cells 0` is rejected (omit the
+//! flag for unsharded execution).
 //! `--cache-mb N` enables the content-hash result cache: repeated
 //! `(scheme, query, subject)` pairs — PCR duplicates, resequenced
 //! reads — are served from an N-MiB LRU instead of re-running the DP,

@@ -1,17 +1,27 @@
-//! Full-matrix global alignment with predecessor traceback — the base
-//! case of the divide-and-conquer traceback (paper §III-A: "recursion on
-//! subsequences is only done if the subsequence sizes exceed a
-//! hardware-specific threshold"; the sub-threshold rectangles land here).
+//! The traceback: one H/E/F state machine that walks an optimal global
+//! path back from `(n, m)` one block at a time, recomputing each block
+//! it enters as a predecessor matrix seeded from kept tile lines
+//! ([`walk`]). With no lines the whole rectangle is one block: that is
+//! [`base_global`], the full-matrix base case of the divide-and-conquer
+//! traceback (paper §III-A: "recursion on subsequences is only done if
+//! the subsequence sizes exceed a hardware-specific threshold"; the
+//! sub-threshold rectangles land here).
 //!
 //! Supports the Myers–Miller boundary gap-open adjustments `tb`/`te`
 //! (vertical gaps touching the top/bottom boundary of the rectangle pay
 //! the adjusted open instead of the scheme's, because the enclosing
 //! recursion has already accounted for the junction): `tb` enters through
 //! the initialization stripes, `te` through the end-state choice.
+//!
+//! A cell's predecessor byte depends only on its inputs — the `H`/`E`/`F`
+//! values of its neighbours — and kept lines hold those values exactly,
+//! so a block seeded from them records the bytes the whole-rectangle
+//! matrix would: a walk through lines emits [`base_global`]'s operations
+//! on the same rectangle, whatever the line spacing.
 
 use crate::alignment::AlignOp;
 use crate::kind::Global;
-use crate::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
+use crate::pass::{init_left_f, init_left_h, init_top_e, init_top_h, ColLine, RowLine};
 use crate::relax::pred;
 use crate::score::{max2, Score};
 use crate::scoring::{GapModel, SubstScore};
@@ -27,7 +37,7 @@ enum St {
 
 /// Globally aligns `q × s` with boundary gap-opens `tb`/`te`, appending
 /// the operations to `ops` (in left-to-right order) and returning the
-/// boundary-adjusted optimal score.
+/// boundary-adjusted optimal score: [`walk`] with no lines.
 ///
 /// Memory: `n·m` predecessor bytes — callers bound the rectangle area
 /// (see `hirschberg::AlignConfig::cutoff_area`).
@@ -44,58 +54,115 @@ where
     G: GapModel,
     S: SubstScore,
 {
+    walk(gap, subst, q, s, tb, te, &[], &[], ops).0
+}
+
+/// The block of the matrix the walk holds predecessors for: rows
+/// `top + 1 ..= top + h`, columns `left + 1 ..= left + w`.
+struct Block {
+    top: usize,
+    left: usize,
+    sink: PredSink,
+    out: TileOut,
+}
+
+/// Globally aligns `q × s` with boundary gap-opens `tb`/`te` (as
+/// [`base_global`]) by walking back from `(n, m)` through the kept
+/// `rows` and `cols` of a pass over the same rectangle with the same
+/// `tb` (ascending, interior: `0 < i < n`, `0 < j < m`).
+///
+/// Whenever the path needs a cell outside the block in hand, the walk
+/// recomputes the block that holds it: from the nearest kept row above
+/// and column to its left (or the rectangle's init stripes) down and
+/// right to the cell itself — never more than one line spacing squared
+/// of predecessor bytes. The `E`/`F` state carries across block
+/// boundaries. Returns the score and the number of blocks recomputed.
+#[allow(clippy::too_many_arguments)]
+pub fn walk<G, S>(
+    gap: &G,
+    subst: &S,
+    q: &[u8],
+    s: &[u8],
+    tb: Score,
+    te: Score,
+    rows: &[RowLine],
+    cols: &[ColLine],
+    ops: &mut Vec<AlignOp>,
+) -> (Score, usize)
+where
+    G: GapModel,
+    S: SubstScore,
+{
     let n = q.len();
     let m = s.len();
 
     // Degenerate rectangles: one pure gap run (or nothing).
     if m == 0 {
-        for _ in 0..n {
-            ops.push(AlignOp::GapS);
-        }
-        return if n == 0 {
+        ops.extend(std::iter::repeat_n(AlignOp::GapS, n));
+        let score = if n == 0 {
             0
         } else {
             // The run touches both boundaries: the better single waiver
             // applies (Myers–Miller's min(tb,te), here in score space).
             max2(tb, te) + (n as Score) * gap.extend()
         };
+        return (score, 0);
     }
     if n == 0 {
-        for _ in 0..m {
-            ops.push(AlignOp::GapQ);
-        }
-        return gap.gap(m);
+        ops.extend(std::iter::repeat_n(AlignOp::GapQ, m));
+        return (gap.gap(m), 0);
     }
 
     let top_h = init_top_h::<Global, G>(gap, m);
     let top_e = init_top_e::<Global, G>(gap, m);
     let left_h = init_left_h::<Global, G>(gap, n, tb);
     let left_f = init_left_f::<G>(n);
-
-    let mut out = TileOut::new();
-    let mut sink = PredSink::new(n, m);
-    relax_tile::<Global, G, S, _>(
-        gap,
-        subst,
-        q,
-        s,
-        (1, 1),
-        (n, m),
-        TileIn {
-            top_h: &top_h,
-            top_e: &top_e,
-            left_h: &left_h,
-            left_f: &left_f,
-        },
-        &mut out,
-        &mut sink,
-    );
+    let mut blk = Block {
+        top: 0,
+        left: 0,
+        sink: PredSink::new(0, 0),
+        out: TileOut::new(),
+    };
+    // Recomputes `blk` as the block whose bottom-right cell is `(i, j)`.
+    let enter = |blk: &mut Block, i: usize, j: usize| {
+        let row = rows[..rows.partition_point(|r| r.i < i)].last();
+        let col = cols[..cols.partition_point(|c| c.j < j)].last();
+        let (top, left) = (row.map_or(0, |r| r.i), col.map_or(0, |c| c.j));
+        let (row_h, row_e, col_h, col_f) = (
+            row.map_or(&top_h[..], |r| &r.h[..]),
+            row.map_or(&top_e[..], |r| &r.e[..]),
+            col.map_or(&left_h[..], |c| &c.h[..]),
+            col.map_or(&left_f[..], |c| &c.f[..]),
+        );
+        let affine = G::AFFINE;
+        blk.sink.reset(i - top, j - left);
+        relax_tile::<Global, G, S, _>(
+            gap,
+            subst,
+            &q[top..i],
+            &s[left..j],
+            (top + 1, left + 1),
+            (n, m),
+            TileIn {
+                top_h: &row_h[left..=j],
+                top_e: if affine { &row_e[left..j] } else { &[] },
+                left_h: &col_h[top..i],
+                left_f: if affine { &col_f[top..i] } else { &[] },
+            },
+            &mut blk.out,
+            &mut blk.sink,
+        );
+        (blk.top, blk.left) = (top, left);
+    };
+    enter(&mut blk, n, m);
+    let mut blocks = 1;
 
     // End-state choice: finishing in a vertical gap that touches the
     // bottom boundary re-prices its open from the scheme's to `te`.
-    let score_h = out.bot_h[m];
+    let w = m - blk.left;
+    let score_h = blk.out.bot_h[w];
     let (mut st, score) = if G::AFFINE {
-        let score_e = out.bot_e[m - 1] - gap.open() + te;
+        let score_e = blk.out.bot_e[w - 1] - gap.open() + te;
         if score_e > score_h {
             (St::E, score_e)
         } else {
@@ -110,38 +177,37 @@ where
     let mut i = n;
     let mut j = m;
     loop {
-        match st {
-            St::H => {
-                if i == 0 {
-                    for _ in 0..j {
-                        rev.push(AlignOp::GapQ);
-                    }
-                    break;
-                }
-                if j == 0 {
-                    for _ in 0..i {
-                        rev.push(AlignOp::GapS);
-                    }
-                    break;
-                }
-                let p = sink.at(i - 1, j - 1);
-                match p & pred::DIR_MASK {
-                    pred::DIAG => {
-                        rev.push(if q[i - 1] == s[j - 1] {
-                            AlignOp::Match
-                        } else {
-                            AlignOp::Mismatch
-                        });
-                        i -= 1;
-                        j -= 1;
-                    }
-                    pred::UP => st = St::E,
-                    pred::LEFT => st = St::F,
-                    _ => unreachable!("global traceback hit a local stop cell"),
-                }
+        if st == St::H {
+            if i == 0 {
+                rev.extend(std::iter::repeat_n(AlignOp::GapQ, j));
+                break;
             }
+            if j == 0 {
+                rev.extend(std::iter::repeat_n(AlignOp::GapS, i));
+                break;
+            }
+        }
+        if i <= blk.top || j <= blk.left {
+            enter(&mut blk, i, j);
+            blocks += 1;
+        }
+        let p = blk.sink.at(i - blk.top - 1, j - blk.left - 1);
+        match st {
+            St::H => match p & pred::DIR_MASK {
+                pred::DIAG => {
+                    rev.push(if q[i - 1] == s[j - 1] {
+                        AlignOp::Match
+                    } else {
+                        AlignOp::Mismatch
+                    });
+                    i -= 1;
+                    j -= 1;
+                }
+                pred::UP => st = St::E,
+                pred::LEFT => st = St::F,
+                _ => unreachable!("global traceback hit a local stop cell"),
+            },
             St::E => {
-                let p = sink.at(i - 1, j - 1);
                 rev.push(AlignOp::GapS);
                 i -= 1;
                 st = if i > 0 && (p & pred::E_EXT) != 0 {
@@ -151,7 +217,6 @@ where
                 };
             }
             St::F => {
-                let p = sink.at(i - 1, j - 1);
                 rev.push(AlignOp::GapQ);
                 j -= 1;
                 st = if j > 0 && (p & pred::F_EXT) != 0 {
@@ -164,7 +229,7 @@ where
     }
     rev.reverse();
     ops.extend_from_slice(&rev);
-    score
+    (score, blocks)
 }
 
 #[cfg(test)]

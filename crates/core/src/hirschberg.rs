@@ -1,17 +1,28 @@
-//! Linear-space traceback: Hirschberg divide-and-conquer with
-//! Myers–Miller affine-gap boundary handling (paper §III-A, ref. \[24\]:
-//! "the traceback procedure can be implemented in linear space ... that
-//! recursively determines optimal midpoints of the DP matrix (at the cost
-//! of at most doubling the amount of computed DP cells)").
+//! Traceback over a global rectangle: a walk through a pass's kept tile
+//! lines, with Hirschberg's divide and conquer above a memory budget
+//! (paper §III-A, ref. \[24\]: "the traceback procedure can be
+//! implemented in linear space ... that recursively determines optimal
+//! midpoints of the DP matrix (at the cost of at most doubling the
+//! amount of computed DP cells)").
 //!
-//! The recursion [`diff`] splits the query at its middle row, runs a
-//! forward and a backward score-only half-pass (both are just
-//! [`crate::pass::score_pass`]), and combines the final rows to find a
-//! column where an optimal path crosses — either in the `H` state or
-//! inside a vertical gap (`E` state), in which case the gap's open cost is
-//! refunded once and two forced gap columns are emitted (Myers–Miller).
-//! Sub-rectangles below [`AlignConfig::cutoff_area`] fall through to the
-//! full-matrix base case with `tb`/`te` boundary adjustments.
+//! [`diff`] sends a rectangle of at most [`AlignConfig::cutoff_area`]
+//! cells to the full-matrix base case, [`base_global`]. A larger one
+//! whose kept lines fit the leaf budget (see [`is_leaf`]) is a *leaf*:
+//! one pass keeps its tile boundaries ([`HalfPass::lines`]) and
+//! [`walk`] traces back through them, recomputing only the blocks the
+//! optimal path crosses — at most `(n + m) · √cutoff_area` cells on top
+//! of the pass, where Hirschberg recomputes about `n · m` — and it
+//! emits [`base_global`]'s operations on the whole rectangle. This is
+//! FastLSA's grid-line traceback (Driga et al., *Algorithmica* 2006)
+//! with one level of lines.
+//!
+//! Only a rectangle over the leaf budget is split: at its middle row,
+//! a forward and a backward score-only half-pass ([`HalfPass::pass`])
+//! are combined to find a column where an optimal path crosses —
+//! either in the `H` state or inside a vertical gap (`E` state), in
+//! which case the gap's open cost is refunded once and two forced gap
+//! columns are emitted (Myers–Miller). The halves recurse with
+//! `tb`/`te` boundary adjustments until they fit.
 //!
 //! Local and semi-global alignments reduce to a global rectangle by
 //! locating the optimum endpoint with a forward pass and the start with a
@@ -28,9 +39,9 @@
 //! alignment's score, so any occurrence would surface as a test failure.
 
 use crate::alignment::{AlignOp, Alignment};
-use crate::fullmatrix::base_global;
+use crate::fullmatrix::{base_global, walk};
 use crate::kind::{AlignKind, Extension, FreeEnd, Global, OptRegion};
-use crate::pass::{score_pass, PassOutput};
+use crate::pass::{lines_pass, score_pass, PassOutput, TileLines};
 use crate::score::Score;
 use crate::scoring::{GapModel, SubstScore};
 
@@ -40,6 +51,8 @@ pub struct AlignConfig {
     /// Rectangles with at most this many cells use the full-matrix base
     /// case (one predecessor byte per cell). The default keeps base-case
     /// memory around 256 KiB — the paper's "hardware-specific threshold".
+    /// It also bounds every block a leaf's walk recomputes, and scales
+    /// the leaf budget (see [`is_leaf`]).
     pub cutoff_area: usize,
 }
 
@@ -52,7 +65,7 @@ impl Default for AlignConfig {
 }
 
 /// A provider of score-only passes — the seam through which execution
-/// backends plug into the divide-and-conquer traceback.
+/// backends plug into the traceback.
 ///
 /// The scalar provider is [`ScalarPass`]; `anyseq-wavefront` supplies a
 /// multithreaded tiled provider, `anyseq-simd` a vectorized one. This is
@@ -61,6 +74,24 @@ impl Default for AlignConfig {
 pub trait HalfPass<G: GapModel, S: SubstScore>: Sync {
     /// Runs a score-only pass of kind `K` (see [`score_pass`]).
     fn pass<K: AlignKind>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput;
+
+    /// Runs the same pass keeping its interior tile boundaries, at most
+    /// `edge` rows and columns apart (see [`lines_pass`]) — the lines a
+    /// leaf walks back through.
+    #[allow(clippy::too_many_arguments)]
+    fn lines<K: AlignKind>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        edge: usize,
+    ) -> TileLines;
+
+    /// Told, after a leaf's walk through lines this provider kept, how
+    /// many blocks it recomputed; providers that count work add it.
+    fn traced(&self, _blocks: usize) {}
 }
 
 /// Single-threaded pass provider.
@@ -72,10 +103,88 @@ impl<G: GapModel, S: SubstScore> HalfPass<G, S> for ScalarPass {
     fn pass<K: AlignKind>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
         score_pass::<K, G, S>(gap, subst, q, s, tb)
     }
+
+    fn lines<K: AlignKind>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        edge: usize,
+    ) -> TileLines {
+        lines_pass::<K, G, S>(gap, subst, q, s, tb, edge)
+    }
+}
+
+/// Line spacing of a leaf: the edge of the largest square block whose
+/// predecessor matrix fits `cutoff_area` bytes.
+pub fn leaf_edge(cutoff_area: usize) -> usize {
+    cutoff_area.isqrt().max(1)
+}
+
+/// Kept-line budget of one leaf, in base-case matrices: lines may hold
+/// `LEAF_LINE_BLOCKS · cutoff_area` bytes.
+const LEAF_LINE_BLOCKS: usize = 16;
+
+/// Whether an `n × m` rectangle is aligned as one leaf, from its shape
+/// and `cutoff_area` alone, so that every provider splits (and so
+/// answers) alike.
+///
+/// The budget: at spacing `e = `[`leaf_edge`]`(cutoff_area)` the kept
+/// lines of a leaf are `⌊(n−1)/e⌋` rows of `2m + 1` scores (`H` and
+/// `E`) and `⌊(m−1)/e⌋` columns of `2n` (`H` and `F`), ≈ `4·n·m/e`
+/// scores of 4 bytes. They may take as many bytes as
+/// `LEAF_LINE_BLOCKS` = 16 base-case predecessor matrices,
+/// `16·cutoff_area`, which admits a square up to `n ≈ cutoff_area^¾`:
+/// at the default 2¹⁸, 4 MiB of lines and squares up to ≈ 11.6 kbp, so
+/// the paper's 9 kbp long-pair case (2.4 MiB at `e = 512`) is one leaf.
+/// Counted for the affine case whatever the gap model. A provider that
+/// keeps lines more finely than `e` holds proportionally more (the
+/// wavefront engine's tiles are smaller than `e`; its
+/// `wavefront.peak_trace_mb` reports what it kept). Beyond the budget,
+/// each Hirschberg split costs one more pass over the rectangle and
+/// halves the lines of each child.
+pub fn is_leaf(n: usize, m: usize, cutoff_area: usize) -> bool {
+    let e = leaf_edge(cutoff_area);
+    let scores = (n.saturating_sub(1) / e).saturating_mul(2 * m + 1)
+        + (m.saturating_sub(1) / e).saturating_mul(2 * n);
+    scores.saturating_mul(std::mem::size_of::<Score>())
+        <= LEAF_LINE_BLOCKS.saturating_mul(cutoff_area)
+}
+
+/// Aligns the leaf `q × s` (boundary opens `tb`, `te`): one pass of
+/// `pass` keeps its lines at the spacing [`leaf_edge`] allows, and
+/// [`walk`] traces back through them. Appends the operations of
+/// [`base_global`] on the same rectangle to `ops`; returns its score.
+#[allow(clippy::too_many_arguments)]
+pub fn leaf<G, S, P>(
+    pass: &P,
+    gap: &G,
+    subst: &S,
+    q: &[u8],
+    s: &[u8],
+    tb: Score,
+    te: Score,
+    cfg: &AlignConfig,
+    ops: &mut Vec<AlignOp>,
+) -> Score
+where
+    G: GapModel,
+    S: SubstScore,
+    P: HalfPass<G, S>,
+{
+    let edge = leaf_edge(cfg.cutoff_area);
+    let lines = pass.lines::<Global>(gap, subst, q, s, tb, edge);
+    let (score, blocks) = walk(gap, subst, q, s, tb, te, &lines.rows, &lines.cols, ops);
+    pass.traced(blocks);
+    score
 }
 
 /// Appends the optimal global alignment of `q × s` (with boundary
 /// vertical-gap opens `tb`, `te`) to `ops`; returns the adjusted score.
+/// The base case, a [`leaf`], or a Hirschberg split into two halves
+/// (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn diff<G, S, P>(
     pass: &P,
@@ -100,6 +209,9 @@ where
     // handles n == 0 / m == 0 directly).
     if n <= 2 || m == 0 || (n + 1).saturating_mul(m + 1) <= cfg.cutoff_area {
         return base_global(gap, subst, q, s, tb, te, ops);
+    }
+    if is_leaf(n, m, cfg.cutoff_area) {
+        return leaf(pass, gap, subst, q, s, tb, te, cfg, ops);
     }
 
     let mid = n / 2;
@@ -292,6 +404,7 @@ where
 mod tests {
     use super::*;
     use crate::kind::{Local, SemiGlobal};
+    use crate::pass::lines_pass;
     use crate::scoring::{simple, AffineGap, LinearGap};
     use anyseq_seq::Seq;
 
@@ -302,6 +415,83 @@ mod tests {
     /// Tiny cutoff to force deep recursion even on small inputs.
     fn deep() -> AlignConfig {
         AlignConfig { cutoff_area: 12 }
+    }
+
+    /// A walk through lines kept at any spacing emits the whole
+    /// rectangle's base-case ops — gap runs that cross block edges in
+    /// the `E` and `F` states included — and the kept-lines pass
+    /// returns the score pass's rows.
+    #[test]
+    fn walks_through_lines_emit_the_base_case_ops() {
+        use anyseq_seq::genome::GenomeSim;
+        let mut sim = GenomeSim::new(5);
+        let a = sim.generate(70);
+        let run = |n: usize| seq(&[b'A'; 64][..n]);
+        // A 9-long insertion and a 7-long deletion in a diverged copy.
+        let mut b = a.codes()[..20].to_vec();
+        b.extend_from_slice(&[3; 9]);
+        b.extend_from_slice(&a.codes()[20..40]);
+        b.extend_from_slice(&a.codes()[47..]);
+        let b = Seq::from_codes(b).unwrap();
+        let subst = simple(2, -1);
+        let pairs = [(&a, &b), (&b, &a), (&a, &run(5)), (&run(1), &a)];
+        let affine = AffineGap {
+            open: -3,
+            extend: -1,
+        };
+        let linear = LinearGap { gap: -1 };
+        macro_rules! check {
+            ($gap:expr) => {{
+                let gap = $gap;
+                for (q, s) in pairs {
+                    let (q, s) = (q.codes(), s.codes());
+                    let whole = score_pass::<Global, _, _>(&gap, &subst, q, s, gap.open());
+                    for (tb, te) in [(gap.open(), gap.open()), (0, gap.open()), (gap.open(), 0)] {
+                        let mut want = Vec::new();
+                        let score = base_global(&gap, &subst, q, s, tb, te, &mut want);
+                        for edge in [1, 2, 3, 4, 7, 16, 1000] {
+                            let lines = lines_pass::<Global, _, _>(&gap, &subst, q, s, tb, edge);
+                            let mut ops = Vec::new();
+                            let got = walk(
+                                &gap,
+                                &subst,
+                                q,
+                                s,
+                                tb,
+                                te,
+                                &lines.rows,
+                                &lines.cols,
+                                &mut ops,
+                            );
+                            let what = format!(
+                                "{gap:?} {}x{} tb {tb} te {te} edge {edge}",
+                                q.len(),
+                                s.len()
+                            );
+                            assert_eq!((got.0, &ops), (score, &want), "{what}");
+                            assert!(got.1 >= 1 && (edge < 1000 || got.1 == 1), "{what}");
+                            if tb == gap.open() {
+                                assert_eq!(lines.pass.last_h, whole.last_h, "{what}");
+                                assert_eq!(lines.pass.last_e, whole.last_e, "{what}");
+                            }
+                        }
+                    }
+                }
+            }};
+        }
+        check!(linear);
+        check!(affine);
+    }
+
+    #[test]
+    fn the_long_pair_is_one_leaf_and_larger_rectangles_split() {
+        let c = AlignConfig::default().cutoff_area;
+        assert!(is_leaf(9_000, 9_000, c));
+        assert!(is_leaf(9_200, 8_800, c));
+        assert!(!is_leaf(12_000, 12_000, c));
+        assert!(is_leaf(6_000, 12_000, c));
+        assert_eq!(leaf_edge(c), 512);
+        assert_eq!(leaf_edge(16), 4);
     }
 
     #[test]

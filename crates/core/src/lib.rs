@@ -14,10 +14,12 @@
 //! * [`relax`] — the single shared cell update (Equations (1), (4), (5)),
 //! * [`tile`] — the tile kernel + border protocol every backend reuses,
 //! * [`pass`] — linear-space score-only passes (also the Hirschberg
-//!   half-pass),
-//! * [`fullmatrix`] — predecessor-matrix base case with Myers–Miller
-//!   boundary costs,
-//! * [`hirschberg`] — linear-space traceback and the kind-specific flows,
+//!   half-pass) and the pass that keeps its tile lines,
+//! * [`fullmatrix`] — the traceback walk: block by block through kept
+//!   tile lines, or over one predecessor matrix (the base case), with
+//!   Myers–Miller boundary costs,
+//! * [`hirschberg`] — where each rectangle goes (base case, leaf walk or
+//!   Hirschberg split) and the kind-specific flows,
 //! * [`scheme`] — the composable user-facing API,
 //! * [`oracle`] — an independent naive implementation for cross-checking.
 //!

@@ -1,12 +1,13 @@
 //! Score-only passes in linear space (paper §III-A: "score-only
 //! computations can be performed in linear space").
 //!
-//! A pass is simply the tile kernel applied to the whole matrix as one
-//! tile with the kind's initialization stripes — there is deliberately no
+//! A pass is simply the tile kernel applied to the matrix tile by tile
+//! with the kind's initialization stripes — there is deliberately no
 //! second implementation of the recurrence. The pass also returns the last
 //! `H`/`E` rows, which is exactly what the Hirschberg combine step needs,
 //! so the same function serves as the half-pass of the divide-and-conquer
-//! traceback.
+//! traceback; on a grid of tiles it can keep the tile boundaries it
+//! crossed ([`lines_pass`]), which the traceback leaf walks back through.
 
 use crate::kind::{AlignKind, OptRegion};
 use crate::relax::BestCell;
@@ -76,8 +77,89 @@ pub fn init_left_f<G: GapModel>(h: usize) -> Vec<Score> {
 /// Runs a score-only pass of kind `K` over `q × s`.
 ///
 /// `tb` is the vertical gap-open score applied at the top boundary; pass
-/// `gap.open()` for a standalone alignment (see [`init_top_e`]).
+/// `gap.open()` for a standalone alignment (see [`init_top_e`]). It is
+/// [`lines_pass`] with one tile, which keeps no lines.
 pub fn score_pass<K, G, S>(gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput
+where
+    K: AlignKind,
+    G: GapModel,
+    S: SubstScore,
+{
+    lines_pass::<K, G, S>(gap, subst, q, s, tb, usize::MAX).pass
+}
+
+/// A kept row of a pass: `H(i, 0..=m)` and `E(i, 1..=m)` (empty for
+/// linear gap models) — the bottom stripes of one tile row, joined.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowLine {
+    /// The row, `1 ≤ i < n`.
+    pub i: usize,
+    /// `H(i, 0..=m)`.
+    pub h: Vec<Score>,
+    /// `E(i, 1..=m)`.
+    pub e: Vec<Score>,
+}
+
+/// A kept column of a pass: `H(1..=n, j)` and `F(1..=n, j)` (empty for
+/// linear gap models) — the right stripes of one tile column, joined.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ColLine {
+    /// The column, `1 ≤ j < m`.
+    pub j: usize,
+    /// `H(1..=n, j)`.
+    pub h: Vec<Score>,
+    /// `F(1..=n, j)`.
+    pub f: Vec<Score>,
+}
+
+/// What a pass that keeps its tile lines returns: everything a
+/// score-only pass returns, plus the interior tile boundaries it
+/// crossed — ascending rows and columns, each spanning the whole
+/// matrix. [`crate::fullmatrix::walk`] traces back through them.
+#[derive(Debug, Clone)]
+pub struct TileLines {
+    /// The score-only result.
+    pub pass: PassOutput,
+    /// Kept rows, ascending in `i`.
+    pub rows: Vec<RowLine>,
+    /// Kept columns, ascending in `j`.
+    pub cols: Vec<ColLine>,
+}
+
+impl From<PassOutput> for TileLines {
+    /// A pass that kept no lines.
+    fn from(pass: PassOutput) -> TileLines {
+        TileLines {
+            pass,
+            rows: Vec::new(),
+            cols: Vec::new(),
+        }
+    }
+}
+
+impl TileLines {
+    /// Score bytes the kept lines hold (the pass's own last rows
+    /// excluded).
+    pub fn bytes(&self) -> usize {
+        let rows: usize = self.rows.iter().map(|r| r.h.len() + r.e.len()).sum();
+        let cols: usize = self.cols.iter().map(|c| c.h.len() + c.f.len()).sum();
+        (rows + cols) * std::mem::size_of::<Score>()
+    }
+}
+
+/// Runs a pass of kind `K` over `q × s` as a row-major loop of
+/// `edge × edge` tiles on one thread, keeping every interior tile
+/// boundary as a [`RowLine`] or [`ColLine`] (`tb` as in
+/// [`score_pass`]). An `edge` of at least `max(n, m)` is one tile and
+/// keeps nothing.
+pub fn lines_pass<K, G, S>(
+    gap: &G,
+    subst: &S,
+    q: &[u8],
+    s: &[u8],
+    tb: Score,
+    edge: usize,
+) -> TileLines
 where
     K: AlignKind,
     G: GapModel,
@@ -115,38 +197,92 @@ where
             end,
             last_h,
             last_e,
-        };
+        }
+        .into();
     }
 
-    let top_h = init_top_h::<K, G>(gap, m);
-    let top_e = init_top_e::<K, G>(gap, m);
-    let left_h = init_left_h::<K, G>(gap, n, tb);
-    let left_f = init_left_f::<G>(n);
-
+    let edge = edge.max(1);
+    let span = |k: usize, len: usize| (k * edge + 1, (k * edge).saturating_add(edge).min(len));
+    let (nt, mt) = (n.div_ceil(edge), m.div_ceil(edge));
+    // `h_row`/`e_row` hold the bottom stripes of the tile row last
+    // finished, joined: row 0's init stripes at first.
+    let mut h_row = init_top_h::<K, G>(gap, m);
+    let mut e_row = init_top_e::<K, G>(gap, m);
+    let left_h0 = init_left_h::<K, G>(gap, n, tb);
+    let left_f0 = init_left_f::<G>(n);
+    let mut rows = Vec::with_capacity(nt - 1);
+    let mut cols: Vec<ColLine> = (1..mt)
+        .map(|tj| ColLine {
+            j: tj * edge,
+            ..ColLine::default()
+        })
+        .collect();
+    let (mut left_h, mut left_f) = (Vec::new(), Vec::new());
     let mut out = TileOut::new();
-    relax_tile::<K, G, S, _>(
-        gap,
-        subst,
-        q,
-        s,
-        (1, 1),
-        (n, m),
-        TileIn {
-            top_h: &top_h,
-            top_e: &top_e,
-            left_h: &left_h,
-            left_f: &left_f,
-        },
-        &mut out,
-        &mut NoSink,
-    );
+    let mut best = BestCell::empty();
+    for ti in 0..nt {
+        let (i0, i1) = span(ti, n);
+        left_h.clear();
+        left_h.extend_from_slice(&left_h0[i0 - 1..i1]);
+        left_f.clear();
+        if G::AFFINE {
+            left_f.extend_from_slice(&left_f0[i0 - 1..i1]);
+        }
+        // `H(i0 − 1, j0 − 1)`: the previous tile's write-back replaced
+        // it in `h_row` by `H(i1, j0 − 1)`.
+        let mut corner = h_row[0];
+        for tj in 0..mt {
+            let (j0, j1) = span(tj, m);
+            let next_corner = h_row[j1];
+            h_row[j0 - 1] = corner;
+            relax_tile::<K, G, S, _>(
+                gap,
+                subst,
+                &q[i0 - 1..i1],
+                &s[j0 - 1..j1],
+                (i0, j0),
+                (n, m),
+                TileIn {
+                    top_h: &h_row[j0 - 1..=j1],
+                    top_e: if G::AFFINE { &e_row[j0 - 1..j1] } else { &[] },
+                    left_h: &left_h,
+                    left_f: &left_f,
+                },
+                &mut out,
+                &mut NoSink,
+            );
+            best.merge(&out.best);
+            h_row[j0 - 1..=j1].copy_from_slice(&out.bot_h);
+            if G::AFFINE {
+                e_row[j0 - 1..j1].copy_from_slice(&out.bot_e);
+            }
+            std::mem::swap(&mut left_h, &mut out.right_h);
+            std::mem::swap(&mut left_f, &mut out.right_f);
+            if let Some(col) = cols.get_mut(tj) {
+                col.h.extend_from_slice(&left_h);
+                col.f.extend_from_slice(&left_f);
+            }
+            corner = next_corner;
+        }
+        if ti + 1 < nt {
+            rows.push(RowLine {
+                i: i1,
+                h: h_row.clone(),
+                e: e_row.clone(),
+            });
+        }
+    }
 
-    let (score, end) = finalize_score::<K, G>(gap, out.best, n, m, tb, out.bot_h[m]);
-    PassOutput {
-        score,
-        end,
-        last_h: out.bot_h,
-        last_e: out.bot_e,
+    let (score, end) = finalize_score::<K, G>(gap, best, n, m, tb, h_row[m]);
+    TileLines {
+        pass: PassOutput {
+            score,
+            end,
+            last_h: h_row,
+            last_e: e_row,
+        },
+        rows,
+        cols,
     }
 }
 

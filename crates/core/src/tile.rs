@@ -69,6 +69,14 @@ impl PredSink {
         }
     }
 
+    /// Re-shapes the storage for an `h × w` tile, reusing its
+    /// allocation (stale bytes stay until [`relax_tile`] overwrites
+    /// every cell).
+    pub fn reset(&mut self, h: usize, w: usize) {
+        self.data.resize(h * w, 0);
+        self.width = w;
+    }
+
     /// The predecessor byte at tile-local `(r, c)`.
     #[inline(always)]
     pub fn at(&self, r: usize, c: usize) -> u8 {

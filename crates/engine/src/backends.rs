@@ -238,20 +238,25 @@ impl Engine for SimdEngine {
 /// `wavefront.lane_tiles` / `wavefront.scalar_tiles` (tiles relaxed on
 /// vector lanes / by the scalar tile kernel — which kernel ran),
 /// `wavefront.shards` (subject slabs run by passes the shard budget
-/// cut — every Hirschberg half-pass over the budget counts its own),
+/// cut — every pass of an alignment over the budget counts its own),
 /// `wavefront.border_bytes` (boundary-stripe bytes the tiled passes
 /// kept resident, summed over pairs — the O(n + m) working set that
-/// replaces an O(n·m) matrix), and `wavefront.peak_shard_mb` (high
+/// replaces an O(n·m) matrix), `wavefront.peak_shard_mb` (high
 /// water mark of the resident border + seam working set of sharded
-/// executions, in MiB — the number the shard budget bounds). Drained
-/// by the scheduler after each unit like the SIMD band counters.
+/// executions, in MiB — the number the shard budget bounds),
+/// `wavefront.trace_tiles` (path blocks traceback walks recomputed
+/// through kept tile lines) and `wavefront.peak_trace_mb` (high water
+/// mark of one pass's kept lines, in MiB — the number the leaf budget
+/// of `anyseq_core::hirschberg::is_leaf` bounds). Drained by the
+/// scheduler after each unit like the SIMD band counters.
 #[derive(Debug, Default)]
 pub struct WavefrontEngine {
     /// Shard budget in DP cells: pairs larger than this run their
-    /// tiled passes (including every Hirschberg half-pass of an
-    /// alignment) as a chain of subject slabs with seam hand-off. A
-    /// score keeps one slab's borders resident; a half-pass keeps one
-    /// slab plus the `O(m)` last rows it returns. 0 disables sharding.
+    /// tiled passes (including every pass of an alignment) as a chain
+    /// of subject slabs with seam hand-off. A score keeps one slab's
+    /// borders resident; an alignment's pass keeps one slab plus the
+    /// `O(m)` last rows it returns, and a traceback leaf's pass its
+    /// kept lines too. 0 disables sharding.
     pub shard_cells: u64,
     /// Per-unit DP-cell refusal bound; `None` = unbounded.
     pub max_unit_cells: Option<u64>,
@@ -261,14 +266,31 @@ pub struct WavefrontEngine {
     shards: AtomicU64,
     border_bytes: AtomicU64,
     peak_shard_bytes: AtomicU64,
+    trace_tiles: AtomicU64,
+    peak_trace_bytes: AtomicU64,
 }
 
 /// The engine's instantiation of the tiled pass: the lane kernel.
 type LanePass = TiledPass<LaneTiles<SIMD_LANES>>;
 
-/// Tile edge of the DP grid ([`MIN_SHARD_CELLS`](crate::MIN_SHARD_CELLS)
-/// is one such tile).
-const TILE: usize = 512;
+/// Tile edge of the DP grid, and so the spacing of the lines a
+/// traceback leaf keeps, chosen from a measured curve: one 9 kbp pair
+/// at 2 % divergence, global affine (2, −1, −2, −1), `LanePass` at one
+/// thread on a 2-vCPU AVX2 host; ranges are the medians of three
+/// interleaved runs of 5–11 reps each.
+///
+/// | tile edge | 128 | 192 | 256 | 384 | 512 |
+/// |---|---|---|---|---|---|
+/// | score ms | 21.8–26.2 | 24.6–28.9 | **19.2–23.7** | 25.8–39.8 | 34.5–40.8 |
+/// | align ms | 35.2–42.1 | 33.9–42.4 | **29.9–36.7** | 39.8–56.8 | 52.6–60.4 |
+/// | lane / scalar tiles | 4898 / 143 | 2114 / 95 | 1223 / 73 | 527 / 49 | 287 / 37 |
+/// | path blocks / kept lines | 139 / 9.6 MiB | 92 / 6.3 MiB | 70 / 4.8 MiB | 46 / 3.2 MiB | 34 / 2.3 MiB |
+///
+/// Smaller tiles leave fewer cells on ragged scalar edge tiles and
+/// shrink the path blocks the walk recomputes (`(n + m) · tile` cells),
+/// but cost more border traffic and more kept lines (`∝ n·m / tile`);
+/// 256 is the minimum of both the score and the align.
+pub(crate) const TILE: usize = 256;
 
 impl WavefrontEngine {
     /// Same engine with a shard budget (0 disables sharding).
@@ -357,6 +379,10 @@ impl WavefrontEngine {
         self.lane_tiles.fetch_add(lane, Ordering::Relaxed);
         self.scalar_tiles.fetch_add(scalar, Ordering::Relaxed);
         self.shards.fetch_add(pass.shard_count(), Ordering::Relaxed);
+        let (traced, line_bytes) = pass.trace_counts();
+        self.trace_tiles.fetch_add(traced, Ordering::Relaxed);
+        self.peak_trace_bytes
+            .fetch_max(line_bytes, Ordering::Relaxed);
         Ok(out)
     }
 }
@@ -404,6 +430,7 @@ impl Engine for WavefrontEngine {
             ("wavefront.scalar_tiles", &self.scalar_tiles),
             ("wavefront.shards", &self.shards),
             ("wavefront.border_bytes", &self.border_bytes),
+            ("wavefront.trace_tiles", &self.trace_tiles),
         ]
         .into_iter()
         .filter_map(|(name, cell)| {
@@ -411,11 +438,16 @@ impl Engine for WavefrontEngine {
             (v != 0).then_some((name, v))
         })
         .collect();
-        let peak = self.peak_shard_bytes.swap(0, Ordering::Relaxed);
-        if peak != 0 {
-            // Reported in MiB (rounded up) — `.peak_` counters merge by
-            // maximum in `BatchStats`, not by sum.
-            out.push(("wavefront.peak_shard_mb", peak.div_ceil(1 << 20).max(1)));
+        for (name, cell) in [
+            ("wavefront.peak_shard_mb", &self.peak_shard_bytes),
+            ("wavefront.peak_trace_mb", &self.peak_trace_bytes),
+        ] {
+            let peak = cell.swap(0, Ordering::Relaxed);
+            if peak != 0 {
+                // Reported in MiB (rounded up) — `.peak_` counters merge
+                // by maximum in `BatchStats`, not by sum.
+                out.push((name, peak.div_ceil(1 << 20)));
+            }
         }
         out
     }
@@ -516,7 +548,8 @@ mod tests {
         let mut sim = GenomeSim::new(6);
         let q = sim.generate(6_144);
         let s = sim.mutate(&q, 0.05);
-        // Same length as `q`: 12 × 12 full 512-tiles.
+        // Same length as `q`: a grid of full tiles, `side × side`.
+        let side = (6_144 / TILE) as u64;
         let s = Seq::from_codes(
             s.codes()
                 .iter()
@@ -541,13 +574,13 @@ mod tests {
         let global = SchemeSpec::global_affine(2, -1, -2, -1);
         // Whole anti-diagonals ride the lanes; the two corner tiles have
         // no partner.
-        assert_eq!(tiles(&global), (142, 2));
+        assert_eq!(tiles(&global), (side * side - 2, 2));
         // Lanes report scores, not cell positions: a kind whose optimum
         // needs one runs every tile on the scalar kernel.
-        assert_eq!(tiles(&global.with_kind(KindSpec::Local)), (0, 144));
+        assert_eq!(tiles(&global.with_kind(KindSpec::Local)), (0, side * side));
 
-        // A mid-size alignment: with no row-sweep leaf, the first
-        // split's 1,024-row half-passes pair equal-shape tiles on lanes.
+        // A mid-size alignment: its traceback leaf's kept-lines pass
+        // pairs equal-shape tiles on lanes.
         let q = sim.generate(2_048);
         let pairs = [(q.clone(), sim.mutate(&q, 0.05))];
         let engine = WavefrontEngine::default();

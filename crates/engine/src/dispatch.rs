@@ -74,10 +74,12 @@ pub enum Policy {
 /// stops helping.
 pub const AUTO_WAVEFRONT_MIN_CELLS: u64 = 1 << 22;
 
-/// Smallest meaningful shard budget: one default 512×512 wavefront
-/// tile. A smaller budget would cut slabs thinner than a single tile,
-/// all scheduling overhead and no memory win, so
-/// [`DispatchPolicy::shard_cells`] clamps nonzero requests up to this.
+/// Smallest meaningful shard budget: 2¹⁸ cells, the area of one
+/// 512×512 tile of `ParallelCfg`'s default edge (four of the
+/// wavefront engine's 256×256 tiles). Below it a slab costs its
+/// grid, border store and seam hand-off for next to no memory saved,
+/// so [`DispatchPolicy::shard_cells`] clamps nonzero requests up to
+/// this.
 pub const MIN_SHARD_CELLS: u64 = 1 << 18;
 
 /// Builder for a [`Dispatch`]: selection policy plus the tuning knobs
@@ -163,15 +165,15 @@ impl DispatchPolicy {
     /// pairs: its tiled pass runs any pass whose DP matrix exceeds
     /// `cells` as a chain of subject slabs stitched through seam
     /// frontiers, however long the subject. A score then keeps one
-    /// slab's borders and grid resident; each Hirschberg half-pass of
-    /// an alignment keeps one slab plus the `O(m)` last rows it
-    /// returns. Scores and CIGARs stay bit-identical to the unsharded
-    /// run.
+    /// slab's borders and grid resident; each pass of an alignment
+    /// keeps one slab plus the `O(m)` last rows it returns — and a
+    /// traceback leaf's pass its kept tile lines, which the leaf budget
+    /// bounds, not this one. Scores and CIGARs stay bit-identical to
+    /// the unsharded run.
     ///
-    /// Degenerate values are clamped to [`MIN_SHARD_CELLS`] (one
-    /// default wavefront tile): a budget below one tile would slice
-    /// slabs thinner than the kernel's own granularity — pure
-    /// scheduling overhead with no memory benefit — mirroring the
+    /// Degenerate values are clamped to [`MIN_SHARD_CELLS`]: a smaller
+    /// budget buys next to no memory for its per-slab overhead —
+    /// mirroring the
     /// [`DispatchPolicy::xdrop`] clamp. "Off" is expressed by not
     /// calling the knob (or passing 0); the CLI rejects
     /// `--shard-cells 0` outright.

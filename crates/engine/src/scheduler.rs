@@ -1189,6 +1189,53 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "aligns 9 and 12 kbp pairs: minutes unoptimised; CI runs it under --release"
+    )]
+    fn kept_trace_lines_stay_within_the_leaf_budget() {
+        use crate::dispatch::DispatchPolicy;
+        use anyseq_core::hirschberg::{is_leaf, leaf_edge, AlignConfig};
+        // MiB of the lines a wavefront pass keeps over an `n × m`
+        // rectangle (H + E rows, H + F columns, at the engine's tile).
+        let tile = crate::backends::TILE;
+        let lines_mb = |n: usize, m: usize| {
+            let scores = (n - 1) / tile * (2 * m + 1) + (m - 1) / tile * 2 * n;
+            (scores * 4).div_ceil(1 << 20) as u64
+        };
+        // A leaf's lines fit 16 base-case matrices at the leaf spacing;
+        // the engine's finer tiles keep proportionally more.
+        let cutoff = AlignConfig::default().cutoff_area;
+        let bound = (16 * cutoff * leaf_edge(cutoff).div_ceil(tile)).div_ceil(1 << 20) as u64;
+        let mut sim = GenomeSim::new(34);
+        let spec = SchemeSpec::global_affine(2, -1, -2, -1);
+        let policy = DispatchPolicy::fixed(BackendId::Wavefront).standard();
+        // The 9 kbp long pair is one leaf; a 12 kbp pair is over the
+        // budget, so Hirschberg splits it first and its halves are
+        // leaves. Whole, its lines would break the bound.
+        let long = sim.generate(9_000);
+        let longer = sim.generate(12_000);
+        assert!(is_leaf(9_000, 9_000, cutoff) && !is_leaf(12_000, 12_000, cutoff));
+        assert!(lines_mb(12_000, 12_000) > bound, "{bound} MiB");
+        for q in [long, longer] {
+            let pairs = vec![(q.clone(), sim.mutate(&q, 0.02))];
+            let view = BatchView::from_pairs(&pairs);
+            let run = scheduler(1).try_align_batch(&policy, &spec, &view).unwrap();
+            let (q, s) = &pairs[0];
+            assert_eq!(run.results[0].score, spec.score_scalar(q, s));
+            let counters = &run.stats.counters;
+            assert!(counters["wavefront.trace_tiles"] > 0, "{counters:?}");
+            let peak = counters["wavefront.peak_trace_mb"];
+            assert!(
+                peak <= bound,
+                "{} bp: {peak} MiB of lines, bound {bound}",
+                q.len()
+            );
+            assert!(peak <= lines_mb(q.len(), s.len()), "{counters:?}");
+        }
+    }
+
+    #[test]
     fn unit_too_large_is_a_terminal_refusal() {
         use crate::backends::WavefrontEngine;
         let mut sim = GenomeSim::new(7);

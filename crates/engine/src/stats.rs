@@ -11,6 +11,15 @@ use std::collections::BTreeMap;
 /// of a score-only pass — the convention the paper's Fig. 5 traceback
 /// rows use). Shared so the engine's `BatchStats` and the bench
 /// binaries count traceback work identically.
+///
+/// It is a counting convention, not a measurement: the wavefront
+/// backend no longer recomputes 2×. A pair within the leaf budget
+/// (`anyseq_core::hirschberg::is_leaf`) runs one pass that keeps its
+/// tile lines, then recomputes only the blocks on the optimal path —
+/// at most `(n + m) · tile` cells, 2.3M (≈ 3 % of the pass) on a 9 kbp
+/// pair at 256-cell tiles (`wavefront.trace_tiles` counts them). The value
+/// stays 2 so that GCUPS stay comparable with the paper's figures and
+/// with earlier reports.
 pub const TRACEBACK_CELL_FACTOR: u64 = 2;
 
 /// DP cells relaxed by a score-only pass over one pair: `|q| · |s|`.

@@ -13,7 +13,9 @@ use crate::mem::MemTracker;
 use anyseq_core::alignment::Alignment;
 use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::{AlignKind, Global, OptRegion};
-use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h, score_pass, PassOutput};
+use anyseq_core::pass::{
+    init_left_f, init_left_h, init_top_e, init_top_h, lines_pass, score_pass, PassOutput, TileLines,
+};
 use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
@@ -203,6 +205,13 @@ impl GpuAligner {
         G: GapModel,
         S: SubstScore,
     {
+        self.on_device(|pass| pass.score_pass::<K, G, S>(gap, subst, q, s, tb))
+    }
+
+    /// Runs `f` on a fresh tiled pass whose tiles the simulated device
+    /// relaxes, and returns what it returned with the modeled stats of
+    /// what the device ran.
+    fn on_device<T>(&self, f: impl FnOnce(&TiledPass<GpuTiles<'_>>) -> T) -> (T, GpuStats) {
         // One host thread; the static schedule's barrier after each
         // tile diagonal is the boundary between two launches.
         let mut cfg = ParallelCfg::threads(1).with_tile(self.tile);
@@ -213,7 +222,7 @@ impl GpuAligner {
             account: Mutex::default(),
         };
         let pass = TiledPass::with_kernel(cfg, kernel);
-        let out = pass.score_pass::<K, G, S>(gap, subst, q, s, tb);
+        let out = f(&pass);
         (out, pass.kernel.stats())
     }
 
@@ -308,10 +317,12 @@ impl GpuAligner {
         (scores, stats)
     }
 
-    /// Global alignment with traceback: the Hirschberg recursion runs on
-    /// the host, every score pass on the simulated device (the paper's
-    /// GPU traceback measurements cover exactly this division of labor).
-    /// The stats are those of all the passes the device ran.
+    /// Global alignment with traceback: the traceback runs on the host,
+    /// every pass on the simulated device — for a pair within the leaf
+    /// budget one pass that keeps its tile lines, then the host walks
+    /// back through the blocks on the path (the paper's GPU traceback
+    /// measurements cover the same division of labor). The stats are
+    /// those of all the passes the device ran.
     pub fn align<G, S>(
         &self,
         scheme: &Scheme<Global, G, S>,
@@ -338,8 +349,8 @@ impl GpuAligner {
     }
 }
 
-/// Hirschberg's half-passes on the simulated device, summing the
-/// modeled statistics of the passes it runs there.
+/// The traceback's passes on the simulated device, summing the modeled
+/// statistics of the passes it runs there.
 struct DevicePasses<'a> {
     gpu: &'a GpuAligner,
     stats: Mutex<GpuStats>,
@@ -355,6 +366,25 @@ impl<G: GapModel, S: SubstScore> HalfPass<G, S> for DevicePasses<'_> {
         let (out, stats) = self.gpu.run_pass::<K, G, S>(gap, subst, q, s, tb);
         self.stats.lock().merge(&stats);
         out
+    }
+
+    fn lines<K: AlignKind>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        edge: usize,
+    ) -> TileLines {
+        if q.len().saturating_mul(s.len()) < 1 << 16 {
+            return lines_pass::<K, G, S>(gap, subst, q, s, tb, edge);
+        }
+        let (lines, stats) = self
+            .gpu
+            .on_device(|pass| pass.lines::<K, G, S>(gap, subst, q, s, tb, edge));
+        self.stats.lock().merge(&stats);
+        lines
     }
 }
 
@@ -506,15 +536,18 @@ mod tests {
                 aff_run.stats,
                 stats(9_099_000, 1_371_796.0, 38_772, 23, 144, 319_878, 3396),
             ),
+            // The pair is one traceback leaf: the device runs one pass
+            // that keeps its tile lines, priced as the score pass, and
+            // the host walks back through the blocks on the path.
             (
                 "align linear",
                 lin_aln_stats,
-                stats(15_923_250, 4_708_100.0, 37_292, 100, 268, 564_480, 2372),
+                stats(9_099_000, 1_146_988.0, 20_652, 23, 144, 319_878, 2372),
             ),
             (
                 "align affine",
                 aff_aln_stats,
-                stats(15_923_250, 5_589_584.0, 69_992, 100, 268, 564_480, 3396),
+                stats(9_099_000, 1_371_796.0, 38_772, 23, 144, 319_878, 3396),
             ),
         ] {
             assert_eq!(got, want, "{what}");
@@ -533,7 +566,7 @@ mod tests {
         assert_eq!(aln.score, scheme.score(&q, &s));
         aln.validate::<Global, _, _>(&q, &s, scheme.gap(), scheme.subst())
             .unwrap();
-        // Traceback recomputes ~2x the cells of a score-only pass.
+        // The device runs one pass over the pair (a traceback leaf).
         assert!(stats.cells as usize >= q.len() * s.len());
     }
 

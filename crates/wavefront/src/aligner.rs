@@ -1,27 +1,46 @@
 //! Parallel alignment entry points: [`TiledPass`] as the [`HalfPass`]
-//! provider (so the Hirschberg recursion's dominant passes run tiled,
-//! on whichever kernel the pass was built with), plus an extension
-//! trait grafting `score_parallel` / `align_parallel` onto [`Scheme`].
+//! provider (so a traceback leaf's kept-lines pass and any Hirschberg
+//! half-pass run tiled, on whichever kernel the pass was built with),
+//! plus an extension trait grafting `score_parallel` / `align_parallel`
+//! onto [`Scheme`].
 
 use crate::pass::{ParallelCfg, ScalarTiles, TileKernel, TiledPass};
 use anyseq_core::alignment::Alignment;
 use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::AlignKind;
-use anyseq_core::pass::PassOutput;
+use anyseq_core::pass::{PassOutput, TileLines};
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
 use anyseq_seq::Seq;
+use std::sync::atomic::Ordering;
 
 impl<G: GapModel, S: SubstScore, Kn: TileKernel<S>> HalfPass<G, S> for TiledPass<Kn> {
     fn pass<K: AlignKind>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
         self.score_pass::<K, G, S>(gap, subst, q, s, tb)
     }
+
+    fn lines<K: AlignKind>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        edge: usize,
+    ) -> TileLines {
+        TiledPass::lines::<K, G, S>(self, gap, subst, q, s, tb, edge)
+    }
+
+    fn traced(&self, blocks: usize) {
+        self.trace_tiles.fetch_add(blocks as u64, Ordering::Relaxed);
+    }
 }
 
 impl<Kn> TiledPass<Kn> {
-    /// Full traceback for one pair: Hirschberg with this pass as every
-    /// half-pass.
+    /// Full traceback for one pair, with this pass as every pass the
+    /// traceback runs: a leaf's kept-lines pass and, above the leaf
+    /// budget, Hirschberg's half-passes.
     pub fn align<K, G, S>(&self, scheme: &Scheme<K, G, S>, q: &[u8], s: &[u8]) -> Alignment
     where
         K: AlignKind,
@@ -45,7 +64,7 @@ pub trait ParallelExt {
     fn score_parallel(&self, q: &Seq, s: &Seq, cfg: &ParallelCfg) -> Score {
         self.score_parallel_codes(q.codes(), s.codes(), cfg)
     }
-    /// Full traceback with multithreaded Hirschberg passes.
+    /// Full traceback with multithreaded passes (see [`TiledPass::align`]).
     fn align_parallel(&self, q: &Seq, s: &Seq, cfg: &ParallelCfg) -> Alignment {
         self.align_parallel_codes(q.codes(), s.codes(), cfg)
     }

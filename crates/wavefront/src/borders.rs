@@ -10,10 +10,18 @@
 //! consumer alive at any time, so the per-slot mutexes are uncontended —
 //! they exist to keep the code `unsafe`-free, costing two lock/unlock
 //! pairs per tile (negligible against the `O(tile²)` relaxation work).
+//!
+//! In keep mode (chosen at construction, [`BorderStore::keeping`]) the
+//! store also copies every stripe a tile publishes into the line of its
+//! tile boundary — a row line per tile row, a column line per tile
+//! column — which the traceback walks back through
+//! (`anyseq_core::fullmatrix::walk`). That costs `O(n·m / tile)` bytes
+//! instead of `O(n + m)`; the caller bounds it.
 
 use crate::grid::{TileGrid, TileId};
 use crate::shard::ShardSeam;
 use anyseq_core::kind::AlignKind;
+use anyseq_core::pass::{ColLine, RowLine};
 use anyseq_core::score::{Score, NEG_INF};
 use anyseq_core::scoring::GapModel;
 use parking_lot::Mutex;
@@ -36,12 +44,40 @@ pub struct VStripe {
     pub f: Vec<Score>,
 }
 
+/// A stripe slot, and whether a tile has taken its stripe and not yet
+/// published one back (the first of the tile's two exchanges).
+#[derive(Default)]
+struct Slot<T> {
+    stripe: T,
+    out: bool,
+}
+
 /// All live boundary stripes of one in-flight tiled pass.
 pub struct BorderStore {
+    grid: TileGrid,
     /// Per tile column: the stripe crossing its top edge frontier.
-    col: Vec<Mutex<HStripe>>,
+    col: Vec<Mutex<Slot<HStripe>>>,
     /// Per tile row: the stripe crossing its left edge frontier.
-    row: Vec<Mutex<VStripe>>,
+    row: Vec<Mutex<Slot<VStripe>>>,
+    /// Keep mode: per tile row but the last, its joined bottom stripes
+    /// (`width + 1` `H`, `width` `E`); per tile column, its joined right
+    /// stripes (`n` `H`, `n` `F`). Empty otherwise.
+    kept_rows: Vec<Mutex<HStripe>>,
+    kept_cols: Vec<Mutex<VStripe>>,
+}
+
+/// Copies `src` into `dst` from index `at` (nothing for an empty
+/// `src`: a linear model's `E`/`F` stripes).
+fn copy_at(dst: &mut [Score], at: usize, src: &[Score]) {
+    if !src.is_empty() {
+        dst[at..at + src.len()].copy_from_slice(src);
+    }
+}
+
+impl<T> From<T> for Slot<T> {
+    fn from(stripe: T) -> Slot<T> {
+        Slot { stripe, out: false }
+    }
 }
 
 impl BorderStore {
@@ -71,7 +107,7 @@ impl BorderStore {
             .map(|tj| {
                 let (j0, w) = grid.cols(tj as u32);
                 let a0 = col_offset + j0; // absolute first column of the tile
-                Mutex::new(HStripe {
+                Mutex::new(Slot::from(HStripe {
                     h: (a0 - 1..a0 + w).map(|j| K::h_init(gap, j)).collect(),
                     e: if G::AFFINE {
                         (a0..a0 + w)
@@ -80,13 +116,13 @@ impl BorderStore {
                     } else {
                         Vec::new()
                     },
-                })
+                }))
             })
             .collect();
         let row = (0..grid.nt)
             .map(|ti| {
                 let (i0, h) = grid.rows(ti as u32);
-                Mutex::new(match seam {
+                Mutex::new(Slot::from(match seam {
                     Some(seam) => VStripe {
                         h: seam.h[i0 - 1..i0 - 1 + h].to_vec(),
                         f: if seam.f.is_empty() {
@@ -111,10 +147,36 @@ impl BorderStore {
                             Vec::new()
                         },
                     },
-                })
+                }))
             })
             .collect();
-        BorderStore { col, row }
+        BorderStore {
+            grid: *grid,
+            col,
+            row,
+            kept_rows: Vec::new(),
+            kept_cols: Vec::new(),
+        }
+    }
+
+    /// The same store in keep mode: every stripe a tile publishes is
+    /// also copied into its boundary's line, for [`BorderStore::take_lines`].
+    pub fn keeping(mut self, affine: bool) -> BorderStore {
+        let (g, ef) = (self.grid, affine as usize);
+        let line = |len: usize, ef_len: usize| (vec![0; len], vec![0; ef_len * ef]);
+        self.kept_rows = (1..g.nt)
+            .map(|_| {
+                let (h, e) = line(g.m + 1, g.m);
+                Mutex::new(HStripe { h, e })
+            })
+            .collect();
+        self.kept_cols = (0..g.mt)
+            .map(|_| {
+                let (h, f) = line(g.n, g.n);
+                Mutex::new(VStripe { h, f })
+            })
+            .collect();
+        self
     }
 
     /// The stripe hand-off: swaps tile `t`'s column and row slots with
@@ -122,10 +184,57 @@ impl BorderStore {
     /// tile's input stripes (leaving the caller's spare buffers in the
     /// slots, so nothing reallocates); called again after an in-place
     /// kernel, it *publishes* the bottom and right stripes and hands
-    /// the spares back.
+    /// the spares back — and, in keep mode, copies them into the lines.
     pub fn exchange(&self, t: TileId, top: &mut HStripe, left: &mut VStripe) {
-        std::mem::swap(top, &mut *self.col[t.tj as usize].lock());
-        std::mem::swap(left, &mut *self.row[t.ti as usize].lock());
+        let (ti, tj) = (t.ti as usize, t.tj as usize);
+        let mut col = self.col[tj].lock();
+        std::mem::swap(top, &mut col.stripe);
+        col.out = !col.out;
+        if let Some(line) = self.kept_rows.get(ti).filter(|_| !col.out) {
+            let j0 = self.grid.cols(t.tj).0;
+            let HStripe { h, e } = &mut *line.lock();
+            copy_at(h, j0 - 1, &col.stripe.h);
+            copy_at(e, j0 - 1, &col.stripe.e);
+        }
+        drop(col);
+        let mut row = self.row[ti].lock();
+        std::mem::swap(left, &mut row.stripe);
+        row.out = !row.out;
+        if let Some(line) = self.kept_cols.get(tj).filter(|_| !row.out) {
+            let i0 = self.grid.rows(t.ti).0;
+            let VStripe { h, f } = &mut *line.lock();
+            copy_at(h, i0 - 1, &row.stripe.h);
+            copy_at(f, i0 - 1, &row.stripe.f);
+        }
+    }
+
+    /// Moves the kept lines out of a keep-mode store after its pass:
+    /// the bottom lines of every tile row but the last, and the right
+    /// lines of every tile column, at absolute subject columns
+    /// (`col_offset` as in [`BorderStore::init_slab`]). A row line
+    /// spans the store's columns `col_offset..=col_offset + m`. Empty
+    /// unless the store was built [`BorderStore::keeping`].
+    pub fn take_lines(&self, col_offset: usize) -> (Vec<RowLine>, Vec<ColLine>) {
+        let g = &self.grid;
+        let rows = self.kept_rows.iter().enumerate().map(|(ti, line)| {
+            let (i0, h) = g.rows(ti as u32);
+            let HStripe { h: lh, e } = std::mem::take(&mut *line.lock());
+            RowLine {
+                i: i0 + h - 1,
+                h: lh,
+                e,
+            }
+        });
+        let cols = self.kept_cols.iter().enumerate().map(|(tj, line)| {
+            let (j0, w) = g.cols(tj as u32);
+            let VStripe { h, f } = std::mem::take(&mut *line.lock());
+            ColLine {
+                j: col_offset + j0 + w - 1,
+                h,
+                f,
+            }
+        });
+        (rows.collect(), cols.collect())
     }
 
     /// Exports the frontier at absolute subject column `col` — after a
@@ -133,11 +242,11 @@ impl BorderStore {
     /// tile, i.e. `H`/`F` of the slab's final column. Concatenating the
     /// slots top to bottom rebuilds the full-height [`ShardSeam`] the
     /// next slab seeds from.
-    pub fn export_seam(&self, grid: &TileGrid, col: usize) -> ShardSeam {
-        let mut h = Vec::with_capacity(grid.n);
+    pub fn export_seam(&self, col: usize) -> ShardSeam {
+        let mut h = Vec::with_capacity(self.grid.n);
         let mut f = Vec::new();
         for slot in &self.row {
-            let stripe = slot.lock();
+            let stripe = &slot.lock().stripe;
             h.extend_from_slice(&stripe.h);
             f.extend_from_slice(&stripe.f);
         }
@@ -154,7 +263,7 @@ impl BorderStore {
             .col
             .iter()
             .map(|s| {
-                let g = s.lock();
+                let g = &s.lock().stripe;
                 (g.h.len() + g.e.len()) * score
             })
             .sum();
@@ -162,7 +271,7 @@ impl BorderStore {
             .row
             .iter()
             .map(|s| {
-                let g = s.lock();
+                let g = &s.lock().stripe;
                 (g.h.len() + g.f.len()) * score
             })
             .sum();
@@ -182,11 +291,11 @@ impl BorderStore {
     /// Assembles the final DP row `H(n, 0..=m)` and `E(n, 1..=m)` from the
     /// column slots (after the pass, each slot holds the bottom stripe of
     /// its column's last tile).
-    pub fn assemble_last_rows(&self, grid: &TileGrid) -> (Vec<Score>, Vec<Score>) {
-        let mut last_h = Vec::with_capacity(grid.m + 1);
-        let mut last_e = Vec::with_capacity(grid.m);
+    pub fn assemble_last_rows(&self) -> (Vec<Score>, Vec<Score>) {
+        let mut last_h = Vec::with_capacity(self.grid.m + 1);
+        let mut last_e = Vec::with_capacity(self.grid.m);
         for (tj, slot) in self.col.iter().enumerate() {
-            let stripe = slot.lock();
+            let stripe = &slot.lock().stripe;
             if tj == 0 {
                 last_h.extend_from_slice(&stripe.h);
             } else {
@@ -215,16 +324,16 @@ mod tests {
         assert_eq!(store.col.len(), 3);
         assert_eq!(store.row.len(), 3);
         // First column slot: H(0, 0..=4) = 0,-3,-4,-5,-6
-        assert_eq!(store.col[0].lock().h, vec![0, -3, -4, -5, -6]);
+        assert_eq!(store.col[0].lock().stripe.h, vec![0, -3, -4, -5, -6]);
         // Second: H(0, 4..=8), overlapping the corner at j=4.
-        assert_eq!(store.col[1].lock().h, vec![-6, -7, -8, -9, -10]);
+        assert_eq!(store.col[1].lock().stripe.h, vec![-6, -7, -8, -9, -10]);
         // Last (width 2): H(0, 8..=10)
-        assert_eq!(store.col[2].lock().h, vec![-10, -11, -12]);
+        assert_eq!(store.col[2].lock().stripe.h, vec![-10, -11, -12]);
         // Row slots mirror for column 0.
-        assert_eq!(store.row[0].lock().h, vec![-3, -4, -5, -6]);
-        assert_eq!(store.row[2].lock().h, vec![-11, -12]);
+        assert_eq!(store.row[0].lock().stripe.h, vec![-3, -4, -5, -6]);
+        assert_eq!(store.row[2].lock().stripe.h, vec![-11, -12]);
         // Assembling immediately returns the init row.
-        let (h, e) = store.assemble_last_rows(&grid);
+        let (h, e) = store.assemble_last_rows();
         assert_eq!(h.len(), 11);
         assert_eq!(e.len(), 10);
         assert_eq!(h[0], 0);

@@ -11,7 +11,7 @@ use crate::scheduler::{run_dynamic, run_static};
 use crate::shard::{plan_columns, ShardSeam, SlabOutput};
 use anyseq_core::kind::AlignKind;
 pub use anyseq_core::pass::{finalize, finalize_score};
-use anyseq_core::pass::{score_pass, PassOutput};
+use anyseq_core::pass::{score_pass, PassOutput, TileLines};
 use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
@@ -180,9 +180,11 @@ struct Worker<W> {
 
 /// The tiled wavefront pass on tile kernel `Kn`: score passes, slab
 /// chains and — as a [`HalfPass`](anyseq_core::hirschberg::HalfPass)
-/// provider — Hirschberg's half-passes. Counts the tiles it relaxes,
-/// split by whether they rode vector lanes, and the slabs of the
-/// passes its shard budget cut.
+/// provider — the passes that keep a traceback leaf's lines and
+/// Hirschberg's half-passes. Counts the tiles it relaxes, split by
+/// whether they rode vector lanes, the slabs of the passes its shard
+/// budget cut, the blocks traceback walks recomputed through its lines
+/// and the largest set of lines it kept.
 #[derive(Debug)]
 pub struct TiledPass<Kn> {
     /// Parallel execution parameters.
@@ -190,6 +192,8 @@ pub struct TiledPass<Kn> {
     lane_tiles: AtomicU64,
     scalar_tiles: AtomicU64,
     shards: AtomicU64,
+    pub(crate) trace_tiles: AtomicU64,
+    peak_line_bytes: AtomicU64,
     /// The tile kernel every worker relaxes its ready tiles with.
     pub kernel: Kn,
 }
@@ -210,6 +214,8 @@ impl<Kn> TiledPass<Kn> {
             lane_tiles: AtomicU64::new(0),
             scalar_tiles: AtomicU64::new(0),
             shards: AtomicU64::new(0),
+            trace_tiles: AtomicU64::new(0),
+            peak_line_bytes: AtomicU64::new(0),
             kernel,
         }
     }
@@ -224,6 +230,14 @@ impl<Kn> TiledPass<Kn> {
     /// fits the budget runs as one slab and counts none).
     pub fn shard_count(&self) -> u64 {
         self.shards.load(Ordering::Relaxed)
+    }
+
+    /// `(blocks, peak bytes)`: path blocks traceback walks recomputed
+    /// through lines this pass kept, and the largest set of lines it
+    /// kept ([`TileLines::bytes`]).
+    pub fn trace_counts(&self) -> (u64, u64) {
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (count(&self.trace_tiles), count(&self.peak_line_bytes))
     }
 
     /// The driver: a tiled score-only pass over one subject slab
@@ -246,6 +260,27 @@ impl<Kn> TiledPass<Kn> {
     where
         Kn: TileKernel<S>,
     {
+        self.run_slab::<K, G, S>(gap, subst, q, s, cols, tb, seam, None)
+    }
+
+    /// [`TiledPass::slab`], or with `keep = Some(edge)` the same on
+    /// tiles of at most `edge` cells a side, keeping its lines
+    /// ([`BorderStore::keeping`]).
+    #[allow(clippy::too_many_arguments)]
+    fn run_slab<K: AlignKind, G: GapModel, S: SubstScore>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        cols: (usize, usize),
+        tb: Score,
+        seam: Option<&ShardSeam>,
+        keep: Option<usize>,
+    ) -> SlabOutput
+    where
+        Kn: TileKernel<S>,
+    {
         let (n, (c0, c1), cfg) = (q.len(), cols, &self.cfg);
         assert!(
             n > 0 && c0 < c1 && c1 <= s.len(),
@@ -255,8 +290,12 @@ impl<Kn> TiledPass<Kn> {
             assert_eq!(seam.col, c0, "seam column does not meet the slab");
             assert_eq!(seam.h.len(), n, "seam height does not match the query");
         }
-        let grid = TileGrid::new(n, c1 - c0, Kn::tile_edge(gap, subst, cfg.tile));
-        let borders = BorderStore::init_slab::<K, G>(&grid, gap, tb, c0, seam);
+        let tile = Kn::tile_edge(gap, subst, cfg.tile).min(keep.unwrap_or(usize::MAX));
+        let grid = TileGrid::new(n, c1 - c0, tile);
+        let mut borders = BorderStore::init_slab::<K, G>(&grid, gap, tb, c0, seam);
+        if keep.is_some() {
+            borders = borders.keeping(G::AFFINE);
+        }
 
         let compute = |w: &mut Worker<Kn::Scratch>, ready: &[TileId]| {
             let tiles = &mut w.tiles[..ready.len()];
@@ -301,9 +340,8 @@ impl<Kn> TiledPass<Kn> {
             best.merge(&w.best);
         }
         SlabOutput {
-            seam: borders.export_seam(&grid, c1),
+            seam: borders.export_seam(c1),
             best,
-            grid,
             borders,
         }
     }
@@ -313,6 +351,8 @@ impl<Kn> TiledPass<Kn> {
     /// cuts it — and hands each slab's output to `each` in column
     /// order. Resident at a time: the slab in flight and the seam it
     /// started from; what outlives a slab is whatever `each` keeps.
+    /// `keep` as in [`TiledPass::run_slab`].
+    #[allow(clippy::too_many_arguments)]
     fn for_each_slab<K: AlignKind, G: GapModel, S: SubstScore>(
         &self,
         gap: &G,
@@ -320,6 +360,7 @@ impl<Kn> TiledPass<Kn> {
         q: &[u8],
         s: &[u8],
         tb: Score,
+        keep: Option<usize>,
         mut each: impl FnMut((usize, usize), &SlabOutput),
     ) where
         Kn: TileKernel<S>,
@@ -335,7 +376,7 @@ impl<Kn> TiledPass<Kn> {
         }
         let mut seam: Option<ShardSeam> = None;
         for cols in plan {
-            let slab = self.slab::<K, G, S>(gap, subst, q, s, cols, tb, seam.as_ref());
+            let slab = self.run_slab::<K, G, S>(gap, subst, q, s, cols, tb, seam.as_ref(), keep);
             each(cols, &slab);
             seam = Some(slab.seam);
         }
@@ -357,22 +398,78 @@ impl<Kn> TiledPass<Kn> {
     where
         Kn: TileKernel<S>,
     {
+        self.pass_lines::<K, G, S>(gap, subst, q, s, tb, None).pass
+    }
+
+    /// [`TiledPass::score_pass`] keeping the interior tile boundaries of
+    /// its grid, on tiles of at most `edge` cells a side (same contract
+    /// as [`anyseq_core::pass::lines_pass`], whatever the kernel). A
+    /// sharded pass joins each row line across its slabs and keeps
+    /// every slab's columns, its seams among them. Resident: the lines,
+    /// `O(n·m / tile)`, on top of what the score pass holds.
+    pub fn lines<K: AlignKind, G: GapModel, S: SubstScore>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        edge: usize,
+    ) -> TileLines
+    where
+        Kn: TileKernel<S>,
+    {
+        let lines = self.pass_lines::<K, G, S>(gap, subst, q, s, tb, Some(edge));
+        let bytes = lines.bytes() as u64;
+        self.peak_line_bytes.fetch_max(bytes, Ordering::Relaxed);
+        lines
+    }
+
+    /// The pass behind [`TiledPass::score_pass`] and
+    /// [`TiledPass::lines`] (`keep` as in [`TiledPass::run_slab`]).
+    fn pass_lines<K: AlignKind, G: GapModel, S: SubstScore>(
+        &self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        tb: Score,
+        keep: Option<usize>,
+    ) -> TileLines
+    where
+        Kn: TileKernel<S>,
+    {
         let (n, m) = (q.len(), s.len());
         if n == 0 || m == 0 {
             // An empty rectangle has no tiles: its init stripes are
             // the result.
-            return score_pass::<K, G, S>(gap, subst, q, s, tb);
+            return score_pass::<K, G, S>(gap, subst, q, s, tb).into();
         }
         let (mut last_h, mut last_e) = (Vec::with_capacity(m + 1), Vec::with_capacity(m));
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
         let mut best = BestCell::empty();
-        self.for_each_slab::<K, G, S>(gap, subst, q, s, tb, |cols, slab| {
+        self.for_each_slab::<K, G, S>(gap, subst, q, s, tb, keep, |(c0, _), slab| {
             let (h, e) = slab.last_rows();
             // Every slab but the first repeats its left corner.
-            last_h.extend_from_slice(&h[(cols.0 > 0) as usize..]);
+            last_h.extend_from_slice(&h[(c0 > 0) as usize..]);
             last_e.extend_from_slice(&e);
             best.merge(&slab.best);
+            let (slab_rows, slab_cols) = slab.borders.take_lines(c0);
+            if c0 == 0 {
+                rows = slab_rows;
+            } else {
+                for (row, part) in rows.iter_mut().zip(slab_rows) {
+                    row.h.extend_from_slice(&part.h[1..]);
+                    row.e.extend_from_slice(&part.e);
+                }
+            }
+            cols.extend(slab_cols.into_iter().filter(|c| c.j < m));
         });
-        finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e)
+        TileLines {
+            pass: finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e),
+            rows,
+            cols,
+        }
     }
 
     /// `scheme`'s optimal score for one pair of code slices. Of each
@@ -392,7 +489,7 @@ impl<Kn> TiledPass<Kn> {
             return score_pass::<K, G, S>(gap, subst, q, s, gap.open()).score;
         }
         let (mut best, mut h_nm) = (BestCell::empty(), 0);
-        self.for_each_slab::<K, G, S>(gap, subst, q, s, gap.open(), |_, slab| {
+        self.for_each_slab::<K, G, S>(gap, subst, q, s, gap.open(), None, |_, slab| {
             best.merge(&slab.best);
             h_nm = *slab.seam.h.last().expect("a slab has at least one row");
         });

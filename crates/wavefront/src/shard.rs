@@ -12,7 +12,6 @@
 //! a chromosome-scale pair to one slab.
 
 use crate::borders::BorderStore;
-use crate::grid::TileGrid;
 use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 
@@ -60,7 +59,6 @@ pub struct SlabOutput {
     pub seam: ShardSeam,
     /// Best cell seen inside the slab (absolute coordinates).
     pub best: BestCell,
-    pub(crate) grid: TileGrid,
     pub(crate) borders: BorderStore,
 }
 
@@ -70,7 +68,7 @@ impl SlabOutput {
     /// to rebuild the full last row) — and `E(n, c0+1..=c1)`, width
     /// values, empty for linear models.
     pub fn last_rows(&self) -> (Vec<Score>, Vec<Score>) {
-        self.borders.assemble_last_rows(&self.grid)
+        self.borders.assemble_last_rows()
     }
 }
 
