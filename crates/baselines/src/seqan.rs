@@ -125,7 +125,6 @@ impl SeqAnLike {
 
     /// A pass of kind `K`; with `edge` set, one whose border store
     /// keeps its tile lines, at most `edge` apart.
-    #[allow(clippy::too_many_arguments)]
     fn pass_impl<K, G, SS>(
         &self,
         gap: &G,

@@ -78,7 +78,6 @@ pub trait HalfPass<G: GapModel, S: SubstScore>: Sync {
     /// Runs the same pass keeping its interior tile boundaries, at most
     /// `edge` rows and columns apart (see [`lines_pass`]) — the lines a
     /// leaf walks back through.
-    #[allow(clippy::too_many_arguments)]
     fn lines<K: AlignKind>(
         &self,
         gap: &G,
@@ -404,7 +403,6 @@ where
 mod tests {
     use super::*;
     use crate::kind::{Local, SemiGlobal};
-    use crate::pass::lines_pass;
     use crate::scoring::{simple, AffineGap, LinearGap};
     use anyseq_seq::Seq;
 
