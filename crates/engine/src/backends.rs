@@ -87,7 +87,9 @@ pub const SIMD_LANES: usize = 16;
 /// `BatchStats::counters` after every unit.
 #[derive(Debug, Default)]
 pub struct SimdEngine {
-    /// Adaptive-band tuning for the traceback path.
+    /// Band bounds for the traceback path: each lane group's band is
+    /// proven from its exact scores; `initial` is the widest band run
+    /// on trust before that proven width, `max` caps it.
     pub band: BandCfg,
     /// X-drop threshold for the score path: lanes whose row maximum
     /// falls more than this below the running best retire early.

@@ -21,9 +21,9 @@
 //!   padded and read out from their own regions),
 //! * [`align_batch_simd`] — inter-sequence with full tracebacks: a
 //!   banded DP records 2 packed direction bits per lane per cell
-//!   (plus affine extend bits), the band widens adaptively until each
-//!   lane's corner matches its exact score, and lanes decode into
-//!   per-pair CIGARs ([`traceback`]).
+//!   (plus affine extend bits) inside a band proven from each lane's
+//!   exact score, and lanes decode into per-pair CIGARs
+//!   ([`traceback`]).
 //!
 //! Scores inside a block are 16-bit *differences to the block's incoming
 //! corner* (paper: "only differences to the global score are relevant"),

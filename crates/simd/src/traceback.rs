@@ -11,14 +11,19 @@
 //!   `F`-extend bit. Bits for all lanes of one cell live in a single
 //!   `u32` bit-plane, so the store costs 4 `u32`s per band cell
 //!   regardless of lane count (L ≤ 32).
-//! * **Adaptive band** — directions are only recorded inside a
+//! * **Score-bounded band** — directions are only recorded inside a
 //!   diagonal band `j − i ∈ [dlo, dhi]` around the alignment corridor.
-//!   The group's banded corner score is checked lane-by-lane against
-//!   the exact score from the full-width score kernel; any mismatch
-//!   means a lane's optimal path escaped the band, and the group is
-//!   re-run with the band width doubled (up to [`BandCfg::max`]).
-//!   Lanes that still overflow fall back to the scalar
-//!   `Scheme::align` — bit-exactness is never traded for speed.
+//!   The full-width score kernel runs first and yields each lane's
+//!   exact optimum; from it `proven_half_width` derives the narrowest
+//!   band that provably holds every optimal path (a path leaving it
+//!   scores strictly less, the Ukkonen cut-off). The group runs one
+//!   banded pass at its widest lane's proven width — exact by
+//!   construction — unless that width exceeds [`BandCfg::initial`]:
+//!   then the first pass runs at `initial` on trust, and lanes whose
+//!   banded optimum misses the exact score get exactly one retry at
+//!   their proven width (capped at [`BandCfg::max`]). Lanes the cap
+//!   still cuts off fall back to the scalar `Scheme::align` —
+//!   bit-exactness is never traded for speed.
 //! * **Exactness by construction** — a lane is only decoded when its
 //!   banded corner equals the exact score, so the decoded path
 //!   realizes precisely that score and the CIGAR replays to it
@@ -50,26 +55,36 @@ use anyseq_seq::PairRef;
 /// instead of `k` scalar `align_codes` calls. A padded group pays
 /// a whole `L`-lane score pass plus banded pass whatever its fill, so
 /// the break-even sits higher than the score path's 2. Measured on
-/// `reads_align`-shaped pairs (150 × 150, global affine, L = 16): one
-/// group costs 177 µs on the AVX2 tier and 240 µs on baseline against
-/// 66–70 µs per scalar pair, so `k = 3` is a wash on AVX2 (0.94×) and a
-/// loss on baseline (1.13×) while `k = 4` wins on both (0.67× / 0.86×).
-pub(crate) const ALIGN_MIN_PARTIAL: usize = 4;
+/// 150 × 150 global affine pairs at 1 % divergence, L = 16, with the
+/// score-bounded band, 4 runs: one group costs 1.65–1.84 scalar pairs
+/// on the AVX2 tier (170–260 µs against 92–158 µs per pair on a 2-vCPU
+/// host in a slow spell) and 2.28–2.48 on baseline (351–372 µs against
+/// 142–161 µs), so `k = 2` wins on AVX2 (0.82–0.92×) but loses on
+/// baseline (1.14–1.24×) while `k = 3` wins on both (0.55–0.61× /
+/// 0.76–0.83×).
+pub(crate) const ALIGN_MIN_PARTIAL: usize = 3;
 
-/// Adaptive-band tuning for the SIMD traceback.
+/// Band widths for the SIMD traceback, in diagonals each side of the
+/// corridor. The width a lane group needs is proven from its exact
+/// scores (see `proven_half_width`); these two fields only bound it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandCfg {
-    /// Initial band half-width (diagonals each side of the corridor).
+    /// The widest half-width run on trust, before the proven width: a
+    /// group whose proven width exceeds this runs its first pass at
+    /// `initial` and retries only the lanes that missed, once.
     pub initial: usize,
-    /// Maximum half-width before a lane falls back to scalar traceback.
+    /// Cap on the proven half-width; lanes whose optimal path escapes
+    /// it fall back to scalar traceback.
     pub max: usize,
 }
 
 impl Default for BandCfg {
     fn default() -> BandCfg {
-        // 16 diagonals absorb Illumina-profile indels outright; 256
-        // saturates a whole short-read matrix, so overflow fallbacks
-        // only occur for long, structurally divergent pairs.
+        // A proven width above 16 is a divergent pair, for which the
+        // proof asks for far more than its optimal path uses: its first
+        // pass runs at 16 on trust. 256 saturates a whole short-read
+        // matrix, so overflow fallbacks only occur for long,
+        // structurally divergent pairs.
         BandCfg {
             initial: 16,
             max: 256,
@@ -87,7 +102,9 @@ pub struct TraceStats {
     pub lane_pairs: u64,
     /// Leftover/oversized pairs aligned by the in-backend scalar path.
     pub scalar_pairs: u64,
-    /// Banded passes that were re-run with a doubled band width.
+    /// Lane groups whose trusted first pass (at [`BandCfg::initial`])
+    /// missed a lane's exact score and were re-run once, at the proven
+    /// width of the lanes that missed. At most one retry per group.
     pub band_widenings: u64,
     /// Pairs whose optimal path escaped the maximum band and were
     /// rescued by scalar traceback.
@@ -166,6 +183,68 @@ fn band_range(n: usize, m: usize, w: usize) -> (isize, isize) {
     let dlo = (skew.min(0) - w).max(-n);
     let dhi = (skew.max(0) + w).min(m);
     (dlo, dhi)
+}
+
+/// The smallest band half-width `w` whose band provably holds every
+/// optimal path of an `n × m` kind-`K` problem with optimum `best`.
+///
+/// The corridor is `[lo, hi] = [min(0, m−n), max(0, m−n)]`. A path
+/// leaves the band of half-width `w` only by touching a diagonal
+/// `k = w + 1` beyond it, so the answer is the smallest `w ≥ 0` with
+/// `UB(w+1) < best`, where `UB(k)` bounds from above the score of any
+/// path touching diagonal `hi + k` or `lo − k`:
+///
+/// * **Every kind.** Gap steps and the init stripes score `≤ 0`, so a
+///   path scores at most `σ⁺ = max(σ_max, 0)` per diagonal step. A
+///   path through cell `(i, i + d)` takes at most `min(i, j)` diagonal
+///   steps before it and `min(n−i, m−j)` after, in total
+///   `D(d) = max(0, min(n, m, m−d, n+d))`. `D` does not grow away from
+///   the corridor, so `UB(k) = σ⁺ · max(D(hi+k), D(lo−k))` — also for a
+///   local path that starts beyond diagonal `k` without crossing it.
+/// * **Global** (both ends anchored). The path runs from diagonal 0 to
+///   `m−n` through `hi + k` (or `lo − k`), so it takes at least
+///   `|m−n| + 2k` gap steps in at least one vertical and one horizontal
+///   run, and at most `min(n, m) − k` diagonal steps:
+///   `UB(k) = σ⁺·(min(n,m) − k) + 2·open + extend·(|m−n| + 2k)` (the
+///   open term is 0 for linear gaps).
+///
+/// The `<` is strict, so every cell the optimum is attained at lies in
+/// the band and the banded kernel reproduces both the exact optimum and
+/// the full matrix's `BestCell` end cell. `min(n, m)` covers the whole
+/// matrix and is returned when no narrower band is proven.
+fn proven_half_width<K: AlignKind, G: GapModel>(
+    gap: &G,
+    sigma_max: Score,
+    n: usize,
+    m: usize,
+    best: Score,
+) -> usize {
+    let full = n.min(m);
+    (0..full)
+        .find(|&w| off_band_bound::<K, G>(gap, sigma_max, n, m, w + 1) < best as i64)
+        .unwrap_or(full)
+}
+
+/// `UB(k)` of [`proven_half_width`]: an upper bound on the score of any
+/// kind-`K` path of an `n × m` problem that touches a diagonal `k ≥ 1`
+/// beyond the corridor. It needs `open, extend ≤ 0`, which [`GapModel`]
+/// requires and the scheme constructors assert.
+fn off_band_bound<K: AlignKind, G: GapModel>(
+    gap: &G,
+    sigma_max: Score,
+    n: usize,
+    m: usize,
+    k: usize,
+) -> i64 {
+    let sigma = sigma_max.max(0) as i64;
+    let (n, m, k) = (n as i64, m as i64, k as i64);
+    if !K::FREE_BEGIN && matches!(K::OPT, OptRegion::Corner) {
+        let (open, extend) = (gap.open() as i64, gap.extend() as i64);
+        return sigma * (n.min(m) - k) + 2 * open + extend * ((m - n).abs() + 2 * k);
+    }
+    let (lo, hi) = ((m - n).min(0), (m - n).max(0));
+    let diag_steps = |d: i64| n.min(m).min(m - d).min(n + d).max(0);
+    sigma * diag_steps(hi + k).max(diag_steps(lo - k))
 }
 
 /// Per-lane banded optimum: best value plus the 1-based DP cell it was
@@ -479,11 +558,13 @@ fn decode_lane(
     (ops, i, j)
 }
 
-/// Aligns one lane group's pairs in one banded vector pass, widening
-/// the band until every live lane's corner matches its exact score.
-/// Returns one entry per live lane: `None` for lanes that still
-/// overflow at [`BandCfg::max`] (the caller rescues those with scalar
-/// traceback).
+/// Aligns one lane group's pairs in at most two banded vector passes.
+/// The first runs at the group's proven width (see
+/// [`proven_half_width`]), or at [`BandCfg::initial`] on trust when the
+/// proof asks for more; lanes that trusted pass missed get one retry at
+/// their proven width. Returns one entry per live lane: `None` for
+/// lanes whose optimal path escapes [`BandCfg::max`] (the caller
+/// rescues those with scalar traceback).
 fn align_lane_group<K, G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
@@ -500,23 +581,36 @@ where
     let (n, m) = group.shape;
 
     // The lane transpose: the only sequence-byte copy on this path
-    // (built once per group; band retries reuse it).
+    // (built once per group; the retry reuses it).
     stats.bytes_copied += ((n + m) * L) as u64;
     let (q_rows, s_cols) =
         anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
 
-    // Exact kind-`K` optima from the full-width score kernel: the
-    // oracle every banded lane must reproduce before it is decoded.
+    // Exact kind-`K` optima from the full-width score kernel: they size
+    // each lane's band, and every banded lane must reproduce its own
+    // before it is decoded.
     let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
     let exact = anyseq_obs::span(Stage::Kernel, || {
         block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut borders, 0)
     })
     .best;
+    let live = group.live_mask();
+    let proven: [usize; L] = std::array::from_fn(|l| {
+        let best = from16(exact.0[l], 0);
+        proven_half_width::<K, G>(gap, subst.max_score(), n, m, best)
+    });
+    // The widest proven width among `lanes`, capped at `BandCfg::max`.
+    let need = |lanes: u32| {
+        (0..group.fill)
+            .filter(|&l| lanes & (1 << l) != 0)
+            .map(|l| proven[l])
+            .max()
+            .unwrap_or(0)
+            .min(band.max)
+    };
 
     let tier = Tier::detect();
-    let live = group.live_mask();
-    let mut w = band.initial.max(1);
-    loop {
+    let pass = |w: usize, stats: &mut TraceStats| {
         let (dlo, dhi) = band_range(n, m, w);
         let bw = (dhi - dlo + 1) as usize;
         let mut store = DirStore::new(n * bw, G::AFFINE, K::NU_ZERO);
@@ -527,49 +621,57 @@ where
         });
         stats.band_cells += (n * bw * L) as u64;
         stats.max_band = stats.max_band.max(bw as u64);
-
+        // A lane whose proven width fits is exact by construction; the
+        // comparison is the guard for the rest.
         let in_band = banded.best.eq_mask(exact);
-        let full_matrix = dlo <= -(n as isize) && dhi >= m as isize;
-        if in_band & live == live || full_matrix || w >= band.max {
-            debug_assert!(!full_matrix || in_band & live == live);
-            return anyseq_obs::span(Stage::Traceback, || {
-                let lanes = group.live().iter().enumerate();
-                lanes
-                    .map(|(l, &idx)| {
-                        if in_band & (1 << l) == 0 {
-                            stats.band_overflows += 1;
-                            return None;
-                        }
-                        stats.lane_pairs += 1;
-                        let p = pairs[idx];
-                        let end = (banded.bi.0[l] as usize, banded.bj.0[l] as usize);
-                        let (ops, q_start, s_start) = decode_lane(
-                            &store,
-                            end,
-                            dlo,
-                            bw,
-                            l,
-                            p.q,
-                            p.s,
-                            G::AFFINE,
-                            K::FREE_BEGIN,
-                            K::NU_ZERO,
-                        );
-                        Some(Alignment {
-                            score: from16(exact.0[l], 0),
-                            ops,
-                            q_start,
-                            q_end: end.0,
-                            s_start,
-                            s_end: end.1,
-                        })
-                    })
-                    .collect()
-            });
-        }
+        debug_assert!((0..group.fill).all(|l| proven[l] > w || in_band & (1 << l) != 0));
+        (dlo, bw, store, banded, in_band)
+    };
+
+    let first = need(live).min(band.initial);
+    let (mut dlo, mut bw, mut store, mut banded, mut in_band) = pass(first, stats);
+    let missed = live & !in_band;
+    if missed != 0 && need(missed) > first {
+        // A wider band only adds paths, so lanes exact at `first` stay
+        // exact; lanes whose proof the cap cut stay missed.
         stats.band_widenings += 1;
-        w = (w * 2).min(band.max);
+        (dlo, bw, store, banded, in_band) = pass(need(missed), stats);
     }
+
+    anyseq_obs::span(Stage::Traceback, || {
+        let lanes = group.live().iter().enumerate();
+        lanes
+            .map(|(l, &idx)| {
+                if in_band & (1 << l) == 0 {
+                    stats.band_overflows += 1;
+                    return None;
+                }
+                stats.lane_pairs += 1;
+                let p = pairs[idx];
+                let end = (banded.bi.0[l] as usize, banded.bj.0[l] as usize);
+                let (ops, q_start, s_start) = decode_lane(
+                    &store,
+                    end,
+                    dlo,
+                    bw,
+                    l,
+                    p.q,
+                    p.s,
+                    G::AFFINE,
+                    K::FREE_BEGIN,
+                    K::NU_ZERO,
+                );
+                Some(Alignment {
+                    score: from16(exact.0[l], 0),
+                    ops,
+                    q_start,
+                    q_end: end.0,
+                    s_start,
+                    s_end: end.1,
+                })
+            })
+            .collect()
+    })
 }
 
 /// Aligns a batch of independent pairs with `L`-lane SIMD banded
@@ -623,7 +725,7 @@ mod tests {
     use super::*;
     use anyseq_core::kind::{Global, Local, SemiGlobal};
     use anyseq_core::prelude::{affine, global, linear, local, semiglobal, simple};
-    use anyseq_core::scoring::{AffineGap, LinearGap};
+    use anyseq_core::scoring::{AffineGap, LinearGap, SimpleSubst, SubstScore};
     use anyseq_seq::genome::GenomeSim;
     use anyseq_seq::testsupport::read_pairs;
     use anyseq_seq::{BatchView, Seq};
@@ -934,6 +1036,153 @@ mod tests {
         gaps::<Global>();
         gaps::<SemiGlobal>();
         gaps::<Local>();
+    }
+
+    /// Soundness of the score bound, by brute force: at every half-width
+    /// `w` with `UB(w + 1) < S`, the banded kernel reproduces a lane's
+    /// exact optimum `S` at the full band's end cell, and
+    /// `proven_half_width` is the narrowest such `w`. Square and skewed
+    /// shapes, identity from 100 % down to unrelated sequences, every
+    /// kind × gap model, `open = 0`, and a scheme with `σ_max ≤ 0`.
+    #[test]
+    fn score_bounded_band_is_exact_by_brute_force() {
+        const L: usize = 8;
+        /// `L` pairs of shape `n × m`: `q` mutated from a prefix of `s`
+        /// at `divergence` (padded or cut to `n`), or unrelated (`None`).
+        fn shaped_pairs(n: usize, m: usize, divergence: Option<f64>, seed: u64) -> Vec<(Seq, Seq)> {
+            let mut sim = GenomeSim::new(seed);
+            (0..L)
+                .map(|_| {
+                    let s = sim.generate(m);
+                    let q = match divergence {
+                        Some(d) => {
+                            let mut q = sim.mutate(&s.subseq(0..n.min(m)), d).codes().to_vec();
+                            q.extend_from_slice(sim.generate(n).codes());
+                            q.truncate(n);
+                            Seq::from_codes(q).unwrap()
+                        }
+                        None => sim.generate(n),
+                    };
+                    (q, s)
+                })
+                .collect()
+        }
+        fn check<K: AlignKind, G: GapModel>(gap: G, subst: SimpleSubst) {
+            let shapes = [(32, 32), (32, 19), (13, 32), (1, 9), (27, 28)];
+            let identities = [Some(0.0), Some(0.05), Some(0.2), Some(0.5), None];
+            // Debug builds (no vector code) sweep every third case.
+            let stride = if cfg!(debug_assertions) { 3 } else { 1 };
+            for (seed, (&(n, m), divergence)) in shapes
+                .iter()
+                .flat_map(|shape| identities.iter().map(move |&d| (shape, d)))
+                .enumerate()
+                .step_by(stride)
+            {
+                let (open, extend) = (gap.open(), gap.extend());
+                let what = format!(
+                    "{} open={open} extend={extend} {subst:?} {n}x{m} {divergence:?}",
+                    K::NAME
+                );
+                let pairs = shaped_pairs(n, m, divergence, seed as u64);
+                let view = BatchView::from_pairs(&pairs);
+                let lanes: [usize; L] = std::array::from_fn(|l| l);
+                let (q_rows, s_cols) = transpose_lanes(view.refs(), &lanes);
+                let mut borders = BlockBorders::<L>::init::<K, G>(&gap, n, m);
+                let exact = block_kernel_kind::<K, G, _, false, L>(
+                    &gap,
+                    &subst,
+                    &q_rows,
+                    &s_cols,
+                    &mut borders,
+                    0,
+                )
+                .best;
+                let run = |w: usize| {
+                    let (dlo, dhi) = band_range(n, m, w);
+                    let bw = (dhi - dlo + 1) as usize;
+                    let mut store = DirStore::new(n * bw, G::AFFINE, K::NU_ZERO);
+                    banded_group_kernel::<K, G, _, L>(
+                        Tier::BASELINE,
+                        &gap,
+                        &subst,
+                        &q_rows,
+                        &s_cols,
+                        dlo,
+                        dhi,
+                        &mut store,
+                    )
+                };
+                let full = run(n + m);
+                assert_eq!(full.best, exact, "{what}: full band vs exact");
+                let ub = |k: usize| off_band_bound::<K, G>(&gap, subst.max_score(), n, m, k);
+                // Past `min(n, m)` the band is clamped to the whole matrix.
+                for w in 0..=n.min(m) {
+                    let band = run(w);
+                    for l in 0..L {
+                        if ub(w + 1) < from16(exact.0[l], 0) as i64 {
+                            assert_eq!(
+                                (band.best.0[l], band.bi.0[l], band.bj.0[l]),
+                                (full.best.0[l], full.bi.0[l], full.bj.0[l]),
+                                "{what}: lane {l} at w = {w}"
+                            );
+                        }
+                    }
+                }
+                for l in 0..L {
+                    let best = from16(exact.0[l], 0);
+                    let w = proven_half_width::<K, G>(&gap, subst.max_score(), n, m, best);
+                    let proven = |w: usize| ub(w + 1) < best as i64;
+                    assert!(w == n.min(m) || proven(w), "{what}: lane {l} w = {w}");
+                    assert!(
+                        w == 0 || !proven(w - 1),
+                        "{what}: lane {l} w = {w} not tight"
+                    );
+                }
+            }
+        }
+        fn gaps<K: AlignKind>() {
+            for subst in [simple(2, -3), simple(0, -1)] {
+                check::<K, _>(LinearGap { gap: -2 }, subst);
+                check::<K, _>(
+                    AffineGap {
+                        open: -3,
+                        extend: -1,
+                    },
+                    subst,
+                );
+                check::<K, _>(
+                    AffineGap {
+                        open: 0,
+                        extend: -1,
+                    },
+                    subst,
+                );
+            }
+        }
+        gaps::<Global>();
+        gaps::<SemiGlobal>();
+        gaps::<Local>();
+    }
+
+    /// Illumina-profile reads under the reads workload's scheme: the
+    /// exact scores prove a band of a few diagonals, so every group runs
+    /// one pass far narrower than the 16-diagonal trusted width — no
+    /// retry, no overflow, and fewer than 1,500 band cells per pair (a
+    /// fixed 33-diagonal band costs ≈ 5,000).
+    #[test]
+    fn illumina_reads_run_a_score_bounded_band() {
+        let pairs = read_pairs(512, 31);
+        let scheme = global(affine(simple(2, -1), -2, -1));
+        let (alns, stats) = run::<_, _, _, 16>(&scheme, &pairs, 1, BandCfg::default());
+        check_all(&scheme, &pairs, &alns);
+        assert!(stats.lane_pairs >= 400, "{stats:?}");
+        assert_eq!(stats.band_widenings, 0, "{stats:?}");
+        assert_eq!(stats.band_overflows, 0, "{stats:?}");
+        assert!(
+            stats.band_cells <= 1_500 * stats.lane_pairs,
+            "{} band cells per pair",
+            stats.band_cells / stats.lane_pairs
+        );
     }
 
     #[test]
