@@ -125,7 +125,7 @@ impl<const L: usize> Farrar<L> {
 
 /// Reference check helper: core engine local score.
 pub fn local_reference<S: SubstScore>(gap: &AffineGap, subst: &S, q: &Seq, s: &Seq) -> Score {
-    score_pass::<Local, AffineGap, S>(gap, subst, q.codes(), s.codes(), gap.open).score
+    score_pass::<Local, AffineGap, S>(gap, subst, q.codes(), s.codes()).score
 }
 
 #[cfg(test)]

@@ -17,13 +17,14 @@
 //! row-major order.
 
 use anyseq_core::alignment::Alignment;
-use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::{AlignKind, Global, OptRegion};
-use anyseq_core::pass::{lines_pass, score_pass, PassOutput, TileLines};
+use anyseq_core::pass::{lines_pass, Seeds, Spacing, TileLines};
 use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::{Score, NEG_INF};
 use anyseq_core::scoring::{AffineGap, GapModel, SubstScore};
+use anyseq_core::tile::TileIn;
+use anyseq_core::traceback::{align_with_pass, AlignConfig, LinesPass};
 use anyseq_seq::Seq;
 use anyseq_wavefront::borders::{HStripe, VStripe};
 use anyseq_wavefront::{ParallelCfg, Tile, TileKernel, TiledPass};
@@ -57,13 +58,15 @@ impl ParasailLike {
             open: scheme.gap().open(),
             extend: scheme.gap().extend(),
         };
-        self.pass_impl::<Global, S>(&aff, scheme.subst(), q.codes(), s.codes(), aff.open, None)
+        let (q, s) = (q.codes(), s.codes());
+        let seeds = Seeds::init::<Global, AffineGap>(&aff, q.len(), s.len());
+        self.pass_impl::<Global, S>(&aff, scheme.subst(), q, s, seeds.stripes(), Spacing::NONE)
             .pass
             .score
     }
 
-    /// Global alignment through the static-wavefront passes (a leaf's
-    /// kept-lines pass, Hirschberg's half-passes above the leaf budget).
+    /// Global alignment through the static-wavefront passes (the pair's
+    /// kept-lines pass, and the nested blocks' above the line budget).
     pub fn align<G, S>(&self, scheme: &Scheme<Global, G, S>, q: &Seq, s: &Seq) -> Alignment
     where
         G: GapModel,
@@ -83,16 +86,16 @@ impl ParasailLike {
         )
     }
 
-    /// A pass of kind `K`; with `edge` set, one that keeps its tile
-    /// lines at most `edge` apart.
+    /// A pass of kind `K` from `seeds` that keeps the tile lines
+    /// `spacing` asks for.
     fn pass_impl<K, S>(
         &self,
         gap: &AffineGap,
         subst: &S,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        edge: Option<usize>,
+        seeds: TileIn<'_>,
+        spacing: Spacing,
     ) -> TileLines
     where
         K: AlignKind,
@@ -101,50 +104,28 @@ impl ParasailLike {
         let n = q.len();
         let m = s.len();
         if n == 0 || m == 0 || n * m < 1 << 22 || self.threads == 1 {
-            let edge = edge.unwrap_or(usize::MAX);
-            return lines_pass::<K, AffineGap, S>(gap, subst, q, s, tb, edge);
+            return lines_pass::<K, AffineGap, S>(gap, subst, q, s, seeds, spacing);
         }
         let mut cfg = ParallelCfg::threads(self.threads).with_tile(self.tile);
         cfg.static_schedule = true;
-        let pass = TiledPass::<DiagTiles>::new(cfg);
-        match edge {
-            Some(edge) => pass.lines::<K, AffineGap, S>(gap, subst, q, s, tb, edge),
-            None => pass
-                .score_pass::<K, AffineGap, S>(gap, subst, q, s, tb)
-                .into(),
-        }
+        TiledPass::<DiagTiles>::new(cfg).lines::<K, AffineGap, S>(gap, subst, q, s, seeds, spacing)
     }
 }
 
-impl<S: SubstScore> HalfPass<AffineGap, S> for ParasailLike {
-    fn pass<K: AlignKind>(
-        &self,
-        gap: &AffineGap,
-        subst: &S,
-        q: &[u8],
-        s: &[u8],
-        tb: Score,
-    ) -> PassOutput {
-        if matches!(K::OPT, OptRegion::Corner) {
-            self.pass_impl::<K, S>(gap, subst, q, s, tb, None).pass
-        } else {
-            score_pass::<K, AffineGap, S>(gap, subst, q, s, tb)
-        }
-    }
-
+impl<S: SubstScore> LinesPass<AffineGap, S> for ParasailLike {
     fn lines<K: AlignKind>(
         &self,
         gap: &AffineGap,
         subst: &S,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        edge: usize,
+        seeds: TileIn<'_>,
+        spacing: Spacing,
     ) -> TileLines {
         if matches!(K::OPT, OptRegion::Corner) {
-            self.pass_impl::<K, S>(gap, subst, q, s, tb, Some(edge))
+            self.pass_impl::<K, S>(gap, subst, q, s, seeds, spacing)
         } else {
-            lines_pass::<K, AffineGap, S>(gap, subst, q, s, tb, edge)
+            lines_pass::<K, AffineGap, S>(gap, subst, q, s, seeds, spacing)
         }
     }
 }
@@ -273,6 +254,7 @@ fn diag_tile_kernel<G: GapModel, S: SubstScore>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anyseq_core::pass::init_left_h;
     use anyseq_core::prelude::{affine, global, linear, simple};
     use anyseq_seq::genome::GenomeSim;
 
@@ -280,8 +262,8 @@ mod tests {
     fn parasail_like_score_matches_affine_reference() {
         // Above the 2²² cutoff at 5 threads, so the tiled pass runs;
         // tile edge 128 leaves ragged tiles on the last row and column.
-        // Hirschberg consumes the last rows: they must match the row
-        // sweep, for either top-boundary open.
+        // The last rows must match the row sweep, from the kind's own
+        // seeds and from a nested block's (here: column 0 opened at 0).
         let mut sim = GenomeSim::new(101);
         let q = sim.generate(3000);
         let s = sim.mutate(&q, 0.1);
@@ -294,20 +276,40 @@ mod tests {
         let subst = simple(2, -1);
         let mut b = ParasailLike::new(5);
         b.tile = 128;
-        for tb in [gap.open, 0] {
-            let want = score_pass::<Global, _, _>(&gap, &subst, q, s, tb);
-            let got = b.pass_impl::<Global, _>(&gap, &subst, q, s, tb, None).pass;
-            assert_eq!((got.score, got.end), (want.score, want.end), "tb {tb}");
-            assert_eq!(got.last_h, want.last_h, "last_h, tb {tb}");
-            assert_eq!(got.last_e, want.last_e, "last_e, tb {tb}");
-            // A traceback leaf walks the kept lines: the row sweep's.
-            let kept = b.pass_impl::<Global, _>(&gap, &subst, q, s, tb, Some(128));
-            let want = lines_pass::<Global, _, _>(&gap, &subst, q, s, tb, 128);
-            assert_eq!(
-                (kept.rows, kept.cols),
-                (want.rows, want.cols),
-                "lines, tb {tb}"
-            );
+        let own = Seeds::init::<Global, _>(&gap, q.len(), s.len());
+        let mut block = own.clone();
+        block.left_h = init_left_h::<Global, _>(&gap, q.len(), 0);
+        for (seeds, what) in [(own, "own seeds"), (block, "block seeds")] {
+            let seeds = seeds.stripes();
+            for spacing in [
+                Spacing::NONE,
+                Spacing {
+                    edge: 128,
+                    every: 1,
+                },
+                Spacing {
+                    edge: 128,
+                    every: 3,
+                },
+            ] {
+                let want = lines_pass::<Global, _, _>(&gap, &subst, q, s, seeds, spacing);
+                let got = b.pass_impl::<Global, _>(&gap, &subst, q, s, seeds, spacing);
+                let what = format!("{what} {spacing:?}");
+                let (got_pass, want_pass) = (&got.pass, &want.pass);
+                assert_eq!(
+                    (got_pass.score, got_pass.end),
+                    (want_pass.score, want_pass.end),
+                    "{what}"
+                );
+                assert_eq!(got_pass.last_h, want_pass.last_h, "last_h, {what}");
+                assert_eq!(got_pass.last_e, want_pass.last_e, "last_e, {what}");
+                // A traceback walks the kept lines: the row sweep's.
+                assert_eq!(
+                    (got.rows, got.cols),
+                    (want.rows, want.cols),
+                    "lines, {what}"
+                );
+            }
         }
     }
 
@@ -336,7 +338,7 @@ mod tests {
 
     #[test]
     fn diag_kernel_bit_exact_vs_row_major() {
-        use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
+        use anyseq_core::pass::{init_left_f, init_top_e, init_top_h};
         use anyseq_core::tile::{relax_tile, NoSink, TileIn, TileOut};
         let gap = AffineGap {
             open: -2,

@@ -16,14 +16,14 @@
 //! * different tile-size and recursion-cutoff defaults (1024 / 2²⁰).
 
 use anyseq_core::alignment::Alignment;
-use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::{AlignKind, Global, OptRegion};
-use anyseq_core::pass::{lines_pass, score_pass, PassOutput, TileLines};
+use anyseq_core::pass::{lines_pass, score_pass, Seeds, Spacing, TileLines};
 use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
-use anyseq_core::tile::TileOut;
+use anyseq_core::tile::{TileIn, TileOut};
+use anyseq_core::traceback::{align_with_pass, AlignConfig, LinesPass};
 use anyseq_seq::Seq;
 use anyseq_simd::kernel::{block_kernel_masked, SimdSubst};
 use anyseq_wavefront::borders::BorderStore;
@@ -73,16 +73,12 @@ impl SeqAnLike {
         G: GapModel,
         SS: SimdSubst,
     {
-        self.pass_impl::<Global, G, SS>(
-            scheme.gap(),
-            scheme.subst(),
-            q.codes(),
-            s.codes(),
-            scheme.gap().open(),
-            None,
-        )
-        .pass
-        .score
+        let (q, s) = (q.codes(), s.codes());
+        let seeds = Seeds::init::<Global, G>(scheme.gap(), q.len(), s.len());
+        let (gap, subst) = (scheme.gap(), scheme.subst());
+        self.pass_impl::<Global, G, SS>(gap, subst, q, s, seeds.stripes(), Spacing::NONE)
+            .pass
+            .score
     }
 
     /// Global alignment (SeqAn-like passes, SeqAn-ish cutoff).
@@ -118,21 +114,20 @@ impl SeqAnLike {
         // reuse the bucketed batch driver with our masked kernel by
         // scoring through the per-pair path grouped in chunks.
         crate::batch_with(pairs, self.threads, |q, s| {
-            score_pass::<Global, G, SS>(scheme.gap(), scheme.subst(), q, s, scheme.gap().open())
-                .score
+            score_pass::<Global, G, SS>(scheme.gap(), scheme.subst(), q, s).score
         })
     }
 
-    /// A pass of kind `K`; with `edge` set, one whose border store
-    /// keeps its tile lines, at most `edge` apart.
+    /// A pass of kind `K` from `seeds` whose border store keeps the
+    /// tile lines `spacing` asks for.
     fn pass_impl<K, G, SS>(
         &self,
         gap: &G,
         subst: &SS,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        edge: Option<usize>,
+        seeds: TileIn<'_>,
+        spacing: Spacing,
     ) -> TileLines
     where
         K: AlignKind,
@@ -142,19 +137,16 @@ impl SeqAnLike {
         let n = q.len();
         let m = s.len();
         if n == 0 || m == 0 || n * m < 1 << 22 || self.threads == 1 {
-            let edge = edge.unwrap_or(usize::MAX);
-            return lines_pass::<K, G, SS>(gap, subst, q, s, tb, edge);
+            return lines_pass::<K, G, SS>(gap, subst, q, s, seeds, spacing);
         }
         let tile = self
             .tile
             .min(anyseq_simd::max_block_extent(gap, subst) / 2)
             .max(16)
-            .min(edge.unwrap_or(usize::MAX));
+            .min(spacing.edge);
         let grid = TileGrid::new(n, m, tile);
-        let mut borders = BorderStore::init::<K, G>(&grid, gap, tb);
-        if edge.is_some() {
-            borders = borders.keeping(G::AFFINE);
-        }
+        let borders =
+            BorderStore::init::<K, G>(&grid, gap, Some(seeds)).keeping(G::AFFINE, spacing.every);
 
         // Mutex-deque scheduler (the "different concurrent queue").
         let deps: Vec<AtomicU8> = (0..grid.total())
@@ -248,44 +240,29 @@ impl SeqAnLike {
         let (rows, mut cols) = borders.take_lines(0);
         cols.retain(|c| c.j < m);
         TileLines {
-            pass: finalize::<K, G>(gap, BestCell::empty(), n, m, tb, &last_h, last_e),
+            pass: finalize::<K, G>(gap, BestCell::empty(), n, m, &last_h, last_e),
             rows,
             cols,
         }
     }
 }
 
-impl<G: GapModel, SS: SimdSubst> HalfPass<G, SS> for SeqAnLike {
-    fn pass<K: AlignKind>(&self, gap: &G, subst: &SS, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
-        if matches!(K::OPT, OptRegion::Corner) {
-            self.pass_impl::<K, G, SS>(gap, subst, q, s, tb, None).pass
-        } else {
-            anyseq_wavefront::pass::tiled_score_pass::<K, G, SS>(
-                gap,
-                subst,
-                q,
-                s,
-                tb,
-                &anyseq_wavefront::ParallelCfg::threads(self.threads),
-            )
-        }
-    }
-
+impl<G: GapModel, SS: SimdSubst> LinesPass<G, SS> for SeqAnLike {
     fn lines<K: AlignKind>(
         &self,
         gap: &G,
         subst: &SS,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        edge: usize,
+        seeds: TileIn<'_>,
+        spacing: Spacing,
     ) -> TileLines {
         if matches!(K::OPT, OptRegion::Corner) {
-            self.pass_impl::<K, G, SS>(gap, subst, q, s, tb, Some(edge))
+            self.pass_impl::<K, G, SS>(gap, subst, q, s, seeds, spacing)
         } else {
             let cfg = anyseq_wavefront::ParallelCfg::threads(self.threads);
             anyseq_wavefront::TiledPass::<ScalarTiles>::new(cfg)
-                .lines::<K, G, SS>(gap, subst, q, s, tb, edge)
+                .lines::<K, G, SS>(gap, subst, q, s, seeds, spacing)
         }
     }
 }
@@ -363,15 +340,12 @@ mod tests {
         let scheme = global(affine(simple(2, -1), -2, -1));
         let mut baseline = SeqAnLike::new(6);
         baseline.tile = 128; // force the parallel path on small input
-        let got = baseline.pass_impl::<Global, _, _>(
-            scheme.gap(),
-            scheme.subst(),
-            q.codes(),
-            s.codes(),
-            scheme.gap().open(),
-            None,
-        );
-        assert_eq!(got.pass.score, scheme.score(&q, &s));
+        let (q, s) = (q.codes(), s.codes());
+        let seeds = Seeds::init::<Global, _>(scheme.gap(), q.len(), s.len());
+        let (gap, subst) = (scheme.gap(), scheme.subst());
+        let got =
+            baseline.pass_impl::<Global, _, _>(gap, subst, q, s, seeds.stripes(), Spacing::NONE);
+        assert_eq!(got.pass.score, scheme.score_codes(q, s));
     }
 
     #[test]
@@ -385,13 +359,22 @@ mod tests {
         b.tile = 64;
         // Call the internal pass directly to bypass the size threshold.
         let (gap, subst, q, s) = (scheme.gap(), scheme.subst(), q.codes(), s.codes());
-        let got = b.pass_impl::<Global, _, _>(gap, subst, q, s, gap.open(), None);
+        let seeds = Seeds::init::<Global, _>(gap, q.len(), s.len());
+        let got = b.pass_impl::<Global, _, _>(gap, subst, q, s, seeds.stripes(), Spacing::NONE);
         assert_eq!(got.pass.score, scheme.score_codes(q, s));
-        // Its border store keeps the lines a traceback leaf walks: the
-        // row sweep's, masked-lane tiles included.
-        let kept = b.pass_impl::<Global, _, _>(gap, subst, q, s, gap.open(), Some(64));
-        let want = lines_pass::<Global, _, _>(gap, subst, q, s, gap.open(), 64);
-        assert_eq!((kept.rows, kept.cols), (want.rows, want.cols));
+        // Its border store keeps the lines a traceback walks: the row
+        // sweep's, masked-lane tiles included, every line or every
+        // third.
+        for every in [1, 3] {
+            let spacing = Spacing { edge: 64, every };
+            let kept = b.pass_impl::<Global, _, _>(gap, subst, q, s, seeds.stripes(), spacing);
+            let want = lines_pass::<Global, _, _>(gap, subst, q, s, seeds.stripes(), spacing);
+            assert_eq!(
+                (kept.rows, kept.cols),
+                (want.rows, want.cols),
+                "every {every}"
+            );
+        }
     }
 
     #[test]

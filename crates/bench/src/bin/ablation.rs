@@ -8,9 +8,9 @@ use anyseq_baselines::SeqAnLike;
 use anyseq_bench::gcups::measure_gcups;
 use anyseq_bench::report::{dump_json, Table};
 use anyseq_bench::workloads::genome_pairs;
-use anyseq_core::hirschberg::{align_with_pass, AlignConfig};
 use anyseq_core::kind::Global;
 use anyseq_core::prelude::*;
+use anyseq_core::traceback::{align_with_pass, AlignConfig};
 use anyseq_gpu_sim::{Device, GpuAligner, KernelShape};
 use anyseq_simd::simd_tiled_score_pass;
 use anyseq_wavefront::pass::{tiled_score_pass, ParallelCfg};
@@ -58,15 +58,8 @@ fn main() {
             let cfg = ParallelCfg::threads(threads).with_tile(tile);
             let m = measure_gcups(cells, 3, || {
                 std::hint::black_box(
-                    tiled_score_pass::<Global, _, _>(
-                        &gap,
-                        &subst,
-                        q.codes(),
-                        s.codes(),
-                        gap.open(),
-                        &cfg,
-                    )
-                    .score,
+                    tiled_score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), &cfg)
+                        .score,
                 );
             });
             t.row(vec![format!("{tile}"), format!("{:.2}", m.gcups)]);
@@ -76,7 +69,7 @@ fn main() {
     }
 
     if which == "cutoff" || which == "all" {
-        println!("== Ablation: Hirschberg recursion cutoff (traceback) ==");
+        println!("== Ablation: traceback base-case cutoff ==");
         let mut t = Table::new(vec!["cutoff_area", "GCUPS"]);
         let pcfg = ParallelCfg::threads(threads).with_tile(512);
         for shift in [12usize, 16, 18, 20, 22] {
@@ -113,15 +106,7 @@ fn main() {
         let cfg = ParallelCfg::threads(threads).with_tile(256);
         let m = measure_gcups(cells, 3, || {
             std::hint::black_box(
-                tiled_score_pass::<Global, _, _>(
-                    &gap,
-                    &subst,
-                    q.codes(),
-                    s.codes(),
-                    gap.open(),
-                    &cfg,
-                )
-                .score,
+                tiled_score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), &cfg).score,
             );
         });
         t.row(vec![
@@ -149,15 +134,7 @@ fn main() {
         let cfg = ParallelCfg::threads(threads).with_tile(512);
         let m32 = measure_gcups(cells, 3, || {
             std::hint::black_box(
-                tiled_score_pass::<Global, _, _>(
-                    &gap,
-                    &subst,
-                    q.codes(),
-                    s.codes(),
-                    gap.open(),
-                    &cfg,
-                )
-                .score,
+                tiled_score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), &cfg).score,
             );
         });
         t.row(vec!["i32 scalar".to_string(), format!("{:.2}", m32.gcups)]);

@@ -19,9 +19,9 @@ use anyseq_baselines::{NvbioLike, ParasailLike, SeqAnLike};
 use anyseq_bench::gcups::{measure_gcups, median};
 use anyseq_bench::report::{dump_json, Table};
 use anyseq_bench::workloads::{genome_pairs, read_batch};
-use anyseq_core::hirschberg::{align_with_pass, AlignConfig};
 use anyseq_core::prelude::*;
 use anyseq_core::scheme::Scheme;
+use anyseq_core::traceback::{align_with_pass, AlignConfig};
 use anyseq_engine::stats::TRACEBACK_CELL_FACTOR;
 use anyseq_engine::{BackendId, BatchCfg, BatchScheduler, Dispatch, Policy, SchemeSpec};
 use anyseq_fpga_sim::SystolicArray;
@@ -198,7 +198,6 @@ fn part_a(cfg: &Cfg) {
                                 lin.subst(),
                                 q.codes(),
                                 s.codes(),
-                                lin.gap().open(),
                                 &pcfg,
                             )
                             .score,
@@ -229,7 +228,6 @@ fn part_a(cfg: &Cfg) {
                                 aff.subst(),
                                 q.codes(),
                                 s.codes(),
-                                aff.gap().open(),
                                 &pcfg,
                             )
                             .score,

@@ -78,28 +78,14 @@ fn main() {
         };
         let dynm = measure_gcups(cells, repeats, || {
             std::hint::black_box(
-                tiled_score_pass::<Global, _, _>(
-                    &gap,
-                    &subst,
-                    q.codes(),
-                    s.codes(),
-                    gap.open(),
-                    &mk(false),
-                )
-                .score,
+                tiled_score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), &mk(false))
+                    .score,
             );
         });
         let statm = measure_gcups(cells, repeats, || {
             std::hint::black_box(
-                tiled_score_pass::<Global, _, _>(
-                    &gap,
-                    &subst,
-                    q.codes(),
-                    s.codes(),
-                    gap.open(),
-                    &mk(true),
-                )
-                .score,
+                tiled_score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), &mk(true))
+                    .score,
             );
         });
         if t == threads[0] {

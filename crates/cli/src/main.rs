@@ -40,8 +40,8 @@
 //! subject slabs stitched through border seams — scores and CIGARs
 //! stay bit-identical to the unsharded run. A score keeps one slab's
 //! tile borders resident; each pass of an alignment keeps one slab
-//! plus the O(m) last rows it returns, and a traceback leaf's pass
-//! its kept tile lines (bounded by the leaf budget). Values below
+//! plus the O(m) last rows it returns, and its kept tile lines
+//! (bounded by the line budget). Values below
 //! 2^18 cells are clamped up; `--shard-cells 0` is rejected (omit the
 //! flag for unsharded execution).
 //! `--cache-mb N` enables the content-hash result cache: repeated

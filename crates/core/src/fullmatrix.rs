@@ -1,63 +1,58 @@
-//! The traceback: one H/E/F state machine that walks an optimal global
-//! path back from `(n, m)` one block at a time, recomputing each block
-//! it enters as a predecessor matrix seeded from kept tile lines
-//! ([`walk`]). With no lines the whole rectangle is one block: that is
-//! [`base_global`], the full-matrix base case of the divide-and-conquer
-//! traceback (paper §III-A: "recursion on subsequences is only done if
-//! the subsequence sizes exceed a hardware-specific threshold"; the
-//! sub-threshold rectangles land here).
+//! The traceback walk: one H/E/F state machine, specialized per
+//! alignment kind like every other engine, that walks an optimal path
+//! back from the kind's optimum one block at a time ([`walk`]).
 //!
-//! Supports the Myers–Miller boundary gap-open adjustments `tb`/`te`
-//! (vertical gaps touching the top/bottom boundary of the rectangle pay
-//! the adjusted open instead of the scheme's, because the enclosing
-//! recursion has already accounted for the junction): `tb` enters through
-//! the initialization stripes, `te` through the end-state choice.
+//! The walk starts at the kind's `BestCell` in the `H` state and stops
+//! by the kind's rules: a local path at a ν = 0 stop cell, a free-begin
+//! path where it meets row 0 or column 0, and an anchored path runs on
+//! along that edge to `(0, 0)`. Whenever the path needs a cell outside
+//! the block in hand, the walk takes the block that holds it — from the
+//! nearest kept line above and to its left (or the rectangle's seeds)
+//! down and right to the cell — and recomputes its predecessor bytes,
+//! carrying the `E`/`F` state across block edges. A block larger than
+//! the base-case area is walked the same way through lines of its own:
+//! a kept-lines pass over it, seeded from its top row and left column,
+//! and the path leaves it through its top or left edge in whatever
+//! state it is in (FastLSA's nested grid lines, Driga et al.,
+//! *Algorithmica* 2006). A rectangle within the base-case area is one
+//! block with no lines — the full-matrix traceback — and its own
+//! relaxation reports the optimum the walk starts from (paper §III-A:
+//! "recursion on subsequences is only done if the subsequence sizes
+//! exceed a hardware-specific threshold").
 //!
 //! A cell's predecessor byte depends only on its inputs — the `H`/`E`/`F`
 //! values of its neighbours — and kept lines hold those values exactly,
 //! so a block seeded from them records the bytes the whole-rectangle
-//! matrix would: a walk through lines emits [`base_global`]'s operations
-//! on the same rectangle, whatever the line spacing.
+//! matrix would: the walk emits the one-block walk's operations on the
+//! same rectangle, whatever the lines and however deep they nest.
 
-use crate::alignment::AlignOp;
-use crate::kind::Global;
-use crate::pass::{init_left_f, init_left_h, init_top_e, init_top_h, ColLine, RowLine};
+use crate::alignment::{AlignOp, Alignment};
+use crate::kind::AlignKind;
+use crate::pass::{finalize_score, ColLine, RowLine, Seeds};
 use crate::relax::pred;
-use crate::score::{max2, Score};
 use crate::scoring::{GapModel, SubstScore};
 use crate::tile::{relax_tile, PredSink, TileIn, TileOut};
+use crate::traceback::{spacing, LinesPass};
 
-/// Traceback state machine states (Gotoh's three matrices).
+/// Traceback state machine states (Gotoh's three matrices), plus the
+/// ν = 0 stop of a local path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum St {
     H,
     E,
     F,
+    Stop,
 }
 
-/// Globally aligns `q × s` with boundary gap-opens `tb`/`te`, appending
-/// the operations to `ops` (in left-to-right order) and returning the
-/// boundary-adjusted optimal score: [`walk`] with no lines.
-///
-/// Memory: `n·m` predecessor bytes — callers bound the rectangle area
-/// (see `hirschberg::AlignConfig::cutoff_area`).
-pub fn base_global<G, S>(
-    gap: &G,
-    subst: &S,
-    q: &[u8],
-    s: &[u8],
-    tb: Score,
-    te: Score,
-    ops: &mut Vec<AlignOp>,
-) -> Score
-where
-    G: GapModel,
-    S: SubstScore,
-{
-    walk(gap, subst, q, s, tb, te, &[], &[], ops).0
+/// Where the walk is: a cell and the state it is in there.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    i: usize,
+    j: usize,
+    st: St,
 }
 
-/// The block of the matrix the walk holds predecessors for: rows
+/// The block of a rectangle the walk holds predecessors for: rows
 /// `top + 1 ..= top + h`, columns `left + 1 ..= left + w`.
 struct Block {
     top: usize,
@@ -66,206 +61,261 @@ struct Block {
     out: TileOut,
 }
 
-/// Globally aligns `q × s` with boundary gap-opens `tb`/`te` (as
-/// [`base_global`]) by walking back from `(n, m)` through the kept
-/// `rows` and `cols` of a pass over the same rectangle with the same
-/// `tb` (ascending, interior: `0 < i < n`, `0 < j < m`).
-///
-/// Whenever the path needs a cell outside the block in hand, the walk
-/// recomputes the block that holds it: from the nearest kept row above
-/// and column to its left (or the rectangle's init stripes) down and
-/// right to the cell itself — never more than one line spacing squared
-/// of predecessor bytes. The `E`/`F` state carries across block
-/// boundaries. Returns the score and the number of blocks recomputed.
-#[allow(clippy::too_many_arguments)]
-pub fn walk<G, S>(
+impl Block {
+    /// Holds nothing: every cell is outside it.
+    fn new() -> Block {
+        Block {
+            top: usize::MAX,
+            left: usize::MAX,
+            sink: PredSink::new(0, 0),
+            out: TileOut::new(),
+        }
+    }
+
+    /// Recomputes the block `q × s` at `(top, left)` of an `n × m`
+    /// rectangle from its boundary stripes.
+    #[allow(clippy::too_many_arguments)]
+    fn enter<K: AlignKind, G: GapModel, S: SubstScore>(
+        &mut self,
+        gap: &G,
+        subst: &S,
+        q: &[u8],
+        s: &[u8],
+        input: TileIn<'_>,
+        (top, left): (usize, usize),
+        dims: (usize, usize),
+    ) {
+        self.sink.reset(q.len(), s.len());
+        relax_tile::<K, G, S, _>(
+            gap,
+            subst,
+            q,
+            s,
+            (top + 1, left + 1),
+            dims,
+            input,
+            &mut self.out,
+            &mut self.sink,
+        );
+        (self.top, self.left) = (top, left);
+    }
+}
+
+/// What a walk needs besides its rectangle: the provider of the nested
+/// blocks' kept-lines passes, and how many blocks it recomputed.
+struct Walk<'a, P, G, S> {
+    pass: &'a P,
+    gap: &'a G,
+    subst: &'a S,
+    cutoff_area: usize,
+    blocks: usize,
+}
+
+/// Aligns `q × s` by kind `K`: the optimum and its path (see the module
+/// docs). A rectangle of at most `cutoff_area` cells is one block;
+/// a larger one's lines come from `pass` — at the [`spacing`] its shape
+/// allows, down to the base case. Returns the alignment and the number
+/// of blocks recomputed through kept lines (0 for one block).
+pub fn walk<K, G, S, P>(
+    pass: &P,
     gap: &G,
     subst: &S,
     q: &[u8],
     s: &[u8],
-    tb: Score,
-    te: Score,
-    rows: &[RowLine],
-    cols: &[ColLine],
-    ops: &mut Vec<AlignOp>,
-) -> (Score, usize)
+    cutoff_area: usize,
+) -> (Alignment, usize)
+where
+    K: AlignKind,
+    G: GapModel,
+    S: SubstScore,
+    P: LinesPass<G, S>,
+{
+    let (n, m) = (q.len(), s.len());
+    let seeds = Seeds::init::<K, G>(gap, n, m);
+    let whole = seeds.stripes();
+    let mut blk = Block::new();
+    let kept;
+    let (score, end, rows, cols) = if n > 0 && m > 0 && n.saturating_mul(m) <= cutoff_area {
+        blk.enter::<K, G, S>(gap, subst, q, s, whole, (0, 0), (n, m));
+        let (score, end) = finalize_score::<K, G>(gap, blk.out.best, n, m, blk.out.bot_h[m]);
+        (score, end, &[][..], &[][..])
+    } else {
+        kept = pass.lines::<K>(gap, subst, q, s, whole, spacing(n, m, cutoff_area));
+        let (rows, cols) = (&kept.rows[..], &kept.cols[..]);
+        (kept.pass.score, kept.pass.end, rows, cols)
+    };
+    let mut walk = Walk {
+        pass,
+        gap,
+        subst,
+        cutoff_area,
+        blocks: 0,
+    };
+    let mut rev = Vec::with_capacity(n + m);
+    let (i, j) = (end.0, end.1);
+    let at = walk.through::<K>(
+        q,
+        s,
+        whole,
+        rows,
+        cols,
+        &mut blk,
+        Cursor { i, j, st: St::H },
+        &mut rev,
+    );
+    let (mut i, mut j) = (at.i, at.j);
+    if !K::FREE_BEGIN {
+        // An anchored path runs along row 0 or column 0 to the origin
+        // (`E` and `F` never extend a run out of the init stripes).
+        debug_assert_eq!(at.st, St::H);
+        rev.extend(std::iter::repeat_n(AlignOp::GapQ, j));
+        rev.extend(std::iter::repeat_n(AlignOp::GapS, i));
+        (i, j) = (0, 0);
+    }
+    if rev.is_empty() {
+        return (Alignment::empty(score), walk.blocks);
+    }
+    rev.reverse();
+    let aln = Alignment {
+        score,
+        ops: rev,
+        q_start: i,
+        q_end: end.0,
+        s_start: j,
+        s_end: end.1,
+    };
+    (aln, walk.blocks)
+}
+
+impl<P, G, S> Walk<'_, P, G, S>
 where
     G: GapModel,
     S: SubstScore,
+    P: LinesPass<G, S>,
 {
-    let n = q.len();
-    let m = s.len();
-
-    // Degenerate rectangles: one pure gap run (or nothing).
-    if m == 0 {
-        ops.extend(std::iter::repeat_n(AlignOp::GapS, n));
-        let score = if n == 0 {
-            0
-        } else {
-            // The run touches both boundaries: the better single waiver
-            // applies (Myers–Miller's min(tb,te), here in score space).
-            max2(tb, te) + (n as Score) * gap.extend()
-        };
-        return (score, 0);
-    }
-    if n == 0 {
-        ops.extend(std::iter::repeat_n(AlignOp::GapQ, m));
-        return (gap.gap(m), 0);
-    }
-
-    let top_h = init_top_h::<Global, G>(gap, m);
-    let top_e = init_top_e::<Global, G>(gap, m);
-    let left_h = init_left_h::<Global, G>(gap, n, tb);
-    let left_f = init_left_f::<G>(n);
-    let mut blk = Block {
-        top: 0,
-        left: 0,
-        sink: PredSink::new(0, 0),
-        out: TileOut::new(),
-    };
-    // Recomputes `blk` as the block whose bottom-right cell is `(i, j)`.
-    let enter = |blk: &mut Block, i: usize, j: usize| {
-        let row = rows[..rows.partition_point(|r| r.i < i)].last();
-        let col = cols[..cols.partition_point(|c| c.j < j)].last();
-        let (top, left) = (row.map_or(0, |r| r.i), col.map_or(0, |c| c.j));
-        let (row_h, row_e, col_h, col_f) = (
-            row.map_or(&top_h[..], |r| &r.h[..]),
-            row.map_or(&top_e[..], |r| &r.e[..]),
-            col.map_or(&left_h[..], |c| &c.h[..]),
-            col.map_or(&left_f[..], |c| &c.f[..]),
-        );
-        let affine = G::AFFINE;
-        blk.sink.reset(i - top, j - left);
-        relax_tile::<Global, G, S, _>(
-            gap,
-            subst,
-            &q[top..i],
-            &s[left..j],
-            (top + 1, left + 1),
-            (n, m),
-            TileIn {
-                top_h: &row_h[left..=j],
-                top_e: if affine { &row_e[left..j] } else { &[] },
-                left_h: &col_h[top..i],
-                left_f: if affine { &col_f[top..i] } else { &[] },
-            },
-            &mut blk.out,
-            &mut blk.sink,
-        );
-        (blk.top, blk.left) = (top, left);
-    };
-    enter(&mut blk, n, m);
-    let mut blocks = 1;
-
-    // End-state choice: finishing in a vertical gap that touches the
-    // bottom boundary re-prices its open from the scheme's to `te`.
-    let w = m - blk.left;
-    let score_h = blk.out.bot_h[w];
-    let (mut st, score) = if G::AFFINE {
-        let score_e = blk.out.bot_e[w - 1] - gap.open() + te;
-        if score_e > score_h {
-            (St::E, score_e)
-        } else {
-            (St::H, score_h)
-        }
-    } else {
-        (St::H, score_h)
-    };
-
-    // Traceback (collect reversed, then flip).
-    let mut rev: Vec<AlignOp> = Vec::with_capacity(n + m);
-    let mut i = n;
-    let mut j = m;
-    loop {
-        if st == St::H {
-            if i == 0 {
-                rev.extend(std::iter::repeat_n(AlignOp::GapQ, j));
-                break;
-            }
-            if j == 0 {
-                rev.extend(std::iter::repeat_n(AlignOp::GapS, i));
-                break;
-            }
-        }
-        if i <= blk.top || j <= blk.left {
-            enter(&mut blk, i, j);
-            blocks += 1;
-        }
-        let p = blk.sink.at(i - blk.top - 1, j - blk.left - 1);
-        match st {
-            St::H => match p & pred::DIR_MASK {
-                pred::DIAG => {
-                    rev.push(if q[i - 1] == s[j - 1] {
-                        AlignOp::Match
-                    } else {
-                        AlignOp::Mismatch
-                    });
-                    i -= 1;
-                    j -= 1;
+    /// Walks from `at` through `q × s` — seeded by `seeds`, with kept
+    /// `rows` and `cols` — pushing the operations (reversed) onto `rev`
+    /// until the path stops or reaches row 0 or column 0; returns where.
+    /// `blk` may already hold the block the walk starts in.
+    #[allow(clippy::too_many_arguments)]
+    fn through<K: AlignKind>(
+        &mut self,
+        q: &[u8],
+        s: &[u8],
+        seeds: TileIn<'_>,
+        rows: &[RowLine],
+        cols: &[ColLine],
+        blk: &mut Block,
+        mut at: Cursor,
+        rev: &mut Vec<AlignOp>,
+    ) -> Cursor {
+        while at.st != St::Stop && at.i > 0 && at.j > 0 {
+            let Cursor { i, j, st } = at;
+            if i <= blk.top || j <= blk.left {
+                let row = rows[..rows.partition_point(|r| r.i < i)].last();
+                let col = cols[..cols.partition_point(|c| c.j < j)].last();
+                let (top, left) = (row.map_or(0, |r| r.i), col.map_or(0, |c| c.j));
+                let (row_h, row_e) = row.map_or((seeds.top_h, seeds.top_e), |r| (&r.h, &r.e));
+                let (col_h, col_f) = col.map_or((seeds.left_h, seeds.left_f), |c| (&c.h, &c.f));
+                let affine = G::AFFINE;
+                let input = TileIn {
+                    top_h: &row_h[left..=j],
+                    top_e: if affine { &row_e[left..j] } else { &[] },
+                    left_h: &col_h[top..i],
+                    left_f: if affine { &col_f[top..i] } else { &[] },
+                };
+                let (bq, bs) = (&q[top..i], &s[left..j]);
+                // A block no line cuts (a single cell at a zero cutoff,
+                // or a provider that kept none) is the rectangle itself:
+                // walked as one block, however large.
+                let uncut = (top, left, i, j) == (0, 0, q.len(), s.len());
+                if bq.len() * bs.len() > self.cutoff_area && !uncut {
+                    // Too large for one block: its own kept-lines pass,
+                    // and the walk goes on where the path leaves it.
+                    let shape = spacing(bq.len(), bs.len(), self.cutoff_area);
+                    let lines = self
+                        .pass
+                        .lines::<K>(self.gap, self.subst, bq, bs, input, shape);
+                    let from = Cursor {
+                        i: i - top,
+                        j: j - left,
+                        st,
+                    };
+                    let to = self.through::<K>(
+                        bq,
+                        bs,
+                        input,
+                        &lines.rows,
+                        &lines.cols,
+                        &mut Block::new(),
+                        from,
+                        rev,
+                    );
+                    at = Cursor {
+                        i: top + to.i,
+                        j: left + to.j,
+                        st: to.st,
+                    };
+                    continue;
                 }
-                pred::UP => st = St::E,
-                pred::LEFT => st = St::F,
-                _ => unreachable!("global traceback hit a local stop cell"),
-            },
-            St::E => {
-                rev.push(AlignOp::GapS);
-                i -= 1;
-                st = if i > 0 && (p & pred::E_EXT) != 0 {
-                    St::E
-                } else {
-                    St::H
-                };
+                let dims = (q.len(), s.len());
+                blk.enter::<K, G, S>(self.gap, self.subst, bq, bs, input, (top, left), dims);
+                self.blocks += 1;
             }
-            St::F => {
-                rev.push(AlignOp::GapQ);
-                j -= 1;
-                st = if j > 0 && (p & pred::F_EXT) != 0 {
-                    St::F
-                } else {
-                    St::H
-                };
+            let p = blk.sink.at(i - blk.top - 1, j - blk.left - 1);
+            match st {
+                St::H => match p & pred::DIR_MASK {
+                    pred::DIAG => {
+                        rev.push(if q[i - 1] == s[j - 1] {
+                            AlignOp::Match
+                        } else {
+                            AlignOp::Mismatch
+                        });
+                        (at.i, at.j) = (i - 1, j - 1);
+                    }
+                    pred::UP => at.st = St::E,
+                    pred::LEFT => at.st = St::F,
+                    _ => at.st = St::Stop,
+                },
+                St::E => {
+                    rev.push(AlignOp::GapS);
+                    at.i = i - 1;
+                    at.st = if p & pred::E_EXT != 0 { St::E } else { St::H };
+                }
+                St::F => {
+                    rev.push(AlignOp::GapQ);
+                    at.j = j - 1;
+                    at.st = if p & pred::F_EXT != 0 { St::F } else { St::H };
+                }
+                St::Stop => unreachable!("the loop ends at a stop"),
             }
         }
+        at
     }
-    rev.reverse();
-    ops.extend_from_slice(&rev);
-    (score, blocks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alignment::Alignment;
-    use crate::kind::Global as GlobalKind;
+    use crate::kind::Global;
+    use crate::score::Score;
     use crate::scoring::{simple, AffineGap, LinearGap};
+    use crate::traceback::ScalarPass;
     use anyseq_seq::Seq;
 
+    /// The one-block global walk of `q × s`.
+    fn global<G: GapModel>(gap: &G, q: &[u8], s: &[u8]) -> Alignment {
+        walk::<Global, _, _, _>(&ScalarPass, gap, &simple(2, -1), q, s, usize::MAX).0
+    }
+
     fn run<G: GapModel>(gap: G, qa: &[u8], sa: &[u8]) -> (Score, Vec<AlignOp>) {
-        let subst = simple(2, -1);
         let q = Seq::from_ascii(qa).unwrap();
         let s = Seq::from_ascii(sa).unwrap();
-        let mut ops = Vec::new();
-        let score = base_global(
-            &gap,
-            &subst,
-            q.codes(),
-            s.codes(),
-            gap.open(),
-            gap.open(),
-            &mut ops,
-        );
+        let aln = global(&gap, q.codes(), s.codes());
         // Every emitted alignment must recompute to its reported score.
-        let aln = Alignment {
-            score,
-            ops: ops.clone(),
-            q_start: 0,
-            q_end: q.len(),
-            s_start: 0,
-            s_end: s.len(),
-        };
-        aln.validate::<GlobalKind, _, _>(&q, &s, &gap, &simple(2, -1))
+        aln.validate::<Global, _, _>(&q, &s, &gap, &simple(2, -1))
             .unwrap();
-        (score, ops)
+        (aln.score, aln.ops)
     }
 
     #[test]
@@ -324,78 +374,16 @@ mod tests {
             open: -2,
             extend: -1,
         };
-        let subst = simple(2, -1);
-        let mut ops = Vec::new();
-        let score = base_global(
-            &gap,
-            &subst,
-            &[],
-            &[0, 1, 2],
-            gap.open(),
-            gap.open(),
-            &mut ops,
-        );
-        assert_eq!(score, -5);
-        assert_eq!(ops, vec![AlignOp::GapQ; 3]);
+        let aln = global(&gap, &[], &[0, 1, 2]);
+        assert_eq!(aln.score, -5);
+        assert_eq!(aln.ops, vec![AlignOp::GapQ; 3]);
 
-        ops.clear();
-        let score = base_global(&gap, &subst, &[0, 1], &[], gap.open(), gap.open(), &mut ops);
-        assert_eq!(score, -4);
-        assert_eq!(ops, vec![AlignOp::GapS; 2]);
+        let aln = global(&gap, &[0, 1], &[]);
+        assert_eq!(aln.score, -4);
+        assert_eq!(aln.ops, vec![AlignOp::GapS; 2]);
 
-        ops.clear();
-        let score = base_global(&gap, &subst, &[], &[], gap.open(), gap.open(), &mut ops);
-        assert_eq!(score, 0);
-        assert!(ops.is_empty());
-    }
-
-    #[test]
-    fn tb_zero_waives_top_touching_open() {
-        // q = AA, s = "" is trivial; instead: q = AAC, s = C. Optimal with
-        // tb = 0: delete AA via a top-touching run paying 0 open.
-        let gap = AffineGap {
-            open: -10,
-            extend: -1,
-        };
-        let subst = simple(2, -1);
-        let q = Seq::from_ascii(b"AAC").unwrap();
-        let s = Seq::from_ascii(b"C").unwrap();
-        let mut ops = Vec::new();
-        let score = base_global(&gap, &subst, q.codes(), s.codes(), 0, gap.open(), &mut ops);
-        // top-touching delete of AA: 0 - 2, then C=C: +2 → 0
-        assert_eq!(score, 0);
-        assert_eq!(
-            ops,
-            vec![AlignOp::GapS, AlignOp::GapS, AlignOp::Match],
-            "gap must be placed at the top boundary to exploit tb"
-        );
-    }
-
-    #[test]
-    fn te_zero_waives_bottom_touching_open() {
-        let gap = AffineGap {
-            open: -10,
-            extend: -1,
-        };
-        let subst = simple(2, -1);
-        let q = Seq::from_ascii(b"CAA").unwrap();
-        let s = Seq::from_ascii(b"C").unwrap();
-        let mut ops = Vec::new();
-        let score = base_global(&gap, &subst, q.codes(), s.codes(), gap.open(), 0, &mut ops);
-        assert_eq!(score, 0);
-        assert_eq!(ops, vec![AlignOp::Match, AlignOp::GapS, AlignOp::GapS]);
-    }
-
-    #[test]
-    fn full_span_gap_uses_better_boundary() {
-        let gap = AffineGap {
-            open: -10,
-            extend: -1,
-        };
-        let subst = simple(2, -1);
-        // m == 0: whole q deleted, run touches both boundaries.
-        let mut ops = Vec::new();
-        let score = base_global(&gap, &subst, &[0, 0, 0], &[], 0, gap.open(), &mut ops);
-        assert_eq!(score, -3); // waived open (tb = 0), 3 extends
+        let aln = global(&gap, &[], &[]);
+        assert_eq!(aln.score, 0);
+        assert!(aln.ops.is_empty());
     }
 }

@@ -81,10 +81,7 @@ impl AlignKind for SemiGlobal {
 /// Free-end alignment: the start is anchored at the origin, gaps at the
 /// end are free (the optimum lies on the last row or column).
 ///
-/// This "extension" kind is what read extension uses, and it is also the
-/// exact mirror problem of the semi-global traceback: reversing a
-/// semi-global alignment ending at `(iₑ, jₑ)` yields a free-end problem
-/// over the reversed prefixes.
+/// This "extension" kind is what read extension uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FreeEnd;
 
@@ -97,10 +94,6 @@ impl AlignKind for FreeEnd {
 
 /// Extension alignment: the start is anchored at the origin, the end is
 /// free *anywhere* (best prefix-pair alignment, no score floor).
-///
-/// Reversing an optimal local alignment that ends at `(iₑ, jₑ)` yields an
-/// extension problem over the reversed prefixes — this is how the local
-/// traceback locates its start cell in linear space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Extension;
 

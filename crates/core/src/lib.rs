@@ -13,13 +13,13 @@
 //!
 //! * [`relax`] — the single shared cell update (Equations (1), (4), (5)),
 //! * [`tile`] — the tile kernel + border protocol every backend reuses,
-//! * [`pass`] — linear-space score-only passes (also the Hirschberg
-//!   half-pass) and the pass that keeps its tile lines,
-//! * [`fullmatrix`] — the traceback walk: block by block through kept
-//!   tile lines, or over one predecessor matrix (the base case), with
-//!   Myers–Miller boundary costs,
-//! * [`hirschberg`] — where each rectangle goes (base case, leaf walk or
-//!   Hirschberg split) and the kind-specific flows,
+//! * [`pass`] — linear-space score-only passes from a rectangle's seed
+//!   stripes, and the pass that keeps its tile lines,
+//! * [`fullmatrix`] — the traceback walk, one state machine for every
+//!   kind: block by block through kept tile lines (nested in blocks
+//!   too large for the base case), or over one predecessor matrix,
+//! * [`traceback`] — the pass-provider seam, the line spacing and the
+//!   alignment entry points,
 //! * [`scheme`] — the composable user-facing API,
 //! * [`oracle`] — an independent naive implementation for cross-checking.
 //!
@@ -38,7 +38,6 @@
 
 pub mod alignment;
 pub mod fullmatrix;
-pub mod hirschberg;
 pub mod kind;
 pub mod oracle;
 pub mod pass;
@@ -47,19 +46,19 @@ pub mod scheme;
 pub mod score;
 pub mod scoring;
 pub mod tile;
+pub mod traceback;
 
 pub use alignment::{AlignOp, Alignment, AlignmentError};
-pub use hirschberg::AlignConfig;
 pub use kind::{AlignKind, Extension, FreeEnd, Global, Local, OptRegion, SemiGlobal};
 pub use relax::BestCell;
 pub use scheme::Scheme;
 pub use score::{Score, NEG_INF, SCORE_ENVELOPE};
 pub use scoring::{AffineGap, GapModel, LinearGap, MatrixSubst, Scoring, SimpleSubst, SubstScore};
+pub use traceback::AlignConfig;
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::alignment::{AlignOp, Alignment};
-    pub use crate::hirschberg::AlignConfig;
     pub use crate::kind::{AlignKind, FreeEnd, Global, Local, SemiGlobal};
     pub use crate::scheme::{free_end, global, local, semiglobal, Scheme};
     pub use crate::score::{Score, NEG_INF};
@@ -67,4 +66,5 @@ pub mod prelude {
         affine, linear, simple, AffineGap, GapModel, LinearGap, MatrixSubst, Scoring, SimpleSubst,
         SubstScore,
     };
+    pub use crate::traceback::AlignConfig;
 }

@@ -1,13 +1,12 @@
 //! Score-only passes in linear space (paper §III-A: "score-only
 //! computations can be performed in linear space").
 //!
-//! A pass is simply the tile kernel applied to the matrix tile by tile
-//! with the kind's initialization stripes — there is deliberately no
-//! second implementation of the recurrence. The pass also returns the last
-//! `H`/`E` rows, which is exactly what the Hirschberg combine step needs,
-//! so the same function serves as the half-pass of the divide-and-conquer
-//! traceback; on a grid of tiles it can keep the tile boundaries it
-//! crossed ([`lines_pass`]), which the traceback leaf walks back through.
+//! A pass is simply the tile kernel applied to the matrix tile by tile,
+//! starting from the rectangle's boundary stripes — its [`Seeds`]: the
+//! kind's initialization for a whole pair, or kept tile lines for a
+//! block of one — and there is deliberately no second implementation of
+//! the recurrence. On a grid of tiles it can keep the tile boundaries it
+//! crossed ([`lines_pass`]), which the traceback walks back through.
 
 use crate::kind::{AlignKind, OptRegion};
 use crate::relax::BestCell;
@@ -38,12 +37,8 @@ pub fn init_top_h<K: AlignKind, G: GapModel>(gap: &G, w: usize) -> Vec<Score> {
 ///
 /// Initialized to `H(0,j) + open`, which is exactly equivalent to the
 /// paper's `E(0,j) = −∞` because `E(1,j) = max(E(0,j)+e, H(0,j)+o+e)`
-/// collapses either way. Note the Hirschberg boundary adjustment `tb`
-/// deliberately does **not** appear here: a vertical run continuing from
-/// the junction above enters this rectangle at its top-left corner and
-/// can only flow down column 0 — a run at any column `j ≥ 1` was
-/// necessarily preceded by horizontal movement, which breaks the run, so
-/// it must pay the scheme's own open.
+/// collapses either way — so row 1 never extends a run from row 0, and
+/// a traceback reaching row 0 is in the `H` state.
 pub fn init_top_e<K: AlignKind, G: GapModel>(gap: &G, w: usize) -> Vec<Score> {
     if !G::AFFINE {
         return Vec::new();
@@ -51,15 +46,16 @@ pub fn init_top_e<K: AlignKind, G: GapModel>(gap: &G, w: usize) -> Vec<Score> {
     (1..=w).map(|j| K::h_init(gap, j) + gap.open()).collect()
 }
 
-/// Builds the column-0 `H` stripe `H(1..=h, 0)` with top-boundary
-/// vertical gap-open `tb` (the column-0 run always touches the top).
-pub fn init_left_h<K: AlignKind, G: GapModel>(gap: &G, h: usize, tb: Score) -> Vec<Score> {
+/// Builds the column-0 `H` stripe `H(1..=h, 0)`: the vertical run down
+/// column 0, opened at `open` (`gap.open()` for kind `K`'s own
+/// initialization), or 0 where leading gaps are free.
+pub fn init_left_h<K: AlignKind, G: GapModel>(gap: &G, h: usize, open: Score) -> Vec<Score> {
     (1..=h)
         .map(|i| {
             if K::FREE_BEGIN {
                 0
             } else {
-                tb + (i as Score) * gap.extend()
+                open + (i as Score) * gap.extend()
             }
         })
         .collect()
@@ -74,18 +70,76 @@ pub fn init_left_f<G: GapModel>(h: usize) -> Vec<Score> {
     vec![NEG_INF; h]
 }
 
-/// Runs a score-only pass of kind `K` over `q × s`.
-///
-/// `tb` is the vertical gap-open score applied at the top boundary; pass
-/// `gap.open()` for a standalone alignment (see [`init_top_e`]). It is
-/// [`lines_pass`] with one tile, which keeps no lines.
-pub fn score_pass<K, G, S>(gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput
+/// The boundary stripes a pass over a rectangle starts from, owned, in
+/// the layout of a [`TileIn`] covering the whole rectangle.
+#[derive(Debug, Clone)]
+pub struct Seeds {
+    /// `H(0, 0..=m)`.
+    pub top_h: Vec<Score>,
+    /// `E(0, 1..=m)` (empty for linear gap models).
+    pub top_e: Vec<Score>,
+    /// `H(1..=n, 0)`.
+    pub left_h: Vec<Score>,
+    /// `F(1..=n, 0)` (empty for linear gap models).
+    pub left_f: Vec<Score>,
+}
+
+impl Seeds {
+    /// Kind `K`'s own initialization of an `n × m` rectangle.
+    pub fn init<K: AlignKind, G: GapModel>(gap: &G, n: usize, m: usize) -> Seeds {
+        Seeds {
+            top_h: init_top_h::<K, G>(gap, m),
+            top_e: init_top_e::<K, G>(gap, m),
+            left_h: init_left_h::<K, G>(gap, n, gap.open()),
+            left_f: init_left_f::<G>(n),
+        }
+    }
+
+    /// The stripes, borrowed.
+    pub fn stripes(&self) -> TileIn<'_> {
+        TileIn {
+            top_h: &self.top_h,
+            top_e: &self.top_e,
+            left_h: &self.left_h,
+            left_f: &self.left_f,
+        }
+    }
+}
+
+/// Which tile boundaries a kept-lines pass keeps: it runs tiles of at
+/// most `edge` cells a side and keeps every `every`-th interior tile
+/// boundary in each direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spacing {
+    /// Largest tile edge.
+    pub edge: usize,
+    /// Keep the boundary after every `every`-th tile row and column.
+    pub every: usize,
+}
+
+impl Spacing {
+    /// Tiles of the provider's own size, nothing kept: a score pass.
+    pub const NONE: Spacing = Spacing {
+        edge: usize::MAX,
+        every: usize::MAX,
+    };
+
+    /// Whether the boundary after tile `k` (0-based) of `tiles` is kept.
+    pub fn keeps(&self, k: usize, tiles: usize) -> bool {
+        k + 1 < tiles && (k + 1).is_multiple_of(self.every)
+    }
+}
+
+/// Runs a score-only pass of kind `K` over `q × s` from the kind's own
+/// initialization: [`lines_pass`] with one tile, which keeps no lines.
+pub fn score_pass<K, G, S>(gap: &G, subst: &S, q: &[u8], s: &[u8]) -> PassOutput
 where
     K: AlignKind,
     G: GapModel,
     S: SubstScore,
 {
-    lines_pass::<K, G, S>(gap, subst, q, s, tb, usize::MAX).pass
+    let seeds = Seeds::init::<K, G>(gap, q.len(), s.len());
+    lines_pass::<K, G, S>(gap, subst, q, s, seeds.stripes(), Spacing::NONE).pass
 }
 
 /// A kept row of a pass: `H(i, 0..=m)` and `E(i, 1..=m)` (empty for
@@ -147,18 +201,17 @@ impl TileLines {
     }
 }
 
-/// Runs a pass of kind `K` over `q × s` as a row-major loop of
-/// `edge × edge` tiles on one thread, keeping every interior tile
-/// boundary as a [`RowLine`] or [`ColLine`] (`tb` as in
-/// [`score_pass`]). An `edge` of at least `max(n, m)` is one tile and
-/// keeps nothing.
+/// Runs a pass of kind `K` over `q × s` from `seeds` as a row-major
+/// loop of `spacing.edge`-square tiles on one thread, keeping the tile
+/// boundaries `spacing` keeps as [`RowLine`]s and [`ColLine`]s. An edge
+/// of at least `max(n, m)` is one tile and keeps nothing.
 pub fn lines_pass<K, G, S>(
     gap: &G,
     subst: &S,
     q: &[u8],
     s: &[u8],
-    tb: Score,
-    edge: usize,
+    seeds: TileIn<'_>,
+    spacing: Spacing,
 ) -> TileLines
 where
     K: AlignKind,
@@ -168,25 +221,15 @@ where
     let n = q.len();
     let m = s.len();
 
-    // Degenerate rectangles: the init stripes *are* the result.
+    // Degenerate rectangles: the seeds *are* the result.
     if n == 0 || m == 0 {
-        let last_h = init_top_h::<K, G>(gap, m);
-        let last_e = init_top_e::<K, G>(gap, m);
+        let (last_h, last_e) = if n == 0 {
+            (seeds.top_h.to_vec(), seeds.top_e.to_vec())
+        } else {
+            (vec![seeds.left_h[n - 1]], Vec::new())
+        };
         let (score, end) = match K::OPT {
-            OptRegion::Corner => {
-                if n == 0 {
-                    (last_h[m], (0, m))
-                } else {
-                    (
-                        if K::FREE_BEGIN {
-                            0
-                        } else {
-                            tb + (n as Score) * gap.extend()
-                        },
-                        (n, 0),
-                    )
-                }
-            }
+            OptRegion::Corner => (last_h[m], (n, m)),
             // Local / border optima of an empty rectangle: the empty
             // alignment (score 0) is always attainable and optimal among
             // the zero-width paths.
@@ -201,19 +244,18 @@ where
         .into();
     }
 
-    let edge = edge.max(1);
+    let edge = spacing.edge.max(1);
     let span = |k: usize, len: usize| (k * edge + 1, (k * edge).saturating_add(edge).min(len));
     let (nt, mt) = (n.div_ceil(edge), m.div_ceil(edge));
     // `h_row`/`e_row` hold the bottom stripes of the tile row last
-    // finished, joined: row 0's init stripes at first.
-    let mut h_row = init_top_h::<K, G>(gap, m);
-    let mut e_row = init_top_e::<K, G>(gap, m);
-    let left_h0 = init_left_h::<K, G>(gap, n, tb);
-    let left_f0 = init_left_f::<G>(n);
-    let mut rows = Vec::with_capacity(nt - 1);
-    let mut cols: Vec<ColLine> = (1..mt)
+    // finished, joined: the top seeds at first.
+    let mut h_row = seeds.top_h.to_vec();
+    let mut e_row = seeds.top_e.to_vec();
+    let mut rows = Vec::new();
+    let mut cols: Vec<ColLine> = (0..mt)
+        .filter(|&tj| spacing.keeps(tj, mt))
         .map(|tj| ColLine {
-            j: tj * edge,
+            j: (tj + 1) * edge,
             ..ColLine::default()
         })
         .collect();
@@ -223,10 +265,10 @@ where
     for ti in 0..nt {
         let (i0, i1) = span(ti, n);
         left_h.clear();
-        left_h.extend_from_slice(&left_h0[i0 - 1..i1]);
+        left_h.extend_from_slice(&seeds.left_h[i0 - 1..i1]);
         left_f.clear();
         if G::AFFINE {
-            left_f.extend_from_slice(&left_f0[i0 - 1..i1]);
+            left_f.extend_from_slice(&seeds.left_f[i0 - 1..i1]);
         }
         // `H(i0 − 1, j0 − 1)`: the previous tile's write-back replaced
         // it in `h_row` by `H(i1, j0 − 1)`.
@@ -258,13 +300,14 @@ where
             }
             std::mem::swap(&mut left_h, &mut out.right_h);
             std::mem::swap(&mut left_f, &mut out.right_f);
-            if let Some(col) = cols.get_mut(tj) {
+            if spacing.keeps(tj, mt) {
+                let col = &mut cols[tj / spacing.every];
                 col.h.extend_from_slice(&left_h);
                 col.f.extend_from_slice(&left_f);
             }
             corner = next_corner;
         }
-        if ti + 1 < nt {
+        if spacing.keeps(ti, nt) {
             rows.push(RowLine {
                 i: i1,
                 h: h_row.clone(),
@@ -273,7 +316,7 @@ where
         }
     }
 
-    let (score, end) = finalize_score::<K, G>(gap, best, n, m, tb, h_row[m]);
+    let (score, end) = finalize_score::<K, G>(gap, best, n, m, h_row[m]);
     TileLines {
         pass: PassOutput {
             score,
@@ -287,18 +330,18 @@ where
 }
 
 /// Applies the kind's optimum conventions to a tracked best cell and the
-/// final row of a non-degenerate pass — shared with every tiled backend,
-/// so their results are bit-identical with [`score_pass`].
+/// final row of a non-degenerate pass from the kind's own
+/// initialization — shared with every tiled backend, so their results
+/// are bit-identical with [`score_pass`].
 pub fn finalize<K: AlignKind, G: GapModel>(
     gap: &G,
     best: BestCell,
     n: usize,
     m: usize,
-    tb: Score,
     last_h: &[Score],
     last_e: Vec<Score>,
 ) -> PassOutput {
-    let (score, end) = finalize_score::<K, G>(gap, best, n, m, tb, last_h[m]);
+    let (score, end) = finalize_score::<K, G>(gap, best, n, m, last_h[m]);
     PassOutput {
         score,
         end,
@@ -316,7 +359,6 @@ pub fn finalize_score<K: AlignKind, G: GapModel>(
     mut best: BestCell,
     n: usize,
     m: usize,
-    tb: Score,
     h_nm: Score,
 ) -> (Score, (usize, usize)) {
     match K::OPT {
@@ -334,14 +376,8 @@ pub fn finalize_score<K: AlignKind, G: GapModel>(
                 // are 0 (the empty alignment); for free-end they cost the
                 // full gap. The deterministic tie-break of BestCell keeps
                 // every engine consistent here.
-                let h_0m = K::h_init(gap, m);
-                let h_n0 = if K::FREE_BEGIN {
-                    0
-                } else {
-                    tb + (n as Score) * gap.extend()
-                };
-                best.update(h_0m, 0, m);
-                best.update(h_n0, n, 0);
+                best.update(K::h_init(gap, m), 0, m);
+                best.update(K::h_init(gap, n), n, 0);
             }
             if K::NU_ZERO && best.score <= 0 {
                 // Local alignment with nothing positive: empty alignment.
@@ -368,7 +404,7 @@ mod tests {
         let gap = LinearGap { gap: -1 };
         let subst = simple(2, -1);
         let q = codes(b"ACGTACGT");
-        let out = score_pass::<Global, _, _>(&gap, &subst, &q, &q, gap.open());
+        let out = score_pass::<Global, _, _>(&gap, &subst, &q, &q);
         assert_eq!(out.score, 16);
         assert_eq!(out.end, (8, 8));
     }
@@ -380,7 +416,7 @@ mod tests {
         // or gap-gap alternatives all give 1).
         let gap = LinearGap { gap: -1 };
         let subst = simple(2, -1);
-        let out = score_pass::<Global, _, _>(&gap, &subst, &codes(b"AC"), &codes(b"AG"), 0);
+        let out = score_pass::<Global, _, _>(&gap, &subst, &codes(b"AC"), &codes(b"AG"));
         assert_eq!(out.score, 1);
     }
 
@@ -393,11 +429,11 @@ mod tests {
         let subst = simple(2, -1);
         let q = codes(b"ACGT");
         let empty: Vec<u8> = Vec::new();
-        let out = score_pass::<Global, _, _>(&gap, &subst, &empty, &q, gap.open());
+        let out = score_pass::<Global, _, _>(&gap, &subst, &empty, &q);
         assert_eq!(out.score, -6); // open + 4*extend
-        let out = score_pass::<Global, _, _>(&gap, &subst, &q, &empty, gap.open());
+        let out = score_pass::<Global, _, _>(&gap, &subst, &q, &empty);
         assert_eq!(out.score, -6);
-        let out = score_pass::<Global, _, _>(&gap, &subst, &empty, &empty, gap.open());
+        let out = score_pass::<Global, _, _>(&gap, &subst, &empty, &empty);
         assert_eq!(out.score, 0);
     }
 
@@ -408,7 +444,7 @@ mod tests {
         // TTTT ACGT TTTT  vs  GGGG ACGT GGGG — common core ACGT
         let q = codes(b"TTTTACGTTTTT");
         let s = codes(b"GGGGACGTGGGG");
-        let out = score_pass::<Local, _, _>(&gap, &subst, &q, &s, gap.open());
+        let out = score_pass::<Local, _, _>(&gap, &subst, &q, &s);
         // Wait: T matches the final T? The core ACGT scores 8; extending
         // with mismatches (-3) or gaps (-2) only hurts. But q has TTTT and
         // s has GGGG around it — no extension helps.
@@ -420,7 +456,7 @@ mod tests {
     fn local_all_mismatch_is_empty() {
         let gap = LinearGap { gap: -2 };
         let subst = simple(2, -3);
-        let out = score_pass::<Local, _, _>(&gap, &subst, &codes(b"AAAA"), &codes(b"CCCC"), 0);
+        let out = score_pass::<Local, _, _>(&gap, &subst, &codes(b"AAAA"), &codes(b"CCCC"));
         assert_eq!(out.score, 0);
         assert_eq!(out.end, (0, 0));
     }
@@ -433,7 +469,7 @@ mod tests {
         // nothing for the overhangs.
         let q = codes(b"TTTTACGTACGTTTTT");
         let s = codes(b"ACGTACGT");
-        let out = score_pass::<SemiGlobal, _, _>(&gap, &subst, &q, &s, gap.open());
+        let out = score_pass::<SemiGlobal, _, _>(&gap, &subst, &q, &s);
         assert_eq!(out.score, 16);
         // ends when s is exhausted (last column), at q position 12.
         assert_eq!(out.end, (12, 8));
@@ -448,7 +484,7 @@ mod tests {
         // 7-long query gap to the last column: 8 − 14 = −6 at (4, 11).
         let q = codes(b"ACGTTTTTTTT");
         let s = codes(b"ACGTGGGGGGG");
-        let out = score_pass::<FreeEnd, _, _>(&gap, &subst, &q, &s, gap.open());
+        let out = score_pass::<FreeEnd, _, _>(&gap, &subst, &q, &s);
         assert_eq!(out.score, -6);
         assert_eq!(out.end, (4, 11));
     }
@@ -461,7 +497,7 @@ mod tests {
         // the shared prefix.
         let q = codes(b"ACGTTTTTTTT");
         let s = codes(b"ACGTGGGGGGG");
-        let out = score_pass::<crate::kind::Extension, _, _>(&gap, &subst, &q, &s, gap.open());
+        let out = score_pass::<crate::kind::Extension, _, _>(&gap, &subst, &q, &s);
         assert_eq!(out.score, 8);
         assert_eq!(out.end, (4, 4));
     }
@@ -475,7 +511,6 @@ mod tests {
             &subst,
             &codes(b"AAAA"),
             &codes(b"CCCC"),
-            gap.open(),
         );
         assert_eq!(out.score, 0);
         assert_eq!(out.end, (0, 0));
@@ -491,8 +526,8 @@ mod tests {
         };
         let q = codes(b"ACGTGGTACA");
         let s = codes(b"ACGTCGTTACA");
-        let a = score_pass::<Global, _, _>(&lin, &subst, &q, &s, lin.open());
-        let b = score_pass::<Global, _, _>(&aff, &subst, &q, &s, aff.open());
+        let a = score_pass::<Global, _, _>(&lin, &subst, &q, &s);
+        let b = score_pass::<Global, _, _>(&aff, &subst, &q, &s);
         assert_eq!(a.score, b.score);
         assert_eq!(a.last_h, b.last_h);
     }
@@ -506,7 +541,7 @@ mod tests {
         let subst = simple(2, -1);
         let q = codes(b"ACGTA");
         let s = codes(b"ACG");
-        let out = score_pass::<Global, _, _>(&gap, &subst, &q, &s, gap.open());
+        let out = score_pass::<Global, _, _>(&gap, &subst, &q, &s);
         assert_eq!(out.last_h.len(), 4);
         assert_eq!(out.last_e.len(), 3);
     }

@@ -4,11 +4,11 @@
 //! -1))`).
 
 use crate::alignment::Alignment;
-use crate::hirschberg::{self, AlignConfig};
 use crate::kind::{AlignKind, FreeEnd, Global, Local, SemiGlobal};
 use crate::pass::score_pass;
 use crate::score::Score;
 use crate::scoring::{GapModel, Scoring, SubstScore};
+use crate::traceback::{self, AlignConfig};
 use anyseq_seq::Seq;
 
 /// A fully parameterized alignment scheme.
@@ -48,23 +48,17 @@ impl<K: AlignKind, G: GapModel, S: SubstScore> Scheme<K, G, S> {
     /// [`Scheme::score`] over borrowed code slices (the zero-copy batch
     /// path: engines hand `PairRef` slices straight through).
     pub fn score_codes(&self, q: &[u8], s: &[u8]) -> Score {
-        score_pass::<K, G, S>(self.gap(), self.subst(), q, s, self.gap().open()).score
+        score_pass::<K, G, S>(self.gap(), self.subst(), q, s).score
     }
 
     /// Optimal score plus the 1-based DP cell where it is attained.
     pub fn score_with_end(&self, q: &Seq, s: &Seq) -> (Score, (usize, usize)) {
-        let out = score_pass::<K, G, S>(
-            self.gap(),
-            self.subst(),
-            q.codes(),
-            s.codes(),
-            self.gap().open(),
-        );
+        let out = score_pass::<K, G, S>(self.gap(), self.subst(), q.codes(), s.codes());
         (out.score, out.end)
     }
 
-    /// Optimal alignment with traceback, linear space (Hirschberg /
-    /// Myers–Miller), default recursion cutoff.
+    /// Optimal alignment with traceback, linear space (a walk through
+    /// kept tile lines), default base-case cutoff.
     pub fn align(&self, q: &Seq, s: &Seq) -> Alignment {
         self.align_with(q, s, &AlignConfig::default())
     }
@@ -72,12 +66,12 @@ impl<K: AlignKind, G: GapModel, S: SubstScore> Scheme<K, G, S> {
     /// [`Scheme::align`] over borrowed code slices (the zero-copy batch
     /// path).
     pub fn align_codes(&self, q: &[u8], s: &[u8]) -> Alignment {
-        hirschberg::align::<K, G, S>(self.gap(), self.subst(), q, s, &AlignConfig::default())
+        traceback::align::<K, G, S>(self.gap(), self.subst(), q, s, &AlignConfig::default())
     }
 
     /// [`Scheme::align`] with an explicit traceback configuration.
     pub fn align_with(&self, q: &Seq, s: &Seq, cfg: &AlignConfig) -> Alignment {
-        hirschberg::align::<K, G, S>(self.gap(), self.subst(), q.codes(), s.codes(), cfg)
+        traceback::align::<K, G, S>(self.gap(), self.subst(), q.codes(), s.codes(), cfg)
     }
 }
 

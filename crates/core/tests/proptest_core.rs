@@ -1,12 +1,12 @@
 //! Property tests: every engine agrees with the naive oracle, and every
 //! traceback realizes exactly its reported score.
 
-use anyseq_core::hirschberg::AlignConfig;
 use anyseq_core::kind::{Extension, FreeEnd, Global, Local, SemiGlobal};
 use anyseq_core::oracle::oracle_score;
 use anyseq_core::pass::score_pass;
 use anyseq_core::prelude::*;
 use anyseq_core::scoring::{AffineGap, LinearGap};
+use anyseq_core::traceback::AlignConfig;
 use anyseq_seq::Seq;
 use proptest::prelude::*;
 
@@ -24,7 +24,7 @@ macro_rules! check_kind {
         let gap = $gap;
         let subst = $subst;
         let (oracle, oracle_end) = oracle_score::<$kind, _, _>(&gap, &subst, $q, $s);
-        let pass = score_pass::<$kind, _, _>(&gap, &subst, $q, $s, gap.open());
+        let pass = score_pass::<$kind, _, _>(&gap, &subst, $q, $s);
         prop_assert_eq!(
             pass.score,
             oracle,
@@ -49,7 +49,7 @@ macro_rules! check_align {
         let qs = Seq::from_codes($q.to_vec()).unwrap();
         let ss = Seq::from_codes($s.to_vec()).unwrap();
         let (oracle, _) = oracle_score::<$kind, _, _>(&gap, &subst, $q, $s);
-        let aln = anyseq_core::hirschberg::align::<$kind, _, _>(
+        let aln = anyseq_core::traceback::align::<$kind, _, _>(
             &gap,
             &subst,
             qs.codes(),
@@ -148,11 +148,11 @@ proptest! {
         let lin = LinearGap { gap: e };
         let aff = AffineGap { open: 0, extend: e };
         let subst = simple(ma, mi);
-        let a = score_pass::<Global, _, _>(&lin, &subst, &q, &s, lin.open());
-        let b = score_pass::<Global, _, _>(&aff, &subst, &q, &s, aff.open());
+        let a = score_pass::<Global, _, _>(&lin, &subst, &q, &s);
+        let b = score_pass::<Global, _, _>(&aff, &subst, &q, &s);
         prop_assert_eq!(a.score, b.score);
-        let a = score_pass::<Local, _, _>(&lin, &subst, &q, &s, lin.open());
-        let b = score_pass::<Local, _, _>(&aff, &subst, &q, &s, aff.open());
+        let a = score_pass::<Local, _, _>(&lin, &subst, &q, &s);
+        let b = score_pass::<Local, _, _>(&aff, &subst, &q, &s);
         prop_assert_eq!(a.score, b.score);
     }
 
@@ -166,8 +166,8 @@ proptest! {
         // global score (E and F swap roles).
         let gap = AffineGap { open: o, extend: e };
         let subst = simple(ma, mi);
-        let a = score_pass::<Global, _, _>(&gap, &subst, &q, &s, gap.open());
-        let b = score_pass::<Global, _, _>(&gap, &subst, &s, &q, gap.open());
+        let a = score_pass::<Global, _, _>(&gap, &subst, &q, &s);
+        let b = score_pass::<Global, _, _>(&gap, &subst, &s, &q);
         prop_assert_eq!(a.score, b.score);
     }
 
@@ -179,11 +179,11 @@ proptest! {
     ) {
         let gap = AffineGap { open: o, extend: e };
         let subst = simple(ma, mi);
-        let g = score_pass::<Global, _, _>(&gap, &subst, &q, &s, gap.open()).score;
-        let l = score_pass::<Local, _, _>(&gap, &subst, &q, &s, gap.open()).score;
-        let sg = score_pass::<SemiGlobal, _, _>(&gap, &subst, &q, &s, gap.open()).score;
-        let fe = score_pass::<FreeEnd, _, _>(&gap, &subst, &q, &s, gap.open()).score;
-        let ex = score_pass::<Extension, _, _>(&gap, &subst, &q, &s, gap.open()).score;
+        let g = score_pass::<Global, _, _>(&gap, &subst, &q, &s).score;
+        let l = score_pass::<Local, _, _>(&gap, &subst, &q, &s).score;
+        let sg = score_pass::<SemiGlobal, _, _>(&gap, &subst, &q, &s).score;
+        let fe = score_pass::<FreeEnd, _, _>(&gap, &subst, &q, &s).score;
+        let ex = score_pass::<Extension, _, _>(&gap, &subst, &q, &s).score;
         // Relaxing constraints can only help.
         prop_assert!(l >= sg, "local {l} < semiglobal {sg}");
         prop_assert!(sg >= g, "semiglobal {sg} < global {g}");
@@ -218,7 +218,7 @@ proptest! {
         let subst = simple(3, -2);
         let qs = Seq::from_codes(q.clone()).unwrap();
         let ss = Seq::from_codes(s.clone()).unwrap();
-        let aln = anyseq_core::hirschberg::align_with_pass::<Global, _, _, _>(&anyseq_core::hirschberg::ScalarPass, &gap, &subst, qs.codes(), ss.codes(), &AlignConfig::default());
+        let aln = anyseq_core::traceback::align_with_pass::<Global, _, _, _>(&anyseq_core::traceback::ScalarPass, &gap, &subst, qs.codes(), ss.codes(), &AlignConfig::default());
         if let Err(e) = aln.validate::<Global, _, _>(&qs, &ss, &gap, &subst) {
             prop_assert!(false, "invalid: {e}");
         }
@@ -235,7 +235,7 @@ fn paper_parameterizations_agree_with_oracle() {
     let subst = simple(2, -1);
     let (o, _) = oracle_score::<Global, _, _>(&lin, &subst, q.codes(), s.codes());
     assert_eq!(
-        score_pass::<Global, _, _>(&lin, &subst, q.codes(), s.codes(), lin.open()).score,
+        score_pass::<Global, _, _>(&lin, &subst, q.codes(), s.codes()).score,
         o
     );
     // Paper §V: affine Go = −2, Ge = −1.
@@ -245,33 +245,35 @@ fn paper_parameterizations_agree_with_oracle() {
     };
     let (o, _) = oracle_score::<Global, _, _>(&aff, &subst, q.codes(), s.codes());
     assert_eq!(
-        score_pass::<Global, _, _>(&aff, &subst, q.codes(), s.codes(), aff.open()).score,
+        score_pass::<Global, _, _>(&aff, &subst, q.codes(), s.codes()).score,
         o
     );
 }
 
-/// Targeted stress: giant gaps that force vertical runs across many
-/// recursion midlines (the Myers–Miller type-2 machinery).
+/// Targeted stress: giant gaps whose vertical and horizontal runs cross
+/// block edges at every level of nested lines: the same alignment as
+/// the one-block walk.
 #[test]
 fn giant_gap_across_midlines() {
+    use anyseq_core::traceback::align;
     for (nq, ns) in [(200usize, 3usize), (3, 200), (128, 64)] {
-        let q = Seq::from_codes(vec![0u8; nq]).unwrap();
-        let s = Seq::from_codes(vec![0u8; ns]).unwrap();
+        let qs = Seq::from_codes(vec![0u8; nq]).unwrap();
+        let ss = Seq::from_codes(vec![0u8; ns]).unwrap();
         for open in [-1, -5, -13] {
             let gap = AffineGap { open, extend: -1 };
             let subst = simple(2, -7);
+            let (q, s) = (qs.codes(), ss.codes());
             let cfg = AlignConfig { cutoff_area: 16 };
-            let aln = anyseq_core::hirschberg::align_with_pass::<Global, _, _, _>(
-                &anyseq_core::hirschberg::ScalarPass,
-                &gap,
-                &subst,
-                q.codes(),
-                s.codes(),
-                &cfg,
-            );
-            let (oracle, _) = oracle_score::<Global, _, _>(&gap, &subst, q.codes(), s.codes());
+            let aln = align::<Global, _, _>(&gap, &subst, q, s, &cfg);
+            let whole = AlignConfig {
+                cutoff_area: usize::MAX,
+            };
+            let want = align::<Global, _, _>(&gap, &subst, q, s, &whole);
+            assert_eq!(aln, want, "nq={nq} ns={ns} open={open}");
+            let (oracle, _) = oracle_score::<Global, _, _>(&gap, &subst, q, s);
             assert_eq!(aln.score, oracle, "nq={nq} ns={ns} open={open}");
-            aln.validate::<Global, _, _>(&q, &s, &gap, &subst).unwrap();
+            aln.validate::<Global, _, _>(&qs, &ss, &gap, &subst)
+                .unwrap();
         }
     }
 }

@@ -248,8 +248,8 @@ impl Engine for SimdEngine {
 /// executions, in MiB — the number the shard budget bounds),
 /// `wavefront.trace_tiles` (path blocks traceback walks recomputed
 /// through kept tile lines) and `wavefront.peak_trace_mb` (high water
-/// mark of one pass's kept lines, in MiB — the number the leaf budget
-/// of `anyseq_core::hirschberg::is_leaf` bounds). Drained by the
+/// mark of one pass's kept lines, in MiB — the number the line budget
+/// of `anyseq_core::traceback::spacing` bounds). Drained by the
 /// scheduler after each unit like the SIMD band counters.
 #[derive(Debug, Default)]
 pub struct WavefrontEngine {
@@ -257,8 +257,8 @@ pub struct WavefrontEngine {
     /// tiled passes (including every pass of an alignment) as a chain
     /// of subject slabs with seam hand-off. A score keeps one slab's
     /// borders resident; an alignment's pass keeps one slab plus the
-    /// `O(m)` last rows it returns, and a traceback leaf's pass its
-    /// kept lines too. 0 disables sharding.
+    /// `O(m)` last rows it returns and its kept lines. 0 disables
+    /// sharding.
     pub shard_cells: u64,
     /// Per-unit DP-cell refusal bound; `None` = unbounded.
     pub max_unit_cells: Option<u64>,
@@ -276,8 +276,8 @@ pub struct WavefrontEngine {
 type LanePass = TiledPass<LaneTiles<SIMD_LANES>>;
 
 /// Tile edge of the DP grid, and so the spacing of the lines a
-/// traceback leaf keeps, chosen from a measured curve: one 9 kbp pair
-/// at 2 % divergence, global affine (2, −1, −2, −1), `LanePass` at one
+/// traceback within the line budget keeps, chosen from a measured
+/// curve: one 9 kbp pair at 2 % divergence, global affine (2, −1, −2, −1), `LanePass` at one
 /// thread on a 2-vCPU AVX2 host; ranges are the medians of three
 /// interleaved runs of 5–11 reps each.
 ///
@@ -581,8 +581,8 @@ mod tests {
         // needs one runs every tile on the scalar kernel.
         assert_eq!(tiles(&global.with_kind(KindSpec::Local)), (0, side * side));
 
-        // A mid-size alignment: its traceback leaf's kept-lines pass
-        // pairs equal-shape tiles on lanes.
+        // A mid-size alignment: its kept-lines pass pairs equal-shape
+        // tiles on lanes.
         let q = sim.generate(2_048);
         let pairs = [(q.clone(), sim.mutate(&q, 0.05))];
         let engine = WavefrontEngine::default();

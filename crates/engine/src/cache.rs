@@ -35,7 +35,9 @@
 //!
 //! **Locking.** [`ResultCache::get_many`] and
 //! [`ResultCache::insert_many`] bucket their keys by shard and take
-//! each shard's lock once per call.
+//! each shard's lock once per call. The locks are the `parking_lot`
+//! shim's, which recover the guard: a panic that unwinds under one
+//! does not turn every later call on that shard into a panic.
 //!
 //! **Zero-copy.** Probing hashes and compares the borrowed slices in
 //! place. Inserting retains one copy of the pair's code bytes (the
@@ -48,7 +50,7 @@ use anyseq_core::alignment::AlignOp;
 use anyseq_core::score::Score;
 use anyseq_core::Alignment;
 use anyseq_seq::{content_hash, PairRef};
-use std::sync::Mutex;
+use parking_lot::Mutex;
 
 /// `BatchStats::counters` name: pairs served from the cache (including
 /// in-batch duplicates served from their leader's result).
@@ -543,7 +545,7 @@ impl ResultCache {
         for s in 0..Self::SHARDS {
             let bucket = &order[starts[s]..starts[s + 1]];
             if !bucket.is_empty() {
-                let mut shard = self.shards[s].lock().expect("cache shard poisoned");
+                let mut shard = self.shards[s].lock();
                 bucket.iter().for_each(|&i| visit(&mut shard, i));
             }
         }
@@ -602,7 +604,7 @@ impl ResultCache {
     /// Per-shard occupancy and traffic, in shard-index order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let stats = |shard: &Mutex<Shard>| {
-            let shard = shard.lock().expect("cache shard poisoned");
+            let shard = shard.lock();
             ShardStats {
                 bytes: (shard.ring.len() + shard.table.len() * 8) as u64,
                 ..shard.stats
@@ -635,7 +637,7 @@ impl ResultCache {
     /// hit/eviction/collision totals.
     pub fn clear(&self) {
         for shard in &self.shards {
-            *shard.lock().expect("cache shard poisoned") = Shard::new(self.budget / Self::SHARDS);
+            *shard.lock() = Shard::new(self.budget / Self::SHARDS);
         }
     }
 }

@@ -166,9 +166,8 @@ impl DispatchPolicy {
     /// `cells` as a chain of subject slabs stitched through seam
     /// frontiers, however long the subject. A score then keeps one
     /// slab's borders and grid resident; each pass of an alignment
-    /// keeps one slab plus the `O(m)` last rows it returns — and a
-    /// traceback leaf's pass its kept tile lines, which the leaf budget
-    /// bounds, not this one. Scores and CIGARs stay bit-identical to
+    /// keeps one slab plus the `O(m)` last rows it returns, and its
+    /// kept tile lines, which the line budget bounds, not this one. Scores and CIGARs stay bit-identical to
     /// the unsharded run.
     ///
     /// Degenerate values are clamped to [`MIN_SHARD_CELLS`]: a smaller

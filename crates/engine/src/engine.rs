@@ -164,7 +164,7 @@ pub trait Engine: Send + Sync {
     ///
     /// Scores must equal `Scheme::align`; the operation sequence must
     /// replay to exactly that score (`Alignment::validate`), though
-    /// tie-breaks may differ from the scalar Hirschberg traceback.
+    /// tie-breaks may differ from the scalar traceback walk.
     fn align_batch(
         &self,
         spec: &SchemeSpec,

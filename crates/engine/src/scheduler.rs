@@ -1175,11 +1175,11 @@ mod tests {
         let sched = scheduler(4);
         let base = sched.try_align_batch(&plain, &spec, &view).unwrap();
         let run = sched.try_align_batch(&sharded, &spec, &view).unwrap();
-        // Hirschberg stitches the per-shard half-passes: score AND ops
-        // bit-identical to the unsharded run.
+        // The walk goes through lines joined across the slabs: score
+        // AND ops bit-identical to the unsharded run.
         assert_eq!(run.results[0].score, base.results[0].score);
         assert_eq!(run.results[0].ops, base.results[0].ops);
-        // Every half-pass over the budget runs cut into slabs.
+        // The kept-lines pass over the budget runs cut into slabs.
         assert!(
             run.stats.counters["wavefront.shards"] >= 3,
             "{:?}",
@@ -1191,33 +1191,40 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "aligns 9 and 12 kbp pairs: minutes unoptimised; CI runs it under --release"
+        ignore = "aligns 9, 12 and 20 kbp pairs: minutes unoptimised; CI runs it under --release"
     )]
     fn kept_trace_lines_stay_within_the_leaf_budget() {
         use crate::dispatch::DispatchPolicy;
-        use anyseq_core::hirschberg::{is_leaf, leaf_edge, AlignConfig};
-        // MiB of the lines a wavefront pass keeps over an `n × m`
-        // rectangle (H + E rows, H + F columns, at the engine's tile).
+        use anyseq_core::traceback::{leaf_edge, spacing, AlignConfig};
+        // MiB of the lines a wavefront pass keeping every tile boundary
+        // holds over an `n × m` rectangle (H + E rows, H + F columns, at
+        // the engine's tile).
         let tile = crate::backends::TILE;
         let lines_mb = |n: usize, m: usize| {
             let scores = (n - 1) / tile * (2 * m + 1) + (m - 1) / tile * 2 * n;
             (scores * 4).div_ceil(1 << 20) as u64
         };
-        // A leaf's lines fit 16 base-case matrices at the leaf spacing;
-        // the engine's finer tiles keep proportionally more.
+        // A pass's lines fit 16 base-case matrices at the spacing its
+        // shape allows; the engine's finer tiles keep proportionally
+        // more.
         let cutoff = AlignConfig::default().cutoff_area;
-        let bound = (16 * cutoff * leaf_edge(cutoff).div_ceil(tile)).div_ceil(1 << 20) as u64;
+        let scale = leaf_edge(cutoff).div_ceil(tile);
+        let bound = (16 * cutoff * scale).div_ceil(1 << 20) as u64;
         let mut sim = GenomeSim::new(34);
         let spec = SchemeSpec::global_affine(2, -1, -2, -1);
         let policy = DispatchPolicy::fixed(BackendId::Wavefront).standard();
-        // The 9 kbp long pair is one leaf; a 12 kbp pair is over the
-        // budget, so Hirschberg splits it first and its halves are
-        // leaves. Whole, its lines would break the bound.
+        // The 9 kbp long pair keeps every tile line. The 12 and 20 kbp
+        // pairs are over the budget: their passes keep every second and
+        // every third, and the walk aligns each block on the path
+        // through lines of its own. Every tile line of theirs would
+        // break the bound.
         let long = sim.generate(9_000);
         let longer = sim.generate(12_000);
-        assert!(is_leaf(9_000, 9_000, cutoff) && !is_leaf(12_000, 12_000, cutoff));
+        let longest = sim.generate(20_000);
+        let every = |n: usize| spacing(n, n, cutoff).every;
+        assert_eq!((every(9_000), every(12_000), every(20_000)), (1, 2, 3));
         assert!(lines_mb(12_000, 12_000) > bound, "{bound} MiB");
-        for q in [long, longer] {
+        for q in [long, longer, longest] {
             let pairs = vec![(q.clone(), sim.mutate(&q, 0.02))];
             let view = BatchView::from_pairs(&pairs);
             let run = scheduler(1).try_align_batch(&policy, &spec, &view).unwrap();

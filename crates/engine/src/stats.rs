@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 /// binaries count traceback work identically.
 ///
 /// It is a counting convention, not a measurement: the wavefront
-/// backend no longer recomputes 2×. A pair within the leaf budget
-/// (`anyseq_core::hirschberg::is_leaf`) runs one pass that keeps its
+/// backend no longer recomputes 2×. A pair within the line budget
+/// (`anyseq_core::traceback::spacing`) runs one pass that keeps its
 /// tile lines, then recomputes only the blocks on the optimal path —
 /// at most `(n + m) · tile` cells, 2.3M (≈ 3 % of the pass) on a 9 kbp
 /// pair at 256-cell tiles (`wavefront.trace_tiles` counts them). The value

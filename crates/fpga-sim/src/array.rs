@@ -37,7 +37,7 @@ pub struct FpgaStats {
 pub struct FpgaRun {
     /// Optimal global score (bit-exact).
     pub score: Score,
-    /// Final DP row `H(n, 0..=m)` (for validation and Hirschberg use).
+    /// Final DP row `H(n, 0..=m)` (for validation).
     pub last_h: Vec<Score>,
     /// Statistics.
     pub stats: FpgaStats,
@@ -109,7 +109,7 @@ impl SystolicArray {
         let n = q.len();
         let m = s.len();
         if n == 0 || m == 0 {
-            let out = anyseq_core::pass::score_pass::<Global, G, S>(gap, subst, q, s, gap.open());
+            let out = anyseq_core::pass::score_pass::<Global, G, S>(gap, subst, q, s);
             return FpgaRun {
                 score: out.score,
                 last_h: out.last_h,
@@ -282,13 +282,7 @@ mod tests {
         let arr = SystolicArray::zcu104(64);
         // q loads the PEs (shorter).
         let run = arr.score_codes(&gap, &subst, q.codes(), s.codes());
-        let cpu = anyseq_core::pass::score_pass::<Global, _, _>(
-            &gap,
-            &subst,
-            q.codes(),
-            s.codes(),
-            gap.open(),
-        );
+        let cpu = anyseq_core::pass::score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes());
         assert_eq!(run.last_h, cpu.last_h);
     }
 

@@ -11,15 +11,17 @@ use crate::device::{Device, GpuStats, MEMORY_PARALLELISM};
 use crate::kernel::{striped_tile_kernel, GpuTileIo, KernelShape};
 use crate::mem::MemTracker;
 use anyseq_core::alignment::Alignment;
-use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::{AlignKind, Global, OptRegion};
 use anyseq_core::pass::{
-    init_left_f, init_left_h, init_top_e, init_top_h, lines_pass, score_pass, PassOutput, TileLines,
+    init_left_f, init_left_h, init_top_e, init_top_h, lines_pass, score_pass, PassOutput, Spacing,
+    TileLines,
 };
 use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
+use anyseq_core::tile::TileIn;
+use anyseq_core::traceback::{align_with_pass, AlignConfig, LinesPass};
 use anyseq_seq::{PairRef, Seq};
 use anyseq_wavefront::{ParallelCfg, Tile, TileKernel, TiledPass};
 use parking_lot::Mutex;
@@ -182,30 +184,23 @@ impl GpuAligner {
     }
 
     /// Score-only pass of kind `K` on the simulated device.
-    pub fn pass<K, G, S>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput
+    pub fn pass<K, G, S>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8]) -> PassOutput
     where
         K: AlignKind,
         G: GapModel,
         S: SubstScore,
     {
-        self.run_pass::<K, G, S>(gap, subst, q, s, tb).0
+        self.run_pass::<K, G, S>(gap, subst, q, s).0
     }
 
     /// [`GpuAligner::pass`] and its modeled statistics.
-    fn run_pass<K, G, S>(
-        &self,
-        gap: &G,
-        subst: &S,
-        q: &[u8],
-        s: &[u8],
-        tb: Score,
-    ) -> (PassOutput, GpuStats)
+    fn run_pass<K, G, S>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8]) -> (PassOutput, GpuStats)
     where
         K: AlignKind,
         G: GapModel,
         S: SubstScore,
     {
-        self.on_device(|pass| pass.score_pass::<K, G, S>(gap, subst, q, s, tb))
+        self.on_device(|pass| pass.score_pass::<K, G, S>(gap, subst, q, s))
     }
 
     /// Runs `f` on a fresh tiled pass whose tiles the simulated device
@@ -232,13 +227,8 @@ impl GpuAligner {
         G: GapModel,
         S: SubstScore,
     {
-        let (out, stats) = self.run_pass::<Global, G, S>(
-            scheme.gap(),
-            scheme.subst(),
-            q.codes(),
-            s.codes(),
-            scheme.gap().open(),
-        );
+        let (out, stats) =
+            self.run_pass::<Global, G, S>(scheme.gap(), scheme.subst(), q.codes(), s.codes());
         GpuRun {
             score: out.score,
             end: out.end,
@@ -273,7 +263,7 @@ impl GpuAligner {
             let n = q.len();
             let m = s.len();
             if n == 0 || m == 0 {
-                scores.push(score_pass::<Global, G, S>(gap, subst, q, s, gap.open()).score);
+                scores.push(score_pass::<Global, G, S>(gap, subst, q, s).score);
                 continue;
             }
             let mut h_row = init_top_h::<Global, G>(gap, m);
@@ -318,11 +308,11 @@ impl GpuAligner {
     }
 
     /// Global alignment with traceback: the traceback runs on the host,
-    /// every pass on the simulated device — for a pair within the leaf
-    /// budget one pass that keeps its tile lines, then the host walks
-    /// back through the blocks on the path (the paper's GPU traceback
-    /// measurements cover the same division of labor). The stats are
-    /// those of all the passes the device ran.
+    /// every pass on the simulated device — one pass that keeps its tile
+    /// lines (and, above the line budget, one per nested block on the
+    /// path), then the host walks back through the blocks on the path
+    /// (the paper's GPU traceback measurements cover the same division
+    /// of labor). The stats are those of all the passes the device ran.
     pub fn align<G, S>(
         &self,
         scheme: &Scheme<Global, G, S>,
@@ -333,10 +323,7 @@ impl GpuAligner {
         G: GapModel,
         S: SubstScore,
     {
-        let passes = DevicePasses {
-            gpu: self,
-            stats: Mutex::default(),
-        };
+        let passes = self.passes();
         let aln = align_with_pass::<Global, G, S, _>(
             &passes,
             scheme.gap(),
@@ -350,39 +337,41 @@ impl GpuAligner {
 }
 
 /// The traceback's passes on the simulated device, summing the modeled
-/// statistics of the passes it runs there.
-struct DevicePasses<'a> {
+/// statistics of the passes it runs there: the device as a
+/// [`LinesPass`] provider for corner and border kinds.
+pub struct DevicePasses<'a> {
     gpu: &'a GpuAligner,
     stats: Mutex<GpuStats>,
 }
 
-impl<G: GapModel, S: SubstScore> HalfPass<G, S> for DevicePasses<'_> {
-    fn pass<K: AlignKind>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
-        // Small sub-problems of the recursion are not worth a kernel
-        // launch; the paper's recursion cutoff plays the same role.
-        if q.len().saturating_mul(s.len()) < 1 << 16 {
-            return score_pass::<K, G, S>(gap, subst, q, s, tb);
+impl GpuAligner {
+    /// This device as a traceback pass provider, with zeroed stats.
+    pub fn passes(&self) -> DevicePasses<'_> {
+        DevicePasses {
+            gpu: self,
+            stats: Mutex::default(),
         }
-        let (out, stats) = self.gpu.run_pass::<K, G, S>(gap, subst, q, s, tb);
-        self.stats.lock().merge(&stats);
-        out
     }
+}
 
+impl<G: GapModel, S: SubstScore> LinesPass<G, S> for DevicePasses<'_> {
     fn lines<K: AlignKind>(
         &self,
         gap: &G,
         subst: &S,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        edge: usize,
+        seeds: TileIn<'_>,
+        spacing: Spacing,
     ) -> TileLines {
+        // Small blocks are not worth a kernel launch; the paper's
+        // recursion cutoff plays the same role.
         if q.len().saturating_mul(s.len()) < 1 << 16 {
-            return lines_pass::<K, G, S>(gap, subst, q, s, tb, edge);
+            return lines_pass::<K, G, S>(gap, subst, q, s, seeds, spacing);
         }
         let (lines, stats) = self
             .gpu
-            .on_device(|pass| pass.lines::<K, G, S>(gap, subst, q, s, tb, edge));
+            .on_device(|pass| pass.lines::<K, G, S>(gap, subst, q, s, seeds, spacing));
         self.stats.lock().merge(&stats);
         lines
     }
@@ -433,8 +422,8 @@ mod tests {
 
     #[test]
     fn gpu_semiglobal_pass_matches_cpu() {
-        // Hirschberg consumes the last rows, so they must match the row
-        // sweep as exactly as the score and end do. At tile edge 200
+        // The last rows must match the row sweep as exactly as the
+        // score and end do (the bit-identity suites compare them). At tile edge 200
         // every pair leaves ragged tiles on the last row and column.
         // Against a diverged copy of a 1100 bp prefix of `q`, the
         // semi-global optimum ends inside the last column (and, with
@@ -450,12 +439,12 @@ mod tests {
         macro_rules! check {
             ($kind:ty, $gap:expr) => {{
                 let gap = $gap;
-                for ((q, s), tb) in [(q, s), (q, p), (p, q)].into_iter().zip([gap.open(), 0, 0]) {
+                for (q, s) in [(q, s), (q, p), (p, q)] {
                     assert!(q.len() % 200 != 0 && s.len() % 200 != 0);
-                    let cpu = score_pass::<$kind, _, _>(&gap, &subst, q, s, tb);
-                    let out = GpuAligner::pass::<$kind, _, _>(&gpu, &gap, &subst, q, s, tb);
+                    let cpu = score_pass::<$kind, _, _>(&gap, &subst, q, s);
+                    let out = GpuAligner::pass::<$kind, _, _>(&gpu, &gap, &subst, q, s);
                     let what = format!(
-                        "{} {gap:?} {}×{} tb {tb}",
+                        "{} {gap:?} {}×{}",
                         <$kind as AlignKind>::NAME,
                         q.len(),
                         s.len()
@@ -493,7 +482,6 @@ mod tests {
             &simple(2, -1),
             q.codes(),
             s.codes(),
-            gap.open(),
         );
     }
 
@@ -536,7 +524,7 @@ mod tests {
                 aff_run.stats,
                 stats(9_099_000, 1_371_796.0, 38_772, 23, 144, 319_878, 3396),
             ),
-            // The pair is one traceback leaf: the device runs one pass
+            // The pair's lines fit the budget: the device runs one pass
             // that keeps its tile lines, priced as the score pass, and
             // the host walks back through the blocks on the path.
             (
@@ -566,7 +554,8 @@ mod tests {
         assert_eq!(aln.score, scheme.score(&q, &s));
         aln.validate::<Global, _, _>(&q, &s, scheme.gap(), scheme.subst())
             .unwrap();
-        // The device runs one pass over the pair (a traceback leaf).
+        // The device runs one pass over the pair (its lines fit the
+        // budget).
         assert!(stats.cells as usize >= q.len() * s.len());
     }
 

@@ -175,7 +175,7 @@ impl Seq {
         }
     }
 
-    /// A reversed zero-copy view (used by Hirschberg's backward pass).
+    /// A reversed zero-copy view.
     #[inline]
     pub fn rev_view(&self) -> RevView<'_> {
         RevView { codes: &self.codes }
@@ -208,10 +208,9 @@ impl std::ops::Index<usize> for Seq {
 
 /// Zero-copy reversed view over a sequence's codes.
 ///
-/// The Hirschberg traceback (paper §III-A, ref. \[24\]) aligns *reversed*
-/// suffixes in its backward pass; AnySeq implements this by "reversing the
-/// indexing in the sequence accessor function" (§III-C). `RevView` is that
-/// accessor: no bytes are copied, the index arithmetic is inlined away.
+/// AnySeq aligns reversed sequences by "reversing the indexing in the
+/// sequence accessor function" (§III-C). `RevView` is that accessor: no
+/// bytes are copied, the index arithmetic is inlined away.
 #[derive(Clone, Copy)]
 pub struct RevView<'a> {
     codes: &'a [u8],

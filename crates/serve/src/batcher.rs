@@ -46,8 +46,9 @@ use crate::clock::Clock;
 use crate::proto::{CodePair, ErrCode, Results};
 use anyseq_engine::{ReqKind, SchemeSpec};
 use anyseq_obs::{MetricsRegistry, RequestRecord};
+use parking_lot::{Condvar, Mutex};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// What a window's runner sends back per request: the results slice — or,
 /// when the whole batch failed, the error code and text the session
@@ -213,12 +214,16 @@ struct State {
 }
 
 impl State {
-    fn release_inbound(&mut self, now: u64) {
-        debug_assert!(self.inbound > 0, "an inbound token released twice");
+    /// Releases one inbound token; `false` if none was held (a release
+    /// without its `begin_inbound`, which callers assert on once the
+    /// lock is dropped).
+    fn release_inbound(&mut self, now: u64) -> bool {
+        let held = self.inbound > 0;
         self.inbound = self.inbound.saturating_sub(1);
         if self.inbound == 0 {
             self.quiet_since_ns = now;
         }
+        held
     }
 }
 
@@ -227,6 +232,8 @@ pub struct MicroBatcher {
     cfg: WindowCfg,
     clock: Arc<dyn Clock>,
     metrics: Option<Arc<MetricsRegistry>>,
+    /// Nothing that can panic runs while this is held, so a guard the
+    /// lock recovers after a panic elsewhere sees consistent state.
     state: Mutex<State>,
     cv: Condvar,
 }
@@ -264,17 +271,18 @@ impl MicroBatcher {
     /// [`MicroBatcher::end_inbound`] — on every path, or windows fall
     /// back to waiting out their deadline.
     pub fn begin_inbound(&self) {
-        self.state.lock().expect("batcher state poisoned").inbound += 1;
+        self.state.lock().inbound += 1;
     }
 
     /// Releases the calling session's inbound token when the frame it
     /// covered was not a request (or never completed).
     pub fn end_inbound(&self) {
         let now = self.clock.now_ns();
-        let mut state = self.state.lock().expect("batcher state poisoned");
-        state.release_inbound(now);
+        let mut state = self.state.lock();
+        let held = state.release_inbound(now);
         let quiet = state.inbound == 0;
         drop(state);
+        debug_assert!(held, "an inbound token released twice");
         if quiet {
             self.cv.notify_all();
         }
@@ -282,7 +290,7 @@ impl MicroBatcher {
 
     /// Sessions currently mid-send.
     pub fn inbound_sessions(&self) -> u64 {
-        self.state.lock().expect("batcher state poisoned").inbound
+        self.state.lock().inbound
     }
 
     /// Admits a request into its `(spec, mode)` window, or rejects it.
@@ -305,11 +313,33 @@ impl MicroBatcher {
     ) -> Result<Ticket, SubmitError> {
         let bytes: u64 = pairs.iter().map(|(q, s)| (q.len() + s.len()) as u64).sum();
         let (tx, rx) = channel();
+        let request = PendingRequest { pairs, tx, rec };
         let now = self.clock.now_ns();
-        let mut state = self.state.lock().expect("batcher state poisoned");
-        if sender_done {
-            state.release_inbound(now);
+        let mut state = self.state.lock();
+        let held = !sender_done || state.release_inbound(now);
+        let admitted = self.admit(&mut state, (spec, mode), request, bytes, now);
+        drop(state);
+        debug_assert!(held, "an inbound token released twice");
+        let window = admitted?;
+        if let Some(reg) = &self.metrics {
+            reg.add_gauge(QUEUE_BYTES_GAUGE, String::new(), bytes as f64);
+            reg.add_gauge(QUEUE_DEPTH_GAUGE, String::new(), 1.0);
         }
+        self.cv.notify_all();
+        Ok(Ticket { window, rx })
+    }
+
+    /// [`MicroBatcher::submit`]'s work under the lock: admits `request`
+    /// (`bytes` of sequence) into its window and returns the window's
+    /// id. Plain arithmetic within the budget, nothing that can panic.
+    fn admit(
+        &self,
+        state: &mut State,
+        (spec, mode): (SchemeSpec, ReqKind),
+        request: PendingRequest,
+        bytes: u64,
+        now: u64,
+    ) -> Result<u64, SubmitError> {
         if !state.open {
             return Err(SubmitError::Closed);
         }
@@ -323,9 +353,8 @@ impl MicroBatcher {
         state.queued_bytes += bytes;
         state.queued_requests += 1;
         state.peak_queued_bytes = state.peak_queued_bytes.max(state.queued_bytes);
-        let request = PendingRequest { pairs, tx, rec };
         let n_pairs = request.pairs.len();
-        let window = if let Some(group) = state
+        if let Some(group) = state
             .groups
             .iter_mut()
             .find(|g| g.spec == spec && g.mode == mode)
@@ -334,30 +363,22 @@ impl MicroBatcher {
             group.pairs += n_pairs;
             group.bytes += bytes;
             group.stamp_if_full(&self.cfg, now);
-            group.id
-        } else {
-            state.last_window += 1;
-            let mut group = Group {
-                id: state.last_window,
-                spec,
-                mode,
-                requests: vec![request],
-                pairs: n_pairs,
-                bytes,
-                deadline_ns: now.saturating_add(self.cfg.max_delay_ns),
-                ready_ns: 0,
-            };
-            group.stamp_if_full(&self.cfg, now);
-            state.groups.push(group);
-            state.last_window
-        };
-        drop(state);
-        if let Some(reg) = &self.metrics {
-            reg.add_gauge(QUEUE_BYTES_GAUGE, String::new(), bytes as f64);
-            reg.add_gauge(QUEUE_DEPTH_GAUGE, String::new(), 1.0);
+            return Ok(group.id);
         }
-        self.cv.notify_all();
-        Ok(Ticket { window, rx })
+        state.last_window += 1;
+        let mut group = Group {
+            id: state.last_window,
+            spec,
+            mode,
+            requests: vec![request],
+            pairs: n_pairs,
+            bytes,
+            deadline_ns: now.saturating_add(self.cfg.max_delay_ns),
+            ready_ns: 0,
+        };
+        group.stamp_if_full(&self.cfg, now);
+        state.groups.push(group);
+        Ok(state.last_window)
     }
 
     /// Takes window `window` if it is flushable and returns it. `None`
@@ -368,7 +389,7 @@ impl MicroBatcher {
     /// window flushable, so shutdown runs the queue instead of
     /// dropping it.
     pub fn take(&self, window: u64, wait: bool) -> Option<Batch> {
-        let mut state = self.state.lock().expect("batcher state poisoned");
+        let mut state = self.state.lock();
         loop {
             let now = self.clock.now_ns();
             let idx = state.groups.iter().position(|g| g.id == window)?;
@@ -427,44 +448,31 @@ impl MicroBatcher {
                 return None;
             }
             let park = self.clock.max_park(g.deadline_ns.saturating_sub(now));
-            let (s, _) = self
-                .cv
-                .wait_timeout(state, park)
-                .expect("batcher state poisoned");
-            state = s;
+            self.cv.wait_for(&mut state, park);
         }
     }
 
     /// Stops admitting work and marks every open window ready; the
     /// threads waiting on them take and run them.
     pub fn close(&self) {
-        self.state.lock().expect("batcher state poisoned").open = false;
+        self.state.lock().open = false;
         self.cv.notify_all();
     }
 
     /// Sequence bytes currently queued.
     pub fn queued_bytes(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("batcher state poisoned")
-            .queued_bytes
+        self.state.lock().queued_bytes
     }
 
     /// Requests currently queued.
     pub fn queued_requests(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("batcher state poisoned")
-            .queued_requests
+        self.state.lock().queued_requests
     }
 
     /// High-water mark of queued bytes — bounded by the budget, which
     /// is the backpressure soak test's memory-ceiling assertion.
     pub fn peak_queued_bytes(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("batcher state poisoned")
-            .peak_queued_bytes
+        self.state.lock().peak_queued_bytes
     }
 }
 
@@ -566,6 +574,41 @@ mod tests {
         b.end_inbound();
         let got = rx.recv_timeout(Duration::from_secs(5)).expect("flushed");
         assert_eq!(got, Some(1));
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_batcher_serving() {
+        let clock = Arc::new(FakeClock::new());
+        let b = Arc::new(MicroBatcher::new(cfg(), clock as Arc<dyn Clock>));
+        // A thread dies while it holds the state lock, which poisons
+        // the `std` mutex underneath.
+        let holder = Arc::clone(&b);
+        let died = std::thread::spawn(move || {
+            let _state = holder.state.lock();
+            panic!("a panic while the batcher lock is held");
+        })
+        .join();
+        assert!(died.is_err());
+        // Every later lock recovers the guard: admit, flush and answer
+        // a window as if nothing had happened.
+        b.begin_inbound();
+        let ticket = b
+            .submit(spec(), ReqKind::Score, vec![pair(3); 4], None, true)
+            .expect("admitted after the panic");
+        assert_eq!((b.inbound_sessions(), b.queued_requests()), (0, 1));
+        let batch = b.take(ticket.window, false).expect("count trigger");
+        assert_eq!(batch.pair_count(), 4);
+        for req in batch.requests {
+            let scores = Results::Scores(vec![7; req.pairs.len()]);
+            req.tx.send((Ok(scores), None)).expect("the ticket is live");
+        }
+        let (got, _) = ticket
+            .rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("answered");
+        assert!(matches!(got, Ok(Results::Scores(s)) if s == vec![7; 4]));
+        assert_eq!(b.queued_bytes(), 0);
+        b.close();
     }
 
     #[test]

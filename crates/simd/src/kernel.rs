@@ -622,7 +622,7 @@ mod tests {
                     "{what} lane {l} right F"
                 );
             }
-            let pass = score_pass::<K, G, _>(&gap, &subst, q, s, gap.open());
+            let pass = score_pass::<K, G, _>(&gap, &subst, q, s);
             assert_eq!(
                 from16(opt.best.0[l], 0),
                 pass.score,
@@ -855,7 +855,7 @@ mod tests {
         assert_eq!(opt.retired, (1u32 << L) - 1, "all lanes should retire");
         // Here retirement is lossless: the exact semi-global optimum is
         // the free-begin seed (score 0), seen before any lane retires.
-        let exact = score_pass::<SemiGlobal, _, _>(&gap, &subst, &q, &s, gap.open());
+        let exact = score_pass::<SemiGlobal, _, _>(&gap, &subst, &q, &s);
         for l in 0..L {
             assert_eq!(from16(opt.best.0[l], 0), exact.score, "lane {l}");
         }

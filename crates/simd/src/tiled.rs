@@ -5,7 +5,7 @@
 use crate::kernel::{block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst};
 use crate::lanes::I16s;
 use anyseq_core::kind::{AlignKind, Global, OptRegion};
-use anyseq_core::pass::PassOutput;
+use anyseq_core::pass::{init_left_h, PassOutput, Seeds, Spacing};
 use anyseq_core::relax::BestCell;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
@@ -155,20 +155,26 @@ fn lift<const L: usize>(
 }
 
 /// Vectorized multithreaded score-only pass for **global** alignments:
-/// [`TiledPass::score_pass`] with the lane kernel at `L` lanes.
+/// the tiled pass with the lane kernel at `L` lanes, from the global
+/// initialization with column 0's gap run opened at `open`
+/// (`gap.open()`: [`TiledPass::score_pass`]).
 pub fn simd_tiled_score_pass<G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
     q: &[u8],
     s: &[u8],
-    tb: Score,
+    open: Score,
     cfg: &ParallelCfg,
 ) -> PassOutput
 where
     G: GapModel,
     SS: SimdSubst,
 {
-    TiledPass::<LaneTiles<L>>::new(*cfg).score_pass::<Global, G, SS>(gap, subst, q, s, tb)
+    let mut seeds = Seeds::init::<Global, G>(gap, q.len(), s.len());
+    seeds.left_h = init_left_h::<Global, G>(gap, q.len(), open);
+    let pass = TiledPass::<LaneTiles<L>>::new(*cfg);
+    pass.lines::<Global, G, SS>(gap, subst, q, s, seeds.stripes(), Spacing::NONE)
+        .pass
 }
 
 #[cfg(test)]
@@ -191,7 +197,6 @@ mod tests {
     fn chain<Kn: TileKernel<SS> + Default, K: AlignKind, G: GapModel, SS: SimdSubst>(
         (gap, subst): (&G, &SS),
         (q, s): (&[u8], &[u8]),
-        tb: Score,
         cfg: &ParallelCfg,
         plan: &[(usize, usize)],
     ) -> (PassOutput, Vec<ShardSeam>) {
@@ -200,14 +205,14 @@ mod tests {
         let mut best = BestCell::empty();
         let mut seams: Vec<ShardSeam> = Vec::new();
         for &cols in plan {
-            let slab = pass.slab::<K, G, SS>(gap, subst, q, s, cols, tb, seams.last());
+            let slab = pass.slab::<K, G, SS>(gap, subst, q, s, cols, seams.last());
             let (h, e) = slab.last_rows();
             last_h.extend_from_slice(&h[(cols.0 > 0) as usize..]);
             last_e.extend_from_slice(&e);
             best.merge(&slab.best);
             seams.push(slab.seam);
         }
-        let out = finalize::<K, G>(gap, best, q.len(), s.len(), tb, &last_h, last_e);
+        let out = finalize::<K, G>(gap, best, q.len(), s.len(), &last_h, last_e);
         (out, seams)
     }
 
@@ -215,13 +220,12 @@ mod tests {
     fn check<K: AlignKind, G: GapModel, SS: SimdSubst, const L: usize>(
         scheme: (&G, &SS),
         pair: (&[u8], &[u8]),
-        tb: Score,
         cfg: &ParallelCfg,
         plan: &[(usize, usize)],
     ) {
-        let oracle = score_pass::<K, G, SS>(scheme.0, scheme.1, pair.0, pair.1, tb);
-        let (scalar, scalar_seams) = chain::<ScalarTiles, K, G, SS>(scheme, pair, tb, cfg, plan);
-        let (lanes, lane_seams) = chain::<LaneTiles<L>, K, G, SS>(scheme, pair, tb, cfg, plan);
+        let oracle = score_pass::<K, G, SS>(scheme.0, scheme.1, pair.0, pair.1);
+        let (scalar, scalar_seams) = chain::<ScalarTiles, K, G, SS>(scheme, pair, cfg, plan);
+        let (lanes, lane_seams) = chain::<LaneTiles<L>, K, G, SS>(scheme, pair, cfg, plan);
         for (name, got) in [("scalar", &scalar), ("lane", &lanes)] {
             let what = format!("{name} kernel, {} L={L} {cfg:?} {plan:?}", K::NAME);
             assert_eq!(got.score, oracle.score, "score: {what}");
@@ -244,15 +248,14 @@ mod tests {
 
         /// The identity property of the one driver: whatever the
         /// kernel, schedule, thread count, tile edge, lane count, gap
-        /// model, substitution function, Hirschberg boundary and slab
-        /// plan, the pass equals `core::pass::score_pass` in every
+        /// model, substitution function and slab plan, the pass equals `core::pass::score_pass` in every
         /// output, and both kernels export equal seams — for Global on
         /// the lanes, for the other kinds through the scalar fallback.
         #[test]
         fn both_kernels_equal_the_row_sweep_on_any_plan(
             (n, m, seed) in (1usize..=3000, 1usize..=3000, 0u64..1 << 32),
             (tile, threads, lanes) in (16usize..=96, 1usize..=3, 0usize..4),
-            (affine, tb_open, matrix, static_schedule) in (0u8..2, 0u8..2, 0u8..2, 0u8..2),
+            (affine, matrix, static_schedule) in (0u8..2, 0u8..2, 0u8..2),
             cuts in prop::collection::vec(1usize..3000, 0..4),
             other_kind in 0usize..3,
         ) {
@@ -273,12 +276,11 @@ mod tests {
             macro_rules! kinds {
                 ($gap:expr, $subst:expr, $l:literal) => {{
                     let scheme = (&$gap, &$subst);
-                    let tb = if tb_open == 1 { $gap.open() } else { 0 };
-                    check::<Global, _, _, $l>(scheme, pair, tb, &cfg, &plan);
+                    check::<Global, _, _, $l>(scheme, pair, &cfg, &plan);
                     match other_kind {
-                        0 => check::<SemiGlobal, _, _, $l>(scheme, pair, tb, &cfg, &plan),
-                        1 => check::<Local, _, _, $l>(scheme, pair, tb, &cfg, &plan),
-                        _ => check::<FreeEnd, _, _, $l>(scheme, pair, tb, &cfg, &plan),
+                        0 => check::<SemiGlobal, _, _, $l>(scheme, pair, &cfg, &plan),
+                        1 => check::<Local, _, _, $l>(scheme, pair, &cfg, &plan),
+                        _ => check::<FreeEnd, _, _, $l>(scheme, pair, &cfg, &plan),
                     }
                 }};
             }
@@ -319,14 +321,14 @@ mod tests {
                 open: -step,
                 extend: -step / 2,
             };
-            let want = score_pass::<Global, _, _>(&lin, &subst, q, s, lin.open());
+            let want = score_pass::<Global, _, _>(&lin, &subst, q, s);
             let got = simd_tiled_score_pass::<_, _, 4>(&lin, &subst, q, s, lin.open(), &cfg(2, 16));
             assert_eq!(
                 (got.score, got.last_h),
                 (want.score, want.last_h),
                 "linear {step}"
             );
-            let want = score_pass::<Global, _, _>(&aff, &subst, q, s, aff.open());
+            let want = score_pass::<Global, _, _>(&aff, &subst, q, s);
             let got = simd_tiled_score_pass::<_, _, 4>(&aff, &subst, q, s, aff.open(), &cfg(2, 16));
             assert_eq!(
                 (got.score, got.last_e),
@@ -345,7 +347,7 @@ mod tests {
         let counts = |len: usize, subst| {
             let pass = TiledPass::<LaneTiles<8>>::new(cfg(1, 32));
             let (q, s) = (&q.codes()[..len], &s.codes()[..len]);
-            pass.score_pass::<Global, _, _>(&gap, &subst, q, s, gap.open());
+            pass.score_pass::<Global, _, _>(&gap, &subst, q, s);
             pass.tile_counts()
         };
         // One thread pulls whole anti-diagonals of the 6 × 6 grid: only
@@ -368,7 +370,7 @@ mod tests {
             extend: -1,
         };
         let subst = simple(2, -1);
-        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
+        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes());
         macro_rules! lanes {
             ($l:literal) => {{
                 let out = simd_tiled_score_pass::<_, _, $l>(
@@ -392,6 +394,8 @@ mod tests {
 
     #[test]
     fn simd_respects_hirschberg_tb() {
+        // A column-0 run opened at 0 rather than the scheme's open
+        // reaches every cell the row sweep from the same seeds reaches.
         let mut sim = GenomeSim::new(29);
         let q = sim.generate(1200);
         let s = sim.generate(900);
@@ -400,10 +404,14 @@ mod tests {
             extend: -1,
         };
         let subst = simple(2, -1);
-        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), 0);
-        let out =
-            simd_tiled_score_pass::<_, _, 8>(&gap, &subst, q.codes(), s.codes(), 0, &cfg(3, 64));
+        let (q, s) = (q.codes(), s.codes());
+        let mut seeds = Seeds::init::<Global, _>(&gap, q.len(), s.len());
+        seeds.left_h = init_left_h::<Global, _>(&gap, q.len(), 0);
+        let sweep = anyseq_core::pass::lines_pass::<Global, _, _>;
+        let scalar = sweep(&gap, &subst, q, s, seeds.stripes(), Spacing::NONE).pass;
+        let out = simd_tiled_score_pass::<_, _, 8>(&gap, &subst, q, s, 0, &cfg(3, 64));
         assert_eq!(out.score, scalar.score);
+        assert_eq!(out.last_h, scalar.last_h);
         assert_eq!(out.last_e, scalar.last_e);
     }
 
@@ -414,7 +422,7 @@ mod tests {
         let s = sim.mutate(&q, 0.05);
         let gap = LinearGap { gap: -1 };
         let subst = MatrixSubst::dna(2, -1, -1);
-        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
+        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes());
         let out = simd_tiled_score_pass::<_, _, 16>(
             &gap,
             &subst,

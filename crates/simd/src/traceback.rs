@@ -681,7 +681,7 @@ where
 /// alignments nor the telemetry depend on it. Scores are bit-identical
 /// to `scheme.align`; CIGARs are
 /// guaranteed to replay to that score (ties may be broken differently
-/// than the scalar Hirschberg traceback). X-drop never applies here —
+/// than the scalar traceback walk). X-drop never applies here —
 /// tracebacks are always exact.
 ///
 /// Pairs that cannot ride a lane group (runs of one shape shorter than

@@ -1,35 +1,32 @@
-//! Parallel alignment entry points: [`TiledPass`] as the [`HalfPass`]
-//! provider (so a traceback leaf's kept-lines pass and any Hirschberg
-//! half-pass run tiled, on whichever kernel the pass was built with),
-//! plus an extension trait grafting `score_parallel` / `align_parallel`
-//! onto [`Scheme`].
+//! Parallel alignment entry points: [`TiledPass`] as the [`LinesPass`]
+//! provider (so every kept-lines pass of a traceback — the whole
+//! pair's and each nested block's — runs tiled, on whichever kernel
+//! the pass was built with), plus an extension trait grafting
+//! `score_parallel` / `align_parallel` onto [`Scheme`].
 
 use crate::pass::{ParallelCfg, ScalarTiles, TileKernel, TiledPass};
 use anyseq_core::alignment::Alignment;
-use anyseq_core::hirschberg::{align_with_pass, AlignConfig, HalfPass};
 use anyseq_core::kind::AlignKind;
-use anyseq_core::pass::{PassOutput, TileLines};
+use anyseq_core::pass::{Spacing, TileLines};
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::{GapModel, SubstScore};
+use anyseq_core::tile::TileIn;
+use anyseq_core::traceback::{align_with_pass, AlignConfig, LinesPass};
 use anyseq_seq::Seq;
 use std::sync::atomic::Ordering;
 
-impl<G: GapModel, S: SubstScore, Kn: TileKernel<S>> HalfPass<G, S> for TiledPass<Kn> {
-    fn pass<K: AlignKind>(&self, gap: &G, subst: &S, q: &[u8], s: &[u8], tb: Score) -> PassOutput {
-        self.score_pass::<K, G, S>(gap, subst, q, s, tb)
-    }
-
+impl<G: GapModel, S: SubstScore, Kn: TileKernel<S>> LinesPass<G, S> for TiledPass<Kn> {
     fn lines<K: AlignKind>(
         &self,
         gap: &G,
         subst: &S,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        edge: usize,
+        seeds: TileIn<'_>,
+        spacing: Spacing,
     ) -> TileLines {
-        TiledPass::lines::<K, G, S>(self, gap, subst, q, s, tb, edge)
+        TiledPass::lines::<K, G, S>(self, gap, subst, q, s, seeds, spacing)
     }
 
     fn traced(&self, blocks: usize) {
@@ -39,8 +36,8 @@ impl<G: GapModel, S: SubstScore, Kn: TileKernel<S>> HalfPass<G, S> for TiledPass
 
 impl<Kn> TiledPass<Kn> {
     /// Full traceback for one pair, with this pass as every pass the
-    /// traceback runs: a leaf's kept-lines pass and, above the leaf
-    /// budget, Hirschberg's half-passes.
+    /// traceback runs: the pair's kept-lines pass and, above the line
+    /// budget, those of the nested blocks on the path.
     pub fn align<K, G, S>(&self, scheme: &Scheme<K, G, S>, q: &[u8], s: &[u8]) -> Alignment
     where
         K: AlignKind,

@@ -12,11 +12,12 @@
 //! pairs per tile (negligible against the `O(tile²)` relaxation work).
 //!
 //! In keep mode (chosen at construction, [`BorderStore::keeping`]) the
-//! store also copies every stripe a tile publishes into the line of its
-//! tile boundary — a row line per tile row, a column line per tile
-//! column — which the traceback walks back through
-//! (`anyseq_core::fullmatrix::walk`). That costs `O(n·m / tile)` bytes
-//! instead of `O(n + m)`; the caller bounds it.
+//! store also copies every stripe a tile publishes on a kept tile
+//! boundary into that boundary's line — a row line per kept tile row,
+//! a column line per kept tile column — which the traceback walks back
+//! through (`anyseq_core::fullmatrix::walk`). That costs
+//! `O(n·m / spacing)` bytes instead of `O(n + m)`; the caller chooses
+//! the spacing to bound it.
 
 use crate::grid::{TileGrid, TileId};
 use crate::shard::ShardSeam;
@@ -24,6 +25,7 @@ use anyseq_core::kind::AlignKind;
 use anyseq_core::pass::{ColLine, RowLine};
 use anyseq_core::score::{Score, NEG_INF};
 use anyseq_core::scoring::GapModel;
+use anyseq_core::tile::TileIn;
 use parking_lot::Mutex;
 
 /// Horizontal stripe: `H(row, j0−1..=j1)` plus `E(row, j0..=j1)`.
@@ -59,9 +61,12 @@ pub struct BorderStore {
     col: Vec<Mutex<Slot<HStripe>>>,
     /// Per tile row: the stripe crossing its left edge frontier.
     row: Vec<Mutex<Slot<VStripe>>>,
-    /// Keep mode: per tile row but the last, its joined bottom stripes
-    /// (`width + 1` `H`, `width` `E`); per tile column, its joined right
-    /// stripes (`n` `H`, `n` `F`). Empty otherwise.
+    /// Keep mode keeps the boundary after every `every`-th tile row
+    /// and column (`usize::MAX`, none, otherwise).
+    every: usize,
+    /// Keep mode: per kept tile row boundary, its joined bottom stripes
+    /// (`width + 1` `H`, `width` `E`); per kept tile column boundary,
+    /// its joined right stripes (`n` `H`, `n` `F`). Empty otherwise.
     kept_rows: Vec<Mutex<HStripe>>,
     kept_cols: Vec<Mutex<VStripe>>,
 }
@@ -74,6 +79,16 @@ fn copy_at(dst: &mut [Score], at: usize, src: &[Score]) {
     }
 }
 
+/// `src[at..at + len]`, or nothing for an empty `src` (a linear
+/// model's `E`/`F` stripes).
+fn part(src: &[Score], at: usize, len: usize) -> Vec<Score> {
+    if src.is_empty() {
+        Vec::new()
+    } else {
+        src[at..at + len].to_vec()
+    }
+}
+
 impl<T> From<T> for Slot<T> {
     fn from(stripe: T) -> Slot<T> {
         Slot { stripe, out: false }
@@ -81,25 +96,29 @@ impl<T> From<T> for Slot<T> {
 }
 
 impl BorderStore {
-    /// Builds the store with the kind's initialization stripes
+    /// Builds the store for a whole pair from `seeds` — the pass's
+    /// boundary stripes, or the kind's own initialization when `None`
     /// (row 0 split across column slots, column 0 across row slots).
-    /// `tb` is the Hirschberg top-boundary vertical open (see
-    /// [`anyseq_core::pass::init_left_h`]).
-    pub fn init<K: AlignKind, G: GapModel>(grid: &TileGrid, gap: &G, tb: Score) -> BorderStore {
-        Self::init_slab::<K, G>(grid, gap, tb, 0, None)
+    pub fn init<K: AlignKind, G: GapModel>(
+        grid: &TileGrid,
+        gap: &G,
+        seeds: Option<TileIn<'_>>,
+    ) -> BorderStore {
+        Self::init_slab::<K, G>(grid, gap, seeds, 0, None)
     }
 
     /// Builds the store for a *subject slab*: a grid covering absolute
     /// subject columns `col_offset+1 ..= col_offset+grid.m` of a wider
-    /// pair. Row 0 stripes use the kind's init values at the slab's
-    /// absolute columns; column 0 stripes come from `seam` — the
-    /// frontier exported by the slab to the left — or from the kind's
-    /// standard column-0 init when `seam` is `None`. With
-    /// `col_offset = 0` and no seam this is exactly [`BorderStore::init`].
+    /// pair. Row 0 stripes are the slab's columns of the pair's top
+    /// seeds; column 0 stripes come from `seam` — the frontier exported
+    /// by the slab to the left — or, for the first slab, from the
+    /// pair's left seeds. Without seeds, both are the kind's own
+    /// initialization, generated slab by slab. With `col_offset = 0`
+    /// and no seam this is exactly [`BorderStore::init`].
     pub fn init_slab<K: AlignKind, G: GapModel>(
         grid: &TileGrid,
         gap: &G,
-        tb: Score,
+        seeds: Option<TileIn<'_>>,
         col_offset: usize,
         seam: Option<&ShardSeam>,
     ) -> BorderStore {
@@ -107,14 +126,20 @@ impl BorderStore {
             .map(|tj| {
                 let (j0, w) = grid.cols(tj as u32);
                 let a0 = col_offset + j0; // absolute first column of the tile
-                Mutex::new(Slot::from(HStripe {
-                    h: (a0 - 1..a0 + w).map(|j| K::h_init(gap, j)).collect(),
-                    e: if G::AFFINE {
-                        (a0..a0 + w)
-                            .map(|j| K::h_init(gap, j) + gap.open())
-                            .collect()
-                    } else {
-                        Vec::new()
+                Mutex::new(Slot::from(match seeds {
+                    Some(seeds) => HStripe {
+                        h: seeds.top_h[a0 - 1..a0 + w].to_vec(),
+                        e: part(seeds.top_e, a0 - 1, w),
+                    },
+                    None => HStripe {
+                        h: (a0 - 1..a0 + w).map(|j| K::h_init(gap, j)).collect(),
+                        e: if G::AFFINE {
+                            (a0..a0 + w)
+                                .map(|j| K::h_init(gap, j) + gap.open())
+                                .collect()
+                        } else {
+                            Vec::new()
+                        },
                     },
                 }))
             })
@@ -122,25 +147,17 @@ impl BorderStore {
         let row = (0..grid.nt)
             .map(|ti| {
                 let (i0, h) = grid.rows(ti as u32);
-                Mutex::new(Slot::from(match seam {
-                    Some(seam) => VStripe {
+                Mutex::new(Slot::from(match (seam, seeds) {
+                    (Some(seam), _) => VStripe {
                         h: seam.h[i0 - 1..i0 - 1 + h].to_vec(),
-                        f: if seam.f.is_empty() {
-                            Vec::new()
-                        } else {
-                            seam.f[i0 - 1..i0 - 1 + h].to_vec()
-                        },
+                        f: part(&seam.f, i0 - 1, h),
                     },
-                    None => VStripe {
-                        h: (i0..i0 + h)
-                            .map(|i| {
-                                if K::FREE_BEGIN {
-                                    0
-                                } else {
-                                    tb + (i as Score) * gap.extend()
-                                }
-                            })
-                            .collect(),
+                    (None, Some(seeds)) => VStripe {
+                        h: seeds.left_h[i0 - 1..i0 - 1 + h].to_vec(),
+                        f: part(seeds.left_f, i0 - 1, h),
+                    },
+                    (None, None) => VStripe {
+                        h: (i0..i0 + h).map(|i| K::h_init(gap, i)).collect(),
                         f: if G::AFFINE {
                             vec![NEG_INF; h]
                         } else {
@@ -154,29 +171,42 @@ impl BorderStore {
             grid: *grid,
             col,
             row,
+            every: usize::MAX,
             kept_rows: Vec::new(),
             kept_cols: Vec::new(),
         }
     }
 
-    /// The same store in keep mode: every stripe a tile publishes is
-    /// also copied into its boundary's line, for [`BorderStore::take_lines`].
-    pub fn keeping(mut self, affine: bool) -> BorderStore {
+    /// The same store in keep mode: every stripe a tile publishes on a
+    /// kept boundary — after every `every`-th tile row and column, the
+    /// last tile row excepted — is also copied into that boundary's
+    /// line, for [`BorderStore::take_lines`].
+    pub fn keeping(mut self, affine: bool, every: usize) -> BorderStore {
         let (g, ef) = (self.grid, affine as usize);
         let line = |len: usize, ef_len: usize| (vec![0; len], vec![0; ef_len * ef]);
-        self.kept_rows = (1..g.nt)
+        self.every = every;
+        self.kept_rows = (0..(g.nt - 1) / every)
             .map(|_| {
                 let (h, e) = line(g.m + 1, g.m);
                 Mutex::new(HStripe { h, e })
             })
             .collect();
-        self.kept_cols = (0..g.mt)
+        self.kept_cols = (0..g.mt / every)
             .map(|_| {
                 let (h, f) = line(g.n, g.n);
                 Mutex::new(VStripe { h, f })
             })
             .collect();
         self
+    }
+
+    /// The line tile row or column `k` publishes into, if it is kept.
+    fn kept<'a, T>(&self, lines: &'a [Mutex<T>], k: usize) -> Option<&'a Mutex<T>> {
+        if (k + 1).is_multiple_of(self.every) {
+            lines.get(k / self.every)
+        } else {
+            None
+        }
     }
 
     /// The stripe hand-off: swaps tile `t`'s column and row slots with
@@ -190,7 +220,7 @@ impl BorderStore {
         let mut col = self.col[tj].lock();
         std::mem::swap(top, &mut col.stripe);
         col.out = !col.out;
-        if let Some(line) = self.kept_rows.get(ti).filter(|_| !col.out) {
+        if let Some(line) = self.kept(&self.kept_rows, ti).filter(|_| !col.out) {
             let j0 = self.grid.cols(t.tj).0;
             let HStripe { h, e } = &mut *line.lock();
             copy_at(h, j0 - 1, &col.stripe.h);
@@ -200,7 +230,7 @@ impl BorderStore {
         let mut row = self.row[ti].lock();
         std::mem::swap(left, &mut row.stripe);
         row.out = !row.out;
-        if let Some(line) = self.kept_cols.get(tj).filter(|_| !row.out) {
+        if let Some(line) = self.kept(&self.kept_cols, tj).filter(|_| !row.out) {
             let i0 = self.grid.rows(t.ti).0;
             let VStripe { h, f } = &mut *line.lock();
             copy_at(h, i0 - 1, &row.stripe.h);
@@ -209,15 +239,16 @@ impl BorderStore {
     }
 
     /// Moves the kept lines out of a keep-mode store after its pass:
-    /// the bottom lines of every tile row but the last, and the right
-    /// lines of every tile column, at absolute subject columns
+    /// the bottom lines of the kept tile rows and the right lines of the
+    /// kept tile columns, at absolute subject columns
     /// (`col_offset` as in [`BorderStore::init_slab`]). A row line
     /// spans the store's columns `col_offset..=col_offset + m`. Empty
     /// unless the store was built [`BorderStore::keeping`].
     pub fn take_lines(&self, col_offset: usize) -> (Vec<RowLine>, Vec<ColLine>) {
         let g = &self.grid;
-        let rows = self.kept_rows.iter().enumerate().map(|(ti, line)| {
-            let (i0, h) = g.rows(ti as u32);
+        let last = |k: usize| ((k + 1) * self.every - 1) as u32;
+        let rows = self.kept_rows.iter().enumerate().map(|(k, line)| {
+            let (i0, h) = g.rows(last(k));
             let HStripe { h: lh, e } = std::mem::take(&mut *line.lock());
             RowLine {
                 i: i0 + h - 1,
@@ -225,8 +256,8 @@ impl BorderStore {
                 e,
             }
         });
-        let cols = self.kept_cols.iter().enumerate().map(|(tj, line)| {
-            let (j0, w) = g.cols(tj as u32);
+        let cols = self.kept_cols.iter().enumerate().map(|(k, line)| {
+            let (j0, w) = g.cols(last(k));
             let VStripe { h, f } = std::mem::take(&mut *line.lock());
             ColLine {
                 j: col_offset + j0 + w - 1,
@@ -320,7 +351,7 @@ mod tests {
             extend: -1,
         };
         let grid = TileGrid::new(10, 10, 4); // tiles: 4,4,2
-        let store = BorderStore::init::<Global, _>(&grid, &gap, gap.open());
+        let store = BorderStore::init::<Global, _>(&grid, &gap, None);
         assert_eq!(store.col.len(), 3);
         assert_eq!(store.row.len(), 3);
         // First column slot: H(0, 0..=4) = 0,-3,-4,-5,-6
@@ -347,7 +378,7 @@ mod tests {
             extend: -1,
         };
         let grid = TileGrid::new(10, 10, 4);
-        let store = BorderStore::init::<Global, _>(&grid, &gap, gap.open());
+        let store = BorderStore::init::<Global, _>(&grid, &gap, None);
         assert_eq!(
             store.bytes(),
             BorderStore::estimated_bytes(&grid, true),
@@ -356,7 +387,7 @@ mod tests {
         // Linear stores carry no E/F stripes.
         use anyseq_core::scoring::LinearGap;
         let lin = LinearGap { gap: -1 };
-        let store = BorderStore::init::<Global, _>(&grid, &lin, lin.gap);
+        let store = BorderStore::init::<Global, _>(&grid, &lin, None);
         assert_eq!(store.bytes(), BorderStore::estimated_bytes(&grid, false));
         assert!(BorderStore::estimated_bytes(&grid, true) > store.bytes());
     }

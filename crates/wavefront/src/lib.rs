@@ -16,8 +16,8 @@
 //! tiles — [`ScalarTiles`] here, the vector-lane kernel in
 //! `anyseq-simd`, the GPU simulator's block kernel and the
 //! Parasail-like baseline's minor-diagonal kernel. Whole score passes,
-//! [`ShardSeam`]-stitched slab chains and the Hirschberg half-passes
-//! behind [`ParallelExt`] are instantiations of it.
+//! [`ShardSeam`]-stitched slab chains and the kept-lines passes of the
+//! traceback behind [`ParallelExt`] are instantiations of it.
 //!
 //! [`run_workers`] is the workspace's one compute-thread pool: the tile
 //! schedulers here, the SIMD batch paths, the baselines and the

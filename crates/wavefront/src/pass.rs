@@ -2,8 +2,8 @@
 //! the linear-space score computation: one driver
 //! ([`TiledPass::slab`]) over the border store and the wavefront
 //! scheduler, generic over the [`TileKernel`] that relaxes each group
-//! of ready tiles. Score passes, their shard chains and Hirschberg
-//! half-passes are instantiations of it.
+//! of ready tiles. Score passes, their shard chains and the traceback's
+//! kept-lines passes are instantiations of it.
 
 use crate::borders::{BorderStore, HStripe, VStripe};
 use crate::grid::{TileGrid, TileId};
@@ -11,7 +11,7 @@ use crate::scheduler::{run_dynamic, run_static};
 use crate::shard::{plan_columns, ShardSeam, SlabOutput};
 use anyseq_core::kind::AlignKind;
 pub use anyseq_core::pass::{finalize, finalize_score};
-use anyseq_core::pass::{score_pass, PassOutput, TileLines};
+use anyseq_core::pass::{lines_pass, score_pass, PassOutput, Seeds, Spacing, TileLines};
 use anyseq_core::relax::BestCell;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
@@ -32,9 +32,9 @@ pub struct ParallelCfg {
     pub static_schedule: bool,
     /// Shard budget in DP cells: a pass over a larger pair runs as a
     /// serial chain of subject slabs with seam hand-off. What stays
-    /// resident is one slab's borders and grid — plus, for a
-    /// Hirschberg half-pass, the `O(m)` last rows it returns. 0 (the
-    /// default) disables sharding.
+    /// resident is one slab's borders and grid — plus, for a pass that
+    /// returns them, the `O(m)` last rows. 0 (the default) disables
+    /// sharding.
     pub shard_cells: u64,
 }
 
@@ -179,9 +179,9 @@ struct Worker<W> {
 }
 
 /// The tiled wavefront pass on tile kernel `Kn`: score passes, slab
-/// chains and — as a [`HalfPass`](anyseq_core::hirschberg::HalfPass)
-/// provider — the passes that keep a traceback leaf's lines and
-/// Hirschberg's half-passes. Counts the tiles it relaxes, split by
+/// chains and — as a [`LinesPass`](anyseq_core::traceback::LinesPass)
+/// provider — the passes that keep the traceback's lines, nested ones
+/// included. Counts the tiles it relaxes, split by
 /// whether they rode vector lanes, the slabs of the passes its shard
 /// budget cut, the blocks traceback walks recomputed through its lines
 /// and the largest set of lines it kept.
@@ -240,13 +240,12 @@ impl<Kn> TiledPass<Kn> {
         (count(&self.trace_tiles), count(&self.peak_line_bytes))
     }
 
-    /// The driver: a tiled score-only pass over one subject slab
-    /// `cols = (c0, c1)` of the full pair `(q, s)`, seeded from `seam`
-    /// (the frontier at column `c0`) or from the kind's standard
+    /// The driver: a tiled score-only pass of kind `K` over one subject
+    /// slab `cols = (c0, c1)` of the full pair `(q, s)`, seeded from
+    /// `seam` (the frontier at column `c0`) or from the kind's own
     /// initialization when `seam` is `None` (first slab). Only the
     /// slab's own `O(n + width)` border stripes are resident.
     /// Bit-identical to the same columns of an unsharded pass.
-    #[allow(clippy::too_many_arguments)]
     pub fn slab<K: AlignKind, G: GapModel, S: SubstScore>(
         &self,
         gap: &G,
@@ -254,17 +253,17 @@ impl<Kn> TiledPass<Kn> {
         q: &[u8],
         s: &[u8],
         cols: (usize, usize),
-        tb: Score,
         seam: Option<&ShardSeam>,
     ) -> SlabOutput
     where
         Kn: TileKernel<S>,
     {
-        self.run_slab::<K, G, S>(gap, subst, q, s, cols, tb, seam, None)
+        self.run_slab::<K, G, S>(gap, subst, q, s, cols, None, seam, Spacing::NONE)
     }
 
-    /// [`TiledPass::slab`], or with `keep = Some(edge)` the same on
-    /// tiles of at most `edge` cells a side, keeping its lines
+    /// [`TiledPass::slab`] from the pair's `seeds` (the kind's own
+    /// initialization when `None`), on tiles of at most `keep.edge`
+    /// cells a side, keeping the lines `keep` asks for
     /// ([`BorderStore::keeping`]).
     #[allow(clippy::too_many_arguments)]
     fn run_slab<K: AlignKind, G: GapModel, S: SubstScore>(
@@ -274,9 +273,9 @@ impl<Kn> TiledPass<Kn> {
         q: &[u8],
         s: &[u8],
         cols: (usize, usize),
-        tb: Score,
+        seeds: Option<TileIn<'_>>,
         seam: Option<&ShardSeam>,
-        keep: Option<usize>,
+        keep: Spacing,
     ) -> SlabOutput
     where
         Kn: TileKernel<S>,
@@ -290,12 +289,10 @@ impl<Kn> TiledPass<Kn> {
             assert_eq!(seam.col, c0, "seam column does not meet the slab");
             assert_eq!(seam.h.len(), n, "seam height does not match the query");
         }
-        let tile = Kn::tile_edge(gap, subst, cfg.tile).min(keep.unwrap_or(usize::MAX));
+        let tile = Kn::tile_edge(gap, subst, cfg.tile).min(keep.edge);
         let grid = TileGrid::new(n, c1 - c0, tile);
-        let mut borders = BorderStore::init_slab::<K, G>(&grid, gap, tb, c0, seam);
-        if keep.is_some() {
-            borders = borders.keeping(G::AFFINE);
-        }
+        let borders = BorderStore::init_slab::<K, G>(&grid, gap, seeds, c0, seam)
+            .keeping(G::AFFINE, keep.every);
 
         let compute = |w: &mut Worker<Kn::Scratch>, ready: &[TileId]| {
             let tiles = &mut w.tiles[..ready.len()];
@@ -351,7 +348,7 @@ impl<Kn> TiledPass<Kn> {
     /// cuts it — and hands each slab's output to `each` in column
     /// order. Resident at a time: the slab in flight and the seam it
     /// started from; what outlives a slab is whatever `each` keeps.
-    /// `keep` as in [`TiledPass::run_slab`].
+    /// `seeds` and `keep` as in [`TiledPass::run_slab`].
     #[allow(clippy::too_many_arguments)]
     fn for_each_slab<K: AlignKind, G: GapModel, S: SubstScore>(
         &self,
@@ -359,8 +356,8 @@ impl<Kn> TiledPass<Kn> {
         subst: &S,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        keep: Option<usize>,
+        seeds: Option<TileIn<'_>>,
+        keep: Spacing,
         mut each: impl FnMut((usize, usize), &SlabOutput),
     ) where
         Kn: TileKernel<S>,
@@ -376,79 +373,79 @@ impl<Kn> TiledPass<Kn> {
         }
         let mut seam: Option<ShardSeam> = None;
         for cols in plan {
-            let slab = self.run_slab::<K, G, S>(gap, subst, q, s, cols, tb, seam.as_ref(), keep);
+            let slab = self.run_slab::<K, G, S>(gap, subst, q, s, cols, seeds, seam.as_ref(), keep);
             each(cols, &slab);
             seam = Some(slab.seam);
         }
     }
 
-    /// Score-only pass of kind `K` (same contract as
-    /// [`anyseq_core::pass::score_pass`], including the Hirschberg
-    /// `tb` boundary adjustment) — the half-pass Hirschberg runs, so
-    /// alignments shard too. It returns the last rows, so besides one
-    /// slab (see [`TiledPass::score`]) their `O(m)` stays resident.
+    /// Score-only pass of kind `K` from the kind's own initialization
+    /// (same contract as [`anyseq_core::pass::score_pass`]). It returns
+    /// the last rows, so besides one slab (see [`TiledPass::score`])
+    /// their `O(m)` stays resident.
     pub fn score_pass<K: AlignKind, G: GapModel, S: SubstScore>(
         &self,
         gap: &G,
         subst: &S,
         q: &[u8],
         s: &[u8],
-        tb: Score,
     ) -> PassOutput
     where
         Kn: TileKernel<S>,
     {
-        self.pass_lines::<K, G, S>(gap, subst, q, s, tb, None).pass
+        let seeds = Seeds::init::<K, G>(gap, q.len(), s.len());
+        self.pass_lines::<K, G, S>(gap, subst, q, s, seeds.stripes(), Spacing::NONE)
+            .pass
     }
 
-    /// [`TiledPass::score_pass`] keeping the interior tile boundaries of
-    /// its grid, on tiles of at most `edge` cells a side (same contract
-    /// as [`anyseq_core::pass::lines_pass`], whatever the kernel). A
-    /// sharded pass joins each row line across its slabs and keeps
-    /// every slab's columns, its seams among them. Resident: the lines,
-    /// `O(n·m / tile)`, on top of what the score pass holds.
+    /// The pass of kind `K` from `seeds`, keeping the tile boundaries
+    /// `spacing` asks for (same contract as
+    /// [`anyseq_core::pass::lines_pass`], whatever the kernel; its grid
+    /// runs tiles of its own edge where that is finer). A sharded pass
+    /// joins each row line across its slabs and keeps each slab's
+    /// columns. Resident: the lines, `O(n·m / spacing)`, on top of what
+    /// the score pass holds.
     pub fn lines<K: AlignKind, G: GapModel, S: SubstScore>(
         &self,
         gap: &G,
         subst: &S,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        edge: usize,
+        seeds: TileIn<'_>,
+        spacing: Spacing,
     ) -> TileLines
     where
         Kn: TileKernel<S>,
     {
-        let lines = self.pass_lines::<K, G, S>(gap, subst, q, s, tb, Some(edge));
+        let lines = self.pass_lines::<K, G, S>(gap, subst, q, s, seeds, spacing);
         let bytes = lines.bytes() as u64;
         self.peak_line_bytes.fetch_max(bytes, Ordering::Relaxed);
         lines
     }
 
     /// The pass behind [`TiledPass::score_pass`] and
-    /// [`TiledPass::lines`] (`keep` as in [`TiledPass::run_slab`]).
+    /// [`TiledPass::lines`].
     fn pass_lines<K: AlignKind, G: GapModel, S: SubstScore>(
         &self,
         gap: &G,
         subst: &S,
         q: &[u8],
         s: &[u8],
-        tb: Score,
-        keep: Option<usize>,
+        seeds: TileIn<'_>,
+        keep: Spacing,
     ) -> TileLines
     where
         Kn: TileKernel<S>,
     {
         let (n, m) = (q.len(), s.len());
         if n == 0 || m == 0 {
-            // An empty rectangle has no tiles: its init stripes are
-            // the result.
-            return score_pass::<K, G, S>(gap, subst, q, s, tb).into();
+            // An empty rectangle has no tiles: its seeds are the result.
+            return lines_pass::<K, G, S>(gap, subst, q, s, seeds, Spacing::NONE);
         }
         let (mut last_h, mut last_e) = (Vec::with_capacity(m + 1), Vec::with_capacity(m));
         let (mut rows, mut cols) = (Vec::new(), Vec::new());
         let mut best = BestCell::empty();
-        self.for_each_slab::<K, G, S>(gap, subst, q, s, tb, keep, |(c0, _), slab| {
+        self.for_each_slab::<K, G, S>(gap, subst, q, s, Some(seeds), keep, |(c0, _), slab| {
             let (h, e) = slab.last_rows();
             // Every slab but the first repeats its left corner.
             last_h.extend_from_slice(&h[(c0 > 0) as usize..]);
@@ -466,7 +463,7 @@ impl<Kn> TiledPass<Kn> {
             cols.extend(slab_cols.into_iter().filter(|c| c.j < m));
         });
         TileLines {
-            pass: finalize::<K, G>(gap, best, n, m, tb, &last_h, last_e),
+            pass: finalize::<K, G>(gap, best, n, m, &last_h, last_e),
             rows,
             cols,
         }
@@ -486,14 +483,14 @@ impl<Kn> TiledPass<Kn> {
     {
         let (gap, subst, (n, m)) = (scheme.gap(), scheme.subst(), (q.len(), s.len()));
         if n == 0 || m == 0 {
-            return score_pass::<K, G, S>(gap, subst, q, s, gap.open()).score;
+            return score_pass::<K, G, S>(gap, subst, q, s).score;
         }
         let (mut best, mut h_nm) = (BestCell::empty(), 0);
-        self.for_each_slab::<K, G, S>(gap, subst, q, s, gap.open(), None, |_, slab| {
+        self.for_each_slab::<K, G, S>(gap, subst, q, s, None, Spacing::NONE, |_, slab| {
             best.merge(&slab.best);
             h_nm = *slab.seam.h.last().expect("a slab has at least one row");
         });
-        finalize_score::<K, G>(gap, best, n, m, gap.open(), h_nm).0
+        finalize_score::<K, G>(gap, best, n, m, h_nm).0
     }
 }
 
@@ -503,10 +500,9 @@ pub fn tiled_score_pass<K: AlignKind, G: GapModel, S: SubstScore>(
     subst: &S,
     q: &[u8],
     s: &[u8],
-    tb: Score,
     cfg: &ParallelCfg,
 ) -> PassOutput {
-    TiledPass::<ScalarTiles>::new(*cfg).score_pass::<K, G, S>(gap, subst, q, s, tb)
+    TiledPass::<ScalarTiles>::new(*cfg).score_pass::<K, G, S>(gap, subst, q, s)
 }
 
 #[cfg(test)]
@@ -533,16 +529,8 @@ mod tests {
         let cfg = test_cfg(6, 100);
         macro_rules! check {
             ($kind:ty) => {{
-                let scalar =
-                    score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
-                let par = tiled_score_pass::<$kind, _, _>(
-                    &gap,
-                    &subst,
-                    q.codes(),
-                    s.codes(),
-                    gap.open(),
-                    &cfg,
-                );
+                let scalar = score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes());
+                let par = tiled_score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes(), &cfg);
                 assert_eq!(
                     par.score,
                     scalar.score,
@@ -565,32 +553,7 @@ mod tests {
         let subst = simple(2, -1);
         let q = [0u8, 1, 2, 3];
         let cfg = ParallelCfg::threads(8); // one tile, run inline
-        let out = tiled_score_pass::<Global, _, _>(&gap, &subst, &q, &q, gap.open(), &cfg);
+        let out = tiled_score_pass::<Global, _, _>(&gap, &subst, &q, &q, &cfg);
         assert_eq!(out.score, 8);
-    }
-
-    #[test]
-    fn hirschberg_tb_respected_in_parallel() {
-        // tb != open must flow into the left column init.
-        let mut sim = GenomeSim::new(9);
-        let q = sim.generate(900);
-        let s = sim.generate(700);
-        let gap = AffineGap {
-            open: -5,
-            extend: -1,
-        };
-        let subst = simple(2, -1);
-        let scalar = score_pass::<Global, _, _>(&gap, &subst, q.codes(), s.codes(), 0);
-        let par = tiled_score_pass::<Global, _, _>(
-            &gap,
-            &subst,
-            q.codes(),
-            s.codes(),
-            0,
-            &test_cfg(4, 64),
-        );
-        assert_eq!(par.score, scalar.score);
-        assert_eq!(par.last_h, scalar.last_h);
-        assert_eq!(par.last_e, scalar.last_e);
     }
 }

@@ -79,7 +79,7 @@ mod tests {
     use anyseq_core::kind::{AlignKind, FreeEnd, Global, Local, SemiGlobal};
     use anyseq_core::pass::score_pass;
     use anyseq_core::scheme::Scheme;
-    use anyseq_core::scoring::{simple, AffineGap, GapModel, Scoring};
+    use anyseq_core::scoring::{simple, AffineGap, Scoring};
     use anyseq_seq::genome::GenomeSim;
 
     #[test]
@@ -115,16 +115,9 @@ mod tests {
         assert!(slabs >= 6, "{slabs} slabs");
         macro_rules! check {
             ($kind:ident) => {{
-                let scalar =
-                    score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes(), gap.open());
-                let sharded = tiled_score_pass::<$kind, _, _>(
-                    &gap,
-                    &subst,
-                    q.codes(),
-                    s.codes(),
-                    gap.open(),
-                    &cfg,
-                );
+                let scalar = score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes());
+                let sharded =
+                    tiled_score_pass::<$kind, _, _>(&gap, &subst, q.codes(), s.codes(), &cfg);
                 let what = <$kind as AlignKind>::NAME;
                 assert_eq!(sharded.score, scalar.score, "{what}");
                 assert_eq!(sharded.end, scalar.end, "{what}");
@@ -170,7 +163,6 @@ mod tests {
             q.codes(),
             s.codes(),
             (0, cut),
-            gap.open(),
             None,
         );
         assert_eq!(slab.seam.col, cut);
@@ -178,8 +170,7 @@ mod tests {
         assert_eq!(slab.seam.f.len(), q.len());
         // A prefix-only full pass ends exactly at the cut: its last row
         // corner H(n, cut) must agree with the seam's last entry.
-        let prefix =
-            score_pass::<Global, _, _>(&gap, &subst, q.codes(), &s.codes()[..cut], gap.open());
+        let prefix = score_pass::<Global, _, _>(&gap, &subst, q.codes(), &s.codes()[..cut]);
         assert_eq!(slab.seam.h[q.len() - 1], prefix.last_h[cut]);
     }
 }

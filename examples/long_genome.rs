@@ -59,10 +59,10 @@ fn main() {
     let dt = t0.elapsed().as_secs_f64();
     assert_eq!(aln.score, score);
     println!(
-        "traceback (Hirschberg, parallel):      {} ops, identity {:.2}%, {:.2} GCUPS",
+        "traceback (kept lines, parallel):      {} ops, identity {:.2}%, {:.2} GCUPS",
         aln.len(),
         100.0 * aln.identity(),
-        2.0 * cells / dt / 1e9 // divide-and-conquer relaxes ~2x the cells
+        2.0 * cells / dt / 1e9 // the paper's Fig. 5 convention: 2x the cells
     );
 
     // The engine path: the pair enters the scheduler as a borrowed

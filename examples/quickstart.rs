@@ -18,7 +18,7 @@ fn main() {
     let score = scheme.score(&q, &s);
     println!("global affine score: {score}");
 
-    // Full alignment (linear-space Hirschberg traceback):
+    // Full alignment (linear-space traceback):
     let aln = scheme.align(&q, &s);
     println!("cigar: {}", aln.cigar());
     println!("identity: {:.1}%", 100.0 * aln.identity());

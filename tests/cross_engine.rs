@@ -38,7 +38,6 @@ fn every_backend_agrees_on_global_scores() {
                     scheme.subst(),
                     q.codes(),
                     s.codes(),
-                    open,
                     &cfg
                 )
                 .score,
