@@ -20,6 +20,10 @@
 //! "recursion on subsequences is only done if the subsequence sizes
 //! exceed a hardware-specific threshold").
 //!
+//! [`trace`] runs the same state machine and end rules over a store of
+//! the caller's own — the SIMD lanes decode their direction bit-planes
+//! through it — so every backend's path is the same path.
+//!
 //! A cell's predecessor byte depends only on its inputs — the `H`/`E`/`F`
 //! values of its neighbours — and kept lines hold those values exactly,
 //! so a block seeded from them records the bytes the whole-rectangle
@@ -30,6 +34,7 @@ use crate::alignment::{AlignOp, Alignment};
 use crate::kind::AlignKind;
 use crate::pass::{finalize_score, ColLine, RowLine, Seeds};
 use crate::relax::pred;
+use crate::score::Score;
 use crate::scoring::{GapModel, SubstScore};
 use crate::tile::{relax_tile, PredSink, TileIn, TileOut};
 use crate::traceback::{spacing, LinesPass};
@@ -44,12 +49,122 @@ enum St {
     Stop,
 }
 
-/// Where the walk is: a cell and the state it is in there.
+/// Where the walk is: a cell and the state it is in there. Its [`step`]
+/// is the one H/E/F state machine of every traceback in the workspace:
+/// [`walk`] steps it over recomputed blocks, [`trace`] over any other
+/// predecessor store (the SIMD lanes' bit-planes).
+///
+/// [`step`]: Cursor::step
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     i: usize,
     j: usize,
     st: St,
+}
+
+impl Cursor {
+    /// The walk's start: the kind's optimum cell `end`, in the `H` state.
+    fn at(end: (usize, usize)) -> Cursor {
+        Cursor {
+            i: end.0,
+            j: end.1,
+            st: St::H,
+        }
+    }
+
+    /// The cell whose predecessor byte the next [`step`](Self::step)
+    /// reads, while the path goes on: `None` once it stopped or met
+    /// row 0 or column 0.
+    #[inline(always)]
+    fn cell(&self) -> Option<(usize, usize)> {
+        (self.st != St::Stop && self.i > 0 && self.j > 0).then_some((self.i, self.j))
+    }
+
+    /// One step of the state machine at its cell, given that cell's
+    /// predecessor byte `p` ([`pred`]): pushes the operation it takes
+    /// (reversed order) onto `rev`, or changes state, or stops.
+    #[inline(always)]
+    fn step(&mut self, p: u8, q: &[u8], s: &[u8], rev: &mut Vec<AlignOp>) {
+        let (i, j) = (self.i, self.j);
+        match self.st {
+            St::H => match p & pred::DIR_MASK {
+                pred::DIAG => {
+                    rev.push(if q[i - 1] == s[j - 1] {
+                        AlignOp::Match
+                    } else {
+                        AlignOp::Mismatch
+                    });
+                    (self.i, self.j) = (i - 1, j - 1);
+                }
+                pred::UP => self.st = St::E,
+                pred::LEFT => self.st = St::F,
+                _ => self.st = St::Stop,
+            },
+            St::E => {
+                rev.push(AlignOp::GapS);
+                self.i = i - 1;
+                self.st = if p & pred::E_EXT != 0 { St::E } else { St::H };
+            }
+            St::F => {
+                rev.push(AlignOp::GapQ);
+                self.j = j - 1;
+                self.st = if p & pred::F_EXT != 0 { St::F } else { St::H };
+            }
+            St::Stop => unreachable!("a stopped walk takes no step"),
+        }
+    }
+
+    /// Ends a kind-`K` walk that started at `end` and stands here: an
+    /// anchored path runs along row 0 or column 0 to the origin, the
+    /// path starts where the walk ended, and a path with no operation is
+    /// [`Alignment::empty`].
+    fn finish<K: AlignKind>(
+        self,
+        score: Score,
+        end: (usize, usize),
+        mut rev: Vec<AlignOp>,
+    ) -> Alignment {
+        let (mut i, mut j) = (self.i, self.j);
+        if !K::FREE_BEGIN {
+            // `E` and `F` never extend a run out of the init stripes.
+            debug_assert_eq!(self.st, St::H);
+            rev.extend(std::iter::repeat_n(AlignOp::GapQ, j));
+            rev.extend(std::iter::repeat_n(AlignOp::GapS, i));
+            (i, j) = (0, 0);
+        }
+        if rev.is_empty() {
+            return Alignment::empty(score);
+        }
+        rev.reverse();
+        Alignment {
+            score,
+            ops: rev,
+            q_start: i,
+            q_end: end.0,
+            s_start: j,
+            s_end: end.1,
+        }
+    }
+}
+
+/// The kind-`K` alignment of `q × s` with optimum `score` at `end`,
+/// traced back over the predecessor bytes `pred_at(i, j)` of a store
+/// that holds every cell of the path (1-based DP coordinates): the
+/// walk's state machine and end rules over a store of one's own.
+#[inline]
+pub fn trace<K: AlignKind>(
+    q: &[u8],
+    s: &[u8],
+    score: Score,
+    end: (usize, usize),
+    mut pred_at: impl FnMut(usize, usize) -> u8,
+) -> Alignment {
+    let mut at = Cursor::at(end);
+    let mut rev = Vec::with_capacity(end.0 + end.1);
+    while let Some((i, j)) = at.cell() {
+        at.step(pred_at(i, j), q, s, &mut rev);
+    }
+    at.finish::<K>(score, end, rev)
 }
 
 /// The block of a rectangle the walk holds predecessors for: rows
@@ -152,39 +267,8 @@ where
         blocks: 0,
     };
     let mut rev = Vec::with_capacity(n + m);
-    let (i, j) = (end.0, end.1);
-    let at = walk.through::<K>(
-        q,
-        s,
-        whole,
-        rows,
-        cols,
-        &mut blk,
-        Cursor { i, j, st: St::H },
-        &mut rev,
-    );
-    let (mut i, mut j) = (at.i, at.j);
-    if !K::FREE_BEGIN {
-        // An anchored path runs along row 0 or column 0 to the origin
-        // (`E` and `F` never extend a run out of the init stripes).
-        debug_assert_eq!(at.st, St::H);
-        rev.extend(std::iter::repeat_n(AlignOp::GapQ, j));
-        rev.extend(std::iter::repeat_n(AlignOp::GapS, i));
-        (i, j) = (0, 0);
-    }
-    if rev.is_empty() {
-        return (Alignment::empty(score), walk.blocks);
-    }
-    rev.reverse();
-    let aln = Alignment {
-        score,
-        ops: rev,
-        q_start: i,
-        q_end: end.0,
-        s_start: j,
-        s_end: end.1,
-    };
-    (aln, walk.blocks)
+    let at = walk.through::<K>(q, s, whole, rows, cols, &mut blk, Cursor::at(end), &mut rev);
+    (at.finish::<K>(score, end, rev), walk.blocks)
 }
 
 impl<P, G, S> Walk<'_, P, G, S>
@@ -209,8 +293,7 @@ where
         mut at: Cursor,
         rev: &mut Vec<AlignOp>,
     ) -> Cursor {
-        while at.st != St::Stop && at.i > 0 && at.j > 0 {
-            let Cursor { i, j, st } = at;
+        while let Some((i, j)) = at.cell() {
             if i <= blk.top || j <= blk.left {
                 let row = rows[..rows.partition_point(|r| r.i < i)].last();
                 let col = cols[..cols.partition_point(|c| c.j < j)].last();
@@ -239,7 +322,7 @@ where
                     let from = Cursor {
                         i: i - top,
                         j: j - left,
-                        st,
+                        st: at.st,
                     };
                     let to = self.through::<K>(
                         bq,
@@ -262,33 +345,7 @@ where
                 blk.enter::<K, G, S>(self.gap, self.subst, bq, bs, input, (top, left), dims);
                 self.blocks += 1;
             }
-            let p = blk.sink.at(i - blk.top - 1, j - blk.left - 1);
-            match st {
-                St::H => match p & pred::DIR_MASK {
-                    pred::DIAG => {
-                        rev.push(if q[i - 1] == s[j - 1] {
-                            AlignOp::Match
-                        } else {
-                            AlignOp::Mismatch
-                        });
-                        (at.i, at.j) = (i - 1, j - 1);
-                    }
-                    pred::UP => at.st = St::E,
-                    pred::LEFT => at.st = St::F,
-                    _ => at.st = St::Stop,
-                },
-                St::E => {
-                    rev.push(AlignOp::GapS);
-                    at.i = i - 1;
-                    at.st = if p & pred::E_EXT != 0 { St::E } else { St::H };
-                }
-                St::F => {
-                    rev.push(AlignOp::GapQ);
-                    at.j = j - 1;
-                    at.st = if p & pred::F_EXT != 0 { St::F } else { St::H };
-                }
-                St::Stop => unreachable!("the loop ends at a stop"),
-            }
+            at.step(blk.sink.at(i - blk.top - 1, j - blk.left - 1), q, s, rev);
         }
         at
     }

@@ -87,10 +87,6 @@ pub const SIMD_LANES: usize = 16;
 /// `BatchStats::counters` after every unit.
 #[derive(Debug, Default)]
 pub struct SimdEngine {
-    /// Band bounds for the traceback path: each lane group's band is
-    /// proven from its exact scores; `initial` is the widest band run
-    /// on trust before that proven width, `max` caps it.
-    pub band: BandCfg,
     /// X-drop threshold for the score path: lanes whose row maximum
     /// falls more than this below the running best retire early.
     /// `0` (the default) disables early termination and keeps scores
@@ -104,13 +100,12 @@ pub struct SimdEngine {
 /// [`anyseq_simd::TraceStats`] (the per-run struct these sum), in
 /// [`SIMD_COUNTERS`] order.
 #[derive(Debug, Default)]
-struct SimdCounters([AtomicU64; 8]);
+struct SimdCounters([AtomicU64; 7]);
 
 /// The names [`SimdCounters`] drain under.
-const SIMD_COUNTERS: [&str; 8] = [
+const SIMD_COUNTERS: [&str; 7] = [
     "simd.lane_pairs",
     "simd.scalar_pairs",
-    "simd.band_widenings",
     "simd.band_overflows",
     "simd.band_cells",
     "simd.bytes_copied",
@@ -123,7 +118,6 @@ impl SimdCounters {
         let values = [
             t.lane_pairs,
             t.scalar_pairs,
-            t.band_widenings,
             t.band_overflows,
             t.band_cells,
             t.bytes_copied,
@@ -199,7 +193,12 @@ impl Engine for SimdEngine {
             |scheme, _K| {
                 // X-drop never applies here: tracebacks stay exact.
                 let (alns, trace) =
-                    align_batch_simd::<_, _, _, SIMD_LANES>(&scheme, pairs, threads, self.band);
+                    align_batch_simd::<_, _, _, SIMD_LANES>(
+                    &scheme,
+                    pairs,
+                    threads,
+                    BandCfg::default(),
+                );
                 self.counters.add(&trace);
                 Ok(alns)
             },

@@ -5,11 +5,9 @@
 //! ## Trait contract
 //!
 //! * **Bit-exact**: a backend's scores must equal `Scheme::score` for
-//!   every input it accepts, and every alignment it returns must carry
-//!   that exact score with an operation sequence that replays to it
-//!   (`Alignment::validate`). Tie-breaks in the traceback may differ
-//!   between backends — equally optimal paths are interchangeable;
-//!   wrong scores or non-replaying CIGARs are not. The scalar engine
+//!   every input it accepts, and every alignment it returns must equal
+//!   `Scheme::align`'s — score, operations, start and end. One pair has
+//!   one alignment, whichever backend computed it. The scalar engine
 //!   is the reference; `tests/cross_engine.rs` enforces this.
 //! * **Order-stable**: results come back in input order.
 //! * **Honest refusal**: a backend that cannot run a request returns
@@ -162,9 +160,8 @@ pub trait Engine: Send + Sync {
 
     /// Aligns every pair with traceback, results in input order.
     ///
-    /// Scores must equal `Scheme::align`; the operation sequence must
-    /// replay to exactly that score (`Alignment::validate`), though
-    /// tie-breaks may differ from the scalar traceback walk.
+    /// Each alignment must equal `Scheme::align`'s: the same score,
+    /// operations, start and end.
     fn align_batch(
         &self,
         spec: &SchemeSpec,

@@ -74,9 +74,7 @@
 //!    refusal degrades gracefully instead of failing the batch.
 //! 4. Extend `tests/cross_engine.rs` — every backend must reproduce
 //!    `Scheme::score` exactly, and every alignment it returns must
-//!    carry that exact score with ops that replay to it
-//!    (`Alignment::validate`); traceback tie-breaks may differ from
-//!    the scalar reference.
+//!    equal the scalar reference's `Scheme::align` field for field.
 //!
 //! The registry holds the three backends every workload runs. The
 //! GPU and FPGA simulators (`anyseq-gpu-sim`, `anyseq-fpga-sim`) are

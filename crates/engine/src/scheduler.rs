@@ -1922,13 +1922,11 @@ mod tests {
                     ((0..s).map(|i| if next(5) == 0 { next(4) as u8 } else { q[i % q.len()] }).collect(), q)
                 })
                 .collect();
-            // Scores ride the lanes. Alignments compare CIGAR for CIGAR,
-            // so they stay on one backend: lane and scalar tracebacks
-            // pick differently among co-optimal paths, and dedup changes
-            // which pairs share a lane group.
-            let policy = if align { Policy::Fixed(BackendId::Scalar) } else { Policy::Auto };
-            let plain = Dispatch::standard(policy);
-            let cached = Dispatch::standard(policy).with_cache_budget(budget_kib << 10);
+            // Scores and alignments both ride the lanes: a pair has one
+            // alignment whichever backend or lane group computes it, so
+            // dedup regrouping the lanes cannot show.
+            let plain = Dispatch::standard(Policy::Auto);
+            let cached = Dispatch::standard(Policy::Auto).with_cache_budget(budget_kib << 10);
             let sched = BatchScheduler::new(BatchCfg::threads(threads));
             let mut evictions = 0;
             for round in 0..4 {

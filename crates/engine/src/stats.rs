@@ -100,7 +100,7 @@ pub struct BatchStats {
     /// Named backend-internal counters, drained from each engine after
     /// every unit (`Engine::drain_counters`) and summed here — e.g.
     /// the SIMD traceback's `simd.band_overflows` /
-    /// `simd.band_widenings` band telemetry. The `BTreeMap` keeps the
+    /// `simd.band_cells` band telemetry. The `BTreeMap` keeps the
     /// report order deterministic.
     pub counters: BTreeMap<&'static str, u64>,
     /// Stage-timing spans drained from the tracer at batch end, sorted

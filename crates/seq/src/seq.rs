@@ -1,11 +1,11 @@
 //! Owned DNA sequences and cheap read-only views.
 //!
 //! [`Seq`] stores one base *code* per byte (see [`crate::alphabet`]).
-//! Alignment engines never touch ASCII: they read codes through slices or
-//! through view adapters such as [`Seq::rev_view`], mirroring the paper's
-//! `Sequence { len, at, release }` accessor abstraction (§III-B) — in Rust
-//! the accessor indirection compiles away through monomorphization exactly
-//! like AnyDSL's partial evaluation removes it.
+//! Alignment engines never touch ASCII: they read codes through slices,
+//! mirroring the paper's `Sequence { len, at, release }` accessor
+//! abstraction (§III-B) — in Rust the accessor indirection compiles away
+//! through monomorphization exactly like AnyDSL's partial evaluation
+//! removes it.
 
 use crate::alphabet::{complement_code, Base};
 use std::fmt;
@@ -131,13 +131,6 @@ impl Seq {
         }
     }
 
-    /// The reverse of this sequence.
-    pub fn reversed(&self) -> Seq {
-        let mut codes = self.codes.clone();
-        codes.reverse();
-        Seq { codes }
-    }
-
     /// The reverse complement of this sequence.
     pub fn rev_comp(&self) -> Seq {
         Seq {
@@ -174,12 +167,6 @@ impl Seq {
             gc as f64 / concrete as f64
         }
     }
-
-    /// A reversed zero-copy view.
-    #[inline]
-    pub fn rev_view(&self) -> RevView<'_> {
-        RevView { codes: &self.codes }
-    }
 }
 
 impl fmt::Debug for Seq {
@@ -203,36 +190,6 @@ impl std::ops::Index<usize> for Seq {
     #[inline(always)]
     fn index(&self, i: usize) -> &u8 {
         &self.codes[i]
-    }
-}
-
-/// Zero-copy reversed view over a sequence's codes.
-///
-/// AnySeq aligns reversed sequences by "reversing the indexing in the
-/// sequence accessor function" (§III-C). `RevView` is that accessor: no
-/// bytes are copied, the index arithmetic is inlined away.
-#[derive(Clone, Copy)]
-pub struct RevView<'a> {
-    codes: &'a [u8],
-}
-
-impl<'a> RevView<'a> {
-    /// Number of bases in the view.
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether the view is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// The code at reversed position `i`.
-    #[inline(always)]
-    pub fn at(&self, i: usize) -> u8 {
-        self.codes[self.codes.len() - 1 - i]
     }
 }
 
@@ -280,17 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn rev_view_matches_reversed() {
-        let s = Seq::from_ascii(b"ACGGTTA").unwrap();
-        let r = s.reversed();
-        let v = s.rev_view();
-        assert_eq!(v.len(), s.len());
-        for i in 0..s.len() {
-            assert_eq!(v.at(i), r[i]);
-        }
-    }
-
-    #[test]
     fn gc_content_ignores_n() {
         let s = Seq::from_ascii(b"GGCCNNNN").unwrap();
         assert!((s.gc_content() - 1.0).abs() < 1e-12);
@@ -305,6 +251,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.rev_comp(), s);
-        assert!(s.rev_view().is_empty());
     }
 }

@@ -318,13 +318,15 @@ impl MicroBatcher {
         let mut state = self.state.lock();
         let held = !sender_done || state.release_inbound(now);
         let admitted = self.admit(&mut state, (spec, mode), request, bytes, now);
-        drop(state);
-        debug_assert!(held, "an inbound token released twice");
-        let window = admitted?;
-        if let Some(reg) = &self.metrics {
+        if let (Ok(_), Some(reg)) = (&admitted, &self.metrics) {
+            // Under the state lock, so the gauges move with the queue
+            // (the registry's lock is a leaf lock).
             reg.add_gauge(QUEUE_BYTES_GAUGE, String::new(), bytes as f64);
             reg.add_gauge(QUEUE_DEPTH_GAUGE, String::new(), 1.0);
         }
+        drop(state);
+        debug_assert!(held, "an inbound token released twice");
+        let window = admitted?;
         self.cv.notify_all();
         Ok(Ticket { window, rx })
     }
@@ -404,6 +406,14 @@ impl MicroBatcher {
                 let mut group = state.groups.remove(idx);
                 state.queued_bytes -= group.bytes;
                 state.queued_requests -= group.requests.len() as u64;
+                if let Some(reg) = &self.metrics {
+                    reg.add_gauge(QUEUE_BYTES_GAUGE, String::new(), -(group.bytes as f64));
+                    reg.add_gauge(
+                        QUEUE_DEPTH_GAUGE,
+                        String::new(),
+                        -(group.requests.len() as f64),
+                    );
+                }
                 let quiet_since_ns = state.quiet_since_ns;
                 drop(state);
                 // Its other waiters go back to their channels.
@@ -429,14 +439,6 @@ impl MicroBatcher {
                         rec.ready_ns = ready_ns.max(rec.admit_ns);
                         rec.taken_ns = now;
                     }
-                }
-                if let Some(reg) = &self.metrics {
-                    reg.add_gauge(QUEUE_BYTES_GAUGE, String::new(), -(group.bytes as f64));
-                    reg.add_gauge(
-                        QUEUE_DEPTH_GAUGE,
-                        String::new(),
-                        -(group.requests.len() as f64),
-                    );
                 }
                 return Some(Batch {
                     spec: group.spec,

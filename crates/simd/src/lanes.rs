@@ -111,16 +111,6 @@ impl<const L: usize> I16s<L> {
         mask
     }
 
-    /// Bit mask of lanes where `self >= rhs`.
-    #[inline(always)]
-    pub fn ge_mask(self, rhs: I16s<L>) -> u32 {
-        let mut mask = 0u32;
-        for l in 0..L {
-            mask |= ((self.0[l] >= rhs.0[l]) as u32) << l;
-        }
-        mask
-    }
-
     /// Bit mask of lanes where `self > rhs` (strictly).
     #[inline(always)]
     pub fn gt_mask(self, rhs: I16s<L>) -> u32 {
@@ -204,8 +194,6 @@ mod tests {
         let a = I16s::<4>([1, 5, 3, -2]);
         let b = I16s::<4>([1, 4, 3, 7]);
         assert_eq!(a.eq_mask(b), 0b0101);
-        assert_eq!(a.ge_mask(b), 0b0111);
-        assert_eq!(a.ge_mask(a), 0b1111);
         assert_eq!(a.gt_mask(b), 0b0010);
         assert_eq!(a.gt_mask(a), 0);
     }

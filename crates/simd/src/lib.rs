@@ -22,8 +22,8 @@
 //! * [`align_batch_simd`] — inter-sequence with full tracebacks: a
 //!   banded DP records 2 packed direction bits per lane per cell
 //!   (plus affine extend bits) inside a band proven from each lane's
-//!   exact score, and lanes decode into per-pair CIGARs
-//!   ([`traceback`]).
+//!   exact score, and each lane decodes into `Scheme::align`'s
+//!   alignment through the scalar walk's state machine ([`traceback`]).
 //!
 //! Scores inside a block are 16-bit *differences to the block's incoming
 //! corner* (paper: "only differences to the global score are relevant"),

@@ -3,7 +3,8 @@
 //! The score path ([`crate::batch`]) keeps one whole alignment per
 //! 16-bit vector lane; this module extends that shape to full
 //! tracebacks so a short-read batch can produce CIGARs without ever
-//! leaving the vector unit. Three ideas combine:
+//! leaving the vector unit — the very alignments the scalar walk
+//! returns. Three ideas combine:
 //!
 //! * **Packed per-lane direction store** — each banded DP cell records
 //!   2 direction bits per lane (`up`/`left` set ⇒ gap, both clear ⇒
@@ -16,25 +17,19 @@
 //!   The full-width score kernel runs first and yields each lane's
 //!   exact optimum; from it `proven_half_width` derives the narrowest
 //!   band that provably holds every optimal path (a path leaving it
-//!   scores strictly less, the Ukkonen cut-off). The group runs one
-//!   banded pass at its widest lane's proven width — exact by
-//!   construction — unless that width exceeds [`BandCfg::initial`]:
-//!   then the first pass runs at `initial` on trust, and lanes whose
-//!   banded optimum misses the exact score get exactly one retry at
-//!   their proven width (capped at [`BandCfg::max`]). Lanes the cap
-//!   still cuts off fall back to the scalar `Scheme::align` —
-//!   bit-exactness is never traded for speed.
-//! * **Exactness by construction** — a lane is only decoded when its
-//!   banded corner equals the exact score, so the decoded path
-//!   realizes precisely that score and the CIGAR replays to it
-//!   (`Alignment::validate` enforces this in the cross-engine suite).
-//!
-//! Tie-breaking prefers diagonal over `E` (vertical) over `F`
-//! (horizontal), and gap *extension* over gap *open* on equal values.
-//! The latter is what keeps affine CIGARs consistent: an open step is
-//! only ever taken when it is strictly better, which (with
-//! `open ≤ 0`) implies the cell above/left is not itself gap-preferring,
-//! so two DP gap runs can never silently merge into one CIGAR run.
+//!   scores strictly less: Ukkonen's cut-off). The group runs one
+//!   banded pass at its widest lane's proven width, capped at
+//!   [`BandCfg::max`]; lanes whose proof the cap cuts fall back to the
+//!   scalar `Scheme::align`.
+//! * **One alignment per pair** — the banded relaxation breaks ties as
+//!   `anyseq_core::relax` does (diagonal before `E` before `F`, a gap
+//!   extends only when strictly better than reopening, ν = 0 stops a
+//!   local path at `H ≤ 0`) and picks the end cell as `BestCell` does.
+//!   Along every optimal path a lane's proven band holds the full
+//!   matrix's values, so the lane records the scalar predecessor bytes
+//!   there; they are decoded through the scalar walk's own state
+//!   machine ([`anyseq_core::fullmatrix::trace`]), and the lane returns
+//!   `Scheme::align_codes`'s `Alignment`.
 
 use crate::batch::{transpose_lanes, LaneGroup, LaneGroups};
 use crate::isa::Tier;
@@ -42,9 +37,11 @@ use crate::kernel::{
     block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst, SENT16,
 };
 use crate::lanes::I16s;
-use anyseq_core::alignment::{AlignOp, Alignment};
+use anyseq_core::alignment::Alignment;
+use anyseq_core::fullmatrix::trace;
 use anyseq_core::kind::{AlignKind, OptRegion};
 use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
+use anyseq_core::relax::pred;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
@@ -64,31 +61,21 @@ use anyseq_seq::PairRef;
 /// 0.76–0.83×).
 pub(crate) const ALIGN_MIN_PARTIAL: usize = 3;
 
-/// Band widths for the SIMD traceback, in diagonals each side of the
-/// corridor. The width a lane group needs is proven from its exact
-/// scores (see `proven_half_width`); these two fields only bound it.
+/// Band width bound for the SIMD traceback, in diagonals each side of
+/// the corridor. The width a lane group needs is proven from its exact
+/// scores (see `proven_half_width`); this only caps it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandCfg {
-    /// The widest half-width run on trust, before the proven width: a
-    /// group whose proven width exceeds this runs its first pass at
-    /// `initial` and retries only the lanes that missed, once.
-    pub initial: usize,
-    /// Cap on the proven half-width; lanes whose optimal path escapes
-    /// it fall back to scalar traceback.
+    /// Cap on the proven half-width; lanes whose proof exceeds it fall
+    /// back to scalar traceback.
     pub max: usize,
 }
 
 impl Default for BandCfg {
     fn default() -> BandCfg {
-        // A proven width above 16 is a divergent pair, for which the
-        // proof asks for far more than its optimal path uses: its first
-        // pass runs at 16 on trust. 256 saturates a whole short-read
-        // matrix, so overflow fallbacks only occur for long,
-        // structurally divergent pairs.
-        BandCfg {
-            initial: 16,
-            max: 256,
-        }
+        // 256 saturates a whole short-read matrix, so overflow
+        // fallbacks only occur for long, divergent pairs.
+        BandCfg { max: 256 }
     }
 }
 
@@ -102,15 +89,14 @@ pub struct TraceStats {
     pub lane_pairs: u64,
     /// Leftover/oversized pairs aligned by the in-backend scalar path.
     pub scalar_pairs: u64,
-    /// Lane groups whose trusted first pass (at [`BandCfg::initial`])
-    /// missed a lane's exact score and were re-run once, at the proven
-    /// width of the lanes that missed. At most one retry per group.
+    /// Always 0: a lane group runs one banded pass and never widens
+    /// it. Kept for readers of the field.
     pub band_widenings: u64,
-    /// Pairs whose optimal path escaped the maximum band and were
+    /// Pairs whose proven band exceeded [`BandCfg::max`] and were
     /// rescued by scalar traceback.
     pub band_overflows: u64,
-    /// Vector DP cells relaxed across all banded passes (retries
-    /// included) — `rows × band width × lanes` per pass.
+    /// Vector DP cells relaxed across all banded passes —
+    /// `rows × band width × lanes` per pass.
     pub band_cells: u64,
     /// Sequence bytes copied into lane-transposed row/column buffers —
     /// `(|q| + |s|) × L` per lane group, the *only* sequence copy on
@@ -147,9 +133,13 @@ impl TraceStats {
 }
 
 /// Packed per-lane direction bit-planes over the band cells of one
-/// lane group: index `(i − 1) · band_width + p` for DP row `i ∈ 1..=n`
-/// and band position `p` (diagonal `j − i = dlo + p`).
+/// lane group: index `(i − 1) · bw + p` for DP row `i ∈ 1..=n` and band
+/// position `p` (diagonal `j − i = dlo + p`).
 struct DirStore {
+    /// The band's lowest diagonal `j − i`.
+    dlo: isize,
+    /// The band's width in diagonals.
+    bw: usize,
     /// Lane bit set ⇒ `H` came from `E` (vertical gap wins).
     up: Vec<u32>,
     /// Lane bit set ⇒ `H` came from `F` (horizontal gap wins).
@@ -158,31 +148,52 @@ struct DirStore {
     e_ext: Vec<u32>,
     /// Lane bit set ⇒ `F` extended (else it opened). Affine only.
     f_ext: Vec<u32>,
-    /// Lane bit set ⇒ the ν = 0 clamp fired (`H` would have gone
-    /// negative): a local path *starts* here. `NU_ZERO` kinds only.
+    /// Lane bit set ⇒ the ν = 0 clamp fired (`H ≤ 0`): a local path
+    /// *starts* here. `NU_ZERO` kinds only.
     stop: Vec<u32>,
 }
 
 impl DirStore {
-    fn new(cells: usize, affine: bool, nu_zero: bool) -> DirStore {
+    /// The store of an `n × m` problem's band of half-width `w`: the
+    /// diagonals `j − i ∈ [dlo, dhi]` around the corridor, clamped to
+    /// the matrix.
+    fn new(n: usize, m: usize, w: usize, affine: bool, nu_zero: bool) -> DirStore {
+        let (ni, mi, wi) = (n as isize, m as isize, w as isize);
+        let skew = mi - ni;
+        let dlo = (skew.min(0) - wi).max(-ni);
+        let dhi = (skew.max(0) + wi).min(mi);
+        let bw = (dhi - dlo + 1) as usize;
+        let cells = n * bw;
+        let plane = |on: bool| if on { vec![0; cells] } else { Vec::new() };
         DirStore {
-            up: vec![0; cells],
-            left: vec![0; cells],
-            e_ext: if affine { vec![0; cells] } else { Vec::new() },
-            f_ext: if affine { vec![0; cells] } else { Vec::new() },
-            stop: if nu_zero { vec![0; cells] } else { Vec::new() },
+            dlo,
+            bw,
+            up: plane(true),
+            left: plane(true),
+            e_ext: plane(affine),
+            f_ext: plane(affine),
+            stop: plane(nu_zero),
         }
     }
-}
 
-/// The diagonal band `j − i ∈ [dlo, dhi]` for an `n × m` problem at
-/// half-width `w`, clamped to the matrix.
-fn band_range(n: usize, m: usize, w: usize) -> (isize, isize) {
-    let (n, m, w) = (n as isize, m as isize, w as isize);
-    let skew = m - n;
-    let dlo = (skew.min(0) - w).max(-n);
-    let dhi = (skew.max(0) + w).min(m);
-    (dlo, dhi)
+    /// The [`pred`] byte the scalar relaxation records at DP cell
+    /// `(i, j)` of the band, composed from lane `lane`'s bits.
+    fn pred(&self, i: usize, j: usize, lane: usize) -> u8 {
+        let idx = (i - 1) * self.bw + (j as isize - i as isize - self.dlo) as usize;
+        let set = |plane: &[u32]| plane.get(idx).is_some_and(|&bits| bits >> lane & 1 != 0);
+        let dir = if set(&self.stop) {
+            pred::NONE
+        } else if set(&self.up) {
+            pred::UP
+        } else if set(&self.left) {
+            pred::LEFT
+        } else {
+            pred::DIAG
+        };
+        let e_ext = if set(&self.e_ext) { pred::E_EXT } else { 0 };
+        let f_ext = if set(&self.f_ext) { pred::F_EXT } else { 0 };
+        dir | e_ext | f_ext
+    }
 }
 
 /// The smallest band half-width `w` whose band provably holds every
@@ -269,24 +280,21 @@ impl<const L: usize> BandedOpt<L> {
     }
 }
 
-/// Relaxes one lane group over the band on `tier`, recording packed
-/// directions. Returns the per-lane kind-`K` optimum (differential
-/// base 0) and the cell where it is attained; bit-identical on every
-/// tier.
+/// Relaxes one lane group over `store`'s band on `tier`, recording
+/// packed directions. Returns the per-lane kind-`K` optimum
+/// (differential base 0) and the cell where it is attained;
+/// bit-identical on every tier.
 ///
 /// Cells outside the band (or the matrix) read as the saturating
 /// sentinel, exactly like the full-width kernel's −∞ stripes, so a
 /// path that would profit from leaving the band simply scores lower
-/// than the exact optimum — which the caller detects by comparison.
-#[allow(clippy::too_many_arguments)]
+/// than the exact optimum.
 fn banded_group_kernel<K, G, SS, const L: usize>(
     tier: Tier,
     gap: &G,
     subst: &SS,
     q_rows: &[[u8; L]],
     s_cols: &[[u8; L]],
-    dlo: isize,
-    dhi: isize,
     store: &mut DirStore,
 ) -> BandedOpt<L>
 where
@@ -296,7 +304,7 @@ where
 {
     tier.run(
         #[inline(always)]
-        || banded_body::<K, G, SS, L>(gap, subst, q_rows, s_cols, dlo, dhi, store),
+        || banded_body::<K, G, SS, L>(gap, subst, q_rows, s_cols, store),
     )
 }
 
@@ -308,8 +316,6 @@ fn banded_body<K, G, SS, const L: usize>(
     subst: &SS,
     q_rows: &[[u8; L]],
     s_cols: &[[u8; L]],
-    dlo: isize,
-    dhi: isize,
     store: &mut DirStore,
 ) -> BandedOpt<L>
 where
@@ -319,7 +325,7 @@ where
 {
     let n = q_rows.len();
     let m = s_cols.len();
-    let bw = (dhi - dlo + 1) as usize;
+    let (dlo, bw) = (store.dlo, store.bw);
     let sent = I16s::<L>::splat(SENT16);
     let ext = gap.extend() as i16;
     let openext = (gap.open() + gap.extend()) as i16;
@@ -403,14 +409,14 @@ where
             let (ecur, e_ext_mask) = if G::AFFINE {
                 let extend = if p + 1 < bw { e[p + 1] } else { sent }.sat_adds(ext);
                 let open = up.sat_adds(openext);
-                (extend.max(open), extend.ge_mask(open))
+                (extend.max(open), extend.gt_mask(open))
             } else {
                 (up.sat_adds(ext), 0)
             };
             let (fcur, f_ext_mask) = if G::AFFINE {
                 let extend = f.sat_adds(ext);
                 let open = left.sat_adds(openext);
-                (extend.max(open), extend.ge_mask(open))
+                (extend.max(open), extend.gt_mask(open))
             } else {
                 (left.sat_adds(ext), 0)
             };
@@ -426,7 +432,7 @@ where
             store.up[row_base + p] = up_mask;
             store.left[row_base + p] = left_mask;
             if K::NU_ZERO {
-                store.stop[row_base + p] = I16s::splat(0).gt_mask(hval);
+                store.stop[row_base + p] = I16s::splat(1).gt_mask(hval);
                 hval = hval.maxs(0);
             }
             if G::AFFINE {
@@ -456,115 +462,13 @@ where
     opt
 }
 
-/// Walks one lane's packed directions from the end cell `(i_e, j_e)`
-/// back to the path's start, emitting ops front-to-back after the
-/// final reverse. Returns the ops plus the 0-based `(q_start, s_start)`
-/// where the path begins.
-///
-/// `free_begin` kinds end the walk at the first border touch (the init
-/// stripes are free); anchored kinds pad the remaining edge distance
-/// with one gap run. `nu_zero` kinds additionally end the walk at the
-/// first cell whose `stop` bit is set — the ν = 0 clamp restarted the
-/// path there, so its recorded directions are dead.
-#[allow(clippy::too_many_arguments)] // one DP coordinate frame, one call site
-fn decode_lane(
-    store: &DirStore,
-    end: (usize, usize),
-    dlo: isize,
-    bw: usize,
-    lane: usize,
-    q: &[u8],
-    s: &[u8],
-    affine: bool,
-    free_begin: bool,
-    nu_zero: bool,
-) -> (Vec<AlignOp>, usize, usize) {
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        M,
-        E,
-        F,
-    }
-    let bit = 1u32 << lane;
-    let (mut i, mut j) = end;
-    let mut ops = Vec::with_capacity(i + j);
-    let mut st = St::M;
-    while i > 0 || j > 0 {
-        // Boundary stripes carry no directions. For anchored kinds the
-        // rest of the path runs along the matrix edge as one gap run
-        // (its score is the init stripe's, exactly `gap(len)`); for
-        // free-begin kinds the stripe is free and the path ends here.
-        if i == 0 {
-            if !free_begin {
-                ops.extend(std::iter::repeat_n(AlignOp::GapQ, j));
-                j = 0;
-            }
-            break;
-        }
-        if j == 0 {
-            if !free_begin {
-                ops.extend(std::iter::repeat_n(AlignOp::GapS, i));
-                i = 0;
-            }
-            break;
-        }
-        let idx = (i - 1) * bw + (j as isize - i as isize - dlo) as usize;
-        match st {
-            St::M => {
-                if nu_zero && store.stop[idx] & bit != 0 {
-                    break;
-                }
-                if store.up[idx] & bit != 0 {
-                    if affine {
-                        st = St::E;
-                    } else {
-                        ops.push(AlignOp::GapS);
-                        i -= 1;
-                    }
-                } else if store.left[idx] & bit != 0 {
-                    if affine {
-                        st = St::F;
-                    } else {
-                        ops.push(AlignOp::GapQ);
-                        j -= 1;
-                    }
-                } else {
-                    ops.push(if q[i - 1] == s[j - 1] {
-                        AlignOp::Match
-                    } else {
-                        AlignOp::Mismatch
-                    });
-                    i -= 1;
-                    j -= 1;
-                }
-            }
-            St::E => {
-                ops.push(AlignOp::GapS);
-                if store.e_ext[idx] & bit == 0 {
-                    st = St::M;
-                }
-                i -= 1;
-            }
-            St::F => {
-                ops.push(AlignOp::GapQ);
-                if store.f_ext[idx] & bit == 0 {
-                    st = St::M;
-                }
-                j -= 1;
-            }
-        }
-    }
-    ops.reverse();
-    (ops, i, j)
-}
-
-/// Aligns one lane group's pairs in at most two banded vector passes.
-/// The first runs at the group's proven width (see
-/// [`proven_half_width`]), or at [`BandCfg::initial`] on trust when the
-/// proof asks for more; lanes that trusted pass missed get one retry at
-/// their proven width. Returns one entry per live lane: `None` for
-/// lanes whose optimal path escapes [`BandCfg::max`] (the caller
-/// rescues those with scalar traceback).
+/// Aligns one lane group's pairs in one banded vector pass at the
+/// group's widest proven width (see [`proven_half_width`]), capped at
+/// [`BandCfg::max`]. A lane is decoded only under its own proof: its
+/// proven width fits the pass, so the band holds all of its optimal
+/// paths and the lane decodes to the scalar walk's alignment. Returns
+/// one entry per live lane: `None` for lanes whose proof the cap cuts
+/// (the caller rescues those with scalar traceback).
 fn align_lane_group<K, G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
@@ -580,95 +484,50 @@ where
 {
     let (n, m) = group.shape;
 
-    // The lane transpose: the only sequence-byte copy on this path
-    // (built once per group; the retry reuses it).
+    // The lane transpose: the only sequence-byte copy on this path.
     stats.bytes_copied += ((n + m) * L) as u64;
     let (q_rows, s_cols) =
         anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
 
-    // Exact kind-`K` optima from the full-width score kernel: they size
-    // each lane's band, and every banded lane must reproduce its own
-    // before it is decoded.
+    // Exact kind-`K` optima from the full-width score kernel: they
+    // prove each lane's band.
     let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
     let exact = anyseq_obs::span(Stage::Kernel, || {
         block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut borders, 0)
     })
     .best;
-    let live = group.live_mask();
     let proven: [usize; L] = std::array::from_fn(|l| {
         let best = from16(exact.0[l], 0);
         proven_half_width::<K, G>(gap, subst.max_score(), n, m, best)
     });
-    // The widest proven width among `lanes`, capped at `BandCfg::max`.
-    let need = |lanes: u32| {
-        (0..group.fill)
-            .filter(|&l| lanes & (1 << l) != 0)
-            .map(|l| proven[l])
-            .max()
-            .unwrap_or(0)
-            .min(band.max)
-    };
+    let w = proven[..group.fill]
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(0)
+        .min(band.max);
 
-    let tier = Tier::detect();
-    let pass = |w: usize, stats: &mut TraceStats| {
-        let (dlo, dhi) = band_range(n, m, w);
-        let bw = (dhi - dlo + 1) as usize;
-        let mut store = DirStore::new(n * bw, G::AFFINE, K::NU_ZERO);
-        let banded = anyseq_obs::span(Stage::Kernel, || {
-            banded_group_kernel::<K, G, SS, L>(
-                tier, gap, subst, &q_rows, &s_cols, dlo, dhi, &mut store,
-            )
-        });
-        stats.band_cells += (n * bw * L) as u64;
-        stats.max_band = stats.max_band.max(bw as u64);
-        // A lane whose proven width fits is exact by construction; the
-        // comparison is the guard for the rest.
-        let in_band = banded.best.eq_mask(exact);
-        debug_assert!((0..group.fill).all(|l| proven[l] > w || in_band & (1 << l) != 0));
-        (dlo, bw, store, banded, in_band)
-    };
-
-    let first = need(live).min(band.initial);
-    let (mut dlo, mut bw, mut store, mut banded, mut in_band) = pass(first, stats);
-    let missed = live & !in_band;
-    if missed != 0 && need(missed) > first {
-        // A wider band only adds paths, so lanes exact at `first` stay
-        // exact; lanes whose proof the cap cut stay missed.
-        stats.band_widenings += 1;
-        (dlo, bw, store, banded, in_band) = pass(need(missed), stats);
-    }
+    let mut store = DirStore::new(n, m, w, G::AFFINE, K::NU_ZERO);
+    let banded = anyseq_obs::span(Stage::Kernel, || {
+        banded_group_kernel::<K, G, SS, L>(Tier::detect(), gap, subst, &q_rows, &s_cols, &mut store)
+    });
+    stats.band_cells += (n * store.bw * L) as u64;
+    stats.max_band = stats.max_band.max(store.bw as u64);
 
     anyseq_obs::span(Stage::Traceback, || {
         let lanes = group.live().iter().enumerate();
         lanes
             .map(|(l, &idx)| {
-                if in_band & (1 << l) == 0 {
+                if proven[l] > w {
                     stats.band_overflows += 1;
                     return None;
                 }
+                debug_assert_eq!(banded.best.0[l], exact.0[l], "a proven band is exact");
                 stats.lane_pairs += 1;
                 let p = pairs[idx];
                 let end = (banded.bi.0[l] as usize, banded.bj.0[l] as usize);
-                let (ops, q_start, s_start) = decode_lane(
-                    &store,
-                    end,
-                    dlo,
-                    bw,
-                    l,
-                    p.q,
-                    p.s,
-                    G::AFFINE,
-                    K::FREE_BEGIN,
-                    K::NU_ZERO,
-                );
-                Some(Alignment {
-                    score: from16(exact.0[l], 0),
-                    ops,
-                    q_start,
-                    q_end: end.0,
-                    s_start,
-                    s_end: end.1,
-                })
+                let score = from16(exact.0[l], 0);
+                Some(trace::<K>(p.q, p.s, score, end, |i, j| store.pred(i, j, l)))
             })
             .collect()
     })
@@ -678,15 +537,14 @@ where
 /// traceback; returns one kind-`K` [`Alignment`] per pair, in input
 /// order, plus the run's band telemetry. `threads` works as in
 /// [`score_batch_simd`](crate::batch::score_batch_simd); neither the
-/// alignments nor the telemetry depend on it. Scores are bit-identical
-/// to `scheme.align`; CIGARs are
-/// guaranteed to replay to that score (ties may be broken differently
-/// than the scalar traceback walk). X-drop never applies here —
-/// tracebacks are always exact.
+/// alignments nor the telemetry depend on it. Every `Alignment` —
+/// score, operations, start and end — equals `scheme.align_codes`'s,
+/// on every ISA tier. X-drop never applies here — tracebacks are always
+/// exact.
 ///
 /// Pairs that cannot ride a lane group (runs of one shape shorter than
 /// `ALIGN_MIN_PARTIAL`, empty or oversized sequences) and lanes whose
-/// optimal path escapes the maximum band are aligned by the scalar
+/// proven band exceeds [`BandCfg::max`] are aligned by the scalar
 /// `Scheme::align` inside this call — the result is complete either way.
 pub fn align_batch_simd<K, G, SS, const L: usize>(
     scheme: &Scheme<K, G, SS>,
@@ -702,7 +560,7 @@ where
     let gap = *scheme.gap();
     let subst = *scheme.subst();
     let extent_budget = max_block_extent(&gap, &subst);
-    // Exact-shape groups: the band and the verifying score pass are
+    // Exact-shape groups: the band and the proving score pass are
     // sized by the group's shape, which padding would only widen.
     let built = LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL, 0);
     let scalar = |idx: usize| {
@@ -741,16 +599,14 @@ mod tests {
         align_batch_simd::<K, G, SS, L>(scheme, view.refs(), threads, band)
     }
 
+    /// Every pair's alignment is the scalar walk's, field for field.
     fn check_all<K: AlignKind, G: GapModel, SS: SimdSubst>(
         scheme: &Scheme<K, G, SS>,
         pairs: &[(Seq, Seq)],
         alns: &[Alignment],
     ) {
         for (k, (q, s)) in pairs.iter().enumerate() {
-            assert_eq!(alns[k].score, scheme.score(q, s), "pair {k} score");
-            alns[k]
-                .validate::<K, _, _>(q, s, scheme.gap(), scheme.subst())
-                .unwrap_or_else(|e| panic!("pair {k}: {e}"));
+            assert_eq!(alns[k], scheme.align(q, s), "pair {k}");
         }
     }
 
@@ -910,6 +766,32 @@ mod tests {
     }
 
     #[test]
+    fn unrelated_lanes_decode_the_scalar_alignment() {
+        // Unrelated 40 × 52 pairs: co-optimal paths everywhere, local
+        // paths that end far off the corridor, and (under `simple(0,
+        // −1)`) semi-global lanes whose optimum is the empty alignment
+        // at (0, m) — each lane must return the scalar walk's answer.
+        fn check<K: AlignKind>(scheme: Scheme<K, impl GapModel, SimpleSubst>) {
+            let mut sim = GenomeSim::new(5);
+            let pairs: Vec<(Seq, Seq)> = (0..32)
+                .map(|_| (sim.generate(40), sim.generate(52)))
+                .collect();
+            let (alns, stats) = run::<_, _, _, 16>(&scheme, &pairs, 2, BandCfg::default());
+            check_all(&scheme, &pairs, &alns);
+            assert_eq!(stats.lane_pairs, 32, "{}", K::NAME);
+        }
+        fn kinds(subst: SimpleSubst) {
+            check(global(linear(subst, -1)));
+            check(semiglobal(affine(subst, 0, -1)));
+            check(local(affine(subst, -2, -1)));
+            check(local(linear(subst, -1)));
+        }
+        for subst in [simple(2, -1), simple(1, -1), simple(0, -1)] {
+            kinds(subst);
+        }
+    }
+
+    #[test]
     fn semiglobal_containment_reports_window_offsets() {
         // An exact read inside a window: score = 2·len and the subject
         // region must cover exactly the containment site.
@@ -944,28 +826,23 @@ mod tests {
         let pairs: Vec<(Seq, Seq)> = (0..8).map(|_| (q.clone(), s.clone())).collect();
 
         let scheme = global(linear(simple(2, -3), -1));
-        let tiny = BandCfg { initial: 2, max: 4 };
+        let tiny = BandCfg { max: 4 };
         let (alns, stats) = run::<_, _, _, 8>(&scheme, &pairs, 2, tiny);
         check_all(&scheme, &pairs, &alns);
         assert_eq!(stats.band_overflows, 8, "every lane must overflow");
-        assert!(
-            stats.band_widenings > 0,
-            "the band widened before giving up"
-        );
         assert!(
             stats.max_band <= 2 * 4 + 1,
             "the cap bounds the widest band: {}",
             stats.max_band
         );
 
-        // The default band contains the same paths without fallback —
-        // after adaptively widening past its initial width.
+        // The default cap admits the proven band: no fallback.
         let (alns, stats) = run::<_, _, _, 8>(&scheme, &pairs, 2, BandCfg::default());
         check_all(&scheme, &pairs, &alns);
         assert_eq!(stats.band_overflows, 0);
         assert!(
-            stats.max_band > 2 * BandCfg::default().initial as u64 + 1,
-            "a 50-diagonal excursion forces widening: {}",
+            stats.max_band > 2 * 50,
+            "a 50-diagonal excursion needs a wide band: {}",
             stats.max_band
         );
     }
@@ -998,11 +875,9 @@ mod tests {
             )
             .best;
             let run = |tier: Tier, w: usize| {
-                let (dlo, dhi) = band_range(n, m, w);
-                let bw = (dhi - dlo + 1) as usize;
-                let mut store = DirStore::new(n * bw, G::AFFINE, K::NU_ZERO);
+                let mut store = DirStore::new(n, m, w, G::AFFINE, K::NU_ZERO);
                 let opt = banded_group_kernel::<K, G, _, L>(
-                    tier, &gap, &subst, &q_rows, &s_cols, dlo, dhi, &mut store,
+                    tier, &gap, &subst, &q_rows, &s_cols, &mut store,
                 );
                 (
                     (opt.best, opt.bi, opt.bj),
@@ -1098,17 +973,13 @@ mod tests {
                 )
                 .best;
                 let run = |w: usize| {
-                    let (dlo, dhi) = band_range(n, m, w);
-                    let bw = (dhi - dlo + 1) as usize;
-                    let mut store = DirStore::new(n * bw, G::AFFINE, K::NU_ZERO);
+                    let mut store = DirStore::new(n, m, w, G::AFFINE, K::NU_ZERO);
                     banded_group_kernel::<K, G, _, L>(
                         Tier::BASELINE,
                         &gap,
                         &subst,
                         &q_rows,
                         &s_cols,
-                        dlo,
-                        dhi,
                         &mut store,
                     )
                 };
@@ -1166,9 +1037,8 @@ mod tests {
 
     /// Illumina-profile reads under the reads workload's scheme: the
     /// exact scores prove a band of a few diagonals, so every group runs
-    /// one pass far narrower than the 16-diagonal trusted width — no
-    /// retry, no overflow, and fewer than 1,500 band cells per pair (a
-    /// fixed 33-diagonal band costs ≈ 5,000).
+    /// one narrow pass — no overflow, and fewer than 1,500 band cells
+    /// per pair (a fixed 33-diagonal band costs ≈ 5,000).
     #[test]
     fn illumina_reads_run_a_score_bounded_band() {
         let pairs = read_pairs(512, 31);
@@ -1176,7 +1046,6 @@ mod tests {
         let (alns, stats) = run::<_, _, _, 16>(&scheme, &pairs, 1, BandCfg::default());
         check_all(&scheme, &pairs, &alns);
         assert!(stats.lane_pairs >= 400, "{stats:?}");
-        assert_eq!(stats.band_widenings, 0, "{stats:?}");
         assert_eq!(stats.band_overflows, 0, "{stats:?}");
         assert!(
             stats.band_cells <= 1_500 * stats.lane_pairs,

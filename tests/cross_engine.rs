@@ -6,7 +6,7 @@
 use anyseq::fpga::SystolicArray;
 use anyseq::gpu::{Device, GpuAligner};
 use anyseq::prelude::*;
-use anyseq::simd::{score_batch_simd, simd_tiled_score_pass};
+use anyseq::simd::{align_batch_simd, score_batch_simd, simd_tiled_score_pass, BandCfg};
 use anyseq_baselines::{NvbioLike, ParasailLike, SeqAnLike};
 use anyseq_core::kind::Global;
 use anyseq_engine::{
@@ -188,15 +188,38 @@ fn scheduler_for(threads: usize) -> BatchScheduler {
     BatchScheduler::new(BatchCfg::threads(threads))
 }
 
-/// The engine contract's alignment check: the reported score must be
-/// the scalar optimum and the operation sequence must replay to
-/// exactly that score (CIGAR tie-breaks may differ between backends).
-fn assert_replays(spec: &SchemeSpec, q: &Seq, s: &Seq, aln: &Alignment, ctx: &str) {
-    assert_eq!(aln.score, spec.score_scalar(q, s), "{ctx}: score");
-    anyseq_engine::with_scheme!(spec, |scheme, K| {
-        aln.validate::<K, _, _>(q, s, scheme.gap(), scheme.subst())
-            .unwrap_or_else(|e| panic!("{ctx}: {e} (cigar {})", aln.cigar()));
-    });
+/// The engine contract's alignment check: a backend returns the scalar
+/// reference's alignment, field for field — score, operations, start
+/// and end. One pair has one alignment, whichever backend computed it.
+fn assert_scalar_alignment(spec: &SchemeSpec, q: &Seq, s: &Seq, aln: &Alignment, ctx: &str) {
+    assert_eq!(aln, &spec.align_scalar(q, s), "{ctx}");
+}
+
+/// `count` pairs of one shape `n × m`: `q` mutated from a prefix of `s`
+/// at `divergence` (padded or cut to `n`), or unrelated (`None`) — one
+/// lane group's worth of divergent or unrelated pairs.
+fn shaped_pairs(
+    count: usize,
+    (n, m): (usize, usize),
+    divergence: Option<f64>,
+    seed: u64,
+) -> Vec<(Seq, Seq)> {
+    let mut sim = GenomeSim::new(seed);
+    (0..count)
+        .map(|_| {
+            let s = sim.generate(m);
+            let q = match divergence {
+                Some(d) => {
+                    let mut q = sim.mutate(&s.subseq(0..n.min(m)), d).codes().to_vec();
+                    q.extend_from_slice(sim.generate(n).codes());
+                    q.truncate(n);
+                    Seq::from_codes(q).unwrap()
+                }
+                None => sim.generate(n),
+            };
+            (q, s)
+        })
+        .collect()
 }
 
 proptest! {
@@ -263,7 +286,7 @@ proptest! {
             let dispatch = Dispatch::standard(policy);
             let run = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
             for (k, (q, s)) in pairs.iter().enumerate() {
-                assert_replays(
+                assert_scalar_alignment(
                     &spec,
                     q,
                     s,
@@ -275,39 +298,57 @@ proptest! {
     }
 
     #[test]
-    fn simd_lane_cigars_replay_to_the_reported_score(
-        lens in prop::collection::vec((1usize..200, 1usize..200), 1..24),
+    fn simd_lane_alignments_equal_the_scalar_walk(
+        lens in prop::collection::vec((1usize..150, 1usize..150), 0..12),
+        shape in (8usize..100, 8usize..100),
+        divergence in prop_oneof![Just(Some(0.02)), Just(Some(0.1)), Just(Some(0.3)), Just(None)],
         seed in 0u64..1000,
         threads in 1usize..5,
-        affine_gaps in prop_oneof![Just(false), Just(true)],
-        kind in prop_oneof![
-            Just(KindSpec::Global),
-            Just(KindSpec::SemiGlobal),
-            Just(KindSpec::Local),
-        ],
     ) {
-        // The SIMD backend directly: every pair of a randomized ragged
-        // batch must come back with the exact scalar score and a CIGAR
-        // that replays to it — full lane groups, leftovers, and band
-        // overflows (random pairs with skewed lengths push paths far
-        // off the corridor) all included, for every kind the striped
-        // kernel advertises.
-        let pairs = random_batch(&lens, seed ^ 0x51d);
-        let spec = SchemeSpec {
-            kind,
-            match_score: 2,
-            mismatch: -1,
-            gap: if affine_gaps {
-                GapSpec::Affine { open: -2, extend: -1 }
-            } else {
-                GapSpec::Linear { gap: -1 }
-            },
-        };
-        let engine = anyseq_engine::SimdEngine::default();
+        // The SIMD backend directly: every pair of a random ragged
+        // batch plus one fixed-shape divergent or unrelated lane group
+        // comes back as the scalar walk's alignment — lane pairs,
+        // leftovers and scalar rescues alike — for every kind the
+        // striped kernel advertises, every gap model (affine `open = 0`
+        // maximizes open/extend ties) and match scores down to 0 (where
+        // the empty alignment is optimal). A band capped at 4 diagonals
+        // forces rescues; the answer must not change.
+        let mut pairs = random_batch(&lens, seed ^ 0x51d);
+        pairs.extend(shaped_pairs(16, shape, divergence, seed));
         let view = BatchView::from_pairs(&pairs);
-        let alns = engine.align_batch(&spec, view.refs(), threads).unwrap();
-        for (k, (q, s)) in pairs.iter().enumerate() {
-            assert_replays(&spec, q, s, &alns[k], &format!("simd {kind:?} lane pair {k}"));
+        let engine = anyseq_engine::SimdEngine::default();
+        let gaps = [
+            GapSpec::Linear { gap: -1 },
+            GapSpec::Affine { open: -2, extend: -1 },
+            GapSpec::Affine { open: 0, extend: -1 },
+        ];
+        for kind in [KindSpec::Global, KindSpec::SemiGlobal, KindSpec::Local] {
+            for gap in gaps {
+                for match_score in [2, 1, 0] {
+                    let spec = SchemeSpec { kind, match_score, mismatch: -1, gap };
+                    let alns = engine.align_batch(&spec, view.refs(), threads).unwrap();
+                    let (capped, stats) = anyseq_engine::with_scheme!(
+                        spec,
+                        [Global, SemiGlobal, Local],
+                        |scheme, _K| {
+                            align_batch_simd::<_, _, _, 16>(
+                                &scheme,
+                                view.refs(),
+                                threads,
+                                BandCfg { max: 4 },
+                            )
+                        },
+                        else { unreachable!("a kind the lanes cover") }
+                    );
+                    let covered = stats.lane_pairs + stats.scalar_pairs + stats.band_overflows;
+                    prop_assert_eq!(covered, pairs.len() as u64);
+                    for (k, (q, s)) in pairs.iter().enumerate() {
+                        let want = spec.align_scalar(q, s);
+                        prop_assert_eq!(&alns[k], &want, "{:?} pair {}", spec, k);
+                        prop_assert_eq!(&capped[k], &want, "{:?} pair {} capped", spec, k);
+                    }
+                }
+            }
         }
     }
 
@@ -671,7 +712,7 @@ fn auto_alignment_batches_stay_on_the_simd_path() {
         .unwrap();
 
     for (k, (q, s)) in pairs.iter().enumerate() {
-        assert_replays(
+        assert_scalar_alignment(
             &spec,
             q,
             s,
@@ -750,7 +791,7 @@ fn auto_nonglobal_batches_stay_on_the_simd_path() {
 
         let run = sched.try_align_batch(&dispatch, &spec, &view).unwrap();
         for (k, (q, s)) in pairs.iter().enumerate() {
-            assert_replays(
+            assert_scalar_alignment(
                 &spec,
                 q,
                 s,

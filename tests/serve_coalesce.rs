@@ -14,13 +14,10 @@
 //! The tests below the identity checks pin *when* a window flushes:
 //! the moment nobody is mid-send, with fake time standing still.
 //!
-//! CIGAR bit-identity is asserted under `Policy::Fixed(Scalar)` — the
-//! scalar backend's traceback is per-pair deterministic, while the
-//! SIMD banded traceback may legally shape CIGARs by lane-group
-//! composition (shared band width). Scores are additionally asserted
-//! under full `Policy::Auto` in a separate test: the engine contract
-//! makes scores bit-exact across backends, so score identity must
-//! survive any backend mix the coalesced batch is routed to.
+//! Bit-identity of scores and CIGARs is asserted under full
+//! `Policy::Auto`: the engine contract gives every pair one alignment
+//! whichever backend computes it, so neither the backend mix nor the
+//! lane-group composition a coalesced batch is routed to may show.
 
 mod common;
 
@@ -29,7 +26,7 @@ use anyseq::serve::{
     Clock, FakeClock, ReqKind, SchemeSpec, ServeClient, ServeConfig, Server, ServerHandle,
     ServerReply, WindowCfg,
 };
-use anyseq_engine::{BackendId, BatchCfg, BatchScheduler, Dispatch, DispatchPolicy, Policy};
+use anyseq_engine::{BatchCfg, BatchScheduler, Dispatch, DispatchPolicy, Policy};
 use anyseq_seq::testsupport::read_pairs;
 use anyseq_seq::{BatchView, PairRef};
 use common::{metric, must_finish, wait_until, MidSend};
@@ -217,7 +214,7 @@ proptest! {
         target_pairs in prop_oneof![Just(1usize), Just(4), Just(1000)],
     ) {
         let scripts = to_scripts(raw);
-        let policy = DispatchPolicy::fixed(BackendId::Scalar);
+        let policy = DispatchPolicy::auto();
         let got = run_through_daemon(&scripts, policy, target_pairs);
         let expected = run_sequentially(&scripts, policy);
         prop_assert_eq!(got, expected);
