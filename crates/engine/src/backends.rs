@@ -100,13 +100,14 @@ pub struct SimdEngine {
 /// [`anyseq_simd::TraceStats`] (the per-run struct these sum), in
 /// [`SIMD_COUNTERS`] order.
 #[derive(Debug, Default)]
-struct SimdCounters([AtomicU64; 7]);
+struct SimdCounters([AtomicU64; 8]);
 
 /// The names [`SimdCounters`] drain under.
-const SIMD_COUNTERS: [&str; 7] = [
+const SIMD_COUNTERS: [&str; 8] = [
     "simd.lane_pairs",
     "simd.scalar_pairs",
     "simd.band_overflows",
+    "simd.proof_failures",
     "simd.band_cells",
     "simd.bytes_copied",
     "simd.xdrop_retired",
@@ -119,6 +120,7 @@ impl SimdCounters {
             t.lane_pairs,
             t.scalar_pairs,
             t.band_overflows,
+            t.proof_failures,
             t.band_cells,
             t.bytes_copied,
             t.xdrop_retired,

@@ -623,9 +623,12 @@ mod tests {
                 acc.1 + groups * ((dims(b).0 + dims(b).1) * L) as u64,
             )
         });
-        assert_eq!(stats.lane_pairs + stats.band_overflows, lane_pairs);
         assert_eq!(
-            stats.lane_pairs + stats.band_overflows + stats.scalar_pairs,
+            stats.lane_pairs + stats.band_overflows + stats.proof_failures,
+            lane_pairs
+        );
+        assert_eq!(
+            stats.lane_pairs + stats.band_overflows + stats.proof_failures + stats.scalar_pairs,
             total
         );
         assert_eq!(stats.bytes_copied, bytes);

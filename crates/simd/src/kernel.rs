@@ -276,6 +276,103 @@ where
     G: GapModel,
     SS: SimdSubst,
 {
+    debug_assert!(
+        !XDROP || !matches!(K::OPT, OptRegion::Corner),
+        "X-drop is meaningless for corner-optimum kinds"
+    );
+    tier.run(
+        #[inline(always)]
+        || {
+            let (q, s) = (q_rows, s_cols);
+            kind_body::<K, G, SS, _, XDROP, L>(gap, subst, q, s, borders, xdrop, ends, &mut NoSink)
+        },
+    )
+}
+
+/// One relaxed cell `(i, j)` as a [`LaneSink`] sees it,
+/// `Cell(dval, e, e_ext, f_ext, hval)`: the diagonal candidate
+/// `H(i−1, j−1) + σ`, `E(i, j)` (where `hval` equals neither, `F(i, j)`
+/// won), −1 in the lanes where `E` / `F` extended rather than opened,
+/// and `H(i, j)` before the ν = 0 floor.
+pub(crate) struct Cell<const L: usize>(
+    pub I16s<L>,
+    pub I16s<L>,
+    pub I16s<L>,
+    pub I16s<L>,
+    pub I16s<L>,
+);
+
+/// What a pass of the relaxation serves besides its stripes, as
+/// `anyseq_core::tile`'s `CellSink` for the scalar tile kernel: the
+/// columns each row relaxes, and an observer of the cells. [`NoSink`]
+/// (every column, nothing observed) compiles out of the score kernel.
+pub(crate) trait LaneSink<const L: usize> {
+    /// Whether the sink observes cells; an observing sink owns the
+    /// optimum, and the kernel reads only the corner.
+    const ACTIVE: bool;
+    /// Row `r`'s columns `lo..hi` (0-based) of a `w`-column block: at
+    /// or right of the row above's `lo`, at most one past its `hi`. With
+    /// the cells windows leave out set to [`SENT16`] in the stripes
+    /// handed in, no cell outside them is read or tests a boundary.
+    #[inline(always)]
+    fn cols(&self, _r: usize, w: usize) -> (usize, usize) {
+        (0, w)
+    }
+    /// Observes cell `(r + 1, c + 1)` of the block.
+    #[inline(always)]
+    fn cell(&mut self, _r: usize, _c: usize, _cell: Cell<L>) {}
+    /// Observes row `r` once its window `lo..hi` is relaxed: `row[lo]`
+    /// is the window's left neighbour, `row[c + 1]` its cell `c`.
+    #[inline(always)]
+    fn row(&mut self, _r: usize, _row: &[I16s<L>], _lo: usize, _hi: usize) {}
+}
+
+/// The score kernel's sink: every column, nothing observed.
+pub(crate) struct NoSink;
+
+impl<const L: usize> LaneSink<L> for NoSink {
+    const ACTIVE: bool = false;
+}
+
+/// `E` (or `F`) from its own value one step back and the `H` beside
+/// it, with −1 in the lanes where extending beat opening.
+#[inline(always)]
+fn gap_step<G: GapModel, const L: usize>(
+    prev: I16s<L>,
+    h: I16s<L>,
+    ext: i16,
+    oe: i16,
+) -> [I16s<L>; 2] {
+    if G::AFFINE {
+        let (extend, open) = (prev.sat_adds(ext), h.sat_adds(oe));
+        [extend.max(open), extend.cmpgt(open)]
+    } else {
+        [h.sat_adds(ext), I16s::splat(0)]
+    }
+}
+
+/// The relaxation proper over the columns `sink` picks, reporting to
+/// it: with [`NoSink`] the score and lane-tile kernel, with the band
+/// sink the traceback pass. `#[inline(always)]` so it takes the target
+/// features of the tier trampoline it is inlined into.
+#[inline(always)]
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+pub(crate) fn kind_body<K, G, SS, Sk, const XDROP: bool, const L: usize>(
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    borders: &mut BlockBorders<L>,
+    xdrop: i16,
+    ends: &impl Ends<L>,
+    sink: &mut Sk,
+) -> KernelOpt<L>
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+    Sk: LaneSink<L>,
+{
     let h = q_rows.len();
     let w = s_cols.len();
     assert!(h > 0 && w > 0);
@@ -285,36 +382,6 @@ where
         assert_eq!(borders.top_e.len(), w);
         assert_eq!(borders.left_f.len(), h);
     }
-    debug_assert!(
-        !XDROP || !matches!(K::OPT, OptRegion::Corner),
-        "X-drop is meaningless for corner-optimum kinds"
-    );
-    tier.run(
-        #[inline(always)]
-        || kind_body::<K, G, SS, XDROP, L>(gap, subst, q_rows, s_cols, borders, xdrop, ends),
-    )
-}
-
-/// The relaxation proper; `#[inline(always)]` so it takes the target
-/// features of the tier trampoline it is inlined into.
-#[inline(always)]
-#[allow(clippy::needless_range_loop)]
-fn kind_body<K, G, SS, const XDROP: bool, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    q_rows: &[[u8; L]],
-    s_cols: &[[u8; L]],
-    borders: &mut BlockBorders<L>,
-    xdrop: i16,
-    ends: &impl Ends<L>,
-) -> KernelOpt<L>
-where
-    K: AlignKind,
-    G: GapModel,
-    SS: SimdSubst,
-{
-    let h = q_rows.len();
-    let w = s_cols.len();
     // Stripes as slices of known length and the scoring function by
     // value: the stores below then provably alias neither a `Vec`
     // header nor `subst`, so lengths, pointers and the match/mismatch
@@ -330,11 +397,17 @@ where
     let ext = gap.extend() as i16;
     let openext = (gap.open() + gap.extend()) as i16;
     let all: u32 = if L >= 32 { u32::MAX } else { (1u32 << L) - 1 };
+    // An observing sink tracks the optimum; every window holds the corner.
+    let region = if Sk::ACTIVE {
+        OptRegion::Corner
+    } else {
+        K::OPT
+    };
 
     // Optimum seeds: Border kinds can end on the init stripes at H(0,w)
     // (H(h,0) is folded in with the last row, it sits in that row's
     // stripe); Anywhere kinds always have the empty alignment (score 0).
-    let mut best = match K::OPT {
+    let mut best = match region {
         OptRegion::Corner => I16s::splat(SENT16),
         OptRegion::Border => ends.edge(top_h),
         OptRegion::Anywhere => I16s::splat(0),
@@ -348,33 +421,29 @@ where
 
     for r in 0..h {
         let qc = &q_rows[r];
-        let mut diag = top_h[0];
-        top_h[0] = left_h[r];
-        let mut left = top_h[0];
+        let (lo, hi) = sink.cols(r, w);
+        let mut diag = top_h[lo];
+        top_h[lo] = left_h[r];
+        let mut left = top_h[lo];
         let mut f = if G::AFFINE {
             left_f[r]
         } else {
             I16s::splat(SENT16)
         };
         let mut row_max = I16s::<L>::splat(SENT16);
-        for c in 0..w {
+        for c in lo..hi {
             let up = top_h[c + 1];
-            let e = if G::AFFINE {
-                top_e[c].sat_adds(ext).max(up.sat_adds(openext))
-            } else {
-                up.sat_adds(ext)
-            };
-            f = if G::AFFINE {
-                f.sat_adds(ext).max(left.sat_adds(openext))
-            } else {
-                left.sat_adds(ext)
-            };
-            let sub = subst.lanes_score(qc, &s_cols[c]);
-            let mut hval = diag.sat_add(sub).max(e).max(f);
+            let [e, e_ext] =
+                gap_step::<G, L>(if G::AFFINE { top_e[c] } else { up }, up, ext, openext);
+            let [f_new, f_ext] = gap_step::<G, L>(f, left, ext, openext);
+            f = f_new;
+            let dval = diag.sat_add(subst.lanes_score(qc, &s_cols[c]));
+            let mut hval = dval.max(e).max(f);
+            sink.cell(r, c, Cell(dval, e, e_ext, f_ext, hval));
             if K::NU_ZERO {
                 hval = hval.maxs(0);
             }
-            if XDROP || matches!(K::OPT, OptRegion::Anywhere) {
+            if XDROP || matches!(region, OptRegion::Anywhere) {
                 row_max = row_max.max(ends.live(c + 1, hval));
             }
             diag = up;
@@ -388,8 +457,9 @@ where
         if G::AFFINE {
             left_f[r] = f;
         }
+        sink.row(r, top_h, lo, hi);
         let relaxing = active & open;
-        match K::OPT {
+        match region {
             OptRegion::Corner => {}
             // Each lane's last-column candidate H(r+1, m_l).
             OptRegion::Border => best = ends.edge(top_h).max(best).blend(relaxing, best),
@@ -406,7 +476,7 @@ where
         // candidates H(r+1, 0..=w) — the H(r+1, 0) seed included.
         let ending = ends.ending(r + 1, h);
         if ending != 0 {
-            match K::OPT {
+            match region {
                 OptRegion::Corner => best = ends.edge(top_h).blend(ending, best),
                 OptRegion::Border => {
                     best = ends.row_max(top_h).max(best).blend(active & ending, best);
@@ -432,6 +502,7 @@ where
 /// general variant carries. Results are identical; only the instruction
 /// count differs. Runs on the same ISA tier as [`block_kernel_kind`], so
 /// the two stay comparable like for like.
+#[allow(clippy::needless_range_loop)]
 pub fn block_kernel_masked<G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
@@ -459,64 +530,50 @@ pub fn block_kernel_masked<G, SS, const L: usize>(
     }
     Tier::detect().run(
         #[inline(always)]
-        || masked_body(gap, subst, q_rows, s_cols, borders),
+        || {
+            // Same slice-and-copy prologue as `kind_body`, so the two
+            // kernels differ by the masked ballast only.
+            let top_h = &mut borders.top_h[..w + 1];
+            let top_e = &mut borders.top_e[..w];
+            let left_h = &mut borders.left_h[..h];
+            let left_f = &mut borders.left_f[..h];
+            let subst = *subst;
+            let ext = gap.extend() as i16;
+            let openext = (gap.open() + gap.extend()) as i16;
+            // Masked-flow ballast: these accumulators exist in the
+            // "general" masked translation whether or not the variant
+            // needs them.
+            let mut running_max = I16s::<L>::splat(SENT16);
+            let nu_floor = I16s::<L>::splat(SENT16);
+
+            for r in 0..h {
+                let qc = &q_rows[r];
+                let mut diag = top_h[0];
+                top_h[0] = left_h[r];
+                let mut left = top_h[0];
+                let mut f = left_f[r];
+                for c in 0..w {
+                    let up = top_h[c + 1];
+                    let e = top_e[c].sat_adds(ext).max(up.sat_adds(openext));
+                    f = f.sat_adds(ext).max(left.sat_adds(openext));
+                    let sub = subst.lanes_score(qc, &s_cols[c]);
+                    let mut hval = diag.sat_add(sub).max(e).max(f);
+                    // ν mask applied unconditionally (a no-op floor for global).
+                    hval = hval.max(nu_floor);
+                    running_max = running_max.max(hval);
+                    diag = up;
+                    top_h[c + 1] = hval;
+                    top_e[c] = e;
+                    left = hval;
+                }
+                left_h[r] = top_h[w];
+                left_f[r] = f;
+            }
+            // Keep the running maximum live so the optimizer cannot drop
+            // the masked ballast.
+            std::hint::black_box(running_max.hmax());
+        },
     )
-}
-
-#[inline(always)]
-#[allow(clippy::needless_range_loop)]
-fn masked_body<G, SS, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    q_rows: &[[u8; L]],
-    s_cols: &[[u8; L]],
-    borders: &mut BlockBorders<L>,
-) where
-    G: GapModel,
-    SS: SimdSubst,
-{
-    let h = q_rows.len();
-    let w = s_cols.len();
-    // Same slice-and-copy prologue as `kind_body`, so the two kernels
-    // differ by the masked ballast only.
-    let top_h = &mut borders.top_h[..w + 1];
-    let top_e = &mut borders.top_e[..w];
-    let left_h = &mut borders.left_h[..h];
-    let left_f = &mut borders.left_f[..h];
-    let subst = *subst;
-    let ext = gap.extend() as i16;
-    let openext = (gap.open() + gap.extend()) as i16;
-    // Masked-flow ballast: these accumulators exist in the "general"
-    // masked translation whether or not the variant needs them.
-    let mut running_max = I16s::<L>::splat(SENT16);
-    let nu_floor = I16s::<L>::splat(SENT16);
-
-    for r in 0..h {
-        let qc = &q_rows[r];
-        let mut diag = top_h[0];
-        top_h[0] = left_h[r];
-        let mut left = top_h[0];
-        let mut f = left_f[r];
-        for c in 0..w {
-            let up = top_h[c + 1];
-            let e = top_e[c].sat_adds(ext).max(up.sat_adds(openext));
-            f = f.sat_adds(ext).max(left.sat_adds(openext));
-            let sub = subst.lanes_score(qc, &s_cols[c]);
-            let mut hval = diag.sat_add(sub).max(e).max(f);
-            // ν mask applied unconditionally (a no-op floor for global).
-            hval = hval.max(nu_floor);
-            running_max = running_max.max(hval);
-            diag = up;
-            top_h[c + 1] = hval;
-            top_e[c] = e;
-            left = hval;
-        }
-        left_h[r] = top_h[w];
-        left_f[r] = f;
-    }
-    // Keep the running maximum live so the optimizer cannot drop the
-    // masked ballast.
-    std::hint::black_box(running_max.hmax());
 }
 
 #[cfg(test)]

@@ -100,17 +100,6 @@ impl<const L: usize> I16s<L> {
         any
     }
 
-    /// Bit mask of lanes where `self == rhs` (bit `l` set for lane `l`;
-    /// `vpcmpeqw` + `movemask` in SSE terms). `L` must be ≤ 32.
-    #[inline(always)]
-    pub fn eq_mask(self, rhs: I16s<L>) -> u32 {
-        let mut mask = 0u32;
-        for l in 0..L {
-            mask |= ((self.0[l] == rhs.0[l]) as u32) << l;
-        }
-        mask
-    }
-
     /// Bit mask of lanes where `self > rhs` (strictly).
     #[inline(always)]
     pub fn gt_mask(self, rhs: I16s<L>) -> u32 {
@@ -134,6 +123,49 @@ impl<const L: usize> I16s<L> {
             };
         }
         I16s(out)
+    }
+
+    /// −1 in the lanes where `self == rhs`, 0 elsewhere (`vpcmpeqw`).
+    #[inline(always)]
+    pub fn cmpeq(self, rhs: I16s<L>) -> I16s<L> {
+        let mut out = [0i16; L];
+        for l in 0..L {
+            out[l] = -((self.0[l] == rhs.0[l]) as i16);
+        }
+        I16s(out)
+    }
+
+    /// −1 in the lanes where `self > rhs` (strictly), 0 elsewhere
+    /// (`vpcmpgtw`).
+    #[inline(always)]
+    pub fn cmpgt(self, rhs: I16s<L>) -> I16s<L> {
+        let mut out = [0i16; L];
+        for l in 0..L {
+            out[l] = -((self.0[l] > rhs.0[l]) as i16);
+        }
+        I16s(out)
+    }
+
+    /// Per-lane select by a 0/−1 lane mask ([`cmpeq`](Self::cmpeq),
+    /// [`cmpgt`](Self::cmpgt)): lane `l` takes `self` where `mask` is −1,
+    /// `rhs` where it is 0 (`vpblendvb`).
+    #[inline(always)]
+    pub fn select(self, mask: I16s<L>, rhs: I16s<L>) -> I16s<L> {
+        let mut out = [0i16; L];
+        for l in 0..L {
+            out[l] = (self.0[l] & mask.0[l]) | (rhs.0[l] & !mask.0[l]);
+        }
+        I16s(out)
+    }
+
+    /// The low byte of every lane (`vpackuswb` of values in `0..=255`).
+    #[inline(always)]
+    pub fn low_bytes(self) -> [u8; L] {
+        let mut out = [0u8; L];
+        for l in 0..L {
+            out[l] = self.0[l] as u8;
+        }
+        out
     }
 
     /// Horizontal maximum over all lanes.
@@ -193,7 +225,10 @@ mod tests {
     fn lane_masks() {
         let a = I16s::<4>([1, 5, 3, -2]);
         let b = I16s::<4>([1, 4, 3, 7]);
-        assert_eq!(a.eq_mask(b), 0b0101);
+        assert_eq!(a.cmpeq(b).0, [-1, 0, -1, 0]);
+        assert_eq!(a.cmpgt(b).0, [0, -1, 0, 0]);
+        assert_eq!(a.select(a.cmpgt(b), b).0, [1, 5, 3, 7]);
+        assert_eq!(I16s::<4>([1, 258, 3, 255]).low_bytes(), [1, 2, 3, 255]);
         assert_eq!(a.gt_mask(b), 0b0010);
         assert_eq!(a.gt_mask(a), 0);
     }

@@ -4,7 +4,7 @@
 //! architecture-specific intrinsics: one portable relaxation over
 //! lane arrays ([`lanes`], 16-bit lanes) that the compiler turns into
 //! vector code. Which vector code is picked at run time, inside this
-//! crate: the three lane kernels run through a
+//! crate: the two lane kernels run through a
 //! `#[target_feature(enable = "avx2")]` trampoline when the CPU reports
 //! AVX2 and un-tiered otherwise ([`mod@isa`]); [`isa()`] says which.
 //! No build flag is involved. Three execution shapes:
@@ -19,11 +19,12 @@
 //!   alignment per lane, in lane groups cut from the batch sorted by
 //!   matrix dimensions ([`LaneGroups`]; lanes of unequal length are
 //!   padded and read out from their own regions),
-//! * [`align_batch_simd`] — inter-sequence with full tracebacks: a
-//!   banded DP records 2 packed direction bits per lane per cell
-//!   (plus affine extend bits) inside a band proven from each lane's
-//!   exact score, and each lane decodes into `Scheme::align`'s
-//!   alignment through the scalar walk's state machine ([`traceback`]).
+//! * [`align_batch_simd`] — inter-sequence with full tracebacks: the
+//!   same lane relaxation, run over a band proven from each lane's
+//!   exact score, records one predecessor byte per lane per band cell
+//!   (the scalar walk's format), and each lane decodes into
+//!   `Scheme::align`'s alignment through the scalar walk's state
+//!   machine ([`traceback`]).
 //!
 //! Scores inside a block are 16-bit *differences to the block's incoming
 //! corner* (paper: "only differences to the global score are relevant"),

@@ -1,69 +1,53 @@
-//! Lane-packed banded traceback for the inter-sequence SIMD backend.
+//! Lane-packed banded traceback for the inter-sequence SIMD backend:
+//! one whole alignment per 16-bit vector lane, as on the score path
+//! ([`crate::batch`]), with the scalar walk's alignment out.
 //!
-//! The score path ([`crate::batch`]) keeps one whole alignment per
-//! 16-bit vector lane; this module extends that shape to full
-//! tracebacks so a short-read batch can produce CIGARs without ever
-//! leaving the vector unit — the very alignments the scalar walk
-//! returns. Three ideas combine:
-//!
-//! * **Packed per-lane direction store** — each banded DP cell records
-//!   2 direction bits per lane (`up`/`left` set ⇒ gap, both clear ⇒
-//!   diagonal) plus, for affine schemes, one `E`-extend and one
-//!   `F`-extend bit. Bits for all lanes of one cell live in a single
-//!   `u32` bit-plane, so the store costs 4 `u32`s per band cell
-//!   regardless of lane count (L ≤ 32).
-//! * **Score-bounded band** — directions are only recorded inside a
-//!   diagonal band `j − i ∈ [dlo, dhi]` around the alignment corridor.
-//!   The full-width score kernel runs first and yields each lane's
-//!   exact optimum; from it `proven_half_width` derives the narrowest
-//!   band that provably holds every optimal path (a path leaving it
-//!   scores strictly less: Ukkonen's cut-off). The group runs one
-//!   banded pass at its widest lane's proven width, capped at
-//!   [`BandCfg::max`]; lanes whose proof the cap cuts fall back to the
-//!   scalar `Scheme::align`.
-//! * **One alignment per pair** — the banded relaxation breaks ties as
-//!   `anyseq_core::relax` does (diagonal before `E` before `F`, a gap
-//!   extends only when strictly better than reopening, ν = 0 stops a
-//!   local path at `H ≤ 0`) and picks the end cell as `BestCell` does.
-//!   Along every optimal path a lane's proven band holds the full
-//!   matrix's values, so the lane records the scalar predecessor bytes
-//!   there; they are decoded through the scalar walk's own state
-//!   machine ([`anyseq_core::fullmatrix::trace`]), and the lane returns
-//!   `Scheme::align_codes`'s `Alignment`.
+//! * **Score-bounded band** — the full-width score kernel yields each
+//!   lane's exact optimum, from which `proven_half_width` derives the
+//!   narrowest diagonal band `j − i ∈ [dlo, dhi]` around the corridor
+//!   that provably holds every optimal path (Ukkonen's cut-off). The
+//!   group runs one banded pass at its widest lane's proof, capped at
+//!   [`BandCfg::max`]; lanes past the cap take the scalar `Scheme::align`.
+//! * **One byte per lane per band cell** — the banded pass is the score
+//!   kernel's own relaxation (`kernel::kind_body`) over the band's
+//!   window, with a sink that stores each lane's `relax::pred` byte,
+//!   `PredSink`'s format, computed with whole-vector compares.
+//! * **One alignment per pair** — the sink breaks ties as
+//!   `anyseq_core::relax` and picks the end cell as `BestCell`. A proven
+//!   band holds the full matrix's values along every optimal path, so
+//!   the scalar walk's state machine ([`anyseq_core::fullmatrix::trace`])
+//!   decodes a lane's bytes into `Scheme::align_codes`'s `Alignment`.
 
 use crate::batch::{transpose_lanes, LaneGroup, LaneGroups};
 use crate::isa::Tier;
 use crate::kernel::{
-    block_kernel_kind, from16, max_block_extent, to16, BlockBorders, SimdSubst, SENT16,
+    block_kernel_kind, from16, kind_body, max_block_extent, to16, BlockBorders, Cell, LaneSink,
+    SimdSubst, Uniform, SENT16,
 };
 use crate::lanes::I16s;
 use anyseq_core::alignment::Alignment;
 use anyseq_core::fullmatrix::trace;
 use anyseq_core::kind::{AlignKind, OptRegion};
-use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
 use anyseq_core::relax::pred;
 use anyseq_core::scheme::Scheme;
 use anyseq_core::score::Score;
 use anyseq_core::scoring::GapModel;
 use anyseq_obs::Stage;
 use anyseq_seq::PairRef;
+use std::marker::PhantomData;
 
 /// Smallest run of one shape the traceback path runs as a lane group
-/// instead of `k` scalar `align_codes` calls. A padded group pays
-/// a whole `L`-lane score pass plus banded pass whatever its fill, so
-/// the break-even sits higher than the score path's 2. Measured on
-/// 150 × 150 global affine pairs at 1 % divergence, L = 16, with the
-/// score-bounded band, 4 runs: one group costs 1.65–1.84 scalar pairs
-/// on the AVX2 tier (170–260 µs against 92–158 µs per pair on a 2-vCPU
-/// host in a slow spell) and 2.28–2.48 on baseline (351–372 µs against
-/// 142–161 µs), so `k = 2` wins on AVX2 (0.82–0.92×) but loses on
-/// baseline (1.14–1.24×) while `k = 3` wins on both (0.55–0.61× /
-/// 0.76–0.83×).
-pub(crate) const ALIGN_MIN_PARTIAL: usize = 3;
+/// instead of `k` scalar `align_codes` calls; a group pays a whole
+/// `L`-lane score pass and banded pass whatever its fill. Measured on
+/// 150 × 150 global affine pairs at 1 % divergence, L = 16, 4 runs (a
+/// 2-vCPU host in a slow spell): a 2-pair group costs 0.57–0.72 scalar
+/// pairs on the AVX2 tier and 1.08–1.31 on baseline, so `k = 2` wins
+/// on both (0.29–0.36× / 0.54–0.66×) and a lone pair loses on baseline.
+pub(crate) const ALIGN_MIN_PARTIAL: usize = 2;
 
 /// Band width bound for the SIMD traceback, in diagonals each side of
-/// the corridor. The width a lane group needs is proven from its exact
-/// scores (see `proven_half_width`); this only caps it.
+/// the corridor: the width a group needs is proven from its exact
+/// scores (`proven_half_width`); this only caps it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandCfg {
     /// Cap on the proven half-width; lanes whose proof exceeds it fall
@@ -73,8 +57,7 @@ pub struct BandCfg {
 
 impl Default for BandCfg {
     fn default() -> BandCfg {
-        // 256 saturates a whole short-read matrix, so overflow
-        // fallbacks only occur for long, divergent pairs.
+        // Saturates a short-read matrix: only long, divergent pairs overflow.
         BandCfg { max: 256 }
     }
 }
@@ -84,33 +67,31 @@ impl Default for BandCfg {
 /// `BatchStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Pairs aligned in live SIMD lanes (padding lanes of a partial
-    /// group are not pairs and are not counted).
+    /// Pairs aligned in live SIMD lanes (padding lanes are not counted).
     pub lane_pairs: u64,
     /// Leftover/oversized pairs aligned by the in-backend scalar path.
     pub scalar_pairs: u64,
-    /// Always 0: a lane group runs one banded pass and never widens
-    /// it. Kept for readers of the field.
+    /// Always 0: a lane group runs one banded pass, never widened.
     pub band_widenings: u64,
     /// Pairs whose proven band exceeded [`BandCfg::max`] and were
     /// rescued by scalar traceback.
     pub band_overflows: u64,
+    /// Lanes whose banded score missed the exact score their proof
+    /// promised (checked in every build; 0 under a correct proof),
+    /// rescued by scalar traceback.
+    pub proof_failures: u64,
     /// Vector DP cells relaxed across all banded passes —
     /// `rows × band width × lanes` per pass.
     pub band_cells: u64,
     /// Sequence bytes copied into lane-transposed row/column buffers —
     /// `(|q| + |s|) × L` per lane group, the *only* sequence copy on
-    /// the batch path (everything above hands borrowed `PairRef`s
-    /// through). Scalar-path pairs copy nothing.
+    /// the batch path (scalar-path pairs copy nothing).
     pub bytes_copied: u64,
-    /// Widest band (in diagonals) any lane group ended up using.
-    /// Direct-API telemetry only: the engine's additive
-    /// `drain_counters` channel cannot carry max semantics, so this
-    /// field intentionally does not flow into `BatchStats::counters`.
+    /// Widest band (in diagonals) any lane group used. Not drained into
+    /// `BatchStats::counters`, whose channel only adds.
     pub max_band: u64,
-    /// Lanes retired early by X-drop on the score path (always 0 when
-    /// the knob is off or the kind is corner-optimum; the alignment
-    /// path never retires — tracebacks stay exact).
+    /// Lanes retired early by X-drop on the score path (0 with the knob
+    /// off, for corner kinds, and on the always-exact alignment path).
     pub xdrop_retired: u64,
     /// Cells live lanes of ragged score-path groups relaxed past their
     /// own pair's extent. Not counted as work: GCUPS counts live cells.
@@ -124,6 +105,7 @@ impl TraceStats {
         self.scalar_pairs += other.scalar_pairs;
         self.band_widenings += other.band_widenings;
         self.band_overflows += other.band_overflows;
+        self.proof_failures += other.proof_failures;
         self.band_cells += other.band_cells;
         self.bytes_copied += other.bytes_copied;
         self.max_band = self.max_band.max(other.max_band);
@@ -132,67 +114,136 @@ impl TraceStats {
     }
 }
 
-/// Packed per-lane direction bit-planes over the band cells of one
-/// lane group: index `(i − 1) · bw + p` for DP row `i ∈ 1..=n` and band
-/// position `p` (diagonal `j − i = dlo + p`).
-struct DirStore {
-    /// The band's lowest diagonal `j − i`.
+/// The traceback pass's [`LaneSink`] over the band of half-width `w`
+/// around an `n × m` problem's corridor, `j − i ∈ [dlo, dhi]` clamped
+/// to the matrix: row `i` relaxes the columns `[max(1, i + dlo),
+/// min(m, i + dhi)]`. It keeps each band cell's [`pred`] byte per lane
+/// (`PredSink`'s format) and each lane's optimum with its `BestCell`.
+struct DirStore<K, const L: usize> {
     dlo: isize,
-    /// The band's width in diagonals.
-    bw: usize,
-    /// Lane bit set ⇒ `H` came from `E` (vertical gap wins).
-    up: Vec<u32>,
-    /// Lane bit set ⇒ `H` came from `F` (horizontal gap wins).
-    left: Vec<u32>,
-    /// Lane bit set ⇒ `E` extended (else it opened). Affine only.
-    e_ext: Vec<u32>,
-    /// Lane bit set ⇒ `F` extended (else it opened). Affine only.
-    f_ext: Vec<u32>,
-    /// Lane bit set ⇒ the ν = 0 clamp fired (`H ≤ 0`): a local path
-    /// *starts* here. `NU_ZERO` kinds only.
-    stop: Vec<u32>,
+    dhi: isize,
+    n: usize,
+    /// Cell `(i, j)`'s bytes sit at `(i − 1) · width + (j − i − dlo)`.
+    bytes: Vec<[u8; L]>,
+    /// Best score per lane (differential base 0) and its 1-based cell
+    /// (positions fit i16: the extent budget caps `n` and `m`).
+    best: I16s<L>,
+    bi: I16s<L>,
+    bj: I16s<L>,
+    kind: PhantomData<K>,
 }
 
-impl DirStore {
-    /// The store of an `n × m` problem's band of half-width `w`: the
-    /// diagonals `j − i ∈ [dlo, dhi]` around the corridor, clamped to
-    /// the matrix.
-    fn new(n: usize, m: usize, w: usize, affine: bool, nu_zero: bool) -> DirStore {
+impl<K: AlignKind, const L: usize> DirStore<K, L> {
+    /// Runs one lane group's banded pass at half-width `w` on `tier`,
+    /// bit-identical on every tier. Cells off the band read as −∞, so a
+    /// path that would leave the band scores below the exact optimum.
+    fn relax<G: GapModel, SS: SimdSubst>(
+        tier: Tier,
+        gap: &G,
+        subst: &SS,
+        (q_rows, s_cols): (&[[u8; L]], &[[u8; L]]),
+        w: usize,
+    ) -> DirStore<K, L> {
+        let (n, m) = (q_rows.len(), s_cols.len());
         let (ni, mi, wi) = (n as isize, m as isize, w as isize);
-        let skew = mi - ni;
-        let dlo = (skew.min(0) - wi).max(-ni);
-        let dhi = (skew.max(0) + wi).min(mi);
-        let bw = (dhi - dlo + 1) as usize;
-        let cells = n * bw;
-        let plane = |on: bool| if on { vec![0; cells] } else { Vec::new() };
-        DirStore {
+        let dlo = (mi.min(ni) - ni - wi).max(-ni);
+        let dhi = (mi.max(ni) - ni + wi).min(mi);
+        // `BestCell`'s seeds: the border kinds' `(0, m)` and the anywhere
+        // kinds' empty alignment; `(n, 0)` arrives with row `n`.
+        let (best, (i, j)) = match K::OPT {
+            OptRegion::Corner => (SENT16, (n, m)),
+            OptRegion::Border => (to16(K::h_init(gap, m), 0), (0, m)),
+            OptRegion::Anywhere => (0, (0, 0)),
+        };
+        let mut store = DirStore {
             dlo,
-            bw,
-            up: plane(true),
-            left: plane(true),
-            e_ext: plane(affine),
-            f_ext: plane(affine),
-            stop: plane(nu_zero),
+            dhi,
+            n,
+            bytes: vec![[0; L]; n * (dhi - dlo + 1) as usize],
+            best: I16s::splat(best),
+            bi: I16s::splat(i as i16),
+            bj: I16s::splat(j as i16),
+            kind: PhantomData,
+        };
+        // Off the band: row 0 right of `dhi` and column 0 below row `−dlo`.
+        let (mut borders, sent) = (BlockBorders::init::<K, G>(gap, n, m), I16s::splat(SENT16));
+        borders.top_h[dhi as usize + 1..].fill(sent);
+        if G::AFFINE {
+            borders.top_e[dhi as usize..].fill(sent);
         }
+        borders.left_h[-dlo as usize..].fill(sent);
+        tier.run(
+            #[inline(always)]
+            || {
+                let (q, s, b, st) = (q_rows, s_cols, &mut borders, &mut store);
+                kind_body::<K, G, SS, _, false, L>(gap, subst, q, s, b, 0, &Uniform, st)
+            },
+        );
+        store
     }
 
-    /// The [`pred`] byte the scalar relaxation records at DP cell
-    /// `(i, j)` of the band, composed from lane `lane`'s bits.
+    /// The band's width in diagonals.
+    fn width(&self) -> usize {
+        (self.dhi - self.dlo + 1) as usize
+    }
+
+    /// Strict-greater update at cell `(i, j)`: candidates arrive in
+    /// row-major order, so the first maximum wins as in `BestCell`.
+    #[inline(always)]
+    fn offer(&mut self, v: I16s<L>, i: usize, j: usize) {
+        let better = v.cmpgt(self.best);
+        self.best = v.select(better, self.best);
+        self.bi = I16s::splat(i as i16).select(better, self.bi);
+        self.bj = I16s::splat(j as i16).select(better, self.bj);
+    }
+
+    /// Lane `lane`'s [`pred`] byte at DP cell `(i, j)` of the band.
     fn pred(&self, i: usize, j: usize, lane: usize) -> u8 {
-        let idx = (i - 1) * self.bw + (j as isize - i as isize - self.dlo) as usize;
-        let set = |plane: &[u32]| plane.get(idx).is_some_and(|&bits| bits >> lane & 1 != 0);
-        let dir = if set(&self.stop) {
-            pred::NONE
-        } else if set(&self.up) {
-            pred::UP
-        } else if set(&self.left) {
-            pred::LEFT
-        } else {
-            pred::DIAG
-        };
-        let e_ext = if set(&self.e_ext) { pred::E_EXT } else { 0 };
-        let f_ext = if set(&self.f_ext) { pred::F_EXT } else { 0 };
-        dir | e_ext | f_ext
+        let p = j as isize - i as isize - self.dlo;
+        debug_assert!(p >= 0 && p <= self.dhi - self.dlo, "off the band");
+        self.bytes[(i - 1) * self.width() + p as usize][lane]
+    }
+}
+
+impl<K: AlignKind, const L: usize> LaneSink<L> for DirStore<K, L> {
+    const ACTIVE: bool = true;
+
+    #[inline(always)]
+    fn cols(&self, r: usize, w: usize) -> (usize, usize) {
+        let i = r as isize + 1;
+        let lo = (i + self.dlo).max(1) as usize - 1;
+        (lo, (i + self.dhi).min(w as isize) as usize)
+    }
+
+    /// `relax`'s byte by whole-lane compares: the diagonal wins a tie,
+    /// then `E`; a local cell at `H ≤ 0` stops the path.
+    #[inline(always)]
+    fn cell(&mut self, r: usize, c: usize, Cell(dval, e, e_ext, f_ext, h): Cell<L>) {
+        let splat = |b: u8| I16s::splat(b as i16);
+        let gap_dir = splat(pred::UP).select(e.cmpeq(h), splat(pred::LEFT));
+        let mut dir = splat(pred::DIAG).select(dval.cmpeq(h), gap_dir);
+        if K::NU_ZERO {
+            dir = splat(pred::NONE).select(splat(1).cmpgt(h), dir);
+        }
+        let e_ext = splat(pred::E_EXT).select(e_ext, splat(0));
+        let f_ext = splat(pred::F_EXT).select(f_ext, splat(0));
+        let at = (r * self.width() + c) as isize - r as isize - self.dlo;
+        self.bytes[at as usize] = dir.sat_add(e_ext).sat_add(f_ext).low_bytes();
+    }
+
+    /// Row `i = r + 1`'s optimum candidates in row-major order: the
+    /// corner; the last column, and all of row `n` from its `(n, 0)`
+    /// seed on; every cell.
+    #[inline(always)]
+    fn row(&mut self, r: usize, row: &[I16s<L>], lo: usize, hi: usize) {
+        let (i, m) = (r + 1, row.len() - 1);
+        match K::OPT {
+            OptRegion::Corner if i == self.n => self.best = row[m],
+            OptRegion::Border if i == self.n => (lo..=hi).for_each(|j| self.offer(row[j], i, j)),
+            OptRegion::Border if hi == m => self.offer(row[m], i, m),
+            OptRegion::Anywhere => (lo + 1..=hi).for_each(|j| self.offer(row[j], i, j)),
+            _ => {}
+        }
     }
 }
 
@@ -258,281 +309,6 @@ fn off_band_bound<K: AlignKind, G: GapModel>(
     sigma * diag_steps(hi + k).max(diag_steps(lo - k))
 }
 
-/// Per-lane banded optimum: best value plus the 1-based DP cell it was
-/// attained at (lane positions fit i16 — the extent budget caps n, m).
-struct BandedOpt<const L: usize> {
-    best: I16s<L>,
-    bi: I16s<L>,
-    bj: I16s<L>,
-}
-
-impl<const L: usize> BandedOpt<L> {
-    /// Strict-greater candidate update at cell `(i, j)`. Candidates
-    /// arrive in row-major order (seeds first), so first-max-wins
-    /// reproduces the scalar `BestCell` tie-break: the smallest
-    /// `(i, j)` among equal scores.
-    #[inline(always)]
-    fn update(&mut self, val: I16s<L>, i: usize, j: usize) {
-        let better = val.gt_mask(self.best);
-        self.best = val.blend(better, self.best);
-        self.bi = I16s::splat(i as i16).blend(better, self.bi);
-        self.bj = I16s::splat(j as i16).blend(better, self.bj);
-    }
-}
-
-/// Relaxes one lane group over `store`'s band on `tier`, recording
-/// packed directions. Returns the per-lane kind-`K` optimum
-/// (differential base 0) and the cell where it is attained;
-/// bit-identical on every tier.
-///
-/// Cells outside the band (or the matrix) read as the saturating
-/// sentinel, exactly like the full-width kernel's −∞ stripes, so a
-/// path that would profit from leaving the band simply scores lower
-/// than the exact optimum.
-fn banded_group_kernel<K, G, SS, const L: usize>(
-    tier: Tier,
-    gap: &G,
-    subst: &SS,
-    q_rows: &[[u8; L]],
-    s_cols: &[[u8; L]],
-    store: &mut DirStore,
-) -> BandedOpt<L>
-where
-    K: AlignKind,
-    G: GapModel,
-    SS: SimdSubst,
-{
-    tier.run(
-        #[inline(always)]
-        || banded_body::<K, G, SS, L>(gap, subst, q_rows, s_cols, store),
-    )
-}
-
-/// `#[inline(always)]` so the relaxation takes the target features of
-/// the tier trampoline it is inlined into.
-#[inline(always)]
-fn banded_body<K, G, SS, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    q_rows: &[[u8; L]],
-    s_cols: &[[u8; L]],
-    store: &mut DirStore,
-) -> BandedOpt<L>
-where
-    K: AlignKind,
-    G: GapModel,
-    SS: SimdSubst,
-{
-    let n = q_rows.len();
-    let m = s_cols.len();
-    let (dlo, bw) = (store.dlo, store.bw);
-    let sent = I16s::<L>::splat(SENT16);
-    let ext = gap.extend() as i16;
-    let openext = (gap.open() + gap.extend()) as i16;
-
-    // Lane-uniform kind-`K` init stripes (differential base 0).
-    let top_h = init_top_h::<K, G>(gap, m);
-    let top_e = init_top_e::<K, G>(gap, m);
-    let left_h = init_left_h::<K, G>(gap, n, gap.open());
-    let left_f = init_left_f::<G>(n);
-    debug_assert!(left_f.iter().all(|&v| v <= SENT16 as Score));
-
-    // Optimum seeds, in `BestCell` candidate order: border kinds can
-    // end on the init stripes at (0, m) — the (n, 0) seed arrives in
-    // row-major order below — and anywhere kinds always have the empty
-    // alignment at the origin.
-    let mut opt = match K::OPT {
-        OptRegion::Corner => BandedOpt {
-            best: sent,
-            bi: I16s::splat(n as i16),
-            bj: I16s::splat(m as i16),
-        },
-        OptRegion::Border => BandedOpt {
-            best: I16s::splat(to16(top_h[m], 0)),
-            bi: I16s::splat(0),
-            bj: I16s::splat(m as i16),
-        },
-        OptRegion::Anywhere => BandedOpt {
-            best: I16s::splat(0),
-            bi: I16s::splat(0),
-            bj: I16s::splat(0),
-        },
-    };
-
-    // Row 0: band position p holds column j = dlo + p.
-    let mut h = vec![sent; bw];
-    let mut e = vec![sent; bw];
-    for p in 0..bw {
-        let j = dlo + p as isize;
-        if (0..=m as isize).contains(&j) {
-            h[p] = I16s::splat(to16(top_h[j as usize], 0));
-            if G::AFFINE && j >= 1 {
-                e[p] = I16s::splat(to16(top_e[j as usize - 1], 0));
-            }
-        }
-    }
-
-    for i in 1..=n {
-        let qc = &q_rows[i - 1];
-        let row_base = (i - 1) * bw;
-        let mut f = sent;
-        // In the sliding band layout, position p at row i is column
-        // j = i + dlo + p; relative to row i−1 the same p is the
-        // diagonal neighbour, p+1 is the vertical neighbour and the
-        // freshly written p−1 is the horizontal neighbour.
-        for p in 0..bw {
-            let j = i as isize + dlo + p as isize;
-            if j < 0 || j > m as isize {
-                h[p] = sent;
-                if G::AFFINE {
-                    e[p] = sent;
-                }
-                continue;
-            }
-            if j == 0 {
-                h[p] = I16s::splat(to16(left_h[i - 1], 0));
-                if G::AFFINE {
-                    e[p] = sent;
-                }
-                f = sent;
-                // The (n, 0) border seed — skipping all of s.
-                if matches!(K::OPT, OptRegion::Border) && i == n {
-                    opt.update(h[p], n, 0);
-                }
-                continue;
-            }
-            let j = j as usize;
-            let diag = h[p];
-            let up = if p + 1 < bw { h[p + 1] } else { sent };
-            let left = if p > 0 { h[p - 1] } else { sent };
-
-            let (ecur, e_ext_mask) = if G::AFFINE {
-                let extend = if p + 1 < bw { e[p + 1] } else { sent }.sat_adds(ext);
-                let open = up.sat_adds(openext);
-                (extend.max(open), extend.gt_mask(open))
-            } else {
-                (up.sat_adds(ext), 0)
-            };
-            let (fcur, f_ext_mask) = if G::AFFINE {
-                let extend = f.sat_adds(ext);
-                let open = left.sat_adds(openext);
-                (extend.max(open), extend.gt_mask(open))
-            } else {
-                (left.sat_adds(ext), 0)
-            };
-            let dval = diag.sat_add(subst.lanes_score(qc, &s_cols[j - 1]));
-            let mut hval = dval.max(ecur).max(fcur);
-
-            // Direction masks come from the raw (pre-clamp) value: a
-            // clamped cell's directions are dead — its `stop` bit makes
-            // the decoder end the path there instead of reading them.
-            let diag_mask = dval.eq_mask(hval);
-            let up_mask = ecur.eq_mask(hval) & !diag_mask;
-            let left_mask = fcur.eq_mask(hval) & !diag_mask & !up_mask;
-            store.up[row_base + p] = up_mask;
-            store.left[row_base + p] = left_mask;
-            if K::NU_ZERO {
-                store.stop[row_base + p] = I16s::splat(1).gt_mask(hval);
-                hval = hval.maxs(0);
-            }
-            if G::AFFINE {
-                store.e_ext[row_base + p] = e_ext_mask;
-                store.f_ext[row_base + p] = f_ext_mask;
-                e[p] = ecur;
-            }
-            f = fcur;
-            h[p] = hval;
-
-            match K::OPT {
-                OptRegion::Corner => {}
-                OptRegion::Border => {
-                    if j == m || i == n {
-                        opt.update(hval, i, j);
-                    }
-                }
-                OptRegion::Anywhere => opt.update(hval, i, j),
-            }
-        }
-    }
-
-    if matches!(K::OPT, OptRegion::Corner) {
-        let corner = (m as isize - n as isize - dlo) as usize;
-        opt.best = h[corner];
-    }
-    opt
-}
-
-/// Aligns one lane group's pairs in one banded vector pass at the
-/// group's widest proven width (see [`proven_half_width`]), capped at
-/// [`BandCfg::max`]. A lane is decoded only under its own proof: its
-/// proven width fits the pass, so the band holds all of its optimal
-/// paths and the lane decodes to the scalar walk's alignment. Returns
-/// one entry per live lane: `None` for lanes whose proof the cap cuts
-/// (the caller rescues those with scalar traceback).
-fn align_lane_group<K, G, SS, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    pairs: &[PairRef<'_>],
-    group: &LaneGroup<L>,
-    band: BandCfg,
-    stats: &mut TraceStats,
-) -> Vec<Option<Alignment>>
-where
-    K: AlignKind,
-    G: GapModel,
-    SS: SimdSubst,
-{
-    let (n, m) = group.shape;
-
-    // The lane transpose: the only sequence-byte copy on this path.
-    stats.bytes_copied += ((n + m) * L) as u64;
-    let (q_rows, s_cols) =
-        anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
-
-    // Exact kind-`K` optima from the full-width score kernel: they
-    // prove each lane's band.
-    let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
-    let exact = anyseq_obs::span(Stage::Kernel, || {
-        block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut borders, 0)
-    })
-    .best;
-    let proven: [usize; L] = std::array::from_fn(|l| {
-        let best = from16(exact.0[l], 0);
-        proven_half_width::<K, G>(gap, subst.max_score(), n, m, best)
-    });
-    let w = proven[..group.fill]
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .min(band.max);
-
-    let mut store = DirStore::new(n, m, w, G::AFFINE, K::NU_ZERO);
-    let banded = anyseq_obs::span(Stage::Kernel, || {
-        banded_group_kernel::<K, G, SS, L>(Tier::detect(), gap, subst, &q_rows, &s_cols, &mut store)
-    });
-    stats.band_cells += (n * store.bw * L) as u64;
-    stats.max_band = stats.max_band.max(store.bw as u64);
-
-    anyseq_obs::span(Stage::Traceback, || {
-        let lanes = group.live().iter().enumerate();
-        lanes
-            .map(|(l, &idx)| {
-                if proven[l] > w {
-                    stats.band_overflows += 1;
-                    return None;
-                }
-                debug_assert_eq!(banded.best.0[l], exact.0[l], "a proven band is exact");
-                stats.lane_pairs += 1;
-                let p = pairs[idx];
-                let end = (banded.bi.0[l] as usize, banded.bj.0[l] as usize);
-                let score = from16(exact.0[l], 0);
-                Some(trace::<K>(p.q, p.s, score, end, |i, j| store.pred(i, j, l)))
-            })
-            .collect()
-    })
-}
-
 /// Aligns a batch of independent pairs with `L`-lane SIMD banded
 /// traceback; returns one kind-`K` [`Alignment`] per pair, in input
 /// order, plus the run's band telemetry. `threads` works as in
@@ -557,21 +333,75 @@ where
     G: GapModel,
     SS: SimdSubst,
 {
-    let gap = *scheme.gap();
-    let subst = *scheme.subst();
-    let extent_budget = max_block_extent(&gap, &subst);
+    align_batch_proven::<K, G, SS, L>(scheme, pairs, threads, band, proven_half_width::<K, G>)
+}
+
+/// [`align_batch_simd`] under the band proof `prove`, which maps
+/// `(gap, σ_max, n, m, score)` to a half-width (the seam through which
+/// a test breaks the proof). A group runs one banded pass at its widest
+/// proof, capped at [`BandCfg::max`]. A lane is decoded only when its
+/// proof fits the pass and its banded score equals its exact one
+/// (checked in every build); other lanes take the scalar rescue.
+fn align_batch_proven<K, G, SS, const L: usize>(
+    scheme: &Scheme<K, G, SS>,
+    pairs: &[PairRef<'_>],
+    threads: usize,
+    band: BandCfg,
+    prove: fn(&G, Score, usize, usize, Score) -> usize,
+) -> (Vec<Alignment>, TraceStats)
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+{
+    let (gap, subst) = (scheme.gap(), scheme.subst());
     // Exact-shape groups: the band and the proving score pass are
     // sized by the group's shape, which padding would only widen.
-    let built = LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL, 0);
+    let built = LaneGroups::<L>::build(pairs, max_block_extent(gap, subst), ALIGN_MIN_PARTIAL, 0);
     let scalar = |idx: usize| {
         let p = pairs[idx];
         anyseq_obs::span(Stage::Traceback, || scheme.align_codes(p.q, p.s))
     };
     let group = |group: &LaneGroup<L>, stats: &mut TraceStats, out: &mut Vec<_>| {
-        let alns = align_lane_group::<K, G, SS, L>(&gap, &subst, pairs, group, band, stats);
+        let (n, m) = group.shape;
+        // The lane transpose: the only sequence-byte copy on this path.
+        stats.bytes_copied += ((n + m) * L) as u64;
+        let lanes = anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
+        let (q_rows, s_cols) = (&lanes.0[..], &lanes.1[..]);
+        // Exact kind-`K` optima from the full-width score kernel: they
+        // prove each lane's band.
+        let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
+        let exact = anyseq_obs::span(Stage::Kernel, || {
+            block_kernel_kind::<K, G, SS, false, L>(gap, subst, q_rows, s_cols, &mut borders, 0)
+        })
+        .best;
+        let proven: [usize; L] =
+            std::array::from_fn(|l| prove(gap, subst.max_score(), n, m, from16(exact.0[l], 0)));
+        let w = band
+            .max
+            .min(*proven[..group.fill].iter().max().unwrap_or(&0));
+        let store = anyseq_obs::span(Stage::Kernel, || {
+            DirStore::<K, L>::relax(Tier::detect(), gap, subst, (q_rows, s_cols), w)
+        });
+        stats.band_cells += (n * store.width() * L) as u64;
+        stats.max_band = stats.max_band.max(store.width() as u64);
+        let decode = |(l, &idx): (usize, &usize)| {
+            if proven[l] > w {
+                stats.band_overflows += 1;
+                return None;
+            }
+            if store.best.0[l] != exact.0[l] {
+                stats.proof_failures += 1;
+                return None;
+            }
+            stats.lane_pairs += 1;
+            let (p, end) = (pairs[idx], (store.bi.0[l] as usize, store.bj.0[l] as usize));
+            let score = from16(exact.0[l], 0);
+            Some(trace::<K>(p.q, p.s, score, end, |i, j| store.pred(i, j, l)))
+        };
+        let lanes = group.live().iter().enumerate();
+        let alns: Vec<_> = anyseq_obs::span(Stage::Traceback, || lanes.map(decode).collect());
         for (&idx, aln) in group.live().iter().zip(alns) {
-            // `None`: band overflow (already counted), rescued by the
-            // scalar path for this lane only.
             out.push((idx, aln.unwrap_or_else(|| scalar(idx))));
         }
     };
@@ -582,8 +412,12 @@ where
 mod tests {
     use super::*;
     use anyseq_core::kind::{Global, Local, SemiGlobal};
+    use anyseq_core::pass::{init_left_f, init_left_h, init_top_e, init_top_h};
     use anyseq_core::prelude::{affine, global, linear, local, semiglobal, simple};
+    use anyseq_core::relax::{relax, BestCell, Prev};
+    use anyseq_core::score::NEG_INF;
     use anyseq_core::scoring::{AffineGap, LinearGap, SimpleSubst, SubstScore};
+    use anyseq_core::tile::{relax_tile, PredSink, TileIn, TileOut};
     use anyseq_seq::genome::GenomeSim;
     use anyseq_seq::testsupport::read_pairs;
     use anyseq_seq::{BatchView, Seq};
@@ -810,10 +644,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn band_overflow_falls_back_to_scalar() {
-        // A 50-base block swap pushes the optimal path ~50 diagonals
-        // off the corridor; a band capped at 4 cannot contain it.
+    /// Eight copies of one 150 × 150 pair whose halves swap places: a
+    /// 50-base block swap pushes the optimal path ~50 diagonals off the
+    /// corridor.
+    fn block_swap_pairs() -> Vec<(Seq, Seq)> {
         let mut sim = GenomeSim::new(23);
         let head = sim.generate(50);
         let tail = sim.generate(100);
@@ -823,8 +657,13 @@ mod tests {
         s_codes.extend_from_slice(head.codes());
         let q = Seq::from_codes(q_codes).unwrap();
         let s = Seq::from_codes(s_codes).unwrap();
-        let pairs: Vec<(Seq, Seq)> = (0..8).map(|_| (q.clone(), s.clone())).collect();
+        (0..8).map(|_| (q.clone(), s.clone())).collect()
+    }
 
+    #[test]
+    fn band_overflow_falls_back_to_scalar() {
+        // A band capped at 4 cannot contain the swap's path.
+        let pairs = block_swap_pairs();
         let scheme = global(linear(simple(2, -3), -1));
         let tiny = BandCfg { max: 4 };
         let (alns, stats) = run::<_, _, _, 8>(&scheme, &pairs, 2, tiny);
@@ -845,6 +684,201 @@ mod tests {
             "a 50-diagonal excursion needs a wide band: {}",
             stats.max_band
         );
+    }
+
+    /// A broken proof is caught in every build: under a proof that
+    /// claims the corridor alone (`w = 0`), the block-swap lanes miss
+    /// their exact score, and each is counted and rescued by the scalar
+    /// walk.
+    #[test]
+    fn a_broken_proof_is_rescued_and_counted() {
+        let pairs = block_swap_pairs();
+        let scheme = global(linear(simple(2, -3), -1));
+        let view = BatchView::from_pairs(&pairs);
+        let lie = |_: &LinearGap, _, _, _, _| 0;
+        let (alns, stats) =
+            align_batch_proven::<_, _, _, 8>(&scheme, view.refs(), 2, BandCfg::default(), lie);
+        check_all(&scheme, &pairs, &alns);
+        assert_eq!(stats.proof_failures, 8, "{stats:?}");
+        assert_eq!(
+            (stats.lane_pairs, stats.band_overflows, stats.max_band),
+            (0, 0, 1)
+        );
+    }
+
+    /// One predecessor format: over a band that covers the whole
+    /// matrix, every lane's byte at every cell is the byte `PredSink`
+    /// records from the scalar tile kernel over the same pair, for every
+    /// kind × gap model × scoring × tier × lane width.
+    #[test]
+    fn lane_bytes_equal_the_scalar_pred_sink() {
+        fn check<K: AlignKind, G: GapModel, const L: usize>(gap: G, subst: SimpleSubst) {
+            let (n, m) = (40, 52);
+            let pairs: Vec<(Seq, Seq)> = read_pairs(L, 17)
+                .into_iter()
+                .map(|(q, s)| (q.subseq(0..n), s.subseq(0..m)))
+                .collect();
+            let view = BatchView::from_pairs(&pairs);
+            let (q_rows, s_cols) = transpose_lanes(view.refs(), &std::array::from_fn(|l| l));
+            let scalar: Vec<PredSink> = (pairs.iter())
+                .map(|(q, s)| {
+                    let mut sink = PredSink::new(n, m);
+                    let input = TileIn {
+                        top_h: &init_top_h::<K, G>(&gap, m),
+                        top_e: &init_top_e::<K, G>(&gap, m),
+                        left_h: &init_left_h::<K, G>(&gap, n, gap.open()),
+                        left_f: &init_left_f::<G>(n),
+                    };
+                    let (q, s, out) = (q.codes(), s.codes(), &mut TileOut::new());
+                    relax_tile::<K, G, _, _>(
+                        &gap,
+                        &subst,
+                        q,
+                        s,
+                        (1, 1),
+                        (n, m),
+                        input,
+                        out,
+                        &mut sink,
+                    );
+                    sink
+                })
+                .collect();
+            for tier in Tier::available() {
+                let lanes = (&q_rows[..], &s_cols[..]);
+                let store = DirStore::<K, L>::relax(tier, &gap, &subst, lanes, n + m);
+                let (open, extend) = (gap.open(), gap.extend());
+                let what = format!(
+                    "{} {} {open}/{extend} {subst:?} L={L}",
+                    tier.name(),
+                    K::NAME
+                );
+                for (l, sink) in scalar.iter().enumerate() {
+                    for (i, j) in (1..=n).flat_map(|i| (1..=m).map(move |j| (i, j))) {
+                        let want = sink.data[(i - 1) * m + j - 1];
+                        assert_eq!(
+                            store.pred(i, j, l),
+                            want,
+                            "{what}: lane {l} cell ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+        fn widths<K: AlignKind, G: GapModel>(gap: G) {
+            for subst in [simple(2, -1), simple(2, -3)] {
+                check::<K, G, 8>(gap, subst);
+                check::<K, G, 16>(gap, subst);
+                check::<K, G, 32>(gap, subst);
+            }
+        }
+        fn gaps<K: AlignKind>() {
+            widths::<K, _>(LinearGap { gap: -2 });
+            widths::<K, _>(AffineGap {
+                open: -3,
+                extend: -1,
+            });
+            widths::<K, _>(AffineGap {
+                open: 0,
+                extend: -1,
+            });
+        }
+        gaps::<Global>();
+        gaps::<SemiGlobal>();
+        gaps::<Local>();
+    }
+
+    /// The banded pass is the DP over the band alone: at every narrow
+    /// half-width, each lane's optimum and end cell are those of a scalar
+    /// `relax` + `BestCell` sweep whose cells off the band are −∞ (the
+    /// off-band init stripes included), for every kind × gap model on
+    /// square and skewed shapes.
+    #[test]
+    fn banded_pass_relaxes_the_band_alone() {
+        const L: usize = 8;
+        fn check<K: AlignKind, G: GapModel>(gap: G, (n, m): (usize, usize)) {
+            // Unrelated lanes: their optima lean on the band's edges.
+            let (subst, mut sim) = (simple(2, -3), GenomeSim::new(29));
+            let pairs: Vec<(Seq, Seq)> =
+                (0..L).map(|_| (sim.generate(n), sim.generate(m))).collect();
+            let view = BatchView::from_pairs(&pairs);
+            let (q_rows, s_cols) = transpose_lanes(view.refs(), &std::array::from_fn(|l| l));
+            for w in 0..4 {
+                let store =
+                    DirStore::<K, L>::relax(Tier::BASELINE, &gap, &subst, (&q_rows, &s_cols), w);
+                let band = |i: usize, j: usize| {
+                    (store.dlo..=store.dhi).contains(&(j as isize - i as isize))
+                };
+                let cut = |v: Score, i: usize, j: usize| if band(i, j) { v } else { NEG_INF };
+                for (l, (q, s)) in pairs.iter().enumerate() {
+                    let (q, s) = (q.codes(), s.codes());
+                    let mut h: Vec<Score> =
+                        (0..=m).map(|j| cut(K::h_init(&gap, j), 0, j)).collect();
+                    let mut e: Vec<Score> = (0..=m).map(|j| cut(h[j] + gap.open(), 0, j)).collect();
+                    let left = init_left_h::<K, G>(&gap, n, gap.open());
+                    let mut best = BestCell::empty();
+                    match K::OPT {
+                        OptRegion::Border => best.update(K::h_init(&gap, m), 0, m),
+                        OptRegion::Anywhere => best.update(0, 0, 0),
+                        OptRegion::Corner => {}
+                    }
+                    for i in 1..=n {
+                        let (mut diag, mut f) = (h[0], NEG_INF);
+                        h[0] = cut(left[i - 1], i, 0);
+                        if matches!(K::OPT, OptRegion::Border) && i == n {
+                            best.update(h[0], n, 0);
+                        }
+                        for j in 1..=m {
+                            let prev = Prev {
+                                diag_h: diag,
+                                up_h: h[j],
+                                up_e: e[j],
+                                left_h: h[j - 1],
+                                left_f: f,
+                            };
+                            let next =
+                                relax::<K, G, _, false>(&gap, &subst, prev, q[i - 1], s[j - 1]);
+                            diag = h[j];
+                            (h[j], e[j], f) =
+                                (cut(next.h, i, j), cut(next.e, i, j), cut(next.f, i, j));
+                            let border = matches!(K::OPT, OptRegion::Border) && (i == n || j == m);
+                            if border || matches!(K::OPT, OptRegion::Anywhere) {
+                                best.update(h[j], i, j);
+                            }
+                        }
+                    }
+                    if matches!(K::OPT, OptRegion::Corner) {
+                        best = BestCell {
+                            score: h[m],
+                            i: n,
+                            j: m,
+                        };
+                    }
+                    let got = (
+                        store.best.0[l],
+                        store.bi.0[l] as usize,
+                        store.bj.0[l] as usize,
+                    );
+                    let want = (to16(best.score, 0), best.i, best.j);
+                    assert_eq!(got, want, "{} {n}x{m} w = {w} lane {l}", K::NAME);
+                }
+            }
+        }
+        fn shapes<K: AlignKind>() {
+            for shape in [(32, 32), (24, 40), (40, 24)] {
+                check::<K, _>(LinearGap { gap: -2 }, shape);
+                check::<K, _>(
+                    AffineGap {
+                        open: -3,
+                        extend: -1,
+                    },
+                    shape,
+                );
+            }
+        }
+        shapes::<Global>();
+        shapes::<SemiGlobal>();
+        shapes::<Local>();
     }
 
     /// Every tier the host has × kind × gap model × lane width: a band
@@ -875,14 +909,8 @@ mod tests {
             )
             .best;
             let run = |tier: Tier, w: usize| {
-                let mut store = DirStore::new(n, m, w, G::AFFINE, K::NU_ZERO);
-                let opt = banded_group_kernel::<K, G, _, L>(
-                    tier, &gap, &subst, &q_rows, &s_cols, &mut store,
-                );
-                (
-                    (opt.best, opt.bi, opt.bj),
-                    [store.up, store.left, store.e_ext, store.f_ext, store.stop],
-                )
+                let store = DirStore::<K, L>::relax(tier, &gap, &subst, (&q_rows, &s_cols), w);
+                ((store.best, store.bi, store.bj), store.bytes)
             };
             let narrow = run(Tier::BASELINE, 3);
             for tier in Tier::available() {
@@ -973,15 +1001,7 @@ mod tests {
                 )
                 .best;
                 let run = |w: usize| {
-                    let mut store = DirStore::new(n, m, w, G::AFFINE, K::NU_ZERO);
-                    banded_group_kernel::<K, G, _, L>(
-                        Tier::BASELINE,
-                        &gap,
-                        &subst,
-                        &q_rows,
-                        &s_cols,
-                        &mut store,
-                    )
+                    DirStore::<K, L>::relax(Tier::BASELINE, &gap, &subst, (&q_rows, &s_cols), w)
                 };
                 let full = run(n + m);
                 assert_eq!(full.best, exact, "{what}: full band vs exact");
@@ -1066,7 +1086,7 @@ mod tests {
         let (alns, stats) = run::<_, _, _, 16>(&scheme, &pairs, 1, BandCfg::default());
         check_all(&scheme, &pairs, &alns);
         assert_eq!(
-            stats.lane_pairs + stats.scalar_pairs + stats.band_overflows,
+            stats.lane_pairs + stats.scalar_pairs + stats.band_overflows + stats.proof_failures,
             pairs.len() as u64
         );
         // Workers' results and telemetry merge to the same answer at

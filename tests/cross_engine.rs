@@ -340,7 +340,10 @@ proptest! {
                         },
                         else { unreachable!("a kind the lanes cover") }
                     );
-                    let covered = stats.lane_pairs + stats.scalar_pairs + stats.band_overflows;
+                    let covered = stats.lane_pairs
+                        + stats.scalar_pairs
+                        + stats.band_overflows
+                        + stats.proof_failures;
                     prop_assert_eq!(covered, pairs.len() as u64);
                     for (k, (q, s)) in pairs.iter().enumerate() {
                         let want = spec.align_scalar(q, s);
