@@ -631,6 +631,7 @@ mod tests {
             stats.lane_pairs + stats.band_overflows + stats.proof_failures + stats.scalar_pairs,
             total
         );
+        assert_eq!(stats.proof_failures, 0, "a correct proof never fails");
         assert_eq!(stats.bytes_copied, bytes);
         assert_eq!(stats.pad_cells, 0, "the traceback never pads");
     }

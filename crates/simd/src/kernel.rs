@@ -502,7 +502,6 @@ where
 /// general variant carries. Results are identical; only the instruction
 /// count differs. Runs on the same ISA tier as [`block_kernel_kind`], so
 /// the two stay comparable like for like.
-#[allow(clippy::needless_range_loop)]
 pub fn block_kernel_masked<G, SS, const L: usize>(
     gap: &G,
     subst: &SS,
@@ -530,50 +529,64 @@ pub fn block_kernel_masked<G, SS, const L: usize>(
     }
     Tier::detect().run(
         #[inline(always)]
-        || {
-            // Same slice-and-copy prologue as `kind_body`, so the two
-            // kernels differ by the masked ballast only.
-            let top_h = &mut borders.top_h[..w + 1];
-            let top_e = &mut borders.top_e[..w];
-            let left_h = &mut borders.left_h[..h];
-            let left_f = &mut borders.left_f[..h];
-            let subst = *subst;
-            let ext = gap.extend() as i16;
-            let openext = (gap.open() + gap.extend()) as i16;
-            // Masked-flow ballast: these accumulators exist in the
-            // "general" masked translation whether or not the variant
-            // needs them.
-            let mut running_max = I16s::<L>::splat(SENT16);
-            let nu_floor = I16s::<L>::splat(SENT16);
-
-            for r in 0..h {
-                let qc = &q_rows[r];
-                let mut diag = top_h[0];
-                top_h[0] = left_h[r];
-                let mut left = top_h[0];
-                let mut f = left_f[r];
-                for c in 0..w {
-                    let up = top_h[c + 1];
-                    let e = top_e[c].sat_adds(ext).max(up.sat_adds(openext));
-                    f = f.sat_adds(ext).max(left.sat_adds(openext));
-                    let sub = subst.lanes_score(qc, &s_cols[c]);
-                    let mut hval = diag.sat_add(sub).max(e).max(f);
-                    // ν mask applied unconditionally (a no-op floor for global).
-                    hval = hval.max(nu_floor);
-                    running_max = running_max.max(hval);
-                    diag = up;
-                    top_h[c + 1] = hval;
-                    top_e[c] = e;
-                    left = hval;
-                }
-                left_h[r] = top_h[w];
-                left_f[r] = f;
-            }
-            // Keep the running maximum live so the optimizer cannot drop
-            // the masked ballast.
-            std::hint::black_box(running_max.hmax());
-        },
+        || masked_body(gap, subst, q_rows, s_cols, borders),
     )
+}
+
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn masked_body<G, SS, const L: usize>(
+    gap: &G,
+    subst: &SS,
+    q_rows: &[[u8; L]],
+    s_cols: &[[u8; L]],
+    borders: &mut BlockBorders<L>,
+) where
+    G: GapModel,
+    SS: SimdSubst,
+{
+    let h = q_rows.len();
+    let w = s_cols.len();
+    // Same slice-and-copy prologue as `kind_body`, so the two kernels
+    // differ by the masked ballast only.
+    let top_h = &mut borders.top_h[..w + 1];
+    let top_e = &mut borders.top_e[..w];
+    let left_h = &mut borders.left_h[..h];
+    let left_f = &mut borders.left_f[..h];
+    let subst = *subst;
+    let ext = gap.extend() as i16;
+    let openext = (gap.open() + gap.extend()) as i16;
+    // Masked-flow ballast: these accumulators exist in the "general"
+    // masked translation whether or not the variant needs them.
+    let mut running_max = I16s::<L>::splat(SENT16);
+    let nu_floor = I16s::<L>::splat(SENT16);
+
+    for r in 0..h {
+        let qc = &q_rows[r];
+        let mut diag = top_h[0];
+        top_h[0] = left_h[r];
+        let mut left = top_h[0];
+        let mut f = left_f[r];
+        for c in 0..w {
+            let up = top_h[c + 1];
+            let e = top_e[c].sat_adds(ext).max(up.sat_adds(openext));
+            f = f.sat_adds(ext).max(left.sat_adds(openext));
+            let sub = subst.lanes_score(qc, &s_cols[c]);
+            let mut hval = diag.sat_add(sub).max(e).max(f);
+            // ν mask applied unconditionally (a no-op floor for global).
+            hval = hval.max(nu_floor);
+            running_max = running_max.max(hval);
+            diag = up;
+            top_h[c + 1] = hval;
+            top_e[c] = e;
+            left = hval;
+        }
+        left_h[r] = top_h[w];
+        left_f[r] = f;
+    }
+    // Keep the running maximum live so the optimizer cannot drop the
+    // masked ballast.
+    std::hint::black_box(running_max.hmax());
 }
 
 #[cfg(test)]

@@ -1,22 +1,34 @@
-//! Lane-packed banded traceback for the inter-sequence SIMD backend:
-//! one whole alignment per 16-bit vector lane, as on the score path
-//! ([`crate::batch`]), with the scalar walk's alignment out.
+//! Lane-packed banded traceback for the inter-sequence SIMD backend.
 //!
-//! * **Score-bounded band** — the full-width score kernel yields each
-//!   lane's exact optimum, from which `proven_half_width` derives the
-//!   narrowest diagonal band `j − i ∈ [dlo, dhi]` around the corridor
-//!   that provably holds every optimal path (Ukkonen's cut-off). The
-//!   group runs one banded pass at its widest lane's proof, capped at
-//!   [`BandCfg::max`]; lanes past the cap take the scalar `Scheme::align`.
-//! * **One byte per lane per band cell** — the banded pass is the score
-//!   kernel's own relaxation (`kernel::kind_body`) over the band's
-//!   window, with a sink that stores each lane's `relax::pred` byte,
-//!   `PredSink`'s format, computed with whole-vector compares.
-//! * **One alignment per pair** — the sink breaks ties as
-//!   `anyseq_core::relax` and picks the end cell as `BestCell`. A proven
-//!   band holds the full matrix's values along every optimal path, so
-//!   the scalar walk's state machine ([`anyseq_core::fullmatrix::trace`])
-//!   decodes a lane's bytes into `Scheme::align_codes`'s `Alignment`.
+//! The score path ([`crate::batch`]) keeps one whole alignment per
+//! 16-bit vector lane; this module extends that shape to full
+//! tracebacks so a short-read batch can produce CIGARs without ever
+//! leaving the vector unit — the very alignments the scalar walk
+//! returns. Three ideas combine:
+//!
+//! * **One predecessor byte per lane per band cell** — the banded pass
+//!   is the score kernel's own relaxation (`kernel::kind_body`) over the
+//!   band's column window, with a sink that stores each lane's
+//!   [`pred`] byte, `PredSink`'s format, computed with whole-vector
+//!   compares and selects: `L` bytes per band cell, one `[u8; L]` store.
+//! * **Score-bounded band** — directions are only recorded inside a
+//!   diagonal band `j − i ∈ [dlo, dhi]` around the alignment corridor.
+//!   The full-width score kernel runs first and yields each lane's
+//!   exact optimum; from it `proven_half_width` derives the narrowest
+//!   band that provably holds every optimal path (a path leaving it
+//!   scores strictly less: Ukkonen's cut-off). The group runs one
+//!   banded pass at its widest lane's proven width, capped at
+//!   [`BandCfg::max`]; lanes whose proof the cap cuts fall back to the
+//!   scalar `Scheme::align`.
+//! * **One alignment per pair** — the banded relaxation breaks ties as
+//!   `anyseq_core::relax` does (diagonal before `E` before `F`, a gap
+//!   extends only when strictly better than reopening, ν = 0 stops a
+//!   local path at `H ≤ 0`) and picks the end cell as `BestCell` does.
+//!   Along every optimal path a lane's proven band holds the full
+//!   matrix's values, so the lane records the scalar predecessor bytes
+//!   there; they are decoded through the scalar walk's own state
+//!   machine ([`anyseq_core::fullmatrix::trace`]), and the lane returns
+//!   `Scheme::align_codes`'s `Alignment`.
 
 use crate::batch::{transpose_lanes, LaneGroup, LaneGroups};
 use crate::isa::Tier;
@@ -37,17 +49,20 @@ use anyseq_seq::PairRef;
 use std::marker::PhantomData;
 
 /// Smallest run of one shape the traceback path runs as a lane group
-/// instead of `k` scalar `align_codes` calls; a group pays a whole
-/// `L`-lane score pass and banded pass whatever its fill. Measured on
-/// 150 × 150 global affine pairs at 1 % divergence, L = 16, 4 runs (a
-/// 2-vCPU host in a slow spell): a 2-pair group costs 0.57–0.72 scalar
-/// pairs on the AVX2 tier and 1.08–1.31 on baseline, so `k = 2` wins
-/// on both (0.29–0.36× / 0.54–0.66×) and a lone pair loses on baseline.
+/// instead of `k` scalar `align_codes` calls. A padded group pays
+/// a whole `L`-lane score pass plus banded pass whatever its fill.
+/// Measured on 150 × 150 global affine pairs at 1 % divergence,
+/// L = 16, with the score-bounded band, 4 runs per tier on a 2-vCPU
+/// host in a slow spell: a 2-pair group costs 0.57–0.72 scalar pairs
+/// on the AVX2 tier and 1.08–1.31 on baseline, so `k = 2` wins on both
+/// (0.29–0.36× / 0.54–0.66×). Before the banded pass ran through
+/// `kind_body` the same probe read 1.65–1.84 / 2.28–2.48 per group and
+/// `k = 2` lost on baseline, so the constant was 3.
 pub(crate) const ALIGN_MIN_PARTIAL: usize = 2;
 
 /// Band width bound for the SIMD traceback, in diagonals each side of
-/// the corridor: the width a group needs is proven from its exact
-/// scores (`proven_half_width`); this only caps it.
+/// the corridor. The width a lane group needs is proven from its exact
+/// scores (see `proven_half_width`); this only caps it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BandCfg {
     /// Cap on the proven half-width; lanes whose proof exceeds it fall
@@ -57,7 +72,8 @@ pub struct BandCfg {
 
 impl Default for BandCfg {
     fn default() -> BandCfg {
-        // Saturates a short-read matrix: only long, divergent pairs overflow.
+        // 256 saturates a whole short-read matrix, so overflow
+        // fallbacks only occur for long, divergent pairs.
         BandCfg { max: 256 }
     }
 }
@@ -67,11 +83,13 @@ impl Default for BandCfg {
 /// `BatchStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Pairs aligned in live SIMD lanes (padding lanes are not counted).
+    /// Pairs aligned in live SIMD lanes (padding lanes of a partial
+    /// group are not pairs and are not counted).
     pub lane_pairs: u64,
     /// Leftover/oversized pairs aligned by the in-backend scalar path.
     pub scalar_pairs: u64,
-    /// Always 0: a lane group runs one banded pass, never widened.
+    /// Always 0: a lane group runs one banded pass and never widens
+    /// it. Kept for readers of the field.
     pub band_widenings: u64,
     /// Pairs whose proven band exceeded [`BandCfg::max`] and were
     /// rescued by scalar traceback.
@@ -85,13 +103,17 @@ pub struct TraceStats {
     pub band_cells: u64,
     /// Sequence bytes copied into lane-transposed row/column buffers —
     /// `(|q| + |s|) × L` per lane group, the *only* sequence copy on
-    /// the batch path (scalar-path pairs copy nothing).
+    /// the batch path (everything above hands borrowed `PairRef`s
+    /// through). Scalar-path pairs copy nothing.
     pub bytes_copied: u64,
-    /// Widest band (in diagonals) any lane group used. Not drained into
-    /// `BatchStats::counters`, whose channel only adds.
+    /// Widest band (in diagonals) any lane group ended up using.
+    /// Direct-API telemetry only: the engine's additive
+    /// `drain_counters` channel cannot carry max semantics, so this
+    /// field intentionally does not flow into `BatchStats::counters`.
     pub max_band: u64,
-    /// Lanes retired early by X-drop on the score path (0 with the knob
-    /// off, for corner kinds, and on the always-exact alignment path).
+    /// Lanes retired early by X-drop on the score path (always 0 when
+    /// the knob is off or the kind is corner-optimum; the alignment
+    /// path never retires — tracebacks stay exact).
     pub xdrop_retired: u64,
     /// Cells live lanes of ragged score-path groups relaxed past their
     /// own pair's extent. Not counted as work: GCUPS counts live cells.
@@ -337,75 +359,118 @@ where
 }
 
 /// [`align_batch_simd`] under the band proof `prove`, which maps
-/// `(gap, σ_max, n, m, score)` to a half-width (the seam through which
-/// a test breaks the proof). A group runs one banded pass at its widest
-/// proof, capped at [`BandCfg::max`]. A lane is decoded only when its
-/// proof fits the pass and its banded score equals its exact one
-/// (checked in every build); other lanes take the scalar rescue.
+/// `(gap, σ_max, n, m, score)` to a half-width: the seam through which
+/// a test breaks the proof.
 fn align_batch_proven<K, G, SS, const L: usize>(
     scheme: &Scheme<K, G, SS>,
     pairs: &[PairRef<'_>],
     threads: usize,
     band: BandCfg,
-    prove: fn(&G, Score, usize, usize, Score) -> usize,
+    prove: Prove<G>,
 ) -> (Vec<Alignment>, TraceStats)
 where
     K: AlignKind,
     G: GapModel,
     SS: SimdSubst,
 {
-    let (gap, subst) = (scheme.gap(), scheme.subst());
+    let gap = *scheme.gap();
+    let subst = *scheme.subst();
+    let extent_budget = max_block_extent(&gap, &subst);
     // Exact-shape groups: the band and the proving score pass are
     // sized by the group's shape, which padding would only widen.
-    let built = LaneGroups::<L>::build(pairs, max_block_extent(gap, subst), ALIGN_MIN_PARTIAL, 0);
+    let built = LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL, 0);
     let scalar = |idx: usize| {
         let p = pairs[idx];
         anyseq_obs::span(Stage::Traceback, || scheme.align_codes(p.q, p.s))
     };
     let group = |group: &LaneGroup<L>, stats: &mut TraceStats, out: &mut Vec<_>| {
-        let (n, m) = group.shape;
-        // The lane transpose: the only sequence-byte copy on this path.
-        stats.bytes_copied += ((n + m) * L) as u64;
-        let lanes = anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
-        let (q_rows, s_cols) = (&lanes.0[..], &lanes.1[..]);
-        // Exact kind-`K` optima from the full-width score kernel: they
-        // prove each lane's band.
-        let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
-        let exact = anyseq_obs::span(Stage::Kernel, || {
-            block_kernel_kind::<K, G, SS, false, L>(gap, subst, q_rows, s_cols, &mut borders, 0)
-        })
-        .best;
-        let proven: [usize; L] =
-            std::array::from_fn(|l| prove(gap, subst.max_score(), n, m, from16(exact.0[l], 0)));
-        let w = band
-            .max
-            .min(*proven[..group.fill].iter().max().unwrap_or(&0));
-        let store = anyseq_obs::span(Stage::Kernel, || {
-            DirStore::<K, L>::relax(Tier::detect(), gap, subst, (q_rows, s_cols), w)
-        });
-        stats.band_cells += (n * store.width() * L) as u64;
-        stats.max_band = stats.max_band.max(store.width() as u64);
-        let decode = |(l, &idx): (usize, &usize)| {
-            if proven[l] > w {
-                stats.band_overflows += 1;
-                return None;
-            }
-            if store.best.0[l] != exact.0[l] {
-                stats.proof_failures += 1;
-                return None;
-            }
-            stats.lane_pairs += 1;
-            let (p, end) = (pairs[idx], (store.bi.0[l] as usize, store.bj.0[l] as usize));
-            let score = from16(exact.0[l], 0);
-            Some(trace::<K>(p.q, p.s, score, end, |i, j| store.pred(i, j, l)))
-        };
-        let lanes = group.live().iter().enumerate();
-        let alns: Vec<_> = anyseq_obs::span(Stage::Traceback, || lanes.map(decode).collect());
+        let alns = align_lane_group::<K, G, SS, L>(&gap, &subst, pairs, group, band, prove, stats);
         for (&idx, aln) in group.live().iter().zip(alns) {
+            // `None`: band overflow or proof failure (already counted),
+            // rescued by the scalar path for this lane only.
             out.push((idx, aln.unwrap_or_else(|| scalar(idx))));
         }
     };
     built.run(threads, pairs.len(), Alignment::empty(0), group, scalar)
+}
+
+/// A band proof: `(gap, σ_max, n, m, score)` to a half-width.
+type Prove<G> = fn(&G, Score, usize, usize, Score) -> usize;
+
+/// Aligns one lane group's pairs in one banded vector pass at the
+/// group's widest proven width (see [`proven_half_width`]), capped at
+/// [`BandCfg::max`]. A lane is decoded only under its own proof: its
+/// proven width fits the pass, so the band holds all of its optimal
+/// paths and the lane decodes to the scalar walk's alignment. The
+/// proof is checked in every build: a lane whose banded score misses
+/// its exact score counts as a proof failure. Returns one entry per
+/// live lane: `None` for lanes whose proof the cap cuts or that failed
+/// it (the caller rescues those with scalar traceback).
+fn align_lane_group<K, G, SS, const L: usize>(
+    gap: &G,
+    subst: &SS,
+    pairs: &[PairRef<'_>],
+    group: &LaneGroup<L>,
+    band: BandCfg,
+    prove: Prove<G>,
+    stats: &mut TraceStats,
+) -> Vec<Option<Alignment>>
+where
+    K: AlignKind,
+    G: GapModel,
+    SS: SimdSubst,
+{
+    let (n, m) = group.shape;
+
+    // The lane transpose: the only sequence-byte copy on this path.
+    stats.bytes_copied += ((n + m) * L) as u64;
+    let (q_rows, s_cols) =
+        anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
+
+    // Exact kind-`K` optima from the full-width score kernel: they
+    // prove each lane's band.
+    let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
+    let exact = anyseq_obs::span(Stage::Kernel, || {
+        block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut borders, 0)
+    })
+    .best;
+    let proven: [usize; L] = std::array::from_fn(|l| {
+        let best = from16(exact.0[l], 0);
+        prove(gap, subst.max_score(), n, m, best)
+    });
+    let w = proven[..group.fill]
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(0)
+        .min(band.max);
+
+    let store = anyseq_obs::span(Stage::Kernel, || {
+        DirStore::<K, L>::relax(Tier::detect(), gap, subst, (&q_rows[..], &s_cols[..]), w)
+    });
+    stats.band_cells += (n * store.width() * L) as u64;
+    stats.max_band = stats.max_band.max(store.width() as u64);
+
+    anyseq_obs::span(Stage::Traceback, || {
+        let lanes = group.live().iter().enumerate();
+        lanes
+            .map(|(l, &idx)| {
+                if proven[l] > w {
+                    stats.band_overflows += 1;
+                    return None;
+                }
+                if store.best.0[l] != exact.0[l] {
+                    stats.proof_failures += 1;
+                    return None;
+                }
+                stats.lane_pairs += 1;
+                let p = pairs[idx];
+                let end = (store.bi.0[l] as usize, store.bj.0[l] as usize);
+                let score = from16(exact.0[l], 0);
+                Some(trace::<K>(p.q, p.s, score, end, |i, j| store.pred(i, j, l)))
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -1089,6 +1154,7 @@ mod tests {
             stats.lane_pairs + stats.scalar_pairs + stats.band_overflows + stats.proof_failures,
             pairs.len() as u64
         );
+        assert_eq!(stats.proof_failures, 0, "a correct proof never fails");
         // Workers' results and telemetry merge to the same answer at
         // every thread count.
         for threads in [3, 8] {

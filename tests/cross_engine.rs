@@ -345,6 +345,7 @@ proptest! {
                         + stats.band_overflows
                         + stats.proof_failures;
                     prop_assert_eq!(covered, pairs.len() as u64);
+                    prop_assert_eq!(stats.proof_failures, 0, "a correct proof never fails");
                     for (k, (q, s)) in pairs.iter().enumerate() {
                         let want = spec.align_scalar(q, s);
                         prop_assert_eq!(&alns[k], &want, "{:?} pair {}", spec, k);
