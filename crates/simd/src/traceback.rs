@@ -359,118 +359,75 @@ where
 }
 
 /// [`align_batch_simd`] under the band proof `prove`, which maps
-/// `(gap, σ_max, n, m, score)` to a half-width: the seam through which
-/// a test breaks the proof.
+/// `(gap, σ_max, n, m, score)` to a half-width (the seam through which
+/// a test breaks the proof). A group runs one banded pass at its widest
+/// proof, capped at [`BandCfg::max`]. A lane is decoded only when its
+/// proof fits the pass and its banded score equals its exact one
+/// (checked in every build); other lanes take the scalar rescue.
 fn align_batch_proven<K, G, SS, const L: usize>(
     scheme: &Scheme<K, G, SS>,
     pairs: &[PairRef<'_>],
     threads: usize,
     band: BandCfg,
-    prove: Prove<G>,
+    prove: fn(&G, Score, usize, usize, Score) -> usize,
 ) -> (Vec<Alignment>, TraceStats)
 where
     K: AlignKind,
     G: GapModel,
     SS: SimdSubst,
 {
-    let gap = *scheme.gap();
-    let subst = *scheme.subst();
-    let extent_budget = max_block_extent(&gap, &subst);
+    let (gap, subst) = (scheme.gap(), scheme.subst());
     // Exact-shape groups: the band and the proving score pass are
     // sized by the group's shape, which padding would only widen.
-    let built = LaneGroups::<L>::build(pairs, extent_budget, ALIGN_MIN_PARTIAL, 0);
+    let built = LaneGroups::<L>::build(pairs, max_block_extent(gap, subst), ALIGN_MIN_PARTIAL, 0);
     let scalar = |idx: usize| {
         let p = pairs[idx];
         anyseq_obs::span(Stage::Traceback, || scheme.align_codes(p.q, p.s))
     };
     let group = |group: &LaneGroup<L>, stats: &mut TraceStats, out: &mut Vec<_>| {
-        let alns = align_lane_group::<K, G, SS, L>(&gap, &subst, pairs, group, band, prove, stats);
+        let (n, m) = group.shape;
+        // The lane transpose: the only sequence-byte copy on this path.
+        stats.bytes_copied += ((n + m) * L) as u64;
+        let lanes = anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
+        let (q_rows, s_cols) = (&lanes.0[..], &lanes.1[..]);
+        // Exact kind-`K` optima from the full-width score kernel: they
+        // prove each lane's band.
+        let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
+        let exact = anyseq_obs::span(Stage::Kernel, || {
+            block_kernel_kind::<K, G, SS, false, L>(gap, subst, q_rows, s_cols, &mut borders, 0)
+        })
+        .best;
+        let proven: [usize; L] =
+            std::array::from_fn(|l| prove(gap, subst.max_score(), n, m, from16(exact.0[l], 0)));
+        let w = band
+            .max
+            .min(*proven[..group.fill].iter().max().unwrap_or(&0));
+        let store = anyseq_obs::span(Stage::Kernel, || {
+            DirStore::<K, L>::relax(Tier::detect(), gap, subst, (q_rows, s_cols), w)
+        });
+        stats.band_cells += (n * store.width() * L) as u64;
+        stats.max_band = stats.max_band.max(store.width() as u64);
+        let decode = |(l, &idx): (usize, &usize)| {
+            if proven[l] > w {
+                stats.band_overflows += 1;
+                return None;
+            }
+            if store.best.0[l] != exact.0[l] {
+                stats.proof_failures += 1;
+                return None;
+            }
+            stats.lane_pairs += 1;
+            let (p, end) = (pairs[idx], (store.bi.0[l] as usize, store.bj.0[l] as usize));
+            let score = from16(exact.0[l], 0);
+            Some(trace::<K>(p.q, p.s, score, end, |i, j| store.pred(i, j, l)))
+        };
+        let lanes = group.live().iter().enumerate();
+        let alns: Vec<_> = anyseq_obs::span(Stage::Traceback, || lanes.map(decode).collect());
         for (&idx, aln) in group.live().iter().zip(alns) {
-            // `None`: band overflow or proof failure (already counted),
-            // rescued by the scalar path for this lane only.
             out.push((idx, aln.unwrap_or_else(|| scalar(idx))));
         }
     };
     built.run(threads, pairs.len(), Alignment::empty(0), group, scalar)
-}
-
-/// A band proof: `(gap, σ_max, n, m, score)` to a half-width.
-type Prove<G> = fn(&G, Score, usize, usize, Score) -> usize;
-
-/// Aligns one lane group's pairs in one banded vector pass at the
-/// group's widest proven width (see [`proven_half_width`]), capped at
-/// [`BandCfg::max`]. A lane is decoded only under its own proof: its
-/// proven width fits the pass, so the band holds all of its optimal
-/// paths and the lane decodes to the scalar walk's alignment. The
-/// proof is checked in every build: a lane whose banded score misses
-/// its exact score counts as a proof failure. Returns one entry per
-/// live lane: `None` for lanes whose proof the cap cuts or that failed
-/// it (the caller rescues those with scalar traceback).
-fn align_lane_group<K, G, SS, const L: usize>(
-    gap: &G,
-    subst: &SS,
-    pairs: &[PairRef<'_>],
-    group: &LaneGroup<L>,
-    band: BandCfg,
-    prove: Prove<G>,
-    stats: &mut TraceStats,
-) -> Vec<Option<Alignment>>
-where
-    K: AlignKind,
-    G: GapModel,
-    SS: SimdSubst,
-{
-    let (n, m) = group.shape;
-
-    // The lane transpose: the only sequence-byte copy on this path.
-    stats.bytes_copied += ((n + m) * L) as u64;
-    let (q_rows, s_cols) =
-        anyseq_obs::span(Stage::Transpose, || transpose_lanes(pairs, &group.lanes));
-
-    // Exact kind-`K` optima from the full-width score kernel: they
-    // prove each lane's band.
-    let mut borders = BlockBorders::<L>::init::<K, G>(gap, n, m);
-    let exact = anyseq_obs::span(Stage::Kernel, || {
-        block_kernel_kind::<K, G, SS, false, L>(gap, subst, &q_rows, &s_cols, &mut borders, 0)
-    })
-    .best;
-    let proven: [usize; L] = std::array::from_fn(|l| {
-        let best = from16(exact.0[l], 0);
-        prove(gap, subst.max_score(), n, m, best)
-    });
-    let w = proven[..group.fill]
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .min(band.max);
-
-    let store = anyseq_obs::span(Stage::Kernel, || {
-        DirStore::<K, L>::relax(Tier::detect(), gap, subst, (&q_rows[..], &s_cols[..]), w)
-    });
-    stats.band_cells += (n * store.width() * L) as u64;
-    stats.max_band = stats.max_band.max(store.width() as u64);
-
-    anyseq_obs::span(Stage::Traceback, || {
-        let lanes = group.live().iter().enumerate();
-        lanes
-            .map(|(l, &idx)| {
-                if proven[l] > w {
-                    stats.band_overflows += 1;
-                    return None;
-                }
-                if store.best.0[l] != exact.0[l] {
-                    stats.proof_failures += 1;
-                    return None;
-                }
-                stats.lane_pairs += 1;
-                let p = pairs[idx];
-                let end = (store.bi.0[l] as usize, store.bj.0[l] as usize);
-                let score = from16(exact.0[l], 0);
-                Some(trace::<K>(p.q, p.s, score, end, |i, j| store.pred(i, j, l)))
-            })
-            .collect()
-    })
 }
 
 #[cfg(test)]
